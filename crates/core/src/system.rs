@@ -246,7 +246,9 @@ struct SystemModel<P: Scheduler> {
     /// separate because the streams sit at different positions — the
     /// fused advance-plus-accounting walk covers `[last_sync, now)`
     /// while the decision-time lookups probe `now` and crossing windows
-    /// ahead of it; sharing one hint would thrash it.
+    /// ahead of it; sharing one hint would thrash it. On a uniform-grid
+    /// profile the queries index the grid and the cursors only collect
+    /// the crossing-tier counters.
     adv_cursor: Cursor,
     point_cursor: Cursor,
     cross_cursor: Cursor,
@@ -1811,7 +1813,10 @@ mod tests {
         let m = r.metrics.as_ref().expect("metrics collected");
         assert_eq!(m.counter("engine.events"), r.events);
         assert!(m.counter("sched.decisions") > 0);
-        assert!(m.counter("cursor.locates") > 0);
+        // The constant profile is a uniform grid: lookups index it
+        // directly, and only the crossing tiers reach the cursors.
+        assert_eq!(m.counter("cursor.locates"), 0);
+        assert!(m.counter("cursor.cross.bisect") > 0);
         assert!(m.counter("policy.ea-dvfs.stretches") > 0);
         // Every Started trace event is one run decision.
         assert_eq!(m.counter("sched.run_decisions"), r.trace_kind_counts[1]);
@@ -1824,6 +1829,25 @@ mod tests {
         );
         assert!(p.get(PHASE_POLICY_DECIDE).expect("decide timed").calls > 0);
         assert!(p.get(PHASE_ENERGY_SYNC).expect("sync timed").calls > 0);
+
+        // The same constant harvest on uneven breakpoints runs on the
+        // cursors, which count their lookups.
+        let uneven = PiecewiseConstant::new(
+            vec![u(0), u(10), u(100)],
+            vec![0.5, 0.5],
+            harvest_sim::piecewise::Extension::Hold,
+        )
+        .unwrap();
+        let r2 = simulate(
+            section2_config().with_metrics(),
+            &section2_tasks(),
+            uneven.clone(),
+            Box::new(EaDvfsScheduler::new()),
+            Box::new(OraclePredictor::new(uneven)),
+        );
+        let m2 = r2.metrics.as_ref().expect("metrics collected");
+        assert!(m2.counter("cursor.locates") > 0);
+        assert!(m2.counter("cursor.cross.bisect") > 0);
     }
 
     #[test]

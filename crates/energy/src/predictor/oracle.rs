@@ -31,10 +31,12 @@ pub struct OraclePredictor {
     /// Shared so sweep prefabs can hand the same realized profile to
     /// many concurrent trials without deep-copying breakpoint tables.
     profile: Arc<PiecewiseConstant>,
-    /// Breakpoint-position hint threaded across `predict_energy` calls.
-    /// Prediction windows advance monotonically with simulation time, so
-    /// the hint keeps each query amortized `O(1)`; it never changes a
-    /// returned value (the cursor is a pure accelerator).
+    /// Breakpoint-position hint threaded across `predict_energy` calls
+    /// on profiles without a uniform grid (a grid is indexed directly
+    /// and leaves it alone). Queries alternate between `now` and a
+    /// deadline, so the hint mostly saves the search near `now`; it
+    /// never changes a returned value (the cursor is a pure
+    /// accelerator).
     cursor: Cell<Cursor>,
 }
 

@@ -227,8 +227,10 @@ impl StorageSpec {
     /// Like [`Self::advance`], threading a profile [`Cursor`] across
     /// calls. A simulator advancing storage across consecutive windows
     /// keeps each segment lookup amortized `O(1)` instead of paying a
-    /// binary search per call. The report is bitwise-identical to
-    /// [`Self::advance`] for any cursor state.
+    /// binary search per call; a uniform-grid profile is walked by direct
+    /// indexing and needs no cursor (see
+    /// [`PiecewiseConstant::for_each_segment_with`]). The report is
+    /// bitwise-identical to [`Self::advance`] for any cursor state.
     #[allow(clippy::too_many_arguments)] // one scalar per physical input; the call sites read clearly
     pub fn advance_with(
         &self,
@@ -252,11 +254,9 @@ impl StorageSpec {
             level,
             ..AdvanceReport::default()
         };
-        let mut segs = profile.segments_between_with(*cur, from, to);
-        for seg in segs.by_ref() {
+        profile.for_each_segment_with(cur, from, to, |seg| {
             self.advance_constant(&mut report, seg.value, seg.duration().as_units(), load);
-        }
-        *cur = segs.state();
+        });
         report
     }
 
@@ -645,13 +645,11 @@ impl Storage {
             level: self.level,
             ..AdvanceReport::default()
         };
-        let mut segs = profile.segments_between_with(*cur, from, to);
-        for seg in segs.by_ref() {
-            self.spec
-                .advance_constant(&mut report, seg.value, seg.duration().as_units(), load);
+        let spec = &self.spec;
+        profile.for_each_segment_with(cur, from, to, |seg| {
+            spec.advance_constant(&mut report, seg.value, seg.duration().as_units(), load);
             each(seg);
-        }
-        *cur = segs.state();
+        });
         self.level = report.level;
         report
     }
@@ -977,6 +975,74 @@ mod tests {
                 assert_eq!(b.clamped_full, scalar.clamped_full);
             }
         }
+    }
+
+    #[test]
+    fn grid_advance_matches_cursor_walk() {
+        // `advance_with_each` walks a uniform grid by direct indexing.
+        // Its report and the segments it hands out must equal the cursor
+        // walk (`segments_between` + `advance_constant`) bit for bit.
+        let spec = StorageSpec::ideal(50.0);
+        let small = profile(vec![2.0, 0.0, 3.5, 0.25, 1.0]);
+        // Offsets near multiples of 3e17 ticks lose bits in the f64
+        // estimate of the segment index, so the exact division runs.
+        let dt = 300_000_000_000_000_000i64;
+        let huge = PiecewiseConstant::from_samples(
+            SimTime::ZERO,
+            SimDuration::from_ticks(dt),
+            vec![3e-10, 0.0, 1e-10, 2e-10],
+            Extension::Hold,
+        )
+        .unwrap();
+        let t = SimTime::from_ticks;
+        let estimate_misses = [dt - 1, 2 * dt - 1, 3 * dt - 1, 3 * dt + 1]
+            .iter()
+            .any(|&n| ((n as f64) * (1.0 / dt as f64)) as i64 != n / dt);
+        assert!(estimate_misses, "no offset reaches the exact division");
+        // (profile, from, to, level, load)
+        let cases = [
+            (&small, u(-5), u(15), 20.0, 1.0),  // starts before the domain
+            (&small, u(35), u(70), 20.0, 1.0),  // straddles its end
+            (&small, u(10), u(30), 20.0, 1.0),  // endpoints on breakpoints
+            (&small, u(-20), u(-5), 20.0, 0.5), // wholly before
+            (&small, u(60), u(90), 20.0, 0.5),  // wholly after
+            (&small, u(0), u(50), 45.0, 0.0),   // clamps full
+            (&small, u(0), u(50), 5.0, 4.0),    // clamps empty
+            (&small, u(7), u(7), 5.0, 4.0),     // empty window
+            (&huge, t(dt - 1), t(3 * dt + 1), 10.0, 0.0),
+            (&huge, t(2 * dt - 1), t(5 * dt), 10.0, 1e-10),
+        ];
+        let (mut saw_full, mut saw_empty) = (false, false);
+        for (i, &(f, from, to, level, load)) in cases.iter().enumerate() {
+            assert!(f.uniform_grid().is_some());
+            let mut want = AdvanceReport {
+                level,
+                ..AdvanceReport::default()
+            };
+            let want_segs: Vec<Segment> = f.segments_between(from, to).collect();
+            for seg in &want_segs {
+                spec.advance_constant(&mut want, seg.value, seg.duration().as_units(), load);
+            }
+            let mut storage = Storage::new(spec, level);
+            let mut segs = Vec::new();
+            let got = storage.advance_with_each(&mut Cursor::default(), f, from, to, load, |seg| {
+                segs.push(seg)
+            });
+            let plain = spec.advance_with(&mut Cursor::default(), level, f, from, to, load);
+            assert_eq!(segs, want_segs, "case {i}: segments");
+            for r in [got, plain] {
+                assert_eq!(r.level.to_bits(), want.level.to_bits(), "case {i}: level");
+                assert_eq!(r.overflow.to_bits(), want.overflow.to_bits(), "case {i}");
+                assert_eq!(r.deficit.to_bits(), want.deficit.to_bits(), "case {i}");
+                assert_eq!(r.delivered.to_bits(), want.delivered.to_bits(), "case {i}");
+                assert_eq!(r.clamped_empty, want.clamped_empty, "case {i}");
+                assert_eq!(r.clamped_full, want.clamped_full, "case {i}");
+            }
+            assert_eq!(storage.level().to_bits(), want.level.to_bits());
+            saw_full |= want.clamped_full;
+            saw_empty |= want.clamped_empty;
+        }
+        assert!(saw_full && saw_empty, "both clamp boundaries exercised");
     }
 
     #[test]

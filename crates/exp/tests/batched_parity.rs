@@ -9,6 +9,12 @@
 //! fused path (oracle predictor, fault-free) with ones that must
 //! scalar-drain (fault plans, non-oracle predictors, watchdogs), so
 //! both sides of the eligibility screen are pinned.
+//!
+//! Both engines answer profile queries on a uniform grid through the
+//! same `UniformGridView` kernel, so these tests pin the event loops
+//! against each other, not the grid against the cursor walk. That
+//! parity is pinned by the `grid_view_*` tests in `sim::piecewise` and
+//! `grid_advance_matches_cursor_walk` in `energy::storage`.
 
 use harvest_exp::scenario::{PaperScenario, PolicyKind, PredictorKind, SimPool, TrialPrefab};
 use harvest_exp::store::PackStore;

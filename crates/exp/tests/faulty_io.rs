@@ -12,7 +12,6 @@
 //! across all three durability levels.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -22,16 +21,10 @@ use harvest_exp::store::{PackStore, TrialStore};
 use harvest_obs::io::{Durability, FaultyIo, RetryPolicy, WriteFault};
 use proptest::prelude::*;
 
-/// A fresh directory per call: the vendored `proptest!` registers each
-/// property twice (its own `#[test]` plus the one written inside the
-/// block), and the two copies run concurrently with identical cases, so
-/// the name must not depend on the case alone.
 fn scratch_dir(tag: &str, case: u64) -> PathBuf {
-    static CALLS: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "harvest-faulty-io-{tag}-{case:016x}-{}-{}",
-        std::process::id(),
-        CALLS.fetch_add(1, Ordering::Relaxed)
+        "harvest-faulty-io-{tag}-{case:016x}-{}",
+        std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir

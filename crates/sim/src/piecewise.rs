@@ -20,6 +20,14 @@
 //! with a short forward gallop, making `value_at` / `integrate` /
 //! breakpoint queries amortized `O(1)` while staying `O(log n)` worst
 //! case for arbitrary access.
+//!
+//! Profiles on a uniform grid with [`Extension::Hold`] (every sampled
+//! harvest profile) skip the search altogether: each `*_with` query
+//! checks once for a [`UniformGridView`] and, when there is one, indexes
+//! the segment directly and leaves the cursor's position untouched. The
+//! cursor code is the fallback for non-uniform, `Zero` and `Cycle`
+//! profiles. Both paths evaluate the same IEEE expressions, so every
+//! answer is bit-identical whichever path serves it.
 
 use std::fmt;
 
@@ -132,10 +140,12 @@ pub struct PiecewiseConstant {
     prefix: Vec<f64>,
     vmin: f64,
     vmax: f64,
-    /// Common breakpoint spacing in ticks when the grid is uniform, else
-    /// 0. Detected once at construction so [`Self::uniform_grid`] is
-    /// `O(1)`.
-    uniform_dt: i64,
+    /// Common breakpoint spacing in ticks when the grid is uniform and
+    /// the extension is [`Extension::Hold`], else 0. Detected once at
+    /// construction, with its reciprocal `grid_inv_dt`, so the grid check
+    /// in front of every query is one branch and no division.
+    grid_dt: i64,
+    grid_inv_dt: f64,
 }
 
 /// Equality is over the semantic fields only; the prefix table is a
@@ -204,7 +214,9 @@ impl Segment {
 /// `value_at` / `integrate` / breakpoint lookups amortized `O(1)`.
 /// Queries that jump backwards or far ahead simply fall back to the
 /// `O(log n)` search, so a cursor is never *required* to be monotone —
-/// it is only fastest that way.
+/// it is only fastest that way. Queries on a profile with a
+/// [`UniformGridView`] need no search and leave the cursor's position
+/// alone; there the cursor only collects the crossing-tier counters.
 ///
 /// Cursors are plain data: cheap to copy, valid for the lifetime of the
 /// profile they were created against, and independent of each other.
@@ -252,7 +264,9 @@ impl Cursor {
 /// The lookup counters partition [`locates`](Self::locates): a call
 /// either hits the hinted segment exactly, gallops forward (adding the
 /// number of segments skipped to `gallop_segments`), jumps backwards,
-/// or runs without a usable hint.
+/// or runs without a usable hint. They count only the cursor path:
+/// queries a [`UniformGridView`] answers do no search and leave them
+/// untouched. The crossing tiers (`cross_*`) are counted on both paths.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CursorStats {
     /// Hinted segment lookups served.
@@ -341,9 +355,10 @@ impl PiecewiseConstant {
         let vmin = values.iter().copied().fold(f64::INFINITY, f64::min);
         let vmax = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let dt = (breakpoints[1] - breakpoints[0]).as_ticks();
-        let uniform_dt = if breakpoints
-            .windows(2)
-            .all(|w| (w[1] - w[0]).as_ticks() == dt)
+        let grid_dt = if extension == Extension::Hold
+            && breakpoints
+                .windows(2)
+                .all(|w| (w[1] - w[0]).as_ticks() == dt)
         {
             dt
         } else {
@@ -356,7 +371,12 @@ impl PiecewiseConstant {
             prefix,
             vmin,
             vmax,
-            uniform_dt,
+            grid_dt,
+            grid_inv_dt: if grid_dt == 0 {
+                0.0
+            } else {
+                1.0 / grid_dt as f64
+            },
         }
     }
 
@@ -470,20 +490,21 @@ impl PiecewiseConstant {
     /// Every view method computes the same IEEE expressions as its
     /// cursor-driven counterpart — only the breakpoint *search* is
     /// replaced by one integer division — so results are bit-identical
-    /// (pinned by the `grid_view_*` tests). Batched sweep lanes use one
-    /// view per lane over the shared prefix table instead of threading
-    /// per-lane [`Cursor`]s.
+    /// (pinned by the `grid_view_*` tests). Every `*_with` query of this
+    /// type answers through the view when it exists, so the scalar
+    /// engine and the batched lanes (which hold one view per lane) run
+    /// the same kernel.
     #[inline]
     pub fn uniform_grid(&self) -> Option<UniformGridView<'_>> {
-        if self.uniform_dt == 0 || self.extension != Extension::Hold {
+        if self.grid_dt == 0 {
             return None;
         }
         Some(UniformGridView {
             f: self,
             start_ticks: self.domain_start().as_ticks(),
             end_ticks: self.domain_end().as_ticks(),
-            dt_ticks: self.uniform_dt,
-            inv_dt: 1.0 / self.uniform_dt as f64,
+            dt_ticks: self.grid_dt,
+            inv_dt: self.grid_inv_dt,
         })
     }
 
@@ -591,8 +612,18 @@ impl PiecewiseConstant {
         self.value_at_with(&mut Cursor::default(), t)
     }
 
-    /// [`value_at`](Self::value_at) with cursor acceleration.
+    /// [`value_at`](Self::value_at) with cursor acceleration (none is
+    /// needed on a uniform grid).
+    #[inline]
     pub fn value_at_with(&self, cur: &mut Cursor, t: SimTime) -> f64 {
+        match self.uniform_grid() {
+            Some(g) => g.value_at(t),
+            None => self.value_at_cursor(cur, t),
+        }
+    }
+
+    /// The cursor path of [`Self::value_at_with`].
+    fn value_at_cursor(&self, cur: &mut Cursor, t: SimTime) -> f64 {
         let (folded, period, outside) = self.fold_with_period(t);
         match outside {
             Outside::Before => match self.extension {
@@ -661,13 +692,22 @@ impl PiecewiseConstant {
     /// Returns a negated integral when `t2 < t1` (exactly: IEEE
     /// subtraction is antisymmetric).
     pub fn integrate(&self, t1: SimTime, t2: SimTime) -> f64 {
-        self.cum(t2) - self.cum(t1)
+        self.integrate_with(&mut Cursor::default(), t1, t2)
     }
 
     /// [`integrate`](Self::integrate) with cursor acceleration: both
     /// endpoints resolve through `cur`, so windows that slide forward in
-    /// time cost amortized `O(1)`.
+    /// time cost amortized `O(1)` (`O(1)` outright on a uniform grid).
+    #[inline]
     pub fn integrate_with(&self, cur: &mut Cursor, t1: SimTime, t2: SimTime) -> f64 {
+        match self.uniform_grid() {
+            Some(g) => g.integrate(t1, t2),
+            None => self.integrate_cursor(cur, t1, t2),
+        }
+    }
+
+    /// The cursor path of [`Self::integrate_with`].
+    fn integrate_cursor(&self, cur: &mut Cursor, t1: SimTime, t2: SimTime) -> f64 {
         let a = self.cum_with(cur, t1);
         let b = self.cum_with(cur, t2);
         b - a
@@ -706,6 +746,29 @@ impl PiecewiseConstant {
             end: t2,
             cur,
         }
+    }
+
+    /// Hands `emit` the segments [`Self::segments_between`] yields over
+    /// `[t1, t2)`, in order. On a uniform grid the walk is
+    /// [`UniformGridView::for_each_segment`] (direct index stepping);
+    /// otherwise it runs on `cur`, which is left where the walk stopped.
+    #[inline]
+    pub fn for_each_segment_with(
+        &self,
+        cur: &mut Cursor,
+        t1: SimTime,
+        t2: SimTime,
+        mut emit: impl FnMut(Segment),
+    ) {
+        if let Some(g) = self.uniform_grid() {
+            g.for_each_segment(t1, t2, emit);
+            return;
+        }
+        let mut segs = self.segments_between_with(*cur, t1, t2);
+        for seg in segs.by_ref() {
+            emit(seg);
+        }
+        *cur = segs.state();
     }
 
     /// Earliest `t ≥ from` at which the *accumulated* value
@@ -753,9 +816,12 @@ impl PiecewiseConstant {
     /// [`first_accumulation_crossing`](Self::first_accumulation_crossing)
     /// with cursor acceleration for the `from` endpoint — useful when
     /// crossing queries are issued at monotonically increasing instants.
+    /// On a uniform grid the query runs on the [`UniformGridView`]; the
+    /// cursor then only counts the crossing tier.
     // One argument per scalar of the accumulation problem; bundling them
     // would only obscure the call sites.
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     pub fn first_accumulation_crossing_with(
         &self,
         cur: &mut Cursor,
@@ -766,6 +832,70 @@ impl PiecewiseConstant {
         cap: f64,
         target: f64,
     ) -> Option<SimTime> {
+        match self.uniform_grid() {
+            Some(g) => {
+                g.crossing_counted(&mut cur.stats, from, horizon, initial, offset, cap, target)
+            }
+            None => self.first_accumulation_crossing_cursor(
+                cur, from, horizon, initial, offset, cap, target,
+            ),
+        }
+    }
+
+    /// The cursor path of [`Self::first_accumulation_crossing_with`].
+    #[allow(clippy::too_many_arguments)]
+    fn first_accumulation_crossing_cursor(
+        &self,
+        cur: &mut Cursor,
+        from: SimTime,
+        horizon: SimTime,
+        initial: f64,
+        offset: f64,
+        cap: f64,
+        target: f64,
+    ) -> Option<SimTime> {
+        let tier =
+            self.classify_crossing(&mut cur.stats, from, horizon, initial, offset, cap, target);
+        match tier {
+            Crossing::Decided(t) => t,
+            Crossing::Bisect => {
+                let cum_from = self.cum_with(cur, from);
+                bisect_crossing(from, horizon, target - initial, offset, cum_from, |t| {
+                    self.cum(t)
+                })
+            }
+            Crossing::Scan => {
+                let mut scan = ClampedScan {
+                    level: initial,
+                    offset,
+                    cap,
+                    target,
+                };
+                if self.extension == Extension::Cycle {
+                    self.scan_crossing_cyclic(&mut scan, from, horizon)
+                } else {
+                    scan.run(self, from, horizon, None)
+                }
+            }
+        }
+    }
+
+    /// The `O(1)` prelude both crossing paths share: checks the
+    /// contract, answers trivial windows and provably unreachable
+    /// targets, and otherwise picks the solver. Counts the tier taken in
+    /// `stats`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn classify_crossing(
+        &self,
+        stats: &mut CursorStats,
+        from: SimTime,
+        horizon: SimTime,
+        initial: f64,
+        offset: f64,
+        cap: f64,
+        target: f64,
+    ) -> Crossing {
         assert!(cap >= 0.0, "capacity must be non-negative");
         assert!(
             (0.0..=cap).contains(&initial),
@@ -776,10 +906,10 @@ impl PiecewiseConstant {
             "target level outside [0, cap]"
         );
         if initial == target {
-            return Some(from);
+            return Crossing::Decided(Some(from));
         }
         if from >= horizon {
-            return None;
+            return Crossing::Decided(None);
         }
         // Bounds on the net rate f + offset over all time. Under `Zero`
         // the tails contribute rate `offset` alone, so fold 0 into the
@@ -793,30 +923,20 @@ impl PiecewiseConstant {
         // and downward with rate < 0; a rate bound pinned on the wrong
         // side of zero decides the query in O(1).
         if (target > initial && rate_max <= 0.0) || (target < initial && rate_min >= 0.0) {
-            cur.stats.cross_reject = cur.stats.cross_reject.wrapping_add(1);
-            return None;
+            stats.cross_reject = stats.cross_reject.wrapping_add(1);
+            return Crossing::Decided(None);
         }
         let monotone =
             (target > initial && rate_min >= 0.0) || (target < initial && rate_max <= 0.0);
         if monotone {
-            cur.stats.cross_bisect = cur.stats.cross_bisect.wrapping_add(1);
-            return self.monotone_crossing(cur, from, horizon, initial, offset, target);
-        }
-        let mut scan = ClampedScan {
-            level: initial,
-            offset,
-            cap,
-            target,
-        };
-        match self.extension {
-            Extension::Cycle => {
-                cur.stats.cross_cyclic = cur.stats.cross_cyclic.wrapping_add(1);
-                self.scan_crossing_cyclic(&mut scan, from, horizon)
-            }
-            _ => {
-                cur.stats.cross_scan = cur.stats.cross_scan.wrapping_add(1);
-                scan.run(self, from, horizon, None)
-            }
+            stats.cross_bisect = stats.cross_bisect.wrapping_add(1);
+            Crossing::Bisect
+        } else if self.extension == Extension::Cycle {
+            stats.cross_cyclic = stats.cross_cyclic.wrapping_add(1);
+            Crossing::Scan
+        } else {
+            stats.cross_scan = stats.cross_scan.wrapping_add(1);
+            Crossing::Scan
         }
     }
 
@@ -858,53 +978,6 @@ impl PiecewiseConstant {
             target,
         };
         scan.run(self, from, horizon, None)
-    }
-
-    /// Crossing solve for a provably monotone level trajectory: clamping
-    /// cannot strike before the crossing, so the accumulated gain
-    /// `g(t) = F(t) − F(from) + offset·(t − from)` is monotone and the
-    /// earliest tick reaching the threshold is found by bisection. Each
-    /// probe is one prefix-table evaluation, so the whole solve is
-    /// `O(log T · log n)` for a horizon `T` ticks away — no segment is
-    /// ever walked.
-    fn monotone_crossing(
-        &self,
-        cur: &mut Cursor,
-        from: SimTime,
-        horizon: SimTime,
-        initial: f64,
-        offset: f64,
-        target: f64,
-    ) -> Option<SimTime> {
-        let needed = target - initial;
-        let cum_from = self.cum_with(cur, from);
-        let g_at = |t: SimTime| self.cum(t) - cum_from + offset * (t - from).as_units();
-        // Mirror the scanner's crossing tolerance of ±1e-15.
-        let reached = |g: f64| {
-            if needed > 0.0 {
-                g >= needed - 1e-15
-            } else {
-                g <= needed + 1e-15
-            }
-        };
-        if reached(0.0) {
-            // |needed| ≤ 1e-15: within tolerance immediately.
-            return Some(from);
-        }
-        if !reached(g_at(horizon)) {
-            return None;
-        }
-        let (mut lo, mut hi) = (from.as_ticks(), horizon.as_ticks());
-        // Invariant: not reached at lo, reached at hi.
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if reached(g_at(SimTime::from_ticks(mid))) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        Some(SimTime::from_ticks(hi))
     }
 
     /// Clamped scan under [`Extension::Cycle`]: scans period by period,
@@ -985,6 +1058,63 @@ impl PiecewiseConstant {
         }
         None
     }
+}
+
+/// How [`PiecewiseConstant::classify_crossing`] settled a crossing
+/// query: answered outright, or the solver that must finish it.
+enum Crossing {
+    /// Answered by the prelude: a trivial window or an `O(1)` reject.
+    Decided(Option<SimTime>),
+    /// Monotone trajectory: [`bisect_crossing`].
+    Bisect,
+    /// Non-monotone: the clamped segment scan (period-skipping under
+    /// [`Extension::Cycle`]).
+    Scan,
+}
+
+/// Crossing solve for a provably monotone level trajectory: clamping
+/// cannot strike before the crossing, so the accumulated gain
+/// `g(t) = F(t) − F(from) + offset·(t − from)` is monotone and the
+/// earliest tick at which it reaches `needed` is found by bisection.
+/// `cum` evaluates the antiderivative `F` and `cum_from = F(from)`. Each
+/// probe is one prefix-table evaluation, so no segment is ever walked:
+/// `O(log T · log n)` for a horizon `T` ticks away on the cursor path,
+/// `O(log T)` on a uniform grid.
+fn bisect_crossing(
+    from: SimTime,
+    horizon: SimTime,
+    needed: f64,
+    offset: f64,
+    cum_from: f64,
+    cum: impl Fn(SimTime) -> f64,
+) -> Option<SimTime> {
+    let g_at = |t: SimTime| cum(t) - cum_from + offset * (t - from).as_units();
+    // Mirror the scanner's crossing tolerance of ±1e-15.
+    let reached = |g: f64| {
+        if needed > 0.0 {
+            g >= needed - 1e-15
+        } else {
+            g <= needed + 1e-15
+        }
+    };
+    if reached(0.0) {
+        // |needed| ≤ 1e-15: within tolerance immediately.
+        return Some(from);
+    }
+    if !reached(g_at(horizon)) {
+        return None;
+    }
+    let (mut lo, mut hi) = (from.as_ticks(), horizon.as_ticks());
+    // Invariant: not reached at lo, reached at hi.
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if reached(g_at(SimTime::from_ticks(mid))) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    Some(SimTime::from_ticks(hi))
 }
 
 /// Number of leading periods `j = 0, 1, …` for which `base + j·delta`
@@ -1127,10 +1257,10 @@ impl Iterator for Segments<'_> {
             return None;
         }
         let start = self.cursor;
-        let value = self.f.value_at_with(&mut self.cur, start);
+        let value = self.f.value_at_cursor(&mut self.cur, start);
         let next_change = self
             .f
-            .next_breakpoint_after_with(&mut self.cur, start)
+            .next_breakpoint_after_cursor(&mut self.cur, start)
             .unwrap_or(SimTime::MAX);
         let end = next_change.min(self.end);
         debug_assert!(end > start, "segment iterator must make progress");
@@ -1148,8 +1278,17 @@ impl PiecewiseConstant {
     }
 
     /// [`next_breakpoint_after`](Self::next_breakpoint_after) with cursor
-    /// acceleration.
+    /// acceleration (none is needed on a uniform grid).
+    #[inline]
     pub fn next_breakpoint_after_with(&self, cur: &mut Cursor, t: SimTime) -> Option<SimTime> {
+        match self.uniform_grid() {
+            Some(g) => g.next_breakpoint_after(t),
+            None => self.next_breakpoint_after_cursor(cur, t),
+        }
+    }
+
+    /// The cursor path of [`Self::next_breakpoint_after_with`].
+    fn next_breakpoint_after_cursor(&self, cur: &mut Cursor, t: SimTime) -> Option<SimTime> {
         let start = self.domain_start();
         let end = self.domain_end();
         match self.extension {
@@ -1189,7 +1328,9 @@ impl PiecewiseConstant {
 /// and no cursor state is needed. Each method mirrors its cursor-driven
 /// counterpart expression for expression: the division replaces only the
 /// `partition_point` search, whose result it equals, so every returned
-/// value is bit-identical to the scalar path.
+/// value is bit-identical to the cursor path. It is the kernel of both
+/// engines: the `*_with` queries of [`PiecewiseConstant`] answer through
+/// it, and batched lanes call it directly.
 #[derive(Debug, Clone, Copy)]
 pub struct UniformGridView<'a> {
     f: &'a PiecewiseConstant,
@@ -1213,7 +1354,7 @@ impl<'a> UniformGridView<'a> {
     /// exactness check: in-domain offsets are far below 2^52, so the
     /// estimate is off by at most one step, and a wrong estimate (or a
     /// pathologically large offset) falls back to the exact division.
-    /// Every caller sits on the batched hot path — crossing-bisection
+    /// Every caller sits on an engine's hot path — crossing-bisection
     /// probes alone take ~20 of these per call.
     #[inline]
     fn idx(&self, t: SimTime) -> usize {
@@ -1357,76 +1498,56 @@ impl<'a> UniformGridView<'a> {
         cap: f64,
         target: f64,
     ) -> Option<SimTime> {
-        assert!(cap >= 0.0, "capacity must be non-negative");
-        assert!(
-            (0.0..=cap).contains(&initial),
-            "initial level outside [0, cap]"
-        );
-        assert!(
-            (0.0..=cap).contains(&target),
-            "target level outside [0, cap]"
-        );
-        if initial == target {
-            return Some(from);
-        }
-        if from >= horizon {
-            return None;
-        }
-        let (rate_min, rate_max) = (self.f.vmin + offset, self.f.vmax + offset);
-        if (target > initial && rate_max <= 0.0) || (target < initial && rate_min >= 0.0) {
-            return None;
-        }
-        let monotone =
-            (target > initial && rate_min >= 0.0) || (target < initial && rate_max <= 0.0);
-        if monotone {
-            return self.monotone_crossing(from, horizon, initial, offset, target);
-        }
-        let mut scan = ClampedScan {
-            level: initial,
+        self.crossing_counted(
+            &mut CursorStats::default(),
+            from,
+            horizon,
+            initial,
             offset,
             cap,
             target,
-        };
-        scan.scan(self.segments_between(from, horizon), None)
+        )
     }
 
-    /// The monotone tick bisection of the cursor path, probing through
-    /// the `O(1)` [`Self::cum`] (the scalar path's probes already use
-    /// fresh cursors, so the substitution is exact).
-    fn monotone_crossing(
+    /// [`Self::first_accumulation_crossing`], counting the tier taken in
+    /// `stats` exactly as the cursor path counts it.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn crossing_counted(
         &self,
+        stats: &mut CursorStats,
         from: SimTime,
         horizon: SimTime,
         initial: f64,
         offset: f64,
+        cap: f64,
         target: f64,
     ) -> Option<SimTime> {
-        let needed = target - initial;
-        let cum_from = self.cum(from);
-        let g_at = |t: SimTime| self.cum(t) - cum_from + offset * (t - from).as_units();
-        let reached = |g: f64| {
-            if needed > 0.0 {
-                g >= needed - 1e-15
-            } else {
-                g <= needed + 1e-15
+        let tier = self
+            .f
+            .classify_crossing(stats, from, horizon, initial, offset, cap, target);
+        match tier {
+            Crossing::Decided(t) => t,
+            // The cursor path's bisection probes use fresh cursors, so
+            // substituting the `O(1)` [`Self::cum`] is exact.
+            Crossing::Bisect => bisect_crossing(
+                from,
+                horizon,
+                target - initial,
+                offset,
+                self.cum(from),
+                |t| self.cum(t),
+            ),
+            Crossing::Scan => {
+                let mut scan = ClampedScan {
+                    level: initial,
+                    offset,
+                    cap,
+                    target,
+                };
+                scan.scan(self.segments_between(from, horizon), None)
             }
-        };
-        if reached(0.0) {
-            return Some(from);
         }
-        if !reached(g_at(horizon)) {
-            return None;
-        }
-        let (mut lo, mut hi) = (from.as_ticks(), horizon.as_ticks());
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if reached(g_at(SimTime::from_ticks(mid))) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        Some(SimTime::from_ticks(hi))
     }
 }
 
@@ -1496,13 +1617,14 @@ mod tests {
 
     #[test]
     fn cursor_stats_track_lookup_modes() {
+        // `sample_fn` is a uniform grid, so drive the cursor path itself.
         let f = sample_fn();
         let mut cur = f.cursor();
         let u = SimTime::from_whole_units;
-        f.value_at_with(&mut cur, u(1)); // no usable hint yet
-        f.value_at_with(&mut cur, u(2)); // same segment: hint hit
-        f.value_at_with(&mut cur, u(25)); // two segments forward: gallop
-        f.value_at_with(&mut cur, u(1)); // backward jump
+        f.value_at_cursor(&mut cur, u(1)); // no usable hint yet
+        f.value_at_cursor(&mut cur, u(2)); // same segment: hint hit
+        f.value_at_cursor(&mut cur, u(25)); // two segments forward: gallop
+        f.value_at_cursor(&mut cur, u(1)); // backward jump
         let s = cur.stats();
         assert_eq!(s.locates, 4);
         assert_eq!(s.fresh_searches, 1);
@@ -1900,9 +2022,39 @@ mod tests {
         let mut cur = f.cursor();
         let late = SimTime::from_whole_units(25);
         let early = SimTime::from_whole_units(1);
-        assert_eq!(f.value_at_with(&mut cur, late), 4.0);
-        assert_eq!(f.value_at_with(&mut cur, early), 2.0);
-        assert_eq!(f.value_at_with(&mut cur, late), 4.0);
+        assert_eq!(f.value_at_cursor(&mut cur, late), 4.0);
+        assert_eq!(f.value_at_cursor(&mut cur, early), 2.0);
+        assert_eq!(f.value_at_cursor(&mut cur, late), 4.0);
+    }
+
+    #[test]
+    fn grid_queries_leave_cursor_lookups_untouched() {
+        let u = SimTime::from_whole_units;
+        let run = |f: &PiecewiseConstant| {
+            let mut cur = f.cursor();
+            f.value_at_with(&mut cur, u(5));
+            f.integrate_with(&mut cur, u(1), u(25));
+            f.next_breakpoint_after_with(&mut cur, u(2));
+            f.for_each_segment_with(&mut cur, u(0), u(3), |_| {});
+            f.first_accumulation_crossing_with(&mut cur, u(0), u(3), 0.0, 0.0, 100.0, 1.0);
+            cur.stats()
+        };
+        // A uniform Hold grid is indexed directly: no lookups, but the
+        // crossing tier is still counted.
+        let grid = run(&sample_fn());
+        assert_eq!(grid.locates, 0);
+        assert_eq!(grid.cross_bisect, 1);
+        // Off the grid the same queries run on the cursor.
+        let g = PiecewiseConstant::new(
+            vec![SimTime::ZERO, u(1), u(3)],
+            vec![1.0, 2.0],
+            Extension::Hold,
+        )
+        .unwrap();
+        assert!(g.uniform_grid().is_none());
+        let off = run(&g);
+        assert!(off.locates > 0);
+        assert_eq!(off.cross_bisect, 1);
     }
 
     #[test]
@@ -2029,6 +2181,9 @@ mod tests {
         assert!(c.uniform_grid().is_none());
     }
 
+    // The public queries answer a uniform grid through the view, so the
+    // two parity tests below compare the view with the private cursor
+    // implementations (`Segments` walks on the cursor path).
     #[test]
     fn grid_view_lookups_bit_identical() {
         for seed in 1..6u64 {
@@ -2039,23 +2194,26 @@ mod tests {
                 let t = SimTime::from_ticks((xorshift(&mut s) % 80_000_000) as i64 - 10_000_000);
                 assert_eq!(
                     g.value_at(t).to_bits(),
-                    f.value_at(t).to_bits(),
+                    f.value_at_cursor(&mut f.cursor(), t).to_bits(),
                     "value at {t}"
                 );
                 assert_eq!(
                     g.next_breakpoint_after(t),
-                    f.next_breakpoint_after(t),
+                    f.next_breakpoint_after_cursor(&mut f.cursor(), t),
                     "breakpoint after {t}"
                 );
                 let t2 = t + SimDuration::from_ticks((xorshift(&mut s) % 20_000_000) as i64);
                 assert_eq!(
                     g.integrate(t, t2).to_bits(),
-                    f.integrate_with(&mut f.cursor(), t, t2).to_bits(),
+                    f.integrate_cursor(&mut f.cursor(), t, t2).to_bits(),
                     "integral over [{t}, {t2})"
                 );
                 let segs_grid: Vec<_> = g.segments_between(t, t2).collect();
                 let segs_scalar: Vec<_> = f.segments_between(t, t2).collect();
                 assert_eq!(segs_grid, segs_scalar, "segments over [{t}, {t2})");
+                let mut walked = Vec::new();
+                g.for_each_segment(t, t2, |seg| walked.push(seg));
+                assert_eq!(walked, segs_scalar, "segment walk over [{t}, {t2})");
             }
         }
     }
@@ -2067,6 +2225,8 @@ mod tests {
             let g = f.uniform_grid().unwrap();
             let mut s = seed.wrapping_mul(0xA076_1D64).max(1);
             let cap = 25.0;
+            // The grid path counts the same crossing tiers as the cursor.
+            let (mut grid_cur, mut cursor_cur) = (f.cursor(), f.cursor());
             for _ in 0..200 {
                 let from = SimTime::from_ticks((xorshift(&mut s) % 40_000_000) as i64 - 5_000_000);
                 let horizon =
@@ -2074,15 +2234,38 @@ mod tests {
                 let initial = (xorshift(&mut s) % 1000) as f64 / 999.0 * cap;
                 let target = (xorshift(&mut s) % 1000) as f64 / 999.0 * cap;
                 let offset = (xorshift(&mut s) % 1000) as f64 / 137.0 - 3.5;
-                let want =
-                    f.first_accumulation_crossing(from, horizon, initial, offset, cap, target);
+                let want = f.first_accumulation_crossing_cursor(
+                    &mut cursor_cur,
+                    from,
+                    horizon,
+                    initial,
+                    offset,
+                    cap,
+                    target,
+                );
                 let got =
                     g.first_accumulation_crossing(from, horizon, initial, offset, cap, target);
                 assert_eq!(
                     got, want,
                     "crossing from {from} to {horizon}, {initial}->{target} offset {offset}"
                 );
+                let counted = f.first_accumulation_crossing_with(
+                    &mut grid_cur,
+                    from,
+                    horizon,
+                    initial,
+                    offset,
+                    cap,
+                    target,
+                );
+                assert_eq!(counted, want);
             }
+            let (a, b) = (grid_cur.stats(), cursor_cur.stats());
+            assert_eq!(
+                (a.cross_reject, a.cross_bisect, a.cross_scan),
+                (b.cross_reject, b.cross_bisect, b.cross_scan)
+            );
+            assert_eq!(a.locates, 0);
         }
     }
 
