@@ -1,8 +1,9 @@
 //! Batched structure-of-arrays trial engine.
 //!
 //! [`simulate_batch_in`] runs B sibling trials (typically the same
-//! scenario at seeds `s..s+B`) through one event loop: a shared
-//! time-ordered heap interleaves every lane's events, each tick's
+//! scenario at seeds `s..s+B`) through one event loop: one shared
+//! [`EventQueue`] — the scalar engine's `(time, seq)` heap, with
+//! `(lane, event)` payloads — interleaves every lane's events, each tick's
 //! storage advances sweep the lanes as flat `f64` arrays through
 //! [`StorageSpec::advance_lanes`], and deferred end-of-tick decisions
 //! evaluate the paper's eq. 5–9 across lanes at once (eq. 6 through
@@ -30,7 +31,7 @@ use std::sync::Arc;
 use harvest_cpu::{CpuModel, LevelIndex};
 use harvest_energy::predictor::EnergyPredictor;
 use harvest_energy::storage::{AdvanceReport, Storage, StorageLanes, StorageSpec};
-use harvest_sim::event::ReleaseTape;
+use harvest_sim::event::{EventQueue, ReleaseTape};
 use harvest_sim::piecewise::{PiecewiseConstant, UniformGridView};
 use harvest_sim::time::{SimDuration, SimTime};
 use harvest_task::job::{Job, JobId};
@@ -83,124 +84,6 @@ enum LaneEvent {
     Sample,
 }
 
-/// One pending event of the shared batch heap: `(ticks, seq)` is the
-/// ordering key — time first, then global schedule order, exactly the
-/// scalar event queue's FIFO tie-break.
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    ticks: i64,
-    seq: u32,
-    lane: u32,
-    event: LaneEvent,
-}
-
-impl HeapEntry {
-    #[inline]
-    fn key(&self) -> (i64, u32) {
-        (self.ticks, self.seq)
-    }
-}
-
-/// A lean 4-ary min-heap over `(ticks, seq)` keys: the batched loop's
-/// event queue. The scalar engine's radix calendar queue pays
-/// per-bucket sorting that grows with event density; at B-lane density
-/// a flat heap of 24-byte entries (a few cache lines total) pops and
-/// pushes in a handful of branch-predictable compares. Ordering is
-/// identical — time, then schedule order — so pops replay the same
-/// per-lane sequences.
-#[derive(Debug, Default)]
-struct BatchHeap {
-    entries: Vec<HeapEntry>,
-    next_seq: u32,
-}
-
-impl BatchHeap {
-    fn reset(&mut self) {
-        self.entries.clear();
-        self.next_seq = 0;
-    }
-
-    /// Claims the next sequence number without filing an event — the
-    /// taped lanes' virtual allocation. The claim happens at exactly
-    /// the program point where the heap-driven run would have pushed
-    /// the `Arrival`, so `(ticks, seq)` keys — and therefore the merged
-    /// dispatch order — are identical with and without tapes.
-    #[inline]
-    fn alloc_seq(&mut self) -> u32 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    #[inline]
-    fn peek_ticks(&self) -> Option<i64> {
-        self.entries.first().map(|e| e.ticks)
-    }
-
-    #[inline]
-    fn push(&mut self, ticks: i64, lane: u32, event: LaneEvent) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let entry = HeapEntry {
-            ticks,
-            seq,
-            lane,
-            event,
-        };
-        // Hole-based sift-up: bubble the hole to the entry's slot, then
-        // write the entry once.
-        let mut i = self.entries.len();
-        self.entries.push(entry);
-        let key = entry.key();
-        while i > 0 {
-            let p = (i - 1) >> 2;
-            if self.entries[p].key() <= key {
-                break;
-            }
-            self.entries[i] = self.entries[p];
-            i = p;
-        }
-        self.entries[i] = entry;
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<HeapEntry> {
-        let n = self.entries.len();
-        if n == 0 {
-            return None;
-        }
-        let top = self.entries[0];
-        let last = self.entries.pop().expect("non-empty");
-        let n = n - 1;
-        if n == 0 {
-            return Some(top);
-        }
-        // Hole-based sift-down of the detached last entry.
-        let key = last.key();
-        let mut i = 0;
-        loop {
-            let first = (i << 2) + 1;
-            if first >= n {
-                break;
-            }
-            let mut m = first;
-            let end = (first + 4).min(n);
-            for c in first + 1..end {
-                if self.entries[c].key() < self.entries[m].key() {
-                    m = c;
-                }
-            }
-            if key <= self.entries[m].key() {
-                break;
-            }
-            self.entries[i] = self.entries[m];
-            i = m;
-        }
-        self.entries[i] = last;
-        Some(top)
-    }
-}
-
 /// Reusable slabs of the batched engine. One per worker, beside its
 /// [`RunContext`]; [`simulate_batch_in`] borrows both. Everything here
 /// is cleared, never dropped, between cells, so steady-state batched
@@ -209,11 +92,12 @@ impl BatchHeap {
 /// fresh, because they are moved into the returned [`SimResult`]s.
 #[derive(Debug, Default)]
 pub struct BatchContext {
-    /// The shared event heap, keyed `(time, schedule seq)`, so two
-    /// events of the same lane at the same tick pop in FIFO order —
-    /// exactly the scalar tie-break — while events of different lanes
-    /// interleave arbitrarily (harmless: lanes share no state).
-    heap: BatchHeap,
+    /// The shared event queue, keyed `(time, schedule seq)` like the
+    /// scalar engine's, so two events of the same lane at the same tick
+    /// pop in FIFO order — exactly the scalar tie-break — while events
+    /// of different lanes interleave arbitrarily (harmless: lanes share
+    /// no state). Payloads are `(lane, event)`.
+    heap: EventQueue<(u32, LaneEvent)>,
     /// One tick's events as `(seq, lane, event)`, in schedule (seq)
     /// order — heap pops plus the taped lanes' release heads.
     scratch: Vec<(u32, u32, LaneEvent)>,
@@ -357,18 +241,17 @@ impl LaneState {
 /// the horizon are dropped at the source (the scalar engine queues but
 /// never handles them).
 struct Sink<'a> {
-    heap: &'a mut BatchHeap,
+    heap: &'a mut EventQueue<(u32, LaneEvent)>,
     horizon_ticks: i64,
 }
 
 impl Sink<'_> {
     #[inline]
     fn sched(&mut self, lane: u32, t: SimTime, event: LaneEvent) {
-        let ticks = t.as_ticks();
-        if ticks >= self.horizon_ticks {
+        if t.as_ticks() >= self.horizon_ticks {
             return;
         }
-        self.heap.push(ticks, lane, event);
+        self.heap.schedule(t, (lane, event));
     }
 
     /// The taped mirror of a [`Self::sched`] for an elided event class
@@ -734,7 +617,7 @@ fn run_lean_batch(
         // The next instant is the earliest of the heap top and every
         // taped lane's release head (an O(B) scan, paid only by taped
         // batches).
-        let mut next = sink.heap.peek_ticks();
+        let mut next = sink.heap.peek_time().map(SimTime::as_ticks);
         if has_tape {
             for lane in lanes.iter() {
                 if let Some(e) = lane
@@ -790,9 +673,9 @@ fn run_lean_batch(
                 }
             }
         }
-        while sink.heap.peek_ticks() == Some(now_ticks) {
-            let e = sink.heap.pop().expect("peeked event pops");
-            scratch.push((e.seq, e.lane, e.event));
+        while let Some((_, seq)) = sink.heap.peek_key().filter(|&(t, _)| t == now) {
+            let (_, (lane, event)) = sink.heap.pop().expect("peeked event pops");
+            scratch.push((seq, lane, event));
         }
         // Heap pops arrive seq-sorted, but side events (deadline slots,
         // tape heads) from several per-lane streams may interleave with

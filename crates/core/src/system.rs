@@ -154,7 +154,7 @@ struct FaultRuntime {
 
 /// Monotone cursor over a shared [`ReleaseTape`]: releases are served
 /// from the precomputed timeline instead of round-tripping through the
-/// radix event queue, one `Arrival` push/pop per job.
+/// event queue, one `Arrival` push/pop per job.
 ///
 /// Bit-identity with the heap-driven run hinges on `pending_seq`: each
 /// task's next release carries a *virtual* sequence number allocated
@@ -711,11 +711,7 @@ impl<P: Scheduler> SystemModel<P> {
         reg.counter("engine.events", events);
         reg.counter("queue.scheduled", queue.scheduled);
         reg.counter("queue.popped", queue.popped);
-        reg.counter("queue.cancelled", queue.cancelled);
-        reg.counter("queue.cleared", queue.cleared);
         reg.counter("queue.max_pending", queue.max_pending);
-        reg.counter("queue.drains.sorted", queue.sorted_drains);
-        reg.counter("queue.drains.scattered", queue.scattered_drains);
 
         let mut cursor = CursorStats::default();
         for c in [&self.adv_cursor, &self.point_cursor, &self.cross_cursor] {
@@ -956,8 +952,8 @@ pub fn try_simulate_shared(
 pub struct PoolStats {
     /// Trials executed through this context.
     pub runs: u64,
-    /// High-water event-slab capacity retained across runs (the
-    /// [`QueueStats::slab_capacity`] of the pooled event queue).
+    /// High-water event-queue capacity retained across runs, in heap
+    /// entries (the [`QueueStats::slab_capacity`] of the pooled queue).
     pub event_slab_high_water: u64,
     /// High-water EDF-heap capacity retained across runs.
     pub ready_high_water: u64,
@@ -1001,8 +997,8 @@ impl PoolStats {
 }
 
 /// A reusable simulation context: the allocations that dominate per-run
-/// setup — the radix event queue's bucket array and slab, the EDF ready
-/// heap, and the metrics registry — survive from one trial to the next.
+/// setup — the event queue's heap, the EDF ready heap, and the metrics
+/// registry — survive from one trial to the next.
 ///
 /// One context per worker thread; runs through [`simulate_in`] are
 /// bit-identical to [`simulate_shared`] on fresh state (pinned by the

@@ -1124,7 +1124,7 @@ fn fault_sweep(args: &FaultSweepArgs, store: Option<&PackStore>) -> Result<(), S
     }
     // Pooled queues reset their run counters between trials (bit-exact
     // replay requires it); what survives per worker is the retained
-    // slab footprint.
+    // heap capacity.
     for (i, qs) in report.queues.iter().enumerate() {
         println!("queue worker={i} slab_capacity={}", qs.slab_capacity);
     }

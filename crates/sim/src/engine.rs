@@ -5,7 +5,7 @@
 //! scheduling further events through the [`Scheduler`] context. The
 //! closed-loop harvesting simulator in `harvest-core` is built on this.
 
-use crate::event::{EventId, EventQueue, QueueStats};
+use crate::event::{EventQueue, QueueStats};
 use crate::time::SimTime;
 use harvest_obs::profile::PhaseProfiler;
 use serde::{Deserialize, Serialize};
@@ -16,8 +16,8 @@ pub const PHASE_DISPATCH: &str = "engine.dispatch";
 
 /// Scheduling context handed to [`Model::handle`].
 ///
-/// Wraps the event queue so the model can schedule and cancel events but
-/// cannot pop them or rewind the clock.
+/// Wraps the event queue so the model can schedule events but cannot
+/// pop them or rewind the clock.
 #[derive(Debug)]
 pub struct Scheduler<'a, E> {
     queue: &'a mut EventQueue<E>,
@@ -37,18 +37,13 @@ impl<E: Copy> Scheduler<'_, E> {
     /// # Panics
     ///
     /// Panics if `at` is before the current time.
-    pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
+    pub fn schedule(&mut self, at: SimTime, payload: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past ({at} < {})",
             self.now
         );
         self.queue.schedule(at, payload)
-    }
-
-    /// Cancels a pending event; returns `true` if it was still pending.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
     }
 
     /// Claims the next queue sequence number without scheduling — for
@@ -67,8 +62,8 @@ impl<E: Copy> Scheduler<'_, E> {
 
 /// A simulation model driven by an [`Engine`].
 pub trait Model {
-    /// Event payload type. `Copy` because the queue stores payloads in
-    /// its slab and copies them out as events fire.
+    /// Event payload type. `Copy` because the queue's heap moves its
+    /// entries by copy as it sifts.
     type Event: Copy;
 
     /// Handles one event at time `now`, scheduling follow-ups via `ctx`.
@@ -218,8 +213,8 @@ impl<M: Model> Engine<M> {
 
     /// Creates an engine at time zero around a caller-supplied queue —
     /// the pooling entry point: a [`reset`](EventQueue::reset) queue
-    /// keeps its slab and bucket allocations from previous runs, and a
-    /// run on it is bit-identical to one on a fresh queue.
+    /// keeps its heap allocation from previous runs, and a run on it is
+    /// bit-identical to one on a fresh queue.
     ///
     /// # Panics
     ///
@@ -265,7 +260,7 @@ impl<M: Model> Engine<M> {
     }
 
     /// Schedules an initial event (usable before and between runs).
-    pub fn schedule(&mut self, at: SimTime, payload: M::Event) -> EventId {
+    pub fn schedule(&mut self, at: SimTime, payload: M::Event) {
         self.queue.schedule(at, payload)
     }
 

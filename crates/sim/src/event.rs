@@ -1,306 +1,76 @@
-//! A deterministic, cancellable event queue.
+//! A deterministic event queue.
 //!
 //! Events fire in time order; ties are broken by insertion order, so a
-//! simulation run is a pure function of its inputs. The queue is a
-//! **monotone radix heap** (byte digits) over a slab with a free-list,
-//! exploiting the discrete-event contract that time never runs
-//! backwards:
+//! simulation run is a pure function of its inputs. The queue is a flat
+//! 4-ary min-heap of `(ticks, seq, payload)` entries ordered by
+//! `(ticks, seq)`, where `seq` is the queue's insertion counter. Keys are
+//! unique, so the pop order is a total order with no tie left to chance,
+//! and both simulation engines (`core::system` through
+//! [`Engine`](crate::engine::Engine), and the lane engine in
+//! `core::batch`) share this one implementation of it.
 //!
-//! * every pending event is encoded as a 96-bit key `(time, seq)`
-//!   (order-preserving sign-flipped ticks in the high 64 bits, the
-//!   insertion sequence number in the low 32), so keys are unique and
-//!   strictly increase along the pop order;
-//! * the key of the last popped event is a permanent lower **bound**
-//!   for every live and future key — [`schedule`](EventQueue::schedule)
-//!   rejects the past, and sequence numbers only grow — so entries
-//!   bucket by `(level, digit)`: the byte position at which their key
-//!   first differs from the bound, and the key's byte value there
-//!   (Ahuja et al.'s multi-level radix heap, base 256): O(1) scheduling
-//!   with no comparisons and no sifting;
-//! * popping drains the lowest occupied bucket in a single fused pass
-//!   that selects the minimum and re-files the survivors against the
-//!   advanced bound; survivors only ever descend levels, so maintenance
-//!   is amortized O(1) per event (≤ 16 moves ever, per entry; 2–4 in
-//!   practice — simulation keys cluster near the bound). Level-0
-//!   buckets pin every key byte and keys are unique, so they are
-//!   singletons and the common pop is a bitmap scan plus two inline
-//!   24-byte moves;
-//! * cache-sized drains skip the re-filing entirely: the bucket's
-//!   spill vector is stolen wholesale as a side **run** (ascending
-//!   keys, outside the radix structure, so nothing about it can go
-//!   stale), sorted by one MSD counting scatter on the tick bits that
-//!   actually vary plus a per-group finish — and every later pop from
-//!   it is a cursor bump racing the buckets by raw key;
-//! * a **top register** keeps the current minimum outside the buckets,
-//!   making [`peek_time`](EventQueue::peek_time) O(1), and the **slab**
-//!   records each entry's bucket location, so cancellation is a true
-//!   O(1) swap-remove — no hashing, no tombstones left behind to skip
-//!   on pop. Entries absorbed into the run keep their stale bucket
-//!   location (patching thousands of scattered slab lines would cost
-//!   more than it saves): cancellation detects the mismatch — no
-//!   bucketed entry can carry the cancelled handle's slot number — and
-//!   finds the entry by scanning the run for its slot (cancellation is
-//!   rare in simulation workloads, never on a hot path).
-//!
-//! Payloads require `Copy` and live in the slab, not in the buckets:
-//! bucket entries are bare 16-byte `(ticks, seq, slot)` triples, so
-//! drains move a minimum of bytes regardless of the payload type, and
-//! popping reads the payload from the very cache line it writes the
-//! free-list link to.
-//!
-//! An [`EventId`] carries `(slot, seq)`: the slot addresses the slab
-//! and the sequence number acts as a generation check, so handles to
-//! events that already fired, were cancelled, or whose slot was
-//! recycled are rejected in O(1).
+//! A simulation keeps only a few dozen events pending — arrivals and
+//! deadline checks ride a precomputed [`ReleaseTape`] — so the heap is a
+//! handful of cache lines: scheduling is a hole-based sift-up, popping a
+//! hole-based sift-down over at most four children per level, and the
+//! minimum sits at index 0, so [`peek_time`](EventQueue::peek_time) and
+//! [`peek_key`](EventQueue::peek_key) are loads.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
-/// Handle to a scheduled event, usable to cancel it.
-///
-/// A handle is invalidated once its event fires or is cancelled;
-/// [`EventQueue::cancel`] on a stale handle returns `false`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId {
-    slot: u32,
-    seq: u32,
-}
-
-/// Sentinel for "no slot" in the free-list chain and the top register.
-const NIL: u32 = u32::MAX;
-
-/// Byte levels in a 96-bit key.
-const LEVELS: usize = 12;
-
-/// Digits per level.
-const DIGITS: usize = 256;
-
-/// Number of radix buckets: flat `level * DIGITS + digit` indexing, so
-/// the smallest occupied flat index is the bucket holding the minimum.
-const BUCKETS: usize = LEVELS * DIGITS;
-
-/// `seq` value marking a freed slot or an empty register:
-/// [`EventQueue::schedule`] refuses to issue it (after 2^32 - 1 events
-/// on one queue), so a dead slot fails every handle's generation check
-/// and no live entry is ever mistaken for an empty `first`/`top`.
-const SEQ_DEAD: u32 = u32::MAX;
-
-/// Sign-flips `time`'s ticks so unsigned order matches time order.
-#[inline]
-fn flip(time: SimTime) -> u64 {
-    (time.as_ticks() as u64) ^ (1 << 63)
-}
-
-/// Inverse of [`flip`].
-#[inline]
-fn unflip(tk: u64) -> SimTime {
-    SimTime::from_ticks((tk ^ (1 << 63)) as i64)
-}
-
 /// Outlined panic for scheduling into the past, keeping the format
-/// machinery off the hot path. Only reachable after at least one pop,
-/// so `last` is always `Some`.
+/// machinery off the hot path.
 #[cold]
 #[inline(never)]
-fn past_panic(time: SimTime, last: Option<SimTime>) -> ! {
-    let last = last.expect("a bound implies a popped event");
+fn past_panic(time: SimTime, last: SimTime) -> ! {
     panic!("cannot schedule an event at {time} before the current time {last}");
 }
 
-/// One pending event as the radix structure sees it: sign-flipped
-/// ticks, sequence number (together the 96-bit key), and the slab
-/// slot backing its handle and payload. Plain 16 bytes, independent of
-/// the payload type, so bucket maintenance is cheap and non-generic.
+/// One pending event: the `(ticks, seq)` key and its payload.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
-    tk: u64,
+struct Entry<E> {
+    ticks: i64,
     seq: u32,
-    slot: u32,
-}
-
-impl Entry {
-    /// An empty register: compares above every real key, and its
-    /// [`SEQ_DEAD`] sequence number can never be issued.
-    const EMPTY: Entry = Entry {
-        tk: u64::MAX,
-        seq: SEQ_DEAD,
-        slot: NIL,
-    };
-
-    #[inline]
-    fn is_empty(self) -> bool {
-        self.seq == SEQ_DEAD
-    }
-
-    #[inline]
-    fn key(self) -> u128 {
-        ((self.tk as u128) << 32) | self.seq as u128
-    }
-}
-
-/// Bits of a packed [`Slot::loc`] holding the in-bucket position.
-const IDX_BITS: u32 = 20;
-
-/// Cancellation bookkeeping and payload storage for one live event.
-#[derive(Debug)]
-struct Slot<E> {
-    /// Sequence number of the occupying event — the insertion-order
-    /// tie-break and the generation check for stale handles —
-    /// or [`SEQ_DEAD`] while the slot sits on the free list.
-    seq: u32,
-    /// Packed bucket location while bucketed: the flat bucket index in
-    /// the high 12 bits, the position within the bucket in the low
-    /// [`IDX_BITS`] (`0` for `first`, `i + 1` for `rest[i]`; spill
-    /// vectors are asserted to stay below that bound). Stale for the
-    /// cached minimum and for run entries (cancellation verifies it
-    /// before trusting it). The next free slot while free.
-    loc: u32,
     payload: E,
 }
 
-/// Packs a flat bucket index and an in-bucket position into a
-/// [`Slot::loc`].
-#[inline]
-fn pack_loc(bucket: usize, pos: u32) -> u32 {
-    (bucket as u32) << IDX_BITS | pos
-}
-
-/// Two-level bitmap over the flat bucket space: `words[w]` tracks 64
-/// buckets and `summary` tracks which words are non-zero, so the lowest
-/// occupied bucket is two `trailing_zeros` away.
-#[derive(Debug)]
-struct Occupancy {
-    summary: u64,
-    words: [u64; BUCKETS / 64],
-}
-
-impl Occupancy {
-    fn new() -> Self {
-        Occupancy {
-            summary: 0,
-            words: [0; BUCKETS / 64],
-        }
-    }
-
+impl<E> Entry<E> {
     #[inline]
-    fn set(&mut self, bucket: usize) {
-        self.words[bucket >> 6] |= 1 << (bucket & 63);
-        self.summary |= 1 << (bucket >> 6);
-    }
-
-    #[inline]
-    fn clear(&mut self, bucket: usize) {
-        let w = bucket >> 6;
-        self.words[w] &= !(1 << (bucket & 63));
-        if self.words[w] == 0 {
-            self.summary &= !(1 << w);
-        }
-    }
-
-    /// Clears the lowest set bit of `words[w]`, which must also be the
-    /// word holding the lowest set bit overall: `x & (x - 1)` drops it
-    /// without rebuilding a mask.
-    #[inline]
-    fn clear_lowest(&mut self, w: usize) {
-        self.words[w] &= self.words[w] - 1;
-        if self.words[w] == 0 {
-            self.summary &= self.summary - 1;
-        }
-    }
-
-    /// The smallest occupied bucket index, if any.
-    #[inline]
-    fn lowest(&self) -> Option<usize> {
-        if self.summary == 0 {
-            return None;
-        }
-        let w = self.summary.trailing_zeros() as usize;
-        Some((w << 6) + self.words[w].trailing_zeros() as usize)
+    fn key(&self) -> (i64, u32) {
+        (self.ticks, self.seq)
     }
 }
-
-/// One radix bucket, with the first entry stored inline: level-0
-/// buckets are singletons (they pin every key byte and keys are
-/// unique), so the common pop reads straight out of the bucket table —
-/// no heap chase — and singleton buckets never allocate at all.
-/// Positions are `0` for `first` and `i + 1` for `rest[i]`; `first` is
-/// always occupied before `rest` is.
-#[derive(Debug)]
-struct Bucket {
-    first: Entry,
-    rest: Vec<Entry>,
-}
-
-impl Bucket {
-    fn new() -> Self {
-        Bucket {
-            first: Entry::EMPTY,
-            rest: Vec::new(),
-        }
-    }
-}
-
-/// Largest bucket [`EventQueue::drain_refill`] will sort into the run
-/// rather than re-file downwards. Sorting wins while the bucket stays
-/// cache-resident (the sort is one hot O(k log k) pass and every later
-/// pop is a `Vec::pop`, where re-filing pays per-entry bucket pushes
-/// and bitmap maintenance); beyond this it degrades, and the radix
-/// distribution keeps the amortized O(1) bound.
-const SORT_MAX: usize = 1 << 16;
-
-/// Smallest bucket worth radix-sorting in
-/// [`EventQueue::sort_into_run`]; below this a comparison sort beats
-/// the counting pass's fixed histogram cost.
-const RADIX_MIN: usize = 256;
-
-/// Digit width of the counting pass in [`EventQueue::sort_into_run`]:
-/// 2^11 × 4-byte counters stay comfortably cache-resident while
-/// splitting a drained bucket into up to 2048 narrow groups.
-const PASS_BITS: usize = 11;
-
-/// Digits per counting pass.
-const PASS_DIGITS: usize = 1 << PASS_BITS;
 
 /// Lifetime operation counts of an [`EventQueue`], for observability.
 ///
 /// Gathering these costs the hot paths nothing: `scheduled` is the
 /// sequence counter the queue already maintains, `popped` is derived
-/// (`scheduled - cancelled - cleared - pending`), and the remaining
-/// counters live on cold paths (cancellation, multi-entry drains) —
-/// except `max_pending`, one predictable compare per schedule.
+/// (`scheduled - pending`), and `max_pending` is one predictable compare
+/// per schedule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueueStats {
-    /// Events ever scheduled.
+    /// Events ever scheduled, plus sequence numbers claimed through
+    /// [`EventQueue::alloc_seq`].
     pub scheduled: u64,
-    /// Events removed by [`EventQueue::pop`].
+    /// Events removed by [`EventQueue::pop`] (and claimed sequence
+    /// numbers, which never occupy the heap).
     pub popped: u64,
-    /// Events removed by [`EventQueue::cancel`].
-    pub cancelled: u64,
-    /// Events dropped by [`EventQueue::clear`].
-    pub cleared: u64,
     /// Events pending right now.
     pub pending: u64,
-    /// Current slab capacity in slots — how much pending-event storage
-    /// the queue retains across [`EventQueue::clear`] /
-    /// [`EventQueue::reset`]. Pooled sweeps read this as the pool's
-    /// high-water mark; [`EventQueue::shrink_to`] bounds it.
+    /// Current heap capacity in entries — how much pending-event storage
+    /// the queue retains across [`EventQueue::reset`]. Pooled sweeps read
+    /// this as the pool's high-water mark; [`EventQueue::shrink_to`]
+    /// bounds it.
     pub slab_capacity: u64,
-    /// High-water mark of pending events (bucket occupancy peak).
+    /// High-water mark of pending events.
     pub max_pending: u64,
-    /// Multi-entry bucket drains (singleton refills are not counted —
-    /// they are the O(1) common case).
-    pub drains: u64,
-    /// Drains absorbed wholesale into a sorted side run.
-    pub sorted_drains: u64,
-    /// Drains re-filed entry-by-entry through the radix distribution.
-    pub scattered_drains: u64,
 }
 
-/// A time-ordered queue of simulation events with stable tie-breaking,
-/// O(1) scheduling, amortized O(1) popping, and O(1) true cancellation.
+/// A time-ordered queue of simulation events with stable tie-breaking:
+/// a 4-ary min-heap over `(time, seq)` keys.
 ///
-/// Payloads must be `Copy`: they are stored out-of-line in the slab
-/// and copied out when the event fires.
+/// Payloads must be `Copy`: the heap moves entries by copy as it sifts.
 ///
 /// # Examples
 ///
@@ -316,54 +86,13 @@ pub struct QueueStats {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// The current minimum, cached outside the buckets;
-    /// [`Entry::EMPTY`] when the queue is empty.
-    top: Entry,
-    /// `buckets[level * DIGITS + digit]` holds entries whose key first
-    /// differs from the bound (at insertion or last redistribution
-    /// time) at byte `level`, where the key's byte is `digit`. Always
-    /// `BUCKETS` long.
-    buckets: Vec<Bucket>,
-    /// Which buckets are non-empty.
-    occupied: Occupancy,
-    /// Spare entry storage for [`drain_refill`](Self::drain_refill):
-    /// empty between calls, swapping capacities with the drained
-    /// bucket so steady-state drains never allocate.
-    scratch: Vec<Entry>,
-    /// Survivors of a drained bucket, sorted by **ascending** key;
-    /// `run[run_head..]` are the live ones, so the next candidate
-    /// minimum is a cursor bump away. The run lives outside the radix
-    /// structure — it has no filing to go stale as the bound advances —
-    /// and refills compare its head against the bucket-derived minimum
-    /// by raw key. At most one run exists at a time; while it is
-    /// non-empty, drains fall back to the radix distribution.
-    run: Vec<Entry>,
-    /// First live index of `run`; the vector is cleared (and the
-    /// cursor reset) the moment it empties, so `run.is_empty()` means
-    /// no run.
-    run_head: usize,
-    /// Cancellation and payload slab; freed slots are chained through
-    /// `idx`.
-    slots: Vec<Slot<E>>,
-    /// Head of the free-slot chain.
-    free_head: u32,
+    /// The heap: `entries[0]` is the minimum, and the children of `i`
+    /// are `4i + 1 ..= 4i + 4`.
+    entries: Vec<Entry<E>>,
     next_seq: u32,
     last_popped: Option<SimTime>,
-    /// The radix reference: the key of the last popped event (zero
-    /// before any pop). Every live or future key is at least this
-    /// large, and strictly larger for any bucketed entry.
-    bound: u128,
-    len: usize,
-    /// High-water mark of `len`.
+    /// High-water mark of `entries.len()`.
     max_len: usize,
-    /// Events removed by [`cancel`](Self::cancel).
-    cancelled: u64,
-    /// Events dropped by [`clear`](Self::clear).
-    cleared: u64,
-    /// Multi-entry drains, split by strategy (sorted run vs. radix
-    /// re-file). Both are bumped off the singleton fast path.
-    sorted_drains: u64,
-    scattered_drains: u64,
 }
 
 impl<E: Copy> Default for EventQueue<E> {
@@ -376,178 +105,98 @@ impl<E: Copy> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            top: Entry::EMPTY,
-            buckets: (0..BUCKETS).map(|_| Bucket::new()).collect(),
-            occupied: Occupancy::new(),
-            scratch: Vec::new(),
-            run: Vec::new(),
-            run_head: 0,
-            slots: Vec::new(),
-            free_head: NIL,
+            entries: Vec::new(),
             next_seq: 0,
             last_popped: None,
-            bound: 0,
-            len: 0,
             max_len: 0,
-            cancelled: 0,
-            cleared: 0,
-            sorted_drains: 0,
-            scattered_drains: 0,
         }
     }
 
-    /// Creates an empty queue with room for `capacity` pending events
-    /// before the slab reallocates.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut q = Self::new();
-        q.slots.reserve(capacity);
-        q
-    }
-
-    /// Schedules `payload` to fire at `time`, returning a cancellation
-    /// handle. Events scheduled for the same instant fire in scheduling
-    /// order.
+    /// Schedules `payload` to fire at `time`. Events scheduled for the
+    /// same instant fire in scheduling order.
     ///
     /// # Panics
     ///
     /// Panics if `time` lies before the last popped event — the past is
-    /// immutable in a discrete-event simulation.
+    /// immutable in a discrete-event simulation — or if the sequence
+    /// space is exhausted.
     #[inline]
-    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
-        let tk = flip(time);
-        // The bound's high half is the sign-flipped ticks of the last
-        // popped event (zero before any pop, below every flipped time),
-        // so one register compare enforces "no scheduling in the past".
-        if tk < (self.bound >> 32) as u64 {
-            past_panic(time, self.last_popped);
-        }
-        let seq = self.next_seq;
-        assert!(seq != SEQ_DEAD, "event queue sequence space exhausted");
-        self.next_seq += 1;
-
-        let slot = if self.free_head != NIL {
-            let slot = self.free_head;
-            self.free_head = self.slots[slot as usize].loc;
-            slot
-        } else {
-            let slot = self.slots.len() as u32;
-            assert!(slot != NIL, "event queue slot index space exhausted");
-            slot
-        };
-
-        let e = Entry { tk, seq, slot };
-        let t = self.top;
-        // An empty top compares above every real key, so a fresh queue
-        // takes this branch and files nothing. The stale `(0, 0)`
-        // location recorded for a new minimum is never trusted:
-        // `cancel` matches the top register by slot number first.
-        let loc = if (e.tk, e.seq) < (t.tk, t.seq) {
-            self.top = e;
-            if !t.is_empty() {
-                // The new event preempts the cached minimum; the old
-                // minimum rejoins the buckets (its key exceeds the
-                // bound, like any live entry's).
-                self.insert(t);
+    pub fn schedule(&mut self, time: SimTime, payload: E) {
+        if let Some(last) = self.last_popped {
+            if time < last {
+                past_panic(time, last);
             }
-            0
-        } else {
-            self.file(e)
-        };
-        // One coherent write of the whole slot, after its location is
-        // known.
-        let s = Slot { seq, loc, payload };
-        if (slot as usize) < self.slots.len() {
-            self.slots[slot as usize] = s;
-        } else {
-            self.slots.push(s);
         }
-        self.len += 1;
-        if self.len > self.max_len {
-            self.max_len = self.len;
-        }
-        EventId { slot, seq }
-    }
-
-    /// Cancels a previously scheduled event, removing it immediately.
-    /// Returns `true` if the event was still pending; handles to events
-    /// that already fired, were already cancelled, or were dropped by
-    /// [`clear`](Self::clear) return `false`.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        let (bucket, idx) = match self.slots.get(id.slot as usize) {
-            Some(s) if s.seq == id.seq => (
-                (s.loc >> IDX_BITS) as usize,
-                (s.loc & ((1 << IDX_BITS) - 1)) as usize,
-            ),
-            _ => return false,
+        let entry = Entry {
+            ticks: time.as_ticks(),
+            seq: self.alloc_seq(),
+            payload,
         };
-        // The cached minimum and run entries keep a stale `bucket` in
-        // their slots, so match the top register by slot number, then
-        // verify the recorded bucket really holds this entry. Slot
-        // numbers are unique among live events, so a mismatch proves
-        // the entry sits in the run — where its key pinpoints it.
-        if self.top.slot == id.slot {
-            self.top = Entry::EMPTY;
-            self.free_slot(id.slot);
-            self.refill_in_place();
-        } else {
-            let bk = &self.buckets[bucket];
-            let here = match idx {
-                0 => bk.first.slot,
-                i => bk.rest.get(i - 1).map_or(NIL, |e| e.slot),
-            };
-            if here == id.slot {
-                self.remove_bucketed(bucket, idx);
-            } else {
-                let rel = self.run[self.run_head..]
-                    .iter()
-                    .position(|e| e.slot == id.slot)
-                    .expect("live non-bucketed entry is in the run");
-                self.remove_from_run(self.run_head + rel);
+        // Hole-based sift-up: move parents down into the hole until the
+        // entry's slot is found, then write the entry once.
+        let key = entry.key();
+        let mut i = self.entries.len();
+        self.entries.push(entry);
+        while i > 0 {
+            let p = (i - 1) >> 2;
+            if self.entries[p].key() < key {
+                break;
             }
-            self.free_slot(id.slot);
+            self.entries[i] = self.entries[p];
+            i = p;
         }
-        self.len -= 1;
-        self.cancelled += 1;
-        true
+        self.entries[i] = entry;
+        self.max_len = self.max_len.max(self.entries.len());
     }
 
     /// Removes and returns the earliest pending event.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let top = self.top;
-        if top.is_empty() {
-            return None;
-        }
-        // The popped key becomes the new radix bound: all remaining
-        // keys exceed it (it was the minimum), and so does every future
-        // key (later sequence numbers, no scheduling in the past).
-        self.bound = top.key();
-        let time = unflip(top.tk);
-        let s = &mut self.slots[top.slot as usize];
-        let payload = s.payload;
-        s.seq = SEQ_DEAD;
-        s.loc = self.free_head;
-        self.free_head = top.slot;
+        let last = self.entries.pop()?;
+        let top = match self.entries.first() {
+            None => last,
+            Some(&top) => {
+                self.sift_down(last);
+                top
+            }
+        };
+        let time = SimTime::from_ticks(top.ticks);
         self.last_popped = Some(time);
-        self.len -= 1;
-        self.refill_top();
-        // Touch the next event's slab line: the following pop reads its
-        // payload, and issuing the load now overlaps the miss with the
-        // caller's event handling.
-        if !self.top.is_empty() {
-            std::hint::black_box(self.slots[self.top.slot as usize].seq);
+        Some((time, top.payload))
+    }
+
+    /// Refills the hole at the root with `last`, the detached final
+    /// entry: moves the smallest child up into the hole until `last`
+    /// sorts at or before every child, then writes it once.
+    #[inline]
+    fn sift_down(&mut self, last: Entry<E>) {
+        let key = last.key();
+        let n = self.entries.len();
+        let mut i = 0;
+        loop {
+            let first = (i << 2) + 1;
+            if first >= n {
+                break;
+            }
+            let mut m = first;
+            for c in first + 1..(first + 4).min(n) {
+                if self.entries[c].key() < self.entries[m].key() {
+                    m = c;
+                }
+            }
+            if key < self.entries[m].key() {
+                break;
+            }
+            self.entries[i] = self.entries[m];
+            i = m;
         }
-        Some((time, payload))
+        self.entries[i] = last;
     }
 
     /// Time of the earliest pending event without removing it.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.top.is_empty() {
-            None
-        } else {
-            Some(unflip(self.top.tk))
-        }
+        self.entries.first().map(|e| SimTime::from_ticks(e.ticks))
     }
 
     /// `(time, seq)` of the earliest pending event without removing it.
@@ -558,46 +207,45 @@ impl<E: Copy> EventQueue<E> {
     /// [`alloc_seq`](Self::alloc_seq).
     #[inline]
     pub fn peek_key(&self) -> Option<(SimTime, u32)> {
-        if self.top.is_empty() {
-            None
-        } else {
-            Some((unflip(self.top.tk), self.top.seq))
-        }
+        self.entries
+            .first()
+            .map(|e| (SimTime::from_ticks(e.ticks), e.seq))
     }
 
     /// Claims the next sequence number without scheduling anything.
     ///
     /// A caller that keeps some events *outside* the queue (e.g. a
     /// precomputed [`ReleaseTape`] consumed by a cursor) allocates their
-    /// sequence numbers here, at the exact points the heap-driven run
+    /// sequence numbers here, at the exact points the queue-driven run
     /// would have scheduled them. Merging by `(time, seq)` against
-    /// [`peek_key`](Self::peek_key) then reproduces the heap-driven
+    /// [`peek_key`](Self::peek_key) then reproduces the queue-driven
     /// dispatch order bit for bit, because every event — queued or
     /// elided — carries the same key it would have carried in the queue.
     ///
     /// Note that [`QueueStats::scheduled`] counts claimed sequence
     /// numbers, so elided events still show up there (and in the derived
-    /// `popped`) even though they never occupy a slot.
+    /// `popped`) even though they never occupy the heap.
     ///
     /// # Panics
     ///
-    /// Panics if the sequence space is exhausted.
+    /// Panics if the sequence space is exhausted (after 2^32 - 1 events
+    /// on one queue since its last [`reset`](Self::reset)).
     #[inline]
     pub fn alloc_seq(&mut self) -> u32 {
         let seq = self.next_seq;
-        assert!(seq != SEQ_DEAD, "event queue sequence space exhausted");
-        self.next_seq += 1;
+        assert!(seq != u32::MAX, "event queue sequence space exhausted");
+        self.next_seq = seq + 1;
         seq
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
     /// Time of the most recently popped event, i.e. "now" from the
@@ -609,456 +257,43 @@ impl<E: Copy> EventQueue<E> {
     /// Lifetime operation counts; see [`QueueStats`].
     pub fn stats(&self) -> QueueStats {
         let scheduled = self.next_seq as u64;
-        let pending = self.len as u64;
+        let pending = self.entries.len() as u64;
         QueueStats {
             scheduled,
-            popped: scheduled - self.cancelled - self.cleared - pending,
-            cancelled: self.cancelled,
-            cleared: self.cleared,
+            popped: scheduled - pending,
             pending,
-            slab_capacity: self.slots.capacity() as u64,
+            slab_capacity: self.entries.capacity() as u64,
             max_pending: self.max_len as u64,
-            drains: self.sorted_drains + self.scattered_drains,
-            sorted_drains: self.sorted_drains,
-            scattered_drains: self.scattered_drains,
         }
     }
 
-    /// Number of slab slots the queue can hold without reallocating.
-    /// Capacity survives [`clear`](Self::clear) and
-    /// [`reset`](Self::reset), which is what makes pooled reuse
-    /// allocation-free; bound it with [`shrink_to`](Self::shrink_to).
+    /// Number of entries the heap can hold without reallocating.
+    /// Capacity survives [`reset`](Self::reset), which is what makes
+    /// pooled reuse allocation-free; bound it with
+    /// [`shrink_to`](Self::shrink_to).
     pub fn capacity(&self) -> usize {
-        self.slots.capacity()
+        self.entries.capacity()
     }
 
-    /// Shrinks the retained storage toward `limit` slots: the slab, the
-    /// drain scratch, and the sorted side run all drop excess capacity
-    /// (never below their current lengths). A pool that absorbed one
-    /// pathologically large run calls this to stop that run's footprint
-    /// from being carried forever.
+    /// Shrinks the heap's retained storage toward `limit` entries (never
+    /// below the pending count). A pool that absorbed one pathologically
+    /// large run calls this to stop that run's footprint from being
+    /// carried forever.
     pub fn shrink_to(&mut self, limit: usize) {
-        self.slots.shrink_to(limit);
-        self.scratch.shrink_to(limit);
-        self.run.shrink_to(limit);
-        for b in &mut self.buckets {
-            b.rest.shrink_to(limit);
-        }
+        self.entries.shrink_to(limit);
     }
 
     /// Restores the queue to its as-new logical state — empty, sequence
-    /// counter at zero, no time bound, statistics zeroed — while
-    /// keeping every allocation (slab, buckets, scratch, run). A run
-    /// executed on a reset queue is bit-identical to one executed on a
-    /// fresh queue: scheduling order, sequence tie-breaking, and
-    /// [`stats`](Self::stats) all replay exactly.
-    ///
-    /// This is the pooling primitive: [`clear`](Self::clear) only drops
-    /// pending events (the time bound keeps advancing, so a cleared
-    /// queue still rejects scheduling before the last popped instant),
-    /// while `reset` rewinds the clock for the next independent run.
+    /// counter at zero, no time bound, statistics zeroed — while keeping
+    /// the heap's allocation. A run executed on a reset queue is
+    /// bit-identical to one executed on a fresh queue: scheduling order,
+    /// sequence tie-breaking, and [`stats`](Self::stats) all replay
+    /// exactly.
     pub fn reset(&mut self) {
-        self.top = Entry::EMPTY;
-        while let Some(b) = self.occupied.lowest() {
-            self.buckets[b].first = Entry::EMPTY;
-            self.buckets[b].rest.clear();
-            self.occupied.clear(b);
-        }
-        self.run.clear();
-        self.run_head = 0;
-        self.slots.clear();
-        self.free_head = NIL;
+        self.entries.clear();
         self.next_seq = 0;
         self.last_popped = None;
-        self.bound = 0;
-        self.len = 0;
         self.max_len = 0;
-        self.cancelled = 0;
-        self.cleared = 0;
-        self.sorted_drains = 0;
-        self.scattered_drains = 0;
-    }
-
-    /// Drops every pending event. Outstanding handles become stale.
-    pub fn clear(&mut self) {
-        self.cleared += self.len as u64;
-        self.top = Entry::EMPTY;
-        while let Some(b) = self.occupied.lowest() {
-            self.buckets[b].first = Entry::EMPTY;
-            self.buckets[b].rest.clear();
-            self.occupied.clear(b);
-        }
-        self.run.clear();
-        self.run_head = 0;
-        self.slots.clear();
-        self.free_head = NIL;
-        self.len = 0;
-    }
-
-    /// The bucket `e` belongs to under the current bound: the byte
-    /// position at which its key first differs from the bound, paired
-    /// with the key's byte value there. Works on the split halves of
-    /// the 96-bit key — 64-bit scans beat widening to `u128`. `e`'s key
-    /// must exceed the bound (true of every bucketed entry).
-    #[inline]
-    fn bucket_of(&self, e: Entry) -> usize {
-        debug_assert!(e.key() > self.bound, "bucketed key at or below the bound");
-        let xhi = e.tk ^ (self.bound >> 32) as u64;
-        if xhi != 0 {
-            let level = ((95 - xhi.leading_zeros()) >> 3) as usize;
-            let digit = (e.tk >> (level * 8 - 32)) as usize & (DIGITS - 1);
-            (level << 8) | digit
-        } else {
-            // Keys are unique and exceed the bound, so the low halves
-            // differ whenever the high halves agree.
-            let xlo = e.seq ^ self.bound as u32;
-            let level = ((31 - xlo.leading_zeros()) >> 3) as usize;
-            let digit = (e.seq >> (level * 8)) as usize & (DIGITS - 1);
-            (level << 8) | digit
-        }
-    }
-
-    /// Files `e` into its radix bucket, returning the packed location
-    /// without touching the slab — for [`schedule`](Self::schedule),
-    /// which writes the whole slot in one go.
-    #[inline]
-    fn file(&mut self, e: Entry) -> u32 {
-        let b = self.bucket_of(e);
-        let bk = &mut self.buckets[b];
-        let pos = if bk.first.is_empty() {
-            bk.first = e;
-            // `first` occupied ⇔ the occupancy bit is set, so only the
-            // empty→occupied transition touches the bitmap.
-            self.occupied.set(b);
-            0
-        } else {
-            bk.rest.push(e);
-            let pos = bk.rest.len() as u32;
-            assert!(pos < 1 << IDX_BITS, "event queue bucket overflow");
-            pos
-        };
-        pack_loc(b, pos)
-    }
-
-    /// Files `e` into its radix bucket and records the location in its
-    /// slot.
-    #[inline]
-    fn insert(&mut self, e: Entry) {
-        let loc = self.file(e);
-        self.slots[e.slot as usize].loc = loc;
-    }
-
-    /// Swap-removes the entry at `pos` of bucket `b`, patching the
-    /// location of whichever entry fills the hole.
-    fn remove_bucketed(&mut self, b: usize, pos: usize) {
-        let bk = &mut self.buckets[b];
-        if pos == 0 {
-            match bk.rest.pop() {
-                Some(e) => {
-                    bk.first = e;
-                    self.slots[e.slot as usize].loc = pack_loc(b, 0);
-                }
-                None => {
-                    bk.first = Entry::EMPTY;
-                    self.occupied.clear(b);
-                }
-            }
-        } else {
-            bk.rest.swap_remove(pos - 1);
-            if let Some(e) = bk.rest.get(pos - 1) {
-                self.slots[e.slot as usize].loc = pack_loc(b, pos as u32);
-            }
-        }
-    }
-
-    /// Removes the run entry at `pos` (an absolute index, at or past
-    /// the cursor). Removing the head or the tail keeps the run intact;
-    /// an interior removal would break its order, so the survivors
-    /// spill back into the radix buckets instead (their keys all exceed
-    /// the bound, like any live entry's). Cancellation is rare in
-    /// simulation workloads, so the spill is off every hot path.
-    fn remove_from_run(&mut self, pos: usize) {
-        if pos == self.run_head {
-            self.run_advance();
-            return;
-        }
-        if pos + 1 == self.run.len() {
-            self.run.pop();
-            return;
-        }
-        let run = std::mem::take(&mut self.run);
-        for (j, &e) in run.iter().enumerate().skip(self.run_head) {
-            if j != pos {
-                self.insert(e);
-            }
-        }
-        self.run = run;
-        self.run.clear();
-        self.run_head = 0;
-    }
-
-    /// Chains the slot onto the free list; its old handles go stale.
-    #[inline]
-    fn free_slot(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        s.seq = SEQ_DEAD;
-        s.loc = self.free_head;
-        self.free_head = slot;
-    }
-
-    /// Restores the top register after a pop emptied it.
-    ///
-    /// After the bound advances, the only bucket whose filings can be
-    /// stale is the lowest occupied one (the popped key's own bucket
-    /// index can't exceed any occupied bucket's, and only entries
-    /// sharing it re-file), so promoting or draining that bucket
-    /// *entirely* restores exactness everywhere. The run needs no such
-    /// care — it has no filing — and just competes by key.
-    ///
-    /// The common cases stay inline: with only the run pending, a
-    /// cursor bump; a singleton bucket (as level-0 buckets always are),
-    /// two 16-byte moves and a lowest-bit clear. Multi-entry buckets
-    /// take the outlined drain.
-    #[inline]
-    fn refill_top(&mut self) {
-        if self.occupied.summary == 0 {
-            self.top = match self.run_min() {
-                Some(e) => {
-                    self.run_advance();
-                    e
-                }
-                None => Entry::EMPTY,
-            };
-            return;
-        }
-        let w = self.occupied.summary.trailing_zeros() as usize;
-        let b = (w << 6) + self.occupied.words[w].trailing_zeros() as usize;
-        let bk = &mut self.buckets[b];
-        if bk.rest.is_empty() {
-            self.top = bk.first;
-            bk.first = Entry::EMPTY;
-            self.occupied.clear_lowest(w);
-        } else {
-            self.drain_refill(b);
-        }
-        // The run's head competes with the bucket-derived minimum; if
-        // it wins, the beaten entry rejoins the buckets (filed against
-        // the current bound, so nothing goes stale).
-        if let Some(m) = self.run_min() {
-            if (m.tk, m.seq) < (self.top.tk, self.top.seq) {
-                let beaten = self.top;
-                self.top = m;
-                self.run_advance();
-                self.insert(beaten);
-            }
-        }
-    }
-
-    /// The run's smallest live entry, if any.
-    #[inline]
-    fn run_min(&self) -> Option<Entry> {
-        self.run.get(self.run_head).copied()
-    }
-
-    /// Consumes the run's smallest live entry; clears the vector the
-    /// moment it empties so `run.is_empty()` keeps meaning "no run"
-    /// (and the capacity stays for the next drain).
-    #[inline]
-    fn run_advance(&mut self) {
-        self.run_head += 1;
-        if self.run_head == self.run.len() {
-            self.run.clear();
-            self.run_head = 0;
-        }
-    }
-
-    /// Drains multi-entry bucket `b` after a pop.
-    ///
-    /// If the run is free and the bucket is cache-sized, the bucket is
-    /// sorted wholesale into the run (see [`SORT_MAX`]). Otherwise one
-    /// fused pass holds the running minimum in a register and re-files
-    /// every beaten entry against the advanced bound. Survivors never
-    /// ascend — the popped key agrees with the old bound above `b`'s
-    /// level, so each survivor lands at `b` or below — which is what
-    /// amortizes the maintenance cost to O(1) per event. The drained
-    /// vector swaps capacities with the scratch buffer (a survivor may
-    /// re-file into `b` itself, so `b` needs a real vector during the
-    /// pass), and steady-state drains therefore never allocate.
-    #[cold]
-    #[inline(never)]
-    fn drain_refill(&mut self, b: usize) {
-        let bk = &mut self.buckets[b];
-        debug_assert!(!bk.first.is_empty(), "occupied bucket without a first");
-        if self.run.is_empty() && bk.rest.len() < SORT_MAX {
-            self.sorted_drains += 1;
-            // Sort the drained bucket into the run: a few hot counting
-            // passes now, and every later pop from it is a cursor bump.
-            // The bucket empties entirely, so no stale filing survives.
-            // Run entries keep their stale bucket locations: patching
-            // thousands of scattered slab lines costs more than the
-            // rare cancellation it would speed up (see `cancel`).
-            self.sort_into_run(b);
-            self.top = self.run[0];
-            self.run_head = 1;
-            if self.run.len() == 1 {
-                self.run.clear();
-                self.run_head = 0;
-            }
-            return;
-        }
-
-        self.scattered_drains += 1;
-        let mut drained = std::mem::take(&mut self.scratch);
-        debug_assert!(drained.is_empty());
-        let bk = &mut self.buckets[b];
-        let mut min = bk.first;
-        bk.first = Entry::EMPTY;
-        std::mem::swap(&mut bk.rest, &mut drained);
-        self.occupied.clear(b);
-
-        let mut min_key = min.key();
-        for &e in &drained {
-            let k = e.key();
-            if k < min_key {
-                let beaten = min;
-                min = e;
-                min_key = k;
-                self.insert(beaten);
-            } else {
-                self.insert(e);
-            }
-        }
-        drained.clear();
-        self.scratch = drained;
-        self.top = min;
-    }
-
-    /// Empties bucket `b` into the run, sorted by ascending key, with
-    /// `run_head` at zero. The run and scratch buffers must be empty on
-    /// entry.
-    ///
-    /// The bucket's spill vector is *stolen* by swapping it with the
-    /// (empty) run, so no entry is copied just to get contiguous input.
-    /// Small and equal-tick buckets then sort in place. Large buckets
-    /// take one MSD counting scatter: an OR/AND prescan finds the tick
-    /// bits that actually vary (bucket-mates agree on every key bit at
-    /// or above their filing level, and clustered simulation keys agree
-    /// on far more), one stable scatter on the top [`PASS_BITS`]
-    /// varying bits splits the bucket into narrow groups — scatter
-    /// iterations are independent, so the random writes overlap instead
-    /// of serializing like an in-place cycle walk would — and each
-    /// group is finished by a full-key comparison sort. Groups average
-    /// a handful of entries on scattered workloads, and a
-    /// pathologically skewed bucket merely degrades toward the
-    /// comparison sort this replaces. The three vectors (bucket spill,
-    /// run, scratch) rotate roles, so steady-state drains never
-    /// allocate.
-    fn sort_into_run(&mut self, b: usize) {
-        debug_assert!(self.run.is_empty() && self.run_head == 0);
-        debug_assert!(self.scratch.is_empty());
-        let bk = &mut self.buckets[b];
-        let first = bk.first;
-        bk.first = Entry::EMPTY;
-        std::mem::swap(&mut bk.rest, &mut self.run);
-        self.occupied.clear(b);
-        self.run.push(first);
-        let n = self.run.len();
-
-        if n < RADIX_MIN {
-            self.run.sort_unstable_by_key(|e| e.key());
-            return;
-        }
-
-        let (mut or_tk, mut and_tk) = (first.tk, first.tk);
-        for e in &self.run {
-            or_tk |= e.tk;
-            and_tk &= e.tk;
-        }
-        let varying = or_tk ^ and_tk;
-        if varying == 0 {
-            // Equal ticks: order is by sequence alone. The filing order
-            // is already ascending unless re-filed survivors snuck in,
-            // which the sort's presortedness check detects in one pass.
-            self.run.sort_unstable_by_key(|e| e.seq);
-            return;
-        }
-
-        // Digit window: when the whole varying span fits in one pass,
-        // anchor it at the lowest varying bit so the groups become
-        // equal-tick ties; otherwise take the highest PASS_BITS varying
-        // bits so the groups are the narrowest tick ranges one pass can
-        // isolate. Constant bits cannot affect group membership.
-        const MASK: usize = PASS_DIGITS - 1;
-        let lo = varying.trailing_zeros();
-        let hi = 63 - varying.leading_zeros();
-        let sh = if hi - lo < PASS_BITS as u32 {
-            lo
-        } else {
-            hi + 1 - PASS_BITS as u32
-        };
-        let mut counts = [0u32; PASS_DIGITS];
-        for e in &self.run {
-            counts[(e.tk >> sh) as usize & MASK] += 1;
-        }
-        let mut ofs = [0u32; PASS_DIGITS];
-        let mut sum = 0u32;
-        for d in 0..PASS_DIGITS {
-            ofs[d] = sum;
-            sum += counts[d];
-        }
-        let mut dst = std::mem::take(&mut self.scratch);
-        dst.resize(n, Entry::EMPTY);
-        for e in &self.run {
-            let d = (e.tk >> sh) as usize & MASK;
-            dst[ofs[d] as usize] = *e;
-            ofs[d] += 1;
-        }
-        let mut start = 0usize;
-        for &c in counts.iter() {
-            let end = start + c as usize;
-            if c > 1 {
-                dst[start..end].sort_unstable_by_key(|e| e.key());
-            }
-            start = end;
-        }
-        let mut src = std::mem::replace(&mut self.run, dst);
-        src.clear();
-        self.scratch = src;
-    }
-
-    /// Restores the top register after the cached minimum was
-    /// *cancelled*: the bound did not advance, so every filing is still
-    /// exact and nothing may be re-filed — just promote the minimum of
-    /// the lowest occupied bucket, or the run's head, in place.
-    fn refill_in_place(&mut self) {
-        let Some(b) = self.occupied.lowest() else {
-            if let Some(e) = self.run_min() {
-                self.run_advance();
-                self.top = e;
-            }
-            return;
-        };
-        let bk = &self.buckets[b];
-        let mut pos = 0;
-        let mut min = bk.first;
-        let mut min_key = min.key();
-        for (i, e) in bk.rest.iter().enumerate() {
-            let k = e.key();
-            if k < min_key {
-                min = *e;
-                min_key = k;
-                pos = i + 1;
-            }
-        }
-        if let Some(m) = self.run_min() {
-            if m.key() < min_key {
-                self.top = m;
-                self.run_advance();
-                return;
-            }
-        }
-        self.top = min;
-        self.remove_bucketed(b, pos);
     }
 }
 
@@ -1151,16 +386,6 @@ mod tests {
         SimTime::from_whole_units(u)
     }
 
-    /// The order-preserving 96-bit radix key of `(time, seq)`.
-    fn key_of(time: SimTime, seq: u32) -> u128 {
-        ((flip(time) as u128) << 32) | seq as u128
-    }
-
-    /// Recovers the instant encoded in a radix key.
-    fn time_of(key: u128) -> SimTime {
-        unflip((key >> 32) as u64)
-    }
-
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
@@ -1182,102 +407,16 @@ mod tests {
     }
 
     #[test]
-    fn cancel_skips_event() {
+    fn peek_key_orders_against_claimed_seqs() {
         let mut q = EventQueue::new();
-        let id = q.schedule(t(1), "dead");
-        q.schedule(t(2), "alive");
-        assert!(q.cancel(id));
-        assert!(!q.cancel(id), "double cancel reports false");
-        assert_eq!(q.pop().map(|(_, e)| e), Some("alive"));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_after_pop_is_false() {
-        let mut q = EventQueue::new();
-        let id = q.schedule(t(1), ());
-        assert_eq!(q.pop(), Some((t(1), ())));
-        assert!(!q.cancel(id), "fired events cannot be cancelled");
-    }
-
-    #[test]
-    fn cancel_after_clear_is_false() {
-        let mut q = EventQueue::new();
-        let id = q.schedule(t(1), ());
-        q.clear();
-        assert!(!q.cancel(id));
-    }
-
-    #[test]
-    fn stale_handle_to_recycled_slot_is_false() {
-        let mut q = EventQueue::new();
-        let old = q.schedule(t(1), 'a');
+        q.schedule(t(2), 'a');
+        let claimed = q.alloc_seq();
+        q.schedule(t(2), 'b');
+        assert_eq!(claimed, 1, "claims consume the shared counter");
+        assert_eq!(q.peek_key(), Some((t(2), 0)));
         q.pop();
-        // The freed slot is recycled for the next event; the old handle
-        // must not cancel the new occupant.
-        let new = q.schedule(t(2), 'b');
-        assert!(!q.cancel(old));
-        assert_eq!(q.pop(), Some((t(2), 'b')));
-        assert!(!q.cancel(new));
-    }
-
-    #[test]
-    fn len_accounts_for_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), ());
-        q.schedule(t(2), ());
-        assert_eq!(q.len(), 2);
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), ());
-        q.schedule(t(7), ());
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(t(7)));
-    }
-
-    #[test]
-    fn cancel_interior_preserves_order() {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = (0..32).map(|i| q.schedule(t(31 - i), 31 - i)).collect();
-        // Cancel every third event (values 31, 28, 25, ...).
-        for id in ids.iter().step_by(3) {
-            assert!(q.cancel(*id));
-        }
-        let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        let expected: Vec<i64> = (0..32).filter(|v| (31 - v) % 3 != 0).collect();
-        assert_eq!(order, expected);
-    }
-
-    #[test]
-    fn cancel_the_minimum_promotes_the_next() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), 1);
-        q.schedule(t(2), 2);
-        q.schedule(t(3), 3);
-        assert_eq!(q.peek_time(), Some(t(1)));
-        assert!(q.cancel(a), "cancelling the cached minimum");
-        assert_eq!(q.peek_time(), Some(t(2)));
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![2, 3]);
-    }
-
-    #[test]
-    fn slots_are_recycled() {
-        let mut q = EventQueue::new();
-        for round in 0..10 {
-            for i in 0..8 {
-                q.schedule(t(round * 100 + i), i);
-            }
-            while q.pop().is_some() {}
-        }
-        // 80 events passed through, but only 8 slots were ever live.
-        assert_eq!(q.slots.len(), 8);
+        assert_eq!(q.peek_key(), Some((t(2), 2)));
+        assert_eq!(q.stats().scheduled, 3);
     }
 
     #[test]
@@ -1299,6 +438,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "sequence space exhausted")]
+    fn sequence_exhaustion_panics() {
+        let mut q = EventQueue::new();
+        q.next_seq = u32::MAX - 1;
+        q.schedule(t(1), ());
+        q.alloc_seq();
+    }
+
+    #[test]
     fn same_instant_as_current_is_allowed() {
         let mut q = EventQueue::new();
         q.schedule(t(10), 1);
@@ -1308,100 +456,26 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.schedule(t(1), ());
-        q.schedule(t(2), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_false() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventId { slot: 99, seq: 99 }));
-    }
-
-    #[test]
-    fn with_capacity_preallocates() {
-        let mut q = EventQueue::with_capacity(64);
-        for i in 0..64 {
-            q.schedule(t(i), i);
-        }
-        assert_eq!(q.len(), 64);
-        assert_eq!(q.peek_time(), Some(t(0)));
-    }
-
-    #[test]
-    fn huge_bucket_takes_the_distribution_path() {
-        // A first drain of more than SORT_MAX entries exercises the
-        // radix distribution path that smaller workloads never reach
-        // (they sort into runs instead).
-        let n = SORT_MAX as i64 + 17;
-        let mut q = EventQueue::new();
-        for i in 0..n {
-            q.schedule(SimTime::from_ticks((i * 2_654_435_761) % (n * 7)), i);
-        }
-        let mut prev = None;
-        let mut count = 0;
-        while let Some((time, _)) = q.pop() {
-            if let Some(p) = prev {
-                assert!(time >= p, "pop order regressed");
-            }
-            prev = Some(time);
-            count += 1;
-        }
-        assert_eq!(count, n);
-    }
-
-    #[test]
     fn stats_track_lifecycle() {
         let mut q = EventQueue::new();
-        let a = q.schedule(t(1), 1);
+        q.schedule(t(1), 1);
         q.schedule(t(2), 2);
         q.schedule(t(3), 3);
         assert_eq!(q.stats().max_pending, 3);
-        q.cancel(a);
         q.pop();
         let s = q.stats();
         assert_eq!(s.scheduled, 3);
-        assert_eq!(s.cancelled, 1);
         assert_eq!(s.popped, 1);
-        assert_eq!(s.pending, 1);
-        assert_eq!(s.cleared, 0);
-        q.clear();
-        let s = q.stats();
-        assert_eq!(s.cleared, 1);
-        assert_eq!(s.pending, 0);
-        assert_eq!(s.popped, 1, "clear does not count as popping");
+        assert_eq!(s.pending, 2);
+        assert_eq!(s.max_pending, 3);
     }
 
-    #[test]
-    fn stats_count_drain_strategies() {
-        let mut q = EventQueue::new();
-        // Many same-bucket events force a multi-entry drain on pop; with
-        // the run free and the bucket cache-sized it sorts into a run.
-        for i in 0..512 {
-            q.schedule(t(1000 + i), i);
-        }
-        while q.pop().is_some() {}
-        let s = q.stats();
-        assert!(s.drains >= 1);
-        assert_eq!(s.drains, s.sorted_drains + s.scattered_drains);
-        assert!(s.sorted_drains >= 1, "cache-sized buckets sort into runs");
-        assert_eq!(s.popped, 512);
-    }
-
-    /// Drives a queue through a deterministic schedule/cancel/pop
-    /// workload and returns the full pop order.
+    /// Drives a queue through a deterministic schedule/pop workload and
+    /// returns the full pop order.
     fn exercise(q: &mut EventQueue<u64>) -> Vec<(SimTime, u64)> {
         let mut out = Vec::new();
-        let ids: Vec<_> = (0..200u64)
-            .map(|i| q.schedule(t(((i * 2_654_435_761) % 977) as i64), i))
-            .collect();
-        for id in ids.iter().step_by(3) {
-            q.cancel(*id);
+        for i in 0..200u64 {
+            q.schedule(t(((i * 2_654_435_761) % 977) as i64), i);
         }
         for _ in 0..50 {
             out.extend(q.pop());
@@ -1430,10 +504,10 @@ mod tests {
         assert_eq!(
             pooled.capacity(),
             warm_capacity,
-            "reset must keep the slab allocation"
+            "reset must keep the heap allocation"
         );
-        // Scheduling at t=0 after a reset must work (clear alone keeps
-        // the advanced time bound and would panic here).
+        // Scheduling at t=0 after a reset must work: the time bound of
+        // the previous run is gone.
         pooled.schedule(t(0), 7);
         assert_eq!(pooled.pop(), Some((t(0), 7)));
         pooled.reset();
@@ -1446,7 +520,7 @@ mod tests {
     }
 
     #[test]
-    fn capacity_and_shrink_to_bound_the_slab() {
+    fn capacity_and_shrink_to_bound_the_heap() {
         let mut q = EventQueue::new();
         for i in 0..1024u64 {
             q.schedule(t(i as i64), i);
@@ -1466,23 +540,5 @@ mod tests {
         assert_eq!(q.len(), 32);
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
         assert_eq!(order, (0..32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn key_round_trips_extreme_times() {
-        for ticks in [i64::MIN, -1, 0, 1, i64::MAX] {
-            let time = SimTime::from_ticks(ticks);
-            assert_eq!(time_of(key_of(time, 42)), time);
-        }
-    }
-
-    #[test]
-    fn key_order_matches_time_then_seq() {
-        let early = key_of(SimTime::from_ticks(-5), 9);
-        let late = key_of(SimTime::from_ticks(5), 1);
-        assert!(early < late, "negative times precede positive");
-        let a = key_of(t(3), 1);
-        let b = key_of(t(3), 2);
-        assert!(a < b, "ties resolve by sequence number");
     }
 }

@@ -9,7 +9,7 @@
 //! * [`piecewise`] — piecewise-constant functions with closed-form
 //!   integrals and accumulation-crossing solves; harvest-power profiles
 //!   live here.
-//! * [`event`] — a stable, cancellable event queue.
+//! * [`event`] — a stable `(time, seq)` event queue and the release tape.
 //! * [`engine`] — a minimal generic DES engine (`Model` + `Engine`).
 //! * [`trace`] — pluggable trace sinks.
 //! * [`stats`] — Welford statistics, sampled time series, histograms.
@@ -44,7 +44,7 @@ pub mod time;
 pub mod trace;
 
 pub use engine::{Engine, Model, RunOutcome, Scheduler, Watchdog, WatchdogKind};
-pub use event::{EventId, EventQueue, QueueStats, ReleaseEntry, ReleaseTape};
+pub use event::{EventQueue, QueueStats, ReleaseEntry, ReleaseTape};
 pub use piecewise::{CursorStats, Extension, PiecewiseConstant, PiecewiseError, Segment};
 pub use stats::{Histogram, RunningStats, SampledSeries};
 pub use time::{SimDuration, SimTime, TICKS_PER_UNIT};

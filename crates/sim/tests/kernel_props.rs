@@ -130,33 +130,6 @@ proptest! {
         }
     }
 
-    /// Cancelling an arbitrary subset removes exactly those events.
-    #[test]
-    fn event_queue_cancellation(
-        n in 1usize..100,
-        cancel_mask in proptest::collection::vec(any::<bool>(), 100),
-    ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = (0..n)
-            .map(|i| q.schedule(SimTime::from_ticks(i as i64 % 17), i))
-            .collect();
-        let mut expected: Vec<usize> = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            if cancel_mask[i] {
-                q.cancel(*id);
-            } else {
-                expected.push(i);
-            }
-        }
-        let mut popped: Vec<usize> = Vec::new();
-        while let Some((_, v)) = q.pop() {
-            popped.push(v);
-        }
-        popped.sort_unstable();
-        expected.sort_unstable();
-        prop_assert_eq!(popped, expected);
-    }
-
     /// Welford merge equals sequential accumulation on arbitrary splits.
     #[test]
     fn running_stats_merge_any_split(

@@ -1,13 +1,14 @@
-//! Model-based property tests of the indexed event queue.
+//! Model-based property tests of the event queue.
 //!
-//! The reference model is a naive sorted-`Vec`: schedule appends,
-//! cancel retracts by sequence number, pop removes the `(time, seq)`
-//! minimum. Arbitrary interleavings of schedule/cancel/pop — including
-//! cancels aimed at events that already fired and bursts of
-//! same-instant ties — must produce identical `(time, seq, payload)`
-//! sequences from both implementations.
+//! The reference model is a naive sorted-`Vec`: schedule appends with
+//! the next sequence number, `alloc_seq` consumes one without appending,
+//! and pop removes the `(time, seq)` minimum. Arbitrary interleavings of
+//! schedule/alloc_seq/peek/pop — including bursts of same-instant ties —
+//! must produce identical `(time, seq, payload)` sequences from both
+//! implementations. `alloc_seq` and `peek_key` are what the engines'
+//! side-stream merges rely on, so both are checked op by op.
 
-use harvest_sim::event::{EventId, EventQueue};
+use harvest_sim::event::EventQueue;
 use harvest_sim::time::SimTime;
 use proptest::prelude::*;
 
@@ -19,26 +20,23 @@ fn t(units: i64) -> SimTime {
 /// and the pending minimum is recomputed from scratch on every query.
 #[derive(Default)]
 struct ModelQueue {
-    live: Vec<(i64, u64, u32)>,
+    live: Vec<(i64, u32, u32)>,
+    next_seq: u32,
 }
 
 impl ModelQueue {
-    fn schedule(&mut self, time: i64, seq: u64, payload: u32) {
+    fn alloc_seq(&mut self) -> u32 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    fn schedule(&mut self, time: i64, payload: u32) {
+        let seq = self.alloc_seq();
         self.live.push((time, seq, payload));
     }
 
-    /// Retracts the entry with sequence `seq`; `false` if it is gone.
-    fn cancel(&mut self, seq: u64) -> bool {
-        match self.live.iter().position(|&(_, s, _)| s == seq) {
-            Some(i) => {
-                self.live.swap_remove(i);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn pop(&mut self) -> Option<(i64, u64, u32)> {
+    fn pop(&mut self) -> Option<(i64, u32, u32)> {
         let i = self
             .live
             .iter()
@@ -48,53 +46,43 @@ impl ModelQueue {
         Some(self.live.swap_remove(i))
     }
 
-    fn peek_time(&self) -> Option<i64> {
-        self.live.iter().map(|&(time, _, _)| time).min()
+    /// The `(time, seq)` minimum, as the queue reports it.
+    fn peek_key(&self) -> Option<(SimTime, u32)> {
+        self.live
+            .iter()
+            .map(|&(time, seq, _)| (time, seq))
+            .min()
+            .map(|(time, seq)| (t(time), seq))
     }
 }
 
 proptest! {
-    /// Arbitrary schedule/cancel/pop interleavings agree with the
-    /// model, operation by operation.
+    /// Arbitrary schedule/alloc_seq/peek/pop interleavings agree with
+    /// the model, operation by operation.
     #[test]
     fn event_queue_matches_sorted_vec_model(
-        ops in proptest::collection::vec((0u8..8, 0i64..6, 0usize..512), 1..250),
+        ops in proptest::collection::vec((0u8..8, 0i64..6), 1..250),
     ) {
         let mut q: EventQueue<u32> = EventQueue::new();
         let mut model = ModelQueue::default();
-        // Every handle ever issued, live or not — cancel targets draw
-        // from the full history, so cancel-after-pop, double-cancel,
-        // and cancel-after-cancel are all exercised.
-        let mut issued: Vec<(EventId, u64)> = Vec::new();
         let mut now = 0i64;
-        let mut next_seq = 0u64;
         let mut next_payload = 0u32;
 
-        for &(op, dt, target) in &ops {
+        for &(op, dt) in &ops {
             match op {
                 // Weight scheduling heavily so queues actually grow;
                 // dt is small so same-instant ties are common.
                 0..=3 => {
                     let time = now + dt;
-                    let payload = next_payload;
+                    q.schedule(t(time), next_payload);
+                    model.schedule(time, next_payload);
                     next_payload += 1;
-                    let id = q.schedule(t(time), payload);
-                    model.schedule(time, next_seq, payload);
-                    issued.push((id, next_seq));
-                    next_seq += 1;
                 }
-                4 | 5 => {
-                    if issued.is_empty() {
-                        continue;
-                    }
-                    let (id, seq) = issued[target % issued.len()];
-                    let expected = model.cancel(seq);
-                    prop_assert_eq!(
-                        q.cancel(id),
-                        expected,
-                        "cancel of seq {} disagreed with model",
-                        seq
-                    );
+                4 => {
+                    prop_assert_eq!(q.alloc_seq(), model.alloc_seq(), "claimed seq diverged");
+                }
+                5 => {
+                    prop_assert_eq!(q.peek_key(), model.peek_key(), "peek_key diverged");
                 }
                 6 => {
                     let expected = model.pop();
@@ -115,12 +103,13 @@ proptest! {
                     }
                 }
                 _ => {
-                    prop_assert_eq!(q.peek_time(), model.peek_time().map(t));
+                    prop_assert_eq!(q.peek_time(), model.peek_key().map(|(time, _)| time));
                     prop_assert_eq!(q.len(), model.live.len());
                     prop_assert_eq!(q.is_empty(), model.live.is_empty());
                 }
             }
         }
+        prop_assert_eq!(q.stats().scheduled, model.next_seq as u64);
 
         // Drain both to the end: the full remaining (time, payload)
         // sequence must match, ties resolved identically.
@@ -139,70 +128,19 @@ proptest! {
                 ),
             }
         }
-    }
-
-    /// Same-instant bursts fire strictly in scheduling order even when
-    /// interleaved with cancellations of earlier burst members.
-    #[test]
-    fn same_instant_ties_survive_cancellation(
-        n in 2usize..40,
-        cancel_mask in proptest::collection::vec(any::<bool>(), 40),
-    ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = (0..n).map(|i| q.schedule(t(7), i)).collect();
-        let mut expected: Vec<usize> = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            if cancel_mask[i] {
-                prop_assert!(q.cancel(*id));
-            } else {
-                expected.push(i);
-            }
-        }
-        let order: Vec<usize> =
-            std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
-        prop_assert_eq!(order, expected, "FIFO tie order broken by cancels");
-    }
-
-    /// Handles never outlive their event: after a pop, every handle to
-    /// the popped event is dead, even if its slab slot was recycled by
-    /// later schedules.
-    #[test]
-    fn stale_handles_stay_dead(
-        times in proptest::collection::vec(0i64..5, 1..60),
-    ) {
-        let mut q = EventQueue::new();
-        let mut dead: Vec<EventId> = Vec::new();
-        for (i, &dt) in times.iter().enumerate() {
-            let now = q.current_time().map_or(0, |t| t.as_ticks());
-            let id = q.schedule(
-                SimTime::from_ticks(now) + harvest_sim::time::SimDuration::from_whole_units(dt),
-                i,
-            );
-            if i % 2 == 0 {
-                // Fire it immediately; the handle is now stale.
-                while let Some((_, v)) = q.pop() {
-                    if v == i {
-                        break;
-                    }
-                }
-                dead.push(id);
-            }
-            for d in &dead {
-                prop_assert!(!q.cancel(*d), "stale handle revived");
-            }
-        }
+        prop_assert_eq!(q.stats().popped, model.next_seq as u64);
     }
 }
 
 proptest! {
     // Each case replays 20 000 operations against the O(n)-scan model,
-    // so a handful of seeds already dwarfs the scripted suites above;
+    // so a handful of seeds already dwarfs the scripted suite above;
     // more would only slow the tier-1 run.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Long horizons exercise the radix structure across many bound
-    /// advances (bucket drains, re-files, free-list churn) that short
-    /// scripted runs rarely reach.
+    /// Long runs grow the heap to thousands of pending events and
+    /// shrink it again, so sifts cross many levels and keys span wide
+    /// time ranges — depths that short scripted runs never reach.
     #[test]
     fn long_runs_match_model(seed in any::<u64>()) {
         let mut rng = seed | 1;
@@ -215,30 +153,20 @@ proptest! {
         };
         let mut q: EventQueue<u32> = EventQueue::new();
         let mut model = ModelQueue::default();
-        let mut issued: Vec<(EventId, u64)> = Vec::new();
         let mut now = 0i64;
-        let mut next_seq = 0u64;
 
         for n in 0..20_000u32 {
             match step(10) {
                 // Schedule near the present; dt 0 keeps ties frequent,
-                // the occasional long jump spreads keys across radix
-                // levels.
+                // the occasional long jump spreads keys far apart.
                 0..=4 => {
                     let dt = if step(16) == 0 { step(100_000) } else { step(8) };
                     let time = now + dt as i64;
-                    let id = q.schedule(t(time), n);
-                    model.schedule(time, next_seq, n);
-                    issued.push((id, next_seq));
-                    next_seq += 1;
+                    q.schedule(t(time), n);
+                    model.schedule(time, n);
                 }
-                5 | 6 => {
-                    if let Some((id, seq)) = issued
-                        .get(step(issued.len().max(1) as u64) as usize)
-                        .copied()
-                    {
-                        prop_assert_eq!(q.cancel(id), model.cancel(seq));
-                    }
+                5 => {
+                    prop_assert_eq!(q.alloc_seq(), model.alloc_seq());
                 }
                 _ => {
                     let expected = model.pop();
@@ -252,7 +180,7 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(q.peek_time(), model.peek_time().map(t));
+            prop_assert_eq!(q.peek_key(), model.peek_key());
             prop_assert_eq!(q.len(), model.live.len());
         }
         while let Some((gt, gp)) = q.pop() {

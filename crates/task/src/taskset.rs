@@ -1,9 +1,6 @@
 //! Collections of tasks.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use harvest_sim::event::{ReleaseEntry, ReleaseTape};
+use harvest_sim::event::{EventQueue, ReleaseEntry, ReleaseTape};
 use harvest_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -135,29 +132,23 @@ impl TaskSet {
     /// arrival is scheduled while handling its t = 0 arrival, *after*
     /// task 1's seeded t = 5 arrival — so task 1 pops first at t = 5
     /// despite its higher index.) The builder therefore replays that
-    /// discipline as a mini-simulation of release events only: seed the
-    /// in-horizon phase arrivals in task-index order, then pop in
-    /// `(ticks, seq)` order, each pop scheduling its successor.
+    /// discipline as a mini-simulation of release events only, on the
+    /// simulator's own [`EventQueue`]: schedule the in-horizon phase
+    /// arrivals in task-index order, then pop, each pop scheduling its
+    /// successor.
     pub fn release_tape(&self, horizon: SimDuration) -> ReleaseTape {
         let horizon_ticks = (SimTime::ZERO + horizon).as_ticks();
-        let mut seq: u32 = 0;
-        let mut alloc = move || {
-            let s = seq;
-            seq += 1;
-            s
-        };
-        // Min-heap of (ticks, seq, task): seq breaks same-instant ties in
-        // scheduling order, exactly like the event queue.
-        let mut heap: BinaryHeap<Reverse<(i64, u32, u32)>> = BinaryHeap::with_capacity(self.len());
+        let mut queue = EventQueue::new();
         for (i, task) in self.tasks.iter().enumerate() {
             let phase = task.phase();
             if phase >= SimTime::ZERO && phase.as_ticks() < horizon_ticks {
-                heap.push(Reverse((phase.as_ticks(), alloc(), i as u32)));
+                queue.schedule(phase, i as u32);
             }
         }
         let mut entries = Vec::new();
         let mut job_seq = vec![0u32; self.len()];
-        while let Some(Reverse((ticks, _, task))) = heap.pop() {
+        while let Some((time, task)) = queue.pop() {
+            let ticks = time.as_ticks();
             entries.push(ReleaseEntry {
                 ticks,
                 task,
@@ -167,10 +158,10 @@ impl TaskSet {
             if let Some(period) = self.tasks[task as usize].period() {
                 let next = ticks + period.as_ticks();
                 // A beyond-horizon successor is scheduled by the real
-                // run but never popped; eliding it from the mini-heap
+                // run but never popped; eliding it from the replay
                 // renumbers later seqs uniformly without reordering.
                 if next < horizon_ticks {
-                    heap.push(Reverse((next, alloc(), task)));
+                    queue.schedule(SimTime::from_ticks(next), task);
                 }
             }
         }
