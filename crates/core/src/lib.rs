@@ -64,7 +64,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod batch;
 pub mod config;
 pub mod fault;
 pub mod policies;
@@ -73,9 +72,6 @@ pub mod scheduler;
 pub mod system;
 pub mod trace;
 
-pub use batch::{
-    simulate_batch_grouped_in, simulate_batch_in, BatchContext, BatchGrouping, BatchLane,
-};
 pub use config::{MissPolicy, SystemConfig};
 pub use fault::{FaultPlan, LevelLockoutWindow};
 pub use policies::{

@@ -261,10 +261,8 @@ impl StorageSpec {
     }
 
     /// One constant-rate stretch; splits at internal clamp crossings.
-    /// This is the per-segment kernel behind [`Self::advance_with`],
-    /// public so batched engines can drive it directly from a fused
-    /// segment walk (and so [`Self::advance_lanes`] can scalar-drain
-    /// divergent lanes through the identical arithmetic).
+    /// This is the per-segment kernel behind [`Self::advance_with`] and
+    /// [`Storage::advance_with_each`].
     ///
     /// Level dynamics: `level' = η_c·harvest − load/η_d − leak` with
     /// clamping to `[0, capacity]`. Leakage applies only while the store
@@ -331,63 +329,6 @@ impl StorageSpec {
             report.level = snap(report.level + rate * step, self.capacity);
             report.delivered += load * step;
             dt -= step;
-        }
-    }
-
-    /// Advances a batch of lanes, each across its own constant-harvest
-    /// stretch, accumulating into the per-lane reports.
-    ///
-    /// Lanes whose level provably stays strictly inside `(0, capacity)`
-    /// for the whole stretch (and clear of the boundary-snap guard) take
-    /// a select-based fast path over the lane arrays — no per-lane
-    /// clamp/overflow branching, so the loop stays SIMD-friendly. The
-    /// rest scalar-drain through [`Self::advance_constant`]. Both paths
-    /// evaluate the scalar expressions verbatim, so every report is
-    /// bit-identical to a per-lane scalar advance (pinned by the
-    /// `lanes_match_scalar_advance` property test).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    pub fn advance_lanes(
-        &self,
-        reports: &mut [AdvanceReport],
-        harvest: &[f64],
-        dt: &[f64],
-        load: &[f64],
-    ) {
-        assert_eq!(reports.len(), harvest.len(), "lane slices must match");
-        assert_eq!(reports.len(), dt.len(), "lane slices must match");
-        assert_eq!(reports.len(), load.len(), "lane slices must match");
-        for (((report, &harvest), &dt), &load) in reports.iter_mut().zip(harvest).zip(dt).zip(load)
-        {
-            let input = self.charge_efficiency * harvest;
-            let draw = self.draw(load);
-            let rate = input - draw - self.leakage_power;
-            // Fast-path screen: a strictly interior level that cannot
-            // reach a clamp (or trip the underflow snap) within `dt`
-            // takes exactly one moving step of the scalar loop.
-            let interior = report.level > 0.0 && report.level < self.capacity && dt > 0.0;
-            let fast = interior
-                && (rate == 0.0 || {
-                    let until_clamp = if rate > 0.0 {
-                        (self.capacity - report.level) / rate
-                    } else {
-                        report.level / -rate
-                    };
-                    until_clamp > dt && until_clamp > BOUNDARY_SNAP / rate.abs()
-                });
-            if fast {
-                // Mirrors one interior iteration of `advance_constant`:
-                // the load is fully served and the level moves by
-                // `rate·dt`, snapped. The scalar `rate == 0` arm skips
-                // the snap, so replicate that with a select.
-                let stepped = snap(report.level + rate * dt, self.capacity);
-                report.level = if rate == 0.0 { report.level } else { stepped };
-                report.delivered += load * dt;
-            } else {
-                self.advance_constant(report, harvest, dt, load);
-            }
         }
     }
 
@@ -655,86 +596,6 @@ impl Storage {
     }
 }
 
-/// Structure-of-arrays storage state for a batch of sibling trials
-/// sharing one [`StorageSpec`]: per-lane levels plus reusable
-/// [`AdvanceReport`] scratch, laid out as flat `f64`/report arrays so
-/// [`StorageSpec::advance_lanes`] can sweep them without per-lane
-/// indirection. [`Self::reset`] reuses the slabs across batches — no
-/// reallocation once grown to the high-water lane count.
-#[derive(Debug, Clone, Default)]
-pub struct StorageLanes {
-    levels: Vec<f64>,
-    reports: Vec<AdvanceReport>,
-}
-
-impl StorageLanes {
-    /// Empty holder; slabs grow on first [`Self::reset`].
-    pub fn new() -> Self {
-        StorageLanes::default()
-    }
-
-    /// Re-arms the holder for `lanes` lanes, all at `initial` level,
-    /// reusing the existing slabs.
-    pub fn reset(&mut self, lanes: usize, initial: f64) {
-        self.levels.clear();
-        self.levels.resize(lanes, initial);
-        self.reports.clear();
-        self.reports.resize(lanes, AdvanceReport::default());
-    }
-
-    /// Number of lanes.
-    pub fn len(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// `true` when no lanes are armed.
-    pub fn is_empty(&self) -> bool {
-        self.levels.is_empty()
-    }
-
-    /// Current level of one lane.
-    pub fn level(&self, lane: usize) -> f64 {
-        self.levels[lane]
-    }
-
-    /// Overwrites one lane's level.
-    pub fn set_level(&mut self, lane: usize, level: f64) {
-        self.levels[lane] = level;
-    }
-
-    /// All lane levels.
-    pub fn levels(&self) -> &[f64] {
-        &self.levels
-    }
-
-    /// Seeds the report scratch from the lane levels (zeroed
-    /// accumulators) and returns it for a [`StorageSpec::advance_lanes`]
-    /// sweep. Call [`Self::commit_reports`] afterwards to fold the
-    /// resulting levels back.
-    pub fn begin_advance(&mut self) -> &mut [AdvanceReport] {
-        for (report, &level) in self.reports.iter_mut().zip(&self.levels) {
-            *report = AdvanceReport {
-                level,
-                ..AdvanceReport::default()
-            };
-        }
-        &mut self.reports
-    }
-
-    /// The report scratch as last written (e.g. mid-walk, between
-    /// segments of a fused sweep).
-    pub fn reports(&mut self) -> &mut [AdvanceReport] {
-        &mut self.reports
-    }
-
-    /// Copies the scratch reports' levels back into the lane levels.
-    pub fn commit_reports(&mut self) {
-        for (level, report) in self.levels.iter_mut().zip(&self.reports) {
-            *level = report.level;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -914,70 +775,6 @@ mod tests {
     }
 
     #[test]
-    fn lanes_match_scalar_advance() {
-        // Property: `advance_lanes` is bit-identical to driving each
-        // lane through `advance_constant`, across random specs and
-        // boundary-adjacent levels (both screen outcomes exercised).
-        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        for case in 0..200 {
-            let capacity = 1.0 + rng() * 200.0;
-            let mut spec = StorageSpec::ideal(capacity);
-            if case % 3 == 1 {
-                spec = spec
-                    .with_charge_efficiency(0.5 + rng() * 0.5)
-                    .with_discharge_efficiency(0.5 + rng() * 0.5);
-            } else if case % 3 == 2 {
-                spec = spec.with_leakage_power(rng() * 0.5);
-            }
-            let lanes = 16;
-            let mut levels = Vec::with_capacity(lanes);
-            let mut harvest = Vec::with_capacity(lanes);
-            let mut dt = Vec::with_capacity(lanes);
-            let mut load = Vec::with_capacity(lanes);
-            for lane in 0..lanes {
-                levels.push(match lane % 5 {
-                    0 => 0.0,
-                    1 => capacity,
-                    2 => (rng() * BOUNDARY_SNAP).min(capacity),
-                    3 => (capacity - rng() * BOUNDARY_SNAP).max(0.0),
-                    _ => rng() * capacity,
-                });
-                harvest.push(rng() * 4.0);
-                dt.push(if lane % 7 == 0 { 0.0 } else { rng() * 10.0 });
-                load.push(if lane % 4 == 0 { 0.0 } else { rng() * 6.0 });
-            }
-            let mut batched: Vec<AdvanceReport> = levels
-                .iter()
-                .map(|&level| AdvanceReport {
-                    level,
-                    ..AdvanceReport::default()
-                })
-                .collect();
-            spec.advance_lanes(&mut batched, &harvest, &dt, &load);
-            for lane in 0..lanes {
-                let mut scalar = AdvanceReport {
-                    level: levels[lane],
-                    ..AdvanceReport::default()
-                };
-                spec.advance_constant(&mut scalar, harvest[lane], dt[lane], load[lane]);
-                let b = &batched[lane];
-                assert_eq!(b.level.to_bits(), scalar.level.to_bits(), "lane {lane}");
-                assert_eq!(b.overflow.to_bits(), scalar.overflow.to_bits());
-                assert_eq!(b.deficit.to_bits(), scalar.deficit.to_bits());
-                assert_eq!(b.delivered.to_bits(), scalar.delivered.to_bits());
-                assert_eq!(b.clamped_empty, scalar.clamped_empty);
-                assert_eq!(b.clamped_full, scalar.clamped_full);
-            }
-        }
-    }
-
-    #[test]
     fn grid_advance_matches_cursor_walk() {
         // `advance_with_each` walks a uniform grid by direct indexing.
         // Its report and the segments it hands out must equal the cursor
@@ -1043,30 +840,6 @@ mod tests {
             saw_empty |= want.clamped_empty;
         }
         assert!(saw_full && saw_empty, "both clamp boundaries exercised");
-    }
-
-    #[test]
-    fn storage_lanes_round_trip() {
-        let spec = StorageSpec::ideal(50.0);
-        let mut lanes = StorageLanes::new();
-        lanes.reset(4, 20.0);
-        assert_eq!(lanes.len(), 4);
-        lanes.set_level(2, 5.0);
-        let harvest = [2.0, 0.0, 0.0, 3.0];
-        let dt = [1.0, 1.0, 1.0, 1.0];
-        let load = [0.0, 4.0, 7.0, 1.0];
-        {
-            let reports = lanes.begin_advance();
-            spec.advance_lanes(reports, &harvest, &dt, &load);
-        }
-        lanes.commit_reports();
-        assert_eq!(lanes.level(0), 22.0);
-        assert_eq!(lanes.level(1), 16.0);
-        assert_eq!(lanes.level(2), 0.0);
-        assert_eq!(lanes.level(3), 22.0);
-        // Reset reuses the slabs and re-arms every lane.
-        lanes.reset(4, 50.0);
-        assert_eq!(lanes.levels(), &[50.0; 4]);
     }
 
     #[test]

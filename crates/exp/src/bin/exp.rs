@@ -66,8 +66,8 @@ use std::sync::Arc;
 use harvest_exp::artifact::RunArtifact;
 use harvest_exp::cache::fnv1a64;
 use harvest_exp::figures::{
-    miss_rate_figure_grouped, robustness_campaign_instrumented, GroupingMode, RobustnessConfig,
-    Sabotage, SweepExecStats,
+    miss_rate_figure_instrumented, robustness_campaign_instrumented, RobustnessConfig, Sabotage,
+    SweepExecStats,
 };
 use harvest_exp::report::Table;
 use harvest_exp::scenario::{PaperScenario, PolicyKind, PredictorKind};
@@ -87,11 +87,10 @@ const USAGE: &str = "usage:
                   [--seed N] [--horizon UNITS] [--sample UNITS] [--out PATH]
   exp inspect     PATH
   exp diff        PATH BASELINE
-  exp sweep       [--util U] [--trials N] [--threads N] [--batch B]
-                  [--batch-group seed|policy|auto] [--store DIR]
+  exp sweep       [--util U] [--trials N] [--threads N] [--store DIR]
                   [--durability none|batch|record]
                   [--trace PATH] [--progress PATH] [--expect-warm]
-  exp fault-sweep [--util U] [--capacity C] [--trials N] [--threads N] [--batch B]
+  exp fault-sweep [--util U] [--capacity C] [--trials N] [--threads N]
                   [--horizon UNITS] [--intensities A,B,..]
                   [--store DIR] [--durability none|batch|record]
                   [--trace PATH] [--progress PATH] [--flight DIR]
@@ -154,8 +153,6 @@ struct SweepArgs {
     utilization: f64,
     trials: usize,
     threads: usize,
-    batch: usize,
-    batch_group: GroupingMode,
     store: Option<PathBuf>,
     /// `None` unless `--durability` was given explicitly.
     durability: Option<Durability>,
@@ -170,8 +167,6 @@ impl Default for SweepArgs {
             utilization: 0.4,
             trials: 2,
             threads: 2,
-            batch: 1,
-            batch_group: GroupingMode::Seed,
             store: None,
             durability: None,
             trace: None,
@@ -191,7 +186,6 @@ struct FaultSweepArgs {
     capacity: f64,
     trials: usize,
     threads: usize,
-    batch: usize,
     horizon_units: i64,
     intensities: Vec<f64>,
     store: Option<PathBuf>,
@@ -212,7 +206,6 @@ impl Default for FaultSweepArgs {
             capacity: 300.0,
             trials: 2,
             threads: 2,
-            batch: 1,
             horizon_units: 2_000,
             intensities: vec![0.0, 0.5, 1.0],
             store: None,
@@ -258,6 +251,18 @@ fn parse_policy(name: &str) -> Result<PolicyKind, String> {
         .ok_or_else(|| format!("unknown policy `{name}` (try ea-dvfs, lsa, edf, greedy-stretch)"))
 }
 
+/// Parses `--util`: a task-set utilization in (0, 1], the range the
+/// workload generator accepts.
+fn parse_util(raw: &str) -> Result<f64, String> {
+    let util: f64 = raw
+        .parse()
+        .map_err(|_| "--util expects a number".to_owned())?;
+    if !(util > 0.0 && util <= 1.0) {
+        return Err(format!("--util must lie in (0, 1], got {raw}"));
+    }
+    Ok(util)
+}
+
 fn parse_record<I, S>(args: I) -> Result<RecordArgs, String>
 where
     I: IntoIterator<Item = S>,
@@ -274,14 +279,7 @@ where
         };
         match flag.as_str() {
             "--policy" => out.policy = parse_policy(&value()?)?,
-            "--util" => {
-                out.utilization = value()?
-                    .parse()
-                    .map_err(|_| "--util expects a number".to_owned())?;
-                if !(out.utilization > 0.0 && out.utilization.is_finite()) {
-                    return Err("--util must be positive".into());
-                }
-            }
+            "--util" => out.utilization = parse_util(&value()?)?,
             "--capacity" => {
                 out.capacity = value()?
                     .parse()
@@ -422,14 +420,7 @@ where
                 .ok_or_else(|| format!("{flag} expects a value"))
         };
         match flag.as_str() {
-            "--util" => {
-                out.utilization = value()?
-                    .parse()
-                    .map_err(|_| "--util expects a number".to_owned())?;
-                if !(out.utilization > 0.0 && out.utilization.is_finite()) {
-                    return Err("--util must be positive".into());
-                }
-            }
+            "--util" => out.utilization = parse_util(&value()?)?,
             "--capacity" => {
                 out.capacity = value()?
                     .parse()
@@ -475,14 +466,6 @@ where
                         .any(|i| !(i.is_finite() && (0.0..=1.0).contains(i)))
                 {
                     return Err("--intensities values must lie in [0, 1]".into());
-                }
-            }
-            "--batch" => {
-                out.batch = value()?
-                    .parse()
-                    .map_err(|_| "--batch expects a positive integer".to_owned())?;
-                if out.batch == 0 {
-                    return Err("--batch must be positive".into());
                 }
             }
             "--store" => out.store = Some(PathBuf::from(value()?)),
@@ -541,24 +524,11 @@ fn print_metrics(stats: &SweepExecStats, store: Option<&PackStore>) {
     reg.counter("sweep.simulated", stats.simulated);
     reg.counter("sweep.cached", stats.cached);
     reg.counter("pool.runs", stats.pool.runs);
-    reg.counter("pool.batched_runs", stats.pool.batched_runs);
-    reg.counter("pool.policy_batched_runs", stats.pool.policy_batched_runs);
-    reg.counter("pool.batch_ticks", stats.pool.batch_ticks);
-    reg.counter("pool.multi_lane_ticks", stats.pool.multi_lane_ticks);
     reg.gauge(
         "pool.event_slab_high_water",
         stats.pool.event_slab_high_water as f64,
     );
     reg.gauge("pool.ready_high_water", stats.pool.ready_high_water as f64);
-    reg.gauge(
-        "pool.batch_lane_high_water",
-        stats.pool.batch_lane_high_water as f64,
-    );
-    reg.gauge(
-        "pool.batch_policy_lane_high_water",
-        stats.pool.batch_policy_lane_high_water as f64,
-    );
-    reg.gauge("pool.multi_lane_fraction", stats.pool.multi_lane_fraction());
     if let Some(s) = store {
         s.stats().publish("store", &mut reg);
     }
@@ -859,16 +829,8 @@ fn report_progress(
     ];
     if let Some(hb) = heartbeat {
         md.push_str(&format!(
-            "decided {}/{} ({} hit, {} simulated, {} resumed, {} quarantined) at {:.1} cells/s, \
-             lane high water {}.\n",
-            hb.done,
-            hb.total,
-            hb.hits,
-            hb.simulated,
-            hb.resumed,
-            hb.quarantined,
-            hb.cells_per_sec,
-            hb.lane_high_water
+            "decided {}/{} ({} hit, {} simulated, {} resumed, {} quarantined) at {:.1} cells/s.\n",
+            hb.done, hb.total, hb.hits, hb.simulated, hb.resumed, hb.quarantined, hb.cells_per_sec
         ));
         entries.extend([
             ("done".into(), Value::U64(hb.done)),
@@ -876,7 +838,6 @@ fn report_progress(
             ("simulated".into(), Value::U64(hb.simulated)),
             ("resumed".into(), Value::U64(hb.resumed)),
             ("quarantined".into(), Value::U64(hb.quarantined)),
-            ("lane_high_water".into(), Value::U64(hb.lane_high_water)),
         ]);
         if hb.store_retries > 0 || hb.store_degraded > 0 || hb.store_sync_failures > 0 {
             md.push_str(&format!(
@@ -889,28 +850,6 @@ fn report_progress(
                 (
                     "store_sync_failures".into(),
                     Value::U64(hb.store_sync_failures),
-                ),
-            ]);
-        }
-        if hb.batch_ticks > 0 {
-            md.push_str(&format!(
-                "batch grouping `{}`: {} of {} instants multi-lane \
-                 ({:.1}% lane synchrony).\n",
-                hb.batch_grouping,
-                hb.multi_lane_ticks,
-                hb.batch_ticks,
-                hb.multi_lane_fraction() * 100.0
-            ));
-            entries.extend([
-                (
-                    "batch_grouping".into(),
-                    Value::Str(hb.batch_grouping.clone()),
-                ),
-                ("batch_ticks".into(), Value::U64(hb.batch_ticks)),
-                ("multi_lane_ticks".into(), Value::U64(hb.multi_lane_ticks)),
-                (
-                    "multi_lane_fraction".into(),
-                    Value::F64(hb.multi_lane_fraction()),
                 ),
             ]);
         }
@@ -1060,7 +999,6 @@ fn fault_sweep(args: &FaultSweepArgs, store: Option<&PackStore>) -> Result<(), S
         predictors: vec![PredictorKind::Oracle],
         trials: args.trials,
         threads: args.threads,
-        batch: args.batch,
         ..RobustnessConfig::default()
     };
     let matches = |list: &[InjectSpec], cell: &harvest_exp::figures::Cell| {
@@ -1084,21 +1022,18 @@ fn fault_sweep(args: &FaultSweepArgs, store: Option<&PackStore>) -> Result<(), S
     );
     let cells = config.intensities.len() * config.policies.len() * config.trials;
     println!(
-        "fault-sweep util={} capacity={} trials={} batch={} cells={cells} simulated={} \
-         resumed={} quarantined={} pool_runs={} batched_runs={} event_slab_high_water={} \
-         ready_high_water={} batch_lane_high_water={} figure_fnv64={:016x}",
+        "fault-sweep util={} capacity={} trials={} cells={cells} simulated={} resumed={} \
+         quarantined={} pool_runs={} event_slab_high_water={} ready_high_water={} \
+         figure_fnv64={:016x}",
         args.utilization,
         args.capacity,
         args.trials,
-        args.batch,
         report.exec.simulated,
         report.resumed,
         report.quarantined.len(),
         report.exec.pool.runs,
-        report.exec.pool.batched_runs,
         report.exec.pool.event_slab_high_water,
         report.exec.pool.ready_high_water,
-        report.exec.pool.batch_lane_high_water,
         report.figure.digest(),
     );
     for q in &report.quarantined {
@@ -1157,14 +1092,7 @@ where
                 .ok_or_else(|| format!("{flag} expects a value"))
         };
         match flag.as_str() {
-            "--util" => {
-                out.utilization = value()?
-                    .parse()
-                    .map_err(|_| "--util expects a number".to_owned())?;
-                if !(out.utilization > 0.0 && out.utilization.is_finite()) {
-                    return Err("--util must be positive".into());
-                }
-            }
+            "--util" => out.utilization = parse_util(&value()?)?,
             "--trials" => {
                 out.trials = value()?
                     .parse()
@@ -1181,15 +1109,6 @@ where
                     return Err("--threads must be positive".into());
                 }
             }
-            "--batch" => {
-                out.batch = value()?
-                    .parse()
-                    .map_err(|_| "--batch expects a positive integer".to_owned())?;
-                if out.batch == 0 {
-                    return Err("--batch must be positive".into());
-                }
-            }
-            "--batch-group" => out.batch_group = value()?.parse()?,
             "--store" => out.store = Some(PathBuf::from(value()?)),
             "--durability" => out.durability = Some(parse_durability(&value()?)?),
             "--trace" => out.trace = Some(PathBuf::from(value()?)),
@@ -1232,37 +1151,26 @@ where
 
 fn sweep(args: &SweepArgs, store: Option<&PackStore>) -> Result<(), String> {
     let telemetry = build_telemetry(&args.trace, &args.progress, &None)?;
-    let (figure, stats) = miss_rate_figure_grouped(
+    let (figure, stats) = miss_rate_figure_instrumented(
         store.map(|s| s as &dyn TrialStore),
         args.utilization,
         &[PolicyKind::Lsa, PolicyKind::EaDvfs],
         args.trials,
         args.threads,
-        args.batch,
-        args.batch_group,
         &telemetry,
     );
     let json = serde_json::to_string(&figure).map_err(|e| format!("serialize figure: {e}"))?;
     println!(
-        "sweep util={} trials={} batch={} batch_group={} cells={} simulated={} cached={} \
-         pool_runs={} batched_runs={} policy_batched_runs={} event_slab_high_water={} \
-         ready_high_water={} batch_lane_high_water={} batch_policy_lane_high_water={} \
-         multi_lane_fraction={:.3} figure_fnv64={:016x}",
+        "sweep util={} trials={} cells={} simulated={} cached={} pool_runs={} \
+         event_slab_high_water={} ready_high_water={} figure_fnv64={:016x}",
         args.utilization,
         args.trials,
-        args.batch,
-        args.batch_group.label(),
         stats.simulated + stats.cached,
         stats.simulated,
         stats.cached,
         stats.pool.runs,
-        stats.pool.batched_runs,
-        stats.pool.policy_batched_runs,
         stats.pool.event_slab_high_water,
         stats.pool.ready_high_water,
-        stats.pool.batch_lane_high_water,
-        stats.pool.batch_policy_lane_high_water,
-        stats.pool.multi_lane_fraction(),
         fnv1a64(json.as_bytes()),
     );
     if let Some(s) = store {
@@ -1399,10 +1307,6 @@ mod tests {
             "3",
             "--threads",
             "2",
-            "--batch",
-            "8",
-            "--batch-group",
-            "policy",
             "--store",
             "/tmp/sweep-store",
             "--expect-warm",
@@ -1411,8 +1315,6 @@ mod tests {
         assert_eq!(args.utilization, 0.8);
         assert_eq!(args.trials, 3);
         assert_eq!(args.threads, 2);
-        assert_eq!(args.batch, 8);
-        assert_eq!(args.batch_group, GroupingMode::Policy);
         assert_eq!(args.store, Some(PathBuf::from("/tmp/sweep-store")));
         assert!(args.expect_warm);
         assert_eq!(args.trace, None);
@@ -1421,22 +1323,17 @@ mod tests {
         let traced = parse_sweep(["--trace", "/tmp/t.json", "--progress", "/tmp/p.jsonl"]).unwrap();
         assert_eq!(traced.trace, Some(PathBuf::from("/tmp/t.json")));
         assert_eq!(traced.progress, Some(PathBuf::from("/tmp/p.jsonl")));
-        let defaults = parse_sweep(Vec::<String>::new()).unwrap();
-        assert_eq!(defaults.batch, 1);
-        assert_eq!(defaults.batch_group, GroupingMode::Seed);
-        assert_eq!(
-            parse_sweep(["--batch-group", "auto"]).unwrap().batch_group,
-            GroupingMode::Auto
-        );
+        assert_eq!(parse_sweep(["--util", "1"]).unwrap().utilization, 1.0);
+        assert!(parse_sweep(["--util", "1.5"])
+            .unwrap_err()
+            .contains("(0, 1]"));
         assert!(parse_sweep(["--trials", "0"]).is_err());
-        assert!(parse_sweep(["--batch", "0"]).is_err());
-        assert!(parse_sweep(["--batch-group", "bogus"]).is_err());
         assert!(parse_sweep(["--bogus"]).is_err());
 
         let stored = parse_sweep(["--store", "/tmp/sweep-store"]).unwrap();
         assert_eq!(stored.store, Some(PathBuf::from("/tmp/sweep-store")));
         assert_eq!(stored.durability, None, "no explicit level");
-        for removed in ["--cache", "--manifest"] {
+        for removed in ["--cache", "--manifest", "--batch", "--batch-group"] {
             assert!(parse_sweep([removed, "/tmp/b"])
                 .unwrap_err()
                 .contains("unknown flag"));
@@ -1466,8 +1363,6 @@ mod tests {
             "3",
             "--threads",
             "2",
-            "--batch",
-            "4",
             "--horizon",
             "1500",
             "--intensities",
@@ -1484,14 +1379,15 @@ mod tests {
         assert_eq!(args.utilization, 0.8);
         assert_eq!(args.capacity, 200.0);
         assert_eq!(args.trials, 3);
-        assert_eq!(args.batch, 4);
         assert_eq!(args.horizon_units, 1500);
         assert_eq!(args.intensities, vec![0.0, 0.5, 1.0]);
         assert_eq!(args.store, Some(PathBuf::from("/tmp/c")));
         assert_eq!(args.inject_panic, vec![(PolicyKind::Lsa, 0, 0.5)]);
         assert_eq!(args.inject_starve, vec![(PolicyKind::EaDvfs, 1, 1.0)]);
         assert!(args.expect_resumed);
-        assert!(parse_fault_sweep(["--batch", "0"]).is_err());
+        assert!(parse_fault_sweep(["--util", "1.5"])
+            .unwrap_err()
+            .contains("(0, 1]"));
         assert!(parse_fault_sweep(["--intensities", "2.0"]).is_err());
         assert!(parse_fault_sweep(["--inject-panic", "lsa:0"]).is_err());
         assert!(parse_fault_sweep(["--inject-panic", "sjf:0:0.5"]).is_err());
@@ -1503,7 +1399,7 @@ mod tests {
             parse_fault_sweep(["--store", "/tmp/campaign", "--durability", "record"]).unwrap();
         assert_eq!(durable.durability, Some(Durability::Record));
         assert!(parse_fault_sweep(["--durability", "fsync-everything"]).is_err());
-        for removed in ["--cache", "--manifest"] {
+        for removed in ["--cache", "--manifest", "--batch"] {
             assert!(parse_fault_sweep([removed, "/tmp/b"])
                 .unwrap_err()
                 .contains("unknown flag"));
@@ -1615,7 +1511,11 @@ mod tests {
         assert!(parse_command(["inspect"]).is_err());
         assert!(parse_command(["diff", "one.jsonl"]).is_err());
         assert!(parse_record(["--policy", "sjf"]).is_err());
-        assert!(parse_record(["--util", "-1"]).is_err());
+        for util in ["-1", "0", "1.5", "inf", "NaN", "half"] {
+            assert!(parse_record(["--util", util]).is_err(), "--util {util}");
+        }
+        assert_eq!(parse_util("0.25"), Ok(0.25));
+        assert_eq!(parse_util("1"), Ok(1.0));
         assert!(parse_record(["--horizon", "0"]).is_err());
     }
 

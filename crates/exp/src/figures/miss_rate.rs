@@ -2,11 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use harvest_core::SimResult;
 use harvest_obs::progress::CellDecision;
 use harvest_obs::span::{CAT_BUILD, CAT_FIGURE, CAT_PROBE, CAT_SIMULATE, CAT_STORE, TID_DRIVER};
-
-use std::collections::HashMap;
 
 use super::{GroupingMode, SweepExecStats};
 use crate::cache::{TrialKey, TrialSummary};
@@ -108,41 +105,41 @@ pub fn miss_rate_figure_cached(
     trials: usize,
     threads: usize,
 ) -> (MissRateFigure, SweepExecStats) {
-    miss_rate_figure_cached_batched(store, utilization, policies, trials, threads, 1)
-}
-
-/// [`miss_rate_figure_cached`] with an explicit batch width: pending
-/// cells that share a `(capacity, policy)` grid point are sibling trials
-/// of the same scenario, so up to `batch` of them are simulated per pass
-/// through the structure-of-arrays engine
-/// ([`harvest_core::simulate_batch_in`]). Results and store contents are
-/// bit-identical to `batch == 1`; only throughput changes.
-///
-/// # Panics
-///
-/// Panics if `trials`, `threads`, or `batch` is zero.
-pub fn miss_rate_figure_cached_batched(
-    store: Option<&dyn TrialStore>,
-    utilization: f64,
-    policies: &[PolicyKind],
-    trials: usize,
-    threads: usize,
-    batch: usize,
-) -> (MissRateFigure, SweepExecStats) {
     miss_rate_figure_instrumented(
         store,
         utilization,
         policies,
         trials,
         threads,
-        batch,
         &CampaignTelemetry::off(),
     )
 }
 
-/// [`miss_rate_figure_cached_batched`] under campaign telemetry: span
-/// tracing of the probe/build/run phases and each simulated cell, and
-/// live progress events per decided cell. With the default (disabled)
+/// [`miss_rate_figure_instrumented`] with two ignored arguments, `batch`
+/// and `grouping`. Kept because the campaign benchmark calls it with
+/// them.
+///
+/// # Panics
+///
+/// Panics if `trials`, `threads`, or `batch` is zero.
+#[allow(clippy::too_many_arguments)]
+pub fn miss_rate_figure_grouped(
+    store: Option<&dyn TrialStore>,
+    utilization: f64,
+    policies: &[PolicyKind],
+    trials: usize,
+    threads: usize,
+    batch: usize,
+    _grouping: GroupingMode,
+    telemetry: &CampaignTelemetry,
+) -> (MissRateFigure, SweepExecStats) {
+    assert!(batch > 0, "batch width must be at least 1");
+    miss_rate_figure_instrumented(store, utilization, policies, trials, threads, telemetry)
+}
+
+/// [`miss_rate_figure_cached`] under campaign telemetry: span tracing of
+/// the probe/build/run phases and each simulated cell, and live progress
+/// events per decided cell. With the default (disabled)
 /// [`CampaignTelemetry`] every observer site is one `None` branch, so
 /// results — and the warm-path cost the sweep bench pins — are those of
 /// the plain driver. The caller owns the telemetry lifecycle: this
@@ -154,69 +151,16 @@ pub fn miss_rate_figure_cached_batched(
 ///
 /// # Panics
 ///
-/// Panics if `trials`, `threads`, or `batch` is zero.
+/// Panics if `trials` or `threads` is zero.
 pub fn miss_rate_figure_instrumented(
     store: Option<&dyn TrialStore>,
     utilization: f64,
     policies: &[PolicyKind],
     trials: usize,
     threads: usize,
-    batch: usize,
-    telemetry: &CampaignTelemetry,
-) -> (MissRateFigure, SweepExecStats) {
-    miss_rate_figure_grouped(
-        store,
-        utilization,
-        policies,
-        trials,
-        threads,
-        batch,
-        GroupingMode::Seed,
-        telemetry,
-    )
-}
-
-/// One unit of pending work for a sweep worker: either sibling seeds of
-/// one `(capacity, policy)` grid point, or policy arms of one
-/// `(capacity, seed)` trial run in lockstep.
-#[derive(Clone)]
-enum RunGroup {
-    Seeds {
-        capacity: f64,
-        policy: PolicyKind,
-        /// `(job index, seed)` per lane.
-        lanes: Vec<(usize, u64)>,
-    },
-    Arms {
-        capacity: f64,
-        seed: u64,
-        /// `(job index, policy)` per lane.
-        arms: Vec<(usize, PolicyKind)>,
-    },
-}
-
-/// [`miss_rate_figure_instrumented`] with an explicit batch
-/// [`GroupingMode`]: the adaptive batcher packs pending cells into SoA
-/// lanes along the seed axis, the policy axis, or (`Auto`) whichever
-/// fits the sweep shape, and splits results back into the same
-/// per-`(scenario, policy, seed)` store cells either way.
-///
-/// # Panics
-///
-/// Panics if `trials`, `threads`, or `batch` is zero.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-pub fn miss_rate_figure_grouped(
-    store: Option<&dyn TrialStore>,
-    utilization: f64,
-    policies: &[PolicyKind],
-    trials: usize,
-    threads: usize,
-    batch: usize,
-    grouping: GroupingMode,
     telemetry: &CampaignTelemetry,
 ) -> (MissRateFigure, SweepExecStats) {
     assert!(trials > 0, "need at least one trial");
-    assert!(batch > 0, "batch width must be at least 1");
     let mut driver_sink = telemetry.sink(TID_DRIVER);
     let figure_start = driver_sink.as_ref().map(|s| s.start());
     let capacities = sweep_capacities();
@@ -303,189 +247,44 @@ pub fn miss_rate_figure_grouped(
     }
 
     // Run: pending cells only, each worker replaying its share through
-    // one pooled context. The grid is capacity-major then policy then
-    // seed, so under seed grouping consecutive pending cells of one
-    // `(capacity, policy)` point are sibling seeds: chunk them into
-    // batches of at most `batch` lanes and simulate each batch in one
-    // SoA pass. Under policy grouping the arms of one `(capacity,
-    // seed)` trial — scattered across the policy-major grid — are
-    // bucketed back together and run in lockstep. A batch width of 1
-    // degenerates to the scalar per-cell path either way.
-    let effective = grouping.resolve(policies.len(), batch);
-    let groups: Vec<RunGroup> = match effective {
-        GroupingMode::Seed | GroupingMode::Auto => {
-            let mut groups: Vec<RunGroup> = Vec::new();
-            for &i in &pending {
-                let (_, capacity, policy, seed) = jobs[i];
-                match groups.last_mut() {
-                    Some(RunGroup::Seeds {
-                        capacity: c,
-                        policy: p,
-                        lanes,
-                    }) if *c == capacity && *p == policy && lanes.len() < batch => {
-                        lanes.push((i, seed));
-                    }
-                    _ => groups.push(RunGroup::Seeds {
-                        capacity,
-                        policy,
-                        lanes: vec![(i, seed)],
-                    }),
-                }
-            }
-            groups
-        }
-        GroupingMode::Policy => {
-            // Scanning pending in grid order visits each `(capacity,
-            // seed)` cell's arms in policy order; bucket them and emit
-            // the groups in first-seen order so the split-back is
-            // deterministic.
-            let mut order: Vec<(usize, u64)> = Vec::new();
-            let mut buckets: HashMap<(usize, u64), Vec<(usize, PolicyKind)>> = HashMap::new();
-            for &i in &pending {
-                let (ci, _, policy, seed) = jobs[i];
-                buckets
-                    .entry((ci, seed))
-                    .or_insert_with(|| {
-                        order.push((ci, seed));
-                        Vec::new()
-                    })
-                    .push((i, policy));
-            }
-            let mut groups = Vec::new();
-            for key in order {
-                let arms = buckets.remove(&key).expect("bucketed above");
-                for chunk in arms.chunks(batch) {
-                    groups.push(RunGroup::Arms {
-                        capacity: capacities[key.0],
-                        seed: key.1,
-                        arms: chunk.to_vec(),
-                    });
-                }
-            }
-            groups
-        }
-    };
+    // one pooled context.
     let (computed, pools) = parallel_map_with(
-        groups,
+        pending,
         threads,
         |w| (w, SimPool::new(), telemetry.sink(w as u32 + 1)),
-        |(worker, pool, sink), group| {
-            let (capacity, runs) = match group {
-                RunGroup::Seeds {
-                    capacity,
-                    policy,
-                    lanes,
-                } => {
-                    let scenario = PaperScenario::new(utilization, capacity);
-                    let lane_prefabs: Vec<&TrialPrefab> = lanes
-                        .iter()
-                        .map(|&(_, seed)| {
-                            prefabs[seed as usize]
-                                .as_ref()
-                                .expect("prefab built for every pending seed")
-                        })
-                        .collect();
-                    let cell_start = sink.as_ref().map(|s| s.start());
-                    let results = if let [prefab] = lane_prefabs[..] {
-                        vec![scenario.run_prefab_in(pool, policy, prefab)]
-                    } else {
-                        scenario.run_prefabs_batched_in(pool, policy, &lane_prefabs)
-                    };
-                    if let (Some(sink), Some(t)) = (sink.as_mut(), cell_start) {
-                        sink.record_with(
-                            t,
-                            "cell",
-                            CAT_SIMULATE,
-                            vec![
-                                (
-                                    "key".into(),
-                                    scenario.trial_key(policy, lanes[0].1).text().to_owned(),
-                                ),
-                                ("lanes".into(), lanes.len().to_string()),
-                            ],
-                        );
-                    }
-                    let runs: Vec<(usize, PolicyKind, u64, SimResult)> = lanes
-                        .iter()
-                        .zip(results)
-                        .map(|(&(i, seed), result)| (i, policy, seed, result))
-                        .collect();
-                    (capacity, runs)
-                }
-                RunGroup::Arms {
-                    capacity,
-                    seed,
-                    arms,
-                } => {
-                    let scenario = PaperScenario::new(utilization, capacity);
-                    let prefab = prefabs[seed as usize]
-                        .as_ref()
-                        .expect("prefab built for every pending seed");
-                    let arm_lanes: Vec<(PolicyKind, &TrialPrefab)> =
-                        arms.iter().map(|&(_, p)| (p, prefab)).collect();
-                    let cell_start = sink.as_ref().map(|s| s.start());
-                    let results = if let [(policy, prefab)] = arm_lanes[..] {
-                        vec![scenario.run_prefab_in(pool, policy, prefab)]
-                    } else {
-                        scenario.run_arms_batched_in(pool, &arm_lanes)
-                    };
-                    if let (Some(sink), Some(t)) = (sink.as_mut(), cell_start) {
-                        sink.record_with(
-                            t,
-                            "cell",
-                            CAT_SIMULATE,
-                            vec![
-                                (
-                                    "key".into(),
-                                    scenario.trial_key(arms[0].1, seed).text().to_owned(),
-                                ),
-                                ("arms".into(), arms.len().to_string()),
-                            ],
-                        );
-                    }
-                    let runs: Vec<(usize, PolicyKind, u64, SimResult)> = arms
-                        .iter()
-                        .zip(results)
-                        .map(|(&(i, policy), result)| (i, policy, seed, result))
-                        .collect();
-                    (capacity, runs)
-                }
-            };
+        |(worker, pool, sink), i| {
+            let (_, capacity, policy, seed) = jobs[i];
             let scenario = PaperScenario::new(utilization, capacity);
-            runs.into_iter()
-                .map(|(i, policy, seed, result)| {
-                    let summary = TrialSummary::of(&result);
-                    let key = scenario.trial_key(policy, seed);
-                    if let Some(c) = store {
-                        let store_start = sink.as_ref().map(|s| s.start());
-                        c.store(&key, &summary);
-                        if let (Some(sink), Some(t)) = (sink.as_mut(), store_start) {
-                            sink.record(t, "store", CAT_STORE);
-                        }
-                    }
-                    telemetry.cell(CellDecision::Simulated, key.text(), *worker);
-                    (i, summary)
-                })
-                .collect::<Vec<_>>()
+            let key = scenario.trial_key(policy, seed);
+            let prefab = prefabs[seed as usize]
+                .as_ref()
+                .expect("prefab built for every pending seed");
+            let cell_start = sink.as_ref().map(|s| s.start());
+            let result = scenario.run_prefab_in(pool, policy, prefab);
+            if let (Some(sink), Some(t)) = (sink.as_mut(), cell_start) {
+                sink.record_with(
+                    t,
+                    "cell",
+                    CAT_SIMULATE,
+                    vec![("key".into(), key.text().to_owned())],
+                );
+            }
+            let summary = TrialSummary::of(&result);
+            if let Some(c) = store {
+                let store_start = sink.as_ref().map(|s| s.start());
+                c.store(&key, &summary);
+                if let (Some(sink), Some(t)) = (sink.as_mut(), store_start) {
+                    sink.record(t, "store", CAT_STORE);
+                }
+            }
+            telemetry.cell(CellDecision::Simulated, key.text(), *worker);
+            (i, summary)
         },
     );
     for (_, pool, _) in &pools {
         stats.merge_pool(pool.stats());
     }
-    if let Some(progress) = &telemetry.progress {
-        progress.note_lane_high_water(
-            stats
-                .pool
-                .batch_lane_high_water
-                .max(stats.pool.batch_policy_lane_high_water),
-        );
-        progress.note_batch_occupancy(
-            effective.label(),
-            stats.pool.batch_ticks,
-            stats.pool.multi_lane_ticks,
-        );
-    }
-    for (i, summary) in computed.into_iter().flatten() {
+    for (i, summary) in computed {
         summaries[i] = Some(summary);
     }
 
@@ -531,79 +330,6 @@ mod tests {
         let caps = sweep_capacities();
         assert!(caps.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(*caps.last().unwrap(), 5000.0);
-    }
-
-    /// A batched sweep must reproduce the scalar figure exactly, and the
-    /// batched-run counters must show the lanes actually fused.
-    #[test]
-    fn batched_sweep_matches_scalar() {
-        let policies = [PolicyKind::Lsa, PolicyKind::EaDvfs];
-        let (scalar, _) = miss_rate_figure_cached_batched(None, 0.8, &policies, 4, 2, 1);
-        let (batched, stats) = miss_rate_figure_cached_batched(None, 0.8, &policies, 4, 2, 4);
-        assert_eq!(scalar, batched);
-        assert!(stats.pool.batched_runs > 0, "batches should run lean lanes");
-        assert_eq!(stats.pool.batch_lane_high_water, 4);
-    }
-
-    /// A policy-lockstep sweep must also reproduce the scalar figure
-    /// exactly, fill the lockstep counters (and only those), and show
-    /// real multi-lane synchrony.
-    #[test]
-    fn policy_grouped_sweep_matches_scalar() {
-        let policies = [PolicyKind::Lsa, PolicyKind::EaDvfs];
-        let (scalar, _) = miss_rate_figure_cached_batched(None, 0.8, &policies, 4, 2, 1);
-        let (grouped, stats) = miss_rate_figure_grouped(
-            None,
-            0.8,
-            &policies,
-            4,
-            2,
-            4,
-            GroupingMode::Policy,
-            &CampaignTelemetry::off(),
-        );
-        assert_eq!(scalar, grouped);
-        assert!(stats.pool.policy_batched_runs > 0, "arms should fuse");
-        assert_eq!(
-            stats.pool.batch_policy_lane_high_water,
-            policies.len() as u64
-        );
-        assert_eq!(
-            stats.pool.batch_lane_high_water, 0,
-            "no sibling-seed batches ran"
-        );
-        assert!(stats.pool.batch_ticks > 0);
-        assert!(
-            stats.pool.multi_lane_ticks > 0,
-            "lockstep arms share instants"
-        );
-        assert!(stats.pool.multi_lane_ticks <= stats.pool.batch_ticks);
-    }
-
-    /// `Auto` picks policy lockstep for a multi-policy batched sweep and
-    /// stays bit-identical.
-    #[test]
-    fn auto_grouping_picks_policy_for_multi_policy_sweeps() {
-        let policies = [PolicyKind::Lsa, PolicyKind::EaDvfs];
-        assert_eq!(
-            GroupingMode::Auto.resolve(policies.len(), 4),
-            GroupingMode::Policy
-        );
-        assert_eq!(GroupingMode::Auto.resolve(1, 4), GroupingMode::Seed);
-        assert_eq!(GroupingMode::Auto.resolve(2, 1), GroupingMode::Seed);
-        let (scalar, _) = miss_rate_figure_cached_batched(None, 0.8, &policies, 3, 2, 1);
-        let (auto, stats) = miss_rate_figure_grouped(
-            None,
-            0.8,
-            &policies,
-            3,
-            2,
-            4,
-            GroupingMode::Auto,
-            &CampaignTelemetry::off(),
-        );
-        assert_eq!(scalar, auto);
-        assert!(stats.pool.policy_batched_runs > 0);
     }
 
     /// Shrunk Fig. 8 headline: at U = 0.4, EA-DVFS misses markedly fewer

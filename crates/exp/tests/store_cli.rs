@@ -4,7 +4,8 @@
 //! degrades to an uncached run with one warning (exit 0), a fault-sweep
 //! resumed through `--store` or `HARVEST_SWEEP_STORE` re-simulates
 //! nothing (the pack's decided records are the resume log), flags that
-//! need a store are usage errors without one, and the `store stat` /
+//! need a store are usage errors without one (as are removed flags and
+//! an out-of-range `--util`), and the `store stat` /
 //! `store compact` subcommands round-trip a store directory without
 //! disturbing its contents.
 
@@ -236,6 +237,38 @@ fn removed_cache_and_manifest_flags_are_usage_errors() {
             "{}",
             stderr(&out)
         );
+    }
+}
+
+/// `--batch` and `--batch-group` are unknown flags (exit 2), not
+/// silently ignored ones.
+#[test]
+fn removed_batch_flags_are_usage_errors() {
+    for (sub, flag, value) in [
+        ("sweep", "--batch", "4"),
+        ("sweep", "--batch-group", "policy"),
+        ("fault-sweep", "--batch", "2"),
+    ] {
+        let out = run(exp().args([sub, flag, value]));
+        assert_eq!(out.status.code(), Some(2), "{sub} {flag} must exit 2");
+        assert!(
+            stderr(&out).contains(&format!("unknown flag {flag}")),
+            "{}",
+            stderr(&out)
+        );
+        assert!(stdout(&out).is_empty(), "no cell may run: {}", stdout(&out));
+    }
+}
+
+/// A utilization outside (0, 1] is refused while parsing, before the
+/// workload generator can panic on it.
+#[test]
+fn out_of_range_util_is_a_usage_error() {
+    for sub in ["record", "sweep", "fault-sweep"] {
+        let out = run(exp().args([sub, "--util", "1.5"]));
+        assert_eq!(out.status.code(), Some(2), "{sub}: {}", stderr(&out));
+        assert!(stderr(&out).contains("(0, 1]"), "{}", stderr(&out));
+        assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
     }
 }
 

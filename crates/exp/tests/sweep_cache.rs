@@ -1,14 +1,15 @@
-//! Figure-level sweep-store behaviour: warm re-runs are bit-identical
-//! to cold ones and simulate nothing, corrupted records are rejected
-//! and recomputed (never trusted), the capacity-search bisection reuses
-//! stored probes, and `HARVEST_SWEEP_STORE` gates the whole mechanism.
+//! Figure- and cell-level sweep-store behaviour: warm re-runs are
+//! bit-identical to cold ones and simulate nothing, corrupted records
+//! are rejected and recomputed (never trusted), the capacity-search
+//! bisection reuses stored probes, and `HARVEST_SWEEP_STORE` gates the
+//! whole mechanism.
 
 use std::path::PathBuf;
 
 use harvest_exp::figures::{
     min_zero_miss_capacity_cached, miss_rate_figure_cached, remaining_energy_figure_cached,
 };
-use harvest_exp::scenario::PolicyKind;
+use harvest_exp::scenario::{PaperScenario, PolicyKind, SimPool};
 use harvest_exp::store::{PackStore, SWEEP_STORE_ENV};
 use harvest_exp::test_support::with_env;
 
@@ -110,6 +111,38 @@ fn warm_pack_store_reruns_are_bit_identical_across_figures() {
     let (uncached, _) = miss_rate_figure_cached(None, 0.4, &policies, 1, 2);
     assert_eq!(uncached, cold_miss, "the store must not change the figure");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `PaperScenario::run_summary` against a store: the cold pass stores
+/// one record per cell, the warm pass answers every cell from the store
+/// and returns the cold summaries bit for bit. Sampling is on, so the
+/// sampled level trace rides through the store too.
+#[test]
+fn run_summary_round_trips_through_the_store() {
+    let dir = scratch_dir("run-summary");
+    let store = PackStore::open(&dir).unwrap();
+    let mut scenario = PaperScenario::new(0.6, 300.0).with_sampling(50);
+    scenario.num_tasks = 5;
+    scenario.horizon_units = 300;
+    let prefabs: Vec<_> = (0..5).map(|s| scenario.prefab(s)).collect();
+    let mut pool = SimPool::new();
+    let run_all = |pool: &mut SimPool| -> Vec<_> {
+        prefabs
+            .iter()
+            .map(|p| scenario.run_summary(pool, Some(&store), PolicyKind::EaDvfs, p))
+            .collect()
+    };
+    let cold = run_all(&mut pool);
+    assert!(cold.iter().all(|s| !s.sample_level_bits.is_empty()));
+    assert_eq!(store.stats().stores, 5, "every cell written per seed");
+    assert_eq!(store.stats().hits, 0);
+    let warm = run_all(&mut pool);
+    assert_eq!(store.stats().stores, 5, "a warm pass writes nothing");
+    assert_eq!(store.stats().hits, 5);
+    assert_eq!(cold, warm);
+    assert_eq!(pool.stats().runs, 5, "warm hits skip the simulation");
+    drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -140,7 +140,7 @@ fn sabotaged_campaign_emits_trace_progress_and_flight_dumps() {
     assert_eq!(field(report, "quarantined"), "2");
 
     // Trace: structurally valid Chrome trace covering the campaign's
-    // phases and one span per simulated batch.
+    // phases and one span per simulated cell.
     let events = trace_events(&trace);
     let names: Vec<&str> = events
         .iter()

@@ -202,8 +202,8 @@ impl FlightRecorder {
     }
 
     /// Freeze the current ring into a pending [`FlightDump`]. The ring
-    /// keeps running (it is not cleared): within one batch several lanes
-    /// may abort and each capture sees the events up to its own moment.
+    /// keeps running (it is not cleared): each capture sees the events
+    /// up to its own moment.
     pub fn capture(&mut self, reason: &str, events_handled: u64) {
         self.pending.push(FlightDump {
             key: String::new(),

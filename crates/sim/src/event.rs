@@ -4,10 +4,9 @@
 //! simulation run is a pure function of its inputs. The queue is a flat
 //! 4-ary min-heap of `(ticks, seq, payload)` entries ordered by
 //! `(ticks, seq)`, where `seq` is the queue's insertion counter. Keys are
-//! unique, so the pop order is a total order with no tie left to chance,
-//! and both simulation engines (`core::system` through
-//! [`Engine`](crate::engine::Engine), and the lane engine in
-//! `core::batch`) share this one implementation of it.
+//! unique, so the pop order is a total order with no tie left to chance.
+//! The simulator in `core::system` runs on it through
+//! [`Engine`](crate::engine::Engine).
 //!
 //! A simulation keeps only a few dozen events pending — arrivals and
 //! deadline checks ride a precomputed [`ReleaseTape`] — so the heap is a
@@ -315,7 +314,7 @@ pub struct ReleaseEntry {
 /// Task releases are closed-form — seed-, policy-, and state-independent
 /// — so a simulator can elide them from its [`EventQueue`] entirely: the
 /// tape is built once per scenario, shared read-only (`Arc`) across
-/// every trial, lane, and worker shard, and consumed by a monotone
+/// every trial and worker shard, and consumed by a monotone
 /// cursor. The queue then only carries the state-dependent traffic
 /// (deadline checks, policy re-evaluations, samples, fault edges).
 ///

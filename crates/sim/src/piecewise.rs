@@ -491,9 +491,7 @@ impl PiecewiseConstant {
     /// cursor-driven counterpart — only the breakpoint *search* is
     /// replaced by one integer division — so results are bit-identical
     /// (pinned by the `grid_view_*` tests). Every `*_with` query of this
-    /// type answers through the view when it exists, so the scalar
-    /// engine and the batched lanes (which hold one view per lane) run
-    /// the same kernel.
+    /// type answers through the view when it exists.
     #[inline]
     pub fn uniform_grid(&self) -> Option<UniformGridView<'_>> {
         if self.grid_dt == 0 {
@@ -1328,9 +1326,9 @@ impl PiecewiseConstant {
 /// and no cursor state is needed. Each method mirrors its cursor-driven
 /// counterpart expression for expression: the division replaces only the
 /// `partition_point` search, whose result it equals, so every returned
-/// value is bit-identical to the cursor path. It is the kernel of both
-/// engines: the `*_with` queries of [`PiecewiseConstant`] answer through
-/// it, and batched lanes call it directly.
+/// value is bit-identical to the cursor path. It is the engine's
+/// profile kernel: the `*_with` queries of [`PiecewiseConstant`] answer
+/// through it.
 #[derive(Debug, Clone, Copy)]
 pub struct UniformGridView<'a> {
     f: &'a PiecewiseConstant,
