@@ -21,6 +21,7 @@ use harvest_core::result::SimResult;
 use harvest_core::trace::TraceEvent;
 use harvest_obs::timeline::{LevelPoint, TimePoint, Timeline};
 use harvest_obs::{jsonl_to_vec, JsonlWriter, MetricsSnapshot, PhaseProfile};
+use harvest_sim::engine::PHASE_DISPATCH;
 use harvest_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -270,19 +271,41 @@ impl RunArtifact {
         }
 
         if let Some(profile) = &self.profile {
-            let total = profile.total_ns().max(1);
+            // `engine.dispatch` contains the other phases, so its row is
+            // self time and every `%` is of the dispatch total. The final
+            // `sync_to` of a run falls outside dispatch, hence the
+            // saturating subtraction.
+            let dispatch = profile.get(PHASE_DISPATCH);
+            let total = dispatch.map_or_else(|| profile.total_ns(), |d| d.total_ns);
+            let nested: u64 = profile
+                .phases
+                .iter()
+                .filter(|p| p.name != PHASE_DISPATCH)
+                .map(|p| p.total_ns)
+                .sum();
             let mut t = Table::new(vec!["phase", "calls", "total_ms", "mean_us", "max_us", "%"]);
             for p in &profile.phases {
+                let (name, ns, max_us) = if p.name == PHASE_DISPATCH {
+                    let own = p.total_ns.saturating_sub(nested);
+                    (format!("{} (self)", p.name), own, "-".to_string())
+                } else {
+                    let max_us = format!("{:.2}", p.max_ns as f64 / 1e3);
+                    (p.name.clone(), p.total_ns, max_us)
+                };
                 t.row(vec![
-                    p.name.clone(),
+                    name,
                     p.calls.to_string(),
-                    format!("{:.3}", p.total_ns as f64 / 1e6),
-                    format!("{:.2}", p.mean_ns() / 1e3),
-                    format!("{:.2}", p.max_ns as f64 / 1e3),
-                    format!("{:.1}", 100.0 * p.total_ns as f64 / total as f64),
+                    format!("{:.3}", ns as f64 / 1e6),
+                    format!("{:.2}", ns as f64 / p.calls.max(1) as f64 / 1e3),
+                    max_us,
+                    format!("{:.1}", 100.0 * ns as f64 / total.max(1) as f64),
                 ]);
             }
-            let _ = write!(out, "\nphase profile\n{}", t.render());
+            let heading = match dispatch {
+                Some(_) => format!("% of {PHASE_DISPATCH}, {:.3} ms", total as f64 / 1e6),
+                None => "% of all phases".to_string(),
+            };
+            let _ = write!(out, "\nphase profile ({heading})\n{}", t.render());
         } else {
             out.push_str("\nphase profile: not collected (run with --profile)\n");
         }
@@ -423,6 +446,39 @@ mod tests {
         assert!(text.contains("policy.decide"));
         assert!(text.contains("storage level over time"));
         assert!(text.contains("active DVFS level"));
+        assert!(text.contains("engine.dispatch (self)"));
+
+        // Dispatch contains the other phases: its row is self time, and
+        // every share is of the dispatch total.
+        let share = |text: &str, name: &str| -> String {
+            let line = text.lines().find(|l| l.trim_start().starts_with(name));
+            line.unwrap().split_whitespace().last().unwrap().to_string()
+        };
+        let phase = |name: &str, total_ns: u64| harvest_obs::profile::PhaseStat {
+            name: name.into(),
+            calls: 4,
+            total_ns,
+            max_ns: total_ns / 2,
+        };
+        let mut art = art;
+        art.profile = Some(PhaseProfile {
+            phases: vec![
+                phase(PHASE_DISPATCH, 4_000_000),
+                phase("energy.sync", 1_000_000),
+                phase("policy.decide", 600_000),
+            ],
+        });
+        let text = art.render();
+        assert!(text.contains("phase profile (% of engine.dispatch, 4.000 ms)"));
+        assert_eq!(share(&text, "engine.dispatch (self)"), "60.0");
+        assert_eq!(share(&text, "energy.sync"), "25.0");
+        assert_eq!(share(&text, "policy.decide"), "15.0");
+        // Nested time beyond dispatch (a sync outside it) floors the
+        // self row at zero instead of wrapping.
+        art.profile.as_mut().unwrap().phases[1].total_ns = 5_000_000;
+        let text = art.render();
+        assert_eq!(share(&text, "engine.dispatch (self)"), "0.0");
+        assert_eq!(share(&text, "energy.sync"), "125.0");
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::{SimDuration, SimTime, TICKS_PER_UNIT};
 
 /// How a [`PiecewiseConstant`] behaves outside the interval covered by its
 /// breakpoints.
@@ -281,9 +281,11 @@ pub struct CursorStats {
     pub backward_jumps: u32,
     /// Lookups with no usable hint (fresh cursor or period change).
     pub fresh_searches: u32,
-    /// Crossing queries answered by the O(1) rate-bound reject.
+    /// Crossing queries answered by an O(1) reject: the rate-sign
+    /// bound or the scan tier's reach bound.
     pub cross_reject: u32,
-    /// Crossing queries answered by monotone tick bisection.
+    /// Crossing queries answered on the monotone tier (tick bisection,
+    /// or the uniform grid's first-reach solve).
     pub cross_bisect: u32,
     /// Crossing queries answered by the clamped segment scan.
     pub cross_scan: u32,
@@ -778,14 +780,25 @@ impl PiecewiseConstant {
     /// storage capacity. Returns `None` if the level never reaches
     /// `target` before `horizon`.
     ///
-    /// When the net rate `f + offset` cannot change sign the level is
-    /// monotone, clamping cannot precede the crossing, and the answer is
-    /// found by bisecting the prefix-sum antiderivative — `O(log n)`
-    /// searches instead of a segment scan. Unreachable targets
-    /// (net rate bounded away from the required direction) return `None`
-    /// in `O(1)`. Only genuinely non-monotone queries fall back to a
-    /// clamped segment scan, which under [`Extension::Cycle`] skips
-    /// provably event-free periods in closed form.
+    /// The solver answers in tiers, cheapest first; every tier returns
+    /// the tick the clamped segment scan would:
+    ///
+    /// 1. **Rate-sign reject**, `O(1)`: the net rate `f + offset` is
+    ///    bounded away from the target's direction, so `None`.
+    /// 2. **Monotone tier**: the net rate cannot change sign, so the
+    ///    level is monotone, clamping cannot precede the crossing, and
+    ///    the earliest tick is bisected on the prefix-sum antiderivative
+    ///    (`O(log T)` probes for a window of `T` ticks). On a uniform
+    ///    grid where nothing drains (`offset == ±0.0`, values `≥ 0`,
+    ///    `from` in the domain) a gallop over the prefix table and a line
+    ///    solve inside one segment find the same tick in `O(log d)` for
+    ///    a crossing `d` segments away.
+    /// 3. **Reach-bound reject**, `O(1)`: the level may move both ways,
+    ///    but even the fastest rate toward the target cannot cover
+    ///    `|target − initial|` within the window, so `None`.
+    /// 4. **Clamped segment scan** over the window; under
+    ///    [`Extension::Cycle`] it skips provably event-free periods in
+    ///    closed form.
     ///
     /// # Panics
     ///
@@ -909,14 +922,7 @@ impl PiecewiseConstant {
         if from >= horizon {
             return Crossing::Decided(None);
         }
-        // Bounds on the net rate f + offset over all time. Under `Zero`
-        // the tails contribute rate `offset` alone, so fold 0 into the
-        // value bounds conservatively.
-        let (lo, hi) = match self.extension {
-            Extension::Zero => (self.vmin.min(0.0), self.vmax.max(0.0)),
-            _ => (self.vmin, self.vmax),
-        };
-        let (rate_min, rate_max) = (lo + offset, hi + offset);
+        let (rate_min, rate_max) = self.rate_bounds(offset);
         // The old scanner only crossed upward in segments with rate > 0
         // and downward with rate < 0; a rate bound pinned on the wrong
         // side of zero decides the query in O(1).
@@ -929,6 +935,9 @@ impl PiecewiseConstant {
         if monotone {
             stats.cross_bisect = stats.cross_bisect.wrapping_add(1);
             Crossing::Bisect
+        } else if self.out_of_reach(from, horizon, initial, target, rate_min, rate_max, cap) {
+            stats.cross_reject = stats.cross_reject.wrapping_add(1);
+            Crossing::Decided(None)
         } else if self.extension == Extension::Cycle {
             stats.cross_cyclic = stats.cross_cyclic.wrapping_add(1);
             Crossing::Scan
@@ -936,6 +945,64 @@ impl PiecewiseConstant {
             stats.cross_scan = stats.cross_scan.wrapping_add(1);
             Crossing::Scan
         }
+    }
+
+    /// Bounds `(rate_min, rate_max)` on the net rate `f + offset` over
+    /// all time. Under `Zero` the tails contribute rate `offset` alone,
+    /// so 0 is folded into the value bounds conservatively.
+    #[inline]
+    fn rate_bounds(&self, offset: f64) -> (f64, f64) {
+        let (lo, hi) = match self.extension {
+            Extension::Zero => (self.vmin.min(0.0), self.vmax.max(0.0)),
+            _ => (self.vmin, self.vmax),
+        };
+        (lo + offset, hi + offset)
+    }
+
+    /// Reach bound of the scan tier: whether the level provably cannot
+    /// move from `initial` to `target` inside `[from, horizon)`.
+    ///
+    /// Toward the target the net rate never exceeds `rate_max` (upward)
+    /// or `−rate_min` (downward), and clamping only pulls the level back
+    /// toward where it started, so `|target − initial|` above that rate
+    /// times the window length is out of reach. The margin dominates the
+    /// scanner's ±1e-15 tolerance plus the rounding of its running level:
+    /// at most `ε·cap` per segment walked (`segments` bounds how many)
+    /// and `2ε` of every `|rate|·span` added. It is `1e-9` relative,
+    /// like the cyclic period skip's, so a reject here is a query on
+    /// which the scan would have returned `None` too.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn out_of_reach(
+        &self,
+        from: SimTime,
+        horizon: SimTime,
+        initial: f64,
+        target: f64,
+        rate_min: f64,
+        rate_max: f64,
+        cap: f64,
+    ) -> bool {
+        let span = (horizon - from).as_units();
+        let (gap, rate) = if target > initial {
+            (target - initial, rate_max)
+        } else {
+            (initial - target, -rate_min)
+        };
+        // Segments the scan walks: the domain's plus a tail on each side,
+        // once per period the window touches under `Cycle`.
+        let per_pass = self.values.len() as f64 + 2.0;
+        let segments = match self.extension {
+            Extension::Cycle => {
+                let period = (self.domain_end() - self.domain_start()).as_units();
+                per_pass * (span / period + 2.0)
+            }
+            _ => per_pass,
+        };
+        let fastest = rate_max.max(-rate_min);
+        let margin =
+            1e-9 * (1.0 + cap + target.abs() + fastest * span) + segments * f64::EPSILON * cap;
+        gap > rate * span + margin
     }
 
     /// Reference implementation of
@@ -1087,32 +1154,41 @@ fn bisect_crossing(
     cum: impl Fn(SimTime) -> f64,
 ) -> Option<SimTime> {
     let g_at = |t: SimTime| cum(t) - cum_from + offset * (t - from).as_units();
-    // Mirror the scanner's crossing tolerance of ±1e-15.
-    let reached = |g: f64| {
-        if needed > 0.0 {
-            g >= needed - 1e-15
-        } else {
-            g <= needed + 1e-15
-        }
-    };
-    if reached(0.0) {
+    if reaches(needed, 0.0) {
         // |needed| ≤ 1e-15: within tolerance immediately.
         return Some(from);
     }
-    if !reached(g_at(horizon)) {
+    if !reaches(needed, g_at(horizon)) {
         return None;
     }
-    let (mut lo, mut hi) = (from.as_ticks(), horizon.as_ticks());
-    // Invariant: not reached at lo, reached at hi.
+    Some(bisect_ticks(from.as_ticks(), horizon.as_ticks(), |t| {
+        reaches(needed, g_at(t))
+    }))
+}
+
+/// Whether the accumulated gain `g` has reached `needed`, with the
+/// scanner's crossing tolerance of ±1e-15.
+#[inline]
+fn reaches(needed: f64, g: f64) -> bool {
+    if needed > 0.0 {
+        g >= needed - 1e-15
+    } else {
+        g <= needed + 1e-15
+    }
+}
+
+/// First tick of `(lo, hi]` at which the monotone predicate `reached`
+/// holds, given that it fails at `lo` and holds at `hi`.
+fn bisect_ticks(mut lo: i64, mut hi: i64, reached: impl Fn(SimTime) -> bool) -> SimTime {
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if reached(g_at(SimTime::from_ticks(mid))) {
+        if reached(SimTime::from_ticks(mid)) {
             hi = mid;
         } else {
             lo = mid;
         }
     }
-    Some(SimTime::from_ticks(hi))
+    SimTime::from_ticks(hi)
 }
 
 /// Number of leading periods `j = 0, 1, …` for which `base + j·delta`
@@ -1480,9 +1556,10 @@ impl<'a> UniformGridView<'a> {
     }
 
     /// [`PiecewiseConstant::first_accumulation_crossing`] specialized to
-    /// the Hold extension: the same `O(1)` reject, the same monotone tick
-    /// bisection (each probe now `O(1)` instead of `O(log n)`), and the
-    /// same clamped segment scan on genuinely non-monotone windows.
+    /// the Hold extension: the same `O(1)` rejects, the same monotone
+    /// tier (each bisection probe now `O(1)` instead of `O(log n)`, and
+    /// the first-reach solve where nothing drains), and the same clamped
+    /// segment scan on genuinely non-monotone windows.
     ///
     /// # Panics
     ///
@@ -1526,6 +1603,13 @@ impl<'a> UniformGridView<'a> {
             .classify_crossing(stats, from, horizon, initial, offset, cap, target);
         match tier {
             Crossing::Decided(t) => t,
+            Crossing::Bisect
+                if offset == 0.0
+                    && self.f.vmin >= 0.0
+                    && (self.start_ticks..self.end_ticks).contains(&from.as_ticks()) =>
+            {
+                self.first_reach(from, horizon, target - initial, offset)
+            }
             // The cursor path's bisection probes use fresh cursors, so
             // substituting the `O(1)` [`Self::cum`] is exact.
             Crossing::Bisect => bisect_crossing(
@@ -1546,6 +1630,91 @@ impl<'a> UniformGridView<'a> {
                 scan.scan(self.segments_between(from, horizon), None)
             }
         }
+    }
+
+    /// [`bisect_crossing`] for a level that nothing drains: `offset` is
+    /// `±0.0`, every value is non-negative and `from` lies in the grid
+    /// domain, as in every stall wake of the paper's runs. It returns
+    /// the tick bisection returns, from a gallop over the prefix table
+    /// and three probes instead of `log₂` of the window in ticks.
+    ///
+    /// On such inputs the gain `g(t) = F(t) − F(from)` is monotone in `t`
+    /// even after rounding. Inside segment `k`, `F(t)` is the rounded
+    /// `prefix[k] + v·(t − b_k)` with `v ≥ 0`, and `prefix[k + 1]` is the
+    /// same expression rounded at `b_{k+1}`, so `F` never steps down at a
+    /// breakpoint either. The first reaching tick is therefore unique,
+    /// and any bracket that fails at its low end and reaches at its high
+    /// end bisects to it. `g(b_k)` is exactly `prefix[k] − F(from)`, so
+    /// the search over the prefix table finds the segment holding that
+    /// tick; the segment's line gives the tick, accepted only when it
+    /// reaches and the tick before it does not.
+    fn first_reach(
+        &self,
+        from: SimTime,
+        horizon: SimTime,
+        needed: f64,
+        offset: f64,
+    ) -> Option<SimTime> {
+        let f = self.f;
+        let cum_from = self.cum(from);
+        // The predicate `bisect_crossing` probes, expression for
+        // expression.
+        let reached = |t: SimTime| {
+            reaches(
+                needed,
+                self.cum(t) - cum_from + offset * (t - from).as_units(),
+            )
+        };
+        if reaches(needed, 0.0) {
+            return Some(from);
+        }
+        if !reached(horizon) {
+            return None;
+        }
+        // First breakpoint past `from` whose gain reaches: gallop with
+        // doubling strides, then binary-search the bracketed range.
+        let reached_prefix = |p: f64| reaches(needed, p - cum_from);
+        let n = f.values.len();
+        let mut below = self.idx(from);
+        let mut stride = 1;
+        let first_hit = loop {
+            let probe = (below + stride).min(n);
+            if reached_prefix(f.prefix[probe]) {
+                let range = &f.prefix[below + 1..probe];
+                break Some(below + 1 + range.partition_point(|&p| !reached_prefix(p)));
+            }
+            if probe == n {
+                break None;
+            }
+            below = probe;
+            stride *= 2;
+        };
+        // The stretch holding the first reaching tick, where
+        // `F(t) = base_cum + value·(t − base)`, and its bracket `(lo, hi]`.
+        let (base, base_cum, value, hi) = match first_hit {
+            Some(k) => (
+                f.breakpoints[k - 1],
+                f.prefix[k - 1],
+                f.values[k - 1],
+                f.breakpoints[k].min(horizon),
+            ),
+            // Not reached by the domain end: the Hold tail.
+            None => (f.domain_end(), f.total(), f.values[n - 1], horizon),
+        };
+        let (lo, hi) = (base.max(from).as_ticks(), hi.as_ticks());
+        let dt = (needed - 1e-15 - (base_cum - cum_from)) / value;
+        let guess = base
+            .as_ticks()
+            .saturating_add((dt * TICKS_PER_UNIT as f64).ceil() as i64)
+            .clamp(lo + 1, hi);
+        let at = SimTime::from_ticks(guess);
+        Some(if !reached(at) {
+            bisect_ticks(guess, hi, reached)
+        } else if guess - 1 == lo || !reached(at - SimDuration::TICK) {
+            at
+        } else {
+            bisect_ticks(lo, guess - 1, reached)
+        })
     }
 }
 
@@ -2297,5 +2466,272 @@ mod tests {
             }
         }
         assert!(PiecewiseConstant::from_value(&v).is_err());
+    }
+
+    // ------------------------------------------------------------------
+    // Crossing shortcuts: the scan tier's reach bound and the grid's
+    // monotone first-reach solve.
+    // ------------------------------------------------------------------
+
+    /// A random profile of 1–40 signed segments on uniform or uneven
+    /// breakpoints between a quarter unit and 2.25 units apart.
+    fn random_profile(s: &mut u64, uniform: bool, ext: Extension) -> PiecewiseConstant {
+        let gap = |s: &mut u64| 250_000 + (xorshift(s) % 2_000_000) as i64;
+        let n = 1 + (xorshift(s) % 40) as usize;
+        let dt = gap(s);
+        let mut t = (xorshift(s) % 4_000_000) as i64 - 2_000_000;
+        let mut breakpoints = vec![SimTime::from_ticks(t)];
+        for _ in 0..n {
+            t += if uniform { dt } else { gap(s) };
+            breakpoints.push(SimTime::from_ticks(t));
+        }
+        let values = (0..n)
+            .map(|_| (xorshift(s) % 2001) as f64 / 100.0 - 8.0)
+            .collect();
+        PiecewiseConstant::new(breakpoints, values, ext).unwrap()
+    }
+
+    /// A fraction in `[0, 1]` that lands on either end now and then.
+    fn random_frac(s: &mut u64) -> f64 {
+        match xorshift(s) % 8 {
+            0 => 0.0,
+            1 => 1.0,
+            _ => (xorshift(s) % 10_001) as f64 / 10_000.0,
+        }
+    }
+
+    #[test]
+    fn reach_bound_applies_to_the_scan_tier_only() {
+        let u = SimTime::from_whole_units;
+        // All rates ≥ 0 and the target far out of reach: the query stays
+        // on the bisect tier.
+        let f = sample_fn();
+        let mut cur = f.cursor();
+        let hit = f.first_accumulation_crossing_with(&mut cur, u(0), u(1), 0.0, 0.0, 100.0, 50.0);
+        assert_eq!(hit, None);
+        assert_eq!((cur.stats().cross_bisect, cur.stats().cross_reject), (1, 0));
+        // Mixed signs: out of reach is rejected, within reach is scanned.
+        let g = PiecewiseConstant::new(
+            vec![SimTime::ZERO, u(10), u(20)],
+            vec![1.0, -1.0],
+            Extension::Hold,
+        )
+        .unwrap();
+        let mut gcur = g.cursor();
+        let hit = g.first_accumulation_crossing_with(&mut gcur, u(0), u(2), 0.0, 0.0, 100.0, 5.0);
+        assert_eq!(hit, None);
+        assert_eq!((gcur.stats().cross_scan, gcur.stats().cross_reject), (0, 1));
+        let hit = g.first_accumulation_crossing_with(&mut gcur, u(0), u(20), 0.0, 0.0, 100.0, 5.0);
+        assert_eq!(hit, Some(u(5)));
+        assert_eq!((gcur.stats().cross_scan, gcur.stats().cross_reject), (1, 1));
+    }
+
+    /// Checks one crossing query against the scan: a reject (by either
+    /// rate bound) must be a query the scan misses, and off the bisect
+    /// tier a non-cyclic answer must be the scan's, bit for bit. Returns
+    /// whether the reach bound rejected it.
+    #[allow(clippy::too_many_arguments)]
+    fn check_against_scan(
+        f: &PiecewiseConstant,
+        from: SimTime,
+        horizon: SimTime,
+        initial: f64,
+        offset: f64,
+        cap: f64,
+        target: f64,
+    ) -> bool {
+        let q = format!(
+            "{:?} [{from}, {horizon}) {initial}->{target} offset {offset} cap {cap}",
+            f.extension()
+        );
+        let mut stats = CursorStats::default();
+        let tier = f.classify_crossing(&mut stats, from, horizon, initial, offset, cap, target);
+        let naive =
+            f.first_accumulation_crossing_naive(from, horizon, initial, offset, cap, target);
+        if f.extension() != Extension::Cycle && !matches!(tier, Crossing::Bisect) {
+            let fast = f.first_accumulation_crossing(from, horizon, initial, offset, cap, target);
+            assert_eq!(fast, naive, "{q}");
+        }
+        let Crossing::Decided(None) = tier else {
+            return false;
+        };
+        assert_eq!(naive, None, "rejected but the scan crosses: {q}");
+        if f.extension() == Extension::Cycle {
+            let mut scan = ClampedScan {
+                level: initial,
+                offset,
+                cap,
+                target,
+            };
+            assert_eq!(
+                f.scan_crossing_cyclic(&mut scan, from, horizon),
+                None,
+                "rejected but the period-skip scan crosses: {q}"
+            );
+        }
+        let (rate_min, rate_max) = f.rate_bounds(offset);
+        rate_min < 0.0 && rate_max > 0.0
+    }
+
+    #[test]
+    fn reach_bound_rejects_only_what_the_scan_misses() {
+        let mut s = 0x5EED_u64;
+        for ext in [Extension::Hold, Extension::Zero, Extension::Cycle] {
+            let (mut random_rejects, mut edge_rejects, mut edge_kept) = (0, 0, 0);
+            for uniform in [true, false] {
+                for _ in 0..8 {
+                    let f = random_profile(&mut s, uniform, ext);
+                    for _ in 0..300 {
+                        let cap = [0.0, 1e-9, 0.5, 25.0, 1e4][(xorshift(&mut s) % 5) as usize];
+                        let initial = random_frac(&mut s) * cap;
+                        let target = random_frac(&mut s) * cap;
+                        let offset = (xorshift(&mut s) % 4001) as f64 / 200.0 - 10.0;
+                        // Windows of 1 tick to 10 units, log-uniform.
+                        let span = 10f64.powf((xorshift(&mut s) % 7001) as f64 / 1000.0);
+                        let from = SimTime::from_ticks(
+                            (xorshift(&mut s) % 60_000_000) as i64 - 20_000_000,
+                        );
+                        let horizon = from + SimDuration::from_ticks(span as i64);
+                        if check_against_scan(&f, from, horizon, initial, offset, cap, target) {
+                            random_rejects += 1;
+                        }
+                    }
+                    // Windows inside the fastest segment, with targets at
+                    // the edge of reach: there the bound is tight, and its
+                    // margin must cover the scan's tolerance and rounding.
+                    let (vmin, vmax) = (f.domain_min(), f.domain_max());
+                    if vmin >= vmax {
+                        continue;
+                    }
+                    let offset = -(vmin + (vmax - vmin) * random_frac(&mut s).clamp(0.1, 0.9));
+                    let (rate_min, rate_max) = f.rate_bounds(offset);
+                    let cap = 25.0;
+                    for upward in [true, false] {
+                        let (fastest, start) = if upward {
+                            (rate_max, 0.25 * cap)
+                        } else {
+                            (-rate_min, 0.75 * cap)
+                        };
+                        let Some(k) = f.values().iter().position(|&v| {
+                            let rate = v + offset;
+                            rate == if upward { rate_max } else { rate_min }
+                        }) else {
+                            continue; // the fastest rate is a `Zero` tail
+                        };
+                        let seg_end = f.breakpoints[k + 1];
+                        let from = f.breakpoints[k]
+                            + SimDuration::from_ticks((xorshift(&mut s) % 100_000) as i64);
+                        let longest = SimDuration::from_units(0.5 * cap / fastest);
+                        let horizon = seg_end.min(from + longest);
+                        let reach = fastest * (horizon - from).as_units();
+                        for rel in [-1e-6, -1e-12, 0.0, 1e-12, 1e-6] {
+                            for abs in [0.0, 5e-16, 2e-15] {
+                                let step = reach * (1.0 + rel) + abs;
+                                let target = if upward { start + step } else { start - step };
+                                if check_against_scan(&f, from, horizon, start, offset, cap, target)
+                                {
+                                    edge_rejects += 1;
+                                } else {
+                                    edge_kept += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(
+                random_rejects > 100 && edge_rejects > 10 && edge_kept > 10,
+                "{ext:?}: {random_rejects} random and {edge_rejects} edge rejects, \
+                 {edge_kept} edge queries kept"
+            );
+        }
+    }
+
+    #[test]
+    fn grid_first_reach_matches_bisection() {
+        let mut s = 0xF1A7_u64;
+        let cap = 1e3;
+        for _ in 0..16 {
+            // Non-negative samples with zero stretches, some of them -0.0,
+            // and magnitudes from 1e-9 to 1e3: a tiny rate on a large
+            // accumulated integral rounds to a staircase, which sends
+            // the solve's guess to both fallbacks.
+            let n = 1 + (xorshift(&mut s) % 48) as usize;
+            let samples: Vec<f64> = (0..n)
+                .map(|_| match xorshift(&mut s) % 6 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => {
+                        let scale = 10f64.powi((xorshift(&mut s) % 13) as i32 - 9);
+                        (xorshift(&mut s) % 1000) as f64 * scale
+                    }
+                })
+                .collect();
+            let dt = 250_000 + (xorshift(&mut s) % 2_000_000) as i64;
+            let f = PiecewiseConstant::from_samples(
+                SimTime::from_ticks((xorshift(&mut s) % 4_000_000) as i64 - 2_000_000),
+                SimDuration::from_ticks(dt),
+                samples,
+                Extension::Hold,
+            )
+            .unwrap();
+            assert!(f.domain_min() >= 0.0);
+            let g = f.uniform_grid().unwrap();
+            let (start, end) = (g.start_ticks, g.end_ticks);
+            for _ in 0..300 {
+                // From a breakpoint or from inside a segment.
+                let k = (xorshift(&mut s) % n as u64) as i64;
+                let into = match xorshift(&mut s) % 3 {
+                    0 => 0,
+                    _ => (xorshift(&mut s) % dt as u64) as i64,
+                };
+                let from = SimTime::from_ticks(start + k * dt + into);
+                // Horizons inside the domain, at its end, or past it.
+                let horizon = SimTime::from_ticks(match xorshift(&mut s) % 4 {
+                    0 => end,
+                    1 => end + 1 + (xorshift(&mut s) % 5_000_000) as i64,
+                    _ => {
+                        from.as_ticks()
+                            + 1
+                            + (xorshift(&mut s) % (end - from.as_ticks()) as u64) as i64
+                    }
+                });
+                let cum_from = g.cum(from);
+                let needed = match xorshift(&mut s) % 5 {
+                    // Exactly the gain at a breakpoint.
+                    0 => f.prefix[(xorshift(&mut s) % (n as u64 + 1)) as usize] - cum_from,
+                    // At the edge of the ±1e-15 tolerance.
+                    1 => [5e-16, 1e-15, 1e-15 + f64::EPSILON * 1e-15, 1.5e-15, 2e-15]
+                        [(xorshift(&mut s) % 5) as usize],
+                    _ => (xorshift(&mut s) % 200_000) as f64 / 100.0,
+                };
+                for offset in [0.0, -0.0] {
+                    let want =
+                        bisect_crossing(from, horizon, needed, offset, cum_from, |t| g.cum(t));
+                    assert_eq!(
+                        g.first_reach(from, horizon, needed, offset),
+                        want,
+                        "needed {needed} over [{from}, {horizon}), offset {offset}"
+                    );
+                    // The public query takes the solve and still agrees
+                    // with the cursor path, which bisects.
+                    let initial = random_frac(&mut s) * cap;
+                    let target = random_frac(&mut s) * cap;
+                    assert_eq!(
+                        f.first_accumulation_crossing(from, horizon, initial, offset, cap, target),
+                        f.first_accumulation_crossing_cursor(
+                            &mut f.cursor(),
+                            from,
+                            horizon,
+                            initial,
+                            offset,
+                            cap,
+                            target
+                        ),
+                        "{initial}->{target} over [{from}, {horizon}), offset {offset}"
+                    );
+                }
+            }
+        }
     }
 }
