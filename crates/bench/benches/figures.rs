@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use harvest_exp::figures::{
-    min_zero_miss_capacity, miss_rate_figure, remaining_energy_figure, source_figure,
+    min_zero_miss_capacity, miss_rate_figure, remaining_energy_figure, source_figure, RunPlan,
 };
 use harvest_exp::scenario::PolicyKind;
 use std::hint::black_box;
@@ -21,7 +21,15 @@ fn fig6_remaining_energy_u04(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig6_remaining_energy_u04");
     g.sample_size(10);
     g.bench_function("trials1", |b| {
-        b.iter(|| black_box(remaining_energy_figure(0.4, &POLICIES, 1, 4, 500)))
+        b.iter(|| {
+            black_box(remaining_energy_figure(
+                0.4,
+                &POLICIES,
+                1,
+                500,
+                RunPlan::new(4),
+            ))
+        })
     });
     g.finish();
 }
@@ -30,7 +38,15 @@ fn fig7_remaining_energy_u08(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig7_remaining_energy_u08");
     g.sample_size(10);
     g.bench_function("trials1", |b| {
-        b.iter(|| black_box(remaining_energy_figure(0.8, &POLICIES, 1, 4, 500)))
+        b.iter(|| {
+            black_box(remaining_energy_figure(
+                0.8,
+                &POLICIES,
+                1,
+                500,
+                RunPlan::new(4),
+            ))
+        })
     });
     g.finish();
 }
@@ -39,7 +55,7 @@ fn fig8_miss_rate_u04(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig8_miss_rate_u04");
     g.sample_size(10);
     g.bench_function("trials2", |b| {
-        b.iter(|| black_box(miss_rate_figure(0.4, &POLICIES, 2, 4)))
+        b.iter(|| black_box(miss_rate_figure(0.4, &POLICIES, 2, RunPlan::new(4))))
     });
     g.finish();
 }
@@ -48,7 +64,7 @@ fn fig9_miss_rate_u08(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig9_miss_rate_u08");
     g.sample_size(10);
     g.bench_function("trials2", |b| {
-        b.iter(|| black_box(miss_rate_figure(0.8, &POLICIES, 2, 4)))
+        b.iter(|| black_box(miss_rate_figure(0.8, &POLICIES, 2, RunPlan::new(4))))
     });
     g.finish();
 }
@@ -62,9 +78,9 @@ fn table1_min_capacity(c: &mut Criterion) {
                 PolicyKind::EaDvfs,
                 black_box(0.4),
                 1,
-                4,
                 1e7,
                 0.02,
+                RunPlan::new(4),
             ))
         })
     });

@@ -12,7 +12,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use harvest_energy::source::sample_profile;
 use harvest_energy::sources::SolarModel;
 use harvest_energy::storage::StorageSpec;
-use harvest_exp::figures::miss_rate_figure;
+use harvest_exp::figures::{miss_rate_figure, RunPlan};
 use harvest_exp::scenario::PolicyKind;
 use harvest_sim::event::EventQueue;
 use harvest_sim::piecewise::{Extension, PiecewiseConstant};
@@ -258,7 +258,7 @@ fn figure_sweep(c: &mut Criterion) {
                 0.4,
                 &[PolicyKind::EaDvfs, PolicyKind::Edf],
                 1,
-                2,
+                RunPlan::new(2),
             ))
         })
     });

@@ -45,8 +45,8 @@
 //! share, which the report asserts.
 //!
 //! Two further modes time the campaign-telemetry layer as
-//! `sweep/figure_warm_{off,traced}`: one fully warm miss-rate figure
-//! through the instrumented driver, first with the disabled
+//! `sweep/figure_warm_{off,traced}`: one fully warm
+//! `miss_rate_figure`, first with the disabled
 //! [`CampaignTelemetry`] bundle (the exact code path the pinned figure
 //! tests run), then with a live span collector and a progress stream
 //! writing to a sink. The report carries both rates and their ratio, so
@@ -69,7 +69,7 @@ use std::time::Duration;
 
 use criterion::Criterion;
 use harvest_exp::cache::TrialSummary;
-use harvest_exp::figures::miss_rate_figure_instrumented;
+use harvest_exp::figures::{miss_rate_figure, RunPlan};
 use harvest_exp::parallel::parallel_map_with;
 use harvest_exp::scenario::{PaperScenario, PolicyKind, SimPool, TrialPrefab};
 use harvest_exp::store::{PackStore, TrialStore};
@@ -182,24 +182,21 @@ const FIGURE_UTIL: f64 = 0.8;
 const FIGURE_POLICIES: [PolicyKind; 2] = [PolicyKind::Lsa, PolicyKind::EaDvfs];
 
 /// A throwaway pack store pre-warmed with every cell of the telemetry
-/// benches' miss-rate figure (one cold instrumented run fills it).
+/// benches' miss-rate figure (one cold run fills it).
 fn warm_figure_store() -> (PackStore, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("harvest-bench-figure-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = PackStore::open(&dir).expect("temp figure store dir");
-    miss_rate_figure_instrumented(
-        Some(&store),
-        FIGURE_UTIL,
-        &FIGURE_POLICIES,
-        1,
-        1,
-        &CampaignTelemetry::off(),
-    );
+    let plan = RunPlan {
+        store: Some(&store),
+        ..RunPlan::new(1)
+    };
+    miss_rate_figure(FIGURE_UTIL, &FIGURE_POLICIES, 1, plan);
     (store, dir)
 }
 
 /// `sweep/figure_warm_{off,traced}`: one fully warm miss-rate figure
-/// per iteration through the instrumented driver — first with the
+/// per iteration through the figure driver — first with the
 /// disabled telemetry bundle, then with a live span collector plus a
 /// progress stream into an IO sink (fresh observers per iteration, so
 /// the collector cannot grow without bound across samples).
@@ -207,14 +204,11 @@ fn figure_telemetry_modes(c: &mut Criterion, store: &PackStore) {
     let mut g = c.benchmark_group("sweep");
     g.bench_function("figure_warm_off", |b| {
         b.iter(|| {
-            black_box(miss_rate_figure_instrumented(
-                Some(store as &dyn TrialStore),
-                FIGURE_UTIL,
-                &FIGURE_POLICIES,
-                1,
-                1,
-                &CampaignTelemetry::off(),
-            ))
+            let plan = RunPlan {
+                store: Some(store),
+                ..RunPlan::new(1)
+            };
+            black_box(miss_rate_figure(FIGURE_UTIL, &FIGURE_POLICIES, 1, plan))
         })
     });
     g.bench_function("figure_warm_traced", |b| {
@@ -227,14 +221,12 @@ fn figure_telemetry_modes(c: &mut Criterion, store: &PackStore) {
                 ))),
                 flight: None,
             };
-            black_box(miss_rate_figure_instrumented(
-                Some(store as &dyn TrialStore),
-                FIGURE_UTIL,
-                &FIGURE_POLICIES,
-                1,
-                1,
-                &telemetry,
-            ))
+            let plan = RunPlan {
+                threads: 1,
+                store: Some(store),
+                telemetry: &telemetry,
+            };
+            black_box(miss_rate_figure(FIGURE_UTIL, &FIGURE_POLICIES, 1, plan))
         })
     });
     g.finish();

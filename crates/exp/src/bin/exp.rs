@@ -66,13 +66,12 @@ use std::sync::Arc;
 use harvest_exp::artifact::RunArtifact;
 use harvest_exp::cache::fnv1a64;
 use harvest_exp::figures::{
-    miss_rate_figure_instrumented, robustness_campaign_instrumented, RobustnessConfig, Sabotage,
-    SweepExecStats,
+    miss_rate_figure, robustness_campaign, RobustnessConfig, RunPlan, Sabotage, SweepExecStats,
 };
 use harvest_exp::report::Table;
 use harvest_exp::scenario::{PaperScenario, PolicyKind, PredictorKind};
 use harvest_exp::store::{
-    open_or_warn, store_dir_from_env, CellOutcome, PackStore, TrialStore, SWEEP_STORE_ENV,
+    open_or_warn, store_dir_from_env, CellOutcome, PackStore, SWEEP_STORE_ENV,
 };
 use harvest_exp::telemetry::{CampaignTelemetry, FlightOptions};
 use harvest_obs::io::{Durability, RealIo, RetryPolicy};
@@ -998,7 +997,6 @@ fn fault_sweep(args: &FaultSweepArgs, store: Option<&PackStore>) -> Result<(), S
         policies: vec![PolicyKind::Edf, PolicyKind::Lsa, PolicyKind::EaDvfs],
         predictors: vec![PredictorKind::Oracle],
         trials: args.trials,
-        threads: args.threads,
         ..RobustnessConfig::default()
     };
     let matches = |list: &[InjectSpec], cell: &harvest_exp::figures::Cell| {
@@ -1006,20 +1004,20 @@ fn fault_sweep(args: &FaultSweepArgs, store: Option<&PackStore>) -> Result<(), S
             .any(|&(p, s, i)| p == cell.policy && s == cell.seed && i == cell.intensity)
     };
     let telemetry = build_telemetry(&args.trace, &args.progress, &args.flight)?;
-    let report = robustness_campaign_instrumented(
-        &config,
+    let plan = RunPlan {
+        threads: args.threads,
         store,
-        |cell| {
-            if matches(&args.inject_panic, cell) {
-                Sabotage::Panic
-            } else if matches(&args.inject_starve, cell) {
-                Sabotage::Starve
-            } else {
-                Sabotage::None
-            }
-        },
-        &telemetry,
-    );
+        telemetry: &telemetry,
+    };
+    let report = robustness_campaign(&config, plan, |cell| {
+        if matches(&args.inject_panic, cell) {
+            Sabotage::Panic
+        } else if matches(&args.inject_starve, cell) {
+            Sabotage::Starve
+        } else {
+            Sabotage::None
+        }
+    });
     let cells = config.intensities.len() * config.policies.len() * config.trials;
     println!(
         "fault-sweep util={} capacity={} trials={} cells={cells} simulated={} resumed={} \
@@ -1151,13 +1149,16 @@ where
 
 fn sweep(args: &SweepArgs, store: Option<&PackStore>) -> Result<(), String> {
     let telemetry = build_telemetry(&args.trace, &args.progress, &None)?;
-    let (figure, stats) = miss_rate_figure_instrumented(
-        store.map(|s| s as &dyn TrialStore),
+    let plan = RunPlan {
+        threads: args.threads,
+        store,
+        telemetry: &telemetry,
+    };
+    let (figure, stats) = miss_rate_figure(
         args.utilization,
         &[PolicyKind::Lsa, PolicyKind::EaDvfs],
         args.trials,
-        args.threads,
-        &telemetry,
+        plan,
     );
     let json = serde_json::to_string(&figure).map_err(|e| format!("serialize figure: {e}"))?;
     println!(

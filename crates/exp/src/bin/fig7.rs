@@ -5,11 +5,14 @@ use harvest_exp::cli::CliArgs;
 use harvest_exp::figures::remaining_energy_figure;
 use harvest_exp::report::{ascii_plot, fmt_num, Table};
 use harvest_exp::scenario::PolicyKind;
+use harvest_exp::store::store_from_env;
 
 fn main() {
     let args = CliArgs::parse(20);
+    let store = store_from_env();
     let policies = [PolicyKind::EaDvfs, PolicyKind::Lsa];
-    let fig = remaining_energy_figure(0.8, &policies, args.trials, args.threads, 100);
+    let (fig, _) =
+        remaining_energy_figure(0.8, &policies, args.trials, 100, args.plan(store.as_ref()));
 
     println!(
         "Figure 7: normalized remaining energy, U = 0.8 ({} task sets x {} capacities)",

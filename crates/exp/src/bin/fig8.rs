@@ -5,11 +5,13 @@ use harvest_exp::cli::CliArgs;
 use harvest_exp::figures::miss_rate_figure;
 use harvest_exp::report::{fmt_num, Table};
 use harvest_exp::scenario::PolicyKind;
+use harvest_exp::store::store_from_env;
 
 fn main() {
     let args = CliArgs::parse(30);
+    let store = store_from_env();
     let policies = [PolicyKind::Lsa, PolicyKind::EaDvfs];
-    let fig = miss_rate_figure(0.4, &policies, args.trials, args.threads);
+    let (fig, _) = miss_rate_figure(0.4, &policies, args.trials, args.plan(store.as_ref()));
 
     println!(
         "Figure 8: deadline miss rate vs normalized capacity, U = 0.4 ({} task sets/point)",

@@ -7,9 +7,12 @@ use harvest_exp::figures::{
 };
 use harvest_exp::report::{fmt_num, Table};
 use harvest_exp::scenario::PolicyKind;
+use harvest_exp::store::store_from_env;
 
 fn main() {
     let args = CliArgs::parse(20);
+    let store = store_from_env();
+    let plan = args.plan(store.as_ref());
     let policies = [PolicyKind::Lsa, PolicyKind::EaDvfs];
     println!(
         "EA-DVFS reproduction — full evaluation ({} trials/point, {} threads)",
@@ -27,7 +30,7 @@ fn main() {
 
     // Figs. 6-7 — remaining energy.
     for (label, u) in [("fig6", 0.4), ("fig7", 0.8)] {
-        let fig = remaining_energy_figure(u, &policies, args.trials, args.threads, 100);
+        let (fig, _) = remaining_energy_figure(u, &policies, args.trials, 100, plan);
         let lsa = fig.mean_level(PolicyKind::Lsa).unwrap();
         let ea = fig.mean_level(PolicyKind::EaDvfs).unwrap();
         println!(
@@ -39,7 +42,7 @@ fn main() {
 
     // Figs. 8-9 — miss rates.
     for (label, u) in [("fig8", 0.4), ("fig9", 0.8)] {
-        let fig = miss_rate_figure(u, &policies, args.trials, args.threads);
+        let (fig, _) = miss_rate_figure(u, &policies, args.trials, plan);
         let lsa = fig.mean_miss_rate(PolicyKind::Lsa).unwrap();
         let ea = fig.mean_miss_rate(PolicyKind::EaDvfs).unwrap();
         let reduction = 100.0 * (lsa - ea) / lsa.max(1e-12);
@@ -52,7 +55,7 @@ fn main() {
     }
 
     // Table 1 — minimum storage ratio.
-    let t1 = min_capacity_table(&[0.2, 0.4, 0.6, 0.8], args.trials, args.threads);
+    let (t1, _) = min_capacity_table(&[0.2, 0.4, 0.6, 0.8], args.trials, plan);
     let mut table = Table::new(vec!["U", "ratio (paper)", "ratio (measured)"]);
     let paper = [2.5, 1.33, 1.05, 1.01];
     for (row, p) in t1.rows.iter().zip(paper) {

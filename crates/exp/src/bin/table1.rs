@@ -5,11 +5,13 @@
 use harvest_exp::cli::CliArgs;
 use harvest_exp::figures::min_capacity_table;
 use harvest_exp::report::{fmt_num, Table};
+use harvest_exp::store::store_from_env;
 
 fn main() {
     let args = CliArgs::parse(10);
+    let store = store_from_env();
     let utils = [0.2, 0.4, 0.6, 0.8];
-    let table1 = min_capacity_table(&utils, args.trials, args.threads);
+    let (table1, _) = min_capacity_table(&utils, args.trials, args.plan(store.as_ref()));
 
     println!(
         "Table 1: minimum storage capacity for zero miss rate ({} task sets per point)",

@@ -12,6 +12,7 @@ use harvest_exp::figures::{
     min_zero_miss_capacity, miss_rate_figure, remaining_energy_figure, source_figure,
 };
 use harvest_exp::scenario::PolicyKind;
+use harvest_exp::store::store_from_env;
 
 struct Check {
     name: &'static str,
@@ -21,7 +22,8 @@ struct Check {
 
 fn main() {
     let args = CliArgs::parse(5);
-    let (trials, threads) = (args.trials, args.threads);
+    let store = store_from_env();
+    let (trials, plan) = (args.trials, args.plan(store.as_ref()));
     let policies = [PolicyKind::Lsa, PolicyKind::EaDvfs];
     let mut checks: Vec<Check> = Vec::new();
 
@@ -34,8 +36,8 @@ fn main() {
     });
 
     // Figs. 6/7: remaining-energy ordering and gap collapse.
-    let fig6 = remaining_energy_figure(0.4, &policies, trials, threads, 200);
-    let fig7 = remaining_energy_figure(0.8, &policies, trials, threads, 200);
+    let (fig6, _) = remaining_energy_figure(0.4, &policies, trials, 200, plan);
+    let (fig7, _) = remaining_energy_figure(0.8, &policies, trials, 200, plan);
     let gap6 = fig6.per_capacity[0][1] - fig6.per_capacity[0][0]; // EA − LSA at C=200
     let gap7 = fig7.per_capacity[0][1] - fig7.per_capacity[0][0];
     checks.push(Check {
@@ -50,7 +52,7 @@ fn main() {
     });
 
     // Figs. 8/9: miss-rate reduction and its shrinkage.
-    let fig8 = miss_rate_figure(0.4, &policies, trials, threads);
+    let (fig8, _) = miss_rate_figure(0.4, &policies, trials, plan);
     let (l8, e8) = (
         fig8.mean_miss_rate(PolicyKind::Lsa).unwrap(),
         fig8.mean_miss_rate(PolicyKind::EaDvfs).unwrap(),
@@ -61,7 +63,7 @@ fn main() {
         passed: red8 > 0.35,
         detail: format!("LSA {l8:.3} vs EA {e8:.3} ({:.0}%)", 100.0 * red8),
     });
-    let fig9 = miss_rate_figure(0.8, &policies, trials, threads);
+    let (fig9, _) = miss_rate_figure(0.8, &policies, trials, plan);
     let (l9, e9) = (
         fig9.mean_miss_rate(PolicyKind::Lsa).unwrap(),
         fig9.mean_miss_rate(PolicyKind::EaDvfs).unwrap(),
@@ -74,21 +76,21 @@ fn main() {
     });
 
     // Table 1: storage ratio shape.
-    let r02 = {
-        let lsa = min_zero_miss_capacity(PolicyKind::Lsa, 0.2, trials, threads, 1e7, 0.01);
-        let ea = min_zero_miss_capacity(PolicyKind::EaDvfs, 0.2, trials, threads, 1e7, 0.01);
+    let ratio_at = |u: f64| {
+        let (lsa, _) = min_zero_miss_capacity(PolicyKind::Lsa, u, trials, 1e7, 0.01, plan);
+        let (ea, _) = min_zero_miss_capacity(PolicyKind::EaDvfs, u, trials, 1e7, 0.01, plan);
         lsa / ea
     };
-    let r08 = {
-        let lsa = min_zero_miss_capacity(PolicyKind::Lsa, 0.8, trials, threads, 1e7, 0.01);
-        let ea = min_zero_miss_capacity(PolicyKind::EaDvfs, 0.8, trials, threads, 1e7, 0.01);
-        lsa / ea
-    };
+    let (r02, r08) = (ratio_at(0.2), ratio_at(0.8));
     checks.push(Check {
         name: "table1: Cmin ratio large at U=0.2, ~1 at U=0.8",
         passed: r02 > 1.15 && r08 < r02 && r08 < 1.5,
         detail: format!("ratio(0.2) {r02:.2}, ratio(0.8) {r08:.2}"),
     });
+
+    // The exit below skips destructors: close the store first so its
+    // records and sidecars land and its writer leases read as released.
+    drop(store);
 
     println!("EA-DVFS reproduction validation ({trials} trials/point)");
     println!();

@@ -2,10 +2,17 @@
 //!
 //! Kept dependency-free on purpose: the binaries accept a handful of
 //! uniform flags (`--trials`, `--threads`, `--seed`, `--csv <path>`).
+//!
+//! Each figure binary opens the store `HARVEST_SWEEP_STORE` selects
+//! once, at the top of `main`, with
+//! [`store_from_env`](crate::store::store_from_env), and runs every
+//! figure driver on the same [`CliArgs::plan`].
 
 use std::path::PathBuf;
 
+use crate::figures::RunPlan;
 use crate::parallel::default_threads;
+use crate::store::PackStore;
 
 /// Parsed flags common to all repro binaries.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,6 +99,17 @@ impl CliArgs {
             }
         }
         Ok(out)
+    }
+
+    /// The plan every figure driver of this invocation runs on:
+    /// `--threads` workers against `store` (the process's one store,
+    /// from [`store_from_env`](crate::store::store_from_env)), telemetry
+    /// off.
+    pub fn plan<'a>(&self, store: Option<&'a PackStore>) -> RunPlan<'a> {
+        RunPlan {
+            store,
+            ..RunPlan::new(self.threads)
+        }
     }
 
     /// Writes `csv` to the `--csv` path if one was given, reporting the

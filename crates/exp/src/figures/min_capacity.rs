@@ -1,14 +1,12 @@
 //! Table 1: minimum storage capacity for a zero deadline-miss rate.
 
-use std::sync::OnceLock;
-
 use serde::{Deserialize, Serialize};
 
-use super::SweepExecStats;
-use crate::cache::{TrialKey, TrialSummary};
-use crate::parallel::parallel_map_with;
-use crate::scenario::{PaperScenario, PolicyKind, SimPool, TrialPrefab};
-use crate::store::{store_from_env, TrialStore};
+use super::resolve::{CellResolver, GridCell};
+use super::{RunPlan, SweepExecStats};
+use crate::cache::TrialSummary;
+use crate::scenario::{PaperScenario, PolicyKind};
+use crate::store::PackStore;
 
 /// One utilization row of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -37,48 +35,68 @@ pub struct MinCapacityTable {
 ///
 /// Returns `f64::INFINITY` if even `max_capacity` still misses.
 ///
+/// The search replays the same seeds at many capacities, and because
+/// both the exponential phase and the bisection phase are deterministic
+/// functions of earlier outcomes, a re-run probes exactly the same
+/// capacity sequence. Each probed capacity resolves its seed grid
+/// through one batch probe of the plan's store; prefabs are built once
+/// per call, on the first capacity that simulates their seed, so a warm
+/// store builds none and runs no trial.
+///
 /// # Panics
 ///
-/// Panics if `trials` or `threads` is zero, or tolerances are
-/// non-positive.
+/// Panics if `trials` or `plan.threads` is zero, or `rel_tol` is not
+/// positive.
 pub fn min_zero_miss_capacity(
     policy: PolicyKind,
     utilization: f64,
     trials: usize,
-    threads: usize,
     max_capacity: f64,
     rel_tol: f64,
-) -> f64 {
-    let store = store_from_env();
-    min_zero_miss_capacity_cached(
-        store.as_ref().map(|s| s as &dyn TrialStore),
-        policy,
-        utilization,
-        trials,
-        threads,
-        max_capacity,
-        rel_tol,
-    )
-    .0
+    plan: RunPlan<'_>,
+) -> (f64, SweepExecStats) {
+    assert!(trials > 0, "need at least one trial");
+    assert!(rel_tol > 0.0, "tolerance must be positive");
+    let mut resolver = CellResolver::new(plan, PaperScenario::new(utilization, 100.0), trials);
+    let mut miss_free = |capacity: f64| -> bool {
+        let scenario = PaperScenario::new(utilization, capacity);
+        let cells: Vec<GridCell> = (0..trials as u64)
+            .map(|seed| (scenario.clone(), policy, seed))
+            .collect();
+        resolver
+            .resolve(&cells)
+            .iter()
+            .all(TrialSummary::is_miss_free)
+    };
+    let cmin = 'search: {
+        // Exponential search for an upper bound.
+        let mut lo = 0.0_f64;
+        let mut hi = 100.0_f64;
+        while !miss_free(hi) {
+            lo = hi;
+            hi *= 2.0;
+            if hi > max_capacity {
+                break 'search f64::INFINITY;
+            }
+        }
+        // Bisection down to the relative tolerance.
+        while hi - lo > rel_tol * hi {
+            let mid = 0.5 * (lo + hi);
+            if miss_free(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
+    };
+    (cmin, resolver.finish())
 }
 
-/// [`min_zero_miss_capacity`] with an explicit trial store and execution
-/// accounting.
-///
-/// The search replays the same seeds at many capacities, and — because
-/// both the exponential phase and the bisection phase are deterministic
-/// functions of earlier outcomes — a re-run probes exactly the same
-/// capacity sequence. Each probed capacity resolves its whole seed grid
-/// through one batch probe ([`TrialStore::probe_many`]); with a warm
-/// store no prefab is built (they materialize lazily, on the first seed
-/// that actually simulates) and no trial runs.
-///
-/// # Panics
-///
-/// Panics if `trials` or `threads` is zero, or tolerances are
-/// non-positive.
+/// [`min_zero_miss_capacity`] with the campaign benchmark's argument
+/// list. Goes when the benchmark moves onto [`RunPlan`].
 pub fn min_zero_miss_capacity_cached(
-    store: Option<&dyn TrialStore>,
+    store: Option<&PackStore>,
     policy: PolicyKind,
     utilization: f64,
     trials: usize,
@@ -86,88 +104,43 @@ pub fn min_zero_miss_capacity_cached(
     max_capacity: f64,
     rel_tol: f64,
 ) -> (f64, SweepExecStats) {
-    assert!(trials > 0, "need at least one trial");
-    assert!(rel_tol > 0.0, "tolerance must be positive");
-    // The prefabs are capacity-independent and shared across every
-    // probe, but built lazily so store-answered seeds never pay for
-    // them. `OnceLock` makes the lazy init safe from worker threads.
-    let base = PaperScenario::new(utilization, 100.0);
-    let prefabs: Vec<OnceLock<TrialPrefab>> = (0..trials).map(|_| OnceLock::new()).collect();
-    let mut stats = SweepExecStats::default();
-    let mut miss_free = |capacity: f64| -> bool {
-        let scenario = PaperScenario::new(utilization, capacity);
-        // Probe the whole seed grid for this capacity in one pass.
-        let probed: Vec<Option<TrialSummary>> = match store {
-            Some(c) => {
-                let keys: Vec<TrialKey> = (0..trials as u64)
-                    .map(|seed| scenario.trial_key(policy, seed))
-                    .collect();
-                c.probe_many(&keys)
-            }
-            None => vec![None; trials],
-        };
-        let pending: Vec<u64> = (0..trials as u64)
-            .filter(|&seed| probed[seed as usize].is_none())
-            .collect();
-        stats.cached += (trials - pending.len()) as u64;
-        stats.simulated += pending.len() as u64;
-        let (fresh, pools) = parallel_map_with(
-            pending,
-            threads,
-            |_| SimPool::new(),
-            |pool, seed| {
-                let prefab = prefabs[seed as usize].get_or_init(|| base.prefab(seed));
-                let summary = TrialSummary::of(&scenario.run_prefab_in(pool, policy, prefab));
-                if let Some(c) = store {
-                    c.store(&scenario.trial_key(policy, seed), &summary);
-                }
-                summary.is_miss_free()
-            },
-        );
-        for pool in &pools {
-            stats.merge_pool(pool.stats());
-        }
-        let mut all_free = probed.iter().flatten().all(TrialSummary::is_miss_free);
-        for free in fresh {
-            all_free &= free;
-        }
-        all_free
-    };
-    // Exponential search for an upper bound.
-    let mut lo = 0.0_f64;
-    let mut hi = 100.0_f64;
-    while !miss_free(hi) {
-        lo = hi;
-        hi *= 2.0;
-        if hi > max_capacity {
-            return (f64::INFINITY, stats);
-        }
-    }
-    // Bisection down to the relative tolerance.
-    while hi - lo > rel_tol * hi {
-        let mid = 0.5 * (lo + hi);
-        if miss_free(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    (hi, stats)
+    min_zero_miss_capacity(
+        policy,
+        utilization,
+        trials,
+        max_capacity,
+        rel_tol,
+        RunPlan {
+            store,
+            ..RunPlan::new(threads)
+        },
+    )
 }
 
-/// Reproduces Table 1: `C_min,LSA / C_min,EA-DVFS` for each utilization.
+/// Reproduces Table 1: `C_min,LSA / C_min,EA-DVFS` for each
+/// utilization, every search running on `plan`.
 ///
 /// # Panics
 ///
-/// Panics if `utilizations` is empty or `trials`/`threads` is zero.
-pub fn min_capacity_table(utilizations: &[f64], trials: usize, threads: usize) -> MinCapacityTable {
+/// Panics if `utilizations` is empty or `trials`/`plan.threads` is
+/// zero.
+pub fn min_capacity_table(
+    utilizations: &[f64],
+    trials: usize,
+    plan: RunPlan<'_>,
+) -> (MinCapacityTable, SweepExecStats) {
     assert!(!utilizations.is_empty(), "need at least one utilization");
+    let mut stats = SweepExecStats::default();
+    let mut cmin = |policy: PolicyKind, utilization: f64| {
+        let (cmin, search) = min_zero_miss_capacity(policy, utilization, trials, 1e7, 0.005, plan);
+        stats.merge(&search);
+        cmin
+    };
     let rows = utilizations
         .iter()
         .map(|&u| {
-            let cmin_lsa = min_zero_miss_capacity(PolicyKind::Lsa, u, trials, threads, 1e7, 0.005);
-            let cmin_ea =
-                min_zero_miss_capacity(PolicyKind::EaDvfs, u, trials, threads, 1e7, 0.005);
+            let cmin_lsa = cmin(PolicyKind::Lsa, u);
+            let cmin_ea = cmin(PolicyKind::EaDvfs, u);
             MinCapacityRow {
                 utilization: u,
                 cmin_lsa,
@@ -176,7 +149,7 @@ pub fn min_capacity_table(utilizations: &[f64], trials: usize, threads: usize) -
             }
         })
         .collect();
-    MinCapacityTable { rows, trials }
+    (MinCapacityTable { rows, trials }, stats)
 }
 
 #[cfg(test)]
@@ -187,7 +160,7 @@ mod tests {
     fn search_is_monotone_consistent() {
         // With one seed the search must return a capacity at which the
         // trial is indeed miss-free, and slightly below it must miss.
-        let c = min_zero_miss_capacity(PolicyKind::Lsa, 0.4, 1, 2, 1e7, 0.01);
+        let (c, _) = min_zero_miss_capacity(PolicyKind::Lsa, 0.4, 1, 1e7, 0.01, RunPlan::new(2));
         assert!(c.is_finite() && c > 0.0, "cmin {c}");
         let at = PaperScenario::new(0.4, c).run(PolicyKind::Lsa, 0);
         assert!(at.is_miss_free(), "cmin must be miss-free");
@@ -197,8 +170,9 @@ mod tests {
     /// markedly smaller store than LSA.
     #[test]
     fn ea_dvfs_needs_less_storage_at_low_utilization() {
-        let lsa = min_zero_miss_capacity(PolicyKind::Lsa, 0.2, 2, 2, 1e7, 0.01);
-        let ea = min_zero_miss_capacity(PolicyKind::EaDvfs, 0.2, 2, 2, 1e7, 0.01);
+        let (lsa, _) = min_zero_miss_capacity(PolicyKind::Lsa, 0.2, 2, 1e7, 0.01, RunPlan::new(2));
+        let (ea, _) =
+            min_zero_miss_capacity(PolicyKind::EaDvfs, 0.2, 2, 1e7, 0.01, RunPlan::new(2));
         assert!(
             lsa > ea * 1.1,
             "LSA should need notably more storage (lsa {lsa:.1} vs ea {ea:.1})"

@@ -2,14 +2,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use harvest_obs::progress::CellDecision;
-use harvest_obs::span::{CAT_BUILD, CAT_FIGURE, CAT_PROBE, CAT_SIMULATE, CAT_STORE, TID_DRIVER};
+use harvest_obs::span::{SpanSink, CAT_FIGURE, TID_DRIVER};
 
-use super::{GroupingMode, SweepExecStats};
-use crate::cache::{TrialKey, TrialSummary};
-use crate::parallel::{parallel_map, parallel_map_with};
-use crate::scenario::{PaperScenario, PolicyKind, SimPool, TrialPrefab};
-use crate::store::{store_from_env, TrialStore};
+use super::resolve::{CellResolver, GridCell};
+use super::{GroupingMode, RunPlan, SweepExecStats};
+use crate::scenario::{PaperScenario, PolicyKind};
+use crate::store::PackStore;
 use crate::telemetry::CampaignTelemetry;
 
 /// One capacity point of a miss-rate sweep.
@@ -59,234 +57,58 @@ pub(crate) fn sweep_capacities() -> Vec<f64> {
     ]
 }
 
-/// Reproduces Fig. 8/9 for the given utilization.
+/// Reproduces Fig. 8/9 for the given utilization: the mean miss rate
+/// of each policy over `trials` task sets at every swept capacity.
 ///
-/// Store-gated by the `HARVEST_SWEEP_STORE` environment variable (see
-/// [`crate::store`]); use
-/// [`miss_rate_figure_cached`] to pass a store explicitly.
+/// Resolves the capacities × policies × seeds grid in one pass of the
+/// figure resolver: one batch probe of the plan's store (a fully warm
+/// re-run does no simulation work at all), prefabs only for the seeds
+/// that still need simulating, then the pending cells through
+/// per-worker pooled contexts, written back and synced before the
+/// driver returns.
 ///
-/// # Panics
-///
-/// Panics if `trials` or `threads` is zero.
-pub fn miss_rate_figure(
-    utilization: f64,
-    policies: &[PolicyKind],
-    trials: usize,
-    threads: usize,
-) -> MissRateFigure {
-    let store = store_from_env();
-    miss_rate_figure_cached(
-        store.as_ref().map(|s| s as &dyn TrialStore),
-        utilization,
-        policies,
-        trials,
-        threads,
-    )
-    .0
-}
-
-/// [`miss_rate_figure`] with an explicit trial store and execution
-/// accounting.
-///
-/// Runs in three phases: **probe** every grid cell against the store in
-/// one batch (no prefab is built for a cell the store answers, so a
-/// fully warm re-run does no simulation work at all), **build** trial
-/// prefabs only for the seeds that still need simulating, then **run**
-/// the pending cells through per-worker pooled contexts and write their
-/// summaries back to the store.
-///
-/// # Panics
-///
-/// Panics if `trials` or `threads` is zero.
-pub fn miss_rate_figure_cached(
-    store: Option<&dyn TrialStore>,
-    utilization: f64,
-    policies: &[PolicyKind],
-    trials: usize,
-    threads: usize,
-) -> (MissRateFigure, SweepExecStats) {
-    miss_rate_figure_instrumented(
-        store,
-        utilization,
-        policies,
-        trials,
-        threads,
-        &CampaignTelemetry::off(),
-    )
-}
-
-/// [`miss_rate_figure_instrumented`] with two ignored arguments, `batch`
-/// and `grouping`. Kept because the campaign benchmark calls it with
-/// them.
-///
-/// # Panics
-///
-/// Panics if `trials`, `threads`, or `batch` is zero.
-#[allow(clippy::too_many_arguments)]
-pub fn miss_rate_figure_grouped(
-    store: Option<&dyn TrialStore>,
-    utilization: f64,
-    policies: &[PolicyKind],
-    trials: usize,
-    threads: usize,
-    batch: usize,
-    _grouping: GroupingMode,
-    telemetry: &CampaignTelemetry,
-) -> (MissRateFigure, SweepExecStats) {
-    assert!(batch > 0, "batch width must be at least 1");
-    miss_rate_figure_instrumented(store, utilization, policies, trials, threads, telemetry)
-}
-
-/// [`miss_rate_figure_cached`] under campaign telemetry: span tracing of
-/// the probe/build/run phases and each simulated cell, and live progress
-/// events per decided cell. With the default (disabled)
-/// [`CampaignTelemetry`] every observer site is one `None` branch, so
-/// results — and the warm-path cost the sweep bench pins — are those of
-/// the plain driver. The caller owns the telemetry lifecycle: this
-/// driver opens the progress stream ([`ProgressReporter::start`]) but
-/// never closes it ([`ProgressReporter::finish`] stays with the CLI).
+/// Under telemetry it traces the `probe`/`build` phases, each simulated
+/// `cell` and `store` write, and the whole `miss-rate-figure`, and
+/// streams one progress event per decided cell. The driver opens the
+/// progress stream ([`ProgressReporter::start`]) but never closes it
+/// ([`ProgressReporter::finish`] stays with the CLI).
 ///
 /// [`ProgressReporter::start`]: harvest_obs::ProgressReporter::start
 /// [`ProgressReporter::finish`]: harvest_obs::ProgressReporter::finish
 ///
 /// # Panics
 ///
-/// Panics if `trials` or `threads` is zero.
-pub fn miss_rate_figure_instrumented(
-    store: Option<&dyn TrialStore>,
+/// Panics if `trials` or `plan.threads` is zero.
+pub fn miss_rate_figure(
     utilization: f64,
     policies: &[PolicyKind],
     trials: usize,
-    threads: usize,
-    telemetry: &CampaignTelemetry,
+    plan: RunPlan<'_>,
 ) -> (MissRateFigure, SweepExecStats) {
     assert!(trials > 0, "need at least one trial");
-    let mut driver_sink = telemetry.sink(TID_DRIVER);
-    let figure_start = driver_sink.as_ref().map(|s| s.start());
+    let mut figure_sink = plan.telemetry.sink(TID_DRIVER);
+    let figure_start = figure_sink.as_ref().map(SpanSink::start);
     let capacities = sweep_capacities();
     let max_capacity = capacities.last().copied().expect("non-empty sweep");
-    let jobs: Vec<(usize, f64, PolicyKind, u64)> = capacities
+    let cells: Vec<GridCell> = capacities
         .iter()
-        .enumerate()
-        .flat_map(|(ci, &c)| {
-            policies
-                .iter()
-                .flat_map(move |&p| (0..trials as u64).map(move |s| (ci, c, p, s)))
+        .flat_map(|&c| {
+            policies.iter().flat_map(move |&p| {
+                (0..trials as u64).map(move |s| (PaperScenario::new(utilization, c), p, s))
+            })
         })
         .collect();
-
-    // Probe: resolve every cell the store already holds, in one batch
-    // (a pack store answers the whole grid under a single map lock with
-    // zero per-cell syscalls).
-    let probe_start = driver_sink.as_ref().map(|s| s.start());
-    let keys: Option<Vec<TrialKey>> = store.map(|_| {
-        jobs.iter()
-            .map(|&(_, capacity, policy, seed)| {
-                PaperScenario::new(utilization, capacity).trial_key(policy, seed)
-            })
-            .collect()
-    });
-    let mut summaries: Vec<Option<TrialSummary>> = match (store, &keys) {
-        (Some(c), Some(keys)) => c.probe_many(keys),
-        _ => vec![None; jobs.len()],
-    };
-    if let (Some(sink), Some(t)) = (driver_sink.as_mut(), probe_start) {
-        sink.record_with(
-            t,
-            "probe",
-            CAT_PROBE,
-            vec![("cells".into(), jobs.len().to_string())],
-        );
-    }
-    let pending: Vec<usize> = (0..jobs.len())
-        .filter(|&i| summaries[i].is_none())
-        .collect();
-    let mut stats = SweepExecStats {
-        simulated: pending.len() as u64,
-        cached: (jobs.len() - pending.len()) as u64,
-        ..SweepExecStats::default()
-    };
-    if let Some(progress) = &telemetry.progress {
+    if let Some(progress) = &plan.telemetry.progress {
         progress.start(
             &format!("sweep-u{utilization}"),
-            jobs.len() as u64,
+            cells.len() as u64,
             0,
-            threads,
-        );
-        if let Some(keys) = &keys {
-            for (i, key) in keys.iter().enumerate() {
-                if summaries[i].is_some() {
-                    progress.cell(CellDecision::Hit, key.text(), 0);
-                }
-            }
-        }
-    }
-
-    // Build: a trial's solar realization and task set depend on the
-    // seed but not the capacity or policy, so each needed prefab is
-    // built once and shared across the whole capacities × policies
-    // grid — and only for seeds with at least one uncached cell.
-    let mut needed: Vec<u64> = pending.iter().map(|&i| jobs[i].3).collect();
-    needed.sort_unstable();
-    needed.dedup();
-    let build_start = driver_sink.as_ref().map(|s| s.start());
-    let built: Vec<TrialPrefab> = parallel_map(needed.clone(), threads, |seed| {
-        PaperScenario::new(utilization, max_capacity).prefab(seed)
-    });
-    if let (Some(sink), Some(t)) = (driver_sink.as_mut(), build_start) {
-        sink.record_with(
-            t,
-            "build",
-            CAT_BUILD,
-            vec![("prefabs".into(), needed.len().to_string())],
+            plan.threads,
         );
     }
-    let mut prefabs: Vec<Option<TrialPrefab>> = vec![None; trials];
-    for (seed, prefab) in needed.into_iter().zip(built) {
-        prefabs[seed as usize] = Some(prefab);
-    }
-
-    // Run: pending cells only, each worker replaying its share through
-    // one pooled context.
-    let (computed, pools) = parallel_map_with(
-        pending,
-        threads,
-        |w| (w, SimPool::new(), telemetry.sink(w as u32 + 1)),
-        |(worker, pool, sink), i| {
-            let (_, capacity, policy, seed) = jobs[i];
-            let scenario = PaperScenario::new(utilization, capacity);
-            let key = scenario.trial_key(policy, seed);
-            let prefab = prefabs[seed as usize]
-                .as_ref()
-                .expect("prefab built for every pending seed");
-            let cell_start = sink.as_ref().map(|s| s.start());
-            let result = scenario.run_prefab_in(pool, policy, prefab);
-            if let (Some(sink), Some(t)) = (sink.as_mut(), cell_start) {
-                sink.record_with(
-                    t,
-                    "cell",
-                    CAT_SIMULATE,
-                    vec![("key".into(), key.text().to_owned())],
-                );
-            }
-            let summary = TrialSummary::of(&result);
-            if let Some(c) = store {
-                let store_start = sink.as_ref().map(|s| s.start());
-                c.store(&key, &summary);
-                if let (Some(sink), Some(t)) = (sink.as_mut(), store_start) {
-                    sink.record(t, "store", CAT_STORE);
-                }
-            }
-            telemetry.cell(CellDecision::Simulated, key.text(), *worker);
-            (i, summary)
-        },
-    );
-    for (_, pool, _) in &pools {
-        stats.merge_pool(pool.stats());
-    }
-    for (i, summary) in computed {
-        summaries[i] = Some(summary);
-    }
+    let mut resolver =
+        CellResolver::new(plan, PaperScenario::new(utilization, max_capacity), trials);
+    let summaries = resolver.resolve(&cells);
 
     let mut rows: Vec<MissRateRow> = capacities
         .iter()
@@ -296,13 +118,10 @@ pub fn miss_rate_figure_instrumented(
             miss_rates: vec![0.0; policies.len()],
         })
         .collect();
-    for ((ci, _, policy, _), summary) in jobs.into_iter().zip(summaries) {
-        let pi = policies
-            .iter()
-            .position(|&p| p == policy)
-            .expect("policy in list");
-        let rate = summary.expect("every cell resolved").miss_rate();
-        rows[ci].miss_rates[pi] += rate / trials as f64;
+    // Cells run capacity-major, then policy, then seed.
+    for (i, summary) in summaries.iter().enumerate() {
+        let (ci, pi) = (i / (policies.len() * trials), i / trials % policies.len());
+        rows[ci].miss_rates[pi] += summary.miss_rate() / trials as f64;
     }
     let figure = MissRateFigure {
         utilization,
@@ -310,7 +129,8 @@ pub fn miss_rate_figure_instrumented(
         rows,
         trials,
     };
-    if let (Some(sink), Some(t)) = (driver_sink.as_mut(), figure_start) {
+    let stats = resolver.finish();
+    if let (Some(sink), Some(t)) = (figure_sink.as_mut(), figure_start) {
         sink.record_with(
             t,
             "miss-rate-figure",
@@ -319,6 +139,32 @@ pub fn miss_rate_figure_instrumented(
         );
     }
     (figure, stats)
+}
+
+/// [`miss_rate_figure`] with the campaign benchmark's argument list;
+/// `batch` and `grouping` are ignored. Goes when the benchmark moves
+/// onto [`RunPlan`].
+#[allow(clippy::too_many_arguments)]
+pub fn miss_rate_figure_grouped(
+    store: Option<&PackStore>,
+    utilization: f64,
+    policies: &[PolicyKind],
+    trials: usize,
+    threads: usize,
+    _batch: usize,
+    _grouping: GroupingMode,
+    telemetry: &CampaignTelemetry,
+) -> (MissRateFigure, SweepExecStats) {
+    miss_rate_figure(
+        utilization,
+        policies,
+        trials,
+        RunPlan {
+            threads,
+            store,
+            telemetry,
+        },
+    )
 }
 
 #[cfg(test)]
@@ -336,7 +182,12 @@ mod tests {
     /// deadlines than LSA.
     #[test]
     fn ea_dvfs_beats_lsa_at_low_utilization() {
-        let fig = miss_rate_figure(0.4, &[PolicyKind::Lsa, PolicyKind::EaDvfs], 3, 2);
+        let (fig, _) = miss_rate_figure(
+            0.4,
+            &[PolicyKind::Lsa, PolicyKind::EaDvfs],
+            3,
+            RunPlan::new(2),
+        );
         let lsa = fig.mean_miss_rate(PolicyKind::Lsa).unwrap();
         let ea = fig.mean_miss_rate(PolicyKind::EaDvfs).unwrap();
         assert!(

@@ -8,11 +8,20 @@
 //! | Fig. 7 (remaining energy, U=0.8) | [`remaining_energy_figure`] | `fig7` |
 //! | Fig. 8 (miss rate, U=0.4)        | [`miss_rate_figure`] | `fig8` |
 //! | Fig. 9 (miss rate, U=0.8)        | [`miss_rate_figure`] | `fig9` |
-//! | Table 1 (min storage ratio)      | [`min_capacity_table`] | `table1` |
+//! | Table 1 (min storage ratio)      | [`min_capacity_table`] over [`min_zero_miss_capacity`] | `table1` |
+//! | Robustness (not in the paper)    | [`robustness_campaign`] | `exp fault-sweep` |
+//!
+//! Every driver but Fig. 5's takes one [`RunPlan`] — worker threads,
+//! an optional [`PackStore`], campaign telemetry — and returns its
+//! figure with the [`SweepExecStats`] of the run. The three fault-free
+//! drivers resolve their cells through one private resolver (probe the
+//! store, build the missing prefabs, simulate the rest, write back,
+//! barrier); [`robustness_campaign`] keeps its own quarantining loop.
 
 mod min_capacity;
 mod miss_rate;
 mod remaining_energy;
+mod resolve;
 mod robustness;
 mod source;
 
@@ -20,20 +29,53 @@ pub use min_capacity::{
     min_capacity_table, min_zero_miss_capacity, min_zero_miss_capacity_cached, MinCapacityRow,
     MinCapacityTable,
 };
-pub use miss_rate::{
-    miss_rate_figure, miss_rate_figure_cached, miss_rate_figure_grouped,
-    miss_rate_figure_instrumented, MissRateFigure, MissRateRow,
-};
-pub use remaining_energy::{
-    remaining_energy_figure, remaining_energy_figure_cached, RemainingEnergyFigure,
-};
+pub use miss_rate::{miss_rate_figure, miss_rate_figure_grouped, MissRateFigure, MissRateRow};
+pub use remaining_energy::{remaining_energy_figure, RemainingEnergyFigure};
 pub use robustness::{
-    robustness_campaign, robustness_campaign_instrumented, robustness_figure, CampaignReport, Cell,
-    QuarantineRecord, RobustnessConfig, RobustnessFigure, RobustnessRow, Sabotage,
+    robustness_campaign, CampaignReport, Cell, QuarantineRecord, RobustnessConfig,
+    RobustnessFigure, RobustnessRow, Sabotage,
 };
 pub use source::{source_figure, SourceFigure};
 
 use harvest_core::system::PoolStats;
+
+use crate::store::PackStore;
+use crate::telemetry::CampaignTelemetry;
+
+/// How a figure driver runs: on how many worker threads, against which
+/// result store, under which campaign telemetry.
+///
+/// The figure binaries open the store `HARVEST_SWEEP_STORE` selects
+/// once per process and hand every driver the same plan
+/// ([`CliArgs::plan`](crate::cli::CliArgs::plan)); `exp`, tests,
+/// benches and examples build one directly, usually as
+/// `RunPlan { store: Some(&store), ..RunPlan::new(threads) }`.
+#[derive(Debug, Clone, Copy)]
+pub struct RunPlan<'a> {
+    /// Worker threads (at least 1).
+    pub threads: usize,
+    /// The result store: cells it answers are not simulated, and every
+    /// simulated cell is written back. `None` simulates every cell.
+    pub store: Option<&'a PackStore>,
+    /// Span, progress and flight observers; see [`CampaignTelemetry`].
+    pub telemetry: &'a CampaignTelemetry,
+}
+
+impl RunPlan<'static> {
+    /// `threads` workers, no store, telemetry off.
+    pub fn new(threads: usize) -> Self {
+        static OFF: CampaignTelemetry = CampaignTelemetry {
+            spans: None,
+            progress: None,
+            flight: None,
+        };
+        RunPlan {
+            threads,
+            store: None,
+            telemetry: &OFF,
+        }
+    }
+}
 
 /// A grid axis, accepted and ignored by [`miss_rate_figure_grouped`].
 /// Kept because the campaign benchmark passes it.
@@ -47,10 +89,9 @@ pub enum GroupingMode {
 
 /// How a store-aware sweep executed: which cells were actually
 /// simulated versus answered by a verified store hit, and how well the
-/// per-worker pooled run contexts were reused. Returned by the
-/// `*_cached` figure variants so callers (the `exp sweep` smoke command,
-/// benchmarks, CI) can assert e.g. that a warm re-run simulated zero
-/// trials.
+/// per-worker pooled run contexts were reused. Returned by every
+/// figure driver so callers (the `exp sweep` smoke command, benchmarks,
+/// CI) can assert e.g. that a warm re-run simulated zero trials.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepExecStats {
     /// Cells simulated this run.

@@ -5,17 +5,13 @@
 //! energy by its capacity; average all normalized curves with equal
 //! weight.
 
-use std::sync::OnceLock;
-
 use harvest_sim::stats::SampledSeries;
 use harvest_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-use super::SweepExecStats;
-use crate::cache::{TrialKey, TrialSummary};
-use crate::parallel::parallel_map_with;
-use crate::scenario::{PaperScenario, PolicyKind, SimPool, TrialPrefab};
-use crate::store::{store_from_env, TrialStore};
+use super::resolve::{CellResolver, GridCell};
+use super::{RunPlan, SweepExecStats};
+use crate::scenario::{PaperScenario, PolicyKind};
 
 /// Data behind Figures 6 (U = 0.4) and 7 (U = 0.8).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -56,127 +52,62 @@ impl RemainingEnergyFigure {
 /// Reproduces Fig. 6/7 for the given utilization.
 ///
 /// `trials` task sets are run per capacity per policy;
-/// `sample_interval` sets the curve resolution (the paper plots ~100
-/// points over 10 000 units).
+/// `sample_interval_units` sets the curve resolution (the paper plots
+/// ~100 points over 10 000 units). The engine samples at every
+/// `k·dt` before the horizon, so the grid has `⌈horizon / dt⌉` points.
+///
+/// Stored summaries carry the raw sampled levels as IEEE-754 bit
+/// patterns, so a curve rebuilt from the plan's store is bit-identical
+/// to one rebuilt from fresh simulations; a fully warm re-run builds no
+/// prefab and simulates nothing.
 ///
 /// # Panics
 ///
-/// Panics if `trials` or `threads` is zero.
+/// Panics if `trials`, `sample_interval_units` or `plan.threads` is
+/// not positive.
 pub fn remaining_energy_figure(
     utilization: f64,
     policies: &[PolicyKind],
     trials: usize,
-    threads: usize,
     sample_interval_units: i64,
-) -> RemainingEnergyFigure {
-    let store = store_from_env();
-    remaining_energy_figure_cached(
-        store.as_ref().map(|s| s as &dyn TrialStore),
-        utilization,
-        policies,
-        trials,
-        threads,
-        sample_interval_units,
-    )
-    .0
-}
-
-/// [`remaining_energy_figure`] with an explicit trial store and
-/// execution accounting.
-///
-/// Stored summaries carry the raw sampled levels as IEEE-754 bit
-/// patterns, so a curve rebuilt from the store is bit-identical to one
-/// rebuilt from fresh simulations. Each policy's whole grid resolves
-/// through one batch probe; prefabs materialize lazily — a fully warm
-/// re-run builds none.
-///
-/// # Panics
-///
-/// Panics if `trials` or `threads` is zero.
-pub fn remaining_energy_figure_cached(
-    store: Option<&dyn TrialStore>,
-    utilization: f64,
-    policies: &[PolicyKind],
-    trials: usize,
-    threads: usize,
-    sample_interval_units: i64,
+    plan: RunPlan<'_>,
 ) -> (RemainingEnergyFigure, SweepExecStats) {
     assert!(trials > 0, "need at least one trial");
+    assert!(
+        sample_interval_units > 0,
+        "sample interval must be positive"
+    );
     let capacities = super::PAPER_CAPACITIES.to_vec();
-    let horizon_units = 10_000;
-    let points = (horizon_units / sample_interval_units) as usize;
-    let grid_start = SimTime::ZERO;
+    let scenario = |capacity: f64| {
+        PaperScenario::new(utilization, capacity).with_sampling(sample_interval_units)
+    };
+    let horizon_units = scenario(capacities[0]).horizon_units;
+    let points = (horizon_units as u64).div_ceil(sample_interval_units as u64) as usize;
     let grid_step = SimDuration::from_whole_units(sample_interval_units);
 
-    // Each seed's solar realization and task set are shared across the
-    // whole capacities × policies grid, built lazily on the first cell
-    // the store cannot answer.
-    let prefabs: Vec<OnceLock<TrialPrefab>> = (0..trials).map(|_| OnceLock::new()).collect();
-    let base = PaperScenario::new(utilization, capacities[0]);
-    let mut stats = SweepExecStats::default();
+    // Policy-major, then capacity, then seed.
+    let mut cells: Vec<GridCell> = Vec::with_capacity(policies.len() * capacities.len() * trials);
+    for &policy in policies {
+        for &capacity in &capacities {
+            cells.extend((0..trials as u64).map(|seed| (scenario(capacity), policy, seed)));
+        }
+    }
+    let mut resolver =
+        CellResolver::new(plan, PaperScenario::new(utilization, capacities[0]), trials);
+    let summaries = resolver.resolve(&cells);
+
     let mut series = Vec::new();
     let mut per_capacity = vec![vec![0.0; policies.len()]; capacities.len()];
-    for (pi, &policy) in policies.iter().enumerate() {
-        // One (capacity, seed) job per run; all runs independent.
-        let jobs: Vec<(usize, f64, u64)> = capacities
-            .iter()
-            .enumerate()
-            .flat_map(|(ci, &c)| (0..trials as u64).map(move |s| (ci, c, s)))
-            .collect();
-        // Probe the policy's whole grid in one batch, then simulate
-        // only the cells the store could not answer.
-        let mut summaries: Vec<Option<TrialSummary>> = match store {
-            Some(c) => {
-                let keys: Vec<TrialKey> = jobs
-                    .iter()
-                    .map(|&(_, capacity, seed)| {
-                        PaperScenario::new(utilization, capacity)
-                            .with_sampling(sample_interval_units)
-                            .trial_key(policy, seed)
-                    })
-                    .collect();
-                c.probe_many(&keys)
+    let per_policy = summaries.chunks(capacities.len() * trials);
+    for (pi, (&policy, runs)) in policies.iter().zip(per_policy).enumerate() {
+        let mut acc = SampledSeries::new(SimTime::ZERO, grid_step, points);
+        for (ci, (&capacity, point)) in capacities.iter().zip(runs.chunks(trials)).enumerate() {
+            for summary in point {
+                let samples = summary.normalized_sample_values(capacity);
+                acc.accumulate(&samples);
+                let run_mean: f64 = samples.iter().sum::<f64>() / samples.len() as f64;
+                per_capacity[ci][pi] += run_mean / trials as f64;
             }
-            None => vec![None; jobs.len()],
-        };
-        let pending: Vec<(usize, f64, u64)> = jobs
-            .iter()
-            .enumerate()
-            .filter(|&(ji, _)| summaries[ji].is_none())
-            .map(|(ji, &(_, capacity, seed))| (ji, capacity, seed))
-            .collect();
-        stats.cached += (jobs.len() - pending.len()) as u64;
-        stats.simulated += pending.len() as u64;
-        let (fresh, pools) = parallel_map_with(
-            pending,
-            threads,
-            |_| SimPool::new(),
-            |pool, (ji, capacity, seed)| {
-                let scenario =
-                    PaperScenario::new(utilization, capacity).with_sampling(sample_interval_units);
-                let prefab = prefabs[seed as usize].get_or_init(|| base.prefab(seed));
-                let summary = TrialSummary::of(&scenario.run_prefab_in(pool, policy, prefab));
-                if let Some(c) = store {
-                    c.store(&scenario.trial_key(policy, seed), &summary);
-                }
-                (ji, summary)
-            },
-        );
-        for pool in &pools {
-            stats.merge_pool(pool.stats());
-        }
-        for (ji, summary) in fresh {
-            summaries[ji] = Some(summary);
-        }
-        let mut acc = SampledSeries::new(grid_start, grid_step, points);
-        for (&(ci, capacity, _), summary) in jobs.iter().zip(&summaries) {
-            let samples = summary
-                .as_ref()
-                .expect("every cell resolved")
-                .normalized_sample_values(capacity);
-            acc.accumulate(&samples);
-            let run_mean: f64 = samples.iter().sum::<f64>() / samples.len() as f64;
-            per_capacity[ci][pi] += run_mean / trials as f64;
         }
         series.push((policy, acc.mean_values()));
     }
@@ -190,7 +121,7 @@ pub fn remaining_energy_figure_cached(
         capacities,
         per_capacity,
     };
-    (figure, stats)
+    (figure, resolver.finish())
 }
 
 #[cfg(test)]
@@ -201,7 +132,13 @@ mod tests {
     /// EA-DVFS system stores significantly more energy than LSA.
     #[test]
     fn ea_dvfs_stores_more_at_low_utilization() {
-        let fig = remaining_energy_figure(0.4, &[PolicyKind::Lsa, PolicyKind::EaDvfs], 3, 2, 500);
+        let (fig, _) = remaining_energy_figure(
+            0.4,
+            &[PolicyKind::Lsa, PolicyKind::EaDvfs],
+            3,
+            500,
+            RunPlan::new(2),
+        );
         let lsa = fig.mean_level(PolicyKind::Lsa).unwrap();
         let ea = fig.mean_level(PolicyKind::EaDvfs).unwrap();
         assert!(
@@ -222,10 +159,32 @@ mod tests {
 
     #[test]
     fn curves_start_full() {
-        let fig = remaining_energy_figure(0.4, &[PolicyKind::EaDvfs], 2, 2, 1000);
+        let (fig, _) =
+            remaining_energy_figure(0.4, &[PolicyKind::EaDvfs], 2, 1000, RunPlan::new(2));
         let c = fig.curve(PolicyKind::EaDvfs).unwrap();
         // Storage starts full in every run → the first sample is 1.0.
         assert!((c[0] - 1.0).abs() < 1e-9, "first sample {}", c[0]);
         assert!(c.iter().all(|&v| (0.0..=1.0 + 1e-9).contains(&v)));
+    }
+
+    /// An interval that does not divide the horizon still samples at
+    /// every `k·dt` before it: 34 points for `dt = 300`, the last at
+    /// 9 900.
+    #[test]
+    fn sample_grid_rounds_up_to_the_last_sample_before_the_horizon() {
+        let policies = [PolicyKind::Lsa, PolicyKind::EaDvfs];
+        let (fig, _) = remaining_energy_figure(0.4, &policies, 1, 300, RunPlan::new(2));
+        let times: Vec<f64> = (0..34).map(|k| f64::from(k * 300)).collect();
+        assert_eq!(fig.times, times);
+        for (policy, curve) in &fig.series {
+            assert_eq!(curve.len(), 34, "{}", policy.name());
+            assert!((curve[0] - 1.0).abs() < 1e-9, "first sample {}", curve[0]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sample interval must be positive")]
+    fn zero_sample_interval_is_rejected() {
+        remaining_energy_figure(0.4, &[PolicyKind::EaDvfs], 1, 0, RunPlan::new(1));
     }
 }

@@ -21,16 +21,17 @@ use serde::{Deserialize, Serialize};
 
 use harvest_obs::flight::FlightDump;
 use harvest_obs::progress::CellDecision;
-use harvest_obs::span::{SpanSink, CAT_BUILD, CAT_FIGURE, CAT_PROBE, CAT_SIMULATE, TID_DRIVER};
+use harvest_obs::span::{SpanSink, CAT_FIGURE, CAT_PROBE, CAT_SIMULATE, TID_DRIVER};
 use harvest_sim::engine::Watchdog;
 use harvest_sim::event::QueueStats;
 
-use super::SweepExecStats;
+use super::resolve::build_prefabs;
+use super::{RunPlan, SweepExecStats};
 use crate::cache::{fnv1a64, TrialKey, TrialSummary};
-use crate::parallel::{default_threads, parallel_map, parallel_map_quarantined, CellFailure};
+use crate::parallel::{parallel_map_quarantined, CellFailure};
 use crate::scenario::{PaperScenario, PolicyKind, PredictorKind, SimPool, TrialPrefab};
-use crate::store::{store_from_env, CellOutcome, PackStore};
-use crate::telemetry::{write_flight_dump, CampaignTelemetry};
+use crate::store::{CellOutcome, PackStore};
+use crate::telemetry::write_flight_dump;
 
 /// One intensity point of a robustness sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -108,7 +109,8 @@ pub enum Sabotage {
     Starve,
 }
 
-/// Grid and execution parameters of one robustness campaign.
+/// Grid parameters of one robustness campaign (the workers, store and
+/// telemetry come from its [`RunPlan`]).
 #[derive(Debug, Clone)]
 pub struct RobustnessConfig {
     /// Workload utilization.
@@ -126,8 +128,6 @@ pub struct RobustnessConfig {
     pub predictors: Vec<PredictorKind>,
     /// Task sets per grid cell.
     pub trials: usize,
-    /// Worker threads.
-    pub threads: usize,
     /// Watchdog armed on every cell — the campaign-level stuck-trial
     /// guard. The default budget is far above any legitimate §5.1 run.
     pub watchdog: Option<Watchdog>,
@@ -143,7 +143,6 @@ impl Default for RobustnessConfig {
             policies: vec![PolicyKind::Edf, PolicyKind::Lsa, PolicyKind::EaDvfs],
             predictors: vec![PredictorKind::Oracle],
             trials: 5,
-            threads: default_threads(),
             watchdog: Some(Watchdog::with_max_events(5_000_000)),
         }
     }
@@ -188,37 +187,9 @@ pub struct CampaignReport {
     pub queues: Vec<QueueStats>,
 }
 
-/// Runs a robustness campaign over `config`'s grid.
-///
-/// Resolution per cell: a decided record in `store` (left by an earlier
-/// campaign or sweep over the same cells, `done` or `quarantined`)
-/// resolves the cell as resumed; every other cell simulates. Every
-/// freshly decided cell — clean or quarantined — is appended to the
-/// store as soon as it is known, so killing the process loses at most
-/// the in-flight cells.
-///
-/// `sabotage` deterministically injects failures for smoke testing;
-/// pass `|_| Sabotage::None` in production.
-///
-/// # Panics
-///
-/// Panics if the grid is empty or `trials`/`threads` is zero. Panics
-/// *inside cells* (including sabotaged ones) are quarantined, never
-/// propagated.
-pub fn robustness_campaign<S>(
-    config: &RobustnessConfig,
-    store: Option<&PackStore>,
-    sabotage: S,
-) -> CampaignReport
-where
-    S: Fn(&Cell) -> Sabotage + Sync,
-{
-    robustness_campaign_instrumented(config, store, sabotage, &CampaignTelemetry::off())
-}
-
-/// Per-worker state of an instrumented campaign: the worker's pooled
-/// context, its span sink, and the flight dumps drained so far, each
-/// with the key text of the cell it belongs to.
+/// Per-worker state of a campaign: the worker's pooled context, its
+/// span sink, and the flight dumps drained so far, each with the key
+/// text of the cell it belongs to.
 struct CampaignWorker {
     index: usize,
     pool: SimPool,
@@ -236,12 +207,26 @@ fn marked_key(dump: &FlightDump) -> Option<String> {
         .map(|m| m.detail.clone())
 }
 
-/// [`robustness_campaign`] under campaign telemetry: span tracing of
-/// the resolve/build/run phases and each simulated cell, one live
-/// progress event per decided cell (resumed / hit / simulated /
-/// quarantined), and — when [`FlightOptions`] is set — a crash flight
-/// recorder on every worker pool whose dump is written out per failed
-/// cell and linked from [`CellFailure::flight`].
+/// Runs a robustness campaign over `config`'s grid on `plan`.
+///
+/// Resolution per cell: a decided record in the plan's store (left by
+/// an earlier campaign or sweep over the same cells, `done` or
+/// `quarantined`) resolves the cell as resumed; every other cell
+/// simulates. Every freshly decided cell — clean or quarantined — is
+/// appended to the store as soon as it is known, so killing the process
+/// loses at most the in-flight cells. This differs from the figure
+/// drivers, which re-simulate quarantined records, so the campaign
+/// keeps its own loop and shares only the plan and the prefab build.
+///
+/// `sabotage` deterministically injects failures for smoke testing;
+/// pass `|_| Sabotage::None` in production.
+///
+/// Under telemetry it traces the resolve/build phases and each
+/// simulated cell, streams one progress event per decided cell
+/// (resumed / simulated / quarantined), and — when [`FlightOptions`] is
+/// set — arms a crash flight recorder on every worker pool whose dump
+/// is written out per failed cell and linked from
+/// [`CellFailure::flight`].
 ///
 /// A watchdog dump is frozen by the engine during the aborted run, so
 /// the dumps drained right after a run belong to that cell. A panic
@@ -250,28 +235,32 @@ fn marked_key(dump: &FlightDump) -> Option<String> {
 /// last `mark` event names its cell. Dumps are matched to failed cells
 /// after the map ends.
 ///
-/// With the default (disabled) [`CampaignTelemetry`] every observer
-/// site is one `None` branch and results are those of the plain
-/// driver. The caller owns the telemetry lifecycle: this driver opens
-/// the progress stream but never closes it
-/// ([`ProgressReporter::finish`] stays with the CLI).
+/// The caller owns the telemetry lifecycle: this driver opens the
+/// progress stream but never closes it ([`ProgressReporter::finish`]
+/// stays with the CLI).
 ///
 /// [`FlightOptions`]: crate::telemetry::FlightOptions
 /// [`ProgressReporter::finish`]: harvest_obs::ProgressReporter::finish
 ///
 /// # Panics
 ///
-/// As [`robustness_campaign`].
+/// Panics if the grid is empty or `trials`/`plan.threads` is zero.
+/// Panics *inside cells* (including sabotaged ones) are quarantined,
+/// never propagated.
 #[allow(clippy::too_many_lines)]
-pub fn robustness_campaign_instrumented<S>(
+pub fn robustness_campaign<S>(
     config: &RobustnessConfig,
-    store: Option<&PackStore>,
+    plan: RunPlan<'_>,
     sabotage: S,
-    telemetry: &CampaignTelemetry,
 ) -> CampaignReport
 where
     S: Fn(&Cell) -> Sabotage + Sync,
 {
+    let RunPlan {
+        threads,
+        store,
+        telemetry,
+    } = plan;
     assert!(config.trials > 0, "need at least one trial");
     assert!(
         !config.intensities.is_empty(),
@@ -340,34 +329,21 @@ where
         );
     }
     if let Some(progress) = &telemetry.progress {
-        progress.start("fault-sweep", jobs.len() as u64, resumed, config.threads);
+        progress.start("fault-sweep", jobs.len() as u64, resumed, threads);
         for i in resolved {
             progress.cell(CellDecision::Resumed, keys[i].text(), 0);
         }
     }
 
-    // Build: one prefab per seed still needing simulation (the solar
-    // realization and task set depend on the seed, never on the fault
-    // intensity, predictor, or policy).
-    let base = scenario_of(0.0, config.predictors[0]);
-    let mut needed: Vec<u64> = pending.iter().map(|&i| jobs[i].3).collect();
-    needed.sort_unstable();
-    needed.dedup();
-    let build_start = driver_sink.as_ref().map(|s| s.start());
-    let built: Vec<TrialPrefab> =
-        parallel_map(needed.clone(), config.threads, |seed| base.prefab(seed));
-    if let (Some(sink), Some(t)) = (driver_sink.as_mut(), build_start) {
-        sink.record_with(
-            t,
-            "build",
-            CAT_BUILD,
-            vec![("prefabs".into(), needed.len().to_string())],
-        );
-    }
+    // Build: one prefab per seed still needing simulation.
     let mut prefabs: Vec<Option<TrialPrefab>> = vec![None; config.trials];
-    for (seed, prefab) in needed.into_iter().zip(built) {
-        prefabs[seed as usize] = Some(prefab);
-    }
+    build_prefabs(
+        &scenario_of(0.0, config.predictors[0]),
+        pending.iter().map(|&i| jobs[i].3),
+        &mut prefabs,
+        threads,
+        &mut driver_sink,
+    );
 
     // Freezes the flight ring while the worker unwinds, so the events
     // leading up to a panic survive into a post-map dump.
@@ -388,7 +364,7 @@ where
     let flight_opts = telemetry.flight.as_ref();
     let (computed, pools) = parallel_map_quarantined(
         pending.clone(),
-        config.threads,
+        threads,
         |w| {
             let mut pool = SimPool::new();
             if let Some(opts) = flight_opts {
@@ -575,22 +551,6 @@ where
     }
 }
 
-/// The robustness figure on the default grid (store from the
-/// environment, no sabotage).
-///
-/// # Panics
-///
-/// Panics if `trials` or `threads` is zero.
-pub fn robustness_figure(trials: usize, threads: usize) -> RobustnessFigure {
-    let config = RobustnessConfig {
-        trials,
-        threads,
-        ..RobustnessConfig::default()
-    };
-    let store = store_from_env();
-    robustness_campaign(&config, store.as_ref(), |_| Sabotage::None).figure
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -602,14 +562,13 @@ mod tests {
             policies: vec![PolicyKind::Lsa, PolicyKind::EaDvfs],
             predictors: vec![PredictorKind::Oracle],
             trials: 2,
-            threads: 2,
             ..RobustnessConfig::default()
         }
     }
 
     #[test]
     fn faults_move_the_miss_rate() {
-        let report = robustness_campaign(&small_config(), None, |_| Sabotage::None);
+        let report = robustness_campaign(&small_config(), RunPlan::new(2), |_| Sabotage::None);
         let fig = &report.figure;
         assert_eq!(fig.rows.len(), 2);
         assert!(report.quarantined.is_empty());
@@ -638,7 +597,7 @@ mod tests {
     fn sabotaged_cells_are_quarantined_not_fatal() {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let report = robustness_campaign(&small_config(), None, |cell| {
+        let report = robustness_campaign(&small_config(), RunPlan::new(2), |cell| {
             if (cell.policy, cell.seed, cell.intensity) == (PolicyKind::Lsa, 0, 0.0) {
                 Sabotage::Panic
             } else if (cell.policy, cell.seed, cell.intensity) == (PolicyKind::EaDvfs, 1, 1.0) {
@@ -679,16 +638,22 @@ mod tests {
             std::env::temp_dir().join(format!("harvest-robustness-resume-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config = small_config();
+        fn plan(store: &PackStore) -> RunPlan<'_> {
+            RunPlan {
+                store: Some(store),
+                ..RunPlan::new(2)
+            }
+        }
 
         let store = PackStore::open(&dir).unwrap();
-        let first = robustness_campaign(&config, Some(&store), |_| Sabotage::None);
+        let first = robustness_campaign(&config, plan(&store), |_| Sabotage::None);
         assert_eq!(first.resumed, 0);
         assert_eq!(first.exec.simulated, 8);
         drop(store);
 
         let store = PackStore::open(&dir).unwrap();
         assert_eq!(store.loaded(), 8);
-        let second = robustness_campaign(&config, Some(&store), |_| Sabotage::None);
+        let second = robustness_campaign(&config, plan(&store), |_| Sabotage::None);
         assert_eq!(second.exec.simulated, 0, "nothing re-simulates");
         assert_eq!(second.exec.cached, 0, "store hits count as resumed");
         assert_eq!(second.resumed, 8);

@@ -4,8 +4,11 @@
 //!
 //! * [`scenario`] — the §5.1 setup (XScale CPU, eq. 13 solar source,
 //!   5-task workloads, 10 000-unit horizon) behind one seeded knob.
-//! * [`figures`] — one function per paper figure/table (Figs. 5–9,
-//!   Table 1).
+//! * [`figures`] — one driver per paper figure/table (Figs. 5–9,
+//!   Table 1) plus the robustness campaign. Each takes a
+//!   [`RunPlan`] (worker threads, optional store, telemetry) and returns
+//!   the figure with its execution stats; the library never reads the
+//!   store from the environment itself.
 //! * [`parallel`] — deterministic multi-threaded trial fan-out, with a
 //!   quarantining mode that contains per-cell panics.
 //! * [`cache`] — canonical trial keys and the persisted trial summary.
@@ -17,7 +20,9 @@
 //!   flight-recorder dumps (`exp sweep --trace/--progress`,
 //!   `exp fault-sweep --flight`).
 //! * [`report`] — aligned tables, ASCII plots, CSV.
-//! * [`cli`] — the uniform flags of the `fig5`…`table1` binaries.
+//! * [`cli`] — the uniform flags of the `fig5`…`table1` binaries and
+//!   the [`RunPlan`] they build around the one store each process opens
+//!   from `HARVEST_SWEEP_STORE`.
 //! * [`artifact`] — the JSONL run-artifact schema behind `exp record`
 //!   / `exp inspect` / `exp diff`.
 //!
@@ -110,6 +115,7 @@ pub mod test_support {
 }
 
 pub use figures::{
-    min_capacity_table, miss_rate_figure, remaining_energy_figure, robustness_figure, source_figure,
+    min_capacity_table, miss_rate_figure, remaining_energy_figure, robustness_campaign,
+    source_figure, RunPlan,
 };
 pub use scenario::{FaultScenario, PaperScenario, PolicyKind, PredictorKind};

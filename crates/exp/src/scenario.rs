@@ -108,12 +108,6 @@ impl SimPool {
         self.ctx.stats()
     }
 
-    /// Caps retained queue storage (useful between sweeps of very
-    /// different sizes; see [`RunContext::shrink_to`]).
-    pub fn shrink_to(&mut self, limit: usize) {
-        self.ctx.shrink_to(limit);
-    }
-
     /// Event-queue counters of the pooled context (`None` until a run
     /// has materialized the queue). Quarantine reports attach these so
     /// a failing worker's state is inspectable post-mortem.
@@ -578,33 +572,6 @@ impl PaperScenario {
         summary
     }
 
-    /// [`run_summary`](Self::run_summary) through the fallible path:
-    /// store hits short-circuit as before, a clean run is summarized
-    /// and written back, and a watchdog abort propagates *unstored* —
-    /// the watchdog budget is deliberately not part of the trial key,
-    /// so an aborted cell must never poison the store.
-    pub fn try_run_summary(
-        &self,
-        pool: &mut SimPool,
-        store: Option<&dyn crate::store::TrialStore>,
-        policy: PolicyKind,
-        prefab: &TrialPrefab,
-        watchdog: Option<Watchdog>,
-    ) -> Result<crate::cache::TrialSummary, SimError> {
-        let key = store.map(|c| (c, self.trial_key(policy, prefab.seed)));
-        if let Some((c, key)) = &key {
-            if let Some(summary) = c.probe(key) {
-                return Ok(summary);
-            }
-        }
-        let result = self.try_run_prefab_in(pool, policy, prefab, watchdog)?;
-        let summary = crate::cache::TrialSummary::of(&result);
-        if let Some((c, key)) = &key {
-            c.store(key, &summary);
-        }
-        Ok(summary)
-    }
-
     /// Runs each `(policy, prefab)` arm through
     /// [`run_prefab_in`](Self::run_prefab_in), in order, one
     /// [`SimResult`] per arm. Kept under this name because the campaign
@@ -753,28 +720,6 @@ mod tests {
         assert_eq!(plain.jobs, tried.jobs);
         assert_eq!(plain.energy, tried.energy);
         assert!(pool.queue_stats().is_some(), "runs materialize the queue");
-    }
-
-    #[test]
-    fn try_run_summary_surfaces_watchdog_aborts() {
-        let s = PaperScenario::new(0.4, 500.0);
-        let prefab = s.prefab(0);
-        let mut pool = SimPool::new();
-        let err = s
-            .try_run_summary(
-                &mut pool,
-                None,
-                PolicyKind::EaDvfs,
-                &prefab,
-                Some(Watchdog::with_max_events(3)),
-            )
-            .expect_err("3 events cannot finish a 10k-unit run");
-        assert!(matches!(err, SimError::WatchdogEventBudget { .. }));
-        // The pool heals: the same cell succeeds without the watchdog.
-        let summary = s
-            .try_run_summary(&mut pool, None, PolicyKind::EaDvfs, &prefab, None)
-            .unwrap();
-        assert!(summary.released > 0);
     }
 
     #[test]

@@ -44,9 +44,10 @@
 //!   whole recovery discipline is testable under the deterministic
 //!   [`FaultyIo`](harvest_obs::FaultyIo) injector.
 //! * Writer slots are claimed through **advisory-locked lease files**
-//!   (`flock` on `lease-<slot>` with a `pid epoch` stamp). A crashed
-//!   process's flock dies with it, so the next writer takes the slot
-//!   over (bumping the epoch); [`PackStore::open`] reclaims dead-pid
+//!   (`flock` on `lease-<slot>` with a `pid epoch` stamp; a clean
+//!   close restamps pid 0). A crashed process's flock dies with it and
+//!   its pid stays in the stamp, so the next writer takes the slot over
+//!   with a note (bumping the epoch); [`PackStore::open`] reclaims dead-pid
 //!   packs by refreshing their sidecars, and [`PackStore::compact`] /
 //!   [`PackStore::scrub`] refuse to run while any lease is held by a
 //!   live writer.
@@ -425,7 +426,7 @@ struct Inner {
 /// the flock, so the slot is always recoverable.
 struct WriterLease {
     /// Held open for the lifetime of the writer; the flock lives here.
-    _file: std::fs::File,
+    file: std::fs::File,
     /// The global slot number this lease claims.
     slot: usize,
     /// The epoch stamped by this writer (predecessor's epoch + 1).
@@ -435,9 +436,37 @@ struct WriterLease {
     took_over: bool,
 }
 
+/// The pid a cleanly released lease is stamped with. No user process
+/// has pid 0, so only a writer that died holding its slot leaves a
+/// stamp that names a dead process.
+const RELEASED_PID: u32 = 0;
+
+impl Drop for WriterLease {
+    /// Restamps the lease as released before the flock goes, so the
+    /// next writer on this slot does not report a crash. A killed
+    /// process never runs this and leaves its own pid behind.
+    fn drop(&mut self) {
+        let _ = write_stamp(&mut self.file, RELEASED_PID, self.epoch);
+    }
+}
+
 /// Lease file name for a global writer slot.
 fn lease_path(dir: &Path, slot: usize) -> PathBuf {
     dir.join(format!("lease-{slot}"))
+}
+
+/// Overwrites a lease file's stamp with `pid epoch`.
+fn write_stamp(file: &mut std::fs::File, pid: u32, epoch: u64) -> std::io::Result<()> {
+    use std::io::Seek as _;
+    file.set_len(0)?;
+    file.seek(std::io::SeekFrom::Start(0))?;
+    file.write_all(format!("{pid} {epoch}\n").as_bytes())
+}
+
+/// Whether a free lease's stamp names a writer that died holding the
+/// slot: not released cleanly, not this process, and no longer running.
+fn crashed_holder(pid: u32) -> bool {
+    pid != RELEASED_PID && pid != std::process::id() && !pid_alive(pid)
 }
 
 /// Claims the first free global writer slot at or after `preferred`,
@@ -460,17 +489,11 @@ fn acquire_lease(dir: &Path, preferred: usize) -> std::io::Result<WriterLease> {
             Ok(()) => {
                 let prior = read_lease_stamp(&mut file);
                 let epoch = prior.map_or(0, |(_, e)| e.wrapping_add(1));
-                let took_over =
-                    prior.is_some_and(|(pid, _)| pid != std::process::id() && !pid_alive(pid));
-                file.set_len(0)?;
-                {
-                    use std::io::Seek as _;
-                    file.seek(std::io::SeekFrom::Start(0))?;
-                }
-                file.write_all(format!("{} {epoch}\n", std::process::id()).as_bytes())?;
+                let took_over = prior.is_some_and(|(pid, _)| crashed_holder(pid));
+                write_stamp(&mut file, std::process::id(), epoch)?;
                 let _ = file.sync_all();
                 return Ok(WriterLease {
-                    _file: file,
+                    file,
                     slot,
                     epoch,
                     took_over,
@@ -686,7 +709,7 @@ impl PackStore {
                 continue; // held by a live writer
             }
             if let Some((pid, _)) = read_lease_stamp(&mut file) {
-                if pid != std::process::id() && !pid_alive(pid) {
+                if crashed_holder(pid) {
                     dead_pids.push(pid);
                 }
             }
@@ -1569,6 +1592,10 @@ pub fn open_or_warn(dir: &Path, durability: Durability) -> Option<PackStore> {
 /// The store the environment selects ([`SWEEP_STORE_ENV`]), opened at
 /// the default durability through [`open_or_warn`]. `None` when the
 /// variable is unset or disabled, or the directory cannot be opened.
+///
+/// The figure binaries call this once per process and run every driver
+/// against the result (see [`CliArgs::plan`](crate::cli::CliArgs::plan)),
+/// so one run appends through at most [`WRITER_SLOTS`] packs.
 pub fn store_from_env() -> Option<PackStore> {
     open_or_warn(&store_dir_from_env()?, Durability::default())
 }

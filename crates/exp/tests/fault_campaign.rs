@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use harvest_exp::figures::{robustness_campaign, RobustnessConfig, Sabotage};
+use harvest_exp::figures::{robustness_campaign, RobustnessConfig, RunPlan, Sabotage};
 use harvest_exp::scenario::{PolicyKind, PredictorKind};
 
 /// FNV-1a digest of the robustness figure on the smoke grid below,
@@ -24,12 +24,12 @@ fn smoke_config() -> RobustnessConfig {
         policies: vec![PolicyKind::Edf, PolicyKind::Lsa, PolicyKind::EaDvfs],
         predictors: vec![PredictorKind::Oracle],
         trials: 2,
-        threads: 2,
         ..RobustnessConfig::default()
     }
 }
 
-/// `exp fault-sweep` flags equivalent to [`smoke_config`].
+/// `exp fault-sweep` flags equivalent to [`smoke_config`] on
+/// `RunPlan::new(2)`.
 fn cli_args() -> Vec<&'static str> {
     vec![
         "fault-sweep",
@@ -73,7 +73,7 @@ fn scratch_dir(name: &str) -> PathBuf {
 
 #[test]
 fn robustness_figure_digest_is_pinned() {
-    let report = robustness_campaign(&smoke_config(), None, |_| Sabotage::None);
+    let report = robustness_campaign(&smoke_config(), RunPlan::new(2), |_| Sabotage::None);
     assert!(report.quarantined.is_empty());
     assert_eq!(
         report.figure.digest(),

@@ -539,3 +539,34 @@ fn stale_leases_from_a_dead_process_are_taken_over() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A writer that exits cleanly releases its leases: the next process
+/// appending through the same slots reports no takeover, because
+/// nothing crashed.
+#[test]
+fn clean_exits_leave_no_stale_leases() {
+    let dir = scratch_dir("clean-lease");
+    let sweep = |trials: &str| {
+        run(exp().args([
+            "sweep",
+            "--util",
+            "0.4",
+            "--trials",
+            trials,
+            "--threads",
+            "2",
+            "--store",
+            dir.to_str().unwrap(),
+        ]))
+    };
+    for trials in ["1", "2"] {
+        let out = sweep(trials);
+        assert!(out.status.success(), "{}", stderr(&out));
+        assert!(
+            !stderr(&out).contains("took over stale writer lease"),
+            "a clean predecessor is not a crash:\n{}",
+            stderr(&out)
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,17 +1,17 @@
 //! Figure- and cell-level sweep-store behaviour: warm re-runs are
 //! bit-identical to cold ones and simulate nothing, corrupted records
 //! are rejected and recomputed (never trusted), the capacity-search
-//! bisection reuses stored probes, and `HARVEST_SWEEP_STORE` gates the
-//! whole mechanism.
+//! bisection reuses stored probes, and a figure binary run under
+//! `HARVEST_SWEEP_STORE` appends through one store per process.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use harvest_exp::figures::{
-    min_zero_miss_capacity_cached, miss_rate_figure_cached, remaining_energy_figure_cached,
+    min_zero_miss_capacity, miss_rate_figure, remaining_energy_figure, RunPlan,
 };
 use harvest_exp::scenario::{PaperScenario, PolicyKind, SimPool};
-use harvest_exp::store::{PackStore, SWEEP_STORE_ENV};
-use harvest_exp::test_support::with_env;
+use harvest_exp::store::{PackStore, SWEEP_STORE_ENV, WRITER_SLOTS};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir =
@@ -20,13 +20,21 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Two worker threads against `store` (none when `None`).
+fn plan(store: Option<&PackStore>) -> RunPlan<'_> {
+    RunPlan {
+        store,
+        ..RunPlan::new(2)
+    }
+}
+
 #[test]
 fn warm_miss_rate_rerun_is_bit_identical_and_simulates_nothing() {
     let dir = scratch_dir("missrate");
     let policies = [PolicyKind::Lsa, PolicyKind::EaDvfs];
 
     let store = PackStore::open(&dir).unwrap();
-    let (cold, cold_stats) = miss_rate_figure_cached(Some(&store), 0.4, &policies, 1, 2);
+    let (cold, cold_stats) = miss_rate_figure(0.4, &policies, 1, plan(Some(&store)));
     assert!(cold_stats.simulated > 0, "cold run must simulate");
     assert_eq!(cold_stats.cached, 0);
     assert_eq!(
@@ -37,12 +45,12 @@ fn warm_miss_rate_rerun_is_bit_identical_and_simulates_nothing() {
     drop(store); // writes the sidecar indexes
 
     // A store-less run is the ground truth the stored paths must hit.
-    let (unstored, _) = miss_rate_figure_cached(None, 0.4, &policies, 1, 2);
+    let (unstored, _) = miss_rate_figure(0.4, &policies, 1, plan(None));
     assert_eq!(cold, unstored, "storing must not change the figure");
 
     // Warm re-run: answered entirely from the packs, bit-identical.
     let warm_store = PackStore::open(&dir).unwrap();
-    let (warm, warm_stats) = miss_rate_figure_cached(Some(&warm_store), 0.4, &policies, 1, 2);
+    let (warm, warm_stats) = miss_rate_figure(0.4, &policies, 1, plan(Some(&warm_store)));
     assert_eq!(warm, cold, "warm figure must be bit-identical");
     assert_eq!(warm_stats.simulated, 0, "warm re-run must simulate nothing");
     assert_eq!(warm_stats.cached, cold_stats.simulated);
@@ -63,7 +71,7 @@ fn warm_miss_rate_rerun_is_bit_identical_and_simulates_nothing() {
     bytes[8 + 6] ^= 0xA5;
     std::fs::write(&pack, bytes).unwrap();
     let healed_store = PackStore::open(&dir).unwrap();
-    let (healed, healed_stats) = miss_rate_figure_cached(Some(&healed_store), 0.4, &policies, 1, 2);
+    let (healed, healed_stats) = miss_rate_figure(0.4, &policies, 1, plan(Some(&healed_store)));
     assert_eq!(healed, cold, "a rejected record must be recomputed exactly");
     assert_eq!(healed_stats.simulated, 1, "only the corrupted cell reruns");
     assert_eq!(healed_store.stats().rejects, 1);
@@ -86,29 +94,29 @@ fn warm_pack_store_reruns_are_bit_identical_across_figures() {
     let policies = [PolicyKind::Lsa, PolicyKind::EaDvfs];
 
     let store = PackStore::open(&dir).unwrap();
-    let (cold_miss, cold_stats) = miss_rate_figure_cached(Some(&store), 0.4, &policies, 1, 2);
+    let (cold_miss, cold_stats) = miss_rate_figure(0.4, &policies, 1, plan(Some(&store)));
     assert!(cold_stats.simulated > 0);
     let (cold_energy, _) =
-        remaining_energy_figure_cached(Some(&store), 0.4, &[PolicyKind::EaDvfs], 1, 2, 1000);
+        remaining_energy_figure(0.4, &[PolicyKind::EaDvfs], 1, 1000, plan(Some(&store)));
     let (cold_cmin, _) =
-        min_zero_miss_capacity_cached(Some(&store), PolicyKind::Lsa, 0.4, 1, 2, 1e7, 0.01);
+        min_zero_miss_capacity(PolicyKind::Lsa, 0.4, 1, 1e7, 0.01, plan(Some(&store)));
     drop(store);
 
     let warm_store = PackStore::open(&dir).unwrap();
-    let (warm_miss, warm_stats) = miss_rate_figure_cached(Some(&warm_store), 0.4, &policies, 1, 2);
+    let (warm_miss, warm_stats) = miss_rate_figure(0.4, &policies, 1, plan(Some(&warm_store)));
     assert_eq!(warm_miss, cold_miss, "warm figure must be bit-identical");
     assert_eq!(warm_stats.simulated, 0, "warm re-run must simulate nothing");
     let (warm_energy, energy_stats) =
-        remaining_energy_figure_cached(Some(&warm_store), 0.4, &[PolicyKind::EaDvfs], 1, 2, 1000);
+        remaining_energy_figure(0.4, &[PolicyKind::EaDvfs], 1, 1000, plan(Some(&warm_store)));
     assert_eq!(warm_energy, cold_energy, "sample curves round-trip bits");
     assert_eq!(energy_stats.simulated, 0);
     let (warm_cmin, cmin_stats) =
-        min_zero_miss_capacity_cached(Some(&warm_store), PolicyKind::Lsa, 0.4, 1, 2, 1e7, 0.01);
+        min_zero_miss_capacity(PolicyKind::Lsa, 0.4, 1, 1e7, 0.01, plan(Some(&warm_store)));
     assert_eq!(warm_cmin, cold_cmin, "search replays the probe sequence");
     assert_eq!(cmin_stats.simulated, 0);
 
     // Ground truth: the uncached figure matches what the store served.
-    let (uncached, _) = miss_rate_figure_cached(None, 0.4, &policies, 1, 2);
+    let (uncached, _) = miss_rate_figure(0.4, &policies, 1, plan(None));
     assert_eq!(uncached, cold_miss, "the store must not change the figure");
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -151,7 +159,7 @@ fn capacity_search_reuses_stored_probes() {
     let dir = scratch_dir("bisect");
     let store = PackStore::open(&dir).unwrap();
     let (cold, cold_stats) =
-        min_zero_miss_capacity_cached(Some(&store), PolicyKind::Lsa, 0.4, 1, 2, 1e7, 0.01);
+        min_zero_miss_capacity(PolicyKind::Lsa, 0.4, 1, 1e7, 0.01, plan(Some(&store)));
     assert!(cold.is_finite() && cold > 0.0);
     assert!(cold_stats.simulated > 0);
     drop(store);
@@ -160,7 +168,7 @@ fn capacity_search_reuses_stored_probes() {
     // re-run visits exactly the same capacities and every probe hits.
     let warm_store = PackStore::open(&dir).unwrap();
     let (warm, warm_stats) =
-        min_zero_miss_capacity_cached(Some(&warm_store), PolicyKind::Lsa, 0.4, 1, 2, 1e7, 0.01);
+        min_zero_miss_capacity(PolicyKind::Lsa, 0.4, 1, 1e7, 0.01, plan(Some(&warm_store)));
     assert_eq!(warm, cold, "search result must replay exactly");
     assert_eq!(warm_stats.simulated, 0);
     assert_eq!(warm_stats.cached, cold_stats.simulated + cold_stats.cached);
@@ -168,18 +176,46 @@ fn capacity_search_reuses_stored_probes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every `.hpk` pack file in `dir`.
+fn packs(dir: &Path) -> usize {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter(|e| {
+            e.as_ref()
+                .unwrap()
+                .path()
+                .extension()
+                .is_some_and(|x| x == "hpk")
+        })
+        .count()
+}
+
+/// A figure binary opens the environment's store once per process, so
+/// all of Table 1's capacity searches append through at most
+/// `WRITER_SLOTS` packs, and a warm re-run reproduces the record from
+/// the store without adding a pack.
 #[test]
-fn env_var_gates_the_public_figure_entry() {
-    let dir = scratch_dir("envgate");
-    let dir_str = dir.to_str().unwrap().to_owned();
-    with_env(&[(SWEEP_STORE_ENV, Some(dir_str.as_str()))], || {
-        let cold = harvest_exp::figures::miss_rate_figure(0.4, &[PolicyKind::EaDvfs], 1, 2);
-        assert!(
-            PackStore::open(&dir).unwrap().loaded() > 0,
-            "enabled store must persist records"
-        );
-        let warm = harvest_exp::figures::miss_rate_figure(0.4, &[PolicyKind::EaDvfs], 1, 2);
-        assert_eq!(warm, cold);
-    });
+fn table1_binary_holds_one_store_per_process() {
+    let dir = scratch_dir("table1-env");
+    let store = dir.join("store");
+    let table1 = |json: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_table1"))
+            .env(SWEEP_STORE_ENV, &store)
+            .args(["--trials", "2", "--threads", "2", "--json"])
+            .arg(dir.join(json))
+            .output()
+            .expect("spawn table1");
+        assert!(out.status.success(), "{out:?}");
+        std::fs::read(dir.join(json)).unwrap()
+    };
+    let cold = table1("cold.json");
+    let cold_packs = packs(&store);
+    assert!(
+        (1..=WRITER_SLOTS).contains(&cold_packs),
+        "{cold_packs} packs"
+    );
+    let warm = table1("warm.json");
+    assert_eq!(warm, cold, "warm record must be byte-identical");
+    assert_eq!(packs(&store), cold_packs, "a warm run appends nothing");
     let _ = std::fs::remove_dir_all(&dir);
 }

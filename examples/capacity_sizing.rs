@@ -6,20 +6,20 @@
 //! cargo run --release --example capacity_sizing
 //! ```
 
-use harvest_rt::exp::figures::min_zero_miss_capacity;
+use harvest_rt::exp::figures::{min_zero_miss_capacity, RunPlan};
 use harvest_rt::prelude::*;
 
 fn main() {
     let trials = 5; // task sets every candidate capacity must satisfy
-    let threads = 4;
+    let plan = RunPlan::new(4);
 
     println!("minimum zero-miss storage capacity (over {trials} random task sets)");
     println!();
     println!("   U    Cmin(LSA)  Cmin(EA-DVFS)  ratio");
     println!("------------------------------------------");
     for u in [0.2, 0.4, 0.6, 0.8] {
-        let lsa = min_zero_miss_capacity(PolicyKind::Lsa, u, trials, threads, 1e7, 0.01);
-        let ea = min_zero_miss_capacity(PolicyKind::EaDvfs, u, trials, threads, 1e7, 0.01);
+        let (lsa, _) = min_zero_miss_capacity(PolicyKind::Lsa, u, trials, 1e7, 0.01, plan);
+        let (ea, _) = min_zero_miss_capacity(PolicyKind::EaDvfs, u, trials, 1e7, 0.01, plan);
         println!("  {u:.1}  {lsa:9.0}  {ea:13.0}  {:5.2}", lsa / ea);
     }
     println!();

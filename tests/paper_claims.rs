@@ -1,7 +1,7 @@
 //! Statistical integration tests of the paper's headline claims, at a
 //! scale small enough for CI but large enough to be stable.
 
-use harvest_rt::exp::figures::{min_zero_miss_capacity, miss_rate_figure, source_figure};
+use harvest_rt::exp::figures::{min_zero_miss_capacity, miss_rate_figure, source_figure, RunPlan};
 use harvest_rt::prelude::*;
 
 /// Fig. 5: the eq. 13 source realization has the paper's shape.
@@ -66,7 +66,12 @@ fn fig7_curves_close_at_high_utilization() {
 /// margin (paper: over 50%).
 #[test]
 fn fig8_miss_rate_reduction_at_low_utilization() {
-    let fig = miss_rate_figure(0.4, &[PolicyKind::Lsa, PolicyKind::EaDvfs], 8, 4);
+    let (fig, _) = miss_rate_figure(
+        0.4,
+        &[PolicyKind::Lsa, PolicyKind::EaDvfs],
+        8,
+        RunPlan::new(4),
+    );
     let lsa = fig.mean_miss_rate(PolicyKind::Lsa).unwrap();
     let ea = fig.mean_miss_rate(PolicyKind::EaDvfs).unwrap();
     assert!(lsa > 0.0, "sweep must include miss-inducing capacities");
@@ -81,7 +86,12 @@ fn fig8_miss_rate_reduction_at_low_utilization() {
 /// Fig. 9: at U = 0.8 the policies perform comparably.
 #[test]
 fn fig9_policies_comparable_at_high_utilization() {
-    let fig = miss_rate_figure(0.8, &[PolicyKind::Lsa, PolicyKind::EaDvfs], 8, 4);
+    let (fig, _) = miss_rate_figure(
+        0.8,
+        &[PolicyKind::Lsa, PolicyKind::EaDvfs],
+        8,
+        RunPlan::new(4),
+    );
     let lsa = fig.mean_miss_rate(PolicyKind::Lsa).unwrap();
     let ea = fig.mean_miss_rate(PolicyKind::EaDvfs).unwrap();
     // EA-DVFS never does worse, and the relative gap collapses.
@@ -96,7 +106,12 @@ fn fig9_policies_comparable_at_high_utilization() {
 /// Miss rates fall (weakly) as capacity grows, for both policies.
 #[test]
 fn miss_rate_decreases_with_capacity() {
-    let fig = miss_rate_figure(0.4, &[PolicyKind::Lsa, PolicyKind::EaDvfs], 6, 4);
+    let (fig, _) = miss_rate_figure(
+        0.4,
+        &[PolicyKind::Lsa, PolicyKind::EaDvfs],
+        6,
+        RunPlan::new(4),
+    );
     for policy in [PolicyKind::Lsa, PolicyKind::EaDvfs] {
         let curve = fig.curve(policy).unwrap();
         let first = curve.first().unwrap();
@@ -116,8 +131,9 @@ fn table1_ratio_shrinks_with_utilization() {
     let trials = 3;
     let threads = 4;
     let ratio_at = |u: f64| {
-        let lsa = min_zero_miss_capacity(PolicyKind::Lsa, u, trials, threads, 1e7, 0.01);
-        let ea = min_zero_miss_capacity(PolicyKind::EaDvfs, u, trials, threads, 1e7, 0.01);
+        let plan = RunPlan::new(threads);
+        let (lsa, _) = min_zero_miss_capacity(PolicyKind::Lsa, u, trials, 1e7, 0.01, plan);
+        let (ea, _) = min_zero_miss_capacity(PolicyKind::EaDvfs, u, trials, 1e7, 0.01, plan);
         assert!(
             lsa.is_finite() && ea.is_finite(),
             "U={u}: search must converge"
