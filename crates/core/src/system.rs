@@ -16,6 +16,13 @@
 //!   `s`), the EA-DVFS `s2` review, predicted completion, and storage
 //!   depletion; stale ones are filtered by a decision epoch;
 //! * `Sample` — storage-level sampling for the Fig. 6/7 curves.
+//!
+//! One closed loop can carry several policy *arms* over the same inputs.
+//! Every live arm's policy decides at every decision instant; while
+//! they agree, the run is simulated once for all of them. At the first
+//! disagreement the run forks, one copy per distinct decision, and each
+//! copy continues with its own arms. Every arm's result is bit-identical
+//! to a run of that arm alone (DESIGN §8.11).
 
 use harvest_energy::fault::{apply_harvest_faults, harvest_factor_at};
 use harvest_energy::predictor::{EnergyPredictor, FaultyPredictor};
@@ -36,6 +43,7 @@ use harvest_task::task::Task;
 use harvest_task::taskset::TaskSet;
 use serde::{Deserialize, Serialize};
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::config::{MissPolicy, SystemConfig};
@@ -75,7 +83,7 @@ enum SysEvent {
 /// Where domain trace events go. Sweeps only need statistics, so the
 /// default arm counts emissions through a [`CountingSink`] without ever
 /// constructing a record; figure runs keep the full log.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum TraceLog {
     /// Count emissions only (the sweep fast path).
     Count(CountingSink),
@@ -94,6 +102,7 @@ enum RunState {
 /// plain integer add (or one histogram insert per *decision*, far off
 /// the per-event hot path) — and frozen into the metrics snapshot only
 /// when `collect_metrics` is set. Counting never influences decisions.
+#[derive(Clone)]
 struct ObsCounters {
     /// Policy consultations (queue non-empty at a scheduling event).
     decide_calls: u64,
@@ -146,7 +155,7 @@ impl ObsCounters {
 /// Live fault-injection state carried by the model: the plan plus the
 /// attenuation factor in effect after the last handled edge (for
 /// change detection and trace emission).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct FaultRuntime {
     plan: FaultPlan,
     harvest_factor: f64,
@@ -163,7 +172,7 @@ struct FaultRuntime {
 /// the `Arrival` — at seeding for the first release, inside
 /// [`SystemModel::release_job`] for every successor. The merged
 /// `(time, seq)` dispatch order is therefore identical, tie-for-tie.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct TapeCursor {
     tape: Arc<ReleaseTape>,
     /// Index of the next unconsumed tape entry.
@@ -216,11 +225,21 @@ impl TapeCursor {
     }
 }
 
-struct SystemModel<P: Scheduler> {
+/// The closed loop's whole state. A clone is an exact copy of the run
+/// so far, which is how a run forks (see [`run_closed_loop`]).
+#[derive(Clone)]
+struct SystemModel<'a> {
     config: SystemConfig,
     tasks: Arc<TaskSet>,
     profile: Arc<PiecewiseConstant>,
-    policy: P,
+    /// The policy of every arm of the closed loop, shared by all its
+    /// forks; a fork consults only its own `arms`.
+    policies: &'a [RefCell<&'a mut dyn Scheduler>],
+    /// Indices into `policies` of the arms this run carries.
+    arms: Vec<usize>,
+    /// Each arm's decision at the instant the arms disagreed, aligned
+    /// with `arms`; read by the closed loop when the run stops to fork.
+    decisions: Vec<Decision>,
     predictor: Box<dyn EnergyPredictor>,
     storage: Storage,
     queue: EdfQueue,
@@ -270,7 +289,7 @@ struct SystemModel<P: Scheduler> {
     tape: Option<TapeCursor>,
 }
 
-impl<P: Scheduler> SystemModel<P> {
+impl SystemModel<'_> {
     /// Advances all continuous state from `last_sync` to `now`:
     /// storage level, energy accounting, predictor observations, job
     /// progress, and residency counters. Detects job completion.
@@ -470,17 +489,20 @@ impl<P: Scheduler> SystemModel<P> {
         }
     }
 
-    /// Re-runs the policy for the current queue head and schedules the
-    /// wake-ups implied by the decision.
+    /// Asks every arm's policy how to run the current queue head. When
+    /// they agree, the decision is applied once for all of them. When
+    /// they disagree, their decisions are kept in `decisions` and the
+    /// engine is asked to stop, so the closed loop can fork the run.
     fn decide(&mut self, now: SimTime, ctx: &mut EngineCtx<'_, SysEvent>) {
         self.epoch += 1;
         let Some(head) = self.queue.peek() else {
             self.state = RunState::Idle;
             return;
         };
-        let head_id = head.id();
         self.obs.decide_calls += 1;
-        let (decision, (memo_hits, memo_misses)) = {
+        // Each arm decides on a context of its own, exactly as it would
+        // in a run of its own.
+        let mut consult = |arm: usize| {
             let sched_ctx = SchedContext::new(
                 now,
                 head,
@@ -489,16 +511,58 @@ impl<P: Scheduler> SystemModel<P> {
                 self.predictor.as_ref(),
             );
             let t0 = self.profiler.as_ref().map(|_| PhaseProfiler::start());
-            let d = self.policy.decide(&sched_ctx);
+            let decision = self.policies[arm].borrow_mut().decide(&sched_ctx);
             if let Some(t0) = t0 {
                 if let Some(p) = self.profiler.as_mut() {
                     p.stop(PHASE_POLICY_DECIDE, t0);
                 }
             }
-            (d, sched_ctx.memo_stats())
+            let (memo_hits, memo_misses) = sched_ctx.memo_stats();
+            self.obs.es_memo_hits += memo_hits;
+            self.obs.es_memo_misses += memo_misses;
+            decision
         };
-        self.obs.es_memo_hits += memo_hits;
-        self.obs.es_memo_misses += memo_misses;
+        let decision = consult(self.arms[0]);
+        if self.arms.len() > 1 {
+            self.decisions.clear();
+            self.decisions.push(decision);
+            for &arm in &self.arms[1..] {
+                self.decisions.push(consult(arm));
+            }
+            if self.decisions.iter().any(|&d| d != decision) {
+                ctx.request_stop();
+                return;
+            }
+        }
+        self.apply_decision(now, decision, ctx);
+    }
+
+    /// The live arms grouped by their decision at the stop, in order of
+    /// first appearance: one fork per group.
+    fn split(&self) -> Vec<(Decision, Vec<usize>)> {
+        let mut groups: Vec<(Decision, Vec<usize>)> = Vec::new();
+        for (&arm, &decision) in self.arms.iter().zip(&self.decisions) {
+            match groups.iter_mut().find(|(d, _)| *d == decision) {
+                Some((_, arms)) => arms.push(arm),
+                None => groups.push((decision, vec![arm])),
+            }
+        }
+        groups
+    }
+
+    /// Applies `decision` to the queue head at `now` and schedules the
+    /// wake-ups it implies.
+    fn apply_decision(
+        &mut self,
+        now: SimTime,
+        decision: Decision,
+        ctx: &mut EngineCtx<'_, SysEvent>,
+    ) {
+        let head_id = self
+            .queue
+            .peek()
+            .expect("a decision is taken for the queue head")
+            .id();
         match decision {
             Decision::IdleUntil(s) => {
                 assert!(s > now, "policy idled until the past ({s} <= {now})");
@@ -750,13 +814,14 @@ impl<P: Scheduler> SystemModel<P> {
         for (name, &count) in TraceEvent::KIND_NAMES.iter().zip(kind_counts.iter()) {
             reg.counter(&format!("trace.{name}"), count);
         }
-        for (name, count) in self.policy.metrics() {
-            reg.counter(&format!("policy.{}.{name}", self.policy.name()), count);
+        let policy = self.policies[self.arms[0]].borrow();
+        for (name, count) in policy.metrics() {
+            reg.counter(&format!("policy.{}.{name}", policy.name()), count);
         }
     }
 }
 
-impl<P: Scheduler> Model for SystemModel<P> {
+impl Model for SystemModel<'_> {
     type Event = SysEvent;
 
     #[inline]
@@ -927,30 +992,32 @@ pub fn try_simulate_shared(
     config: SystemConfig,
     tasks: Arc<TaskSet>,
     profile: Arc<PiecewiseConstant>,
-    policy: Box<dyn Scheduler>,
+    mut policy: Box<dyn Scheduler>,
     predictor: Box<dyn EnergyPredictor>,
 ) -> Result<SimResult, SimError> {
     let mut reg = MetricsRegistry::new();
-    let (result, _events, _ready) = run_closed_loop(
+    run_closed_loop(
         config,
         tasks,
         profile,
-        policy,
+        &mut [policy.as_mut()],
         predictor,
         EventQueue::new(),
         EdfQueue::new(),
         &mut reg,
         None,
         None,
-    );
-    result
+    )
+    .results
+    .pop()
+    .expect("one arm, one result")
 }
 
 /// Retention statistics of one [`RunContext`], for sweep drivers that
 /// report pool reuse (e.g. per-worker rows in `exp inspect`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PoolStats {
-    /// Trials executed through this context.
+    /// Trials executed through this context, one per policy arm.
     pub runs: u64,
     /// High-water event-queue capacity retained across runs, in heap
     /// entries (the [`QueueStats::slab_capacity`] of the pooled queue).
@@ -964,6 +1031,11 @@ pub struct PoolStats {
     /// Always 0; see [`batch_ticks`](Self::batch_ticks).
     #[serde(default)]
     pub multi_lane_ticks: u64,
+    /// Events dispatched once on behalf of several arms of one
+    /// [`try_simulate_arms_in`] run, counted once per extra arm: the
+    /// work the shared prefix saved. Exact and independent of timing.
+    #[serde(default)]
+    pub shared_events: u64,
 }
 
 /// A reusable simulation context: the allocations that dominate per-run
@@ -1043,6 +1115,50 @@ impl RunContext {
             q.shrink_to(limit);
         }
     }
+
+    /// One closed loop over all of `policies` on this context's queues,
+    /// which are reclaimed and reset afterwards, aborted runs included.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &mut self,
+        config: SystemConfig,
+        tasks: Arc<TaskSet>,
+        profile: Arc<PiecewiseConstant>,
+        policies: &mut [&mut dyn Scheduler],
+        predictor: Box<dyn EnergyPredictor>,
+        tape: Option<Arc<ReleaseTape>>,
+    ) -> Vec<Result<SimResult, SimError>> {
+        for policy in policies.iter_mut() {
+            policy.reset();
+        }
+        let events = self.events.take().unwrap_or_default();
+        let ready = self.ready.take().unwrap_or_default();
+        let flight = self.flight.clone();
+        let mut out = run_closed_loop(
+            config,
+            tasks,
+            profile,
+            policies,
+            predictor,
+            events,
+            ready,
+            &mut self.metrics,
+            flight,
+            tape,
+        );
+        out.events.reset();
+        out.ready.clear();
+        self.stats.runs += policies.len() as u64;
+        self.stats.shared_events += out.shared_events;
+        self.stats.event_slab_high_water = self
+            .stats
+            .event_slab_high_water
+            .max(out.events.capacity() as u64);
+        self.stats.ready_high_water = self.stats.ready_high_water.max(out.ready.capacity() as u64);
+        self.events = Some(out.events);
+        self.ready = Some(out.ready);
+        out.results
+    }
 }
 
 /// [`simulate_shared`] executing inside a pooled [`RunContext`]: the
@@ -1085,6 +1201,8 @@ pub fn try_simulate_in(
 ///
 /// Runs with `collect_metrics` set ignore the tape and take the
 /// reference path (queue statistics would otherwise skew).
+///
+/// The one-arm case of [`try_simulate_arms_in`].
 #[allow(clippy::too_many_arguments)]
 pub fn try_simulate_in_taped(
     ctx: &mut RunContext,
@@ -1095,53 +1213,100 @@ pub fn try_simulate_in_taped(
     predictor: Box<dyn EnergyPredictor>,
     tape: Option<Arc<ReleaseTape>>,
 ) -> Result<SimResult, SimError> {
-    policy.reset();
-    let events = ctx.events.take().unwrap_or_default();
-    let ready = ctx.ready.take().unwrap_or_default();
-    let flight = ctx.flight.clone();
-    let (result, mut events, mut ready) = run_closed_loop(
-        config,
-        tasks,
-        profile,
-        policy,
-        predictor,
-        events,
-        ready,
-        &mut ctx.metrics,
-        flight,
-        tape,
-    );
-    events.reset();
-    ready.clear();
-    ctx.stats.runs += 1;
-    ctx.stats.event_slab_high_water = ctx
-        .stats
-        .event_slab_high_water
-        .max(events.capacity() as u64);
-    ctx.stats.ready_high_water = ctx.stats.ready_high_water.max(ready.capacity() as u64);
-    ctx.events = Some(events);
-    ctx.ready = Some(ready);
-    result
+    try_simulate_arms_in(ctx, config, tasks, profile, &mut [policy], predictor, tape)
+        .pop()
+        .expect("one arm, one result")
 }
 
-/// The shared closed-loop core: generic over the policy handle (owned
-/// box for the fresh path, `&mut dyn` for the pooled path) and explicit
-/// about the queue storage it runs on, which it hands back so a pool
-/// can reclaim the allocations.
+/// Runs several policy *arms* over the same inputs — one configuration,
+/// task set, profile, predictor and tape — in one closed loop, and
+/// returns one result per arm, in `policies` order. Each arm's result is
+/// bit-identical to a [`try_simulate_in_taped`] run of that arm alone.
+///
+/// While every arm's policy takes the same decision, the run is
+/// simulated once for all of them. At the first decision where they
+/// disagree, the run forks: each group of arms that chose alike
+/// continues on its own copy (DESIGN §8.11). [`PoolStats::shared_events`]
+/// counts the events this saved.
+///
+/// Runs with `collect_metrics` or `profile` set, and runs on a context
+/// with a flight recorder, simulate their arms one at a time instead:
+/// metrics, phase timings and a flight ring each describe one run.
+/// Every arm's policy is reset first, as in the one-arm entry points.
+///
+/// # Panics
+///
+/// Panics if `policies` is empty.
 #[allow(clippy::too_many_arguments)]
-fn run_closed_loop<P: Scheduler>(
+pub fn try_simulate_arms_in(
+    ctx: &mut RunContext,
+    config: SystemConfig,
+    tasks: Arc<TaskSet>,
+    profile: Arc<PiecewiseConstant>,
+    policies: &mut [&mut dyn Scheduler],
+    predictor: Box<dyn EnergyPredictor>,
+    tape: Option<Arc<ReleaseTape>>,
+) -> Vec<Result<SimResult, SimError>> {
+    let one_at_a_time = config.collect_metrics || config.profile || ctx.flight.is_some();
+    if policies.len() > 1 && one_at_a_time {
+        return policies
+            .iter_mut()
+            .flat_map(|policy| {
+                let mut arm: [&mut dyn Scheduler; 1] = [&mut **policy];
+                ctx.run(
+                    config.clone(),
+                    Arc::clone(&tasks),
+                    Arc::clone(&profile),
+                    &mut arm,
+                    predictor.clone(),
+                    tape.clone(),
+                )
+            })
+            .collect();
+    }
+    ctx.run(config, tasks, profile, policies, predictor, tape)
+}
+
+/// What one closed loop hands back.
+struct LoopOutput {
+    /// One result per arm, in arm order.
+    results: Vec<Result<SimResult, SimError>>,
+    /// The queues the loop was given, for the pool to reclaim.
+    events: EventQueue<SysEvent>,
+    ready: EdfQueue,
+    /// See [`PoolStats::shared_events`].
+    shared_events: u64,
+}
+
+/// The closed loop: runs every arm in `policies` over the same inputs on
+/// the queue storage it is given, which it hands back so a pool can
+/// reclaim the allocations (a fork's copies allocate their own).
+///
+/// The run starts with all arms. When their policies disagree, the
+/// engine stops at that instant ([`SystemModel::decide`]). The stopped
+/// run is cloned once per extra group of arms that decided alike, and
+/// each copy applies its group's decision and runs on. Copies wait on a
+/// stack and run one after the other, each to the horizon or to its
+/// own next disagreement.
+#[allow(clippy::too_many_arguments)]
+fn run_closed_loop(
     mut config: SystemConfig,
     tasks: Arc<TaskSet>,
     profile: Arc<PiecewiseConstant>,
-    policy: P,
+    policies: &mut [&mut dyn Scheduler],
     predictor: Box<dyn EnergyPredictor>,
     equeue: EventQueue<SysEvent>,
     ready: EdfQueue,
     reg: &mut MetricsRegistry,
     flight: Option<SharedFlightRecorder>,
     tape: Option<Arc<ReleaseTape>>,
-) -> (Result<SimResult, SimError>, EventQueue<SysEvent>, EdfQueue) {
+) -> LoopOutput {
     debug_assert!(ready.is_empty(), "pooled ready queue must be cleared");
+    assert!(!policies.is_empty(), "a closed loop needs at least one arm");
+    debug_assert!(
+        policies.len() == 1 || !(config.collect_metrics || config.profile),
+        "metric and profiled runs carry one arm"
+    );
     assert!(
         config.cpu.switch_overhead().is_zero(),
         "the closed-loop simulator models DVFS switch *energy* only; \
@@ -1201,7 +1366,10 @@ fn run_closed_loop<P: Scheduler>(
     };
     let storage = Storage::new(config.storage, initial);
     let level_count = config.cpu.level_count();
-    let scheduler_name = policy.name().to_owned();
+    let policies: Vec<RefCell<&mut dyn Scheduler>> = policies
+        .iter_mut()
+        .map(|p| RefCell::new(&mut **p as &mut dyn Scheduler))
+        .collect();
     let horizon = config.horizon;
     let trace = if config.collect_trace {
         TraceLog::Keep(Vec::new())
@@ -1216,7 +1384,9 @@ fn run_closed_loop<P: Scheduler>(
         config,
         tasks: Arc::clone(&tasks),
         profile,
-        policy,
+        policies: &policies,
+        arms: (0..policies.len()).collect(),
+        decisions: Vec::new(),
         predictor,
         storage,
         queue: ready,
@@ -1306,12 +1476,66 @@ fn run_closed_loop<P: Scheduler>(
     if engine.model().config.sample_interval.is_some() {
         engine.schedule(SimTime::ZERO, SysEvent::Sample);
     }
-    let outcome = engine.run_until(horizon_end);
+
+    let mut results: Vec<Option<Result<SimResult, SimError>>> =
+        policies.iter().map(|_| None).collect();
+    let mut shared_events = 0;
+    // The first run to finish is the original one, on the given queues.
+    let mut reclaimed: Option<(EventQueue<SysEvent>, EdfQueue)> = None;
+    let mut forks: Vec<Engine<SystemModel<'_>>> = Vec::new();
+    loop {
+        let before = engine.events_handled();
+        let outcome = engine.run_until(horizon_end);
+        let extra_arms = engine.model().arms.len() as u64 - 1;
+        shared_events += extra_arms * (engine.events_handled() - before);
+        if let RunOutcome::Stopped { at } = outcome {
+            // The arms disagreed at `at`. The groups after the first
+            // continue on copies; the first continues here.
+            let mut groups = engine.model().split().into_iter();
+            let (decision, arms) = groups.next().expect("a split has groups");
+            for (decision, arms) in groups {
+                let mut fork = engine.clone();
+                fork.model_mut().arms = arms;
+                fork.apply(|model, ctx| model.apply_decision(at, decision, ctx));
+                forks.push(fork);
+            }
+            engine.model_mut().arms = arms;
+            engine.apply(|model, ctx| model.apply_decision(at, decision, ctx));
+            continue;
+        }
+        let queues = finish(engine, outcome, reg, &mut results);
+        reclaimed.get_or_insert(queues);
+        match forks.pop() {
+            Some(fork) => engine = fork,
+            None => break,
+        }
+    }
+    let (events, ready) = reclaimed.expect("the original run finished");
+    LoopOutput {
+        results: results
+            .into_iter()
+            .map(|r| r.expect("every arm finished"))
+            .collect(),
+        events,
+        ready,
+        shared_events,
+    }
+}
+
+/// Settles a run that reached its end — the horizon, a drained queue or
+/// a watchdog abort — into the result of every arm it carries (equal but
+/// for the policy name), and hands back its queues.
+fn finish(
+    engine: Engine<SystemModel<'_>>,
+    outcome: RunOutcome,
+    reg: &mut MetricsRegistry,
+    results: &mut [Option<Result<SimResult, SimError>>],
+) -> (EventQueue<SysEvent>, EdfQueue) {
     let events = engine.events_handled();
     let queue_stats = engine.queue_stats();
     let engine_profiler = engine.profiler().cloned();
     let (mut model, equeue) = engine.into_parts();
-    if let RunOutcome::WatchdogFired { at, events, kind } = outcome {
+    let result = if let RunOutcome::WatchdogFired { at, events, kind } = outcome {
         let (err, reason) = match kind {
             WatchdogKind::EventBudget => (
                 SimError::WatchdogEventBudget { at, events },
@@ -1330,47 +1554,61 @@ fn run_closed_loop<P: Scheduler>(
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .capture(reason, events);
         }
-        return (Err(err), equeue, model.queue);
+        Err(err)
+    } else {
+        let horizon = model.config.horizon;
+        model.finalize(SimTime::ZERO + horizon);
+        let trace_kind_counts = model.trace_kind_counts();
+        let metrics = model.config.collect_metrics.then(|| {
+            reg.reset();
+            model.publish_metrics(reg, events, queue_stats, &trace_kind_counts);
+            reg.snapshot()
+        });
+        let profile = model.config.profile.then(|| {
+            let mut p = model.profiler.take().map(|b| *b).unwrap_or_default();
+            if let Some(ep) = &engine_profiler {
+                p.merge(ep);
+            }
+            p.summary()
+        });
+        let (trace, trace_events) = match model.trace {
+            TraceLog::Count(sink) => (Vec::new(), sink.count()),
+            TraceLog::Keep(log) => {
+                let n = log.len() as u64;
+                (log, n)
+            }
+        };
+        Ok(SimResult {
+            scheduler: String::new(),
+            horizon,
+            jobs: model.records,
+            energy: model.energy,
+            switches: model.switches,
+            events,
+            trace_events,
+            trace_kind_counts,
+            level_time: model.level_time,
+            idle_time: model.idle_time,
+            stall_time: model.stall_time,
+            samples: model.samples,
+            trace,
+            metrics,
+            profile,
+        })
+    };
+    let (&first, rest) = model.arms.split_first().expect("a run carries arms");
+    let policies = model.policies;
+    let mut settle = |arm: usize, result: Result<SimResult, SimError>| {
+        results[arm] = Some(result.map(|mut r| {
+            r.scheduler = policies[arm].borrow().name().to_owned();
+            r
+        }));
+    };
+    for &arm in rest {
+        settle(arm, result.clone());
     }
-    model.finalize(horizon_end);
-    let trace_kind_counts = model.trace_kind_counts();
-    let metrics = model.config.collect_metrics.then(|| {
-        reg.reset();
-        model.publish_metrics(reg, events, queue_stats, &trace_kind_counts);
-        reg.snapshot()
-    });
-    let profile = model.config.profile.then(|| {
-        let mut p = model.profiler.take().map(|b| *b).unwrap_or_default();
-        if let Some(ep) = &engine_profiler {
-            p.merge(ep);
-        }
-        p.summary()
-    });
-    let (trace, trace_events) = match model.trace {
-        TraceLog::Count(sink) => (Vec::new(), sink.count()),
-        TraceLog::Keep(log) => {
-            let n = log.len() as u64;
-            (log, n)
-        }
-    };
-    let result = SimResult {
-        scheduler: scheduler_name,
-        horizon,
-        jobs: model.records,
-        energy: model.energy,
-        switches: model.switches,
-        events,
-        trace_events,
-        trace_kind_counts,
-        level_time: model.level_time,
-        idle_time: model.idle_time,
-        stall_time: model.stall_time,
-        samples: model.samples,
-        trace,
-        metrics,
-        profile,
-    };
-    (Ok(result), equeue, model.queue)
+    settle(first, result);
+    (equeue, model.queue)
 }
 
 #[cfg(test)]
@@ -1896,6 +2134,61 @@ mod tests {
         assert_eq!(stats.runs, 6);
         assert!(stats.event_slab_high_water > 0);
         assert!(stats.ready_high_water > 0);
+    }
+
+    /// The §2 arms, with EA-DVFS twice.
+    const SECTION2_ARMS: [fn() -> Box<dyn Scheduler>; 3] = [
+        || Box::new(LazyScheduler::new()),
+        || Box::new(EaDvfsScheduler::new()),
+        || Box::new(EaDvfsScheduler::new()),
+    ];
+
+    fn section2_arms(ctx: &mut RunContext, config: SystemConfig) -> Vec<SimResult> {
+        let profile = Arc::new(PiecewiseConstant::constant(0.5));
+        let mut policies: Vec<Box<dyn Scheduler>> = SECTION2_ARMS.iter().map(|mk| mk()).collect();
+        let mut arms: Vec<&mut dyn Scheduler> = policies
+            .iter_mut()
+            .map(|p| &mut **p as &mut dyn Scheduler)
+            .collect();
+        try_simulate_arms_in(
+            ctx,
+            config,
+            Arc::new(section2_tasks()),
+            Arc::clone(&profile),
+            &mut arms,
+            Box::new(OraclePredictor::from_shared(profile)),
+            None,
+        )
+        .into_iter()
+        .map(|r| r.expect("no watchdog"))
+        .collect()
+    }
+
+    #[test]
+    fn arms_fork_where_they_disagree_and_match_solo_runs() {
+        // At t = 0 LSA idles until 12 and EA-DVFS until 4 (§2), so the
+        // run forks at its first event; the EA-DVFS twins stay together.
+        let mut ctx = RunContext::new();
+        let joint = section2_arms(&mut ctx, section2_config());
+        for (result, mk) in joint.iter().zip(SECTION2_ARMS) {
+            assert_eq!(result, &run(mk(), &section2_tasks(), section2_config()));
+        }
+        assert_eq!(ctx.stats().runs, 3);
+        // The first event served all three arms, the rest of the EA-DVFS
+        // run both twins.
+        assert_eq!(ctx.stats().shared_events, 2 + (joint[1].events - 1));
+    }
+
+    #[test]
+    fn metric_runs_simulate_their_arms_one_at_a_time() {
+        let mut ctx = RunContext::new();
+        let config = section2_config().with_metrics();
+        let joint = section2_arms(&mut ctx, config.clone());
+        for (result, mk) in joint.iter().zip(SECTION2_ARMS) {
+            assert_eq!(result, &run(mk(), &section2_tasks(), config.clone()));
+        }
+        assert_eq!(ctx.stats().runs, 3);
+        assert_eq!(ctx.stats().shared_events, 0, "nothing is shared");
     }
 
     #[test]

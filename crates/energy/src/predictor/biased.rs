@@ -67,7 +67,7 @@ impl<P: EnergyPredictor> BiasedPredictor<P> {
     }
 }
 
-impl<P: EnergyPredictor> EnergyPredictor for BiasedPredictor<P> {
+impl<P: EnergyPredictor + Clone + 'static> EnergyPredictor for BiasedPredictor<P> {
     fn observe(&mut self, segment: Segment) {
         self.inner.observe(segment);
     }

@@ -93,7 +93,7 @@ impl<P: EnergyPredictor> FaultyPredictor<P> {
     }
 }
 
-impl<P: EnergyPredictor> EnergyPredictor for FaultyPredictor<P> {
+impl<P: EnergyPredictor + Clone + 'static> EnergyPredictor for FaultyPredictor<P> {
     fn observe(&mut self, segment: Segment) {
         if self.fault.drop_rate > 0.0 {
             let u = unit_from_bits(hash3(

@@ -25,7 +25,12 @@ use harvest_sim::piecewise::Segment;
 use harvest_sim::time::SimTime;
 
 /// Estimates the energy the source will deliver over a future window.
-pub trait EnergyPredictor {
+///
+/// Every `Clone` predictor is also [`BoxClone`], so a
+/// `Box<dyn EnergyPredictor>` clones like a value: the closed-loop
+/// simulator copies a run's whole state, predictor included, when it
+/// forks the run.
+pub trait EnergyPredictor: BoxClone {
     /// Feeds one completed constant-power stretch of the realized
     /// profile. Segments arrive in increasing time order and do not
     /// overlap.
@@ -41,7 +46,26 @@ pub trait EnergyPredictor {
     }
 }
 
-impl<P: EnergyPredictor + ?Sized> EnergyPredictor for Box<P> {
+/// Object-safe cloning of a boxed [`EnergyPredictor`]; implemented for
+/// every predictor that is `Clone`.
+pub trait BoxClone {
+    /// A boxed copy of this predictor, state and all.
+    fn box_clone(&self) -> Box<dyn EnergyPredictor>;
+}
+
+impl<P: EnergyPredictor + Clone + 'static> BoxClone for P {
+    fn box_clone(&self) -> Box<dyn EnergyPredictor> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn EnergyPredictor> {
+    fn clone(&self) -> Self {
+        (**self).box_clone()
+    }
+}
+
+impl EnergyPredictor for Box<dyn EnergyPredictor> {
     fn observe(&mut self, segment: Segment) {
         (**self).observe(segment);
     }
@@ -68,5 +92,29 @@ pub(crate) mod test_util {
             end: SimTime::from_whole_units(b),
             value: v,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::test_util::seg;
+    use super::*;
+
+    #[test]
+    fn boxed_predictors_clone_with_their_state() {
+        let window = |p: &dyn EnergyPredictor| {
+            p.predict_energy(SimTime::from_whole_units(20), SimTime::from_whole_units(30))
+        };
+        let mut original: Box<dyn EnergyPredictor> = Box::new(PersistencePredictor::new());
+        original.observe(seg(0, 10, 3.0));
+        let copy = original.clone();
+        assert_eq!(
+            window(copy.as_ref()),
+            30.0,
+            "the copy keeps the observation"
+        );
+        original.observe(seg(10, 20, 1.0));
+        assert_eq!(window(original.as_ref()), 10.0);
+        assert_eq!(window(copy.as_ref()), 30.0, "the copy is independent");
     }
 }

@@ -528,6 +528,7 @@ fn print_metrics(stats: &SweepExecStats, store: Option<&PackStore>) {
         stats.pool.event_slab_high_water as f64,
     );
     reg.gauge("pool.ready_high_water", stats.pool.ready_high_water as f64);
+    reg.counter("pool.shared_events", stats.pool.shared_events);
     if let Some(s) = store {
         s.stats().publish("store", &mut reg);
     }
@@ -1163,7 +1164,7 @@ fn sweep(args: &SweepArgs, store: Option<&PackStore>) -> Result<(), String> {
     let json = serde_json::to_string(&figure).map_err(|e| format!("serialize figure: {e}"))?;
     println!(
         "sweep util={} trials={} cells={} simulated={} cached={} pool_runs={} \
-         event_slab_high_water={} ready_high_water={} figure_fnv64={:016x}",
+         event_slab_high_water={} ready_high_water={} shared_events={} figure_fnv64={:016x}",
         args.utilization,
         args.trials,
         stats.simulated + stats.cached,
@@ -1172,6 +1173,7 @@ fn sweep(args: &SweepArgs, store: Option<&PackStore>) -> Result<(), String> {
         stats.pool.runs,
         stats.pool.event_slab_high_water,
         stats.pool.ready_high_water,
+        stats.pool.shared_events,
         fnv1a64(json.as_bytes()),
     );
     if let Some(s) = store {

@@ -8,7 +8,7 @@ use harvest_exp::scenario::PolicyKind;
 use harvest_exp::store::store_from_env;
 
 fn main() {
-    let args = CliArgs::parse(20);
+    let args = CliArgs::parse_grid(20);
     let store = store_from_env();
     let policies = [PolicyKind::EaDvfs, PolicyKind::Lsa];
     let (fig, _) =

@@ -8,7 +8,7 @@ use harvest_exp::scenario::PolicyKind;
 use harvest_exp::store::store_from_env;
 
 fn main() {
-    let args = CliArgs::parse(30);
+    let args = CliArgs::parse_grid(30);
     let store = store_from_env();
     let policies = [PolicyKind::Lsa, PolicyKind::EaDvfs];
     let (fig, _) = miss_rate_figure(0.4, &policies, args.trials, args.plan(store.as_ref()));

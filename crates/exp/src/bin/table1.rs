@@ -8,7 +8,7 @@ use harvest_exp::report::{fmt_num, Table};
 use harvest_exp::store::store_from_env;
 
 fn main() {
-    let args = CliArgs::parse(10);
+    let args = CliArgs::parse_grid(10);
     let store = store_from_env();
     let utils = [0.2, 0.4, 0.6, 0.8];
     let (table1, _) = min_capacity_table(&utils, args.trials, args.plan(store.as_ref()));

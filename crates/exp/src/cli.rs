@@ -1,7 +1,11 @@
 //! Minimal command-line parsing shared by the reproduction binaries.
 //!
 //! Kept dependency-free on purpose: the binaries accept a handful of
-//! uniform flags (`--trials`, `--threads`, `--seed`, `--csv <path>`).
+//! uniform flags (`--trials`, `--threads`, `--csv <path>`,
+//! `--json <path>`). `fig5`, `repro-all` and `validate` also take
+//! `--seed`, the seed of Fig. 5's realization. The grid binaries
+//! (`fig6`–`fig9`, `table1`) parse with [`CliArgs::parse_grid`] and
+//! reject it: their grids always use seeds `0..trials`.
 //!
 //! Each figure binary opens the store `HARVEST_SWEEP_STORE` selects
 //! once, at the top of `main`, with
@@ -21,8 +25,8 @@ pub struct CliArgs {
     pub trials: usize,
     /// Worker threads.
     pub threads: usize,
-    /// Base seed (trial `k` uses `seed + k`; figures currently use
-    /// `0..trials` directly, the base seed offsets Fig. 5).
+    /// Seed of Fig. 5's solar realization. Always 0 under
+    /// [`CliArgs::parse_grid`], whose binaries use seeds `0..trials`.
     pub seed: u64,
     /// Write the figure's data as CSV here, in addition to stdout.
     pub csv: Option<PathBuf>,
@@ -31,14 +35,27 @@ pub struct CliArgs {
 }
 
 impl CliArgs {
-    /// Parses `std::env::args`, exiting with a usage message on error.
+    /// Parses `std::env::args`, `--seed` included, exiting with a
+    /// usage message (status 2) on error.
     pub fn parse(default_trials: usize) -> CliArgs {
-        match Self::try_parse(std::env::args().skip(1), default_trials) {
+        Self::parse_env(default_trials, true)
+    }
+
+    /// [`CliArgs::parse`] for the grid binaries (`fig6`–`fig9`,
+    /// `table1`): their grids always use seeds `0..trials`, so `--seed`
+    /// is a usage error rather than a flag that is silently ignored.
+    pub fn parse_grid(default_trials: usize) -> CliArgs {
+        Self::parse_env(default_trials, false)
+    }
+
+    fn parse_env(default_trials: usize, seeded: bool) -> CliArgs {
+        match Self::try_parse_with(std::env::args().skip(1), default_trials, seeded) {
             Ok(args) => args,
             Err(msg) => {
                 eprintln!("error: {msg}");
                 eprintln!(
-                    "usage: <bin> [--trials N] [--threads N] [--seed N] [--csv PATH] [--json PATH]"
+                    "usage: <bin> [--trials N] [--threads N]{} [--csv PATH] [--json PATH]",
+                    if seeded { " [--seed N]" } else { "" }
                 );
                 std::process::exit(2);
             }
@@ -52,6 +69,27 @@ impl CliArgs {
     ///
     /// Returns a message describing the offending flag or value.
     pub fn try_parse<I, S>(args: I, default_trials: usize) -> Result<CliArgs, String>
+    where
+        I: IntoIterator<Item = S>,
+        S: AsRef<str>,
+    {
+        Self::try_parse_with(args, default_trials, true)
+    }
+
+    /// Testable form of [`CliArgs::parse_grid`]: `--seed` is an error.
+    ///
+    /// # Errors
+    ///
+    /// As [`CliArgs::try_parse`], and for any `--seed`.
+    pub fn try_parse_grid<I, S>(args: I, default_trials: usize) -> Result<CliArgs, String>
+    where
+        I: IntoIterator<Item = S>,
+        S: AsRef<str>,
+    {
+        Self::try_parse_with(args, default_trials, false)
+    }
+
+    fn try_parse_with<I, S>(args: I, default_trials: usize, seeded: bool) -> Result<CliArgs, String>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
@@ -87,6 +125,11 @@ impl CliArgs {
                     if out.threads == 0 {
                         return Err("--threads must be at least 1".into());
                     }
+                }
+                "--seed" if !seeded => {
+                    return Err(
+                        "--seed is not accepted: this grid always uses seeds 0..trials".into(),
+                    )
                 }
                 "--seed" => {
                     out.seed = value()?
@@ -177,6 +220,7 @@ mod tests {
     #[test]
     fn bad_flag_rejected() {
         assert!(CliArgs::try_parse(["--bogus"], 1).is_err());
+        assert!(CliArgs::try_parse_grid(["--seed", "3"], 1).is_err());
         assert!(CliArgs::try_parse(["--trials"], 1).is_err());
         assert!(CliArgs::try_parse(["--trials", "zero"], 1).is_err());
         assert!(CliArgs::try_parse(["--trials", "0"], 1).is_err());

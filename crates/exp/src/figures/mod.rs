@@ -102,7 +102,8 @@ pub struct SweepExecStats {
     /// [`CampaignReport::resumed`].
     pub cached: u64,
     /// Pool reuse counters aggregated across all workers: total pooled
-    /// runs, and the maximum retained queue capacities.
+    /// runs and shared events, and the maximum retained queue
+    /// capacities.
     pub pool: PoolStats,
 }
 
@@ -113,6 +114,7 @@ impl SweepExecStats {
         self.pool.event_slab_high_water =
             self.pool.event_slab_high_water.max(p.event_slab_high_water);
         self.pool.ready_high_water = self.pool.ready_high_water.max(p.ready_high_water);
+        self.pool.shared_events += p.shared_events;
     }
 
     /// Folds another sweep's stats into this one (pool high-water marks

@@ -8,6 +8,8 @@
 //! record, quarantined ones too (DESIGN §10.3), so it keeps its own
 //! loop and shares only [`build_prefabs`].
 
+use std::collections::HashMap;
+
 use harvest_obs::progress::CellDecision;
 use harvest_obs::span::{SpanSink, CAT_BUILD, CAT_PROBE, CAT_SIMULATE, CAT_STORE, TID_DRIVER};
 
@@ -19,6 +21,33 @@ use crate::store::TrialStore;
 
 /// One cell of a figure grid: the scenario, the policy, the trial seed.
 pub(super) type GridCell = (PaperScenario, PolicyKind, u64);
+
+/// Groups the `pending` cells into work items, one per `(scenario,
+/// seed)`, in order of first appearance: the policy arms of one trial,
+/// which [`PaperScenario::run_arms_in`] simulates together.
+fn work_items(cells: &[GridCell], pending: &[usize]) -> Vec<Vec<usize>> {
+    let mut scenarios: Vec<&PaperScenario> = Vec::new();
+    let mut item_of: HashMap<(usize, u64), usize> = HashMap::new();
+    let mut items: Vec<Vec<usize>> = Vec::new();
+    for &i in pending {
+        let (scenario, _, seed) = &cells[i];
+        // A grid holds a handful of scenarios, and its cells come in
+        // runs of one scenario: search from the latest.
+        let s = match scenarios.iter().rposition(|&known| known == scenario) {
+            Some(s) => s,
+            None => {
+                scenarios.push(scenario);
+                scenarios.len() - 1
+            }
+        };
+        let item = *item_of.entry((s, *seed)).or_insert_with(|| {
+            items.push(Vec::new());
+            items.len() - 1
+        });
+        items[item].push(i);
+    }
+    items
+}
 
 /// Builds the prefab of every seed in `seeds` that `prefabs` still
 /// lacks, over the plan's workers, under one `build` span on `sink`.
@@ -86,7 +115,10 @@ impl<'p> CellResolver<'p> {
     /// Probes the whole grid in one `probe_many` batch, builds the
     /// prefabs the unanswered cells need (never for a seed the store
     /// fully answered), simulates those cells on pooled workers and
-    /// writes their summaries back to the store.
+    /// writes their summaries back to the store. A work item is the
+    /// unanswered policy arms of one `(scenario, seed)`, simulated
+    /// together; store writes and progress events stay per cell, and
+    /// the item's `cell` span lists all of its keys.
     pub(super) fn resolve(&mut self, cells: &[GridCell]) -> Vec<TrialSummary> {
         let RunPlan {
             threads,
@@ -137,43 +169,50 @@ impl<'p> CellResolver<'p> {
         );
         let prefabs = &self.prefabs;
         let (computed, pools) = parallel_map_with(
-            pending,
+            work_items(cells, &pending),
             threads,
             |w| (w, SimPool::new(), telemetry.sink(w as u32 + 1)),
-            |(worker, pool, sink), i| {
-                let (scenario, policy, seed) = &cells[i];
+            |(worker, pool, sink), item: Vec<usize>| {
+                let (scenario, _, seed) = &cells[item[0]];
                 let prefab = prefabs[*seed as usize]
                     .as_ref()
                     .expect("prefab built for every pending seed");
+                let policies: Vec<PolicyKind> = item.iter().map(|&i| cells[i].1).collect();
                 let cell_start = sink.as_ref().map(SpanSink::start);
-                let result = scenario.run_prefab_in(pool, *policy, prefab);
-                let key = keys.get(i);
-                if let (Some(sink), Some(t), Some(key)) = (sink.as_mut(), cell_start, key) {
+                let results = scenario.run_arms_in(pool, &policies, prefab);
+                if let (Some(sink), Some(t), false) = (sink.as_mut(), cell_start, keys.is_empty()) {
+                    let texts: Vec<&str> = item.iter().map(|&i| keys[i].text()).collect();
                     sink.record_with(
                         t,
                         "cell",
                         CAT_SIMULATE,
-                        vec![("key".into(), key.text().to_owned())],
+                        vec![("key".into(), texts.join(" "))],
                     );
                 }
-                let summary = TrialSummary::of(&result);
-                if let (Some(store), Some(key)) = (store, key) {
-                    let store_start = sink.as_ref().map(SpanSink::start);
-                    store.store(key, &summary);
-                    if let (Some(sink), Some(t)) = (sink.as_mut(), store_start) {
-                        sink.record(t, "store", CAT_STORE);
-                    }
-                }
-                if let Some(key) = key {
-                    telemetry.cell(CellDecision::Simulated, key.text(), *worker);
-                }
-                (i, summary)
+                item.into_iter()
+                    .zip(results)
+                    .map(|(i, result)| {
+                        let summary = TrialSummary::of(&result);
+                        let key = keys.get(i);
+                        if let (Some(store), Some(key)) = (store, key) {
+                            let store_start = sink.as_ref().map(SpanSink::start);
+                            store.store(key, &summary);
+                            if let (Some(sink), Some(t)) = (sink.as_mut(), store_start) {
+                                sink.record(t, "store", CAT_STORE);
+                            }
+                        }
+                        if let Some(key) = key {
+                            telemetry.cell(CellDecision::Simulated, key.text(), *worker);
+                        }
+                        (i, summary)
+                    })
+                    .collect::<Vec<_>>()
             },
         );
         for (_, pool, _) in &pools {
             self.stats.merge_pool(pool.stats());
         }
-        for (i, summary) in computed {
+        for (i, summary) in computed.into_iter().flatten() {
             summaries[i] = Some(summary);
         }
         summaries

@@ -360,7 +360,10 @@ where
         }
     }
     // Run: pending cells through quarantining pooled workers. Each
-    // decided cell checkpoints into the store immediately.
+    // decided cell checkpoints into the store immediately. A work item
+    // stays one cell, not the policy arms of one trial as in the figure
+    // resolver, so a panic quarantines exactly that cell and each flight
+    // dump pairs with one cell.
     let flight_opts = telemetry.flight.as_ref();
     let (computed, pools) = parallel_map_quarantined(
         pending.clone(),

@@ -13,7 +13,7 @@ use harvest_core::policies::{
 };
 use harvest_core::result::{SimError, SimResult};
 use harvest_core::scheduler::Scheduler;
-use harvest_core::system::{simulate_shared, try_simulate_in_taped, PoolStats, RunContext};
+use harvest_core::system::{simulate_shared, try_simulate_arms_in, PoolStats, RunContext};
 use harvest_cpu::{presets, CpuModel};
 use harvest_energy::predictor::{
     EnergyPredictor, EwmaSlotPredictor, MovingAveragePredictor, OraclePredictor,
@@ -83,8 +83,8 @@ impl PolicyKind {
 }
 
 /// A worker's reusable simulation state: one [`RunContext`] (event
-/// queue, ready queue, metrics registry) plus one lazily-built scheduler
-/// instance per policy kind.
+/// queue, ready queue, metrics registry) plus lazily-built scheduler
+/// instances, one per arm of a policy kind that a run carries.
 ///
 /// A sweep worker owns one `SimPool` for its whole shard, so the
 /// steady-state cost of a trial is the simulation itself — no queue
@@ -94,7 +94,9 @@ impl PolicyKind {
 #[derive(Default)]
 pub struct SimPool {
     ctx: RunContext,
-    policies: [Option<Box<dyn Scheduler>>; 4],
+    /// Scheduler instances by kind: a run with `k` arms of one kind
+    /// uses the first `k`.
+    policies: [Vec<Box<dyn Scheduler>>; 4],
 }
 
 impl SimPool {
@@ -138,33 +140,35 @@ impl SimPool {
         &mut self,
         scenario: &PaperScenario,
         config: SystemConfig,
-        policy: PolicyKind,
+        policies: &[PolicyKind],
         prefab: &TrialPrefab,
-    ) -> Result<SimResult, SimError> {
-        let predictor = scenario.predictor.build_shared(&prefab.profile);
-        let sched = self.policies[policy.index()]
-            .get_or_insert_with(|| policy.build())
-            .as_mut();
-        try_simulate_in_taped(
+    ) -> Vec<Result<SimResult, SimError>> {
+        for kind in PolicyKind::ALL {
+            let wanted = policies.iter().filter(|&&p| p == kind).count();
+            let slot = &mut self.policies[kind.index()];
+            while slot.len() < wanted {
+                slot.push(kind.build());
+            }
+        }
+        let mut free = self.policies.each_mut().map(|slot| slot.iter_mut());
+        let mut scheds: Vec<&mut dyn Scheduler> = policies
+            .iter()
+            .map(|policy| {
+                free[policy.index()]
+                    .next()
+                    .expect("one instance per arm")
+                    .as_mut()
+            })
+            .collect();
+        try_simulate_arms_in(
             &mut self.ctx,
             config,
             Arc::clone(&prefab.tasks),
             Arc::clone(&prefab.profile),
-            sched,
-            predictor,
+            &mut scheds,
+            scenario.predictor.build_shared(&prefab.profile),
             prefab.tape.clone(),
         )
-    }
-
-    fn run(
-        &mut self,
-        scenario: &PaperScenario,
-        config: SystemConfig,
-        policy: PolicyKind,
-        prefab: &TrialPrefab,
-    ) -> SimResult {
-        self.try_run(scenario, config, policy, prefab)
-            .unwrap_or_else(|e| panic!("simulation aborted: {e} (use the try_ path)"))
     }
 }
 
@@ -513,14 +517,17 @@ impl PaperScenario {
     /// [`run_prefab`](Self::run_prefab) through a worker's [`SimPool`]:
     /// reuses the pool's queues, metrics registry, and scheduler
     /// instance instead of allocating per run. Bit-identical to
-    /// [`run_prefab`](Self::run_prefab).
+    /// [`run_prefab`](Self::run_prefab). The one-arm case of
+    /// [`run_arms_in`](Self::run_arms_in).
     pub fn run_prefab_in(
         &self,
         pool: &mut SimPool,
         policy: PolicyKind,
         prefab: &TrialPrefab,
     ) -> SimResult {
-        pool.run(self, self.config_for(prefab.seed), policy, prefab)
+        self.run_arms_in(pool, &[policy], prefab)
+            .pop()
+            .expect("one arm, one result")
     }
 
     /// [`run_prefab_in`](Self::run_prefab_in) with an optional engine
@@ -534,11 +541,52 @@ impl PaperScenario {
         prefab: &TrialPrefab,
         watchdog: Option<Watchdog>,
     ) -> Result<SimResult, SimError> {
+        self.try_run_arms_in(pool, &[policy], prefab, watchdog)
+            .pop()
+            .expect("one arm, one result")
+    }
+
+    /// Runs every policy in `policies` on one prebuilt trial through a
+    /// worker's [`SimPool`], one [`SimResult`] per arm in `policies`
+    /// order, each bit-identical to its own
+    /// [`run_prefab`](Self::run_prefab).
+    ///
+    /// The arms share one closed loop: while their policies decide
+    /// alike (under the §4.3 sufficient-energy rule EA-DVFS runs at
+    /// full speed exactly like LSA), the run is simulated once for all
+    /// of them, and it forks where they first disagree (see
+    /// [`try_simulate_arms_in`]). A policy may appear more than once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `policies` is empty.
+    pub fn run_arms_in(
+        &self,
+        pool: &mut SimPool,
+        policies: &[PolicyKind],
+        prefab: &TrialPrefab,
+    ) -> Vec<SimResult> {
+        self.try_run_arms_in(pool, policies, prefab, None)
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|e| panic!("simulation aborted: {e} (use the try_ path)")))
+            .collect()
+    }
+
+    /// [`run_arms_in`](Self::run_arms_in) with an optional engine
+    /// watchdog, one typed result per arm; the budget applies to each
+    /// arm as in a run of its own.
+    pub fn try_run_arms_in(
+        &self,
+        pool: &mut SimPool,
+        policies: &[PolicyKind],
+        prefab: &TrialPrefab,
+        watchdog: Option<Watchdog>,
+    ) -> Vec<Result<SimResult, SimError>> {
         let mut config = self.config_for(prefab.seed);
         if let Some(w) = watchdog {
             config = config.with_watchdog(w);
         }
-        pool.try_run(self, config, policy, prefab)
+        pool.try_run(self, config, policies, prefab)
     }
 
     /// The content-address of one of this scenario's trials (see
@@ -572,17 +620,35 @@ impl PaperScenario {
         summary
     }
 
-    /// Runs each `(policy, prefab)` arm through
-    /// [`run_prefab_in`](Self::run_prefab_in), in order, one
-    /// [`SimResult`] per arm. Kept under this name because the campaign
-    /// benchmark's `fig8-lockstep` workload calls it.
+    /// One [`SimResult`] per `(policy, prefab)` arm, in order: the arms
+    /// that share a prefab (the same object) run together through one
+    /// [`run_arms_in`](Self::run_arms_in) call. Kept under this name
+    /// because the campaign benchmark's `fig8-lockstep` workload calls
+    /// it; goes when the benchmark moves to `run_arms_in`.
     pub fn run_arms_batched_in(
         &self,
         pool: &mut SimPool,
         arms: &[(PolicyKind, &TrialPrefab)],
     ) -> Vec<SimResult> {
-        arms.iter()
-            .map(|&(policy, prefab)| self.run_prefab_in(pool, policy, prefab))
+        let mut results: Vec<Option<SimResult>> = vec![None; arms.len()];
+        for (i, &(_, prefab)) in arms.iter().enumerate() {
+            if results[i].is_some() {
+                continue;
+            }
+            let group: Vec<usize> = (i..arms.len())
+                .filter(|&j| results[j].is_none() && std::ptr::eq(arms[j].1, prefab))
+                .collect();
+            let policies: Vec<PolicyKind> = group.iter().map(|&j| arms[j].0).collect();
+            for (j, result) in group
+                .into_iter()
+                .zip(self.run_arms_in(pool, &policies, prefab))
+            {
+                results[j] = Some(result);
+            }
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every arm ran"))
             .collect()
     }
 

@@ -189,7 +189,13 @@ impl Watchdog {
 /// assert_eq!(outcome, RunOutcome::Drained { last_event: Some(SimTime::from_whole_units(2)) });
 /// assert_eq!(engine.model().0, 0);
 /// ```
-#[derive(Debug)]
+///
+/// A clone is an independent copy of the whole run — clock, pending
+/// events, counters and model — that continues exactly as the original
+/// would. A model can fork a run this way: request a stop, clone the
+/// stopped engine, and let each copy finish the interrupted instant
+/// differently through [`Engine::apply`].
+#[derive(Debug, Clone)]
 pub struct Engine<M: Model> {
     model: M,
     queue: EventQueue<M::Event>,
@@ -199,6 +205,11 @@ pub struct Engine<M: Model> {
     /// (`queue.current_time()` alone cannot answer this once a model
     /// elides events into a side stream.)
     last_handled: Option<SimTime>,
+    /// Events dispatched back to back at `last_handled` — the
+    /// [`Watchdog`]'s no-progress streak, kept only while a watchdog is
+    /// armed. It lives here rather than in [`Engine::run_until`], so a
+    /// run stopped and resumed within one instant keeps counting.
+    at_instant: u64,
     /// Scoped phase timers; `None` (the default) keeps the run loop at
     /// one branch per event and zero clock reads.
     profiler: Option<Box<PhaseProfiler>>,
@@ -231,6 +242,7 @@ impl<M: Model> Engine<M> {
             now: SimTime::ZERO,
             handled: 0,
             last_handled: None,
+            at_instant: 0,
             profiler: None,
             watchdog: None,
         }
@@ -308,10 +320,6 @@ impl<M: Model> Engine<M> {
     /// horizon are *not* handled, so `[0, horizon)` is simulated.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         let mut stop = false;
-        // Watchdog bookkeeping lives in locals so the disarmed loop
-        // stays branch-light; the same-instant streak is per-call.
-        let mut at_instant: u64 = 0;
-        let mut last_t: Option<SimTime> = None;
         loop {
             // Merge the queue head against the model's side stream (if
             // any) by (time, seq): both kinds of key come from the same
@@ -345,8 +353,10 @@ impl<M: Model> Engine<M> {
             };
             self.now = t;
             self.handled += 1;
+            let same_instant = self.last_handled == Some(t);
             self.last_handled = Some(t);
             if let Some(wd) = self.watchdog {
+                self.at_instant = if same_instant { self.at_instant + 1 } else { 1 };
                 if wd.max_events.is_some_and(|max| self.handled > max) {
                     return RunOutcome::WatchdogFired {
                         at: t,
@@ -354,13 +364,10 @@ impl<M: Model> Engine<M> {
                         kind: WatchdogKind::EventBudget,
                     };
                 }
-                if last_t == Some(t) {
-                    at_instant += 1;
-                } else {
-                    at_instant = 1;
-                    last_t = Some(t);
-                }
-                if wd.max_events_at_instant.is_some_and(|max| at_instant > max) {
+                if wd
+                    .max_events_at_instant
+                    .is_some_and(|max| self.at_instant > max)
+                {
                     return RunOutcome::WatchdogFired {
                         at: t,
                         events: self.handled,
@@ -386,6 +393,26 @@ impl<M: Model> Engine<M> {
             }
         }
     }
+
+    /// Runs `f` on the model at the current instant, with a scheduling
+    /// context, as a continuation of the last handled event: nothing is
+    /// dispatched or counted, and the watchdog streak is untouched. A
+    /// stop requested from `f` is ignored — the engine is already
+    /// stopped.
+    ///
+    /// This is how a model that stopped mid-event (see
+    /// [`Scheduler::request_stop`]) finishes that event's work before
+    /// the next [`Engine::run_until`]; a forked run applies each branch's
+    /// own continuation to its clone.
+    pub fn apply<R>(&mut self, f: impl FnOnce(&mut M, &mut Scheduler<'_, M::Event>) -> R) -> R {
+        let mut stop = false;
+        let mut ctx = Scheduler {
+            queue: &mut self.queue,
+            now: self.now,
+            stop: &mut stop,
+        };
+        f(&mut self.model, &mut ctx)
+    }
 }
 
 #[cfg(test)]
@@ -393,6 +420,7 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
 
+    #[derive(Clone)]
     struct Recorder {
         seen: Vec<(SimTime, u32)>,
         stop_on: Option<u32>,
@@ -586,6 +614,80 @@ mod tests {
                 kind: WatchdogKind::NoProgress,
             }
         );
+    }
+
+    /// Reschedules itself at `now` forever and asks for a stop on its
+    /// `stop_at`-th event.
+    #[derive(Clone)]
+    struct StoppingSpinner {
+        seen: u32,
+        stop_at: u32,
+    }
+
+    impl Model for StoppingSpinner {
+        type Event = ();
+        fn handle(&mut self, now: SimTime, _: (), ctx: &mut Scheduler<'_, ()>) {
+            self.seen += 1;
+            ctx.schedule(now, ());
+            if self.seen == self.stop_at {
+                ctx.request_stop();
+            }
+        }
+    }
+
+    fn no_progress_engine(stop_at: u32) -> Engine<StoppingSpinner> {
+        let mut e = Engine::new(StoppingSpinner { seen: 0, stop_at });
+        e.set_watchdog(Some(Watchdog {
+            max_events: None,
+            max_events_at_instant: Some(5),
+        }));
+        e.schedule(t(3), ());
+        e
+    }
+
+    #[test]
+    fn watchdog_streak_survives_a_stop_and_resume_within_one_instant() {
+        let uninterrupted = no_progress_engine(0).run_until(t(100));
+        let fired = RunOutcome::WatchdogFired {
+            at: t(3),
+            events: 6,
+            kind: WatchdogKind::NoProgress,
+        };
+        assert_eq!(uninterrupted, fired);
+        let mut e = no_progress_engine(3);
+        assert_eq!(e.run_until(t(100)), RunOutcome::Stopped { at: t(3) });
+        assert_eq!(e.run_until(t(100)), fired, "the streak restarted on resume");
+        // A clone of the stopped engine resumes the same streak too.
+        let mut e = no_progress_engine(2);
+        assert_eq!(e.run_until(t(100)), RunOutcome::Stopped { at: t(3) });
+        let mut fork = e.clone();
+        assert_eq!(fork.run_until(t(100)), fired);
+        assert_eq!(e.run_until(t(100)), fired);
+    }
+
+    #[test]
+    fn apply_continues_the_stopped_instant_without_counting() {
+        let mut e = Engine::new(Recorder {
+            seen: vec![],
+            stop_on: Some(1),
+        });
+        e.schedule(t(1), 1);
+        e.schedule(t(4), 4);
+        assert_eq!(e.run_until(t(100)), RunOutcome::Stopped { at: t(1) });
+        let mut fork = e.clone();
+        fork.apply(|m, ctx| {
+            assert_eq!(ctx.now(), t(1));
+            m.stop_on = None;
+            ctx.schedule(t(2), 2);
+        });
+        assert_eq!(fork.events_handled(), 1, "apply dispatches nothing");
+        fork.run_until(t(100));
+        assert_eq!(fork.model().seen, vec![(t(1), 1), (t(2), 2), (t(4), 4)]);
+        // The original is untouched by its clone's continuation.
+        e.apply(|m, _| m.stop_on = None);
+        e.run_until(t(100));
+        assert_eq!(e.model().seen, vec![(t(1), 1), (t(4), 4)]);
+        assert_eq!(e.events_handled(), 2);
     }
 
     #[test]

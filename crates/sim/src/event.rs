@@ -83,7 +83,7 @@ pub struct QueueStats {
 /// let (t, ev) = q.pop().unwrap();
 /// assert_eq!((t, ev), (SimTime::from_whole_units(1), "sooner"));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     /// The heap: `entries[0]` is the minimum, and the children of `i`
     /// are `4i + 1 ..= 4i + 4`.
