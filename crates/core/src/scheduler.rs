@@ -63,6 +63,18 @@ impl<'a> SchedContext<'a> {
         }
     }
 
+    /// A context of its own for another policy deciding at the same
+    /// instant on the same inputs. It starts from this context's
+    /// `ÊS(t, D)` lookup, if one was made, with zero memo counts: the
+    /// lookup depends only on those inputs, so a run that consults
+    /// several policies queries the predictor once per decision.
+    pub(crate) fn sibling(&self) -> SchedContext<'a> {
+        SchedContext {
+            es_cache: self.es_cache.clone(),
+            ..SchedContext::new(self.now, self.job, self.cpu, self.storage, self.predictor)
+        }
+    }
+
     /// `(memo hits, predictor queries)` of the `ÊS(t, D)` cache over
     /// this context's lifetime. Read by the simulator after the policy
     /// decides, to aggregate memo effectiveness across a run.
@@ -297,6 +309,10 @@ mod tests {
         ctx.available_energy_to_deadline();
         ctx.run_time_at_power(8.0);
         assert_eq!(ctx.memo_stats(), (2, 1), "repeat calls hit the memo");
+        let sibling = ctx.sibling();
+        assert_eq!(sibling.memo_stats(), (0, 0));
+        assert_eq!(sibling.available_energy_to_deadline(), 32.0);
+        assert_eq!(sibling.memo_stats(), (1, 0), "a sibling reuses the lookup");
     }
 
     #[test]

@@ -501,17 +501,11 @@ impl SystemModel<'_> {
         };
         self.obs.decide_calls += 1;
         // Each arm decides on a context of its own, exactly as it would
-        // in a run of its own.
-        let mut consult = |arm: usize| {
-            let sched_ctx = SchedContext::new(
-                now,
-                head,
-                &self.config.cpu,
-                &self.storage,
-                self.predictor.as_ref(),
-            );
+        // in a run of its own; the arms after the first reuse its
+        // predictor lookup.
+        let mut consult = |arm: usize, sched_ctx: &SchedContext<'_>| {
             let t0 = self.profiler.as_ref().map(|_| PhaseProfiler::start());
-            let decision = self.policies[arm].borrow_mut().decide(&sched_ctx);
+            let decision = self.policies[arm].borrow_mut().decide(sched_ctx);
             if let Some(t0) = t0 {
                 if let Some(p) = self.profiler.as_mut() {
                     p.stop(PHASE_POLICY_DECIDE, t0);
@@ -522,12 +516,19 @@ impl SystemModel<'_> {
             self.obs.es_memo_misses += memo_misses;
             decision
         };
-        let decision = consult(self.arms[0]);
+        let first = SchedContext::new(
+            now,
+            head,
+            &self.config.cpu,
+            &self.storage,
+            self.predictor.as_ref(),
+        );
+        let decision = consult(self.arms[0], &first);
         if self.arms.len() > 1 {
             self.decisions.clear();
             self.decisions.push(decision);
             for &arm in &self.arms[1..] {
-                self.decisions.push(consult(arm));
+                self.decisions.push(consult(arm, &first.sibling()));
             }
             if self.decisions.iter().any(|&d| d != decision) {
                 ctx.request_stop();

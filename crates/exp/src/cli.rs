@@ -76,19 +76,7 @@ impl CliArgs {
         Self::try_parse_with(args, default_trials, true)
     }
 
-    /// Testable form of [`CliArgs::parse_grid`]: `--seed` is an error.
-    ///
-    /// # Errors
-    ///
-    /// As [`CliArgs::try_parse`], and for any `--seed`.
-    pub fn try_parse_grid<I, S>(args: I, default_trials: usize) -> Result<CliArgs, String>
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        Self::try_parse_with(args, default_trials, false)
-    }
-
+    /// [`CliArgs::try_parse`], with `--seed` an error unless `seeded`.
     fn try_parse_with<I, S>(args: I, default_trials: usize, seeded: bool) -> Result<CliArgs, String>
     where
         I: IntoIterator<Item = S>,
@@ -220,7 +208,7 @@ mod tests {
     #[test]
     fn bad_flag_rejected() {
         assert!(CliArgs::try_parse(["--bogus"], 1).is_err());
-        assert!(CliArgs::try_parse_grid(["--seed", "3"], 1).is_err());
+        assert!(CliArgs::try_parse_with(["--seed", "3"], 1, false).is_err());
         assert!(CliArgs::try_parse(["--trials"], 1).is_err());
         assert!(CliArgs::try_parse(["--trials", "zero"], 1).is_err());
         assert!(CliArgs::try_parse(["--trials", "0"], 1).is_err());

@@ -404,14 +404,14 @@ impl<M: Model> Engine<M> {
     /// [`Scheduler::request_stop`]) finishes that event's work before
     /// the next [`Engine::run_until`]; a forked run applies each branch's
     /// own continuation to its clone.
-    pub fn apply<R>(&mut self, f: impl FnOnce(&mut M, &mut Scheduler<'_, M::Event>) -> R) -> R {
+    pub fn apply(&mut self, f: impl FnOnce(&mut M, &mut Scheduler<'_, M::Event>)) {
         let mut stop = false;
         let mut ctx = Scheduler {
             queue: &mut self.queue,
             now: self.now,
             stop: &mut stop,
         };
-        f(&mut self.model, &mut ctx)
+        f(&mut self.model, &mut ctx);
     }
 }
 
