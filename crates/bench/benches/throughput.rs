@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{BenchmarkId, Criterion};
-use harvest_core::system::simulate_shared;
+use harvest_core::system::{try_simulate_arms_in, RunContext};
 use harvest_exp::scenario::{PaperScenario, PolicyKind, TrialPrefab};
 use harvest_sim::event::EventQueue;
 use harvest_sim::time::SimTime;
@@ -108,13 +108,18 @@ fn whole_sim(c: &mut Criterion) {
 fn run_observed(s: &PaperScenario, policy: PolicyKind, prefab: &TrialPrefab) -> u64 {
     let config = s.config().with_metrics().with_profiling();
     let predictor = s.predictor.build_shared(&prefab.profile);
-    simulate_shared(
+    try_simulate_arms_in(
+        &mut RunContext::new(),
         config,
         Arc::clone(&prefab.tasks),
         Arc::clone(&prefab.profile),
-        policy.build(),
+        &mut [policy.build().as_mut()],
         predictor,
+        None,
     )
+    .pop()
+    .expect("one arm, one result")
+    .expect("no watchdog, no abort")
     .events
 }
 

@@ -77,9 +77,10 @@ pub struct SystemConfig {
     /// plan) takes the exact fault-free code path.
     pub fault_plan: Option<FaultPlan>,
     /// Abort budgets for stuck or runaway runs. `None` keeps the
-    /// infallible `simulate*` entry points panic-free; a set watchdog
-    /// requires the `try_simulate*` paths to surface the typed
-    /// [`SimError`](crate::result::SimError).
+    /// infallible [`simulate`](crate::system::simulate) panic-free; a
+    /// set watchdog requires
+    /// [`try_simulate_arms_in`](crate::system::try_simulate_arms_in) to
+    /// surface the typed [`SimError`](crate::result::SimError).
     pub watchdog: Option<Watchdog>,
 }
 

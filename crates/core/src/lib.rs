@@ -9,9 +9,12 @@
 //! * [`policies`] — [`EaDvfsScheduler`] (§4), [`LazyScheduler`] (LSA,
 //!   refs \[7\]\[10\]), [`EdfScheduler`], and the §4.3
 //!   [`GreedyStretchScheduler`] strawman.
-//! * [`system`] — [`system::simulate`]: the exact event-driven
-//!   closed-loop simulator binding source, storage, CPU, tasks, policy,
-//!   and predictor.
+//! * [`system`] — the exact event-driven closed-loop simulator binding
+//!   source, storage, CPU, tasks, policy, and predictor. Every run goes
+//!   through [`system::try_simulate_arms_in`]: one or more policy arms
+//!   on a pooled [`RunContext`], with a typed [`SimError`] when a
+//!   watchdog fires. [`system::simulate`] is its infallible one-arm
+//!   shortcut on fresh state.
 //! * [`config`] / [`result`] / [`trace`] — run configuration, measured
 //!   results, and the scheduling trace vocabulary.
 //!
@@ -79,8 +82,5 @@ pub use policies::{
 };
 pub use result::{EnergyAccounting, JobOutcome, JobRecord, SimError, SimResult};
 pub use scheduler::{Decision, SchedContext, Scheduler};
-pub use system::{
-    simulate, simulate_in, simulate_shared, try_simulate_in, try_simulate_in_taped,
-    try_simulate_shared, PoolStats, RunContext,
-};
+pub use system::{simulate, try_simulate_arms_in, try_simulate_in_taped, PoolStats, RunContext};
 pub use trace::TraceEvent;

@@ -9,12 +9,11 @@ use crate::trace::TraceEvent;
 
 /// Typed abort reasons for a simulation run.
 ///
-/// Produced by the fallible entry points
-/// ([`try_simulate_shared`](crate::system::try_simulate_shared),
-/// [`try_simulate_in`](crate::system::try_simulate_in)) when the
-/// engine's [`Watchdog`](harvest_sim::engine::Watchdog) trips. The
-/// infallible `simulate*` paths never see these: a run without a
-/// watchdog cannot abort.
+/// Produced by the fallible entry point
+/// [`try_simulate_arms_in`](crate::system::try_simulate_arms_in) when
+/// the engine's [`Watchdog`](harvest_sim::engine::Watchdog) trips. A run
+/// without a watchdog cannot abort, so the infallible
+/// [`simulate`](crate::system::simulate) never sees these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SimError {
     /// The trial exhausted its total event budget.

@@ -56,8 +56,8 @@ use crate::trace::TraceEvent;
 /// whether execution can proceed.
 const ENERGY_EPS: f64 = 1e-9;
 
-/// Phase name for the continuous-state advance ([`SystemModel::sync_to`]:
-/// storage integration, accounting, job progress) in a profiled run.
+/// Phase name for the continuous-state advance (storage integration,
+/// accounting, job progress) in a profiled run.
 pub const PHASE_ENERGY_SYNC: &str = "energy.sync";
 
 /// Phase name for the policy's `decide` call in a profiled run.
@@ -594,8 +594,8 @@ impl SystemModel<'_> {
                 // DVFS switch cost: energy drawn instantaneously from the
                 // store when the frequency actually changes (the paper
                 // assumes this negligible; the model supports it for
-                // sensitivity studies — time overhead is rejected at
-                // configuration, see `simulate`).
+                // sensitivity studies — time overhead is rejected when
+                // the run starts, in `run_closed_loop`).
                 if self.last_level != Some(level) {
                     if self.last_level.is_some() {
                         self.switches += 1;
@@ -909,7 +909,7 @@ impl Model for SystemModel<'_> {
     }
 }
 
-/// Runs one closed-loop simulation.
+/// Runs one closed-loop simulation on fresh state.
 ///
 /// * `config` — processor, storage, horizon, policies (see
 ///   [`SystemConfig`]).
@@ -918,6 +918,15 @@ impl Model for SystemModel<'_> {
 ///   [`harvest_energy::source::sample_profile`]).
 /// * `policy` — the scheduling policy under test.
 /// * `predictor` — the `ÊS` estimator the policy consults.
+///
+/// The infallible shortcut for [`try_simulate_arms_in`] with one arm, a
+/// new [`RunContext`] and heap-driven releases.
+///
+/// # Panics
+///
+/// Panics if the configuration's watchdog fires; a run that sets one
+/// goes through [`try_simulate_arms_in`], which returns the typed
+/// [`SimError`].
 ///
 /// # Examples
 ///
@@ -958,60 +967,21 @@ pub fn simulate(
     config: SystemConfig,
     tasks: &TaskSet,
     profile: PiecewiseConstant,
-    policy: Box<dyn Scheduler>,
+    mut policy: Box<dyn Scheduler>,
     predictor: Box<dyn EnergyPredictor>,
 ) -> SimResult {
-    simulate_shared(
+    try_simulate_arms_in(
+        &mut RunContext::new(),
         config,
         Arc::new(tasks.clone()),
         Arc::new(profile),
-        policy,
-        predictor,
-    )
-}
-
-/// [`simulate`] without the per-run deep copies: the task set and the
-/// realized profile are taken behind [`Arc`], so sweep drivers can build
-/// each prefab (profile + prefix sums + task set) once per seed and
-/// share it across every capacity and policy trial.
-pub fn simulate_shared(
-    config: SystemConfig,
-    tasks: Arc<TaskSet>,
-    profile: Arc<PiecewiseConstant>,
-    policy: Box<dyn Scheduler>,
-    predictor: Box<dyn EnergyPredictor>,
-) -> SimResult {
-    try_simulate_shared(config, tasks, profile, policy, predictor)
-        .unwrap_or_else(|e| panic!("simulation aborted: {e} (use try_simulate_shared)"))
-}
-
-/// [`simulate_shared`] with typed aborts: a run whose
-/// [`Watchdog`](harvest_sim::engine::Watchdog) fires returns the
-/// corresponding [`SimError`] instead of panicking. Without a watchdog
-/// this never returns `Err`.
-pub fn try_simulate_shared(
-    config: SystemConfig,
-    tasks: Arc<TaskSet>,
-    profile: Arc<PiecewiseConstant>,
-    mut policy: Box<dyn Scheduler>,
-    predictor: Box<dyn EnergyPredictor>,
-) -> Result<SimResult, SimError> {
-    let mut reg = MetricsRegistry::new();
-    run_closed_loop(
-        config,
-        tasks,
-        profile,
         &mut [policy.as_mut()],
         predictor,
-        EventQueue::new(),
-        EdfQueue::new(),
-        &mut reg,
-        None,
         None,
     )
-    .results
     .pop()
     .expect("one arm, one result")
+    .unwrap_or_else(|e| panic!("simulation aborted: {e} (use try_simulate_arms_in)"))
 }
 
 /// Retention statistics of one [`RunContext`], for sweep drivers that
@@ -1043,12 +1013,13 @@ pub struct PoolStats {
 /// setup — the event queue's heap, the EDF ready heap, and the metrics
 /// registry — survive from one trial to the next.
 ///
-/// One context per worker thread; runs through [`simulate_in`] are
-/// bit-identical to [`simulate_shared`] on fresh state (pinned by the
-/// pooled-parity tests), so pooling is purely an allocation optimization.
+/// One context per worker thread. A run through
+/// [`try_simulate_arms_in`] on a used context is bit-identical to one on
+/// a new context (pinned by the pooled-parity tests), so pooling is
+/// purely an allocation optimization.
 #[derive(Debug, Default)]
 pub struct RunContext {
-    /// `None` only while a run through [`simulate_in`] is on the stack.
+    /// `None` only while a run is on the stack.
     events: Option<EventQueue<SysEvent>>,
     ready: Option<EdfQueue>,
     metrics: MetricsRegistry,
@@ -1100,110 +1071,15 @@ impl RunContext {
 
     /// Cumulative event-queue statistics of the pooled queue, or `None`
     /// while a run is on the stack or after a run panicked out of
-    /// [`simulate_in`] (the next run self-heals with a fresh queue).
+    /// [`try_simulate_arms_in`] (the next run self-heals with a fresh
+    /// queue).
     pub fn queue_stats(&self) -> Option<QueueStats> {
         self.events.as_ref().map(|q| q.stats())
     }
-
-    /// Bounds the pooled queues' retained storage (see
-    /// [`EventQueue::shrink_to`] / [`EdfQueue::shrink_to`]). High-water
-    /// marks in [`Self::stats`] are unaffected: they record the peak.
-    pub fn shrink_to(&mut self, limit: usize) {
-        if let Some(q) = &mut self.events {
-            q.shrink_to(limit);
-        }
-        if let Some(q) = &mut self.ready {
-            q.shrink_to(limit);
-        }
-    }
-
-    /// One closed loop over all of `policies` on this context's queues,
-    /// which are reclaimed and reset afterwards, aborted runs included.
-    #[allow(clippy::too_many_arguments)]
-    fn run(
-        &mut self,
-        config: SystemConfig,
-        tasks: Arc<TaskSet>,
-        profile: Arc<PiecewiseConstant>,
-        policies: &mut [&mut dyn Scheduler],
-        predictor: Box<dyn EnergyPredictor>,
-        tape: Option<Arc<ReleaseTape>>,
-    ) -> Vec<Result<SimResult, SimError>> {
-        for policy in policies.iter_mut() {
-            policy.reset();
-        }
-        let events = self.events.take().unwrap_or_default();
-        let ready = self.ready.take().unwrap_or_default();
-        let flight = self.flight.clone();
-        let mut out = run_closed_loop(
-            config,
-            tasks,
-            profile,
-            policies,
-            predictor,
-            events,
-            ready,
-            &mut self.metrics,
-            flight,
-            tape,
-        );
-        out.events.reset();
-        out.ready.clear();
-        self.stats.runs += policies.len() as u64;
-        self.stats.shared_events += out.shared_events;
-        self.stats.event_slab_high_water = self
-            .stats
-            .event_slab_high_water
-            .max(out.events.capacity() as u64);
-        self.stats.ready_high_water = self.stats.ready_high_water.max(out.ready.capacity() as u64);
-        self.events = Some(out.events);
-        self.ready = Some(out.ready);
-        out.results
-    }
 }
 
-/// [`simulate_shared`] executing inside a pooled [`RunContext`]: the
-/// event queue, ready queue, and metrics registry are borrowed from the
-/// context and returned to it reset, and the policy is reset and lent
-/// rather than consumed, so a sweep worker can run its whole shard of
-/// trials with zero steady-state queue allocations.
-pub fn simulate_in(
-    ctx: &mut RunContext,
-    config: SystemConfig,
-    tasks: Arc<TaskSet>,
-    profile: Arc<PiecewiseConstant>,
-    policy: &mut dyn Scheduler,
-    predictor: Box<dyn EnergyPredictor>,
-) -> SimResult {
-    try_simulate_in(ctx, config, tasks, profile, policy, predictor)
-        .unwrap_or_else(|e| panic!("simulation aborted: {e} (use try_simulate_in)"))
-}
-
-/// [`simulate_in`] with typed aborts: a watchdog-fired run returns its
-/// [`SimError`] — with the pooled queues already reclaimed and reset,
-/// so the context stays healthy for the worker's next trial.
-pub fn try_simulate_in(
-    ctx: &mut RunContext,
-    config: SystemConfig,
-    tasks: Arc<TaskSet>,
-    profile: Arc<PiecewiseConstant>,
-    policy: &mut dyn Scheduler,
-    predictor: Box<dyn EnergyPredictor>,
-) -> Result<SimResult, SimError> {
-    try_simulate_in_taped(ctx, config, tasks, profile, policy, predictor, None)
-}
-
-/// [`try_simulate_in`] with an optional precomputed [`ReleaseTape`]:
-/// when `tape` is `Some`, task releases are served by a monotone cursor
-/// over the shared timeline instead of per-release event-queue traffic.
-/// The taped run is bit-identical to the heap-driven run (pinned by the
-/// tape-parity suites); the tape must have been built by
-/// [`TaskSet::release_tape`] for this exact task set and horizon.
-///
-/// Runs with `collect_metrics` set ignore the tape and take the
-/// reference path (queue statistics would otherwise skew).
-///
-/// The one-arm case of [`try_simulate_arms_in`].
+/// [`try_simulate_arms_in`] with one arm. Kept only because the campaign
+/// benchmark calls it; it goes when the benchmark moves off it.
 #[allow(clippy::too_many_arguments)]
 pub fn try_simulate_in_taped(
     ctx: &mut RunContext,
@@ -1220,9 +1096,11 @@ pub fn try_simulate_in_taped(
 }
 
 /// Runs several policy *arms* over the same inputs — one configuration,
-/// task set, profile, predictor and tape — in one closed loop, and
-/// returns one result per arm, in `policies` order. Each arm's result is
-/// bit-identical to a [`try_simulate_in_taped`] run of that arm alone.
+/// task set, profile, predictor and tape — in one closed loop on `ctx`'s
+/// pooled queues, and returns one result per arm, in `policies` order.
+/// Each arm's result is bit-identical to a run of that arm alone on a
+/// new context, and every arm's policy is [`Scheduler::reset`] first,
+/// so lent policies may be reused across runs.
 ///
 /// While every arm's policy takes the same decision, the run is
 /// simulated once for all of them. At the first decision where they
@@ -1233,11 +1111,24 @@ pub fn try_simulate_in_taped(
 /// Runs with `collect_metrics` or `profile` set, and runs on a context
 /// with a flight recorder, simulate their arms one at a time instead:
 /// metrics, phase timings and a flight ring each describe one run.
-/// Every arm's policy is reset first, as in the one-arm entry points.
+///
+/// When `tape` is `Some`, task releases are served by a monotone cursor
+/// over the shared timeline instead of per-release event-queue traffic.
+/// The taped run is bit-identical to the heap-driven run (pinned by the
+/// tape-parity suites); the tape must have been built by
+/// [`TaskSet::release_tape`] for this exact task set and horizon. Runs
+/// with `collect_metrics` set ignore the tape and take the reference
+/// path (queue statistics would otherwise skew).
+///
+/// An arm whose [`Watchdog`](harvest_sim::engine::Watchdog) fires
+/// returns the corresponding [`SimError`]; the pooled queues are
+/// reclaimed and reset all the same, so the context stays healthy for
+/// the worker's next trial. Without a watchdog no result is `Err`.
 ///
 /// # Panics
 ///
-/// Panics if `policies` is empty.
+/// Panics if `policies` is empty, or if the CPU model has a non-zero
+/// switch time overhead.
 #[allow(clippy::too_many_arguments)]
 pub fn try_simulate_arms_in(
     ctx: &mut RunContext,
@@ -1253,35 +1144,24 @@ pub fn try_simulate_arms_in(
         return policies
             .iter_mut()
             .flat_map(|policy| {
-                let mut arm: [&mut dyn Scheduler; 1] = [&mut **policy];
-                ctx.run(
+                run_closed_loop(
+                    ctx,
                     config.clone(),
                     Arc::clone(&tasks),
                     Arc::clone(&profile),
-                    &mut arm,
+                    &mut [&mut **policy],
                     predictor.clone(),
                     tape.clone(),
                 )
             })
             .collect();
     }
-    ctx.run(config, tasks, profile, policies, predictor, tape)
+    run_closed_loop(ctx, config, tasks, profile, policies, predictor, tape)
 }
 
-/// What one closed loop hands back.
-struct LoopOutput {
-    /// One result per arm, in arm order.
-    results: Vec<Result<SimResult, SimError>>,
-    /// The queues the loop was given, for the pool to reclaim.
-    events: EventQueue<SysEvent>,
-    ready: EdfQueue,
-    /// See [`PoolStats::shared_events`].
-    shared_events: u64,
-}
-
-/// The closed loop: runs every arm in `policies` over the same inputs on
-/// the queue storage it is given, which it hands back so a pool can
-/// reclaim the allocations (a fork's copies allocate their own).
+/// The closed loop: resets every arm in `policies` and runs them over the
+/// same inputs on `pool`'s queues, which return to it reset, aborted runs
+/// included (a fork's copies allocate their own).
 ///
 /// The run starts with all arms. When their policies disagree, the
 /// engine stops at that instant ([`SystemModel::decide`]). The stopped
@@ -1289,20 +1169,15 @@ struct LoopOutput {
 /// each copy applies its group's decision and runs on. Copies wait on a
 /// stack and run one after the other, each to the horizon or to its
 /// own next disagreement.
-#[allow(clippy::too_many_arguments)]
 fn run_closed_loop(
+    pool: &mut RunContext,
     mut config: SystemConfig,
     tasks: Arc<TaskSet>,
     profile: Arc<PiecewiseConstant>,
     policies: &mut [&mut dyn Scheduler],
     predictor: Box<dyn EnergyPredictor>,
-    equeue: EventQueue<SysEvent>,
-    ready: EdfQueue,
-    reg: &mut MetricsRegistry,
-    flight: Option<SharedFlightRecorder>,
     tape: Option<Arc<ReleaseTape>>,
-) -> LoopOutput {
-    debug_assert!(ready.is_empty(), "pooled ready queue must be cleared");
+) -> Vec<Result<SimResult, SimError>> {
     assert!(!policies.is_empty(), "a closed loop needs at least one arm");
     debug_assert!(
         policies.len() == 1 || !(config.collect_metrics || config.profile),
@@ -1313,6 +1188,9 @@ fn run_closed_loop(
         "the closed-loop simulator models DVFS switch *energy* only; \
          time overhead must be zero (the paper's §5.1 assumption)"
     );
+    for policy in policies.iter_mut() {
+        policy.reset();
+    }
     // Metric runs derive `QueueStats::popped` from the scheduled count,
     // which virtual sequence allocation would skew; those runs (figure
     // traces, `exp inspect`) are rare and cold, so fall back to the
@@ -1377,6 +1255,8 @@ fn run_closed_loop(
     } else {
         TraceLog::Count(CountingSink::new())
     };
+    let ready = pool.ready.take().unwrap_or_default();
+    debug_assert!(ready.is_empty(), "pooled ready queue must be cleared");
     let model = SystemModel {
         energy: EnergyAccounting {
             initial_level: initial,
@@ -1416,7 +1296,7 @@ fn run_closed_loop(
             harvest_factor: 1.0,
         }),
         profiler: None,
-        flight,
+        flight: pool.flight.clone(),
         tape: tape.map(|tape| {
             let task_count = tape.task_count();
             TapeCursor {
@@ -1432,7 +1312,7 @@ fn run_closed_loop(
             }
         }),
     };
-    let mut engine = Engine::with_queue(model, equeue);
+    let mut engine = Engine::with_queue(model, pool.events.take().unwrap_or_default());
     if engine.model().config.profile {
         engine.enable_profiling();
         engine.model_mut().profiler = Some(Box::default());
@@ -1480,15 +1360,12 @@ fn run_closed_loop(
 
     let mut results: Vec<Option<Result<SimResult, SimError>>> =
         policies.iter().map(|_| None).collect();
-    let mut shared_events = 0;
-    // The first run to finish is the original one, on the given queues.
-    let mut reclaimed: Option<(EventQueue<SysEvent>, EdfQueue)> = None;
     let mut forks: Vec<Engine<SystemModel<'_>>> = Vec::new();
     loop {
         let before = engine.events_handled();
         let outcome = engine.run_until(horizon_end);
         let extra_arms = engine.model().arms.len() as u64 - 1;
-        shared_events += extra_arms * (engine.events_handled() - before);
+        pool.stats.shared_events += extra_arms * (engine.events_handled() - before);
         if let RunOutcome::Stopped { at } = outcome {
             // The arms disagreed at `at`. The groups after the first
             // continue on copies; the first continues here.
@@ -1504,23 +1381,28 @@ fn run_closed_loop(
             engine.apply(|model, ctx| model.apply_decision(at, decision, ctx));
             continue;
         }
-        let queues = finish(engine, outcome, reg, &mut results);
-        reclaimed.get_or_insert(queues);
+        let (mut events, mut ready) = finish(engine, outcome, &mut pool.metrics, &mut results);
+        // The first run to finish is the original one, on the pooled
+        // queues; the copies' queues are dropped.
+        if pool.events.is_none() {
+            events.reset();
+            ready.clear();
+            let stats = &mut pool.stats;
+            stats.event_slab_high_water = stats.event_slab_high_water.max(events.capacity() as u64);
+            stats.ready_high_water = stats.ready_high_water.max(ready.capacity() as u64);
+            pool.events = Some(events);
+            pool.ready = Some(ready);
+        }
         match forks.pop() {
             Some(fork) => engine = fork,
             None => break,
         }
     }
-    let (events, ready) = reclaimed.expect("the original run finished");
-    LoopOutput {
-        results: results
-            .into_iter()
-            .map(|r| r.expect("every arm finished"))
-            .collect(),
-        events,
-        ready,
-        shared_events,
-    }
+    pool.stats.runs += policies.len() as u64;
+    results
+        .into_iter()
+        .map(|r| r.expect("every arm finished"))
+        .collect()
 }
 
 /// Settles a run that reached its end — the horizon, a drained queue or
@@ -1646,6 +1528,21 @@ mod tests {
             policy,
             Box::new(OraclePredictor::new(profile)),
         )
+    }
+
+    /// One arm through [`try_simulate_arms_in`].
+    fn run_in(
+        ctx: &mut RunContext,
+        config: SystemConfig,
+        tasks: Arc<TaskSet>,
+        profile: Arc<PiecewiseConstant>,
+        policy: &mut dyn Scheduler,
+        predictor: Box<dyn EnergyPredictor>,
+        tape: Option<Arc<ReleaseTape>>,
+    ) -> Result<SimResult, SimError> {
+        try_simulate_arms_in(ctx, config, tasks, profile, &mut [policy], predictor, tape)
+            .pop()
+            .expect("one arm, one result")
     }
 
     fn section2_config() -> SystemConfig {
@@ -2111,24 +2008,27 @@ mod tests {
         for mk in &factories {
             let fresh = run(mk(), &section2_tasks(), config.clone());
             let mut policy = mk();
-            // Dirty the pooled policy's counters with an extra run;
-            // `simulate_in` must reset them before the compared trial.
-            let _ = simulate_in(
+            // Dirty the pooled policy's counters with an extra run; the
+            // pooled run must reset them before the compared trial.
+            let _ = run_in(
                 &mut ctx,
                 config.clone(),
                 Arc::clone(&tasks),
                 Arc::new(profile.clone()),
                 policy.as_mut(),
                 Box::new(OraclePredictor::new(profile.clone())),
+                None,
             );
-            let pooled = simulate_in(
+            let pooled = run_in(
                 &mut ctx,
                 config.clone(),
                 Arc::clone(&tasks),
                 Arc::new(profile.clone()),
                 policy.as_mut(),
                 Box::new(OraclePredictor::new(profile.clone())),
-            );
+                None,
+            )
+            .unwrap();
             assert_eq!(fresh, pooled, "policy {}", pooled.scheduler);
         }
         let stats = ctx.stats();
@@ -2190,24 +2090,6 @@ mod tests {
         }
         assert_eq!(ctx.stats().runs, 3);
         assert_eq!(ctx.stats().shared_events, 0, "nothing is shared");
-    }
-
-    #[test]
-    fn run_context_shrink_bounds_retention() {
-        let mut ctx = RunContext::new();
-        let profile = PiecewiseConstant::constant(0.5);
-        let _ = simulate_in(
-            &mut ctx,
-            section2_config(),
-            Arc::new(section2_tasks()),
-            Arc::new(profile.clone()),
-            &mut EdfScheduler::new(),
-            Box::new(OraclePredictor::new(profile)),
-        );
-        assert!(ctx.stats().event_slab_high_water > 0);
-        ctx.shrink_to(0);
-        // High-water marks record the peak, not the current capacity.
-        assert!(ctx.stats().event_slab_high_water > 0);
     }
 
     #[test]
@@ -2355,12 +2237,14 @@ mod tests {
         let profile = PiecewiseConstant::constant(2.0);
         let config = SystemConfig::new(presets::xscale(), StorageSpec::ideal(200.0), d(300))
             .with_watchdog(harvest_sim::engine::Watchdog::with_max_events(5));
-        let err = try_simulate_shared(
+        let err = run_in(
+            &mut RunContext::new(),
             config,
             Arc::new(tasks),
             Arc::new(profile.clone()),
-            Box::new(EdfScheduler::new()),
+            &mut EdfScheduler::new(),
             Box::new(OraclePredictor::new(profile)),
+            None,
         )
         .expect_err("a 5-event budget cannot cover a 300-unit run");
         assert!(matches!(
@@ -2370,13 +2254,29 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "try_simulate_arms_in")]
+    fn simulate_panics_when_its_watchdog_fires() {
+        let tasks = TaskSet::new(vec![Task::periodic_implicit(d(10), 2.0)]);
+        let profile = PiecewiseConstant::constant(2.0);
+        let config = SystemConfig::new(presets::xscale(), StorageSpec::ideal(200.0), d(300))
+            .with_watchdog(harvest_sim::engine::Watchdog::with_max_events(5));
+        let _ = simulate(
+            config,
+            &tasks,
+            profile.clone(),
+            Box::new(EdfScheduler::new()),
+            Box::new(OraclePredictor::new(profile)),
+        );
+    }
+
+    #[test]
     fn watchdog_abort_leaves_pool_reusable() {
         let tasks = Arc::new(TaskSet::new(vec![Task::periodic_implicit(d(10), 2.0)]));
         let profile = Arc::new(PiecewiseConstant::constant(2.0));
         let base = SystemConfig::new(presets::xscale(), StorageSpec::ideal(200.0), d(300));
         let mut ctx = RunContext::new();
         let mut policy = EdfScheduler::new();
-        let err = try_simulate_in(
+        let err = run_in(
             &mut ctx,
             base.clone()
                 .with_watchdog(harvest_sim::engine::Watchdog::with_max_events(5)),
@@ -2384,26 +2284,32 @@ mod tests {
             Arc::clone(&profile),
             &mut policy,
             Box::new(OraclePredictor::new((*profile).clone())),
+            None,
         );
         assert!(err.is_err());
         assert!(ctx.queue_stats().is_some(), "queues reclaimed after abort");
         // The same context then runs a clean trial bit-identical to a
         // fresh one.
-        let pooled = simulate_in(
+        let pooled = run_in(
             &mut ctx,
             base.clone(),
             Arc::clone(&tasks),
             Arc::clone(&profile),
             &mut policy,
             Box::new(OraclePredictor::new((*profile).clone())),
-        );
-        let fresh = simulate_shared(
+            None,
+        )
+        .unwrap();
+        let fresh = run_in(
+            &mut RunContext::new(),
             base,
             tasks,
             Arc::clone(&profile),
-            Box::new(EdfScheduler::new()),
+            &mut EdfScheduler::new(),
             Box::new(OraclePredictor::new((*profile).clone())),
-        );
+            None,
+        )
+        .unwrap();
         assert_eq!(pooled, fresh);
         assert_eq!(ctx.stats().runs, 2, "aborted runs still count");
     }
@@ -2420,13 +2326,14 @@ mod tests {
             flight.lock().unwrap().mark("cell key text");
         }
         let mut policy = EdfScheduler::new();
-        let err = try_simulate_in(
+        let err = run_in(
             &mut ctx,
             config,
             Arc::clone(&tasks),
             Arc::clone(&profile),
             &mut policy,
             Box::new(OraclePredictor::new((*profile).clone())),
+            None,
         );
         assert!(err.is_err());
         let dumps = ctx.take_flight_dumps();
@@ -2454,24 +2361,28 @@ mod tests {
         let config = SystemConfig::new(presets::xscale(), StorageSpec::ideal(200.0), d(300));
         let mut plain_ctx = RunContext::new();
         let mut policy = EdfScheduler::new();
-        let plain = simulate_in(
+        let plain = run_in(
             &mut plain_ctx,
             config.clone(),
             Arc::clone(&tasks),
             Arc::clone(&profile),
             &mut policy,
             Box::new(OraclePredictor::new((*profile).clone())),
-        );
+            None,
+        )
+        .unwrap();
         let mut recorded_ctx = RunContext::new();
         recorded_ctx.enable_flight(64);
-        let recorded = simulate_in(
+        let recorded = run_in(
             &mut recorded_ctx,
             config,
             tasks,
             Arc::clone(&profile),
             &mut policy,
             Box::new(OraclePredictor::new((*profile).clone())),
-        );
+            None,
+        )
+        .unwrap();
         assert_eq!(plain, recorded, "flight recording is observation-only");
         assert!(
             recorded_ctx.take_flight_dumps().is_empty(),
@@ -2505,16 +2416,17 @@ mod tests {
         ];
         for mut policy in policies {
             let mut ctx = RunContext::new();
-            let heap = try_simulate_in(
+            let heap = run_in(
                 &mut ctx,
                 config.clone(),
                 Arc::clone(&tasks),
                 Arc::clone(&profile),
                 policy.as_mut(),
                 Box::new(OraclePredictor::new((*profile).clone())),
+                None,
             )
             .unwrap();
-            let taped = try_simulate_in_taped(
+            let taped = run_in(
                 &mut ctx,
                 config.clone(),
                 Arc::clone(&tasks),
@@ -2538,7 +2450,7 @@ mod tests {
         let tape = Arc::new(tasks.release_tape(config.horizon));
         let mut ctx = RunContext::new();
         let mut policy = EdfScheduler::new();
-        let taped = try_simulate_in_taped(
+        let taped = run_in(
             &mut ctx,
             config.clone(),
             Arc::clone(&tasks),
@@ -2548,13 +2460,14 @@ mod tests {
             Some(tape),
         )
         .unwrap();
-        let heap = try_simulate_in(
+        let heap = run_in(
             &mut ctx,
             config,
             tasks,
             profile.clone(),
             &mut policy,
             Box::new(OraclePredictor::new((*profile).clone())),
+            None,
         )
         .unwrap();
         let m = taped.metrics.as_ref().expect("metrics collected");

@@ -960,7 +960,7 @@ fn campaign_report(args: &ReportArgs) -> Result<(), String> {
     let mut md = String::from("# Campaign report\n");
     let mut json: Vec<(String, Value)> = Vec::new();
     if let Some(dir) = &args.store {
-        let store = PackStore::open(dir)
+        let store = PackStore::open_existing(dir)
             .map_err(|e| format!("cannot open store {}: {e}", dir.display()))?;
         report_cells(&store.decided_entries(), &mut md, &mut json);
     }

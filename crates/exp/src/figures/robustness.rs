@@ -405,7 +405,10 @@ where
             let prefab = prefabs[seed as usize]
                 .as_ref()
                 .expect("prefab built for every pending seed");
-            let result = scenario.try_run_prefab_in(&mut w.pool, cell.policy, prefab, watchdog);
+            let result = scenario
+                .try_run_arms_in(&mut w.pool, &[cell.policy], prefab, watchdog)
+                .pop()
+                .expect("one arm, one result");
             if let (Some(sink), Some(t)) = (w.sink.as_mut(), cell_start) {
                 sink.record_with(
                     t,

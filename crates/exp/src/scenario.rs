@@ -13,7 +13,7 @@ use harvest_core::policies::{
 };
 use harvest_core::result::{SimError, SimResult};
 use harvest_core::scheduler::Scheduler;
-use harvest_core::system::{simulate_shared, try_simulate_arms_in, PoolStats, RunContext};
+use harvest_core::system::{try_simulate_arms_in, PoolStats, RunContext};
 use harvest_cpu::{presets, CpuModel};
 use harvest_energy::predictor::{
     EnergyPredictor, EwmaSlotPredictor, MovingAveragePredictor, OraclePredictor,
@@ -492,26 +492,13 @@ impl PaperScenario {
         config
     }
 
-    fn run_prefab_config(
-        &self,
-        config: SystemConfig,
-        policy: PolicyKind,
-        prefab: &TrialPrefab,
-    ) -> SimResult {
-        let predictor = self.predictor.build_shared(&prefab.profile);
-        simulate_shared(
-            config,
-            Arc::clone(&prefab.tasks),
-            Arc::clone(&prefab.profile),
-            policy.build(),
-            predictor,
-        )
-    }
-
     /// Runs one policy on a prebuilt trial, sharing its profile and
-    /// task set instead of regenerating them.
+    /// task set instead of regenerating them. The fresh-state reference
+    /// that pooled and taped runs are compared with: a new [`SimPool`],
+    /// and releases through the event queue.
     pub fn run_prefab(&self, policy: PolicyKind, prefab: &TrialPrefab) -> SimResult {
-        self.run_prefab_config(self.config_for(prefab.seed), policy, prefab)
+        let reference = prefab.clone().without_tape();
+        self.run_prefab_in(&mut SimPool::new(), policy, &reference)
     }
 
     /// [`run_prefab`](Self::run_prefab) through a worker's [`SimPool`]:
@@ -526,22 +513,6 @@ impl PaperScenario {
         prefab: &TrialPrefab,
     ) -> SimResult {
         self.run_arms_in(pool, &[policy], prefab)
-            .pop()
-            .expect("one arm, one result")
-    }
-
-    /// [`run_prefab_in`](Self::run_prefab_in) with an optional engine
-    /// watchdog: a run that exhausts its event budget returns a typed
-    /// [`SimError`] instead of spinning forever, and the pool stays
-    /// reusable afterwards.
-    pub fn try_run_prefab_in(
-        &self,
-        pool: &mut SimPool,
-        policy: PolicyKind,
-        prefab: &TrialPrefab,
-        watchdog: Option<Watchdog>,
-    ) -> Result<SimResult, SimError> {
-        self.try_run_arms_in(pool, &[policy], prefab, watchdog)
             .pop()
             .expect("one arm, one result")
     }
@@ -574,7 +545,9 @@ impl PaperScenario {
 
     /// [`run_arms_in`](Self::run_arms_in) with an optional engine
     /// watchdog, one typed result per arm; the budget applies to each
-    /// arm as in a run of its own.
+    /// arm as in a run of its own. A run that exhausts its event budget
+    /// returns a typed [`SimError`] instead of spinning forever, and the
+    /// pool stays reusable afterwards.
     pub fn try_run_arms_in(
         &self,
         pool: &mut SimPool,
@@ -662,7 +635,11 @@ impl PaperScenario {
             .with_trace()
             .with_metrics()
             .with_profiling();
-        self.run_prefab_config(config, policy, prefab)
+        SimPool::new()
+            .try_run(self, config, &[policy], &prefab.clone().without_tape())
+            .pop()
+            .expect("one arm, one result")
+            .expect("a run without a watchdog cannot abort")
     }
 
     /// Runs one policy on one seeded trial.
@@ -781,7 +758,9 @@ mod tests {
         let mut pool = SimPool::new();
         let plain = s.run_prefab_in(&mut pool, PolicyKind::Lsa, &prefab);
         let tried = s
-            .try_run_prefab_in(&mut pool, PolicyKind::Lsa, &prefab, None)
+            .try_run_arms_in(&mut pool, &[PolicyKind::Lsa], &prefab, None)
+            .pop()
+            .expect("one arm, one result")
             .expect("no watchdog, no abort");
         assert_eq!(plain.jobs, tried.jobs);
         assert_eq!(plain.energy, tried.energy);

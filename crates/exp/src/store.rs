@@ -677,6 +677,22 @@ impl PackStore {
         )
     }
 
+    /// [`open`](Self::open) for the commands that inspect or rewrite an
+    /// existing store (`exp store stat`, `exp store compact`,
+    /// `exp report --store`): a mistyped `dir` is an error, not a new
+    /// empty store.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NotFound`](std::io::ErrorKind::NotFound), creating
+    /// nothing, when `dir` does not exist; otherwise as
+    /// [`open`](Self::open).
+    pub fn open_existing(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
+        let dir = dir.into();
+        std::fs::metadata(&dir)?;
+        Self::open(dir)
+    }
+
     /// [`open`](Self::open) with an explicit I/O backend, retry policy,
     /// and durability level — the constructor every recovery test and
     /// the `--durability` flag go through.
@@ -1139,9 +1155,10 @@ impl PackStore {
     ///
     /// # Errors
     ///
-    /// Returns the IO error when the directory cannot be opened.
+    /// Returns the IO error when the directory cannot be opened, and
+    /// [`NotFound`](std::io::ErrorKind::NotFound) when it does not exist.
     pub fn stat(dir: impl Into<PathBuf>) -> std::io::Result<StoreStat> {
-        let store = PackStore::open(dir)?;
+        let store = PackStore::open_existing(dir)?;
         let inner = store.inner.read().expect("store lock");
         let done = inner
             .index
@@ -1201,7 +1218,8 @@ impl PackStore {
     /// # Errors
     ///
     /// Returns the IO error when the merged pack cannot be written; the
-    /// original packs are only removed after the merge landed.
+    /// original packs are only removed after the merge landed. A `dir`
+    /// that does not exist is [`NotFound`](std::io::ErrorKind::NotFound).
     pub fn compact(dir: impl Into<PathBuf>) -> std::io::Result<CompactStats> {
         let dir = dir.into();
         let holders = live_lease_holders(&dir);
@@ -1210,7 +1228,7 @@ impl PackStore {
                 "store has live writers (pids {holders:?}); compact between campaigns"
             )));
         }
-        let store = PackStore::open(&dir)?;
+        let store = PackStore::open_existing(&dir)?;
         let inner = store.inner.read().expect("store lock");
         let bytes_before: u64 = inner.packs.iter().map(|p| p.data.len() as u64).sum();
         let mut records_before = 0usize;

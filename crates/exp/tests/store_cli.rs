@@ -5,9 +5,10 @@
 //! resumed through `--store` or `HARVEST_SWEEP_STORE` re-simulates
 //! nothing (the pack's decided records are the resume log), flags that
 //! need a store are usage errors without one (as are removed flags and
-//! an out-of-range `--util`), and the `store stat` /
+//! an out-of-range `--util`), the `store stat` /
 //! `store compact` subcommands round-trip a store directory without
-//! disturbing its contents.
+//! disturbing its contents, and the maintenance commands refuse a store
+//! directory that does not exist.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -220,6 +221,24 @@ fn store_stat_and_compact_report_the_directory() {
     assert_eq!(field(&after, "records"), records.to_string());
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A mistyped store path is an error (exit 1), never a new empty store:
+/// the maintenance commands create nothing.
+#[test]
+fn maintenance_commands_refuse_a_missing_store() {
+    let dir = scratch_dir("missing");
+    let path = dir.to_str().unwrap();
+    for args in [
+        &["store", "stat", path][..],
+        &["store", "compact", path][..],
+        &["store", "scrub", path][..],
+        &["report", "--store", path][..],
+    ] {
+        let out = run(exp().args(args));
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert!(!dir.exists(), "{args:?} created {}", dir.display());
+    }
 }
 
 #[test]

@@ -88,7 +88,7 @@ impl Timeline {
         }
     }
 
-    /// Storage level resampled onto `width` uniform points over [`span`].
+    /// Storage level resampled onto `width` uniform points over [`span`](Self::span).
     pub fn energy_series(&self, width: usize) -> Vec<f64> {
         let (t0, t1) = match self.span() {
             Some(s) => s,
@@ -98,7 +98,7 @@ impl Timeline {
         resample_step(&pts, t0, t1, width)
     }
 
-    /// Active DVFS level resampled onto `width` uniform points over [`span`]
+    /// Active DVFS level resampled onto `width` uniform points over [`span`](Self::span)
     /// (idle/stalled states surface as their negative encodings).
     pub fn level_series(&self, width: usize) -> Vec<f64> {
         let (t0, t1) = match self.span() {

@@ -304,11 +304,6 @@ impl<M: Model> Engine<M> {
         &mut self.model
     }
 
-    /// Consumes the engine, returning the model.
-    pub fn into_model(self) -> M {
-        self.model
-    }
-
     /// Consumes the engine, returning the model and the event queue so
     /// a pool can reclaim the queue's allocations for the next run.
     pub fn into_parts(self) -> (M, EventQueue<M::Event>) {

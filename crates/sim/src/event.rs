@@ -59,8 +59,7 @@ pub struct QueueStats {
     pub pending: u64,
     /// Current heap capacity in entries — how much pending-event storage
     /// the queue retains across [`EventQueue::reset`]. Pooled sweeps read
-    /// this as the pool's high-water mark; [`EventQueue::shrink_to`]
-    /// bounds it.
+    /// this as the pool's high-water mark.
     pub slab_capacity: u64,
     /// High-water mark of pending events.
     pub max_pending: u64,
@@ -268,18 +267,9 @@ impl<E: Copy> EventQueue<E> {
 
     /// Number of entries the heap can hold without reallocating.
     /// Capacity survives [`reset`](Self::reset), which is what makes
-    /// pooled reuse allocation-free; bound it with
-    /// [`shrink_to`](Self::shrink_to).
+    /// pooled reuse allocation-free.
     pub fn capacity(&self) -> usize {
         self.entries.capacity()
-    }
-
-    /// Shrinks the heap's retained storage toward `limit` entries (never
-    /// below the pending count). A pool that absorbed one pathologically
-    /// large run calls this to stop that run's footprint from being
-    /// carried forever.
-    pub fn shrink_to(&mut self, limit: usize) {
-        self.entries.shrink_to(limit);
     }
 
     /// Restores the queue to its as-new logical state — empty, sequence
@@ -519,7 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn capacity_and_shrink_to_bound_the_heap() {
+    fn capacity_covers_the_high_water_mark() {
         let mut q = EventQueue::new();
         for i in 0..1024u64 {
             q.schedule(t(i as i64), i);
@@ -527,17 +517,5 @@ mod tests {
         while q.pop().is_some() {}
         assert!(q.capacity() >= 1024);
         assert_eq!(q.stats().slab_capacity, q.capacity() as u64);
-        q.reset();
-        q.shrink_to(16);
-        assert!(q.capacity() <= 1024, "shrink_to must not grow");
-        // Shrinking never drops live entries.
-        let mut q = EventQueue::new();
-        for i in 0..32u64 {
-            q.schedule(t(i as i64), i);
-        }
-        q.shrink_to(0);
-        assert_eq!(q.len(), 32);
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
-        assert_eq!(order, (0..32).collect::<Vec<_>>());
     }
 }

@@ -81,17 +81,9 @@ impl EdfQueue {
     }
 
     /// Number of jobs the heap can hold without reallocating. Retained
-    /// across [`clear`](Self::clear); bound it with
-    /// [`shrink_to`](Self::shrink_to).
+    /// across [`clear`](Self::clear).
     pub fn capacity(&self) -> usize {
         self.heap.capacity()
-    }
-
-    /// Shrinks the retained heap and position-table storage toward
-    /// `limit` entries (never below their current lengths).
-    pub fn shrink_to(&mut self, limit: usize) {
-        self.heap.shrink_to(limit);
-        self.pos.shrink_to(limit);
     }
 
     /// Inserts a job.
@@ -448,8 +440,6 @@ mod tests {
         q.push(job(1, 5, 1.0));
         assert_eq!(q.pop().unwrap().id(), JobId(1));
         assert_eq!(q.pop().unwrap().id(), JobId(0));
-        q.shrink_to(4);
-        assert!(q.capacity() < warm || warm <= 4);
     }
 
     #[test]

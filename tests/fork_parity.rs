@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use harvest_rt::core::result::{SimError, SimResult};
 use harvest_rt::core::scheduler::Scheduler;
-use harvest_rt::core::system::{try_simulate_arms_in, try_simulate_shared, RunContext};
+use harvest_rt::core::system::{try_simulate_arms_in, RunContext};
 use harvest_rt::exp::scenario::{PredictorKind, SimPool, TrialPrefab};
 use harvest_rt::prelude::*;
 use harvest_rt::sim::engine::Watchdog;
@@ -95,13 +95,17 @@ fn solo(
     prefab: &TrialPrefab,
     policy: PolicyKind,
 ) -> Result<SimResult, SimError> {
-    try_simulate_shared(
+    try_simulate_arms_in(
+        &mut RunContext::new(),
         config.clone(),
         Arc::clone(&prefab.tasks),
         Arc::clone(&prefab.profile),
-        policy.build(),
+        &mut [policy.build().as_mut()],
         case.scenario.predictor.build_shared(&prefab.profile),
+        None,
     )
+    .pop()
+    .expect("one arm, one result")
 }
 
 #[test]
