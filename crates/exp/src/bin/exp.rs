@@ -43,8 +43,9 @@
 //! unopenable environment store warns and the sweep runs unstored.
 //! With no store at all, `--expect-warm`, `--expect-resumed` and
 //! `--durability` are usage errors. `store stat` summarizes a store
-//! directory (`--json` for machine consumption); `store compact` merges
-//! its packs, dropping superseded records.
+//! directory and counts its corrupt spans (`--json` for machine
+//! consumption); `store compact` merges its packs, dropping superseded
+//! records and moving corrupt spans into `scrub-quarantine/`.
 //!
 //! Campaign telemetry (all off by default, zero-cost when off):
 //! `--trace PATH` records phase and per-cell spans and exports them as
@@ -99,7 +100,6 @@ const USAGE: &str = "usage:
                   [--json] [--out PATH]
   exp store stat    DIR [--json]
   exp store compact DIR
-  exp store scrub   DIR [--json]
 sweep and fault-sweep use HARVEST_SWEEP_STORE=DIR when --store is absent.";
 
 /// A failed invocation, split by whose fault it is: `Usage` exits 2 and
@@ -240,7 +240,6 @@ enum Command {
     Report(ReportArgs),
     StoreStat { dir: PathBuf, json: bool },
     StoreCompact(PathBuf),
-    StoreScrub { dir: PathBuf, json: bool },
 }
 
 fn parse_policy(name: &str) -> Result<PolicyKind, String> {
@@ -358,7 +357,7 @@ where
             let verb = it
                 .next()
                 .map(|s| s.as_ref().to_owned())
-                .ok_or_else(|| "store expects `stat`, `compact`, or `scrub`".to_owned())?;
+                .ok_or_else(|| "store expects `stat` or `compact`".to_owned())?;
             let mut dir: Option<PathBuf> = None;
             let mut json = false;
             for arg in it {
@@ -373,10 +372,7 @@ where
                 "stat" => Ok(Command::StoreStat { dir, json }),
                 "compact" if json => Err("store compact does not take --json".into()),
                 "compact" => Ok(Command::StoreCompact(dir)),
-                "scrub" => Ok(Command::StoreScrub { dir, json }),
-                other => Err(format!(
-                    "unknown store verb `{other}` (try stat, compact, scrub)"
-                )),
+                other => Err(format!("unknown store verb `{other}` (try stat, compact)")),
             }
         }
         other => Err(format!("unknown subcommand `{other}`")),
@@ -610,6 +606,7 @@ fn store_stat(dir: &std::path::Path, json: bool) -> Result<(), String> {
             ("superseded".into(), Value::U64(s.superseded as u64)),
             ("reclaimed".into(), Value::U64(s.reclaimed as u64)),
             ("bytes".into(), Value::U64(s.bytes)),
+            ("corrupt_spans".into(), Value::U64(s.corrupt_spans as u64)),
         ]);
         let text =
             serde_json::to_string_pretty(&value).map_err(|e| format!("serialize stat: {e}"))?;
@@ -618,7 +615,7 @@ fn store_stat(dir: &std::path::Path, json: bool) -> Result<(), String> {
     }
     println!(
         "store dir={} packs={} records={} done={} quarantined={} bytes={} superseded={} \
-         reclaimed={}",
+         reclaimed={} corrupt_spans={}",
         dir.display(),
         s.packs,
         s.records,
@@ -626,7 +623,8 @@ fn store_stat(dir: &std::path::Path, json: bool) -> Result<(), String> {
         s.quarantined,
         s.bytes,
         s.superseded,
-        s.reclaimed
+        s.reclaimed,
+        s.corrupt_spans
     );
     Ok(())
 }
@@ -636,56 +634,20 @@ fn store_compact(dir: &std::path::Path) -> Result<(), String> {
         PackStore::compact(dir).map_err(|e| format!("cannot compact {}: {e}", dir.display()))?;
     println!(
         "compact dir={} packs_before={} records_before={} records_after={} bytes_before={} \
-         bytes_after={}",
+         bytes_after={} corrupt_spans={} corrupt_bytes={}",
         dir.display(),
         c.packs_before,
         c.records_before,
         c.records_after,
         c.bytes_before,
-        c.bytes_after
+        c.bytes_after,
+        c.corrupt_spans,
+        c.corrupt_bytes
     );
-    Ok(())
-}
-
-fn store_scrub(dir: &std::path::Path, json: bool) -> Result<(), String> {
-    let s = PackStore::scrub(dir).map_err(|e| format!("cannot scrub {}: {e}", dir.display()))?;
-    if json {
-        let value = Value::Map(vec![
-            ("dir".into(), Value::Str(dir.display().to_string())),
-            ("packs".into(), Value::U64(s.packs as u64)),
-            ("sidecars_bad".into(), Value::U64(s.sidecars_bad as u64)),
-            (
-                "records_scanned".into(),
-                Value::U64(s.records_scanned as u64),
-            ),
-            ("records_kept".into(), Value::U64(s.records_kept as u64)),
-            ("corrupt_spans".into(), Value::U64(s.corrupt_spans as u64)),
-            ("corrupt_bytes".into(), Value::U64(s.corrupt_bytes)),
-            ("bytes_before".into(), Value::U64(s.bytes_before)),
-            ("bytes_after".into(), Value::U64(s.bytes_after)),
-        ]);
-        let text =
-            serde_json::to_string_pretty(&value).map_err(|e| format!("serialize scrub: {e}"))?;
-        println!("{text}");
-        return Ok(());
-    }
-    println!(
-        "scrub dir={} packs={} sidecars_bad={} records_scanned={} records_kept={} \
-         corrupt_spans={} corrupt_bytes={} bytes_before={} bytes_after={}",
-        dir.display(),
-        s.packs,
-        s.sidecars_bad,
-        s.records_scanned,
-        s.records_kept,
-        s.corrupt_spans,
-        s.corrupt_bytes,
-        s.bytes_before,
-        s.bytes_after
-    );
-    if s.corrupt_spans > 0 {
+    if c.corrupt_spans > 0 {
         eprintln!(
-            "scrub quarantined {} corrupt byte span(s); raw bytes kept under {}",
-            s.corrupt_spans,
+            "compact quarantined {} corrupt byte span(s); raw bytes kept under {}",
+            c.corrupt_spans,
             dir.join("scrub-quarantine").display()
         );
     }
@@ -1243,7 +1205,6 @@ fn run(cmd: Command) -> Result<(), ExpError> {
         Command::Report(args) => campaign_report(&args),
         Command::StoreStat { dir, json } => store_stat(&dir, json),
         Command::StoreCompact(dir) => store_compact(&dir),
-        Command::StoreScrub { dir, json } => store_scrub(&dir, json),
     };
     // Everything past parsing and store resolution is the machine's
     // fault, not the user's.
@@ -1485,22 +1446,7 @@ mod tests {
             Command::StoreCompact(dir) => assert_eq!(dir, PathBuf::from("/tmp/s")),
             other => panic!("wrong command: {other:?}"),
         }
-        match parse_command(["store", "scrub", "/tmp/s", "--json"]).unwrap() {
-            Command::StoreScrub { dir, json } => {
-                assert_eq!(dir, PathBuf::from("/tmp/s"));
-                assert!(json);
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
-        match parse_command(["store", "scrub", "/tmp/s"]).unwrap() {
-            Command::StoreScrub { dir, json } => {
-                assert_eq!(dir, PathBuf::from("/tmp/s"));
-                assert!(!json);
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
         assert!(parse_command(["store"]).is_err());
-        assert!(parse_command(["store", "scrub"]).is_err());
         assert!(parse_command(["store", "stat"]).is_err());
         assert!(parse_command(["store", "prune", "/tmp/s"]).is_err());
         assert!(parse_command(["store", "stat", "/tmp/s", "extra"]).is_err());

@@ -16,9 +16,14 @@
 //! * Every record stores the **canonical key text** (see
 //!   [`crate::cache`]), and every hit re-verifies it, so a fingerprint
 //!   collision or poisoned pack can never substitute a foreign result.
-//! * A kill mid-append leaves a torn final record. [`PackStore::open`]
-//!   scans the pack record-by-record, truncates the damaged tail away,
-//!   and its cells recompute.
+//! * Every reader of pack bytes — [`PackStore::open`],
+//!   [`PackStore::stat`] and [`PackStore::compact`] — walks them with
+//!   one frame scan and one rule: a frame that does not decode is
+//!   skipped by resyncing to the next offset where one does. Only a bad
+//!   span that runs to the end of the pack is a **torn tail** (a kill
+//!   mid-append); open truncates it away. A bad span mid-pack (bit rot)
+//!   stays on disk unindexed. Either way the lost cells miss and
+//!   recompute.
 //! * A sidecar index (`*.idx`) caches `(fingerprint, offset, kind)`
 //!   entries for a checksummed prefix of its pack; open trusts a valid
 //!   sidecar for that prefix and scans only the tail appended after it.
@@ -48,20 +53,20 @@
 //!   close restamps pid 0). A crashed process's flock dies with it and
 //!   its pid stays in the stamp, so the next writer takes the slot over
 //!   with a note (bumping the epoch); [`PackStore::open`] reclaims dead-pid
-//!   packs by refreshing their sidecars, and [`PackStore::compact`] /
-//!   [`PackStore::scrub`] refuse to run while any lease is held by a
-//!   live writer.
+//!   packs by refreshing their sidecars, and [`PackStore::compact`]
+//!   refuses to run while any lease is held by a live writer.
 //! * A [`Durability`] knob decides when `sync_all` barriers run:
 //!   per-record, at batch boundaries ([`PackStore::barrier`], the
 //!   default), or never. Compaction and sidecar writes are
 //!   crash-consistent (write → sync → rename → unlink).
-//! * [`PackStore::scrub`] walks every pack byte-for-byte, resyncs past
-//!   mid-pack corruption, quarantines the corrupt spans into
-//!   `scrub-quarantine/`, and rewrites a clean store — the warm path
-//!   then re-simulates exactly the lost cells.
+//! * [`PackStore::stat`] counts corrupt spans; [`PackStore::compact`]
+//!   repairs them: it moves their bytes into `scrub-quarantine/` and
+//!   rewrites a clean store — the warm path then re-simulates exactly
+//!   the lost cells.
 
 use std::collections::HashMap;
 use std::io::Write as _;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -288,10 +293,16 @@ struct RawRecord<'a> {
     next: usize,
 }
 
-/// Decodes the record starting at `offset`. `None` means the bytes from
-/// `offset` on are torn, truncated, or checksum-corrupt — by the
-/// torn-tail discipline everything from `offset` is dropped.
+/// Decodes the record starting at `offset`. `None` means no valid record
+/// starts there: the frame is torn, truncated, or checksum-corrupt, and
+/// [`scan_frames`] resyncs past it.
 fn decode_record(data: &[u8], offset: usize) -> Option<RawRecord<'_>> {
+    decode::<false>(data, offset).map(|(rec, _)| rec)
+}
+
+/// [`decode_record`], plus the key's fingerprint when `KEYED` (else 0),
+/// hashed in the same pass over the body as the checksum.
+fn decode<const KEYED: bool>(data: &[u8], offset: usize) -> Option<(RawRecord<'_>, u64)> {
     let len_end = offset.checked_add(4)?;
     if len_end > data.len() {
         return None;
@@ -307,24 +318,121 @@ fn decode_record(data: &[u8], offset: usize) -> Option<RawRecord<'_>> {
     }
     let body = &data[len_end..body_end];
     let stored = u64::from_le_bytes(data[body_end..next].try_into().unwrap());
-    if fnv1a64(body) != stored {
+    let key_len = u32::from_le_bytes(body[1..5].try_into().unwrap()) as usize;
+    if 5 + key_len > body.len() {
+        return None;
+    }
+    let (sum, fingerprint) = if KEYED {
+        fnv1a64_with_key(body, 5..5 + key_len)
+    } else {
+        (fnv1a64(body), 0)
+    };
+    if sum != stored {
         return None;
     }
     let kind = body[0];
     if kind != KIND_DONE && kind != KIND_QUARANTINED {
         return None;
     }
-    let key_len = u32::from_le_bytes(body[1..5].try_into().unwrap()) as usize;
-    if 5 + key_len > body.len() {
-        return None;
-    }
     let key_text = std::str::from_utf8(&body[5..5 + key_len]).ok()?;
-    Some(RawRecord {
+    let rec = RawRecord {
         kind,
         key_text,
         payload: &body[5 + key_len..],
         next,
-    })
+    };
+    Some((rec, fingerprint))
+}
+
+/// `(fnv1a64(body), fnv1a64(&body[key]))` in one pass: the two hash
+/// chains are independent, so the key's costs little beside the body's.
+fn fnv1a64_with_key(body: &[u8], key: Range<usize>) -> (u64, u64) {
+    const PRIME: u64 = 0x1_0000_0000_01b3;
+    let step = |h: u64, b: u8| (h ^ b as u64).wrapping_mul(PRIME);
+    let (mut sum, mut fingerprint) = (fnv1a64(&[]), fnv1a64(&[]));
+    for &b in &body[..key.start] {
+        sum = step(sum, b);
+    }
+    for &b in &body[key.clone()] {
+        sum = step(sum, b);
+        fingerprint = step(fingerprint, b);
+    }
+    for &b in &body[key.end..] {
+        sum = step(sum, b);
+    }
+    (sum, fingerprint)
+}
+
+/// What [`scan_frames`] finds in a pack: a record that decodes, or a
+/// maximal span of bytes where none does.
+enum Frame<'a> {
+    /// A valid record, the offset of its `body_len` field and its key's
+    /// fingerprint.
+    Record(usize, u64, RawRecord<'a>),
+    /// Bytes in which no record starts. A span that ends at the end of
+    /// the pack is a torn tail.
+    Corrupt(Range<usize>),
+}
+
+/// The one loop over pack frames: hands `visit` every frame of
+/// `data[from..]` in order. A frame that does not decode is skipped by
+/// resyncing byte by byte to the next offset where one does, so the
+/// resync costs something only when a frame is bad.
+fn scan_frames<'a>(data: &'a [u8], from: usize, mut visit: impl FnMut(Frame<'a>)) {
+    let mut at = from;
+    let mut bad_from = None;
+    while at < data.len() {
+        match decode::<true>(data, at) {
+            Some((rec, fingerprint)) => {
+                if let Some(start) = bad_from.take() {
+                    visit(Frame::Corrupt(start..at));
+                }
+                let next = rec.next;
+                visit(Frame::Record(at, fingerprint, rec));
+                at = next;
+            }
+            None => {
+                bad_from.get_or_insert(at);
+                at += 1;
+            }
+        }
+    }
+    if let Some(start) = bad_from {
+        visit(Frame::Corrupt(start..data.len()));
+    }
+}
+
+/// A map keyed by key fingerprints, for the maps [`PackStore::stat`] and
+/// [`PackStore::compact`] build over every frame.
+type FingerprintMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<FingerprintHasher>>;
+
+/// Fingerprints are FNV hashes already: rather than rehash one, fold its
+/// high bits into the low ones the table indexes by.
+#[derive(Default)]
+struct FingerprintHasher(u64);
+
+impl std::hash::Hasher for FingerprintHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a64(bytes);
+    }
+    fn write_u64(&mut self, fingerprint: u64) {
+        self.0 = fingerprint ^ (fingerprint >> 32);
+    }
+}
+
+/// The pack files in `dir`, sorted: a deterministic load order makes
+/// cross-pack last-wins stable.
+fn pack_paths(io: &dyn StoreIo, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut paths: Vec<PathBuf> = io
+        .read_dir(dir)?
+        .into_iter()
+        .filter(|p| p.extension().is_some_and(|x| x == "hpk"))
+        .collect();
+    paths.sort();
+    Ok(paths)
 }
 
 // ---------------------------------------------------------------------------
@@ -579,6 +687,8 @@ pub struct PackStore {
     writers: [Mutex<Option<Writer>>; WRITER_SLOTS],
     loaded: usize,
     reclaimed: usize,
+    /// Packs open ignored because their header is not [`PACK_MAGIC`].
+    bad_headers: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     rejects: AtomicU64,
@@ -598,7 +708,8 @@ impl std::fmt::Debug for PackStore {
     }
 }
 
-/// What [`PackStore::stat`] reports about a store directory.
+/// What [`PackStore::stat`] reports about a store directory. The record
+/// counts come from one frame scan of the loaded packs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreStat {
     /// Pack files loaded.
@@ -617,14 +728,19 @@ pub struct StoreStat {
     /// Packs left behind by dead writer processes (stale leases) that
     /// this open folded back into the readable set.
     pub reclaimed: usize,
+    /// Byte spans in which no record decodes: one per span mid-pack and
+    /// one per pack whose header is bad (what a [`PackStore::compact`]
+    /// run would quarantine).
+    pub corrupt_spans: usize,
 }
 
 /// What [`PackStore::compact`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompactStats {
     /// Pack files merged away.
     pub packs_before: usize,
-    /// Records across all input packs, superseded duplicates included.
+    /// Valid records across all input packs, superseded duplicates
+    /// included.
     pub records_before: usize,
     /// Live records written to the merged pack.
     pub records_after: usize,
@@ -632,37 +748,22 @@ pub struct CompactStats {
     pub bytes_before: u64,
     /// Pack bytes after compaction.
     pub bytes_after: u64,
-}
-
-/// What [`PackStore::scrub`] found and repaired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ScrubStats {
-    /// Pack files scanned.
-    pub packs: usize,
-    /// Sidecar indexes that failed verification (rewritten fresh).
-    pub sidecars_bad: usize,
-    /// Checksum-valid records found across all packs (superseded
-    /// duplicates included).
-    pub records_scanned: usize,
-    /// Live records written to the clean store.
-    pub records_kept: usize,
-    /// Corrupt byte spans quarantined (each span is one torn, bit-
-    /// flipped, or truncated region between two valid records).
+    /// Corrupt byte spans quarantined: each is a torn, bit-flipped or
+    /// truncated region between two valid records, a torn tail, or a
+    /// whole pack with a bad header.
     pub corrupt_spans: usize,
     /// Bytes moved into `scrub-quarantine/`.
     pub corrupt_bytes: u64,
-    /// Pack bytes before the rewrite.
-    pub bytes_before: u64,
-    /// Pack bytes after the rewrite.
-    pub bytes_after: u64,
 }
 
 impl PackStore {
     /// Opens (and creates) a store rooted at `dir`, loading every pack
-    /// into memory. Torn or corrupt pack tails are truncated away (their
-    /// cells recompute); valid sidecar indexes skip re-scanning the
-    /// prefix they cover. Packs whose header is unrecognized are
-    /// ignored wholesale.
+    /// into memory. Valid sidecar indexes skip scanning the prefix they
+    /// cover; the rest is indexed frame by frame, skipping any frame
+    /// that does not decode (its cell recomputes). Torn tails are
+    /// truncated away; a corrupt span mid-pack stays on disk. Packs
+    /// whose header is unrecognized are ignored wholesale (`stat` counts
+    /// each as a corrupt span, and `compact` quarantines it).
     ///
     /// # Errors
     ///
@@ -731,23 +832,18 @@ impl PackStore {
             }
             let _ = file.unlock();
         }
-        let mut pack_paths: Vec<PathBuf> = io
-            .read_dir(&dir)?
-            .into_iter()
-            .filter(|p| p.extension().is_some_and(|x| x == "hpk"))
-            .collect();
-        // Deterministic load order makes cross-pack last-wins stable.
-        pack_paths.sort();
-
+        let pack_paths = pack_paths(io.as_ref(), &dir)?;
         let mut packs = Vec::with_capacity(pack_paths.len());
         let mut index: HashMap<u64, Loc> = HashMap::new();
         let mut reclaimed = 0usize;
         let mut reclaimed_packs: Vec<usize> = Vec::new();
+        let mut bad_headers = 0usize;
         for path in pack_paths {
             let Ok(mut data) = io.read(&path) else {
                 continue;
             };
-            if data.len() < PACK_MAGIC.len() || data[..PACK_MAGIC.len()] != PACK_MAGIC {
+            if !data.starts_with(&PACK_MAGIC) {
+                bad_headers += 1;
                 continue;
             }
             let pack_idx = packs.len();
@@ -772,25 +868,27 @@ impl PackStore {
             } else {
                 false
             };
-            // Scan the tail (the whole pack when no sidecar applied),
-            // truncating at the first torn or corrupt record.
-            let mut at = scan_from;
-            while at < data.len() {
-                let Some(rec) = decode_record(&data, at) else {
-                    break;
-                };
-                index.insert(
-                    fnv1a64(rec.key_text.as_bytes()),
-                    Loc {
-                        pack: pack_idx,
-                        offset: at,
-                        kind: rec.kind,
-                    },
-                );
-                at = rec.next;
-            }
-            if at < data.len() {
-                // Torn tail: drop it on disk too (best effort — a
+            // Index the bytes no sidecar covers (the whole pack when
+            // none applied). A corrupt span mid-pack stays on disk,
+            // unindexed; only a torn tail is cut off.
+            let mut torn_at = None;
+            let len = data.len();
+            scan_frames(&data, scan_from, |frame| match frame {
+                Frame::Record(offset, fingerprint, rec) => {
+                    index.insert(
+                        fingerprint,
+                        Loc {
+                            pack: pack_idx,
+                            offset,
+                            kind: rec.kind,
+                        },
+                    );
+                }
+                Frame::Corrupt(span) if span.end == len => torn_at = Some(span.start),
+                Frame::Corrupt(_) => {}
+            });
+            if let Some(at) = torn_at {
+                // Drop the torn tail on disk too (best effort — a
                 // read-only store still serves the good prefix).
                 let _ = io.truncate(&path, at as u64);
                 data.truncate(at);
@@ -822,6 +920,7 @@ impl PackStore {
             writers: std::array::from_fn(|_| Mutex::new(None)),
             loaded,
             reclaimed,
+            bad_headers,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             rejects: AtomicU64::new(0),
@@ -1081,7 +1180,7 @@ impl PackStore {
         {
             // A pack that never got its full header is useless and
             // would read as corruption; unlink it rather than leave
-            // a headerless stub for scrub to quarantine.
+            // a headerless stub for compact to quarantine.
             drop(file);
             let _ = self.io.remove_file(&path);
             return Err(e);
@@ -1152,6 +1251,10 @@ impl PackStore {
     }
 
     /// Summarizes the store rooted at `dir` without holding it open.
+    /// Opening heals torn tails and refreshes dead writers' sidecars;
+    /// every record count then comes from one frame scan of the loaded
+    /// packs, so a record the sidecar indexes but that no longer
+    /// decodes counts as a corrupt span, not a live record.
     ///
     /// # Errors
     ///
@@ -1160,27 +1263,29 @@ impl PackStore {
     pub fn stat(dir: impl Into<PathBuf>) -> std::io::Result<StoreStat> {
         let store = PackStore::open_existing(dir)?;
         let inner = store.inner.read().expect("store lock");
-        let done = inner
-            .index
-            .values()
-            .filter(|loc| loc.kind == KIND_DONE)
-            .count();
-        let mut on_disk = 0usize;
+        // Last kind per key, in load order (open's last-wins order).
+        let mut live: FingerprintMap<u8> = FingerprintMap::default();
+        live.reserve(inner.index.len());
+        let (mut frames, mut corrupt_spans) = (0usize, 0usize);
         for pack in &inner.packs {
-            let mut at = PACK_MAGIC.len();
-            while let Some(rec) = decode_record(&pack.data, at) {
-                on_disk += 1;
-                at = rec.next;
-            }
+            scan_frames(&pack.data, PACK_MAGIC.len(), |frame| match frame {
+                Frame::Record(_, fingerprint, rec) => {
+                    frames += 1;
+                    live.insert(fingerprint, rec.kind);
+                }
+                Frame::Corrupt(_) => corrupt_spans += 1,
+            });
         }
+        let done = live.values().filter(|&&kind| kind == KIND_DONE).count();
         Ok(StoreStat {
             packs: inner.packs.len(),
-            records: inner.index.len(),
+            records: live.len(),
             done,
-            quarantined: inner.index.len() - done,
-            superseded: on_disk - inner.index.len(),
+            quarantined: live.len() - done,
+            superseded: frames - live.len(),
             bytes: inner.packs.iter().map(|p| p.data.len() as u64).sum(),
             reclaimed: store.reclaimed,
+            corrupt_spans: corrupt_spans + store.bad_headers,
         })
     }
 
@@ -1206,20 +1311,25 @@ impl PackStore {
         out
     }
 
-    /// Offline compaction: merges every pack into one, keeping only the
-    /// latest record per key, writes a fresh sidecar, and removes the
-    /// superseded packs. Refuses to run while any process holds a
-    /// writer lease on the directory — concurrent writers would race
-    /// the removal. The merge is crash-consistent: pack and sidecar
-    /// are written to tmp names, synced, renamed into place, and only
-    /// then are the superseded packs unlinked, so a crash at any point
-    /// leaves either the old store or the new one, never neither.
+    /// Offline compaction and repair: reads every pack raw, keeps the
+    /// last valid record per key, and rewrites the survivors into one
+    /// merged pack with a fresh sidecar. Bytes in which no record
+    /// decodes — a bit-flipped span, a torn tail, a pack with a bad
+    /// header — are first written to `scrub-quarantine/`, so nothing is
+    /// dropped silently; their cells re-simulate on the next warm run.
+    /// Refuses to run while any process holds a writer lease on the
+    /// directory — concurrent writers would race the removal. The
+    /// rewrite is crash-consistent: pack and sidecar are written to tmp
+    /// names, synced, renamed into place, and only then are the old
+    /// packs unlinked, so a crash at any point leaves either the old
+    /// store or the new one, never neither.
     ///
     /// # Errors
     ///
-    /// Returns the IO error when the merged pack cannot be written; the
-    /// original packs are only removed after the merge landed. A `dir`
-    /// that does not exist is [`NotFound`](std::io::ErrorKind::NotFound).
+    /// Returns the IO error when the quarantine or the merged pack
+    /// cannot be written; the original packs are only removed after the
+    /// merge landed. A `dir` that does not exist is
+    /// [`NotFound`](std::io::ErrorKind::NotFound).
     pub fn compact(dir: impl Into<PathBuf>) -> std::io::Result<CompactStats> {
         let dir = dir.into();
         let holders = live_lease_holders(&dir);
@@ -1228,206 +1338,76 @@ impl PackStore {
                 "store has live writers (pids {holders:?}); compact between campaigns"
             )));
         }
-        let store = PackStore::open_existing(&dir)?;
-        let inner = store.inner.read().expect("store lock");
-        let bytes_before: u64 = inner.packs.iter().map(|p| p.data.len() as u64).sum();
-        let mut records_before = 0usize;
-        for pack in &inner.packs {
-            let mut at = PACK_MAGIC.len();
-            while let Some(rec) = decode_record(&pack.data, at) {
-                records_before += 1;
-                at = rec.next;
-            }
-        }
-        // Deterministic output order: by (pack, offset) of the live
-        // record, i.e. survivor records keep their relative order.
-        let mut live: Vec<&Loc> = inner.index.values().collect();
-        live.sort_by_key(|loc| (loc.pack, loc.offset));
-
-        let mut merged = PACK_MAGIC.to_vec();
-        let mut entries = Vec::with_capacity(live.len());
-        for loc in &live {
-            let data = &inner.packs[loc.pack].data;
-            let rec = decode_record(data, loc.offset).expect("indexed record decodes");
-            let offset = merged.len();
-            merged.extend_from_slice(&data[loc.offset..rec.next]);
-            entries.push(IdxEntry {
-                fingerprint: fnv1a64(rec.key_text.as_bytes()),
-                offset,
-                kind: rec.kind,
-            });
-        }
-        let merged_path = dir.join(format!("pack-{}-merged-0.hpk", std::process::id()));
-        let idx = encode_index(merged.len(), &entries);
-        write_synced_then_rename(store.io.as_ref(), &merged_path, &merged)?;
-        write_synced_then_rename(store.io.as_ref(), &idx_path_for(&merged_path), &idx)?;
-        for pack in &inner.packs {
-            if pack.path != merged_path {
-                let _ = store.io.remove_file(&pack.path);
-                let _ = store.io.remove_file(&idx_path_for(&pack.path));
-            }
-        }
-        Ok(CompactStats {
-            packs_before: inner.packs.len(),
-            records_before,
-            records_after: entries.len(),
-            bytes_before,
-            bytes_after: merged.len() as u64,
-        })
-    }
-
-    /// Scrub-and-repair: verifies every record checksum across every
-    /// pack by raw byte scan (ignoring sidecars, which are themselves
-    /// verified against the scan), quarantines corrupt byte spans into
-    /// a `scrub-quarantine/` pack, and rewrites a clean store
-    /// crash-consistently. Refuses to run while any process holds a
-    /// writer lease.
-    ///
-    /// Because decided keys live in record bodies, the cells lost to a
-    /// corrupt span simply disappear from the decided set — the next
-    /// warm campaign re-simulates exactly those cells.
-    ///
-    /// # Errors
-    ///
-    /// Returns the IO error when the store cannot be opened or the
-    /// clean rewrite cannot land (the original packs are untouched in
-    /// that case).
-    pub fn scrub(dir: impl Into<PathBuf>) -> std::io::Result<ScrubStats> {
-        Self::scrub_with(dir, RealIo::shared())
-    }
-
-    /// [`scrub`](Self::scrub) with an explicit I/O backend (fault
-    /// injection in tests).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`scrub`](Self::scrub).
-    pub fn scrub_with(
-        dir: impl Into<PathBuf>,
-        io: Arc<dyn StoreIo>,
-    ) -> std::io::Result<ScrubStats> {
-        let dir = dir.into();
-        let holders = live_lease_holders(&dir);
-        if !holders.is_empty() {
-            return Err(std::io::Error::other(format!(
-                "store has live writers (pids {holders:?}); scrub between campaigns"
-            )));
-        }
-        let mut pack_paths: Vec<PathBuf> = io
-            .read_dir(&dir)?
-            .into_iter()
-            .filter(|p| p.extension().is_some_and(|x| x == "hpk"))
-            .collect();
-        pack_paths.sort();
-
-        let mut stats = ScrubStats::default();
-        // Last-wins per fingerprint in (pack, offset) scan order, same
-        // discipline as open. A surviving record is (key fingerprint →
-        // raw bytes); corrupt spans accumulate for quarantine.
-        let mut live: HashMap<u64, (usize, Vec<u8>)> = HashMap::new();
-        let mut order = 0usize;
+        let io = RealIo;
+        let mut stats = CompactStats::default();
+        let mut packs: Vec<(PathBuf, Vec<u8>)> = Vec::new();
+        // The last valid record per key, as (pack, offset, end, kind).
+        let mut live: FingerprintMap<(usize, usize, usize, u8)> = FingerprintMap::default();
         let mut quarantine: Vec<u8> = Vec::new();
-        for path in &pack_paths {
-            let Ok(data) = io.read(path) else { continue };
-            stats.packs += 1;
-            stats.bytes_before += data.len() as u64;
-            if data.len() < PACK_MAGIC.len() || data[..PACK_MAGIC.len()] != PACK_MAGIC {
-                stats.sidecars_bad += usize::from(io.exists(&idx_path_for(path)));
-                stats.corrupt_spans += 1;
-                stats.corrupt_bytes += data.len() as u64;
-                quarantine.extend_from_slice(&data);
-                continue;
-            }
-            // Sidecar health: a sidecar that does not decode against
-            // this pack (or points past its end) is counted bad; all
-            // sidecars are rewritten from scratch below either way.
-            let idx_path = idx_path_for(path);
-            if io.exists(&idx_path) {
-                let ok = io
-                    .read(&idx_path)
-                    .ok()
-                    .and_then(|idx| decode_index(&idx, data.len()))
-                    .is_some();
-                if !ok {
-                    stats.sidecars_bad += 1;
-                }
-            }
-            let mut at = PACK_MAGIC.len();
-            let mut bad_from: Option<usize> = None;
-            while at < data.len() {
-                if let Some(rec) = decode_record(&data, at) {
-                    if let Some(start) = bad_from.take() {
+        for path in pack_paths(&io, &dir)? {
+            let Ok(data) = io.read(&path) else { continue };
+            let pack = packs.len();
+            if data.starts_with(&PACK_MAGIC) {
+                scan_frames(&data, PACK_MAGIC.len(), |frame| match frame {
+                    Frame::Record(offset, fingerprint, rec) => {
+                        stats.records_before += 1;
+                        live.insert(fingerprint, (pack, offset, rec.next, rec.kind));
+                    }
+                    Frame::Corrupt(span) => {
                         stats.corrupt_spans += 1;
-                        stats.corrupt_bytes += (at - start) as u64;
-                        quarantine.extend_from_slice(&data[start..at]);
+                        quarantine.extend_from_slice(&data[span]);
                     }
-                    stats.records_scanned += 1;
-                    let fp = fnv1a64(rec.key_text.as_bytes());
-                    live.insert(fp, (order, data[at..rec.next].to_vec()));
-                    order += 1;
-                    at = rec.next;
-                } else {
-                    // Corrupt or torn: resync byte-by-byte until a
-                    // record decodes again (or the pack ends).
-                    if bad_from.is_none() {
-                        bad_from = Some(at);
-                    }
-                    at += 1;
-                }
-            }
-            if let Some(start) = bad_from.take() {
+                });
+            } else {
                 stats.corrupt_spans += 1;
-                stats.corrupt_bytes += (data.len() - start) as u64;
-                quarantine.extend_from_slice(&data[start..]);
+                quarantine.extend_from_slice(&data);
             }
+            stats.bytes_before += data.len() as u64;
+            packs.push((path, data));
         }
-        stats.records_kept = live.len();
+        stats.packs_before = packs.len();
+        stats.corrupt_bytes = quarantine.len() as u64;
 
-        // Quarantined bytes land first — losing data silently is the
-        // one thing a scrub must never do.
         if !quarantine.is_empty() {
             let qdir = dir.join("scrub-quarantine");
             io.create_dir_all(&qdir)?;
             let mut n = 0usize;
-            let qpath = loop {
-                let p = qdir.join(format!("quarantine-{n}.bin"));
-                if !io.exists(&p) {
-                    break p;
+            let mut f = loop {
+                match io.create_new(&qdir.join(format!("quarantine-{n}.bin"))) {
+                    Ok(f) => break f,
+                    Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => n += 1,
+                    Err(e) => return Err(e),
                 }
-                n += 1;
             };
-            let mut f = io.create_new(&qpath)?;
             f.write_all(&quarantine)?;
             f.flush()?;
             f.sync_all()?;
         }
 
-        // Clean rewrite: one merged pack + sidecar, tmp → sync →
-        // rename, then unlink the old packs.
-        let mut survivors: Vec<&(usize, Vec<u8>)> = live.values().collect();
-        survivors.sort_by_key(|(ord, _)| *ord);
+        // Survivors keep their relative (pack, offset) order.
+        let mut survivors: Vec<_> = live.into_iter().collect();
+        survivors.sort_unstable_by_key(|&(_, (pack, offset, ..))| (pack, offset));
         let mut merged = PACK_MAGIC.to_vec();
         let mut entries = Vec::with_capacity(survivors.len());
-        for (_, bytes) in survivors {
-            let offset = merged.len();
-            merged.extend_from_slice(bytes);
-            let rec = decode_record(&merged, offset).expect("survivor record decodes");
+        for (fingerprint, (pack, offset, end, kind)) in survivors {
             entries.push(IdxEntry {
-                fingerprint: fnv1a64(rec.key_text.as_bytes()),
-                offset,
-                kind: rec.kind,
+                fingerprint,
+                offset: merged.len(),
+                kind,
             });
+            merged.extend_from_slice(&packs[pack].1[offset..end]);
         }
-        let merged_path = dir.join(format!("pack-{}-scrubbed-0.hpk", std::process::id()));
+        let merged_path = dir.join(format!("pack-{}-merged-0.hpk", std::process::id()));
         let idx = encode_index(merged.len(), &entries);
-        write_synced_then_rename(io.as_ref(), &merged_path, &merged)?;
-        write_synced_then_rename(io.as_ref(), &idx_path_for(&merged_path), &idx)?;
-        for path in &pack_paths {
+        write_synced_then_rename(&io, &merged_path, &merged)?;
+        write_synced_then_rename(&io, &idx_path_for(&merged_path), &idx)?;
+        for (path, _) in &packs {
             if *path != merged_path {
                 let _ = io.remove_file(path);
                 let _ = io.remove_file(&idx_path_for(path));
             }
         }
+        stats.records_after = entries.len();
         stats.bytes_after = merged.len() as u64;
         Ok(stats)
     }
@@ -1687,6 +1667,16 @@ mod tests {
     }
 
     #[test]
+    fn fused_key_hash_matches_separate_hashes() {
+        let body = b"\x01\x03\0\0\0keypayload";
+        assert_eq!(
+            fnv1a64_with_key(body, 5..8),
+            (fnv1a64(body), fnv1a64(b"key"))
+        );
+        assert_eq!(fnv1a64_with_key(body, 5..5), (fnv1a64(body), fnv1a64(b"")));
+    }
+
+    #[test]
     fn round_trip_and_reopen_preserve_bits() {
         let dir = scratch_dir("roundtrip");
         let store = PackStore::open(&dir).unwrap();
@@ -1807,6 +1797,90 @@ mod tests {
         drop(store);
         let store = PackStore::open(&dir).unwrap();
         assert_eq!(store.probe(&key(2)), Some(summary(2)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn only_pack(dir: &Path) -> PathBuf {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|x| x == "hpk"))
+            .unwrap()
+    }
+
+    /// One pack of eight equal-length records with one byte flipped
+    /// inside record 3; returns the directory, the pack and the bad
+    /// record's byte range.
+    fn pack_with_flipped_record(tag: &str) -> (PathBuf, PathBuf, Range<usize>) {
+        let dir = scratch_dir(tag);
+        let store = PackStore::open(&dir).unwrap();
+        for seed in 0..8 {
+            store.store(&key(seed), &summary(seed));
+        }
+        drop(store);
+        let pack = only_pack(&dir);
+        let mut bytes = std::fs::read(&pack).unwrap();
+        let record_len = (bytes.len() - PACK_MAGIC.len()) / 8;
+        let bad = PACK_MAGIC.len() + 3 * record_len..PACK_MAGIC.len() + 4 * record_len;
+        bytes[bad.start + 20] ^= 0xA5;
+        std::fs::write(&pack, &bytes).unwrap();
+        (dir, pack, bad)
+    }
+
+    #[test]
+    fn open_skips_a_corrupt_record_and_compact_quarantines_it() {
+        let (dir, pack, bad) = pack_with_flipped_record("mid-corrupt");
+        std::fs::remove_file(idx_path_for(&pack)).unwrap();
+        let flipped = std::fs::read(&pack).unwrap();
+        let store = PackStore::open(&dir).unwrap();
+        assert_eq!(store.loaded(), 7);
+        for seed in 0..8 {
+            let expect = (seed != 3).then(|| summary(seed));
+            assert_eq!(store.probe(&key(seed)), expect, "seed {seed}");
+        }
+        drop(store);
+        assert_eq!(
+            std::fs::read(&pack).unwrap(),
+            flipped,
+            "a corrupt span mid-pack is not truncated"
+        );
+
+        let stats = PackStore::compact(&dir).unwrap();
+        assert_eq!((stats.corrupt_spans, stats.records_after), (1, 7));
+        assert_eq!(stats.corrupt_bytes, bad.len() as u64);
+        let kept = std::fs::read(dir.join("scrub-quarantine").join("quarantine-0.bin")).unwrap();
+        assert_eq!(kept, flipped[bad], "the bad bytes are quarantined");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stat_and_compact_see_a_corrupt_record_the_sidecar_indexes() {
+        let (dir, _, _) = pack_with_flipped_record("indexed-corrupt");
+        let stat = PackStore::stat(&dir).unwrap();
+        assert_eq!(
+            (stat.records, stat.superseded, stat.corrupt_spans),
+            (7, 0, 1)
+        );
+        let stats = PackStore::compact(&dir).unwrap();
+        assert_eq!(stats.records_after, 7);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stat_and_compact_count_a_pack_with_a_bad_header() {
+        let dir = scratch_dir("bad-header");
+        let store = PackStore::open(&dir).unwrap();
+        store.store(&key(1), &summary(1));
+        drop(store);
+        let pack = only_pack(&dir);
+        let mut bytes = std::fs::read(&pack).unwrap();
+        bytes[0] ^= 0xA5;
+        std::fs::write(&pack, &bytes).unwrap();
+        let stat = PackStore::stat(&dir).unwrap();
+        assert_eq!((stat.packs, stat.records, stat.corrupt_spans), (0, 0, 1));
+        let stats = PackStore::compact(&dir).unwrap();
+        assert_eq!((stats.corrupt_spans, stats.records_after), (1, 0));
+        assert_eq!(stats.corrupt_bytes, bytes.len() as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

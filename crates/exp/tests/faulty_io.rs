@@ -2,7 +2,7 @@
 //! deterministic injection schedule — short writes, EINTR, EAGAIN,
 //! ENOSPC, failed syncs, failed renames — either completes with
 //! retries or degrades cleanly, and never corrupts a store. After any
-//! schedule, `scrub` finds zero corrupt byte spans, every append that
+//! schedule, `compact` finds zero corrupt byte spans, every append that
 //! reported success survives a clean reopen bit-identically, and every
 //! append that reported failure left nothing behind.
 //!
@@ -64,15 +64,15 @@ fn write_cells(store: &PackStore, records: u64) -> Vec<u64> {
         .collect()
 }
 
-/// After any schedule: scrub reports zero corrupt spans and a clean
+/// After any schedule: compact reports zero corrupt spans and a clean
 /// reopen serves exactly the successful appends, bit-identically.
 fn assert_store_uncorrupted(dir: &PathBuf, stored_ok: &[u64]) {
-    let stats = PackStore::scrub(dir).expect("scrub after injection");
+    let stats = PackStore::compact(dir).expect("compact after injection");
     assert_eq!(
         stats.corrupt_spans, 0,
         "injected failures must never leave corrupt bytes"
     );
-    assert_eq!(stats.records_kept, stored_ok.len());
+    assert_eq!(stats.records_after, stored_ok.len());
     let reopened = PackStore::open(dir).expect("clean reopen");
     assert_eq!(reopened.len(), stored_ok.len());
     for &s in stored_ok {
@@ -220,7 +220,7 @@ proptest! {
 
     /// Random seeded schedules across every durability level: each
     /// append completes (possibly with retries) or fails cleanly; the
-    /// store is never corrupted; scrub confirms zero bad records; a
+    /// store is never corrupted; compact confirms zero bad records; a
     /// clean reopen serves exactly the successful appends.
     #[test]
     fn seeded_schedules_complete_or_degrade_without_corruption(
@@ -257,9 +257,9 @@ proptest! {
                 prop_assert_eq!(stored_ok.len() as u64, records);
             }
         }
-        let stats = PackStore::scrub(&dir).unwrap();
+        let stats = PackStore::compact(&dir).unwrap();
         prop_assert_eq!(stats.corrupt_spans, 0, "no schedule may corrupt the store");
-        prop_assert_eq!(stats.records_kept, stored_ok.len());
+        prop_assert_eq!(stats.records_after, stored_ok.len());
         let reopened = PackStore::open(&dir).unwrap();
         prop_assert_eq!(reopened.len(), stored_ok.len());
         for &s in &stored_ok {

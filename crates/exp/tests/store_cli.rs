@@ -4,10 +4,11 @@
 //! degrades to an uncached run with one warning (exit 0), a fault-sweep
 //! resumed through `--store` or `HARVEST_SWEEP_STORE` re-simulates
 //! nothing (the pack's decided records are the resume log), flags that
-//! need a store are usage errors without one (as are removed flags and
-//! an out-of-range `--util`), the `store stat` /
-//! `store compact` subcommands round-trip a store directory without
-//! disturbing its contents, and the maintenance commands refuse a store
+//! need a store are usage errors without one (as are removed flags, the
+//! removed `store scrub` verb and an out-of-range `--util`), the
+//! `store stat` / `store compact` subcommands round-trip a store
+//! directory without disturbing its contents, `store compact` repairs a
+//! corrupted record, and the maintenance commands refuse a store
 //! directory that does not exist.
 
 use std::path::PathBuf;
@@ -232,7 +233,6 @@ fn maintenance_commands_refuse_a_missing_store() {
     for args in [
         &["store", "stat", path][..],
         &["store", "compact", path][..],
-        &["store", "scrub", path][..],
         &["report", "--store", path][..],
     ] {
         let out = run(exp().args(args));
@@ -257,6 +257,22 @@ fn removed_cache_and_manifest_flags_are_usage_errors() {
             stderr(&out)
         );
     }
+}
+
+/// `store scrub` is an unknown verb (exit 2): `store stat` detects
+/// corruption and `store compact` repairs it.
+#[test]
+fn removed_scrub_verb_is_a_usage_error() {
+    let dir = scratch_dir("scrub-verb");
+    let out = run(exp().args(["store", "scrub", dir.to_str().unwrap()]));
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("unknown store verb `scrub`"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    assert!(!dir.exists(), "a usage error touches no store");
 }
 
 /// `--batch` and `--batch-group` are unknown flags (exit 2), not
@@ -362,11 +378,11 @@ fn env_selected_store_checkpoints_and_resumes_fault_sweeps() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A flipped byte mid-record: `store scrub` quarantines exactly that
+/// A flipped byte mid-record: `store compact` quarantines exactly that
 /// record, keeps the rest, and the next warm run re-simulates exactly
 /// the one lost cell back to the original figure digest.
 #[test]
-fn scrub_quarantines_a_corrupted_record_and_the_cell_recomputes() {
+fn compact_quarantines_a_corrupted_record_and_the_cell_recomputes() {
     let dir = scratch_dir("scrub");
     let args = |extra: &[&str]| {
         let mut v = vec![
@@ -399,20 +415,20 @@ fn scrub_quarantines_a_corrupted_record_and_the_cell_recomputes() {
     bytes[8 + 6] ^= 0xA5;
     std::fs::write(&pack, bytes).unwrap();
 
-    let scrub = run(exp().args(["store", "scrub", dir.to_str().unwrap()]));
-    assert!(scrub.status.success(), "{}", stderr(&scrub));
-    assert_eq!(field(&scrub, "corrupt_spans"), "1");
-    let kept: u64 = field(&scrub, "records_kept").parse().unwrap();
-    assert_eq!(kept, simulated - 1, "scrub loses exactly the bad record");
+    let compact = run(exp().args(["store", "compact", dir.to_str().unwrap()]));
+    assert!(compact.status.success(), "{}", stderr(&compact));
+    assert_eq!(field(&compact, "corrupt_spans"), "1");
+    let kept: u64 = field(&compact, "records_after").parse().unwrap();
+    assert_eq!(kept, simulated - 1, "compact loses exactly the bad record");
     assert!(
         dir.join("scrub-quarantine").is_dir(),
         "the corrupt bytes are preserved for post-mortem"
     );
 
-    // A second scrub of the clean store finds nothing to quarantine.
-    let again = run(exp().args(["store", "scrub", dir.to_str().unwrap(), "--json"]));
+    // A second compact of the clean store finds nothing to quarantine.
+    let again = run(exp().args(["store", "compact", dir.to_str().unwrap()]));
     assert!(again.status.success(), "{}", stderr(&again));
-    assert!(stdout(&again).contains("\"corrupt_spans\": 0"));
+    assert_eq!(field(&again, "corrupt_spans"), "0");
 
     // The warm run recomputes exactly the quarantined cell.
     let warm = run(exp().args(args(&[])));

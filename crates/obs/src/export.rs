@@ -9,9 +9,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::io::{self, Write};
-use std::path::Path;
-
-use crate::io::{StoreFile, StoreIo};
 
 /// Streaming writer: one serialized value per `\n`-terminated line.
 #[derive(Debug)]
@@ -60,21 +57,6 @@ impl<W: Write> JsonlWriter<W> {
     pub fn finish(mut self) -> io::Result<W> {
         self.inner.flush()?;
         Ok(self.inner)
-    }
-}
-
-impl JsonlWriter<Box<dyn StoreFile>> {
-    /// Create (or truncate) `path` through a [`StoreIo`] backend, so
-    /// stream files share the store's fault-injection and retry seam.
-    pub fn create_with(io: &dyn StoreIo, path: &Path) -> io::Result<Self> {
-        Ok(Self::new(io.create(path)?))
-    }
-
-    /// Flush buffered lines and sync them to stable storage (the
-    /// durability barrier for stream files).
-    pub fn sync(&mut self) -> io::Result<()> {
-        self.inner.flush()?;
-        self.inner.sync_all()
     }
 }
 

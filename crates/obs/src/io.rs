@@ -1,11 +1,10 @@
-//! Fault-injectable storage I/O: the seam between the persistence
-//! stack and the filesystem.
+//! Fault-injectable storage I/O: the seam between the pack-file store
+//! and the filesystem.
 //!
-//! Everything that writes campaign state to disk — the pack-file
-//! store, the per-file sweep cache, the JSONL manifest, and the
-//! [`JsonlWriter`](crate::export::JsonlWriter) behind progress
-//! streams — goes through a [`StoreIo`] implementation instead of
-//! `std::fs` directly. Two backends exist:
+//! Every file the pack store writes — packs, sidecars, compaction's
+//! merged pack and quarantine — goes through a [`StoreIo`]
+//! implementation instead of `std::fs` directly. (Progress streams and
+//! trace files are written with `std::fs`.) Two backends exist:
 //!
 //! * [`RealIo`] — a zero-cost passthrough to `std::fs`.
 //! * [`FaultyIo`] — a deterministic fault injector: a SplitMix64
@@ -54,9 +53,6 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 pub trait StoreFile: Write + Send + fmt::Debug {
     /// Flush file contents and metadata to stable storage.
     fn sync_all(&mut self) -> io::Result<()>;
-    /// Truncate the file to `len` bytes (recovery: cut a torn tail
-    /// back to the last known-good record boundary before retrying).
-    fn truncate(&mut self, len: u64) -> io::Result<()>;
 }
 
 /// The filesystem operations the persistence stack needs, as an
@@ -74,10 +70,6 @@ pub trait StoreIo: Send + Sync + fmt::Debug {
     fn read_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>>;
     /// Whole-file read.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
-    /// Whole-file read as UTF-8.
-    fn read_to_string(&self, path: &Path) -> io::Result<String>;
-    /// Open for appending, creating if absent.
-    fn open_append(&self, path: &Path) -> io::Result<Box<dyn StoreFile>>;
     /// Create exclusively (`O_EXCL`): fails with `AlreadyExists` if
     /// the path is taken — the pack-name claim primitive. The handle
     /// appends (`O_APPEND`), so a truncate-by-path rollback moves the
@@ -93,8 +85,6 @@ pub trait StoreIo: Send + Sync + fmt::Debug {
     fn remove_file(&self, path: &Path) -> io::Result<()>;
     /// Truncate a file by path (torn-tail recovery on open).
     fn truncate(&self, path: &Path, len: u64) -> io::Result<()>;
-    /// Whether the path exists.
-    fn exists(&self, path: &Path) -> bool;
 }
 
 /// The passthrough backend: every operation is the `std::fs` call.
@@ -125,9 +115,6 @@ impl StoreFile for RealFile {
     fn sync_all(&mut self) -> io::Result<()> {
         self.0.sync_all()
     }
-    fn truncate(&mut self, len: u64) -> io::Result<()> {
-        self.0.set_len(len)
-    }
 }
 
 impl StoreIo for RealIo {
@@ -147,16 +134,6 @@ impl StoreIo for RealIo {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         fs::read(path)
     }
-    fn read_to_string(&self, path: &Path) -> io::Result<String> {
-        fs::read_to_string(path)
-    }
-    fn open_append(&self, path: &Path) -> io::Result<Box<dyn StoreFile>> {
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        Ok(Box::new(RealFile(file)))
-    }
     fn create_new(&self, path: &Path) -> io::Result<Box<dyn StoreFile>> {
         let file = fs::OpenOptions::new()
             .create_new(true)
@@ -175,9 +152,6 @@ impl StoreIo for RealIo {
     }
     fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
         fs::OpenOptions::new().write(true).open(path)?.set_len(len)
-    }
-    fn exists(&self, path: &Path) -> bool {
-        path.exists()
     }
 }
 
@@ -383,11 +357,6 @@ impl StoreFile for FaultyFile {
         }
         self.file.sync_all()
     }
-    fn truncate(&mut self, len: u64) -> io::Result<()> {
-        // Truncation is the recovery primitive; it stays reliable so
-        // every injected schedule has a corruption-free exit.
-        self.file.set_len(len)
-    }
 }
 
 impl StoreIo for FaultyIo {
@@ -399,19 +368,6 @@ impl StoreIo for FaultyIo {
     }
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         RealIo.read(path)
-    }
-    fn read_to_string(&self, path: &Path) -> io::Result<String> {
-        RealIo.read_to_string(path)
-    }
-    fn open_append(&self, path: &Path) -> io::Result<Box<dyn StoreFile>> {
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        Ok(Box::new(FaultyFile {
-            file,
-            state: Arc::clone(&self.state),
-        }))
     }
     fn create_new(&self, path: &Path) -> io::Result<Box<dyn StoreFile>> {
         let file = fs::OpenOptions::new()
@@ -439,64 +395,9 @@ impl StoreIo for FaultyIo {
         RealIo.remove_file(path)
     }
     fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+        // Truncation is the recovery primitive; it stays reliable so
+        // every injected schedule has a corruption-free exit.
         RealIo.truncate(path, len)
-    }
-    fn exists(&self, path: &Path) -> bool {
-        path.exists()
-    }
-}
-
-/// A [`StoreFile`] adapter that retries transient write errors
-/// in-place with a [`RetryPolicy`], counting retries into shared
-/// [`IoCounters`]. Short writes are absorbed by the internal loop;
-/// persistent errors surface to the caller to degrade on. Wrap a
-/// stream file in this before handing it to a
-/// [`JsonlWriter`](crate::export::JsonlWriter) and the stream gets
-/// the same recovery discipline as the stores.
-pub struct RetryWriter {
-    inner: Box<dyn StoreFile>,
-    policy: RetryPolicy,
-    counters: Arc<IoCounters>,
-}
-
-impl fmt::Debug for RetryWriter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RetryWriter")
-            .field("policy", &self.policy)
-            .finish_non_exhaustive()
-    }
-}
-
-impl RetryWriter {
-    /// Wrap `inner` with a retry policy and shared counters.
-    pub fn new(inner: Box<dyn StoreFile>, policy: RetryPolicy, counters: Arc<IoCounters>) -> Self {
-        Self {
-            inner,
-            policy,
-            counters,
-        }
-    }
-}
-
-impl Write for RetryWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.policy.run(&self.counters, || self.inner.write(buf))
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        self.policy.run(&self.counters, || self.inner.flush())
-    }
-}
-
-impl StoreFile for RetryWriter {
-    fn sync_all(&mut self) -> io::Result<()> {
-        let out = self.policy.run(&self.counters, || self.inner.sync_all());
-        if out.is_err() {
-            self.counters.note_sync_failure();
-        }
-        out
-    }
-    fn truncate(&mut self, len: u64) -> io::Result<()> {
-        self.inner.truncate(len)
     }
 }
 
@@ -647,15 +548,6 @@ pub struct IoHealth {
 }
 
 impl IoHealth {
-    /// Sum two snapshots (e.g. trial store + manifest).
-    pub fn merge(self, other: IoHealth) -> IoHealth {
-        IoHealth {
-            retries: self.retries + other.retries,
-            degraded: self.degraded + other.degraded,
-            sync_failures: self.sync_failures + other.sync_failures,
-        }
-    }
-
     /// Whether nothing went wrong.
     pub fn is_clean(&self) -> bool {
         *self == IoHealth::default()
@@ -724,8 +616,8 @@ mod tests {
         drop(f);
         assert_eq!(io.read(&path).unwrap(), b"hello");
         io.rename(&path, &dir.join("b.txt")).unwrap();
-        assert!(!io.exists(&path));
-        assert_eq!(io.read_to_string(&dir.join("b.txt")).unwrap(), "hello");
+        assert!(!path.exists());
+        assert_eq!(io.read(&dir.join("b.txt")).unwrap(), b"hello");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -789,7 +681,7 @@ mod tests {
         );
         assert!(f.sync_all().is_err());
         assert!(io.rename(&dir.join("f"), &dir.join("g")).is_err());
-        assert!(io.exists(&dir.join("f")), "failed rename must not move");
+        assert!(dir.join("f").exists(), "failed rename must not move");
         assert_eq!(io.injected(), 3);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -888,8 +780,6 @@ mod tests {
         assert_eq!(h.degraded, 1);
         assert_eq!(h.sync_failures, 2);
         assert!(!h.is_clean());
-        let merged = h.merge(h);
-        assert_eq!(merged.sync_failures, 4);
 
         let mut reg = crate::MetricsRegistry::new();
         h.publish("store", &mut reg);

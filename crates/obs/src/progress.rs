@@ -336,9 +336,9 @@ impl ProgressReporter {
     }
 
     /// Replace the reported store-health snapshot (absolute counts —
-    /// callers pass a fresh [`IoHealth`](crate::io::IoHealth) snapshot,
-    /// typically merged across the trial store and manifest, at each
-    /// checkpoint). Surfaced in every subsequent heartbeat.
+    /// callers pass a fresh [`IoHealth`](crate::io::IoHealth) snapshot
+    /// of the pack store at each checkpoint). Surfaced in every
+    /// subsequent heartbeat.
     pub fn note_store_health(&self, health: crate::io::IoHealth) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.store_health = health;
