@@ -17,9 +17,27 @@ use rand::Rng;
 /// assert!(x.is_finite());
 /// ```
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    let (u1, u2) = uniform_pair(rng);
+    box_muller(u1, u2)
+}
+
+/// Draws the uniform pair behind one [`standard_normal`] sample, in
+/// stream order: `u1 ∈ (0, 1]` first, then `u2 ∈ [0, 1)`.
+#[inline]
+pub(crate) fn uniform_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     // u1 ∈ (0, 1] so the logarithm is finite.
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
+    (u1, u2)
+}
+
+/// The Box–Muller transform of one [`uniform_pair`].
+///
+/// Its sign is the sign of `cos(2π·u2)`, so for `u2` strictly inside
+/// `(1/4, 3/4)` it is negative, or `+0.0` when `u1 = 1`
+/// (`sqrt(-0.0)·cos = +0.0`).
+#[inline]
+pub(crate) fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 

@@ -22,6 +22,20 @@ pub trait HarvestSource {
     /// Must be finite and non-negative.
     fn draw(&mut self, t: SimTime, rng: &mut StdRng) -> f64;
 
+    /// Fills `out` with the draws for the grid `start, start + dt, …`,
+    /// one slot per grid point, exactly as that many [`draw`](Self::draw)
+    /// calls in time order would.
+    ///
+    /// The default is that loop. A source overrides it only to draw the
+    /// same values faster.
+    fn draw_grid(&mut self, start: SimTime, dt: SimDuration, rng: &mut StdRng, out: &mut [f64]) {
+        let mut t = start;
+        for p in out {
+            *p = self.draw(t, rng);
+            t += dt;
+        }
+    }
+
     /// Short human-readable model name for reports.
     fn name(&self) -> &str {
         "harvest-source"
@@ -79,17 +93,15 @@ pub fn sample_profile<S: HarvestSource + ?Sized>(
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let n = ((horizon.as_ticks() + dt.as_ticks() - 1) / dt.as_ticks()) as usize;
-    let mut samples = Vec::with_capacity(n);
-    let mut t = start;
-    for _ in 0..n {
-        let p = source.draw(t, &mut rng);
-        assert!(
-            p.is_finite() && p >= 0.0,
-            "source {:?} drew invalid power {p} at {t}",
-            source.name()
+    let mut samples = vec![0.0; n];
+    source.draw_grid(start, dt, &mut rng, &mut samples);
+    if let Some(i) = samples.iter().position(|p| !(p.is_finite() && *p >= 0.0)) {
+        let t = SimTime::from_ticks(start.as_ticks() + i as i64 * dt.as_ticks());
+        panic!(
+            "source {:?} drew invalid power {} at {t}",
+            source.name(),
+            samples[i]
         );
-        samples.push(p);
-        t += dt;
     }
     PiecewiseConstant::from_samples(start, dt, samples, Extension::Hold)
 }
@@ -186,6 +198,10 @@ impl<S: HarvestSource + ?Sized> HarvestSource for &mut S {
         (**self).draw(t, rng)
     }
 
+    fn draw_grid(&mut self, start: SimTime, dt: SimDuration, rng: &mut StdRng, out: &mut [f64]) {
+        (**self).draw_grid(start, dt, rng, out);
+    }
+
     fn name(&self) -> &str {
         (**self).name()
     }
@@ -194,6 +210,10 @@ impl<S: HarvestSource + ?Sized> HarvestSource for &mut S {
 impl<S: HarvestSource + ?Sized> HarvestSource for Box<S> {
     fn draw(&mut self, t: SimTime, rng: &mut StdRng) -> f64 {
         (**self).draw(t, rng)
+    }
+
+    fn draw_grid(&mut self, start: SimTime, dt: SimDuration, rng: &mut StdRng, out: &mut [f64]) {
+        (**self).draw_grid(start, dt, rng, out);
     }
 
     fn name(&self) -> &str {

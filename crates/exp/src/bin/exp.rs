@@ -45,7 +45,8 @@
 //! `--durability` are usage errors. `store stat` summarizes a store
 //! directory and counts its corrupt spans (`--json` for machine
 //! consumption); `store compact` merges its packs, dropping superseded
-//! records and moving corrupt spans into `scrub-quarantine/`.
+//! records and moving each corrupt span into its own file under
+//! `scrub-quarantine/`, named for its pack and byte offset.
 //!
 //! Campaign telemetry (all off by default, zero-cost when off):
 //! `--trace PATH` records phase and per-cell spans and exports them as

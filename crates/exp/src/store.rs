@@ -60,7 +60,8 @@
 //!   default), or never. Compaction and sidecar writes are
 //!   crash-consistent (write → sync → rename → unlink).
 //! * [`PackStore::stat`] counts corrupt spans; [`PackStore::compact`]
-//!   repairs them: it moves their bytes into `scrub-quarantine/` and
+//!   repairs them: it moves each span's bytes into its own file under
+//!   `scrub-quarantine/`, named for its pack and byte offset, and
 //!   rewrites a clean store — the warm path then re-simulates exactly
 //!   the lost cells.
 
@@ -433,6 +434,23 @@ fn pack_paths(io: &dyn StoreIo, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
         .collect();
     paths.sort();
     Ok(paths)
+}
+
+/// Creates the first of `name(0)`, `name(1)`, … that does not exist yet,
+/// exclusively, so no existing file is ever overwritten.
+fn create_numbered(
+    io: &dyn StoreIo,
+    name: impl Fn(usize) -> PathBuf,
+) -> std::io::Result<(PathBuf, Box<dyn StoreFile>)> {
+    let mut n = 0;
+    loop {
+        let path = name(n);
+        match io.create_new(&path) {
+            Ok(f) => return Ok((path, f)),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => n += 1,
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1164,16 +1182,9 @@ impl PackStore {
             );
         }
         let pid = std::process::id();
-        let mut n = 0usize;
-        let (path, file) = loop {
-            let path = self.dir.join(format!("pack-{pid}-{}-{n}.hpk", lease.slot));
-            match self.io.create_new(&path) {
-                Ok(f) => break (path, f),
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => n += 1,
-                Err(e) => return Err(e),
-            }
-        };
-        let mut file = file;
+        let (path, mut file) = create_numbered(&*self.io, |n| {
+            self.dir.join(format!("pack-{pid}-{}-{n}.hpk", lease.slot))
+        })?;
         if let Err(e) = self
             .retry
             .run(&self.counters, || file.write_all(&PACK_MAGIC))
@@ -1315,8 +1326,12 @@ impl PackStore {
     /// last valid record per key, and rewrites the survivors into one
     /// merged pack with a fresh sidecar. Bytes in which no record
     /// decodes — a bit-flipped span, a torn tail, a pack with a bad
-    /// header — are first written to `scrub-quarantine/`, so nothing is
-    /// dropped silently; their cells re-simulate on the next warm run.
+    /// header — are first written to `scrub-quarantine/`, one file per
+    /// span named for its pack and byte offset
+    /// (`pack-…-at-<offset>.bin`, with a `.<n>` suffix before `.bin` if
+    /// that name is taken), so nothing is dropped silently and every
+    /// span stays traceable; their cells re-simulate on the next warm
+    /// run.
     /// Refuses to run while any process holds a writer lease on the
     /// directory — concurrent writers would race the removal. The
     /// rewrite is crash-consistent: pack and sidecar are written to tmp
@@ -1343,7 +1358,8 @@ impl PackStore {
         let mut packs: Vec<(PathBuf, Vec<u8>)> = Vec::new();
         // The last valid record per key, as (pack, offset, end, kind).
         let mut live: FingerprintMap<(usize, usize, usize, u8)> = FingerprintMap::default();
-        let mut quarantine: Vec<u8> = Vec::new();
+        // Corrupt spans, as (pack, byte range).
+        let mut corrupt: Vec<(usize, Range<usize>)> = Vec::new();
         for path in pack_paths(&io, &dir)? {
             let Ok(data) = io.read(&path) else { continue };
             let pack = packs.len();
@@ -1353,35 +1369,34 @@ impl PackStore {
                         stats.records_before += 1;
                         live.insert(fingerprint, (pack, offset, rec.next, rec.kind));
                     }
-                    Frame::Corrupt(span) => {
-                        stats.corrupt_spans += 1;
-                        quarantine.extend_from_slice(&data[span]);
-                    }
+                    Frame::Corrupt(span) => corrupt.push((pack, span)),
                 });
             } else {
-                stats.corrupt_spans += 1;
-                quarantine.extend_from_slice(&data);
+                corrupt.push((pack, 0..data.len()));
             }
             stats.bytes_before += data.len() as u64;
             packs.push((path, data));
         }
         stats.packs_before = packs.len();
-        stats.corrupt_bytes = quarantine.len() as u64;
+        stats.corrupt_spans = corrupt.len();
 
-        if !quarantine.is_empty() {
+        if !corrupt.is_empty() {
             let qdir = dir.join("scrub-quarantine");
             io.create_dir_all(&qdir)?;
-            let mut n = 0usize;
-            let mut f = loop {
-                match io.create_new(&qdir.join(format!("quarantine-{n}.bin"))) {
-                    Ok(f) => break f,
-                    Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => n += 1,
-                    Err(e) => return Err(e),
-                }
-            };
-            f.write_all(&quarantine)?;
-            f.flush()?;
-            f.sync_all()?;
+            for (pack, span) in corrupt {
+                let (path, data) = &packs[pack];
+                let stem = path
+                    .file_stem()
+                    .map_or("pack".into(), |s| s.to_string_lossy());
+                let (_, mut f) = create_numbered(&io, |n| match n {
+                    0 => qdir.join(format!("{stem}-at-{}.bin", span.start)),
+                    n => qdir.join(format!("{stem}-at-{}.{n}.bin", span.start)),
+                })?;
+                stats.corrupt_bytes += span.len() as u64;
+                f.write_all(&data[span])?;
+                f.flush()?;
+                f.sync_all()?;
+            }
         }
 
         // Survivors keep their relative (pack, offset) order.
@@ -1848,8 +1863,75 @@ mod tests {
         let stats = PackStore::compact(&dir).unwrap();
         assert_eq!((stats.corrupt_spans, stats.records_after), (1, 7));
         assert_eq!(stats.corrupt_bytes, bad.len() as u64);
-        let kept = std::fs::read(dir.join("scrub-quarantine").join("quarantine-0.bin")).unwrap();
+        let stem = pack.file_stem().unwrap().to_string_lossy();
+        let kept = dir
+            .join("scrub-quarantine")
+            .join(format!("{stem}-at-{}.bin", bad.start));
+        let kept = std::fs::read(kept).unwrap();
         assert_eq!(kept, flipped[bad], "the bad bytes are quarantined");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compact_quarantines_each_span_in_a_file_named_for_its_pack_and_offset() {
+        let (dir, first, bad_first) = pack_with_flipped_record("two-packs");
+        // A second pack, written by a second store session, with its
+        // record 5 flipped.
+        let store = PackStore::open(&dir).unwrap();
+        for seed in 10..16 {
+            store.store(&key(seed), &summary(seed));
+        }
+        drop(store);
+        let second = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|x| x == "hpk") && *p != first)
+            .unwrap();
+        let mut bytes = std::fs::read(&second).unwrap();
+        let record_len = (bytes.len() - PACK_MAGIC.len()) / 6;
+        let bad_second = PACK_MAGIC.len() + 5 * record_len..PACK_MAGIC.len() + 6 * record_len;
+        bytes[bad_second.start + 20] ^= 0xA5;
+        std::fs::write(&second, &bytes).unwrap();
+        let spans = [
+            (first.clone(), bad_first, std::fs::read(&first).unwrap()),
+            (second.clone(), bad_second, bytes),
+        ];
+        // A file already at the first span's name is kept, not replaced.
+        let qdir = dir.join("scrub-quarantine");
+        std::fs::create_dir_all(&qdir).unwrap();
+        let first_stem = first.file_stem().unwrap().to_string_lossy();
+        let taken = qdir.join(format!("{first_stem}-at-{}.bin", spans[0].1.start));
+        std::fs::write(&taken, b"earlier").unwrap();
+
+        let stats = PackStore::compact(&dir).unwrap();
+        assert_eq!((stats.corrupt_spans, stats.records_after), (2, 7 + 5));
+        assert_eq!(
+            stats.corrupt_bytes,
+            (spans[0].1.len() + spans[1].1.len()) as u64
+        );
+        assert_eq!(std::fs::read(&taken).unwrap(), b"earlier");
+        let mut names: Vec<String> = std::fs::read_dir(&qdir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        let second_stem = second.file_stem().unwrap().to_string_lossy();
+        let mut want = vec![
+            format!("{first_stem}-at-{}.bin", spans[0].1.start),
+            format!("{first_stem}-at-{}.1.bin", spans[0].1.start),
+            format!("{second_stem}-at-{}.bin", spans[1].1.start),
+        ];
+        want.sort();
+        assert_eq!(names, want);
+        let kept = |name: String| std::fs::read(qdir.join(name)).unwrap();
+        assert_eq!(
+            kept(format!("{first_stem}-at-{}.1.bin", spans[0].1.start)),
+            spans[0].2[spans[0].1.clone()]
+        );
+        assert_eq!(
+            kept(format!("{second_stem}-at-{}.bin", spans[1].1.start)),
+            spans[1].2[spans[1].1.clone()]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

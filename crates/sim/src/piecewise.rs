@@ -51,6 +51,19 @@ pub enum Extension {
     Cycle,
 }
 
+/// The `(min, max)` of no values.
+const EMPTY_RANGE: (f64, f64) = (f64::INFINITY, f64::NEG_INFINITY);
+
+/// `(min, max)` widened by the finite `v`. A tie keeps the earlier value,
+/// so a signed zero keeps the sign it was first seen with. `f64::min`
+/// leaves that choice to the compiler, which made it differently for a
+/// fold and for a loop that had already checked `v`, so every
+/// constructor goes through this one definition.
+#[inline]
+fn widen((lo, hi): (f64, f64), v: f64) -> (f64, f64) {
+    (if v < lo { v } else { lo }, if v > hi { v } else { hi })
+}
+
 /// Error constructing a [`PiecewiseConstant`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PiecewiseError {
@@ -354,8 +367,7 @@ impl PiecewiseConstant {
             acc += v * (breakpoints[i + 1] - breakpoints[i]).as_units();
             prefix.push(acc);
         }
-        let vmin = values.iter().copied().fold(f64::INFINITY, f64::min);
-        let vmax = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let range = values.iter().fold(EMPTY_RANGE, |r, &v| widen(r, v));
         let dt = (breakpoints[1] - breakpoints[0]).as_ticks();
         let grid_dt = if extension == Extension::Hold
             && breakpoints
@@ -366,6 +378,20 @@ impl PiecewiseConstant {
         } else {
             0
         };
+        Self::assemble(breakpoints, values, extension, prefix, range, grid_dt)
+    }
+
+    /// The struct from its parts and derived caches: the prefix table,
+    /// the `(min, max)` range and the uniform spacing in ticks (0 if
+    /// none), whose reciprocal it derives.
+    fn assemble(
+        breakpoints: Vec<SimTime>,
+        values: Vec<f64>,
+        extension: Extension,
+        prefix: Vec<f64>,
+        (vmin, vmax): (f64, f64),
+        grid_dt: i64,
+    ) -> Self {
         PiecewiseConstant {
             breakpoints,
             values,
@@ -402,26 +428,64 @@ impl PiecewiseConstant {
     /// # Errors
     ///
     /// Returns [`PiecewiseError`] if `samples` is empty, `dt` is not
-    /// positive, or a sample is not finite.
+    /// positive, a sample is not finite, or the grid runs past the tick
+    /// range (reported as [`NotIncreasing`](PiecewiseError::NotIncreasing)
+    /// at the first breakpoint that does not fit, as [`Self::new`] would
+    /// report the wrapped grid).
+    ///
+    /// The result is field for field what [`Self::new`] builds over the
+    /// stepped breakpoints, in one pass and without re-validating the
+    /// grid: every spacing is `dt`, so each prefix step is `v · dt`, the
+    /// product `new` forms.
     pub fn from_samples(
         start: SimTime,
         dt: SimDuration,
         samples: Vec<f64>,
         extension: Extension,
     ) -> Result<Self, PiecewiseError> {
-        if samples.is_empty() || !dt.is_positive() {
+        let n = samples.len();
+        if n == 0 || !dt.is_positive() {
             return Err(PiecewiseError::LengthMismatch {
                 breakpoints: 0,
-                values: samples.len(),
+                values: n,
             });
         }
-        let mut breakpoints = Vec::with_capacity(samples.len() + 1);
-        let mut t = start;
-        for _ in 0..=samples.len() {
-            breakpoints.push(t);
-            t += dt;
+        let (t0, step) = (start.as_ticks(), dt.as_ticks());
+        // Steps past `t0` that stay within the tick range.
+        let fit = (i128::from(i64::MAX) - i128::from(t0)) / i128::from(step);
+        if n as i128 > fit {
+            return Err(PiecewiseError::NotIncreasing {
+                index: fit as usize + 1,
+            });
         }
-        PiecewiseConstant::new(breakpoints, samples, extension)
+        let dt_units = dt.as_units();
+        let mut breakpoints = Vec::with_capacity(n + 1);
+        let mut prefix = Vec::with_capacity(n + 1);
+        let (mut acc, mut range) = (0.0, EMPTY_RANGE);
+        prefix.push(acc);
+        for (i, &v) in samples.iter().enumerate() {
+            if !v.is_finite() {
+                return Err(PiecewiseError::NonFiniteValue { index: i });
+            }
+            breakpoints.push(SimTime::from_ticks(t0 + i as i64 * step));
+            acc += v * dt_units;
+            prefix.push(acc);
+            range = widen(range, v);
+        }
+        breakpoints.push(SimTime::from_ticks(t0 + n as i64 * step));
+        let grid_dt = if extension == Extension::Hold {
+            step
+        } else {
+            0
+        };
+        Ok(Self::assemble(
+            breakpoints,
+            samples,
+            extension,
+            prefix,
+            range,
+            grid_dt,
+        ))
     }
 
     /// Start of the explicitly defined domain.
@@ -1993,6 +2057,164 @@ mod tests {
         assert_eq!(f.domain_end(), SimTime::from_whole_units(6));
         assert_eq!(f.value_at(SimTime::from_whole_units(3)), 2.0);
         assert!((f.domain_mean() - 2.0).abs() < 1e-12);
+    }
+
+    /// `new` over the breakpoints `from_samples` steps, with the tick
+    /// sums wrapping as an unchecked release build would wrap them.
+    fn new_over_stepped(
+        start: SimTime,
+        dt: SimDuration,
+        samples: &[f64],
+        extension: Extension,
+    ) -> Result<PiecewiseConstant, PiecewiseError> {
+        let (t0, step) = (start.as_ticks(), dt.as_ticks());
+        let breakpoints = (0..=samples.len() as i64)
+            .map(|i| SimTime::from_ticks(t0.wrapping_add(i.wrapping_mul(step))))
+            .collect();
+        PiecewiseConstant::new(breakpoints, samples.to_vec(), extension)
+    }
+
+    fn assert_same_fields(a: &PiecewiseConstant, b: &PiecewiseConstant, ctx: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.breakpoints, b.breakpoints, "breakpoints ({ctx})");
+        assert_eq!(bits(&a.values), bits(&b.values), "values ({ctx})");
+        assert_eq!(a.extension, b.extension, "extension ({ctx})");
+        assert_eq!(bits(&a.prefix), bits(&b.prefix), "prefix ({ctx})");
+        assert_eq!(a.vmin.to_bits(), b.vmin.to_bits(), "vmin ({ctx})");
+        assert_eq!(a.vmax.to_bits(), b.vmax.to_bits(), "vmax ({ctx})");
+        assert_eq!(a.grid_dt, b.grid_dt, "grid_dt ({ctx})");
+        assert_eq!(
+            a.grid_inv_dt.to_bits(),
+            b.grid_inv_dt.to_bits(),
+            "grid_inv_dt ({ctx})"
+        );
+    }
+
+    #[test]
+    fn from_samples_matches_new_over_the_stepped_grid() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
+        let starts = [
+            SimTime::ZERO,
+            SimTime::from_whole_units(37),
+            SimTime::from_ticks(-1_234_567),
+        ];
+        let dts = [
+            SimDuration::from_whole_units(1),
+            SimDuration::from_units(0.5),
+            SimDuration::from_whole_units(3),
+            SimDuration::from_ticks(7),
+        ];
+        for case in 0..200 {
+            let n = [1, 2, 7, 64, 1_000][case % 5];
+            let samples: Vec<f64> = (0..n)
+                .map(|_| match rng.gen_range(0..5u32) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => rng.gen_range(-3.0..3.0),
+                    _ => rng.gen_range(0.0..12.0),
+                })
+                .collect();
+            let start = starts[case % starts.len()];
+            let dt = dts[case % dts.len()];
+            for extension in [Extension::Hold, Extension::Zero, Extension::Cycle] {
+                let ctx = format!("case {case}, n {n}, {extension:?}");
+                let got =
+                    PiecewiseConstant::from_samples(start, dt, samples.clone(), extension).unwrap();
+                let want = new_over_stepped(start, dt, &samples, extension).unwrap();
+                assert_same_fields(&got, &want, &ctx);
+            }
+        }
+        // Signed zeros alone decide the extremes.
+        for samples in [
+            vec![0.0, -0.0],
+            vec![-0.0, 0.0],
+            vec![-0.0, 0.0, -0.0, 0.0],
+            vec![0.0; 3],
+        ] {
+            let dt = SimDuration::from_whole_units(1);
+            let got = PiecewiseConstant::from_samples(
+                SimTime::ZERO,
+                dt,
+                samples.clone(),
+                Extension::Hold,
+            )
+            .unwrap();
+            let want = new_over_stepped(SimTime::ZERO, dt, &samples, Extension::Hold).unwrap();
+            assert_same_fields(&got, &want, &format!("{samples:?}"));
+            assert_eq!(got.vmin.to_bits(), samples[0].to_bits(), "first zero wins");
+            assert_eq!(got.vmax.to_bits(), samples[0].to_bits(), "first zero wins");
+        }
+    }
+
+    #[test]
+    fn from_samples_reports_what_new_reports() {
+        let unit = SimDuration::from_whole_units(1);
+        for dt in [unit, SimDuration::ZERO, SimDuration::from_ticks(-5)] {
+            let empty = PiecewiseConstant::from_samples(SimTime::ZERO, dt, vec![], Extension::Hold);
+            assert_eq!(
+                empty,
+                Err(PiecewiseError::LengthMismatch {
+                    breakpoints: 0,
+                    values: 0
+                })
+            );
+        }
+        for dt in [SimDuration::ZERO, SimDuration::from_ticks(-5)] {
+            let bad =
+                PiecewiseConstant::from_samples(SimTime::ZERO, dt, vec![1.0; 3], Extension::Hold);
+            assert_eq!(
+                bad,
+                Err(PiecewiseError::LengthMismatch {
+                    breakpoints: 0,
+                    values: 3
+                })
+            );
+        }
+        for (k, bad) in [(0, f64::NAN), (4, f64::NAN), (9, f64::INFINITY)] {
+            let mut samples = vec![1.5; 10];
+            samples[k] = bad;
+            let got = PiecewiseConstant::from_samples(
+                SimTime::ZERO,
+                unit,
+                samples.clone(),
+                Extension::Hold,
+            );
+            assert_eq!(got, Err(PiecewiseError::NonFiniteValue { index: k }));
+            assert_eq!(
+                got,
+                new_over_stepped(SimTime::ZERO, unit, &samples, Extension::Hold)
+            );
+        }
+        // Grids that run past the tick range: past the middle, at the
+        // last breakpoint only, and with a NaN the overflow outranks.
+        let step = 3 * TICKS_PER_UNIT;
+        for (start, n) in [
+            (i64::MAX - 5 * step - 3, 10),
+            (i64::MAX - 9 * step, 10),
+            (i64::MAX - 2, 1),
+        ] {
+            let start = SimTime::from_ticks(start);
+            let dt = SimDuration::from_ticks(step);
+            let mut samples = vec![2.0; n];
+            samples[0] = f64::NAN;
+            let got = PiecewiseConstant::from_samples(start, dt, samples.clone(), Extension::Hold);
+            let want = new_over_stepped(start, dt, &samples, Extension::Hold);
+            assert!(
+                matches!(got, Err(PiecewiseError::NotIncreasing { .. })),
+                "{got:?}"
+            );
+            assert_eq!(got, want, "start {start:?}, n {n}");
+        }
+        // The largest grid that fits is accepted.
+        let fits = PiecewiseConstant::from_samples(
+            SimTime::from_ticks(i64::MAX - 10 * step),
+            SimDuration::from_ticks(step),
+            vec![1.0; 10],
+            Extension::Hold,
+        )
+        .unwrap();
+        assert_eq!(fits.domain_end(), SimTime::from_ticks(i64::MAX));
     }
 
     #[test]

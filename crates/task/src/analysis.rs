@@ -3,8 +3,9 @@
 //! Timing side: the classical EDF tests — utilization bound for
 //! implicit deadlines and the processor-demand criterion for constrained
 //! deadlines. Energy side: worst-case deficit of a harvest profile
-//! against a constant demand, which lower-bounds the storage a workload
-//! needs (the offline counterpart of the paper's Table 1 search).
+//! against a constant demand, a fluid estimate of the storage a
+//! workload needs (the offline counterpart of the paper's Table 1
+//! search). It is an estimate, not a bound: see [`worst_case_deficit`].
 
 use harvest_sim::piecewise::PiecewiseConstant;
 use harvest_sim::time::SimDuration;
@@ -141,9 +142,14 @@ pub fn edf_schedulable(set: &TaskSet) -> Schedulability {
 /// `demand` power: the largest `∫_{t1}^{t2} (demand − PS) dt` over all
 /// `t1 ≤ t2` inside the profile's explicit domain.
 ///
-/// A store of at least this size (kept full entering the worst window)
-/// is necessary for the demand to be continuously servable — the
-/// analytic lower bound on the paper's Table 1 capacities.
+/// This is a fluid estimate of the storage the demand needs: a store
+/// this large, full entering the worst window, serves the demand if it
+/// is drawn as a constant flow. A real schedule draws energy in bursts,
+/// at discrete speeds, and can defer work, so the estimate bounds the
+/// paper's Table 1 capacities from neither side. With demand
+/// `U · P_max`, 16 paper task sets at each of U = 0.2, 0.4, 0.6 and
+/// 0.8, it exceeded the simulated per-task-set zero-miss capacity
+/// `C_min` of EA-DVFS on 64 of 64 and of LSA on 59 of 64.
 ///
 /// # Panics
 ///

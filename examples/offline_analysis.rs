@@ -1,6 +1,6 @@
 //! Offline analysis before deploying: is the workload schedulable, is
-//! the source sustainable, and how much storage does the worst harvest
-//! lull require? Then confirm the verdicts by simulation.
+//! the source sustainable, and roughly how much storage does the worst
+//! harvest lull call for? Then check the verdicts by simulation.
 //!
 //! ```sh
 //! cargo run --release --example offline_analysis
@@ -63,7 +63,11 @@ fn main() {
         is_sustainable(&profile, &tasks, cpu.max_power())
     );
 
-    // 3. Storage sizing: worst-case lull deficit at full-speed demand.
+    // 3. Storage sizing: the worst-case lull deficit at full-speed
+    //    demand is a fluid estimate, not a bound. On the paper's
+    //    workloads it exceeded the simulated zero-miss capacity of
+    //    EA-DVFS on 64 of 64 task sets and of LSA on 59 of 64, so the
+    //    simulation in step 4 is what confirms the choice.
     let deficit = worst_case_deficit(&profile, demand);
     let capacity = deficit * 1.5; // engineering margin
     println!("storage : worst-case deficit {deficit:.1} -> provision C = {capacity:.1}");

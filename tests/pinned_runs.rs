@@ -259,3 +259,24 @@ fn counted_and_retained_traces_agree() {
         assert_eq!(jobs_hash(&counted), jobs_hash(&traced));
     }
 }
+
+/// Model pin on the solar realization itself: FNV-1a over the
+/// little-endian bits of every sample of the U = 0.4 scenario's profile.
+/// The batch sampler's shortcuts must leave every bit in place.
+#[test]
+fn solar_profiles_stay_bit_identical() {
+    use harvest_rt::exp::cache::fnv1a64;
+    for (seed, want) in [
+        (0, 0xd540_01e2_d605_cb6b_u64),
+        (1, 0xa55c_ad58_e04d_22d9),
+        (1_000_000, 0xed53_68dc_1d2d_434e),
+    ] {
+        let profile = PaperScenario::new(0.4, 500.0).profile(seed);
+        let bytes: Vec<u8> = profile
+            .values()
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect();
+        assert_eq!(fnv1a64(&bytes), want, "profile drifted (seed={seed})");
+    }
+}

@@ -194,7 +194,7 @@ fn worst_case_deficit_sizes_storage() {
         SimDuration::from_whole_units(10),
         2.0,
     )]); // U = 0.2, demand at full speed bursts to 3.2
-         // Continuous-demand bound: deficit of running flat out at U·Pmax.
+         // Continuous-demand (fluid) estimate: deficit of running flat out at U·Pmax.
     let deficit = worst_case_deficit(&profile, 0.2 * 3.2);
     assert!(deficit > 0.0);
     let config = SystemConfig::new(
