@@ -519,6 +519,7 @@ fn print_metrics(stats: &SweepExecStats, store: Option<&PackStore>) {
     let mut reg = MetricsRegistry::new();
     reg.counter("sweep.simulated", stats.simulated);
     reg.counter("sweep.cached", stats.cached);
+    reg.gauge("sweep.prefabs_high_water", stats.prefabs_high_water as f64);
     reg.counter("pool.runs", stats.pool.runs);
     reg.gauge(
         "pool.event_slab_high_water",
@@ -986,7 +987,7 @@ fn fault_sweep(args: &FaultSweepArgs, store: Option<&PackStore>) -> Result<(), S
     println!(
         "fault-sweep util={} capacity={} trials={} cells={cells} simulated={} resumed={} \
          quarantined={} pool_runs={} event_slab_high_water={} ready_high_water={} \
-         figure_fnv64={:016x}",
+         figure_fnv64={:016x} prefabs_high_water={}",
         args.utilization,
         args.capacity,
         args.trials,
@@ -997,6 +998,7 @@ fn fault_sweep(args: &FaultSweepArgs, store: Option<&PackStore>) -> Result<(), S
         report.exec.pool.event_slab_high_water,
         report.exec.pool.ready_high_water,
         report.figure.digest(),
+        report.exec.prefabs_high_water,
     );
     for q in &report.quarantined {
         println!(
@@ -1127,7 +1129,8 @@ fn sweep(args: &SweepArgs, store: Option<&PackStore>) -> Result<(), String> {
     let json = serde_json::to_string(&figure).map_err(|e| format!("serialize figure: {e}"))?;
     println!(
         "sweep util={} trials={} cells={} simulated={} cached={} pool_runs={} \
-         event_slab_high_water={} ready_high_water={} shared_events={} figure_fnv64={:016x}",
+         event_slab_high_water={} ready_high_water={} shared_events={} figure_fnv64={:016x} \
+         prefabs_high_water={}",
         args.utilization,
         args.trials,
         stats.simulated + stats.cached,
@@ -1138,6 +1141,7 @@ fn sweep(args: &SweepArgs, store: Option<&PackStore>) -> Result<(), String> {
         stats.pool.ready_high_water,
         stats.pool.shared_events,
         fnv1a64(json.as_bytes()),
+        stats.prefabs_high_water,
     );
     if let Some(s) = store {
         print_store_line(s);

@@ -199,4 +199,34 @@ mod tests {
         let curve = fig.curve(PolicyKind::EaDvfs).unwrap();
         assert!(curve.last().unwrap() <= curve.first().unwrap());
     }
+
+    /// A driver call holds one prefab per seed it simulates, and builds
+    /// none for a seed the store answers.
+    #[test]
+    fn prefabs_high_water_counts_the_seeds_simulated() {
+        let dir =
+            std::env::temp_dir().join(format!("harvest-prefab-high-water-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let policies = [PolicyKind::Lsa, PolicyKind::EaDvfs];
+        let run = |store: &PackStore| {
+            let plan = RunPlan {
+                store: Some(store),
+                ..RunPlan::new(2)
+            };
+            miss_rate_figure(0.4, &policies, 3, plan)
+        };
+        let store = PackStore::open(&dir).unwrap();
+        let (cold, cold_stats) = run(&store);
+        assert_eq!(cold_stats.prefabs_high_water, 3);
+        drop(store);
+        let store = PackStore::open(&dir).unwrap();
+        let (warm, warm_stats) = run(&store);
+        assert_eq!(
+            (warm_stats.simulated, warm_stats.prefabs_high_water),
+            (0, 0)
+        );
+        assert_eq!(warm, cold);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

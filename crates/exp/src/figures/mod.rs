@@ -105,6 +105,11 @@ pub struct SweepExecStats {
     /// runs and shared events, and the maximum retained queue
     /// capacities.
     pub pool: PoolStats,
+    /// The most [`TrialPrefab`](crate::scenario::TrialPrefab)s one
+    /// driver call held at once. A driver keeps every prefab it builds
+    /// until it returns, and builds none for a seed the store fully
+    /// answered, so today this is the number of seeds simulated.
+    pub prefabs_high_water: u64,
 }
 
 impl SweepExecStats {
@@ -117,12 +122,13 @@ impl SweepExecStats {
         self.pool.shared_events += p.shared_events;
     }
 
-    /// Folds another sweep's stats into this one (pool high-water marks
-    /// take the max, counts add).
+    /// Folds another sweep's stats into this one (high-water marks take
+    /// the max, counts add).
     pub fn merge(&mut self, other: &SweepExecStats) {
         self.simulated += other.simulated;
         self.cached += other.cached;
         self.merge_pool(other.pool);
+        self.prefabs_high_water = self.prefabs_high_water.max(other.prefabs_high_water);
     }
 }
 

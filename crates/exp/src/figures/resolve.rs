@@ -50,7 +50,9 @@ fn work_items(cells: &[GridCell], pending: &[usize]) -> Vec<Vec<usize>> {
 }
 
 /// Builds the prefab of every seed in `seeds` that `prefabs` still
-/// lacks, over the plan's workers, under one `build` span on `sink`.
+/// lacks, over the plan's workers, under one `build` span on `sink`,
+/// and returns how many prefabs `prefabs` then holds: the caller's
+/// [`SweepExecStats::prefabs_high_water`] candidate.
 ///
 /// A trial's solar realization and task set depend on the seed but not
 /// on the capacity, policy, predictor or fault intensity, so one prefab
@@ -61,7 +63,7 @@ pub(super) fn build_prefabs(
     prefabs: &mut [Option<TrialPrefab>],
     threads: usize,
     sink: &mut Option<SpanSink>,
-) {
+) -> u64 {
     let mut needed: Vec<u64> = seeds
         .into_iter()
         .filter(|&seed| prefabs[seed as usize].is_none())
@@ -81,6 +83,7 @@ pub(super) fn build_prefabs(
     for (seed, prefab) in needed.into_iter().zip(built) {
         prefabs[seed as usize] = Some(prefab);
     }
+    prefabs.iter().filter(|p| p.is_some()).count() as u64
 }
 
 /// Resolves the cell grids of one figure-driver call against its
@@ -160,13 +163,14 @@ impl<'p> CellResolver<'p> {
             }
         }
 
-        build_prefabs(
+        let held = build_prefabs(
             &self.base,
             pending.iter().map(|&i| cells[i].2),
             &mut self.prefabs,
             threads,
             &mut self.sink,
         );
+        self.stats.prefabs_high_water = self.stats.prefabs_high_water.max(held);
         let prefabs = &self.prefabs;
         let (computed, pools) = parallel_map_with(
             work_items(cells, &pending),

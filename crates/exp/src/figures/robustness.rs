@@ -337,7 +337,7 @@ where
 
     // Build: one prefab per seed still needing simulation.
     let mut prefabs: Vec<Option<TrialPrefab>> = vec![None; config.trials];
-    build_prefabs(
+    let prefabs_high_water = build_prefabs(
         &scenario_of(0.0, config.predictors[0]),
         pending.iter().map(|&i| jobs[i].3),
         &mut prefabs,
@@ -439,6 +439,7 @@ where
 
     let mut exec = SweepExecStats {
         simulated: pending.len() as u64,
+        prefabs_high_water,
         ..SweepExecStats::default()
     };
     let mut queues = Vec::new();

@@ -546,6 +546,165 @@ struct Inner {
     index: HashMap<u64, Loc>,
 }
 
+/// The packs of a store directory, read as every open reads them.
+struct LoadedPacks {
+    packs: Vec<PackBuf>,
+    /// Packs a dead writer left without a current sidecar, by index into
+    /// `packs`: open refreshes their sidecars.
+    reclaimed: Vec<usize>,
+    /// Packs skipped because their header is not [`PACK_MAGIC`].
+    bad_headers: usize,
+}
+
+/// Reads every pack of `dir` into memory: a valid sidecar covers a
+/// prefix, the rest is scanned frame by frame, a torn tail is cut off
+/// (on disk too, best effort) and a pack with a bad header is skipped.
+/// `index` sees every record a sidecar lists or the scan finds, in load
+/// order, so inserting each into a map keeps the last write per key.
+fn load_packs(
+    io: &dyn StoreIo,
+    dir: &Path,
+    mut index: impl FnMut(u64, Loc),
+) -> std::io::Result<LoadedPacks> {
+    // Stale writer-slot reclamation: slots whose lease is free but
+    // stamped with a dead pid were abandoned by a crash. Their packs
+    // load like any other below; noting the dead pids here lets open
+    // refresh the sidecars those writers never wrote.
+    let mut dead_pids: Vec<u32> = Vec::new();
+    for (_, lease) in lease_files(dir) {
+        let Ok(mut file) = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&lease)
+        else {
+            continue;
+        };
+        if file.try_lock().is_err() {
+            continue; // held by a live writer
+        }
+        if let Some((pid, _)) = read_lease_stamp(&mut file) {
+            if crashed_holder(pid) {
+                dead_pids.push(pid);
+            }
+        }
+        let _ = file.unlock();
+    }
+    let mut loaded = LoadedPacks {
+        packs: Vec::new(),
+        reclaimed: Vec::new(),
+        bad_headers: 0,
+    };
+    for path in pack_paths(io, dir)? {
+        let Ok(mut data) = io.read(&path) else {
+            continue;
+        };
+        if !data.starts_with(&PACK_MAGIC) {
+            loaded.bad_headers += 1;
+            continue;
+        }
+        let pack = loaded.packs.len();
+        let mut scan_from = PACK_MAGIC.len();
+        let sidecar_applied = if let Some((covered, entries)) = io
+            .read(&idx_path_for(&path))
+            .ok()
+            .and_then(|idx| decode_index(&idx, data.len()))
+        {
+            for e in entries {
+                index(
+                    e.fingerprint,
+                    Loc {
+                        pack,
+                        offset: e.offset,
+                        kind: e.kind,
+                    },
+                );
+            }
+            scan_from = covered;
+            covered == data.len()
+        } else {
+            false
+        };
+        // Index the bytes no sidecar covers (the whole pack when none
+        // applied). A corrupt span mid-pack stays on disk, unindexed;
+        // only a torn tail is cut off.
+        let mut torn_at = None;
+        let len = data.len();
+        scan_frames(&data, scan_from, |frame| match frame {
+            Frame::Record(offset, fingerprint, rec) => index(
+                fingerprint,
+                Loc {
+                    pack,
+                    offset,
+                    kind: rec.kind,
+                },
+            ),
+            Frame::Corrupt(span) if span.end == len => torn_at = Some(span.start),
+            Frame::Corrupt(_) => {}
+        });
+        if let Some(at) = torn_at {
+            // Drop the torn tail on disk too (best effort — a read-only
+            // store still serves the good prefix).
+            let _ = io.truncate(&path, at as u64);
+            data.truncate(at);
+        }
+        let from_dead_writer = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .and_then(|n| n.strip_prefix("pack-"))
+            .and_then(|n| n.split('-').next())
+            .and_then(|pid| pid.parse::<u32>().ok())
+            .is_some_and(|pid| dead_pids.contains(&pid));
+        if from_dead_writer && !sidecar_applied {
+            // A crashed writer's pack without a current sidecar: folded
+            // into the readable set like any pack, plus a fresh sidecar
+            // so future opens skip the scan.
+            loaded.reclaimed.push(pack);
+        }
+        loaded.packs.push(PackBuf { path, data });
+    }
+    Ok(loaded)
+}
+
+/// Writes (or refreshes) pack `pi`'s sidecar from `index`, the last
+/// location of every key, keeping the entries that point into `pack`.
+/// Crash-consistent (tmp file, sync unless durability is `None`, then
+/// rename over the live name) and best-effort: sidecars are pure
+/// acceleration, so failures are ignored.
+fn write_sidecar<'a>(
+    io: &dyn StoreIo,
+    durability: Durability,
+    pi: usize,
+    pack: &PackBuf,
+    index: impl IntoIterator<Item = (&'a u64, &'a Loc)>,
+) {
+    let entries: Vec<IdxEntry> = index
+        .into_iter()
+        .filter(|(_, loc)| loc.pack == pi)
+        .map(|(&fingerprint, loc)| IdxEntry {
+            fingerprint,
+            offset: loc.offset,
+            kind: loc.kind,
+        })
+        .collect();
+    let bytes = encode_index(pack.data.len(), &entries);
+    let tmp = pack.path.with_extension("idx.tmp");
+    let write_synced = (|| -> std::io::Result<()> {
+        let mut f = io.create(&tmp)?;
+        f.write_all(&bytes)?;
+        f.flush()?;
+        if durability != Durability::None {
+            f.sync_all()?;
+        }
+        Ok(())
+    })();
+    if write_synced
+        .and_then(|()| io.rename(&tmp, &idx_path_for(&pack.path)))
+        .is_err()
+    {
+        let _ = io.remove_file(&tmp);
+    }
+}
+
 /// An advisory-locked claim on one global writer slot: the open,
 /// `flock`ed lease file plus the epoch this writer stamped into it.
 /// Dropping the lease (process exit included, even by SIGKILL) releases
@@ -704,9 +863,6 @@ pub struct PackStore {
     inner: RwLock<Inner>,
     writers: [Mutex<Option<Writer>>; WRITER_SLOTS],
     loaded: usize,
-    reclaimed: usize,
-    /// Packs open ignored because their header is not [`PACK_MAGIC`].
-    bad_headers: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     rejects: AtomicU64,
@@ -827,106 +983,12 @@ impl PackStore {
     ) -> std::io::Result<Self> {
         let dir = dir.into();
         io.create_dir_all(&dir)?;
-        // Stale writer-slot reclamation: slots whose lease is free but
-        // stamped with a dead pid were abandoned by a crash. Their
-        // packs load like any other below; noting the dead pids here
-        // lets open refresh the sidecars those writers never wrote.
-        let mut dead_pids: Vec<u32> = Vec::new();
-        for (_, lease) in lease_files(&dir) {
-            let Ok(mut file) = std::fs::OpenOptions::new()
-                .read(true)
-                .write(true)
-                .open(&lease)
-            else {
-                continue;
-            };
-            if file.try_lock().is_err() {
-                continue; // held by a live writer
-            }
-            if let Some((pid, _)) = read_lease_stamp(&mut file) {
-                if crashed_holder(pid) {
-                    dead_pids.push(pid);
-                }
-            }
-            let _ = file.unlock();
-        }
-        let pack_paths = pack_paths(io.as_ref(), &dir)?;
-        let mut packs = Vec::with_capacity(pack_paths.len());
         let mut index: HashMap<u64, Loc> = HashMap::new();
-        let mut reclaimed = 0usize;
-        let mut reclaimed_packs: Vec<usize> = Vec::new();
-        let mut bad_headers = 0usize;
-        for path in pack_paths {
-            let Ok(mut data) = io.read(&path) else {
-                continue;
-            };
-            if !data.starts_with(&PACK_MAGIC) {
-                bad_headers += 1;
-                continue;
-            }
-            let pack_idx = packs.len();
-            let mut scan_from = PACK_MAGIC.len();
-            let sidecar_applied = if let Some((covered, entries)) = io
-                .read(&idx_path_for(&path))
-                .ok()
-                .and_then(|idx| decode_index(&idx, data.len()))
-            {
-                for e in entries {
-                    index.insert(
-                        e.fingerprint,
-                        Loc {
-                            pack: pack_idx,
-                            offset: e.offset,
-                            kind: e.kind,
-                        },
-                    );
-                }
-                scan_from = covered;
-                covered == data.len()
-            } else {
-                false
-            };
-            // Index the bytes no sidecar covers (the whole pack when
-            // none applied). A corrupt span mid-pack stays on disk,
-            // unindexed; only a torn tail is cut off.
-            let mut torn_at = None;
-            let len = data.len();
-            scan_frames(&data, scan_from, |frame| match frame {
-                Frame::Record(offset, fingerprint, rec) => {
-                    index.insert(
-                        fingerprint,
-                        Loc {
-                            pack: pack_idx,
-                            offset,
-                            kind: rec.kind,
-                        },
-                    );
-                }
-                Frame::Corrupt(span) if span.end == len => torn_at = Some(span.start),
-                Frame::Corrupt(_) => {}
-            });
-            if let Some(at) = torn_at {
-                // Drop the torn tail on disk too (best effort — a
-                // read-only store still serves the good prefix).
-                let _ = io.truncate(&path, at as u64);
-                data.truncate(at);
-            }
-            let from_dead_writer = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .and_then(|n| n.strip_prefix("pack-"))
-                .and_then(|n| n.split('-').next())
-                .and_then(|pid| pid.parse::<u32>().ok())
-                .is_some_and(|pid| dead_pids.contains(&pid));
-            if from_dead_writer && !sidecar_applied {
-                // A crashed writer's pack without a current sidecar:
-                // folded into the readable set like any pack, plus a
-                // fresh sidecar below so future opens skip the scan.
-                reclaimed += 1;
-                reclaimed_packs.push(pack_idx);
-            }
-            packs.push(PackBuf { path, data });
-        }
+        let LoadedPacks {
+            packs, reclaimed, ..
+        } = load_packs(io.as_ref(), &dir, |fingerprint, loc| {
+            index.insert(fingerprint, loc);
+        })?;
         let loaded = index.len();
         let store = PackStore {
             dir,
@@ -937,8 +999,6 @@ impl PackStore {
             inner: RwLock::new(Inner { packs, index }),
             writers: std::array::from_fn(|_| Mutex::new(None)),
             loaded,
-            reclaimed,
-            bad_headers,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             rejects: AtomicU64::new(0),
@@ -946,8 +1006,8 @@ impl PackStore {
             write_degraded: AtomicBool::new(false),
             dirty: AtomicU64::new(0),
         };
-        if !reclaimed_packs.is_empty() {
-            store.write_indexes_for(&reclaimed_packs);
+        if !reclaimed.is_empty() {
+            store.write_indexes_for(&reclaimed);
         }
         Ok(store)
     }
@@ -1222,81 +1282,64 @@ impl PackStore {
     }
 
     /// [`write_indexes`](Self::write_indexes) restricted to the given
-    /// pack indices (used by open to refresh only reclaimed packs).
-    /// Sidecars are written crash-consistently: tmp file, sync (unless
-    /// durability is `None`), then rename over the live name.
+    /// pack indices (used by open to refresh only reclaimed packs), each
+    /// through [`write_sidecar`].
     fn write_indexes_for(&self, packs: &[usize]) {
         let inner = self.inner.read().expect("store lock");
         for &pi in packs {
-            let Some(pack) = inner.packs.get(pi) else {
-                continue;
-            };
-            let entries: Vec<IdxEntry> = inner
-                .index
-                .iter()
-                .filter(|(_, loc)| loc.pack == pi)
-                .map(|(&fingerprint, loc)| IdxEntry {
-                    fingerprint,
-                    offset: loc.offset,
-                    kind: loc.kind,
-                })
-                .collect();
-            let bytes = encode_index(pack.data.len(), &entries);
-            let tmp = pack.path.with_extension("idx.tmp");
-            let write_synced = (|| -> std::io::Result<()> {
-                let mut f = self.io.create(&tmp)?;
-                f.write_all(&bytes)?;
-                f.flush()?;
-                if self.durability != Durability::None {
-                    f.sync_all()?;
-                }
-                Ok(())
-            })();
-            if write_synced
-                .and_then(|()| self.io.rename(&tmp, &idx_path_for(&pack.path)))
-                .is_err()
-            {
-                let _ = self.io.remove_file(&tmp);
+            if let Some(pack) = inner.packs.get(pi) {
+                write_sidecar(&*self.io, self.durability, pi, pack, &inner.index);
             }
         }
     }
 
     /// Summarizes the store rooted at `dir` without holding it open.
-    /// Opening heals torn tails and refreshes dead writers' sidecars;
-    /// every record count then comes from one frame scan of the loaded
-    /// packs, so a record the sidecar indexes but that no longer
-    /// decodes counts as a corrupt span, not a live record.
+    /// It reads the packs as open does, which heals torn tails, but
+    /// builds no probe index: every record count comes from one frame
+    /// scan of the loaded packs, so a record the sidecar indexes but that
+    /// no longer decodes counts as a corrupt span, not a live record.
+    /// The same scan gives the sidecars open would refresh for dead
+    /// writers' packs.
     ///
     /// # Errors
     ///
     /// Returns the IO error when the directory cannot be opened, and
     /// [`NotFound`](std::io::ErrorKind::NotFound) when it does not exist.
     pub fn stat(dir: impl Into<PathBuf>) -> std::io::Result<StoreStat> {
-        let store = PackStore::open_existing(dir)?;
-        let inner = store.inner.read().expect("store lock");
-        // Last kind per key, in load order (open's last-wins order).
-        let mut live: FingerprintMap<u8> = FingerprintMap::default();
-        live.reserve(inner.index.len());
+        let dir = dir.into();
+        std::fs::metadata(&dir)?;
+        let io = RealIo;
+        // What open would index sizes the map; growing it by doubling
+        // cost as much as the index this replaces.
+        let mut indexed = 0;
+        let loaded = load_packs(&io, &dir, |_, _| indexed += 1)?;
+        // Last location per key, in load order (open's last-wins order).
+        let mut live: FingerprintMap<Loc> = FingerprintMap::default();
+        live.reserve(indexed);
         let (mut frames, mut corrupt_spans) = (0usize, 0usize);
-        for pack in &inner.packs {
-            scan_frames(&pack.data, PACK_MAGIC.len(), |frame| match frame {
-                Frame::Record(_, fingerprint, rec) => {
+        for (pack, buf) in loaded.packs.iter().enumerate() {
+            scan_frames(&buf.data, PACK_MAGIC.len(), |frame| match frame {
+                Frame::Record(offset, fingerprint, rec) => {
                     frames += 1;
-                    live.insert(fingerprint, rec.kind);
+                    let kind = rec.kind;
+                    live.insert(fingerprint, Loc { pack, offset, kind });
                 }
                 Frame::Corrupt(_) => corrupt_spans += 1,
             });
         }
-        let done = live.values().filter(|&&kind| kind == KIND_DONE).count();
+        for &pi in &loaded.reclaimed {
+            write_sidecar(&io, Durability::default(), pi, &loaded.packs[pi], &live);
+        }
+        let done = live.values().filter(|loc| loc.kind == KIND_DONE).count();
         Ok(StoreStat {
-            packs: inner.packs.len(),
+            packs: loaded.packs.len(),
             records: live.len(),
             done,
             quarantined: live.len() - done,
             superseded: frames - live.len(),
-            bytes: inner.packs.iter().map(|p| p.data.len() as u64).sum(),
-            reclaimed: store.reclaimed,
-            corrupt_spans: corrupt_spans + store.bad_headers,
+            bytes: loaded.packs.iter().map(|p| p.data.len() as u64).sum(),
+            reclaimed: loaded.reclaimed.len(),
+            corrupt_spans: corrupt_spans + loaded.bad_headers,
         })
     }
 

@@ -28,6 +28,15 @@
 //! cursor code is the fallback for non-uniform, `Zero` and `Cycle`
 //! profiles. Both paths evaluate the same IEEE expressions, so every
 //! answer is bit-identical whichever path serves it.
+//!
+//! # Storage
+//!
+//! A profile keeps a breakpoint table only when it has no
+//! [`UniformGridView`]. A uniform `Hold` grid stores its start, spacing
+//! and segment count, and steps breakpoint `k` as `start + k·dt` in
+//! integer ticks, so it holds `n` values and `n + 1` prefix sums and
+//! nothing else per segment. Equality and the serialized form still
+//! list every breakpoint.
 
 use std::fmt;
 
@@ -62,6 +71,15 @@ const EMPTY_RANGE: (f64, f64) = (f64::INFINITY, f64::NEG_INFINITY);
 #[inline]
 fn widen((lo, hi): (f64, f64), v: f64) -> (f64, f64) {
     (if v < lo { v } else { lo }, if v > hi { v } else { hi })
+}
+
+/// Grid breakpoint `k` in ticks: `start + k·dt`. Every breakpoint of a
+/// grid fits the tick range, but `k·dt` alone may not (a grid that
+/// starts at negative ticks); wrapping arithmetic is exact modulo 2^64,
+/// so the sum is exact.
+#[inline]
+fn step_ticks(start: i64, k: usize, dt: i64) -> i64 {
+    start.wrapping_add((k as i64).wrapping_mul(dt))
 }
 
 /// Error constructing a [`PiecewiseConstant`].
@@ -145,6 +163,9 @@ impl std::error::Error for PiecewiseError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct PiecewiseConstant {
+    /// The explicit breakpoint table, `n + 1` entries; empty when
+    /// `grid_dt != 0`, where breakpoint `k` is `start + k·grid_dt`
+    /// (see [`Self::breakpoint`]).
     breakpoints: Vec<SimTime>,
     values: Vec<f64>,
     extension: Extension,
@@ -153,6 +174,9 @@ pub struct PiecewiseConstant {
     prefix: Vec<f64>,
     vmin: f64,
     vmax: f64,
+    /// First and last breakpoint: the explicit domain `[start, end)`.
+    start: SimTime,
+    end: SimTime,
     /// Common breakpoint spacing in ticks when the grid is uniform and
     /// the extension is [`Extension::Hold`], else 0. Detected once at
     /// construction, with its reciprocal `grid_inv_dt`, so the grid check
@@ -161,20 +185,21 @@ pub struct PiecewiseConstant {
     grid_inv_dt: f64,
 }
 
-/// Equality is over the semantic fields only; the prefix table is a
-/// deterministic function of them.
+/// Equality is over the semantic fields only (breakpoints, values,
+/// extension); the prefix table is a deterministic function of them.
 impl PartialEq for PiecewiseConstant {
     fn eq(&self, other: &Self) -> bool {
-        self.breakpoints == other.breakpoints
-            && self.values == other.values
+        self.values == other.values
             && self.extension == other.extension
+            && self.breakpoint_iter().eq(other.breakpoint_iter())
     }
 }
 
 impl Serialize for PiecewiseConstant {
     fn to_value(&self) -> serde::Value {
+        let breakpoints: Vec<SimTime> = self.breakpoint_iter().collect();
         serde::Value::Map(vec![
-            ("breakpoints".to_string(), self.breakpoints.to_value()),
+            ("breakpoints".to_string(), breakpoints.to_value()),
             ("values".to_string(), self.values.to_value()),
             ("extension".to_string(), self.extension.to_value()),
         ])
@@ -378,20 +403,29 @@ impl PiecewiseConstant {
         } else {
             0
         };
-        Self::assemble(breakpoints, values, extension, prefix, range, grid_dt)
+        let domain = (breakpoints[0], breakpoints[values.len()]);
+        let table = if grid_dt == 0 {
+            breakpoints
+        } else {
+            Vec::new()
+        };
+        Self::assemble(table, domain, values, extension, prefix, range, grid_dt)
     }
 
-    /// The struct from its parts and derived caches: the prefix table,
-    /// the `(min, max)` range and the uniform spacing in ticks (0 if
-    /// none), whose reciprocal it derives.
+    /// The struct from its parts and derived caches: the breakpoint
+    /// table (empty on a uniform grid), the domain `(start, end)`, the
+    /// prefix table, the `(min, max)` range and the uniform spacing in
+    /// ticks (0 if none), whose reciprocal it derives.
     fn assemble(
         breakpoints: Vec<SimTime>,
+        (start, end): (SimTime, SimTime),
         values: Vec<f64>,
         extension: Extension,
         prefix: Vec<f64>,
         (vmin, vmax): (f64, f64),
         grid_dt: i64,
     ) -> Self {
+        debug_assert_eq!(breakpoints.is_empty(), grid_dt != 0);
         PiecewiseConstant {
             breakpoints,
             values,
@@ -399,6 +433,8 @@ impl PiecewiseConstant {
             prefix,
             vmin,
             vmax,
+            start,
+            end,
             grid_dt,
             grid_inv_dt: if grid_dt == 0 {
                 0.0
@@ -459,7 +495,6 @@ impl PiecewiseConstant {
             });
         }
         let dt_units = dt.as_units();
-        let mut breakpoints = Vec::with_capacity(n + 1);
         let mut prefix = Vec::with_capacity(n + 1);
         let (mut acc, mut range) = (0.0, EMPTY_RANGE);
         prefix.push(acc);
@@ -467,19 +502,19 @@ impl PiecewiseConstant {
             if !v.is_finite() {
                 return Err(PiecewiseError::NonFiniteValue { index: i });
             }
-            breakpoints.push(SimTime::from_ticks(t0 + i as i64 * step));
             acc += v * dt_units;
             prefix.push(acc);
             range = widen(range, v);
         }
-        breakpoints.push(SimTime::from_ticks(t0 + n as i64 * step));
-        let grid_dt = if extension == Extension::Hold {
-            step
+        let stepped = |k: usize| SimTime::from_ticks(step_ticks(t0, k, step));
+        let (grid_dt, breakpoints) = if extension == Extension::Hold {
+            (step, Vec::new())
         } else {
-            0
+            (0, (0..=n).map(stepped).collect())
         };
         Ok(Self::assemble(
             breakpoints,
+            (start, stepped(n)),
             samples,
             extension,
             prefix,
@@ -491,13 +526,29 @@ impl PiecewiseConstant {
     /// Start of the explicitly defined domain.
     #[inline]
     pub fn domain_start(&self) -> SimTime {
-        self.breakpoints[0]
+        self.start
     }
 
     /// End of the explicitly defined domain (exclusive).
     #[inline]
     pub fn domain_end(&self) -> SimTime {
-        *self.breakpoints.last().expect("non-empty by construction")
+        self.end
+    }
+
+    /// Breakpoint `k`, for `k` in `0..=n`: stepped on a uniform grid,
+    /// read from the table otherwise.
+    #[inline]
+    fn breakpoint(&self, k: usize) -> SimTime {
+        if self.grid_dt != 0 {
+            SimTime::from_ticks(step_ticks(self.start.as_ticks(), k, self.grid_dt))
+        } else {
+            self.breakpoints[k]
+        }
+    }
+
+    /// All `n + 1` breakpoints, in order.
+    fn breakpoint_iter(&self) -> impl Iterator<Item = SimTime> + '_ {
+        (0..=self.values.len()).map(|k| self.breakpoint(k))
     }
 
     /// The extension rule in force outside the domain.
@@ -552,6 +603,7 @@ impl PiecewiseConstant {
     /// The `O(1)` direct-index view over this profile, available when the
     /// breakpoints are equally spaced (as built by
     /// [`Self::from_samples`]) and the extension is [`Extension::Hold`].
+    /// Exactly these profiles keep no breakpoint table.
     ///
     /// Every view method computes the same IEEE expressions as its
     /// cursor-driven counterpart — only the breakpoint *search* is
@@ -601,8 +653,14 @@ impl PiecewiseConstant {
     /// only the bracketed range, so a lookup `d` segments past the hint
     /// costs `O(log d)` — `O(1)` for the repeat/adjacent hits that
     /// dominate monotone sweeps — instead of `O(log n)` from scratch.
+    ///
+    /// A uniform grid keeps no table to search: one division gives the
+    /// index the search would.
     #[inline]
     fn locate(&self, t: SimTime, hint: Option<usize>) -> usize {
+        if self.grid_dt != 0 {
+            return ((t - self.start).as_ticks() / self.grid_dt) as usize;
+        }
         let bps = &self.breakpoints;
         let last = self.values.len() - 1;
         if let Some(h) = hint {
@@ -713,7 +771,7 @@ impl PiecewiseConstant {
         let end = self.domain_end();
         if t >= start && t < end {
             let idx = self.locate_with(cur, t, 0);
-            return self.prefix[idx] + self.values[idx] * (t - self.breakpoints[idx]).as_units();
+            return self.prefix[idx] + self.values[idx] * (t - self.breakpoint(idx)).as_units();
         }
         match self.extension {
             Extension::Hold => {
@@ -738,7 +796,7 @@ impl PiecewiseConstant {
                 let folded = start + SimDuration::from_ticks(r);
                 let idx = self.locate_with(cur, folded, k);
                 let inner = self.prefix[idx]
-                    + self.values[idx] * (folded - self.breakpoints[idx]).as_units();
+                    + self.values[idx] * (folded - self.breakpoint(idx)).as_units();
                 k as f64 * self.total() + inner
             }
         }
@@ -1440,7 +1498,7 @@ impl PiecewiseConstant {
                 // The folded instant lies in some segment [b_i, b_{i+1});
                 // b_{i+1} is the first breakpoint strictly after it.
                 let idx = self.locate_with(cur, folded, k);
-                let next_rel = (self.breakpoints[idx + 1] - start).as_ticks();
+                let next_rel = (self.breakpoint(idx + 1) - start).as_ticks();
                 Some(base + SimDuration::from_ticks(next_rel))
             }
             _ => {
@@ -1451,7 +1509,7 @@ impl PiecewiseConstant {
                     return None;
                 }
                 let idx = self.locate_with(cur, t, 0);
-                Some(self.breakpoints[idx + 1])
+                Some(self.breakpoint(idx + 1))
             }
         }
     }
@@ -1460,10 +1518,11 @@ impl PiecewiseConstant {
 /// `O(1)` direct-index access to a uniform-grid, [`Extension::Hold`]
 /// profile, obtained from [`PiecewiseConstant::uniform_grid`].
 ///
-/// On a uniform grid `breakpoints[k] = start + k·dt` holds exactly (the
-/// breakpoints are built — and verified — by whole-tick stepping), so the
-/// segment containing an in-domain instant is one integer division away
-/// and no cursor state is needed. Each method mirrors its cursor-driven
+/// On a uniform grid breakpoint `k` is `start + k·dt` in whole ticks (a
+/// grid keeps no breakpoint table; `new` verifies the spacing before it
+/// drops one), so the segment containing an in-domain instant is one
+/// integer division away, its bounds are a multiply-add each, and no
+/// cursor state is needed. Each method mirrors its cursor-driven
 /// counterpart expression for expression: the division replaces only the
 /// `partition_point` search, whose result it equals, so every returned
 /// value is bit-identical to the cursor path. It is the engine's
@@ -1484,6 +1543,12 @@ impl<'a> UniformGridView<'a> {
     #[inline]
     pub fn profile(&self) -> &'a PiecewiseConstant {
         self.f
+    }
+
+    /// Breakpoint `k` of the grid, `0 <= k <= n`.
+    #[inline]
+    fn breakpoint(&self, k: usize) -> SimTime {
+        SimTime::from_ticks(step_ticks(self.start_ticks, k, self.dt_ticks))
     }
 
     /// Segment index of an in-domain instant (`start <= t < end`).
@@ -1531,7 +1596,7 @@ impl<'a> UniformGridView<'a> {
         let tk = t.as_ticks();
         if tk >= self.start_ticks && tk < self.end_ticks {
             let idx = self.idx(t);
-            return f.prefix[idx] + f.values[idx] * (t - f.breakpoints[idx]).as_units();
+            return f.prefix[idx] + f.values[idx] * (t - self.breakpoint(idx)).as_units();
         }
         if tk < self.start_ticks {
             f.values[0] * (t - f.domain_start()).as_units()
@@ -1558,7 +1623,7 @@ impl<'a> UniformGridView<'a> {
         if t.as_ticks() >= self.end_ticks {
             return None;
         }
-        Some(self.f.breakpoints[self.idx(t) + 1])
+        Some(self.breakpoint(self.idx(t) + 1))
     }
 
     /// [`PiecewiseConstant::segments_between`] without per-step searches;
@@ -1597,7 +1662,7 @@ impl<'a> UniformGridView<'a> {
         if cursor < t2 && cursor.as_ticks() < self.end_ticks {
             let mut i = self.idx(cursor);
             loop {
-                let end = f.breakpoints[i + 1].min(t2);
+                let end = self.breakpoint(i + 1).min(t2);
                 emit(Segment {
                     start: cursor,
                     end,
@@ -1757,10 +1822,10 @@ impl<'a> UniformGridView<'a> {
         // `F(t) = base_cum + value·(t − base)`, and its bracket `(lo, hi]`.
         let (base, base_cum, value, hi) = match first_hit {
             Some(k) => (
-                f.breakpoints[k - 1],
+                self.breakpoint(k - 1),
                 f.prefix[k - 1],
                 f.values[k - 1],
-                f.breakpoints[k].min(horizon),
+                self.breakpoint(k).min(horizon),
             ),
             // Not reached by the domain end: the Hold tail.
             None => (f.domain_end(), f.total(), f.values[n - 1], horizon),
@@ -1819,7 +1884,7 @@ impl Iterator for GridSegments<'_> {
             };
             debug_assert_eq!(i, self.g.idx(start), "stale carried segment index");
             self.i = i as i64 + 1;
-            (f.values[i], f.breakpoints[i + 1])
+            (f.values[i], self.g.breakpoint(i + 1))
         };
         let end = next_change.min(self.end);
         debug_assert!(end > start, "segment iterator must make progress");
@@ -2076,7 +2141,8 @@ mod tests {
 
     fn assert_same_fields(a: &PiecewiseConstant, b: &PiecewiseConstant, ctx: &str) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(a.breakpoints, b.breakpoints, "breakpoints ({ctx})");
+        assert_eq!(a.breakpoints, b.breakpoints, "breakpoint table ({ctx})");
+        assert_eq!((a.start, a.end), (b.start, b.end), "domain ({ctx})");
         assert_eq!(bits(&a.values), bits(&b.values), "values ({ctx})");
         assert_eq!(a.extension, b.extension, "extension ({ctx})");
         assert_eq!(bits(&a.prefix), bits(&b.prefix), "prefix ({ctx})");
@@ -2570,36 +2636,67 @@ mod tests {
         assert!(c.uniform_grid().is_none());
     }
 
+    /// The same function as the grid `f`, in the representation every
+    /// profile had before grids dropped their table: an explicit
+    /// breakpoint table and no grid, so each query runs the cursor path
+    /// and searches the slice.
+    fn table_twin(f: &PiecewiseConstant) -> PiecewiseConstant {
+        assert!(f.breakpoints.is_empty(), "a grid keeps no table");
+        let twin = PiecewiseConstant {
+            breakpoints: f.breakpoint_iter().collect(),
+            grid_dt: 0,
+            grid_inv_dt: 0.0,
+            ..f.clone()
+        };
+        assert!(twin.uniform_grid().is_none());
+        twin
+    }
+
     // The public queries answer a uniform grid through the view, so the
     // two parity tests below compare the view with the private cursor
-    // implementations (`Segments` walks on the cursor path).
+    // implementations on the grid, which step its breakpoints
+    // (`Segments` walks on the cursor path), and with the public queries
+    // on its table twin, which search the slice.
     #[test]
     fn grid_view_lookups_bit_identical() {
         for seed in 1..6u64 {
             let f = grid_profile(seed, 64);
             let g = f.uniform_grid().unwrap();
+            let twin = table_twin(&f);
             let mut s = seed.wrapping_mul(0x9E37_79B9).max(1);
             for _ in 0..400 {
                 let t = SimTime::from_ticks((xorshift(&mut s) % 80_000_000) as i64 - 10_000_000);
+                let value = g.value_at(t).to_bits();
                 assert_eq!(
-                    g.value_at(t).to_bits(),
+                    value,
                     f.value_at_cursor(&mut f.cursor(), t).to_bits(),
                     "value at {t}"
                 );
+                assert_eq!(value, twin.value_at(t).to_bits(), "twin value at {t}");
+                let next = g.next_breakpoint_after(t);
                 assert_eq!(
-                    g.next_breakpoint_after(t),
+                    next,
                     f.next_breakpoint_after_cursor(&mut f.cursor(), t),
                     "breakpoint after {t}"
                 );
+                assert_eq!(next, twin.next_breakpoint_after(t), "twin breakpoint {t}");
                 let t2 = t + SimDuration::from_ticks((xorshift(&mut s) % 20_000_000) as i64);
+                let integral = g.integrate(t, t2).to_bits();
                 assert_eq!(
-                    g.integrate(t, t2).to_bits(),
+                    integral,
                     f.integrate_cursor(&mut f.cursor(), t, t2).to_bits(),
                     "integral over [{t}, {t2})"
+                );
+                assert_eq!(
+                    integral,
+                    twin.integrate(t, t2).to_bits(),
+                    "twin [{t}, {t2})"
                 );
                 let segs_grid: Vec<_> = g.segments_between(t, t2).collect();
                 let segs_scalar: Vec<_> = f.segments_between(t, t2).collect();
                 assert_eq!(segs_grid, segs_scalar, "segments over [{t}, {t2})");
+                let segs_twin: Vec<_> = twin.segments_between(t, t2).collect();
+                assert_eq!(segs_grid, segs_twin, "twin segments over [{t}, {t2})");
                 let mut walked = Vec::new();
                 g.for_each_segment(t, t2, |seg| walked.push(seg));
                 assert_eq!(walked, segs_scalar, "segment walk over [{t}, {t2})");
@@ -2612,10 +2709,12 @@ mod tests {
         for seed in 1..6u64 {
             let f = grid_profile(seed, 48);
             let g = f.uniform_grid().unwrap();
+            let twin = table_twin(&f);
             let mut s = seed.wrapping_mul(0xA076_1D64).max(1);
             let cap = 25.0;
             // The grid path counts the same crossing tiers as the cursor.
-            let (mut grid_cur, mut cursor_cur) = (f.cursor(), f.cursor());
+            let (mut grid_cur, mut cursor_cur, mut twin_cur) =
+                (f.cursor(), f.cursor(), twin.cursor());
             for _ in 0..200 {
                 let from = SimTime::from_ticks((xorshift(&mut s) % 40_000_000) as i64 - 5_000_000);
                 let horizon =
@@ -2648,13 +2747,131 @@ mod tests {
                     target,
                 );
                 assert_eq!(counted, want);
+                let on_table = twin.first_accumulation_crossing_with(
+                    &mut twin_cur,
+                    from,
+                    horizon,
+                    initial,
+                    offset,
+                    cap,
+                    target,
+                );
+                assert_eq!(on_table, want, "twin crossing from {from} to {horizon}");
             }
-            let (a, b) = (grid_cur.stats(), cursor_cur.stats());
+            let tiers = |c: &Cursor| {
+                let s = c.stats();
+                (s.cross_reject, s.cross_bisect, s.cross_scan)
+            };
+            assert_eq!(tiers(&grid_cur), tiers(&cursor_cur));
+            assert_eq!(tiers(&grid_cur), tiers(&twin_cur));
+            assert_eq!(grid_cur.stats().locates, 0);
+        }
+    }
+
+    #[test]
+    fn grids_keep_no_breakpoint_table() {
+        let u = SimTime::from_whole_units;
+        // A paper profile: 10 000 one-unit samples. It retains exactly
+        // its values and prefix sums.
+        let n = 10_000;
+        let mut samples = Vec::with_capacity(n);
+        samples.extend((0..n).map(|i| (i % 7) as f64 * 0.25));
+        let paper = PiecewiseConstant::from_samples(
+            SimTime::ZERO,
+            SimDuration::from_whole_units(1),
+            samples,
+            Extension::Hold,
+        )
+        .unwrap();
+        assert_eq!(paper.breakpoints.capacity(), 0);
+        let words = paper.values.capacity() + paper.prefix.capacity();
+        assert_eq!(words * std::mem::size_of::<f64>(), 160_008);
+        assert_eq!(paper.domain_end(), u(10_000));
+        // `new` over uniform Hold breakpoints, `constant` and a
+        // deserialized grid drop the table too.
+        let stepped = PiecewiseConstant::new(
+            vec![u(-4), u(-1), u(2), u(5)],
+            vec![1.0, 2.0, 3.0],
+            Extension::Hold,
+        )
+        .unwrap();
+        let back = PiecewiseConstant::from_value(&paper.to_value()).unwrap();
+        for (f, what) in [
+            (&stepped, "new"),
+            (&PiecewiseConstant::constant(0.5), "constant"),
+            (&back, "deserialized"),
+        ] {
+            assert!(f.uniform_grid().is_some(), "{what}");
+            assert_eq!(f.breakpoints.capacity(), 0, "{what}");
+        }
+        assert_eq!(back, paper);
+        assert_eq!(
+            stepped.breakpoint_iter().collect::<Vec<_>>(),
+            vec![u(-4), u(-1), u(2), u(5)]
+        );
+        // A non-uniform `new`, and `Zero` and `Cycle` grids, keep all
+        // n + 1 breakpoints.
+        let uneven =
+            PiecewiseConstant::new(vec![u(0), u(1), u(3)], vec![1.0, 2.0], Extension::Hold)
+                .unwrap();
+        assert_eq!(uneven.breakpoints, vec![u(0), u(1), u(3)]);
+        for ext in [Extension::Zero, Extension::Cycle] {
+            let f = PiecewiseConstant::from_samples(
+                u(2),
+                SimDuration::from_whole_units(3),
+                vec![1.0; 4],
+                ext,
+            )
+            .unwrap();
+            assert!(f.uniform_grid().is_none());
             assert_eq!(
-                (a.cross_reject, a.cross_bisect, a.cross_scan),
-                (b.cross_reject, b.cross_bisect, b.cross_scan)
+                f.breakpoints,
+                vec![u(2), u(5), u(8), u(11), u(14)],
+                "{ext:?}"
             );
-            assert_eq!(a.locates, 0);
+            let g = PiecewiseConstant::new(f.breakpoints.clone(), vec![1.0; 4], ext).unwrap();
+            assert_eq!(g.breakpoints.len(), 5, "{ext:?}");
+        }
+    }
+
+    #[test]
+    fn grids_step_to_the_right_end_across_the_tick_range() {
+        // From negative ticks, where `k·dt` alone overflows: each grid is
+        // the largest that fits, so one more sample is rejected.
+        for (start, step) in [
+            (-(1i64 << 62), 1i64 << 62),
+            (-(1i64 << 62) - 5, 1 << 61),
+            (i64::MIN, i64::MAX),
+            (i64::MAX - 10 * 3_000_000, 3_000_000),
+        ] {
+            let (t0, dt) = (SimTime::from_ticks(start), SimDuration::from_ticks(step));
+            let fit = ((i128::from(i64::MAX) - i128::from(start)) / i128::from(step)) as usize;
+            let end = i128::from(start) + fit as i128 * i128::from(step);
+            let f =
+                PiecewiseConstant::from_samples(t0, dt, vec![1.0; fit], Extension::Hold).unwrap();
+            assert_eq!(
+                i128::from(f.domain_end().as_ticks()),
+                end,
+                "start {start}, dt {step}"
+            );
+            assert_eq!(
+                f.uniform_grid().unwrap().next_breakpoint_after(t0),
+                Some(f.breakpoint(1))
+            );
+            let want: Vec<SimTime> = (0..=fit as i128)
+                .map(|k| SimTime::from_ticks((i128::from(start) + k * i128::from(step)) as i64))
+                .collect();
+            assert_eq!(f.breakpoint_iter().collect::<Vec<_>>(), want);
+            let twin = PiecewiseConstant::new(want, vec![1.0; fit], Extension::Hold).unwrap();
+            assert_eq!(twin.breakpoints.capacity(), 0);
+            assert_eq!(
+                (twin.start, twin.end, twin.grid_dt),
+                (f.start, f.end, f.grid_dt)
+            );
+            assert!(matches!(
+                PiecewiseConstant::from_samples(t0, dt, vec![1.0; fit + 1], Extension::Hold),
+                Err(PiecewiseError::NotIncreasing { .. })
+            ));
         }
     }
 
@@ -2674,6 +2891,11 @@ mod tests {
         assert_eq!(back, f);
         let (a, b) = (SimTime::from_units(-3.5), SimTime::from_units(21.0));
         assert_eq!(back.integrate(a, b), f.integrate(a, b));
+        // A grid writes every breakpoint it steps, as a table would.
+        assert_eq!(
+            serde_json::to_string(&PiecewiseConstant::constant(0.5)).unwrap(),
+            r#"{"breakpoints":[0,1000000],"values":[0.5],"extension":"Hold"}"#
+        );
     }
 
     #[test]
@@ -2840,8 +3062,8 @@ mod tests {
                         }) else {
                             continue; // the fastest rate is a `Zero` tail
                         };
-                        let seg_end = f.breakpoints[k + 1];
-                        let from = f.breakpoints[k]
+                        let seg_end = f.breakpoint(k + 1);
+                        let from = f.breakpoint(k)
                             + SimDuration::from_ticks((xorshift(&mut s) % 100_000) as i64);
                         let longest = SimDuration::from_units(0.5 * cap / fastest);
                         let horizon = seg_end.min(from + longest);

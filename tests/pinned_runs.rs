@@ -262,14 +262,17 @@ fn counted_and_retained_traces_agree() {
 
 /// Model pin on the solar realization itself: FNV-1a over the
 /// little-endian bits of every sample of the U = 0.4 scenario's profile.
-/// The batch sampler's shortcuts must leave every bit in place.
+/// The batch sampler's shortcuts must leave every bit in place. The
+/// second pin is FNV-1a over the profile's JSON, which lists every
+/// breakpoint, so the serialized form stays what it was when grids
+/// kept a breakpoint table.
 #[test]
 fn solar_profiles_stay_bit_identical() {
     use harvest_rt::exp::cache::fnv1a64;
-    for (seed, want) in [
-        (0, 0xd540_01e2_d605_cb6b_u64),
-        (1, 0xa55c_ad58_e04d_22d9),
-        (1_000_000, 0xed53_68dc_1d2d_434e),
+    for (seed, want, want_json) in [
+        (0, 0xd540_01e2_d605_cb6b_u64, 0x92ca_2e60_453c_cceb_u64),
+        (1, 0xa55c_ad58_e04d_22d9, 0xa72d_a43c_0a93_6b2f),
+        (1_000_000, 0xed53_68dc_1d2d_434e, 0x725e_ddbc_c6ef_3d8c),
     ] {
         let profile = PaperScenario::new(0.4, 500.0).profile(seed);
         let bytes: Vec<u8> = profile
@@ -278,5 +281,11 @@ fn solar_profiles_stay_bit_identical() {
             .flat_map(|v| v.to_bits().to_le_bytes())
             .collect();
         assert_eq!(fnv1a64(&bytes), want, "profile drifted (seed={seed})");
+        let json = serde_json::to_string(&profile).expect("a profile serializes");
+        assert_eq!(
+            fnv1a64(json.as_bytes()),
+            want_json,
+            "serialized profile drifted (seed={seed})"
+        );
     }
 }

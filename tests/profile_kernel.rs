@@ -4,7 +4,10 @@
 //! same bits. Each property builds a *cursor twin* of a paper profile —
 //! the same function, but with one long trailing segment that breaks the
 //! uniform spacing — and checks that queries, storage walks, predictors
-//! and whole scalar runs cannot tell the two apart.
+//! and whole scalar runs cannot tell the two apart. A grid keeps no
+//! breakpoint table, so the twin is also the explicit-table reference
+//! for the cursor-path queries (`segments_between`, `integrate_naive`,
+//! `first_accumulation_crossing_naive`) that step a grid's breakpoints.
 
 use harvest_rt::energy::storage::AdvanceReport;
 use harvest_rt::prelude::*;
@@ -199,6 +202,11 @@ proptest! {
                 twin.integrate_with(&mut ct, t1, t2).to_bits(),
                 "integral over [{}, {})", t1, t2
             );
+            prop_assert_eq!(
+                f.integrate_naive(t1, t2).to_bits(),
+                twin.integrate_naive(t1, t2).to_bits(),
+                "segment-sum integral over [{}, {})", t1, t2
+            );
         }
     }
 
@@ -209,7 +217,11 @@ proptest! {
         let f = solar(seed);
         let twin = cursor_twin(&f);
         let (t1, t2) = ordered(a, b);
-        prop_assert_eq!(segments(&f, t1, t2), segments(&twin, t1, t2));
+        let walked = segments(&f, t1, t2);
+        prop_assert_eq!(&walked, &segments(&twin, t1, t2));
+        // The iterator walks the cursor path on both.
+        prop_assert_eq!(&walked, &f.segments_between(t1, t2).collect::<Vec<_>>());
+        prop_assert_eq!(&walked, &twin.segments_between(t1, t2).collect::<Vec<_>>());
     }
 
     /// Accumulation crossings: same instant, and the same crossing tier
@@ -231,6 +243,10 @@ proptest! {
         let hit_twin = twin.first_accumulation_crossing_with(
             &mut ct, from, horizon, initial, offset, cap, target);
         prop_assert_eq!(hit_grid, hit_twin);
+        prop_assert_eq!(
+            f.first_accumulation_crossing_naive(from, horizon, initial, offset, cap, target),
+            twin.first_accumulation_crossing_naive(from, horizon, initial, offset, cap, target)
+        );
         let (sg, st) = (cg.stats(), ct.stats());
         prop_assert_eq!(
             (sg.cross_reject, sg.cross_bisect, sg.cross_scan),
