@@ -22,6 +22,8 @@
 //! `harvest_exp::cache::{fnv1a64, TrialKey, TrialSummary}` keep
 //! working; it no longer holds a cache of its own.
 
+use std::fmt::Write as _;
+
 use serde::{Deserialize, Serialize};
 
 use crate::scenario::{PaperScenario, PolicyKind};
@@ -35,12 +37,18 @@ pub const CACHE_SCHEMA_VERSION: u32 = 1;
 /// FNV-1a 64-bit, the workspace's standing content-hash choice. Public
 /// so smoke tooling can digest figure outputs for equality checks.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    h
+    fnv1a64_resume(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// One FNV-1a step: the hash state after byte `b`.
+pub(crate) fn fnv1a64_step(h: u64, b: u8) -> u64 {
+    (h ^ b as u64).wrapping_mul(0x1_0000_0000_01b3)
+}
+
+/// Continues an FNV-1a hash from state `h` over `bytes`. FNV-1a is a
+/// left fold, so `fnv1a64_resume(fnv1a64(a), b) == fnv1a64(a ++ b)`.
+pub(crate) fn fnv1a64_resume(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| fnv1a64_step(h, b))
 }
 
 /// The stable identity of one sweep cell.
@@ -53,47 +61,72 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 pub struct TrialKey {
     text: String,
     fingerprint: u64,
+    /// Where the scenario prefix `v{CACHE_SCHEMA_VERSION}|{json}|` of
+    /// `text` ends.
+    prefix_len: usize,
+}
+
+/// The part of a key text that depends on the scenario alone, with the
+/// FNV-1a state after it.
+struct ScenarioPrefix {
+    scenario: PaperScenario,
+    /// `v{CACHE_SCHEMA_VERSION}|{json(scenario)}|`.
+    text: String,
+    /// `fnv1a64(text)`, the fingerprint state every key of this
+    /// scenario continues from.
+    state: u64,
 }
 
 thread_local! {
-    /// Last scenario serialized on this thread, with its JSON. Key
+    /// Last scenario keyed on this thread, with its prefix. Key
     /// construction is on the warm probe path, and one figure grid
     /// builds thousands of keys over a handful of scenarios in runs of
     /// identical ones (the seed/policy axes vary faster), so a
-    /// last-value memo turns the dominant cost — the serde `Value`-tree
-    /// serialization — into an equality check plus a `String` clone.
-    static SCENARIO_JSON_MEMO: std::cell::RefCell<Option<(PaperScenario, String)>> =
+    /// last-value memo turns the dominant costs — the serde `Value`-tree
+    /// serialization and hashing the ~145-byte prefix — into an equality
+    /// check, one copy of the prefix and a hash of the 10–25 bytes after
+    /// it.
+    static SCENARIO_PREFIX_MEMO: std::cell::RefCell<Option<ScenarioPrefix>> =
         const { std::cell::RefCell::new(None) };
-}
-
-/// The canonical JSON of `scenario`, memoized per thread. The text is
-/// byte-identical to a fresh `serde_json::to_string`, so fingerprints
-/// and stored key texts are unaffected.
-fn scenario_json(scenario: &PaperScenario) -> String {
-    SCENARIO_JSON_MEMO.with(|memo| {
-        let mut memo = memo.borrow_mut();
-        if let Some((cached, json)) = memo.as_ref() {
-            if cached == scenario {
-                return json.clone();
-            }
-        }
-        let json = serde_json::to_string(scenario).expect("scenario serialization is infallible");
-        *memo = Some((scenario.clone(), json.clone()));
-        json
-    })
 }
 
 impl TrialKey {
     /// Builds the key for `(scenario, policy, seed)` under the current
     /// [`CACHE_SCHEMA_VERSION`].
     pub fn new(scenario: &PaperScenario, policy: PolicyKind, seed: u64) -> Self {
-        let text = format!(
-            "v{CACHE_SCHEMA_VERSION}|{}|{}|{seed}",
-            scenario_json(scenario),
-            policy.name()
-        );
-        let fingerprint = fnv1a64(text.as_bytes());
-        TrialKey { text, fingerprint }
+        SCENARIO_PREFIX_MEMO.with(|memo| {
+            let mut memo = memo.borrow_mut();
+            let prefix = match &mut *memo {
+                Some(prefix) if prefix.scenario == *scenario => prefix,
+                slot => {
+                    let json = serde_json::to_string(scenario)
+                        .expect("scenario serialization is infallible");
+                    let text = format!("v{CACHE_SCHEMA_VERSION}|{json}|");
+                    slot.insert(ScenarioPrefix {
+                        scenario: scenario.clone(),
+                        state: fnv1a64(text.as_bytes()),
+                        text,
+                    })
+                }
+            };
+            // The text is byte-identical to
+            // `format!("v{CACHE_SCHEMA_VERSION}|{json}|{policy}|{seed}")`,
+            // and the fingerprint to `fnv1a64` of it.
+            let policy = policy.name();
+            let digits = seed.checked_ilog10().map_or(1, |d| d as usize + 1);
+            let prefix_len = prefix.text.len();
+            let mut text = String::with_capacity(prefix_len + policy.len() + 1 + digits);
+            text.push_str(&prefix.text);
+            text.push_str(policy);
+            text.push('|');
+            write!(text, "{seed}").expect("writing to a String is infallible");
+            let fingerprint = fnv1a64_resume(prefix.state, &text.as_bytes()[prefix_len..]);
+            TrialKey {
+                text,
+                fingerprint,
+                prefix_len,
+            }
+        })
     }
 
     /// The canonical key text (stored inside every store record).
@@ -106,6 +139,13 @@ impl TrialKey {
     /// cost a recompute.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// Length of the scenario prefix `v{CACHE_SCHEMA_VERSION}|{json}|`
+    /// that starts [`text`](Self::text): every key of one scenario
+    /// shares it.
+    pub(crate) fn prefix_len(&self) -> usize {
+        self.prefix_len
     }
 }
 
@@ -173,6 +213,7 @@ impl TrialSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::PredictorKind;
 
     fn summary() -> TrialSummary {
         TrialSummary {
@@ -180,22 +221,6 @@ mod tests {
             completed_in_time: 30,
             missed: 10,
             sample_level_bits: vec![1.0f64.to_bits(), 0.25f64.to_bits()],
-        }
-    }
-
-    #[test]
-    fn scenario_json_memo_matches_fresh_serialization() {
-        // Alternate between two scenarios so every call after the first
-        // exercises both the memo hit and the memo replacement path;
-        // the memoized text must stay byte-identical to a direct
-        // serialization (stored keys depend on it).
-        let a = PaperScenario::new(0.4, 500.0);
-        let b = PaperScenario::new(0.8, 200.0);
-        for scenario in [&a, &b, &a, &a, &b] {
-            assert_eq!(
-                scenario_json(scenario),
-                serde_json::to_string(scenario).unwrap()
-            );
         }
     }
 
@@ -214,6 +239,73 @@ mod tests {
             assert_ne!(a.fingerprint(), other.fingerprint());
         }
         assert!(a.text().starts_with(&format!("v{CACHE_SCHEMA_VERSION}|")));
+
+        // Pinned keys: any drift in a key text or fingerprint turns every
+        // existing store cold. They are built in an order that alternates
+        // scenarios, so the per-thread scenario memo both hits and is
+        // replaced, on this thread and again on a fresh one; each also
+        // equals the key written out in full and hashed from scratch.
+        let pinned: [(u64, &str); 6] = [
+            (
+                0xa418_d360_8547_5026,
+                r#"v1|{"num_tasks":5,"utilization":0.8,"capacity":50.0,"horizon_units":10000,"sample_interval_units":null,"source_dt_units":1,"predictor":"Oracle"}|lsa|1000000"#,
+            ),
+            (
+                0x0d48_cbf7_cde1_a915,
+                r#"v1|{"num_tasks":5,"utilization":0.4,"capacity":500.0,"horizon_units":10000,"sample_interval_units":null,"source_dt_units":1,"predictor":"Oracle"}|ea-dvfs|0"#,
+            ),
+            (
+                0xd664_d16d_4d5f_dbfe,
+                r#"v1|{"num_tasks":5,"utilization":0.4,"capacity":500.0,"horizon_units":10000,"sample_interval_units":null,"source_dt_units":1,"predictor":"Oracle"}|ea-dvfs|18446744073709551615"#,
+            ),
+            (
+                0xa549_871d_ab3a_c6e6,
+                r#"v1|{"num_tasks":5,"utilization":0.4,"capacity":300.0,"horizon_units":10000,"sample_interval_units":100,"source_dt_units":1,"predictor":"Oracle"}|lsa|9"#,
+            ),
+            (
+                0x4738_5fa3_5824_4784,
+                r#"v1|{"num_tasks":5,"utilization":0.4,"capacity":300.0,"horizon_units":10000,"sample_interval_units":null,"source_dt_units":1,"predictor":"Oracle","fault":{"intensity":0.5}}|lsa|10"#,
+            ),
+            (
+                0x8f5a_3d1a_7fa8_51bc,
+                r#"v1|{"num_tasks":5,"utilization":0.4,"capacity":300.0,"horizon_units":10000,"sample_interval_units":null,"source_dt_units":1,"predictor":"Ewma"}|greedy-stretch|7"#,
+            ),
+        ];
+        let cells = [
+            (PaperScenario::new(0.8, 50.0), PolicyKind::Lsa, 1_000_000),
+            (PaperScenario::new(0.4, 500.0), PolicyKind::EaDvfs, 0),
+            (PaperScenario::new(0.4, 500.0), PolicyKind::EaDvfs, u64::MAX),
+            (
+                PaperScenario::new(0.4, 300.0).with_sampling(100),
+                PolicyKind::Lsa,
+                9,
+            ),
+            (
+                PaperScenario::new(0.4, 300.0).with_fault_intensity(0.5),
+                PolicyKind::Lsa,
+                10,
+            ),
+            (
+                PaperScenario::new(0.4, 300.0).with_predictor(PredictorKind::Ewma),
+                PolicyKind::GreedyStretch,
+                7,
+            ),
+        ];
+        let check = || {
+            for ((scenario, policy, seed), (fingerprint, text)) in cells.iter().zip(pinned) {
+                let key = TrialKey::new(scenario, *policy, *seed);
+                assert_eq!((key.fingerprint(), key.text()), (fingerprint, text));
+                let full = format!(
+                    "v1|{}|{}|{seed}",
+                    serde_json::to_string(scenario).unwrap(),
+                    policy.name()
+                );
+                assert_eq!(key.text(), full);
+                assert_eq!(key.fingerprint(), fnv1a64(full.as_bytes()));
+            }
+        };
+        check();
+        std::thread::scope(|scope| scope.spawn(check).join().unwrap());
     }
 
     #[test]

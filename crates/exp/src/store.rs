@@ -77,7 +77,7 @@ use harvest_obs::io::{
     StoreIo,
 };
 
-use crate::cache::{fnv1a64, TrialKey, TrialSummary};
+use crate::cache::{fnv1a64, fnv1a64_resume, fnv1a64_step, TrialKey, TrialSummary};
 use crate::parallel::CellFailure;
 
 /// Environment variable selecting the pack store (read by
@@ -301,9 +301,10 @@ fn decode_record(data: &[u8], offset: usize) -> Option<RawRecord<'_>> {
     decode::<false>(data, offset).map(|(rec, _)| rec)
 }
 
-/// [`decode_record`], plus the key's fingerprint when `KEYED` (else 0),
-/// hashed in the same pass over the body as the checksum.
-fn decode<const KEYED: bool>(data: &[u8], offset: usize) -> Option<(RawRecord<'_>, u64)> {
+/// The frame starting at `offset`: its body, the checksum stored after
+/// it and the offset one past that. `None` when the frame runs past
+/// `data` or its body is too short for `kind · key_len`.
+fn frame(data: &[u8], offset: usize) -> Option<(&[u8], u64, usize)> {
     let len_end = offset.checked_add(4)?;
     if len_end > data.len() {
         return None;
@@ -317,8 +318,14 @@ fn decode<const KEYED: bool>(data: &[u8], offset: usize) -> Option<(RawRecord<'_
     if next > data.len() {
         return None;
     }
-    let body = &data[len_end..body_end];
     let stored = u64::from_le_bytes(data[body_end..next].try_into().unwrap());
+    Some((&data[len_end..body_end], stored, next))
+}
+
+/// [`decode_record`], plus the key's fingerprint when `KEYED` (else 0),
+/// hashed in the same pass over the body as the checksum.
+fn decode<const KEYED: bool>(data: &[u8], offset: usize) -> Option<(RawRecord<'_>, u64)> {
+    let (body, stored, next) = frame(data, offset)?;
     let key_len = u32::from_le_bytes(body[1..5].try_into().unwrap()) as usize;
     if 5 + key_len > body.len() {
         return None;
@@ -348,20 +355,65 @@ fn decode<const KEYED: bool>(data: &[u8], offset: usize) -> Option<(RawRecord<'_
 /// `(fnv1a64(body), fnv1a64(&body[key]))` in one pass: the two hash
 /// chains are independent, so the key's costs little beside the body's.
 fn fnv1a64_with_key(body: &[u8], key: Range<usize>) -> (u64, u64) {
-    const PRIME: u64 = 0x1_0000_0000_01b3;
-    let step = |h: u64, b: u8| (h ^ b as u64).wrapping_mul(PRIME);
-    let (mut sum, mut fingerprint) = (fnv1a64(&[]), fnv1a64(&[]));
-    for &b in &body[..key.start] {
-        sum = step(sum, b);
-    }
+    let mut sum = fnv1a64(&body[..key.start]);
+    let mut fingerprint = fnv1a64(&[]);
     for &b in &body[key.clone()] {
-        sum = step(sum, b);
-        fingerprint = step(fingerprint, b);
+        sum = fnv1a64_step(sum, b);
+        fingerprint = fnv1a64_step(fingerprint, b);
     }
-    for &b in &body[key.end..] {
-        sum = step(sum, b);
+    (fnv1a64_resume(sum, &body[key.end..]), fingerprint)
+}
+
+/// The record checksum's FNV-1a state over a body's head — `kind ·
+/// key_len · scenario prefix` — for the last head a keyed read hashed,
+/// keyed on those three values. The cells of one grid point share the
+/// head, so a batch of reads hashes it once per scenario and kind.
+type HeadSum<'k> = Option<([u8; 5], &'k str, u64)>;
+
+/// The one check of a keyed read ([`PackStore::lookup`] and
+/// `probe_many`): the record at `offset` serves `key` only when its frame
+/// fits, its key bytes equal `key.text()`, its kind is known and its
+/// checksum holds, exactly when [`decode_record`] returns it with
+/// `key_text == key.text()`. Returns its kind and payload; `None` is an
+/// integrity reject.
+///
+/// The checksum is the same FNV-1a over the same body bytes. The head's
+/// state is hashed from the stored `kind · key_len` and the scenario
+/// prefix of `key.text()`, and `heads` reuses it while all three equal
+/// the last head's. The stored key was just compared equal to
+/// `key.text()`, so that prefix is the stored one, and only the key's
+/// suffix and the payload are hashed per record.
+fn read_keyed<'a, 'k>(
+    data: &'a [u8],
+    offset: usize,
+    key: &'k TrialKey,
+    heads: &mut HeadSum<'k>,
+) -> Option<(u8, &'a [u8])> {
+    let (body, stored, _) = frame(data, offset)?;
+    let text = key.text();
+    let key_end = 5 + text.len();
+    let key_len = u32::from_le_bytes(body[1..5].try_into().unwrap()) as usize;
+    if key_len != text.len() || body.len() < key_end || body[5..key_end] != *text.as_bytes() {
+        return None;
     }
-    (sum, fingerprint)
+    let kind = body[0];
+    if kind != KIND_DONE && kind != KIND_QUARANTINED {
+        return None;
+    }
+    let head: [u8; 5] = body[..5].try_into().unwrap();
+    let prefix = &text[..key.prefix_len()];
+    let state = match *heads {
+        Some((last_head, last_prefix, state)) if last_head == head && last_prefix == prefix => {
+            state
+        }
+        _ => {
+            let state = fnv1a64_resume(fnv1a64(&head), prefix.as_bytes());
+            *heads = Some((head, prefix, state));
+            state
+        }
+    };
+    let sum = fnv1a64_resume(state, &body[5 + prefix.len()..]);
+    (sum == stored).then_some((kind, &body[key_end..]))
 }
 
 /// What [`scan_frames`] finds in a pack: a record that decodes, or a
@@ -403,8 +455,8 @@ fn scan_frames<'a>(data: &'a [u8], from: usize, mut visit: impl FnMut(Frame<'a>)
     }
 }
 
-/// A map keyed by key fingerprints, for the maps [`PackStore::stat`] and
-/// [`PackStore::compact`] build over every frame.
+/// A map keyed by key fingerprints: the probe index, and the maps
+/// [`PackStore::stat`] and [`PackStore::compact`] build over every frame.
 type FingerprintMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<FingerprintHasher>>;
 
 /// Fingerprints are FNV hashes already: rather than rehash one, fold its
@@ -543,7 +595,7 @@ struct PackBuf {
 
 struct Inner {
     packs: Vec<PackBuf>,
-    index: HashMap<u64, Loc>,
+    index: FingerprintMap<Loc>,
 }
 
 /// The packs of a store directory, read as every open reads them.
@@ -983,7 +1035,7 @@ impl PackStore {
     ) -> std::io::Result<Self> {
         let dir = dir.into();
         io.create_dir_all(&dir)?;
-        let mut index: HashMap<u64, Loc> = HashMap::new();
+        let mut index: FingerprintMap<Loc> = FingerprintMap::default();
         let LoadedPacks {
             packs, reclaimed, ..
         } = load_packs(io.as_ref(), &dir, |fingerprint, loc| {
@@ -1036,30 +1088,20 @@ impl PackStore {
     /// Looks a fingerprint up and decodes its record, verifying the key
     /// text. `Ok(None)` = absent; `Err(())` = present but rejected on
     /// integrity grounds.
-    #[allow(clippy::result_unit_err)]
     fn lookup(&self, key: &TrialKey) -> Result<Option<CellOutcome>, ()> {
         let inner = self.inner.read().expect("store lock");
         let Some(loc) = inner.index.get(&key.fingerprint()) else {
             return Ok(None);
         };
-        let data = &inner.packs[loc.pack].data;
-        let Some(rec) = decode_record(data, loc.offset) else {
-            return Err(());
+        // A foreign key behind a fingerprint collision, a poisoned pack
+        // or a rotted record: never serve it.
+        let (kind, payload) =
+            read_keyed(&inner.packs[loc.pack].data, loc.offset, key, &mut None).ok_or(())?;
+        let outcome = match kind {
+            KIND_DONE => decode_summary(payload).map(CellOutcome::Done),
+            _ => decode_failure(payload).map(CellOutcome::Quarantined),
         };
-        if rec.key_text != key.text() {
-            // Fingerprint collision or poisoned pack: never serve it.
-            return Err(());
-        }
-        match rec.kind {
-            KIND_DONE => match decode_summary(rec.payload) {
-                Some(s) => Ok(Some(CellOutcome::Done(s))),
-                None => Err(()),
-            },
-            _ => match decode_failure(rec.payload) {
-                Some(f) => Ok(Some(CellOutcome::Quarantined(f))),
-                None => Err(()),
-            },
-        }
+        outcome.map(Some).ok_or(())
     }
 
     /// The outcome already decided for `key` — `done` or `quarantined`
@@ -1539,16 +1581,14 @@ impl TrialStore for PackStore {
         let (mut hits, mut misses, mut rejects) = (0u64, 0u64, 0u64);
         {
             let inner = self.inner.read().expect("store lock");
+            let mut heads = None;
             for key in keys {
                 let mut resolved = None;
                 match inner.index.get(&key.fingerprint()) {
                     None => misses += 1,
                     Some(loc) => {
-                        let servable = decode_record(&inner.packs[loc.pack].data, loc.offset)
-                            .filter(|rec| rec.key_text == key.text());
-                        match servable {
-                            Some(rec) if rec.kind == KIND_DONE => match decode_summary(rec.payload)
-                            {
+                        match read_keyed(&inner.packs[loc.pack].data, loc.offset, key, &mut heads) {
+                            Some((KIND_DONE, payload)) => match decode_summary(payload) {
                                 Some(s) => {
                                     hits += 1;
                                     resolved = Some(s);
@@ -2006,6 +2046,171 @@ mod tests {
         let stats = PackStore::compact(&dir).unwrap();
         assert_eq!((stats.corrupt_spans, stats.records_after), (1, 0));
         assert_eq!(stats.corrupt_bytes, bytes.len() as u64);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// How one read surface answered one key.
+    #[derive(Debug, PartialEq)]
+    enum Answer {
+        Served(CellOutcome),
+        Miss,
+        Reject,
+    }
+
+    /// What the reference read makes of `key` on each surface, as
+    /// `[probe_many, probe, decided]`: the indexed record as
+    /// [`decode_record`] decodes it, kept only when its key text is
+    /// `key.text()`, then each surface's decode rules. `probe_many`
+    /// decodes only `done` records, `probe` rejects a quarantined record
+    /// whose failure does not decode, and `decided` serves both kinds.
+    fn reference_answers(store: &PackStore, key: &TrialKey) -> [Answer; 3] {
+        let inner = store.inner.read().unwrap();
+        let Some(loc) = inner.index.get(&key.fingerprint()) else {
+            return [Answer::Miss, Answer::Miss, Answer::Miss];
+        };
+        let Some(rec) = decode_record(&inner.packs[loc.pack].data, loc.offset)
+            .filter(|rec| rec.key_text == key.text())
+        else {
+            return [Answer::Reject, Answer::Reject, Answer::Reject];
+        };
+        if rec.kind == KIND_DONE {
+            let done = || match decode_summary(rec.payload) {
+                Some(s) => Answer::Served(CellOutcome::Done(s)),
+                None => Answer::Reject,
+            };
+            [done(), done(), done()]
+        } else {
+            match decode_failure(rec.payload) {
+                Some(f) => [
+                    Answer::Miss,
+                    Answer::Miss,
+                    Answer::Served(CellOutcome::Quarantined(f)),
+                ],
+                None => [Answer::Miss, Answer::Reject, Answer::Reject],
+            }
+        }
+    }
+
+    /// Runs `grid` through `probe_many`, `probe` and `decided` and checks
+    /// every answer and the `hits`/`misses`/`rejects` deltas of each
+    /// pass against [`reference_answers`].
+    fn assert_reads_match_reference(store: &PackStore, grid: &[TrialKey], case: &str) {
+        /// The counter deltas `answers` imply.
+        fn deltas<'a>(answers: impl IntoIterator<Item = &'a Answer>) -> CacheStats {
+            let mut d = CacheStats::default();
+            for answer in answers {
+                match answer {
+                    Answer::Served(_) => d.hits += 1,
+                    Answer::Miss => d.misses += 1,
+                    Answer::Reject => (d.misses, d.rejects) = (d.misses + 1, d.rejects + 1),
+                }
+            }
+            d
+        }
+        let expected: Vec<[Answer; 3]> = grid.iter().map(|k| reference_answers(store, k)).collect();
+        let since = |before: CacheStats| {
+            let now = store.stats();
+            CacheStats {
+                hits: now.hits - before.hits,
+                misses: now.misses - before.misses,
+                rejects: now.rejects - before.rejects,
+                stores: now.stores - before.stores,
+            }
+        };
+
+        let before = store.stats();
+        let batch = store.probe_many(grid);
+        let want: Vec<Option<TrialSummary>> = expected
+            .iter()
+            .map(|e| match &e[0] {
+                Answer::Served(CellOutcome::Done(s)) => Some(s.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(batch, want, "{case}: probe_many answers");
+        assert_eq!(
+            since(before),
+            deltas(expected.iter().map(|e| &e[0])),
+            "{case}: probe_many counters"
+        );
+
+        for (key, want) in grid.iter().zip(&expected) {
+            let before = store.stats();
+            let got = match store.probe(key) {
+                Some(s) => Answer::Served(CellOutcome::Done(s)),
+                None if since(before).rejects == 1 => Answer::Reject,
+                None => Answer::Miss,
+            };
+            assert_eq!(got, want[1], "{case}: probe of {}", key.text());
+            assert_eq!(since(before), deltas([&want[1]]));
+
+            let before = store.stats();
+            let got = match store.decided(key) {
+                Some(outcome) => Answer::Served(outcome),
+                None if since(before).rejects == 1 => Answer::Reject,
+                None => Answer::Miss,
+            };
+            assert_eq!(got, want[2], "{case}: decided of {}", key.text());
+            assert_eq!(since(before), deltas([&want[2]]));
+        }
+    }
+
+    #[test]
+    fn keyed_reads_match_the_reference_under_every_byte_flip() {
+        // One scenario's `done` seeds 9, 10 and 12 around a quarantined
+        // seed 11, then a second scenario: neighbouring records differ
+        // in key length (9 → 10), in kind (10 → 11) and in scenario
+        // prefix, so a reused checksum head that ignored any of them
+        // would show.
+        let dir = scratch_dir("keyed-flips");
+        let a = PaperScenario::new(0.4, 500.0);
+        let b = PaperScenario::new(0.8, 200.0);
+        let store = PackStore::open(&dir).unwrap();
+        for seed in [9, 10] {
+            store.record_done(&key(seed), &summary(seed)).unwrap();
+        }
+        store.record_quarantined(&key(11), &failure()).unwrap();
+        store.record_done(&key(12), &summary(12)).unwrap();
+        for seed in [9, 10, 11] {
+            let k = b.trial_key(PolicyKind::EaDvfs, seed);
+            store.record_done(&k, &summary(seed + 1)).unwrap();
+        }
+        drop(store); // writes the sidecar
+        let grid: Vec<TrialKey> = [&a, &b]
+            .into_iter()
+            .flat_map(|s| (8..=13).map(|seed| s.trial_key(PolicyKind::EaDvfs, seed)))
+            .collect();
+        let pack = only_pack(&dir);
+        let clean = std::fs::read(&pack).unwrap();
+
+        let store = PackStore::open(&dir).unwrap();
+        assert_reads_match_reference(&store, &grid, "clean");
+        let frame = {
+            let inner = store.inner.read().unwrap();
+            let at = inner.index[&key(10).fingerprint()].offset;
+            let body_len = u32::from_le_bytes(clean[at..at + 4].try_into().unwrap()) as usize;
+            at..at + 4 + body_len + 8
+        };
+        drop(store);
+
+        // Flip every byte of seed 10's frame in turn (`body_len`, kind,
+        // `key_len`, key, payload, checksum), keeping the sidecar, so
+        // open still indexes the rotted record and the probe-time check
+        // is the one that must catch it.
+        for at in frame {
+            for mask in [0x01, 0xFF] {
+                let mut bytes = clean.clone();
+                bytes[at] ^= mask;
+                std::fs::write(&pack, &bytes).unwrap();
+                let store = PackStore::open(&dir).unwrap();
+                assert_eq!(store.loaded(), 7, "the sidecar is kept");
+                assert_eq!(
+                    reference_answers(&store, &key(10)),
+                    [Answer::Reject, Answer::Reject, Answer::Reject]
+                );
+                assert_reads_match_reference(&store, &grid, &format!("byte {at} ^ {mask:#04x}"));
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
