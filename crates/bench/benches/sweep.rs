@@ -219,7 +219,6 @@ fn figure_telemetry_modes(c: &mut Criterion, store: &PackStore) {
                     Some(Box::new(std::io::sink())),
                     false,
                 ))),
-                flight: None,
             };
             let plan = RunPlan {
                 threads: 1,

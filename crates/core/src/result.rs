@@ -38,11 +38,11 @@ impl std::fmt::Display for SimError {
         match self {
             SimError::WatchdogEventBudget { at, events } => write!(
                 f,
-                "watchdog: event budget exhausted after {events} events at t={at}"
+                "watchdog: event budget exhausted after {events} events at {at}"
             ),
             SimError::WatchdogNoProgress { at, events } => write!(
                 f,
-                "watchdog: no progress (clock stuck at t={at} after {events} events)"
+                "watchdog: no progress (clock stuck at {at} after {events} events)"
             ),
         }
     }
@@ -295,6 +295,19 @@ mod tests {
         let r = result(vec![]);
         let n = r.normalized_samples(100.0);
         assert_eq!(n[0].1, 0.5);
+    }
+
+    #[test]
+    fn sim_errors_render_the_instant_once() {
+        let at = SimTime::from_units(12.5);
+        assert_eq!(
+            SimError::WatchdogEventBudget { at, events: 5 }.to_string(),
+            "watchdog: event budget exhausted after 5 events at t=12.5"
+        );
+        assert_eq!(
+            SimError::WatchdogNoProgress { at, events: 7 }.to_string(),
+            "watchdog: no progress (clock stuck at t=12.5 after 7 events)"
+        );
     }
 
     #[test]

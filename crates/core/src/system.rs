@@ -27,11 +27,8 @@
 use harvest_energy::fault::{apply_harvest_faults, harvest_factor_at};
 use harvest_energy::predictor::{EnergyPredictor, FaultyPredictor};
 use harvest_energy::storage::Storage;
-use harvest_obs::flight::FlightDump;
 use harvest_obs::profile::PhaseProfiler;
-use harvest_obs::{
-    FlightRecorder, Log2Histogram, MetricsRegistry, MetricsSink, SharedFlightRecorder,
-};
+use harvest_obs::{Log2Histogram, MetricsRegistry, MetricsSink};
 use harvest_sim::engine::{Engine, Model, RunOutcome, Scheduler as EngineCtx, WatchdogKind};
 use harvest_sim::event::{EventQueue, QueueStats, ReleaseTape};
 use harvest_sim::piecewise::{Cursor, CursorStats, PiecewiseConstant};
@@ -279,11 +276,6 @@ struct SystemModel<'a> {
     /// unless the config enables profiling, so a plain run pays one
     /// branch per phase boundary and zero clock reads.
     profiler: Option<Box<PhaseProfiler>>,
-    /// Crash flight recorder lent by the [`RunContext`]; `None` (one
-    /// branch per trace event) unless a campaign asked for post-mortems.
-    /// When set, every domain trace event is also rendered into the
-    /// shared ring so a watchdog abort can dump the recent tail.
-    flight: Option<SharedFlightRecorder>,
     /// Precomputed release timeline; `None` runs releases through the
     /// event queue (the reference path).
     tape: Option<TapeCursor>,
@@ -386,22 +378,8 @@ impl SystemModel<'_> {
 
     /// Accounts one domain trace event. `event` builds the record — a
     /// small `Copy` value — which counting mode tallies per variant and
-    /// immediately discards; only figure runs retain it. With a flight
-    /// recorder installed the record is additionally rendered into the
-    /// shared ring; without one the extra cost is a single `None` branch.
+    /// immediately discards; only traced runs retain it.
     fn trace_event(&mut self, now: SimTime, event: impl FnOnce() -> TraceEvent) {
-        if let Some(flight) = &self.flight {
-            let ev = event();
-            flight
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .record(now.as_units(), ev.kind_name(), format!("{ev:?}"));
-            match &mut self.trace {
-                TraceLog::Count(sink) => sink.bump_kind(ev.kind_index()),
-                TraceLog::Keep(log) => log.push((now, ev)),
-            }
-            return;
-        }
         match &mut self.trace {
             TraceLog::Count(sink) => sink.bump_kind(event().kind_index()),
             TraceLog::Keep(log) => log.push((now, event())),
@@ -760,6 +738,57 @@ impl SystemModel<'_> {
         }
     }
 
+    /// Moves the run's outcome out into a [`SimResult`] over `horizon`,
+    /// with the metrics snapshot and phase profile when the config asks
+    /// for them. The scheduler name is left for the caller.
+    fn take_result(
+        &mut self,
+        horizon: SimDuration,
+        events: u64,
+        queue: QueueStats,
+        engine_profiler: Option<&PhaseProfiler>,
+        reg: &mut MetricsRegistry,
+    ) -> SimResult {
+        let trace_kind_counts = self.trace_kind_counts();
+        let metrics = self.config.collect_metrics.then(|| {
+            reg.reset();
+            self.publish_metrics(reg, events, queue, &trace_kind_counts);
+            reg.snapshot()
+        });
+        let profile = self.config.profile.then(|| {
+            let mut p = self.profiler.take().map(|b| *b).unwrap_or_default();
+            if let Some(ep) = engine_profiler {
+                p.merge(ep);
+            }
+            p.summary()
+        });
+        let (trace, trace_events) =
+            match std::mem::replace(&mut self.trace, TraceLog::Count(CountingSink::new())) {
+                TraceLog::Count(sink) => (Vec::new(), sink.count()),
+                TraceLog::Keep(log) => {
+                    let n = log.len() as u64;
+                    (log, n)
+                }
+            };
+        SimResult {
+            scheduler: String::new(),
+            horizon,
+            jobs: std::mem::take(&mut self.records),
+            energy: self.energy,
+            switches: self.switches,
+            events,
+            trace_events,
+            trace_kind_counts,
+            level_time: std::mem::take(&mut self.level_time),
+            idle_time: self.idle_time,
+            stall_time: self.stall_time,
+            samples: std::mem::take(&mut self.samples),
+            trace,
+            metrics,
+            profile,
+        }
+    }
+
     /// Publishes every inline counter into the registry, once, at end of
     /// run. This is the only place instrumentation touches metric names,
     /// so the hot loops stay monomorphic integer adds.
@@ -1024,9 +1053,9 @@ pub struct RunContext {
     ready: Option<EdfQueue>,
     metrics: MetricsRegistry,
     stats: PoolStats,
-    /// Crash flight recorder shared with every simulation this context
-    /// runs; `None` (the default) costs one branch per trace event.
-    flight: Option<SharedFlightRecorder>,
+    /// The partial result of a traced run the watchdog aborted, until
+    /// [`Self::take_partial`] takes it.
+    partial: Option<SimResult>,
 }
 
 impl RunContext {
@@ -1035,33 +1064,14 @@ impl RunContext {
         RunContext::default()
     }
 
-    /// Installs a crash flight recorder: a ring of the last `capacity`
-    /// trace events, shared (behind `Arc<Mutex<..>>`, so it survives a
-    /// worker panic) with every subsequent run through this context.
-    /// A watchdog abort freezes the ring into a pending
-    /// [`FlightDump`]; the driver drains dumps with
-    /// [`Self::take_flight_dumps`].
-    pub fn enable_flight(&mut self, capacity: usize) {
-        self.flight = Some(FlightRecorder::shared(capacity));
-    }
-
-    /// The installed flight recorder, if any — for driver-side markers
-    /// ([`FlightRecorder::mark`]) and panic-path captures.
-    pub fn flight(&self) -> Option<&SharedFlightRecorder> {
-        self.flight.as_ref()
-    }
-
-    /// Drains the flight dumps captured since the last call (watchdog
-    /// aborts, plus any the driver captured itself). Empty when flight
-    /// recording is off.
-    pub fn take_flight_dumps(&mut self) -> Vec<FlightDump> {
-        match &self.flight {
-            Some(flight) => flight
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .take_dumps(),
-            None => Vec::new(),
-        }
+    /// Takes the partial result of the traced run that the watchdog
+    /// aborted in the last [`try_simulate_arms_in`] call on this
+    /// context: the run's trace, records, accounting and counters when
+    /// the watchdog fired, with `horizon` cut to the last instant the
+    /// state was advanced to. `None` when that call aborted no traced
+    /// run. With several aborted arms, the last one aborted.
+    pub fn take_partial(&mut self) -> Option<SimResult> {
+        self.partial.take()
     }
 
     /// Retention statistics accumulated over this context's lifetime.
@@ -1108,9 +1118,8 @@ pub fn try_simulate_in_taped(
 /// continues on its own copy (DESIGN §8.11). [`PoolStats::shared_events`]
 /// counts the events this saved.
 ///
-/// Runs with `collect_metrics` or `profile` set, and runs on a context
-/// with a flight recorder, simulate their arms one at a time instead:
-/// metrics, phase timings and a flight ring each describe one run.
+/// Runs with `collect_metrics` or `profile` set simulate their arms one
+/// at a time instead: metrics and phase timings each describe one run.
 ///
 /// When `tape` is `Some`, task releases are served by a monotone cursor
 /// over the shared timeline instead of per-release event-queue traffic.
@@ -1123,7 +1132,9 @@ pub fn try_simulate_in_taped(
 /// An arm whose [`Watchdog`](harvest_sim::engine::Watchdog) fires
 /// returns the corresponding [`SimError`]; the pooled queues are
 /// reclaimed and reset all the same, so the context stays healthy for
-/// the worker's next trial. Without a watchdog no result is `Err`.
+/// the worker's next trial. Without a watchdog no result is `Err`. A
+/// traced run (`collect_trace`) that aborts leaves its partial result
+/// on the context for [`RunContext::take_partial`].
 ///
 /// # Panics
 ///
@@ -1139,8 +1150,8 @@ pub fn try_simulate_arms_in(
     predictor: Box<dyn EnergyPredictor>,
     tape: Option<Arc<ReleaseTape>>,
 ) -> Vec<Result<SimResult, SimError>> {
-    let one_at_a_time = config.collect_metrics || config.profile || ctx.flight.is_some();
-    if policies.len() > 1 && one_at_a_time {
+    ctx.partial = None;
+    if policies.len() > 1 && (config.collect_metrics || config.profile) {
         return policies
             .iter_mut()
             .flat_map(|policy| {
@@ -1296,7 +1307,6 @@ fn run_closed_loop(
             harvest_factor: 1.0,
         }),
         profiler: None,
-        flight: pool.flight.clone(),
         tape: tape.map(|tape| {
             let task_count = tape.task_count();
             TapeCursor {
@@ -1381,7 +1391,13 @@ fn run_closed_loop(
             engine.apply(|model, ctx| model.apply_decision(at, decision, ctx));
             continue;
         }
-        let (mut events, mut ready) = finish(engine, outcome, &mut pool.metrics, &mut results);
+        let (mut events, mut ready) = finish(
+            engine,
+            outcome,
+            &mut pool.metrics,
+            &mut pool.partial,
+            &mut results,
+        );
         // The first run to finish is the original one, on the pooled
         // queues; the copies' queues are dropped.
         if pool.events.is_none() {
@@ -1407,83 +1423,45 @@ fn run_closed_loop(
 
 /// Settles a run that reached its end — the horizon, a drained queue or
 /// a watchdog abort — into the result of every arm it carries (equal but
-/// for the policy name), and hands back its queues.
+/// for the policy name), and hands back its queues. A traced run the
+/// watchdog aborted also leaves its partial result in `partial`.
 fn finish(
     engine: Engine<SystemModel<'_>>,
     outcome: RunOutcome,
     reg: &mut MetricsRegistry,
+    partial: &mut Option<SimResult>,
     results: &mut [Option<Result<SimResult, SimError>>],
 ) -> (EventQueue<SysEvent>, EdfQueue) {
     let events = engine.events_handled();
     let queue_stats = engine.queue_stats();
     let engine_profiler = engine.profiler().cloned();
     let (mut model, equeue) = engine.into_parts();
+    let policies = model.policies;
+    let name = |arm: usize| policies[arm].borrow().name().to_owned();
     let result = if let RunOutcome::WatchdogFired { at, events, kind } = outcome {
-        let (err, reason) = match kind {
-            WatchdogKind::EventBudget => (
-                SimError::WatchdogEventBudget { at, events },
-                "watchdog-event-budget",
-            ),
-            WatchdogKind::NoProgress => (
-                SimError::WatchdogNoProgress { at, events },
-                "watchdog-no-progress",
-            ),
-        };
-        // Freeze the post-mortem before the aborted model state is
-        // discarded; the driver drains it via `take_flight_dumps`.
-        if let Some(flight) = &model.flight {
-            flight
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .capture(reason, events);
+        if model.config.collect_trace {
+            // The state as the last handled event left it: nothing is
+            // advanced to `at` or settled at a horizon.
+            model.energy.final_level = model.storage.level();
+            let covered = model.last_sync - SimTime::ZERO;
+            let mut run =
+                model.take_result(covered, events, queue_stats, engine_profiler.as_ref(), reg);
+            run.scheduler = name(model.arms[0]);
+            *partial = Some(run);
         }
-        Err(err)
+        Err(match kind {
+            WatchdogKind::EventBudget => SimError::WatchdogEventBudget { at, events },
+            WatchdogKind::NoProgress => SimError::WatchdogNoProgress { at, events },
+        })
     } else {
         let horizon = model.config.horizon;
         model.finalize(SimTime::ZERO + horizon);
-        let trace_kind_counts = model.trace_kind_counts();
-        let metrics = model.config.collect_metrics.then(|| {
-            reg.reset();
-            model.publish_metrics(reg, events, queue_stats, &trace_kind_counts);
-            reg.snapshot()
-        });
-        let profile = model.config.profile.then(|| {
-            let mut p = model.profiler.take().map(|b| *b).unwrap_or_default();
-            if let Some(ep) = &engine_profiler {
-                p.merge(ep);
-            }
-            p.summary()
-        });
-        let (trace, trace_events) = match model.trace {
-            TraceLog::Count(sink) => (Vec::new(), sink.count()),
-            TraceLog::Keep(log) => {
-                let n = log.len() as u64;
-                (log, n)
-            }
-        };
-        Ok(SimResult {
-            scheduler: String::new(),
-            horizon,
-            jobs: model.records,
-            energy: model.energy,
-            switches: model.switches,
-            events,
-            trace_events,
-            trace_kind_counts,
-            level_time: model.level_time,
-            idle_time: model.idle_time,
-            stall_time: model.stall_time,
-            samples: model.samples,
-            trace,
-            metrics,
-            profile,
-        })
+        Ok(model.take_result(horizon, events, queue_stats, engine_profiler.as_ref(), reg))
     };
     let (&first, rest) = model.arms.split_first().expect("a run carries arms");
-    let policies = model.policies;
     let mut settle = |arm: usize, result: Result<SimResult, SimError>| {
         results[arm] = Some(result.map(|mut r| {
-            r.scheduler = policies[arm].borrow().name().to_owned();
+            r.scheduler = name(arm);
             r
         }));
     };
@@ -2315,78 +2293,55 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_abort_freezes_a_flight_dump() {
-        let tasks = Arc::new(TaskSet::new(vec![Task::periodic_implicit(d(10), 2.0)]));
-        let profile = Arc::new(PiecewiseConstant::constant(2.0));
-        let config = SystemConfig::new(presets::xscale(), StorageSpec::ideal(200.0), d(300))
-            .with_watchdog(harvest_sim::engine::Watchdog::with_max_events(40));
-        let mut ctx = RunContext::new();
-        ctx.enable_flight(16);
-        if let Some(flight) = ctx.flight() {
-            flight.lock().unwrap().mark("cell key text");
-        }
-        let mut policy = EdfScheduler::new();
-        let err = run_in(
-            &mut ctx,
-            config,
-            Arc::clone(&tasks),
-            Arc::clone(&profile),
-            &mut policy,
-            Box::new(OraclePredictor::new((*profile).clone())),
-            None,
-        );
-        assert!(err.is_err());
-        let dumps = ctx.take_flight_dumps();
-        assert_eq!(dumps.len(), 1);
-        let dump = &dumps[0];
-        assert_eq!(dump.reason, "watchdog-event-budget");
-        assert!(dump.events_handled > 0);
-        assert!(!dump.events.is_empty(), "ring holds the event tail");
-        // The driver's marker survives unless the ring wrapped past it.
-        if dump.dropped == 0 {
-            assert_eq!(dump.events[0].detail, "cell key text");
-        }
-        // Simulation events were rendered with their kind names.
-        assert!(dump
-            .events
-            .iter()
-            .any(|e| e.kind == "released" || e.kind == "started"));
-        assert!(ctx.take_flight_dumps().is_empty(), "drain is one-shot");
-    }
-
-    #[test]
-    fn flight_recording_does_not_change_results() {
+    fn traced_aborts_leave_a_partial_result_on_the_context() {
         let tasks = Arc::new(TaskSet::new(vec![Task::periodic_implicit(d(10), 2.0)]));
         let profile = Arc::new(PiecewiseConstant::constant(2.0));
         let config = SystemConfig::new(presets::xscale(), StorageSpec::ideal(200.0), d(300));
-        let mut plain_ctx = RunContext::new();
+        let watched =
+            |c: SystemConfig| c.with_watchdog(harvest_sim::engine::Watchdog::with_max_events(40));
+        let mut ctx = RunContext::new();
         let mut policy = EdfScheduler::new();
-        let plain = run_in(
-            &mut plain_ctx,
-            config.clone(),
-            Arc::clone(&tasks),
-            Arc::clone(&profile),
-            &mut policy,
-            Box::new(OraclePredictor::new((*profile).clone())),
-            None,
-        )
-        .unwrap();
-        let mut recorded_ctx = RunContext::new();
-        recorded_ctx.enable_flight(64);
-        let recorded = run_in(
-            &mut recorded_ctx,
-            config,
-            tasks,
-            Arc::clone(&profile),
-            &mut policy,
-            Box::new(OraclePredictor::new((*profile).clone())),
-            None,
-        )
-        .unwrap();
-        assert_eq!(plain, recorded, "flight recording is observation-only");
+        let mut run = |ctx: &mut RunContext, config: SystemConfig| {
+            run_in(
+                ctx,
+                config,
+                Arc::clone(&tasks),
+                Arc::clone(&profile),
+                &mut policy,
+                Box::new(OraclePredictor::new((*profile).clone())),
+                None,
+            )
+        };
+        let full = run(&mut ctx, config.clone().with_trace()).unwrap();
+        assert!(ctx.take_partial().is_none(), "a clean run leaves nothing");
+
+        let Err(SimError::WatchdogEventBudget { at, .. }) =
+            run(&mut ctx, watched(config.clone().with_trace()))
+        else {
+            panic!("40 events cannot cover 300 units");
+        };
+        let partial = ctx
+            .take_partial()
+            .expect("a traced abort leaves its partial");
+        assert!(ctx.take_partial().is_none(), "taking is one-shot");
+        assert_eq!(partial.scheduler, "edf");
+        assert_eq!(
+            partial.events, 41,
+            "the event that tripped the budget counts"
+        );
+        assert!(!partial.trace.is_empty());
         assert!(
-            recorded_ctx.take_flight_dumps().is_empty(),
-            "clean runs capture nothing"
+            partial.trace.len() < full.trace.len(),
+            "the abort cuts the run short"
+        );
+        assert_eq!(partial.trace[..], full.trace[..partial.trace.len()]);
+        assert!(partial.trace.iter().all(|&(t, _)| t <= at));
+        assert!(SimTime::ZERO + partial.horizon <= at);
+
+        assert!(run(&mut ctx, watched(config)).is_err());
+        assert!(
+            ctx.take_partial().is_none(),
+            "an untraced abort leaves nothing"
         );
     }
 

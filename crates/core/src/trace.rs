@@ -2,7 +2,6 @@
 
 use harvest_cpu::LevelIndex;
 use harvest_sim::time::SimTime;
-use harvest_sim::trace::RecordKind;
 use harvest_task::job::JobId;
 use serde::{Deserialize, Serialize};
 
@@ -97,16 +96,6 @@ impl TraceEvent {
     /// Variant name (see [`KIND_NAMES`](Self::KIND_NAMES)).
     pub fn kind_name(&self) -> &'static str {
         Self::KIND_NAMES[self.kind_index()]
-    }
-}
-
-/// Lets a `CountingSink` tally scheduling events per variant without
-/// retaining them.
-impl RecordKind for TraceEvent {
-    const KIND_COUNT: usize = TraceEvent::KIND_COUNT;
-
-    fn kind_index(&self) -> usize {
-        TraceEvent::kind_index(self)
     }
 }
 

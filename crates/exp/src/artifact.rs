@@ -486,8 +486,8 @@ mod tests {
         let mut s = PaperScenario::new(0.4, 500.0);
         s.horizon_units = 2_000;
         let prefab = s.prefab(1);
-        let a = RunArtifact::from_result(&s.run_prefab_observed(PolicyKind::Lsa, &prefab));
-        let b = RunArtifact::from_result(&s.run_prefab_observed(PolicyKind::EaDvfs, &prefab));
+        let a = RunArtifact::from_result(&s.run_prefab_observed(PolicyKind::Lsa, &prefab).0);
+        let b = RunArtifact::from_result(&s.run_prefab_observed(PolicyKind::EaDvfs, &prefab).0);
         let text = b.render_diff(&a).expect("both have metrics");
         assert!(text.contains("sched.decisions"));
         let bare = RunArtifact {

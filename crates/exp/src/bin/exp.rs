@@ -3,13 +3,14 @@
 //! ```text
 //! exp record      [--policy NAME] [--util U] [--capacity C] [--seed N]
 //!                 [--horizon UNITS] [--sample UNITS] [--out PATH]
+//! exp record      --key KEY [--out PATH]
 //! exp inspect     PATH
 //! exp diff        PATH BASELINE
 //! exp sweep       [--util U] [--trials N] [--threads N] [--store DIR]
 //!                 [--trace PATH] [--progress PATH] [--expect-warm]
 //! exp fault-sweep [--util U] [--capacity C] [--trials N] [--threads N]
 //!                 [--horizon UNITS] [--intensities A,B,..] [--store DIR]
-//!                 [--trace PATH] [--progress PATH] [--flight DIR]
+//!                 [--trace PATH] [--progress PATH]
 //!                 [--inject-panic POLICY:SEED:INTENSITY]
 //!                 [--inject-starve POLICY:SEED:INTENSITY] [--expect-resumed]
 //! exp report      [--store DIR] [--progress PATH] [--trace PATH]
@@ -20,6 +21,12 @@
 //!
 //! `record` replays one §5.1 trial with full observability (trace,
 //! metrics, phase profiling) and writes the run as a JSONL artifact.
+//! The cell is named by its coordinates or, with `--key`, by its
+//! canonical trial key as a `quarantine` line or `report` prints it; a
+//! key is refused unless it rebuilds byte for byte. The replay runs
+//! under the fault campaign's event budget: a run that exhausts it is
+//! written as far as it got and the command exits 1 with the watchdog
+//! error.
 //! `inspect` renders an artifact's metrics, phase profile, and
 //! energy/level timelines as tables and ASCII plots. `diff` compares two
 //! artifacts' metric snapshots line by line. `sweep` runs a small
@@ -53,11 +60,9 @@
 //! Chrome-trace JSON (loadable in `chrome://tracing` or Perfetto);
 //! `--progress PATH` streams one versioned JSONL event per decided cell
 //! plus rate/ETA heartbeats (and mirrors heartbeats as human lines on
-//! stderr); `--flight DIR` (fault-sweep only) arms a crash flight
-//! recorder on every worker and writes one `*.flight.jsonl` post-mortem
-//! per failed cell, linked from the quarantine report. `report` folds a
-//! store, a progress stream, and a trace back into one markdown (or
-//! `--json`) campaign report.
+//! stderr). `report` folds a store, a progress stream, and a trace back
+//! into one markdown (or `--json`) campaign report, with the
+//! `exp record --key` command that replays each quarantined cell.
 //!
 //! Exit codes: 0 on success (including sweeps with quarantined cells),
 //! 1 on a runtime failure, 2 on a usage error.
@@ -65,8 +70,9 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use harvest_core::result::SimError;
 use harvest_exp::artifact::RunArtifact;
-use harvest_exp::cache::fnv1a64;
+use harvest_exp::cache::{fnv1a64, TrialKey};
 use harvest_exp::figures::{
     miss_rate_figure, robustness_campaign, RobustnessConfig, RunPlan, Sabotage, SweepExecStats,
 };
@@ -75,7 +81,7 @@ use harvest_exp::scenario::{PaperScenario, PolicyKind, PredictorKind};
 use harvest_exp::store::{
     open_or_warn, store_dir_from_env, CellOutcome, PackStore, SWEEP_STORE_ENV,
 };
-use harvest_exp::telemetry::{CampaignTelemetry, FlightOptions};
+use harvest_exp::telemetry::CampaignTelemetry;
 use harvest_obs::io::{Durability, RealIo, RetryPolicy};
 use harvest_obs::progress::{progress_from_jsonl, ProgressLine};
 use harvest_obs::span::SpanCollector;
@@ -86,6 +92,7 @@ use serde::Value;
 const USAGE: &str = "usage:
   exp record      [--policy edf|lsa|ea-dvfs|greedy-stretch] [--util U] [--capacity C]
                   [--seed N] [--horizon UNITS] [--sample UNITS] [--out PATH]
+  exp record      --key KEY [--out PATH]
   exp inspect     PATH
   exp diff        PATH BASELINE
   exp sweep       [--util U] [--trials N] [--threads N] [--store DIR]
@@ -94,7 +101,7 @@ const USAGE: &str = "usage:
   exp fault-sweep [--util U] [--capacity C] [--trials N] [--threads N]
                   [--horizon UNITS] [--intensities A,B,..]
                   [--store DIR] [--durability none|batch|record]
-                  [--trace PATH] [--progress PATH] [--flight DIR]
+                  [--trace PATH] [--progress PATH]
                   [--inject-panic POLICY:SEED:INTENSITY]
                   [--inject-starve POLICY:SEED:INTENSITY] [--expect-resumed]
   exp report      [--store DIR] [--progress PATH] [--trace PATH]
@@ -121,27 +128,22 @@ impl std::fmt::Display for ExpError {
 
 impl std::error::Error for ExpError {}
 
-/// Parameters of one recorded run.
+/// Parameters of one recorded run: the cell, from `--key` or the
+/// coordinate flags, and where its artifact goes.
 #[derive(Debug, Clone, PartialEq)]
 struct RecordArgs {
+    scenario: PaperScenario,
     policy: PolicyKind,
-    utilization: f64,
-    capacity: f64,
     seed: u64,
-    horizon_units: i64,
-    sample_units: i64,
     out: Option<PathBuf>,
 }
 
 impl Default for RecordArgs {
     fn default() -> Self {
         RecordArgs {
+            scenario: PaperScenario::new(0.4, 500.0).with_sampling(100),
             policy: PolicyKind::EaDvfs,
-            utilization: 0.4,
-            capacity: 500.0,
             seed: 0,
-            horizon_units: 10_000,
-            sample_units: 100,
             out: None,
         }
     }
@@ -193,7 +195,6 @@ struct FaultSweepArgs {
     durability: Option<Durability>,
     trace: Option<PathBuf>,
     progress: Option<PathBuf>,
-    flight: Option<PathBuf>,
     inject_panic: Vec<InjectSpec>,
     inject_starve: Vec<InjectSpec>,
     expect_resumed: bool,
@@ -212,7 +213,6 @@ impl Default for FaultSweepArgs {
             durability: None,
             trace: None,
             progress: None,
-            flight: None,
             inject_panic: Vec::new(),
             inject_starve: Vec::new(),
             expect_resumed: false,
@@ -268,6 +268,8 @@ where
     S: AsRef<str>,
 {
     let mut out = RecordArgs::default();
+    let mut key = None;
+    let mut coordinates = false;
     let mut it = args.into_iter();
     while let Some(flag) = it.next() {
         let flag = flag.as_ref().to_owned();
@@ -276,14 +278,17 @@ where
                 .map(|v| v.as_ref().to_owned())
                 .ok_or_else(|| format!("{flag} expects a value"))
         };
+        let scenario = &mut out.scenario;
         match flag.as_str() {
+            "--key" => key = Some(value()?),
+            "--out" => out.out = Some(PathBuf::from(value()?)),
             "--policy" => out.policy = parse_policy(&value()?)?,
-            "--util" => out.utilization = parse_util(&value()?)?,
+            "--util" => scenario.utilization = parse_util(&value()?)?,
             "--capacity" => {
-                out.capacity = value()?
+                scenario.capacity = value()?
                     .parse()
                     .map_err(|_| "--capacity expects a number".to_owned())?;
-                if !(out.capacity > 0.0 && out.capacity.is_finite()) {
+                if !(scenario.capacity > 0.0 && scenario.capacity.is_finite()) {
                     return Err("--capacity must be positive".into());
                 }
             }
@@ -293,26 +298,60 @@ where
                     .map_err(|_| "--seed expects an unsigned integer".to_owned())?;
             }
             "--horizon" => {
-                out.horizon_units = value()?
+                scenario.horizon_units = value()?
                     .parse()
                     .map_err(|_| "--horizon expects a positive integer".to_owned())?;
-                if out.horizon_units <= 0 {
+                if scenario.horizon_units <= 0 {
                     return Err("--horizon must be positive".into());
                 }
             }
             "--sample" => {
-                out.sample_units = value()?
+                let units = value()?
                     .parse()
                     .map_err(|_| "--sample expects a positive integer".to_owned())?;
-                if out.sample_units <= 0 {
+                if units <= 0 {
                     return Err("--sample must be positive".into());
                 }
+                scenario.sample_interval_units = Some(units);
             }
-            "--out" => out.out = Some(PathBuf::from(value()?)),
             other => return Err(format!("unknown flag {other}")),
         }
+        coordinates |= !matches!(flag.as_str(), "--key" | "--out");
+    }
+    if let Some(key) = key {
+        if coordinates {
+            return Err("--key names the whole cell; drop the coordinate flags".into());
+        }
+        (out.scenario, out.policy, out.seed) = TrialKey::parse(&key)?;
+        check_scenario(&out.scenario)?;
     }
     Ok(out)
+}
+
+/// Refuses a keyed scenario outside the ranges the coordinate flags and
+/// the fault sweep accept, so a hand-edited key fails as a usage error
+/// instead of inside the simulator.
+fn check_scenario(s: &PaperScenario) -> Result<(), String> {
+    let in_range = s.num_tasks > 0
+        && s.utilization > 0.0
+        && s.utilization <= 1.0
+        && s.capacity > 0.0
+        && s.capacity.is_finite()
+        && s.horizon_units > 0
+        && s.source_dt_units > 0
+        && s.sample_interval_units.is_none_or(|u| u > 0)
+        && s.fault
+            .is_none_or(|f| f.intensity > 0.0 && f.intensity <= 1.0)
+        && match s.predictor {
+            PredictorKind::MovingAverage { window } => window > 0,
+            PredictorKind::Biased { factor } => factor.is_finite() && factor >= 0.0,
+            _ => true,
+        };
+    if in_range {
+        Ok(())
+    } else {
+        Err("key names a scenario outside the ranges exp accepts".into())
+    }
 }
 
 fn parse_command<I, S>(args: I) -> Result<Command, String>
@@ -468,7 +507,6 @@ where
             "--durability" => out.durability = Some(parse_durability(&value()?)?),
             "--trace" => out.trace = Some(PathBuf::from(value()?)),
             "--progress" => out.progress = Some(PathBuf::from(value()?)),
-            "--flight" => out.flight = Some(PathBuf::from(value()?)),
             "--inject-panic" => out.inject_panic.push(parse_inject(&value()?)?),
             "--inject-starve" => out.inject_starve.push(parse_inject(&value()?)?),
             "--expect-resumed" => out.expect_resumed = true,
@@ -552,12 +590,10 @@ fn print_store_line(store: &PackStore) {
 
 /// Builds the campaign observer bundle the sweep flags ask for:
 /// `--trace` installs a span collector, `--progress` opens the JSONL
-/// stream (heartbeats mirror to stderr), `--flight` arms per-worker
-/// crash recorders dumping into the given directory.
+/// stream (heartbeats mirror to stderr).
 fn build_telemetry(
     trace: &Option<PathBuf>,
     progress: &Option<PathBuf>,
-    flight: &Option<PathBuf>,
 ) -> Result<CampaignTelemetry, String> {
     let mut t = CampaignTelemetry::off();
     if trace.is_some() {
@@ -568,9 +604,6 @@ fn build_telemetry(
             .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
         let writer: Box<dyn std::io::Write + Send> = Box::new(std::io::BufWriter::new(file));
         t.progress = Some(Arc::new(ProgressReporter::new(Some(writer), true)));
-    }
-    if let Some(dir) = flight {
-        t.flight = Some(FlightOptions::new(dir));
     }
     Ok(t)
 }
@@ -656,6 +689,11 @@ fn store_compact(dir: &std::path::Path) -> Result<(), String> {
     Ok(())
 }
 
+/// The shell command that replays a stored cell with full tracing.
+fn replay_command(key: &str) -> String {
+    format!("exp record --key '{}'", key.replace('\'', r"'\''"))
+}
+
 /// The policy segment of a canonical trial key
 /// (`v1|{scenario}|{policy}|{seed}` — the second-to-last `|` field).
 fn key_policy(key: &str) -> &str {
@@ -702,13 +740,12 @@ fn report_cells(
         .collect();
     if !failures.is_empty() {
         md.push_str("\n### Quarantined cells\n\n");
-        let mut t = Table::new(vec!["worker", "panicked", "flight", "key"]);
+        let mut t = Table::new(vec!["worker", "panicked", "replay"]);
         for (key, f) in &failures {
             t.row(vec![
                 f.worker.to_string(),
                 f.panicked.to_string(),
-                f.flight.clone().unwrap_or_else(|| "-".into()),
-                (*key).to_owned(),
+                replay_command(key),
             ]);
         }
         md.push_str(&t.render());
@@ -743,13 +780,7 @@ fn report_cells(
                                 ("key".into(), Value::Str((*key).to_owned())),
                                 ("worker".into(), Value::U64(f.worker as u64)),
                                 ("panicked".into(), Value::Bool(f.panicked)),
-                                (
-                                    "flight".into(),
-                                    match &f.flight {
-                                        Some(p) => Value::Str(p.clone()),
-                                        None => Value::Null,
-                                    },
-                                ),
+                                ("replay".into(), Value::Str(replay_command(key))),
                                 ("message".into(), Value::Str(f.message.clone())),
                             ])
                         })
@@ -968,7 +999,7 @@ fn fault_sweep(args: &FaultSweepArgs, store: Option<&PackStore>) -> Result<(), S
         list.iter()
             .any(|&(p, s, i)| p == cell.policy && s == cell.seed && i == cell.intensity)
     };
-    let telemetry = build_telemetry(&args.trace, &args.progress, &args.flight)?;
+    let telemetry = build_telemetry(&args.trace, &args.progress)?;
     let plan = RunPlan {
         threads: args.threads,
         store,
@@ -1011,15 +1042,6 @@ fn fault_sweep(args: &FaultSweepArgs, store: Option<&PackStore>) -> Result<(), S
             q.failure.worker,
             q.failure.message,
         );
-        // The post-mortem pointer goes to stderr: CI tees stdout and
-        // greps exact quarantine lines, and the dump path is transient
-        // diagnostics, not part of the campaign's stable accounting.
-        if let Some(flight) = &q.failure.flight {
-            eprintln!(
-                "flight key={} worker={} panicked={} dump={flight}",
-                q.key, q.failure.worker, q.failure.panicked
-            );
-        }
     }
     // Pooled queues reset their run counters between trials (bit-exact
     // replay requires it); what survives per worker is the retained
@@ -1114,7 +1136,7 @@ where
 }
 
 fn sweep(args: &SweepArgs, store: Option<&PackStore>) -> Result<(), String> {
-    let telemetry = build_telemetry(&args.trace, &args.progress, &None)?;
+    let telemetry = build_telemetry(&args.trace, &args.progress)?;
     let plan = RunPlan {
         threads: args.threads,
         store,
@@ -1158,13 +1180,28 @@ fn sweep(args: &SweepArgs, store: Option<&PackStore>) -> Result<(), String> {
     Ok(())
 }
 
-fn record(args: &RecordArgs) -> Result<RunArtifact, String> {
-    let mut scenario = PaperScenario::new(args.utilization, args.capacity);
-    scenario.horizon_units = args.horizon_units;
-    scenario = scenario.with_sampling(args.sample_units);
-    let prefab = scenario.prefab(args.seed);
-    let result = scenario.run_prefab_observed(args.policy, &prefab);
-    Ok(RunArtifact::from_result(&result))
+/// Replays the cell with full observability: its artifact, and the
+/// watchdog error when the run exhausted the event budget.
+fn record(args: &RecordArgs) -> (RunArtifact, Option<SimError>) {
+    let prefab = args.scenario.prefab(args.seed);
+    let (result, aborted) = args.scenario.run_prefab_observed(args.policy, &prefab);
+    (RunArtifact::from_result(&result), aborted)
+}
+
+/// Writes `artifact` as JSONL to `out`, or to stdout.
+fn write_artifact(artifact: &RunArtifact, out: &Option<PathBuf>) -> Result<(), String> {
+    match out {
+        Some(path) => {
+            let file = std::fs::File::create(path)
+                .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
+            let lines = artifact
+                .write_jsonl(std::io::BufWriter::new(file))
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            eprintln!("wrote {} ({lines} lines)", path.display());
+        }
+        None => print!("{}", artifact.to_jsonl()),
+    }
+    Ok(())
 }
 
 fn load(path: &PathBuf) -> Result<RunArtifact, String> {
@@ -1175,21 +1212,11 @@ fn load(path: &PathBuf) -> Result<RunArtifact, String> {
 
 fn run(cmd: Command) -> Result<(), ExpError> {
     let result = match cmd {
-        Command::Record(args) => record(&args).and_then(|artifact| match &args.out {
-            Some(path) => {
-                let file = std::fs::File::create(path)
-                    .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-                let lines = artifact
-                    .write_jsonl(std::io::BufWriter::new(file))
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                eprintln!("wrote {} ({lines} lines)", path.display());
-                Ok(())
-            }
-            None => {
-                print!("{}", artifact.to_jsonl());
-                Ok(())
-            }
-        }),
+        Command::Record(args) => {
+            let (artifact, aborted) = record(&args);
+            write_artifact(&artifact, &args.out)
+                .and_then(|()| aborted.map_or(Ok(()), |e| Err(e.to_string())))
+        }
         Command::Inspect(path) => load(&path).map(|artifact| print!("{}", artifact.render())),
         Command::Diff { run, baseline } => load(&run).and_then(|run| {
             let base = load(&baseline)?;
@@ -1259,12 +1286,64 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(args.policy, PolicyKind::Lsa);
-        assert_eq!(args.utilization, 0.8);
-        assert_eq!(args.capacity, 200.0);
+        assert_eq!(args.scenario.utilization, 0.8);
+        assert_eq!(args.scenario.capacity, 200.0);
         assert_eq!(args.seed, 9);
-        assert_eq!(args.horizon_units, 1000);
-        assert_eq!(args.sample_units, 50);
+        assert_eq!(args.scenario.horizon_units, 1000);
+        assert_eq!(args.scenario.sample_interval_units, Some(50));
         assert_eq!(args.out, Some(PathBuf::from("/tmp/run.jsonl")));
+    }
+
+    #[test]
+    fn record_key_names_the_whole_cell() {
+        let scenario = PaperScenario::new(0.8, 200.0).with_fault_intensity(0.5);
+        let key = TrialKey::new(&scenario, PolicyKind::Lsa, 9);
+        let args = parse_record(["--key", key.text(), "--out", "/tmp/run.jsonl"]).unwrap();
+        assert_eq!(
+            args,
+            RecordArgs {
+                scenario: scenario.clone(),
+                policy: PolicyKind::Lsa,
+                seed: 9,
+                out: Some(PathBuf::from("/tmp/run.jsonl")),
+            }
+        );
+        // The coordinate flags build the key of what they replay.
+        let coords =
+            parse_record(["--policy", "lsa", "--util", "0.8", "--capacity", "200"]).unwrap();
+        let rebuilt = TrialKey::new(&coords.scenario, coords.policy, coords.seed);
+        assert_eq!(parse_record(["--key", rebuilt.text()]).unwrap(), coords);
+
+        let text = key.text();
+        let refused = [
+            text.replace(
+                r#""num_tasks":5,"utilization":0.8"#,
+                r#""utilization":0.8,"num_tasks":5"#,
+            ),
+            text.replace("|lsa|", "|sjf|"),
+            text.replacen("v1|", "v9|", 1),
+            text.replace("|lsa|9", "|lsa|nine"),
+        ];
+        for bad in &refused {
+            assert_ne!(bad, text);
+            assert!(parse_record(["--key", bad]).is_err(), "{bad}");
+        }
+        // Canonical keys of scenarios the simulator would reject.
+        let mut too_busy = scenario.clone();
+        too_busy.utilization = 1.5;
+        let no_window = scenario
+            .clone()
+            .with_predictor(PredictorKind::MovingAverage { window: 0 });
+        for bad in [too_busy, no_window] {
+            let bad = TrialKey::new(&bad, PolicyKind::Lsa, 9);
+            assert!(parse_record(["--key", bad.text()])
+                .unwrap_err()
+                .contains("outside the ranges"));
+        }
+        assert!(parse_record(["--key", text, "--seed", "9"])
+            .unwrap_err()
+            .contains("drop the coordinate flags"));
+        assert!(parse_record(["--key"]).is_err());
     }
 
     #[test]
@@ -1374,18 +1453,10 @@ mod tests {
                 .contains("unknown flag"));
         }
 
-        let observed = parse_fault_sweep([
-            "--trace",
-            "/tmp/t.json",
-            "--progress",
-            "/tmp/p.jsonl",
-            "--flight",
-            "/tmp/flight",
-        ])
-        .unwrap();
+        let observed =
+            parse_fault_sweep(["--trace", "/tmp/t.json", "--progress", "/tmp/p.jsonl"]).unwrap();
         assert_eq!(observed.trace, Some(PathBuf::from("/tmp/t.json")));
         assert_eq!(observed.progress, Some(PathBuf::from("/tmp/p.jsonl")));
-        assert_eq!(observed.flight, Some(PathBuf::from("/tmp/flight")));
     }
 
     #[test]
@@ -1474,13 +1545,21 @@ mod tests {
     }
 
     #[test]
+    fn replay_commands_quote_the_key_for_the_shell() {
+        assert_eq!(
+            replay_command(r#"v1|{"u":0.4}|lsa|7"#),
+            r#"exp record --key 'v1|{"u":0.4}|lsa|7'"#
+        );
+        assert_eq!(replay_command("a'b"), r"exp record --key 'a'\''b'");
+    }
+
+    #[test]
     fn record_produces_inspectable_artifact() {
-        let args = RecordArgs {
-            horizon_units: 1_000,
-            sample_units: 50,
-            ..RecordArgs::default()
-        };
-        let artifact = record(&args).unwrap();
+        let mut args = RecordArgs::default();
+        args.scenario.horizon_units = 1_000;
+        args.scenario.sample_interval_units = Some(50);
+        let (artifact, aborted) = record(&args);
+        assert_eq!(aborted, None);
         assert!(artifact.metrics.is_some());
         assert!(artifact.profile.is_some());
         let text = artifact.render();

@@ -129,6 +129,40 @@ impl TrialKey {
         })
     }
 
+    /// The cell a key text names: parses `text` back to
+    /// `(scenario, policy, seed)` and accepts it only when
+    /// [`TrialKey::new`] rebuilds `text` byte for byte, so an edited key
+    /// (reordered fields, another schema version) is refused instead of
+    /// naming a different cell.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message saying which part does not parse or rebuild.
+    pub fn parse(text: &str) -> Result<(PaperScenario, PolicyKind, u64), String> {
+        let version = format!("v{CACHE_SCHEMA_VERSION}|");
+        let rest = text
+            .strip_prefix(&version)
+            .ok_or_else(|| format!("key does not start with `{version}`"))?;
+        let mut fields = rest.rsplitn(3, '|');
+        let (Some(seed), Some(policy), Some(json)) = (fields.next(), fields.next(), fields.next())
+        else {
+            return Err("key must read v{N}|{scenario}|{policy}|{seed}".into());
+        };
+        let seed = seed
+            .parse()
+            .map_err(|_| format!("key seed `{seed}` is not an unsigned integer"))?;
+        let policy = PolicyKind::ALL
+            .into_iter()
+            .find(|p| p.name() == policy)
+            .ok_or_else(|| format!("key policy `{policy}` is unknown"))?;
+        let scenario: PaperScenario =
+            serde_json::from_str(json).map_err(|e| format!("key scenario does not parse: {e}"))?;
+        if TrialKey::new(&scenario, policy, seed).text() != text {
+            return Err("key is not canonical: its scenario serializes differently".into());
+        }
+        Ok((scenario, policy, seed))
+    }
+
     /// The canonical key text (stored inside every store record).
     pub fn text(&self) -> &str {
         &self.text
@@ -306,6 +340,59 @@ mod tests {
         };
         check();
         std::thread::scope(|scope| scope.spawn(check).join().unwrap());
+    }
+
+    #[test]
+    fn keys_parse_back_to_their_cells() {
+        let predictors = [
+            PredictorKind::Oracle,
+            PredictorKind::Ewma,
+            PredictorKind::MovingAverage { window: 100 },
+            PredictorKind::Persistence,
+            PredictorKind::Biased { factor: 1.25 },
+        ];
+        for predictor in predictors {
+            for (utilization, capacity) in [(0.2, 50.0), (0.4, 300.0), (0.8, 1234.5), (1.0, 1e6)] {
+                for intensity in [0.0, 0.35, 1.0] {
+                    for sampling in [None, Some(100)] {
+                        let mut scenario = PaperScenario::new(utilization, capacity)
+                            .with_predictor(predictor)
+                            .with_fault_intensity(intensity);
+                        scenario.sample_interval_units = sampling;
+                        for (policy, seed) in
+                            PolicyKind::ALL.into_iter().zip([0, 7, 1 << 40, u64::MAX])
+                        {
+                            let key = TrialKey::new(&scenario, policy, seed);
+                            assert_eq!(
+                                TrialKey::parse(key.text()),
+                                Ok((scenario.clone(), policy, seed)),
+                                "{}",
+                                key.text()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        let text = TrialKey::new(&PaperScenario::new(0.4, 500.0), PolicyKind::Lsa, 3)
+            .text()
+            .to_owned();
+        let reordered = text.replace(
+            r#"{"num_tasks":5,"utilization":0.4,"#,
+            r#"{"utilization":0.4,"num_tasks":5,"#,
+        );
+        assert_ne!(reordered, text);
+        for bad in [
+            reordered,
+            text.replace("|lsa|", "|sjf|"),
+            text.replacen("v1|", "v2|", 1),
+            text.replace("|lsa|3", "|lsa|three"),
+            text.replace("|lsa|3", "|lsa|-3"),
+            "v1|{}".to_owned(),
+        ] {
+            assert!(TrialKey::parse(&bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

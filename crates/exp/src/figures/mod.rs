@@ -57,7 +57,7 @@ pub struct RunPlan<'a> {
     /// The result store: cells it answers are not simulated, and every
     /// simulated cell is written back. `None` simulates every cell.
     pub store: Option<&'a PackStore>,
-    /// Span, progress and flight observers; see [`CampaignTelemetry`].
+    /// Span and progress observers; see [`CampaignTelemetry`].
     pub telemetry: &'a CampaignTelemetry,
 }
 
@@ -67,7 +67,6 @@ impl RunPlan<'static> {
         static OFF: CampaignTelemetry = CampaignTelemetry {
             spans: None,
             progress: None,
-            flight: None,
         };
         RunPlan {
             threads,

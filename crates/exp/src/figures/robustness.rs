@@ -15,11 +15,8 @@
 //! are both the result cache and the resume log — so a killed campaign
 //! resumes without re-simulating finished cells.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
-use harvest_obs::flight::FlightDump;
 use harvest_obs::progress::CellDecision;
 use harvest_obs::span::{SpanSink, CAT_FIGURE, CAT_PROBE, CAT_SIMULATE, TID_DRIVER};
 use harvest_sim::engine::Watchdog;
@@ -29,9 +26,10 @@ use super::resolve::build_prefabs;
 use super::{RunPlan, SweepExecStats};
 use crate::cache::{fnv1a64, TrialKey, TrialSummary};
 use crate::parallel::{parallel_map_quarantined, CellFailure};
-use crate::scenario::{PaperScenario, PolicyKind, PredictorKind, SimPool, TrialPrefab};
+use crate::scenario::{
+    PaperScenario, PolicyKind, PredictorKind, SimPool, TrialPrefab, CELL_EVENT_BUDGET,
+};
 use crate::store::{CellOutcome, PackStore};
-use crate::telemetry::write_flight_dump;
 
 /// One intensity point of a robustness sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -129,7 +127,8 @@ pub struct RobustnessConfig {
     /// Task sets per grid cell.
     pub trials: usize,
     /// Watchdog armed on every cell — the campaign-level stuck-trial
-    /// guard. The default budget is far above any legitimate §5.1 run.
+    /// guard. The default, [`CELL_EVENT_BUDGET`] events, is the one
+    /// `exp record --key` replays a cell under.
     pub watchdog: Option<Watchdog>,
 }
 
@@ -143,7 +142,7 @@ impl Default for RobustnessConfig {
             policies: vec![PolicyKind::Edf, PolicyKind::Lsa, PolicyKind::EaDvfs],
             predictors: vec![PredictorKind::Oracle],
             trials: 5,
-            watchdog: Some(Watchdog::with_max_events(5_000_000)),
+            watchdog: Some(Watchdog::with_max_events(CELL_EVENT_BUDGET)),
         }
     }
 }
@@ -187,24 +186,12 @@ pub struct CampaignReport {
     pub queues: Vec<QueueStats>,
 }
 
-/// Per-worker state of a campaign: the worker's pooled context, its
-/// span sink, and the flight dumps drained so far, each with the key
-/// text of the cell it belongs to.
+/// Per-worker state of a campaign: the worker's pooled context and its
+/// span sink.
 struct CampaignWorker {
     index: usize,
     pool: SimPool,
     sink: Option<SpanSink>,
-    dumps: Vec<(String, FlightDump)>,
-}
-
-/// The key text a cell marked on the flight ring on entry, if the ring
-/// still holds it.
-fn marked_key(dump: &FlightDump) -> Option<String> {
-    dump.events
-        .iter()
-        .rev()
-        .find(|e| e.kind == "mark")
-        .map(|m| m.detail.clone())
 }
 
 /// Runs a robustness campaign over `config`'s grid on `plan`.
@@ -222,24 +209,14 @@ fn marked_key(dump: &FlightDump) -> Option<String> {
 /// pass `|_| Sabotage::None` in production.
 ///
 /// Under telemetry it traces the resolve/build phases and each
-/// simulated cell, streams one progress event per decided cell
-/// (resumed / simulated / quarantined), and — when [`FlightOptions`] is
-/// set — arms a crash flight recorder on every worker pool whose dump
-/// is written out per failed cell and linked from
-/// [`CellFailure::flight`].
-///
-/// A watchdog dump is frozen by the engine during the aborted run, so
-/// the dumps drained right after a run belong to that cell. A panic
-/// dump is frozen by a drop guard while the worker unwinds; each cell
-/// marks the flight ring with its key text on entry, so a panic dump's
-/// last `mark` event names its cell. Dumps are matched to failed cells
-/// after the map ends.
+/// simulated cell, and streams one progress event per decided cell
+/// (resumed / simulated / quarantined). A quarantined cell is inspected
+/// afterwards by replaying its key with `exp record --key`.
 ///
 /// The caller owns the telemetry lifecycle: this driver opens the
 /// progress stream but never closes it ([`ProgressReporter::finish`]
 /// stays with the CLI).
 ///
-/// [`FlightOptions`]: crate::telemetry::FlightOptions
 /// [`ProgressReporter::finish`]: harvest_obs::ProgressReporter::finish
 ///
 /// # Panics
@@ -345,40 +322,17 @@ where
         &mut driver_sink,
     );
 
-    // Freezes the flight ring while the worker unwinds, so the events
-    // leading up to a panic survive into a post-map dump.
-    struct PanicCapture(Option<harvest_obs::SharedFlightRecorder>);
-    impl Drop for PanicCapture {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                if let Some(f) = &self.0 {
-                    f.lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .capture("panic", 0);
-                }
-            }
-        }
-    }
     // Run: pending cells through quarantining pooled workers. Each
     // decided cell checkpoints into the store immediately. A work item
     // stays one cell, not the policy arms of one trial as in the figure
-    // resolver, so a panic quarantines exactly that cell and each flight
-    // dump pairs with one cell.
-    let flight_opts = telemetry.flight.as_ref();
+    // resolver, so a panic quarantines exactly that cell.
     let (computed, pools) = parallel_map_quarantined(
         pending.clone(),
         threads,
-        |w| {
-            let mut pool = SimPool::new();
-            if let Some(opts) = flight_opts {
-                pool.enable_flight(opts.capacity);
-            }
-            CampaignWorker {
-                index: w,
-                pool,
-                sink: telemetry.sink(w as u32 + 1),
-                dumps: Vec::new(),
-            }
+        |w| CampaignWorker {
+            index: w,
+            pool: SimPool::new(),
+            sink: telemetry.sink(w as u32 + 1),
         },
         |w, i| {
             let (row, pi, pj, seed) = jobs[i];
@@ -391,12 +345,6 @@ where
             let scenario = scenario_of(cell.intensity, cell.predictor);
             let key = &keys[i];
             let cell_start = w.sink.as_ref().map(|s| s.start());
-            let _panic_capture = PanicCapture(w.pool.flight().cloned());
-            if let Some(f) = w.pool.flight() {
-                f.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .mark(key.text());
-            }
             let watchdog = match sabotage(&cell) {
                 Sabotage::Panic => panic!("injected sabotage: panic in cell {}", key.text()),
                 Sabotage::Starve => Some(Watchdog::with_max_events(4)),
@@ -416,17 +364,6 @@ where
                     CAT_SIMULATE,
                     vec![("key".into(), key.text().to_owned())],
                 );
-            }
-            // A panic dump drained here was left by an earlier cell on
-            // this worker; every other dump belongs to this run.
-            for dump in w.pool.take_flight_dumps() {
-                let owner = match dump.reason.as_str() {
-                    "panic" => marked_key(&dump),
-                    _ => Some(key.text().to_owned()),
-                };
-                if let Some(owner) = owner {
-                    w.dumps.push((owner, dump));
-                }
             }
             let summary = TrialSummary::of(&result?);
             if let Some(s) = store {
@@ -454,18 +391,6 @@ where
     if let Some(s) = store {
         s.barrier();
     }
-    // Flight dumps by owning cell. A worker whose last cell panicked
-    // still holds that cell's dump on its recorder.
-    let mut dump_by_key: HashMap<String, FlightDump> = HashMap::new();
-    for mut w in pools {
-        for dump in w.pool.take_flight_dumps() {
-            if let Some(owner) = marked_key(&dump) {
-                dump_by_key.insert(owner, dump);
-            }
-        }
-        dump_by_key.extend(w.dumps);
-    }
-
     let mut quarantined = Vec::new();
     let quarantine = |i: usize, failure: CellFailure, quarantined: &mut Vec<QuarantineRecord>| {
         let job = jobs[i];
@@ -486,15 +411,7 @@ where
     for (i, result) in pending.into_iter().zip(computed) {
         outcomes[i] = Some(match result {
             Ok(summary) => CellOutcome::Done(summary),
-            Err(mut failure) => {
-                if let (Some(dump), Some(opts)) = (dump_by_key.remove(keys[i].text()), flight_opts)
-                {
-                    failure.flight = write_flight_dump(&opts.dir, keys[i].text(), dump)
-                        .ok()
-                        .map(|p| p.display().to_string());
-                }
-                quarantine(i, failure, &mut quarantined)
-            }
+            Err(failure) => quarantine(i, failure, &mut quarantined),
         });
     }
 

@@ -11,14 +11,15 @@
 //!   store from the environment itself.
 //! * [`parallel`] — deterministic multi-threaded trial fan-out, with a
 //!   quarantining mode that contains per-cell panics.
-//! * [`cache`] — canonical trial keys and the persisted trial summary.
+//! * [`cache`] — canonical trial keys, parsed back to the cell they
+//!   name, and the persisted trial summary.
 //! * [`store`] — the pack-file result store, the one persistence layer:
 //!   segment-packed decided cells, batch probes for figure sweeps, and
 //!   the resume records of kill-and-resume campaigns.
 //! * [`telemetry`] — the campaign observer bundle: span tracing with
-//!   Chrome-trace export, live progress streaming, and crash
-//!   flight-recorder dumps (`exp sweep --trace/--progress`,
-//!   `exp fault-sweep --flight`).
+//!   Chrome-trace export and live progress streaming
+//!   (`exp sweep --trace/--progress`). A failed cell is replayed from
+//!   its key with `exp record --key`.
 //! * [`report`] — aligned tables, ASCII plots, CSV.
 //! * [`cli`] — the uniform flags of the `fig5`…`table1` binaries and
 //!   the [`RunPlan`] they build around the one store each process opens

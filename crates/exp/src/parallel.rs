@@ -213,11 +213,6 @@ pub struct CellFailure {
     pub panicked: bool,
     /// Index of the worker that executed the cell.
     pub worker: usize,
-    /// Path of the flight-recorder dump written for this cell, when
-    /// flight recording was on. `None` on older manifest/store rows
-    /// (the vendored serde reads a missing `Option` field as `None`,
-    /// so pre-telemetry records stay readable).
-    pub flight: Option<String>,
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -274,13 +269,11 @@ where
                     message: e.to_string(),
                     panicked: false,
                     worker,
-                    flight: None,
                 }),
                 Err(payload) => Err(CellFailure {
                     message: panic_message(payload.as_ref()),
                     panicked: true,
                     worker,
-                    flight: None,
                 }),
             }
         },

@@ -29,6 +29,11 @@ use harvest_sim::time::{SimDuration, SimTime};
 use harvest_task::generator::WorkloadSpec;
 use serde::{Deserialize, Serialize};
 
+/// The event budget a fault-campaign cell and an `exp record` replay run
+/// under: about 500× the 8 000–10 000 events of a §5.1 cell, so only a
+/// runaway run reaches it.
+pub const CELL_EVENT_BUDGET: u64 = 5_000_000;
+
 /// The scheduling policies the experiments compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PolicyKind {
@@ -115,25 +120,6 @@ impl SimPool {
     /// a failing worker's state is inspectable post-mortem.
     pub fn queue_stats(&self) -> Option<QueueStats> {
         self.ctx.queue_stats()
-    }
-
-    /// Installs a crash flight recorder on the pooled run context (see
-    /// [`RunContext::enable_flight`]): every subsequent scalar run feeds
-    /// the shared ring, and watchdog aborts freeze pending dumps.
-    pub fn enable_flight(&mut self, capacity: usize) {
-        self.ctx.enable_flight(capacity);
-    }
-
-    /// The pooled context's flight recorder, when installed — for
-    /// driver-side cell markers and panic-path captures.
-    pub fn flight(&self) -> Option<&harvest_obs::SharedFlightRecorder> {
-        self.ctx.flight()
-    }
-
-    /// Drains pending flight dumps (see
-    /// [`RunContext::take_flight_dumps`]).
-    pub fn take_flight_dumps(&mut self) -> Vec<harvest_obs::flight::FlightDump> {
-        self.ctx.take_flight_dumps()
     }
 
     fn try_run(
@@ -626,20 +612,39 @@ impl PaperScenario {
     }
 
     /// [`run_prefab`](Self::run_prefab) with full observability — trace,
-    /// metrics snapshot, and phase profiling all enabled. This is the
-    /// configuration `exp record` captures JSONL artifacts with; sweeps
-    /// keep using the lean [`run_prefab`](Self::run_prefab) path.
-    pub fn run_prefab_observed(&self, policy: PolicyKind, prefab: &TrialPrefab) -> SimResult {
+    /// metrics snapshot, and phase profiling all enabled — under a
+    /// [`CELL_EVENT_BUDGET`] watchdog. This is the replay `exp record`
+    /// captures JSONL artifacts with; sweeps keep using the lean
+    /// [`run_prefab`](Self::run_prefab) path.
+    ///
+    /// Returns the run and, when the watchdog cut it short, the typed
+    /// error; the run is then the state the abort left.
+    pub fn run_prefab_observed(
+        &self,
+        policy: PolicyKind,
+        prefab: &TrialPrefab,
+    ) -> (SimResult, Option<SimError>) {
         let config = self
             .config_for(prefab.seed)
             .with_trace()
             .with_metrics()
-            .with_profiling();
-        SimPool::new()
+            .with_profiling()
+            .with_watchdog(Watchdog::with_max_events(CELL_EVENT_BUDGET));
+        let mut pool = SimPool::new();
+        let run = pool
             .try_run(self, config, &[policy], &prefab.clone().without_tape())
             .pop()
-            .expect("one arm, one result")
-            .expect("a run without a watchdog cannot abort")
+            .expect("one arm, one result");
+        match run {
+            Ok(result) => (result, None),
+            Err(error) => {
+                let partial = pool.ctx.take_partial();
+                (
+                    partial.expect("a traced abort leaves its partial"),
+                    Some(error),
+                )
+            }
+        }
     }
 
     /// Runs one policy on one seeded trial.

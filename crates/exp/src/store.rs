@@ -187,7 +187,9 @@ pub trait TrialStore: Sync {
 // record occupies `4 + body_len + 8` bytes. Payloads are fixed-layout
 // binary (no serde): a summary is three u64 counters, a u32 sample
 // count, then that many u64 sample bit patterns; a failure is a
-// length-prefixed message, a bool byte, and a u32 worker index.
+// length-prefixed message, a bool byte, and a u32 worker index. Older
+// writers followed a failure with a length-prefixed dump path; readers
+// accept and skip it.
 
 fn encode_summary(summary: &TrialSummary) -> Vec<u8> {
     let mut out = Vec::with_capacity(28 + 8 * summary.sample_level_bits.len());
@@ -226,13 +228,6 @@ fn encode_failure(failure: &CellFailure) -> Vec<u8> {
     out.extend_from_slice(msg);
     out.push(failure.panicked as u8);
     out.extend_from_slice(&(failure.worker as u32).to_le_bytes());
-    // Flight-dump path, appended only when present: records without it
-    // stay byte-identical to the pre-telemetry encoding, so old packs
-    // and new packs of flight-less failures read the same both ways.
-    if let Some(flight) = &failure.flight {
-        out.extend_from_slice(&(flight.len() as u32).to_le_bytes());
-        out.extend_from_slice(flight.as_bytes());
-    }
     out
 }
 
@@ -251,24 +246,20 @@ fn decode_failure(payload: &[u8]) -> Option<CellFailure> {
         _ => return None,
     };
     let worker = u32::from_le_bytes(payload[5 + msg_len..9 + msg_len].try_into().ok()?) as usize;
+    // The dump-path tail older writers appended, if any: checked, then
+    // dropped.
     let rest = &payload[9 + msg_len..];
-    let flight = if rest.is_empty() {
-        None
-    } else {
-        if rest.len() < 4 {
+    if !rest.is_empty() {
+        let path_len = u32::from_le_bytes(rest.get(..4)?.try_into().unwrap()) as usize;
+        if rest.len() != 4 + path_len {
             return None;
         }
-        let flight_len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-        if rest.len() != 4 + flight_len {
-            return None;
-        }
-        Some(String::from_utf8(rest[4..].to_vec()).ok()?)
-    };
+        std::str::from_utf8(&rest[4..]).ok()?;
+    }
     Some(CellFailure {
         message,
         panicked,
         worker,
-        flight,
     })
 }
 
@@ -1143,25 +1134,6 @@ impl PackStore {
         self.append(KIND_QUARANTINED, key, &encode_failure(failure))
     }
 
-    fn probe_one(&self, key: &TrialKey) -> Option<TrialSummary> {
-        match self.lookup(key) {
-            Ok(Some(CellOutcome::Done(s))) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(s)
-            }
-            Ok(_) => {
-                // Absent, or decided-but-quarantined (not a summary).
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Err(()) => {
-                self.rejects.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
     /// Picks this thread's writer slot. Thread-to-slot assignment is
     /// sticky (hash of the thread id), so a worker keeps appending to
     /// the same pack and records stay clustered per worker.
@@ -1570,7 +1542,9 @@ fn write_synced_then_rename(io: &dyn StoreIo, path: &Path, bytes: &[u8]) -> std:
 
 impl TrialStore for PackStore {
     fn probe(&self, key: &TrialKey) -> Option<TrialSummary> {
-        self.probe_one(key)
+        self.probe_many(std::slice::from_ref(key))
+            .pop()
+            .expect("one key, one answer")
     }
 
     fn probe_many(&self, keys: &[TrialKey]) -> Vec<Option<TrialSummary>> {
@@ -1728,7 +1702,6 @@ mod tests {
             message: "injected panic".to_owned(),
             panicked: true,
             worker: 3,
-            flight: None,
         }
     }
 
@@ -1746,22 +1719,46 @@ mod tests {
         assert_eq!(decode_summary(b"short"), None);
         assert_eq!(decode_failure(b"short"), None);
 
-        // A flight-dump path rides along and round-trips...
-        let with_flight = CellFailure {
-            flight: Some("target/flight/00ab.flight.jsonl".to_owned()),
-            ..failure()
+        // A failure is a length-prefixed message, a bool byte and a u32
+        // worker index, nothing more.
+        let encoded = encode_failure(&failure());
+        assert_eq!(encoded.len(), 9 + failure().message.len());
+        // Older writers appended a length-prefixed dump path; it decodes
+        // to the same failure.
+        let path = "target/dumps/00ab.jsonl";
+        let mut with_path = encoded.clone();
+        with_path.extend_from_slice(&(path.len() as u32).to_le_bytes());
+        with_path.extend_from_slice(path.as_bytes());
+        assert_eq!(decode_failure(&with_path), Some(failure()));
+        // A tail that is not a whole path is not a failure.
+        assert_eq!(decode_failure(&with_path[..with_path.len() - 1]), None);
+        assert_eq!(decode_failure(&[&encoded[..], b"\x01"].concat()), None);
+    }
+
+    #[test]
+    fn an_undecodable_failure_is_a_miss_to_the_cache_and_a_reject_to_decided() {
+        let dir = scratch_dir("undecodable-failure");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut pack = PACK_MAGIC.to_vec();
+        pack.extend(encode_record(KIND_QUARANTINED, key(1).text(), b"\x07"));
+        std::fs::write(dir.join("pack-crafted.hpk"), pack).unwrap();
+        let store = PackStore::open(&dir).unwrap();
+        assert_eq!(store.loaded(), 1);
+        let counts = |before: CacheStats| {
+            let now = store.stats();
+            (now.misses - before.misses, now.rejects - before.rejects)
         };
-        assert_eq!(
-            decode_failure(&encode_failure(&with_flight)),
-            Some(with_flight.clone())
-        );
-        // ...while flight-less failures keep the pre-telemetry byte
-        // layout, so packs written before the field existed (or without
-        // flight recording) decode unchanged.
-        let flightless = encode_failure(&failure());
-        assert_eq!(flightless.len(), 9 + failure().message.len());
-        let truncated = &encode_failure(&with_flight)[..flightless.len()];
-        assert_eq!(truncated, &flightless[..]);
+        let before = store.stats();
+        assert_eq!(store.probe(&key(1)), None);
+        assert_eq!(counts(before), (1, 0), "probe");
+        let before = store.stats();
+        assert_eq!(store.probe_many(&[key(1)]), vec![None]);
+        assert_eq!(counts(before), (1, 0), "probe_many");
+        let before = store.stats();
+        assert_eq!(store.decided(&key(1)), None);
+        assert_eq!(store.stats().rejects - before.rejects, 1, "decided");
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2057,37 +2054,34 @@ mod tests {
         Reject,
     }
 
-    /// What the reference read makes of `key` on each surface, as
-    /// `[probe_many, probe, decided]`: the indexed record as
-    /// [`decode_record`] decodes it, kept only when its key text is
-    /// `key.text()`, then each surface's decode rules. `probe_many`
-    /// decodes only `done` records, `probe` rejects a quarantined record
-    /// whose failure does not decode, and `decided` serves both kinds.
-    fn reference_answers(store: &PackStore, key: &TrialKey) -> [Answer; 3] {
+    /// What the reference read makes of `key`, as `[cache, decided]`:
+    /// the indexed record as [`decode_record`] decodes it, kept only
+    /// when its key text is `key.text()`, then the one rule of each
+    /// surface. The cache surface (`probe_many` and `probe`) decodes
+    /// only `done` records, so any quarantined record is a plain miss;
+    /// `decided` serves both kinds.
+    fn reference_answers(store: &PackStore, key: &TrialKey) -> [Answer; 2] {
         let inner = store.inner.read().unwrap();
         let Some(loc) = inner.index.get(&key.fingerprint()) else {
-            return [Answer::Miss, Answer::Miss, Answer::Miss];
+            return [Answer::Miss, Answer::Miss];
         };
         let Some(rec) = decode_record(&inner.packs[loc.pack].data, loc.offset)
             .filter(|rec| rec.key_text == key.text())
         else {
-            return [Answer::Reject, Answer::Reject, Answer::Reject];
+            return [Answer::Reject, Answer::Reject];
         };
         if rec.kind == KIND_DONE {
             let done = || match decode_summary(rec.payload) {
                 Some(s) => Answer::Served(CellOutcome::Done(s)),
                 None => Answer::Reject,
             };
-            [done(), done(), done()]
+            [done(), done()]
         } else {
-            match decode_failure(rec.payload) {
-                Some(f) => [
-                    Answer::Miss,
-                    Answer::Miss,
-                    Answer::Served(CellOutcome::Quarantined(f)),
-                ],
-                None => [Answer::Miss, Answer::Reject, Answer::Reject],
-            }
+            let decided = match decode_failure(rec.payload) {
+                Some(f) => Answer::Served(CellOutcome::Quarantined(f)),
+                None => Answer::Reject,
+            };
+            [Answer::Miss, decided]
         }
     }
 
@@ -2107,7 +2101,7 @@ mod tests {
             }
             d
         }
-        let expected: Vec<[Answer; 3]> = grid.iter().map(|k| reference_answers(store, k)).collect();
+        let expected: Vec<[Answer; 2]> = grid.iter().map(|k| reference_answers(store, k)).collect();
         let since = |before: CacheStats| {
             let now = store.stats();
             CacheStats {
@@ -2141,8 +2135,8 @@ mod tests {
                 None if since(before).rejects == 1 => Answer::Reject,
                 None => Answer::Miss,
             };
-            assert_eq!(got, want[1], "{case}: probe of {}", key.text());
-            assert_eq!(since(before), deltas([&want[1]]));
+            assert_eq!(got, want[0], "{case}: probe of {}", key.text());
+            assert_eq!(since(before), deltas([&want[0]]));
 
             let before = store.stats();
             let got = match store.decided(key) {
@@ -2150,8 +2144,8 @@ mod tests {
                 None if since(before).rejects == 1 => Answer::Reject,
                 None => Answer::Miss,
             };
-            assert_eq!(got, want[2], "{case}: decided of {}", key.text());
-            assert_eq!(since(before), deltas([&want[2]]));
+            assert_eq!(got, want[1], "{case}: decided of {}", key.text());
+            assert_eq!(since(before), deltas([&want[1]]));
         }
     }
 
@@ -2206,7 +2200,7 @@ mod tests {
                 assert_eq!(store.loaded(), 7, "the sidecar is kept");
                 assert_eq!(
                     reference_answers(&store, &key(10)),
-                    [Answer::Reject, Answer::Reject, Answer::Reject]
+                    [Answer::Reject, Answer::Reject]
                 );
                 assert_reads_match_reference(&store, &grid, &format!("byte {at} ^ {mask:#04x}"));
             }

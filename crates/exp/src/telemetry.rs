@@ -1,4 +1,4 @@
-//! Campaign telemetry bundle: spans + progress + flight recording.
+//! Campaign telemetry bundle: spans + progress.
 //!
 //! The figure drivers ([`crate::figures`]) accept one
 //! [`CampaignTelemetry`] value describing which observers a campaign
@@ -13,41 +13,14 @@
 //! - **Progress** ([`harvest_obs::progress`]): a shared
 //!   [`ProgressReporter`] receives one event per decided cell; the
 //!   driver opens the stream, the CLI closes it.
-//! - **Flight** ([`harvest_obs::flight`]): when [`FlightOptions`] is
-//!   set, each worker pool installs a crash flight recorder and the
-//!   campaign writes one dump file per failed cell under
-//!   [`FlightOptions::dir`], recorded on the cell's
-//!   [`CellFailure::flight`](crate::parallel::CellFailure::flight).
+//!
+//! A failed cell is inspected by replaying it from its key
+//! (`exp record --key`), not by recording every cell as it runs.
 
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use harvest_obs::flight::FlightDump;
 use harvest_obs::progress::{CellDecision, ProgressReporter};
 use harvest_obs::span::{SpanCollector, SpanSink};
-
-use crate::cache::fnv1a64;
-
-/// Flight-recorder settings for a campaign.
-#[derive(Debug, Clone)]
-pub struct FlightOptions {
-    /// Directory receiving `<fnv64-of-key>.flight.jsonl` dump files.
-    pub dir: PathBuf,
-    /// Ring capacity per worker (see
-    /// [`harvest_obs::DEFAULT_FLIGHT_CAPACITY`]).
-    pub capacity: usize,
-}
-
-impl FlightOptions {
-    /// Dumps into `dir` with the default ring capacity.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        FlightOptions {
-            dir: dir.into(),
-            capacity: harvest_obs::DEFAULT_FLIGHT_CAPACITY,
-        }
-    }
-}
 
 /// The observers one campaign run carries. `Default` is fully disabled.
 #[derive(Debug, Clone, Default)]
@@ -56,8 +29,6 @@ pub struct CampaignTelemetry {
     pub spans: Option<Arc<SpanCollector>>,
     /// Progress reporter for `--progress` / live stderr heartbeats.
     pub progress: Option<Arc<ProgressReporter>>,
-    /// Flight-recorder settings for crash post-mortems.
-    pub flight: Option<FlightOptions>,
 }
 
 impl CampaignTelemetry {
@@ -68,7 +39,7 @@ impl CampaignTelemetry {
 
     /// True when no observer is installed at all.
     pub fn is_off(&self) -> bool {
-        self.spans.is_none() && self.progress.is_none() && self.flight.is_none()
+        self.spans.is_none() && self.progress.is_none()
     }
 
     /// A span sink on track `tid` (worker index + 1; 0 is the driver),
@@ -85,27 +56,9 @@ impl CampaignTelemetry {
     }
 }
 
-/// Writes one flight dump under `dir` as
-/// `<fnv1a64(key):016x>.flight.jsonl`, stamping `key` into the dump's
-/// header. Returns the file path.
-///
-/// # Errors
-///
-/// Returns the underlying IO error when the directory cannot be created
-/// or the file cannot be written.
-pub fn write_flight_dump(dir: &Path, key: &str, mut dump: FlightDump) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    dump.key = key.to_owned();
-    let path = dir.join(format!("{:016x}.flight.jsonl", fnv1a64(key.as_bytes())));
-    let file = std::fs::File::create(&path)?;
-    dump.write_jsonl(io::BufWriter::new(file))?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harvest_obs::FlightRecorder;
 
     #[test]
     fn default_bundle_is_off() {
@@ -114,30 +67,5 @@ mod tests {
         assert!(t.sink(1).is_none());
         // cell() on a disabled bundle is a no-op, not a panic.
         t.cell(CellDecision::Hit, "k", 0);
-    }
-
-    #[test]
-    fn flight_dump_file_round_trips_with_key() {
-        let dir = std::env::temp_dir().join(format!("harvest-flight-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut rec = FlightRecorder::new(8);
-        rec.mark("v1|s|edf|3");
-        rec.record(1.0, "released", "job 0".into());
-        rec.capture("watchdog-event-budget", 9);
-        let dump = rec.take_dumps().remove(0);
-
-        let path = write_flight_dump(&dir, "v1|s|edf|3", dump).unwrap();
-        assert!(path
-            .file_name()
-            .unwrap()
-            .to_str()
-            .unwrap()
-            .ends_with(".flight.jsonl"));
-        let text = std::fs::read_to_string(&path).unwrap();
-        let back = FlightDump::from_jsonl(&text).unwrap();
-        assert_eq!(back.key, "v1|s|edf|3");
-        assert_eq!(back.reason, "watchdog-event-budget");
-        assert_eq!(back.events.len(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -130,7 +130,6 @@ proptest! {
             message: "watchdog: starved".to_owned(),
             panicked: false,
             worker: 1,
-            flight: None,
         };
         {
             let store = PackStore::open(&dir).unwrap();

@@ -1,12 +1,13 @@
-//! End-to-end campaign-telemetry coverage (ISSUE 8): Chrome-trace
-//! export, the live progress stream, crash flight dumps, the campaign
-//! report, and — most importantly — that switching telemetry on does
-//! not move the pinned figure digest.
+//! End-to-end campaign-telemetry coverage: Chrome-trace export, the
+//! live progress stream, the campaign report, replay of a cell from its
+//! key, and — most importantly — that switching telemetry on does not
+//! move the pinned figure digest.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use harvest_obs::flight::FlightDump;
+use harvest_exp::cache::{TrialKey, TrialSummary};
+use harvest_exp::store::{CellOutcome, PackStore};
 use harvest_obs::progress::{progress_from_jsonl, ProgressLine};
 use serde::Value;
 
@@ -94,7 +95,6 @@ fn telemetry_flags_do_not_move_the_pinned_figure() {
         .args(fault_args())
         .args(["--trace", trace.to_str().unwrap()])
         .args(["--progress", progress.to_str().unwrap()])
-        .args(["--flight", dir.join("flight").to_str().unwrap()])
         .output()
         .unwrap();
     assert!(out.status.success(), "{out:?}");
@@ -105,34 +105,40 @@ fn telemetry_flags_do_not_move_the_pinned_figure() {
         .unwrap();
     let digest = u64::from_str_radix(field(line, "figure_fnv64"), 16).unwrap();
     assert_eq!(digest, PINNED_DIGEST, "telemetry changed the figure");
-
-    // A clean campaign writes no flight dump at all.
-    assert!(
-        !dir.join("flight").exists() || std::fs::read_dir(dir.join("flight")).unwrap().count() == 0,
-        "clean campaign must not dump"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn sabotaged_campaign_emits_trace_progress_and_flight_dumps() {
-    let dir = scratch_dir("telemetry-sabotage");
-    let store = dir.join("store");
-    let trace = dir.join("trace.json");
-    let progress = dir.join("progress.jsonl");
-    let flight = dir.join("flight");
+/// Runs the smoke grid into `store` with one cell sabotaged by a panic
+/// and one by a 4-event watchdog, plus any `extra` flags; returns its
+/// stdout.
+fn sabotaged_campaign(store: &Path, extra: &[&str]) -> String {
     let out = exp_command()
         .args(fault_args())
         .args(["--store", store.to_str().unwrap()])
-        .args(["--trace", trace.to_str().unwrap()])
-        .args(["--progress", progress.to_str().unwrap()])
-        .args(["--flight", flight.to_str().unwrap()])
+        .args(extra)
         .args(["--inject-panic", "lsa:0:0.5"])
         .args(["--inject-starve", "ea-dvfs:1:1.0"])
         .output()
         .unwrap();
     assert!(out.status.success(), "{out:?}");
-    let text = stdout(&out);
+    stdout(&out)
+}
+
+#[test]
+fn sabotaged_campaign_emits_trace_progress_and_replay_commands() {
+    let dir = scratch_dir("telemetry-sabotage");
+    let store = dir.join("store");
+    let trace = dir.join("trace.json");
+    let progress = dir.join("progress.jsonl");
+    let text = sabotaged_campaign(
+        &store,
+        &[
+            "--trace",
+            trace.to_str().unwrap(),
+            "--progress",
+            progress.to_str().unwrap(),
+        ],
+    );
     let report = text
         .lines()
         .find(|l| l.starts_with("fault-sweep "))
@@ -185,48 +191,12 @@ fn sabotaged_campaign_emits_trace_progress_and_flight_dumps() {
     );
     assert_eq!(field(stat_line.trim(), "quarantined"), "2");
 
-    // Flight: one dump per quarantined cell, each naming its cell key
-    // and carrying the last ring events; stderr links them.
     let quarantine_keys: Vec<&str> = text
         .lines()
         .filter(|l| l.starts_with("quarantine "))
         .map(|l| field(l, "key"))
         .collect();
     assert_eq!(quarantine_keys.len(), 2);
-    let mut dumps = Vec::new();
-    for entry in std::fs::read_dir(&flight).unwrap() {
-        let path = entry.unwrap().path();
-        assert!(
-            path.to_str().unwrap().ends_with(".flight.jsonl"),
-            "{path:?}"
-        );
-        dumps.push(FlightDump::from_jsonl(&std::fs::read_to_string(&path).unwrap()).unwrap());
-    }
-    assert_eq!(dumps.len(), 2, "one dump per quarantined cell");
-    for dump in &dumps {
-        assert!(
-            quarantine_keys.contains(&dump.key.as_str()),
-            "dump key {} not quarantined",
-            dump.key
-        );
-        assert!(
-            !dump.events.is_empty(),
-            "empty flight ring for {}",
-            dump.key
-        );
-    }
-    assert!(dumps.iter().any(|d| d.reason == "panic"), "{dumps:?}");
-    assert!(
-        dumps.iter().any(|d| d.reason.contains("watchdog")),
-        "{dumps:?}"
-    );
-
-    let err = stderr(&out);
-    let flight_lines: Vec<&str> = err.lines().filter(|l| l.starts_with("flight ")).collect();
-    assert_eq!(flight_lines.len(), 2, "{err}");
-    for l in &flight_lines {
-        assert!(Path::new(field(l, "dump")).exists(), "{l}");
-    }
 
     // Report folds all three sources; --json round-trips.
     let report = exp_command()
@@ -245,7 +215,9 @@ fn sabotaged_campaign_emits_trace_progress_and_flight_dumps() {
     for policy in ["edf", "lsa", "ea-dvfs"] {
         assert!(md.contains(policy), "missing {policy} in {md}");
     }
-    assert!(md.contains(".flight.jsonl"), "{md}");
+    for key in &quarantine_keys {
+        assert!(md.contains(&format!("exp record --key '{key}'")), "{md}");
+    }
     assert!(md.contains("Slowest cells"), "{md}");
 
     let json_out = exp_command()
@@ -260,13 +232,15 @@ fn sabotaged_campaign_emits_trace_progress_and_flight_dumps() {
     let cells = value.get("cells").expect("cells section");
     assert_eq!(cells.get("total").and_then(Value::as_u64), Some(18));
     assert_eq!(cells.get("quarantined").and_then(Value::as_u64), Some(2));
-    assert_eq!(
-        cells
-            .get("quarantines")
-            .and_then(Value::as_array)
-            .map(Vec::len),
-        Some(2)
-    );
+    let quarantines = cells.get("quarantines").and_then(Value::as_array).unwrap();
+    assert_eq!(quarantines.len(), 2);
+    for q in quarantines {
+        let key = q.get("key").and_then(Value::as_str).unwrap();
+        assert_eq!(
+            q.get("replay").and_then(Value::as_str),
+            Some(format!("exp record --key '{key}'").as_str())
+        );
+    }
     let progress_section = value.get("progress").expect("progress section");
     assert_eq!(
         progress_section.get("done").and_then(Value::as_u64),
@@ -274,6 +248,75 @@ fn sabotaged_campaign_emits_trace_progress_and_flight_dumps() {
     );
     assert!(value.get("trace").is_some());
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn replay_by_key_is_the_stored_cell() {
+    let dir = scratch_dir("telemetry-replay");
+    let store = dir.join("store");
+    let text = sabotaged_campaign(&store, &[]);
+
+    // Every done cell replays, from its key alone, to its record.
+    let entries = PackStore::open_existing(&store).unwrap().decided_entries();
+    assert_eq!(entries.len(), 18);
+    let mut done = 0;
+    for (key, outcome) in &entries {
+        if let CellOutcome::Done(stored) = outcome {
+            let (scenario, policy, seed) = TrialKey::parse(key).unwrap();
+            let (run, aborted) = scenario.run_prefab_observed(policy, &scenario.prefab(seed));
+            assert_eq!(aborted, None, "{key}");
+            assert_eq!(TrialSummary::of(&run), *stored, "{key}");
+            done += 1;
+        }
+    }
+    assert_eq!(done, 16);
+
+    // The sabotage happened outside the simulation, so both quarantined
+    // cells replay cleanly into artifacts `exp inspect` reads.
+    let keys: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("quarantine "))
+        .map(|l| field(l, "key"))
+        .collect();
+    assert_eq!(keys.len(), 2);
+    for (i, key) in keys.iter().enumerate() {
+        let artifact = dir.join(format!("replay-{i}.jsonl"));
+        let out = exp_command()
+            .args(["record", "--key", key, "--out", artifact.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{key}: {out:?}");
+        let inspect = exp_command()
+            .args(["inspect", artifact.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(inspect.status.success(), "{inspect:?}");
+    }
+
+    // A key that does not name a cell byte for byte is a usage error:
+    // reordered scenario fields, an unknown policy, another schema
+    // version, a non-numeric seed.
+    let key = keys[0];
+    let refused = [
+        key.replacen(
+            r#"{"num_tasks":5,"utilization":0.4,"#,
+            r#"{"utilization":0.4,"num_tasks":5,"#,
+            1,
+        ),
+        key.replace("|lsa|", "|sjf|"),
+        key.replacen("v1|", "v2|", 1),
+        key.replace("|lsa|0", "|lsa|zero"),
+    ];
+    for bad in &refused {
+        assert_ne!(bad, key);
+        let out = exp_command()
+            .args(["record", "--key", bad])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{bad}: {out:?}");
+        assert!(stderr(&out).contains("key"), "{out:?}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -4,10 +4,10 @@
 //! dependency graph: it knows nothing about tasks, energy, or schedulers.
 //! It provides four small, orthogonal pieces:
 //!
-//! - [`metrics`] — a `MetricsSink` trait mirroring `sim::trace::TraceSink`,
-//!   with a [`NullMetrics`] sink that compiles to nothing and a
-//!   [`MetricsRegistry`] that accumulates counters / gauges / log2-bucket
-//!   histograms and freezes them into a serializable [`MetricsSnapshot`].
+//! - [`metrics`] — a `MetricsSink` trait, with a [`NullMetrics`] sink that
+//!   compiles to nothing and a [`MetricsRegistry`] that accumulates
+//!   counters / gauges / log2-bucket histograms and freezes them into a
+//!   serializable [`MetricsSnapshot`].
 //! - [`profile`] — scoped wall-clock phase timers ([`PhaseProfiler`]) that
 //!   aggregate into a serializable [`PhaseProfile`] (calls, total, mean, max
 //!   per phase).
@@ -30,16 +30,16 @@
 //!   JSONL progress events (start / per-cell decision / heartbeat with
 //!   rate, hit rate, and ETA / finish), schema-guarded like run
 //!   artifacts.
-//! - [`flight`] — a fixed-capacity [`FlightRecorder`] ring of recent
-//!   events, frozen into JSONL [`FlightDump`]s when a watchdog fires or
-//!   a worker panics.
+//!
+//! A failed campaign cell needs no recorder of its own: every cell is a
+//! deterministic function of its key, so `exp record --key` replays it
+//! with full tracing on demand.
 //!
 //! Everything here is **off by default** in the simulator: the hot loops keep
 //! plain integer counters (no dynamic dispatch) and only publish into a
 //! registry once, at end of run, when explicitly asked to.
 
 pub mod export;
-pub mod flight;
 pub mod io;
 pub mod metrics;
 pub mod profile;
@@ -48,10 +48,6 @@ pub mod span;
 pub mod timeline;
 
 pub use export::{jsonl_to_vec, to_jsonl_string, JsonlWriter};
-pub use flight::{
-    FlightDump, FlightEvent, FlightLine, FlightMeta, FlightRecorder, SharedFlightRecorder,
-    DEFAULT_FLIGHT_CAPACITY,
-};
 pub use io::{
     Durability, FaultScheduleBuilder, FaultyIo, IoCounters, IoHealth, RealIo, RetryPolicy,
     StoreFile, StoreIo, WriteFault,

@@ -1,5 +1,5 @@
 //! Metrics registry: counters, gauges, and log2-bucket histograms behind a
-//! `MetricsSink` trait that mirrors `sim::trace::TraceSink`.
+//! `MetricsSink` trait.
 //!
 //! The hot simulation loops do **not** call through this trait per event —
 //! they keep plain monomorphic integer counters inline and publish them here
@@ -11,10 +11,10 @@ use serde::{Deserialize, Serialize};
 
 /// Receiver for published metrics.
 ///
-/// Mirrors the `TraceSink` contract: implementations that drop data should
-/// return `false` from [`MetricsSink::is_enabled`] so callers can skip
-/// building expensive values (e.g. formatting a name or folding a histogram)
-/// before publishing:
+/// Implementations that drop data should return `false` from
+/// [`MetricsSink::is_enabled`] so callers can skip building expensive
+/// values (e.g. formatting a name or folding a histogram) before
+/// publishing:
 ///
 /// ```
 /// use harvest_obs::{MetricsSink, NullMetrics};

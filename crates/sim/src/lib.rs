@@ -11,7 +11,7 @@
 //!   live here.
 //! * [`event`] — a stable `(time, seq)` event queue and the release tape.
 //! * [`engine`] — a minimal generic DES engine (`Model` + `Engine`).
-//! * [`trace`] — pluggable trace sinks.
+//! * [`trace`] — counting trace emissions without keeping them.
 //! * [`stats`] — Welford statistics, sampled time series, histograms.
 //!
 //! # Examples
@@ -48,4 +48,4 @@ pub use event::{EventQueue, QueueStats, ReleaseEntry, ReleaseTape};
 pub use piecewise::{CursorStats, Extension, PiecewiseConstant, PiecewiseError, Segment};
 pub use stats::{Histogram, RunningStats, SampledSeries};
 pub use time::{SimDuration, SimTime, TICKS_PER_UNIT};
-pub use trace::{CountingSink, FnSink, NullSink, RecordKind, Stamped, TraceSink, VecSink};
+pub use trace::CountingSink;

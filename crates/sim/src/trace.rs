@@ -1,116 +1,9 @@
-//! Trace infrastructure: record what happened during a run.
+//! Trace accounting: count what happened during a run without keeping
+//! it.
 //!
-//! Simulators emit domain events (job started, frequency changed, storage
-//! depleted, …) into a [`TraceSink`]. Sinks are generic over the record
-//! type so each simulator defines its own vocabulary.
-
-use std::fmt::Debug;
-
-use crate::time::SimTime;
-
-/// A timestamped trace record.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Stamped<R> {
-    /// Instant at which the record was emitted.
-    pub time: SimTime,
-    /// The domain record.
-    pub record: R,
-}
-
-/// Receives trace records emitted by a simulator.
-///
-/// Implementations must be cheap when tracing is unwanted — use
-/// [`NullSink`] to discard everything.
-pub trait TraceSink<R> {
-    /// Records `record` as having occurred at `time`.
-    fn record(&mut self, time: SimTime, record: R);
-
-    /// `true` if records are actually retained. Simulators may skip
-    /// building expensive records when this is `false`.
-    fn is_enabled(&self) -> bool {
-        true
-    }
-}
-
-/// Discards every record.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl<R> TraceSink<R> for NullSink {
-    #[inline]
-    fn record(&mut self, _time: SimTime, _record: R) {}
-
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        false
-    }
-}
-
-/// Retains every record in memory, in emission order.
-///
-/// # Examples
-///
-/// ```
-/// use harvest_sim::trace::{TraceSink, VecSink};
-/// use harvest_sim::time::SimTime;
-///
-/// let mut sink = VecSink::new();
-/// sink.record(SimTime::from_whole_units(1), "boot");
-/// sink.record(SimTime::from_whole_units(2), "run");
-/// assert_eq!(sink.records().len(), 2);
-/// assert_eq!(sink.records()[1].record, "run");
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct VecSink<R> {
-    records: Vec<Stamped<R>>,
-}
-
-impl<R> VecSink<R> {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        VecSink {
-            records: Vec::new(),
-        }
-    }
-
-    /// The records captured so far.
-    pub fn records(&self) -> &[Stamped<R>] {
-        &self.records
-    }
-
-    /// Consumes the sink, returning the captured records.
-    pub fn into_records(self) -> Vec<Stamped<R>> {
-        self.records
-    }
-
-    /// Number of captured records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` if nothing has been captured.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-}
-
-impl<R> TraceSink<R> for VecSink<R> {
-    fn record(&mut self, time: SimTime, record: R) {
-        self.records.push(Stamped { time, record });
-    }
-}
-
-/// Record types that expose a small dense *kind* (variant) index, so
-/// counting sinks can tally per-variant totals without retaining the
-/// records themselves.
-pub trait RecordKind {
-    /// Number of distinct kinds. Every [`kind_index`](Self::kind_index)
-    /// is below this.
-    const KIND_COUNT: usize;
-
-    /// Dense index of this record's variant, in `0..KIND_COUNT`.
-    fn kind_index(&self) -> usize;
-}
+//! A simulator that keeps its full trace stores the records itself;
+//! one that only needs statistics tallies each emission here, by the
+//! record's dense variant index.
 
 /// Per-variant slots a [`CountingSink`] can track; kinds at or above
 /// this index fold into the last slot.
@@ -118,30 +11,17 @@ pub const MAX_KINDS: usize = 8;
 
 /// Counts records without retaining them — the sweep fast path: run
 /// statistics with no per-record allocation. Totals are kept overall
-/// *and* per record variant (see [`RecordKind`]), so miss-rate sanity
-/// checks no longer need a retaining [`VecSink`].
-///
-/// Reports `is_enabled() == false` so simulators that build expensive
-/// records conditionally can skip construction entirely and account the
-/// emission through [`CountingSink::bump_kind`] instead.
+/// *and* per record variant, so an emission is accounted through
+/// [`CountingSink::bump_kind`] without its record ever being built.
 ///
 /// # Examples
 ///
 /// ```
-/// use harvest_sim::trace::{CountingSink, RecordKind, TraceSink};
-/// use harvest_sim::time::SimTime;
-///
-/// enum Ev { Boot, Halt }
-/// impl RecordKind for Ev {
-///     const KIND_COUNT: usize = 2;
-///     fn kind_index(&self) -> usize {
-///         match self { Ev::Boot => 0, Ev::Halt => 1 }
-///     }
-/// }
+/// use harvest_sim::trace::CountingSink;
 ///
 /// let mut sink = CountingSink::new();
-/// sink.record(SimTime::ZERO, Ev::Boot);
-/// sink.bump_kind(1); // an emission whose record was never built
+/// sink.bump_kind(0);
+/// sink.bump_kind(1);
 /// assert_eq!(sink.count(), 2);
 /// assert_eq!(sink.kind_count(0), 1);
 /// assert_eq!(sink.kind_count(1), 1);
@@ -158,12 +38,12 @@ impl CountingSink {
         CountingSink::default()
     }
 
-    /// Number of records seen so far (recorded or bumped).
+    /// Number of emissions seen so far.
     pub fn count(&self) -> u64 {
         self.count
     }
 
-    /// Number of records of the given kind seen so far. Kinds at or
+    /// Number of emissions of the given kind seen so far. Kinds at or
     /// above [`MAX_KINDS`] share the last slot.
     pub fn kind_count(&self, kind: usize) -> u64 {
         self.kinds[kind.min(MAX_KINDS - 1)]
@@ -184,143 +64,22 @@ impl CountingSink {
     }
 }
 
-impl<R: RecordKind> TraceSink<R> for CountingSink {
-    #[inline]
-    fn record(&mut self, _time: SimTime, record: R) {
-        self.bump_kind(record.kind_index());
-    }
-
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        false
-    }
-}
-
-/// Adapts a closure into a sink — handy for filtering or streaming.
-///
-/// # Examples
-///
-/// ```
-/// use harvest_sim::trace::{FnSink, TraceSink};
-/// use harvest_sim::time::SimTime;
-///
-/// let mut count = 0u32;
-/// {
-///     let mut sink = FnSink::new(|_, _: &str| count += 1);
-///     sink.record(SimTime::ZERO, "x");
-/// }
-/// assert_eq!(count, 1);
-/// ```
-pub struct FnSink<F>(F);
-
-impl<F> FnSink<F> {
-    /// Wraps `f` as a sink.
-    pub fn new(f: F) -> Self {
-        FnSink(f)
-    }
-}
-
-impl<F> Debug for FnSink<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("FnSink(..)")
-    }
-}
-
-impl<R, F: FnMut(SimTime, R)> TraceSink<R> for FnSink<F> {
-    fn record(&mut self, time: SimTime, record: R) {
-        (self.0)(time, record);
-    }
-}
-
-impl<R, S: TraceSink<R> + ?Sized> TraceSink<R> for &mut S {
-    fn record(&mut self, time: SimTime, record: R) {
-        (**self).record(time, record);
-    }
-
-    fn is_enabled(&self) -> bool {
-        (**self).is_enabled()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn null_sink_reports_disabled() {
-        let sink = NullSink;
-        assert!(!TraceSink::<u8>::is_enabled(&sink));
-    }
-
-    #[test]
-    fn vec_sink_preserves_order_and_time() {
-        let mut sink = VecSink::new();
-        sink.record(SimTime::from_whole_units(3), 'a');
-        sink.record(SimTime::from_whole_units(1), 'b'); // sinks don't sort
-        let rs = sink.records();
-        assert_eq!(rs[0].record, 'a');
-        assert_eq!(rs[1].time, SimTime::from_whole_units(1));
-        assert_eq!(sink.len(), 2);
-        assert!(!sink.is_empty());
-    }
-
-    #[derive(Debug, Clone, Copy)]
-    enum Kinded {
-        A,
-        B,
-    }
-
-    impl RecordKind for Kinded {
-        const KIND_COUNT: usize = 2;
-        fn kind_index(&self) -> usize {
-            match self {
-                Kinded::A => 0,
-                Kinded::B => 1,
-            }
-        }
-    }
-
-    #[test]
-    fn counting_sink_counts_without_retaining() {
-        let mut sink = CountingSink::new();
-        assert!(!TraceSink::<Kinded>::is_enabled(&sink));
-        sink.record(SimTime::ZERO, Kinded::A);
-        sink.record(SimTime::from_whole_units(2), Kinded::B);
-        sink.bump_kind(1);
-        assert_eq!(sink.count(), 3);
-    }
-
-    #[test]
     fn counting_sink_tracks_per_variant_totals() {
         let mut sink = CountingSink::new();
-        sink.record(SimTime::ZERO, Kinded::A);
-        sink.record(SimTime::ZERO, Kinded::B);
-        sink.record(SimTime::ZERO, Kinded::B);
+        sink.bump_kind(0);
+        sink.bump_kind(1);
+        sink.bump_kind(1);
+        assert_eq!(sink.count(), 3);
         assert_eq!(sink.kind_count(0), 1);
         assert_eq!(sink.kind_count(1), 2);
         assert_eq!(sink.kind_counts().iter().sum::<u64>(), sink.count());
         // Out-of-range kinds fold into the last slot instead of panicking.
         sink.bump_kind(MAX_KINDS + 5);
         assert_eq!(sink.kind_count(MAX_KINDS - 1), 1);
-    }
-
-    #[test]
-    fn into_records_round_trips() {
-        let mut sink = VecSink::new();
-        sink.record(SimTime::ZERO, 7u32);
-        let v = sink.into_records();
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].record, 7);
-    }
-
-    #[test]
-    fn mut_ref_forwards() {
-        let mut sink = VecSink::new();
-        {
-            let fwd = &mut sink;
-            fwd.record(SimTime::ZERO, 1u8);
-            assert!(fwd.is_enabled());
-        }
-        assert_eq!(sink.len(), 1);
     }
 }

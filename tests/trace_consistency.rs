@@ -5,7 +5,6 @@ use std::collections::{HashMap, HashSet};
 
 use harvest_rt::core::trace::TraceEvent;
 use harvest_rt::prelude::*;
-use harvest_rt::sim::trace::TraceSink;
 use harvest_rt::task::JobId;
 
 /// A streaming trace validator: checks ordering and lifecycle invariants
@@ -21,7 +20,8 @@ struct InvariantSink {
     records: u64,
 }
 
-impl TraceSink<TraceEvent> for InvariantSink {
+impl InvariantSink {
+    /// Checks one event against everything seen so far.
     fn record(&mut self, t: SimTime, ev: TraceEvent) {
         if let Some(last) = self.last_time {
             assert!(t >= last, "timestamps regress: {t:?} after {last:?}");
