@@ -37,42 +37,42 @@ pub enum MissPolicy {
 ///     SimDuration::from_whole_units(10_000),
 /// )
 /// .with_sample_interval(SimDuration::from_whole_units(100));
-/// assert_eq!(cfg.horizon, SimDuration::from_whole_units(10_000));
+/// assert!(cfg.fault_plan.is_none());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SystemConfig {
     /// The DVFS processor.
-    pub cpu: CpuModel,
+    pub(crate) cpu: CpuModel,
     /// Energy-storage parameters.
-    pub storage: StorageSpec,
+    pub(crate) storage: StorageSpec,
     /// Initial stored energy; `None` starts full (the paper's §5.1
     /// setup).
-    pub initial_level: Option<f64>,
+    pub(crate) initial_level: Option<f64>,
     /// Deadline-miss semantics.
-    pub miss_policy: MissPolicy,
+    pub(crate) miss_policy: MissPolicy,
     /// When the store is depleted mid-run the processor stalls until it
     /// has scavenged enough energy to run for this many time units at
     /// the chosen level (paper §4.2: "the system will delay task
     /// execution until it has scavenged energy"). Keeps the event count
     /// finite; must be positive.
-    pub restart_quantum: f64,
+    pub(crate) restart_quantum: f64,
     /// If set, the storage level is sampled on this grid (for the
     /// remaining-energy curves of Figs. 6–7).
-    pub sample_interval: Option<SimDuration>,
+    pub(crate) sample_interval: Option<SimDuration>,
     /// Simulated horizon; events in `[0, horizon)` are processed.
-    pub horizon: SimDuration,
+    pub(crate) horizon: SimDuration,
     /// Retain a full trace of scheduling events in the result.
-    pub collect_trace: bool,
+    pub(crate) collect_trace: bool,
     /// Publish a metrics snapshot (queue/cursor/policy counters) into
     /// the result. The counters are maintained regardless — this only
     /// controls whether they are frozen into
     /// [`SimResult::metrics`](crate::result::SimResult::metrics).
-    pub collect_metrics: bool,
+    pub(crate) collect_metrics: bool,
     /// Wall-clock-time the engine's phases (event dispatch, policy
     /// decision, energy update) into
     /// [`SimResult::profile`](crate::result::SimResult::profile).
     /// Perturbs nothing but costs two clock reads per phase.
-    pub profile: bool,
+    pub(crate) profile: bool,
     /// Deterministic fault injection for this run. `None` (or an empty
     /// plan) takes the exact fault-free code path.
     pub fault_plan: Option<FaultPlan>,
@@ -81,7 +81,7 @@ pub struct SystemConfig {
     /// set watchdog requires
     /// [`try_simulate_arms_in`](crate::system::try_simulate_arms_in) to
     /// surface the typed [`SimError`](crate::result::SimError).
-    pub watchdog: Option<Watchdog>,
+    pub(crate) watchdog: Option<Watchdog>,
 }
 
 impl SystemConfig {
@@ -204,6 +204,7 @@ mod tests {
     #[test]
     fn defaults_match_paper_setup() {
         let c = cfg();
+        assert_eq!(c.horizon, SimDuration::from_whole_units(1_000));
         assert_eq!(c.initial_level, None);
         assert_eq!(c.miss_policy, MissPolicy::AbortAtDeadline);
         assert_eq!(c.restart_quantum, 0.1);

@@ -24,18 +24,18 @@ use serde::{Deserialize, Serialize};
 /// min-frequency search over `[start, end)`, forcing eq. 6 to re-select
 /// the next faster available point.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LevelLockoutWindow {
+pub(crate) struct LevelLockoutWindow {
     /// The locked-out level. Never the fastest level.
-    pub level: LevelIndex,
+    pub(crate) level: LevelIndex,
     /// Lockout start (inclusive).
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// Lockout end (exclusive).
-    pub end: SimTime,
+    pub(crate) end: SimTime,
 }
 
 impl LevelLockoutWindow {
     /// `true` when the lockout is active at instant `t`.
-    pub fn contains(&self, t: SimTime) -> bool {
+    pub(crate) fn contains(&self, t: SimTime) -> bool {
         self.start <= t && t < self.end
     }
 }
@@ -44,13 +44,13 @@ impl LevelLockoutWindow {
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Harvest attenuation windows (blackouts and brownouts).
-    pub harvest: Vec<HarvestFaultWindow>,
+    pub(crate) harvest: Vec<HarvestFaultWindow>,
     /// Storage capacity fade and extra leakage, if any.
-    pub storage: Option<StorageFault>,
+    pub(crate) storage: Option<StorageFault>,
     /// Temporary DVFS level outages.
-    pub lockouts: Vec<LevelLockoutWindow>,
+    pub(crate) lockouts: Vec<LevelLockoutWindow>,
     /// Predictor noise/staleness, if any.
-    pub predictor: Option<PredictorFault>,
+    pub(crate) predictor: Option<PredictorFault>,
 }
 
 impl FaultPlan {
@@ -64,7 +64,7 @@ impl FaultPlan {
     }
 
     /// Bitmask of levels locked out at instant `t`.
-    pub fn lockout_mask_at(&self, t: SimTime) -> u64 {
+    pub(crate) fn lockout_mask_at(&self, t: SimTime) -> u64 {
         let mut mask = 0u64;
         for w in &self.lockouts {
             if w.contains(t) && w.level < 64 {
@@ -77,7 +77,7 @@ impl FaultPlan {
     /// Every distinct window edge (start or end) in `(after, before)`,
     /// sorted ascending — the instants at which the injected state
     /// changes and the simulator must re-decide.
-    pub fn edge_times(&self, after: SimTime, before: SimTime) -> Vec<SimTime> {
+    pub(crate) fn edge_times(&self, after: SimTime, before: SimTime) -> Vec<SimTime> {
         let mut edges = Vec::with_capacity(2 * (self.harvest.len() + self.lockouts.len()));
         let mut push = |t: SimTime| {
             if after < t && t < before {

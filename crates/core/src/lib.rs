@@ -63,6 +63,16 @@
 //! assert_eq!(lsa.missed(), 1); // LSA starves τ2
 //! assert_eq!(ea.missed(), 0);  // EA-DVFS stretches τ1 and saves τ2
 //! ```
+//!
+//! [`Scheduler`]: scheduler::Scheduler
+//! [`Decision`]: scheduler::Decision
+//! [`SchedContext`]: scheduler::SchedContext
+//! [`EaDvfsScheduler`]: policies::EaDvfsScheduler
+//! [`LazyScheduler`]: policies::LazyScheduler
+//! [`EdfScheduler`]: policies::EdfScheduler
+//! [`GreedyStretchScheduler`]: policies::GreedyStretchScheduler
+//! [`RunContext`]: system::RunContext
+//! [`SimError`]: result::SimError
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -74,13 +84,3 @@ pub mod result;
 pub mod scheduler;
 pub mod system;
 pub mod trace;
-
-pub use config::{MissPolicy, SystemConfig};
-pub use fault::{FaultPlan, LevelLockoutWindow};
-pub use policies::{
-    EaDvfsScheduler, EdfScheduler, GreedyStretchScheduler, LazyScheduler, StaticSlowdownScheduler,
-};
-pub use result::{EnergyAccounting, JobOutcome, JobRecord, SimError, SimResult};
-pub use scheduler::{Decision, SchedContext, Scheduler};
-pub use system::{simulate, try_simulate_arms_in, try_simulate_in_taped, PoolStats, RunContext};
-pub use trace::TraceEvent;

@@ -23,7 +23,6 @@ use crate::scheduler::{Decision, SchedContext, Scheduler};
 ///
 /// let s = StaticSlowdownScheduler::new(&presets::xscale(), 0.5);
 /// assert_eq!(s.name(), "static-slowdown");
-/// assert_eq!(s.level(), 2); // XScale: S = 0.6 is the slowest ≥ 0.5
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaticSlowdownScheduler {
@@ -46,11 +45,6 @@ impl StaticSlowdownScheduler {
             .unwrap_or_else(|| cpu.max_level());
         StaticSlowdownScheduler { level }
     }
-
-    /// The statically selected level.
-    pub fn level(&self) -> LevelIndex {
-        self.level
-    }
 }
 
 impl Scheduler for StaticSlowdownScheduler {
@@ -72,10 +66,10 @@ mod tests {
     #[test]
     fn picks_slowest_covering_level() {
         let cpu = presets::xscale();
-        assert_eq!(StaticSlowdownScheduler::new(&cpu, 0.1).level(), 0); // S=0.15
-        assert_eq!(StaticSlowdownScheduler::new(&cpu, 0.4).level(), 1); // S=0.4
-        assert_eq!(StaticSlowdownScheduler::new(&cpu, 0.41).level(), 2); // S=0.6
-        assert_eq!(StaticSlowdownScheduler::new(&cpu, 1.0).level(), 4);
+        assert_eq!(StaticSlowdownScheduler::new(&cpu, 0.1).level, 0); // S=0.15
+        assert_eq!(StaticSlowdownScheduler::new(&cpu, 0.4).level, 1); // S=0.4
+        assert_eq!(StaticSlowdownScheduler::new(&cpu, 0.41).level, 2); // S=0.6
+        assert_eq!(StaticSlowdownScheduler::new(&cpu, 1.0).level, 4);
     }
 
     #[test]

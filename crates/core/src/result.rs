@@ -91,7 +91,7 @@ pub struct JobRecord {
 
 impl JobRecord {
     /// `true` if the job completed by its deadline.
-    pub fn met_deadline(&self) -> bool {
+    pub(crate) fn met_deadline(&self) -> bool {
         matches!(self.outcome, JobOutcome::Completed { .. })
     }
 
@@ -144,7 +144,7 @@ pub struct SimResult {
     /// Per-variant totals of the emitted trace events, indexed by
     /// [`TraceEvent::kind_index`]; maintained even when the full trace
     /// is not retained.
-    pub trace_kind_counts: Vec<u64>,
+    pub(crate) trace_kind_counts: Vec<u64>,
     /// Busy time per DVFS level (same order as the CPU's level table).
     pub level_time: Vec<f64>,
     /// Time with no job executing (includes stalls).
@@ -204,21 +204,6 @@ impl SimResult {
     /// Total busy time across all levels.
     pub fn busy_time(&self) -> f64 {
         self.level_time.iter().sum()
-    }
-
-    /// Storage-level samples normalized by `capacity` (the paper
-    /// normalizes remaining energy before averaging across capacities,
-    /// §5.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is not positive.
-    pub fn normalized_samples(&self, capacity: f64) -> Vec<(SimTime, f64)> {
-        assert!(capacity > 0.0, "capacity must be positive");
-        self.samples
-            .iter()
-            .map(|&(t, e)| (t, e / capacity))
-            .collect()
     }
 }
 
@@ -288,13 +273,6 @@ mod tests {
     fn busy_time_sums_levels() {
         let r = result(vec![]);
         assert_eq!(r.busy_time(), 3.0);
-    }
-
-    #[test]
-    fn normalization_divides_by_capacity() {
-        let r = result(vec![]);
-        let n = r.normalized_samples(100.0);
-        assert_eq!(n[0].1, 0.5);
     }
 
     #[test]

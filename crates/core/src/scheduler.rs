@@ -19,19 +19,19 @@ use harvest_task::job::Job;
 ///
 /// Build one per decision instant with [`SchedContext::new`]: the context
 /// memoizes the `ÊS(t, D)` profile lookup, so the several
-/// [`Self::run_time_at_power`] calls a policy makes while comparing DVFS
+/// `Self::run_time_at_power` calls a policy makes while comparing DVFS
 /// levels share a single predictor query.
 pub struct SchedContext<'a> {
     /// Current simulation time.
-    pub now: SimTime,
+    pub(crate) now: SimTime,
     /// The earliest-deadline ready job (the one EDF will run).
-    pub job: &'a Job,
+    pub(crate) job: &'a Job,
     /// The processor model.
-    pub cpu: &'a CpuModel,
+    pub(crate) cpu: &'a CpuModel,
     /// The energy storage (current level and static parameters).
-    pub storage: &'a Storage,
+    pub(crate) storage: &'a Storage,
     /// The harvested-energy predictor `ÊS`.
-    pub predictor: &'a dyn EnergyPredictor,
+    pub(crate) predictor: &'a dyn EnergyPredictor,
     /// Memoized `EC(t) + ÊS(t, D)` — valid for the lifetime of the
     /// context because `now`, the job, and the storage level are fixed
     /// at a decision instant.
@@ -78,7 +78,7 @@ impl<'a> SchedContext<'a> {
     /// `(memo hits, predictor queries)` of the `ÊS(t, D)` cache over
     /// this context's lifetime. Read by the simulator after the policy
     /// decides, to aggregate memo effectiveness across a run.
-    pub fn memo_stats(&self) -> (u64, u64) {
+    pub(crate) fn memo_stats(&self) -> (u64, u64) {
         (self.es_hits.get(), self.es_misses.get())
     }
 }
@@ -96,7 +96,7 @@ impl std::fmt::Debug for SchedContext<'_> {
 impl SchedContext<'_> {
     /// Predicted total energy available between now and the head job's
     /// deadline: `EC(t) + ÊS(t, D)` (the numerator of paper eq. 5/9).
-    pub fn available_energy_to_deadline(&self) -> f64 {
+    pub(crate) fn available_energy_to_deadline(&self) -> f64 {
         if let Some(cached) = self.es_cache.get() {
             self.es_hits.set(self.es_hits.get() + 1);
             return cached;
@@ -113,7 +113,7 @@ impl SchedContext<'_> {
     /// System running time `sr_n` at power `P_n` before the available
     /// energy is exhausted (paper eq. 5): `(EC + ÊS) / P_n`. Infinite
     /// for unbounded storage.
-    pub fn run_time_at_power(&self, power: f64) -> f64 {
+    pub(crate) fn run_time_at_power(&self, power: f64) -> f64 {
         assert!(power > 0.0, "power must be positive");
         if self.storage.spec().is_infinite() {
             return f64::INFINITY;
@@ -124,7 +124,7 @@ impl SchedContext<'_> {
     /// Latest start `max(now, D − sr)` for a given runnable time `sr`
     /// (paper eq. 7/8, with the current instant in place of the arrival
     /// time when re-evaluating mid-flight).
-    pub fn latest_start(&self, run_time: f64) -> SimTime {
+    pub(crate) fn latest_start(&self, run_time: f64) -> SimTime {
         if run_time.is_infinite() {
             return self.now;
         }
@@ -152,7 +152,7 @@ pub enum Decision {
 
 impl Decision {
     /// Convenience: run at the given level with no review point.
-    pub fn run(level: LevelIndex) -> Self {
+    pub(crate) fn run(level: LevelIndex) -> Self {
         Decision::Run {
             level,
             review: None,
@@ -240,16 +240,22 @@ pub(crate) mod test_util {
     use super::*;
 
     /// Bundles owned state for building a [`SchedContext`] in tests.
-    pub struct CtxFixture {
-        pub cpu: CpuModel,
-        pub storage: Storage,
-        pub predictor: OraclePredictor,
-        pub job: Job,
-        pub now: SimTime,
+    pub(crate) struct CtxFixture {
+        pub(crate) cpu: CpuModel,
+        pub(crate) storage: Storage,
+        pub(crate) predictor: OraclePredictor,
+        pub(crate) job: Job,
+        pub(crate) now: SimTime,
     }
 
     impl CtxFixture {
-        pub fn new(cpu: CpuModel, level: f64, capacity: f64, harvest: f64, job: Job) -> Self {
+        pub(crate) fn new(
+            cpu: CpuModel,
+            level: f64,
+            capacity: f64,
+            harvest: f64,
+            job: Job,
+        ) -> Self {
             CtxFixture {
                 cpu,
                 storage: Storage::new(StorageSpec::ideal(capacity), level),
@@ -259,12 +265,12 @@ pub(crate) mod test_util {
             }
         }
 
-        pub fn at(mut self, now: SimTime) -> Self {
+        pub(crate) fn at(mut self, now: SimTime) -> Self {
             self.now = now;
             self
         }
 
-        pub fn ctx(&self) -> SchedContext<'_> {
+        pub(crate) fn ctx(&self) -> SchedContext<'_> {
             SchedContext::new(
                 self.now,
                 &self.job,
@@ -275,7 +281,7 @@ pub(crate) mod test_util {
         }
     }
 
-    pub fn job(deadline_units: i64, wcet: f64) -> Job {
+    pub(crate) fn job(deadline_units: i64, wcet: f64) -> Job {
         Job::new(
             JobId(0),
             0,

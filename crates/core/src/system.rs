@@ -55,10 +55,10 @@ const ENERGY_EPS: f64 = 1e-9;
 
 /// Phase name for the continuous-state advance (storage integration,
 /// accounting, job progress) in a profiled run.
-pub const PHASE_ENERGY_SYNC: &str = "energy.sync";
+pub(crate) const PHASE_ENERGY_SYNC: &str = "energy.sync";
 
 /// Phase name for the policy's `decide` call in a profiled run.
-pub const PHASE_POLICY_DECIDE: &str = "policy.decide";
+pub(crate) const PHASE_POLICY_DECIDE: &str = "policy.decide";
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SysEvent {
@@ -799,9 +799,6 @@ impl SystemModel<'_> {
         queue: QueueStats,
         kind_counts: &[u64],
     ) {
-        if !reg.is_enabled() {
-            return;
-        }
         reg.counter("engine.events", events);
         reg.counter("queue.scheduled", queue.scheduled);
         reg.counter("queue.popped", queue.popped);

@@ -64,11 +64,11 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// Number of variants; kind indices are below this.
-    pub const KIND_COUNT: usize = 8;
+    pub(crate) const KIND_COUNT: usize = 8;
 
     /// Variant names indexed by [`kind_index`](Self::kind_index), for
     /// rendering per-variant counts.
-    pub const KIND_NAMES: [&'static str; Self::KIND_COUNT] = [
+    pub(crate) const KIND_NAMES: [&'static str; Self::KIND_COUNT] = [
         "released",
         "started",
         "completed",
@@ -80,7 +80,7 @@ impl TraceEvent {
     ];
 
     /// Dense variant index, in `0..KIND_COUNT`.
-    pub fn kind_index(&self) -> usize {
+    pub(crate) fn kind_index(&self) -> usize {
         match self {
             TraceEvent::Released { .. } => 0,
             TraceEvent::Started { .. } => 1,
@@ -91,11 +91,6 @@ impl TraceEvent {
             TraceEvent::HarvestFault { .. } => 6,
             TraceEvent::LevelLockout { .. } => 7,
         }
-    }
-
-    /// Variant name (see [`KIND_NAMES`](Self::KIND_NAMES)).
-    pub fn kind_name(&self) -> &'static str {
-        Self::KIND_NAMES[self.kind_index()]
     }
 }
 
@@ -150,7 +145,6 @@ mod tests {
         assert_eq!(samples.len(), TraceEvent::KIND_COUNT);
         for (i, ev) in samples.iter().enumerate() {
             assert_eq!(ev.kind_index(), i);
-            assert_eq!(ev.kind_name(), TraceEvent::KIND_NAMES[i]);
         }
     }
 }

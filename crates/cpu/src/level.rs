@@ -11,9 +11,9 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FrequencyLevel {
     /// Clock frequency `f_n`.
-    pub frequency: f64,
+    pub(crate) frequency: f64,
     /// Active power consumption `P_n` at this level.
-    pub power: f64,
+    pub(crate) power: f64,
 }
 
 impl FrequencyLevel {
@@ -39,7 +39,7 @@ impl FrequencyLevel {
     /// # Panics
     ///
     /// Panics if `speed` is not in `(0, 1]` or `work` is negative.
-    pub fn energy_for_work(&self, work: f64, speed: f64) -> f64 {
+    pub(crate) fn energy_for_work(&self, work: f64, speed: f64) -> f64 {
         assert!(speed > 0.0 && speed <= 1.0, "speed must lie in (0, 1]");
         assert!(work >= 0.0, "work must be non-negative");
         self.power * work / speed

@@ -25,11 +25,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod level;
-pub mod model;
-pub mod power;
+pub(crate) mod level;
+pub(crate) mod model;
+pub(crate) mod power;
 pub mod presets;
 
 pub use level::FrequencyLevel;
-pub use model::{CpuModel, CpuModelError, LevelIndex};
+pub use model::{CpuModel, LevelIndex};
 pub use power::PowerLaw;

@@ -83,7 +83,7 @@ pub type LevelIndex = usize;
 /// assert_eq!(cpu.min_feasible_level(4.0, 16.0), Some(0));
 /// // …but 4 work units in 5 units need full speed:
 /// assert_eq!(cpu.min_feasible_level(4.0, 5.0), Some(1));
-/// # Ok::<(), harvest_cpu::CpuModelError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CpuModel {
@@ -107,7 +107,7 @@ impl CpuModel {
     ///
     /// # Errors
     ///
-    /// Returns [`CpuModelError`] if the list is empty or not strictly
+    /// Returns `CpuModelError` if the list is empty or not strictly
     /// increasing in both frequency and power.
     pub fn new(levels: Vec<FrequencyLevel>) -> Result<Self, CpuModelError> {
         if levels.is_empty() {
@@ -128,20 +128,6 @@ impl CpuModel {
             switch_energy: 0.0,
             locked_mask: 0,
         })
-    }
-
-    /// Sets the idle (sleep) power drawn while no job executes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CpuModelError::InvalidIdlePower`] if `power` is
-    /// negative, not finite, or at least the lowest active power.
-    pub fn with_idle_power(mut self, power: f64) -> Result<Self, CpuModelError> {
-        if !power.is_finite() || power < 0.0 || power >= self.levels[0].power {
-            return Err(CpuModelError::InvalidIdlePower);
-        }
-        self.idle_power = power;
-        Ok(self)
     }
 
     /// Sets a fixed time/energy cost per frequency switch.
@@ -167,11 +153,6 @@ impl CpuModel {
     /// Number of operating points `N`.
     pub fn level_count(&self) -> usize {
         self.levels.len()
-    }
-
-    /// The operating points, slowest first.
-    pub fn levels(&self) -> &[FrequencyLevel] {
-        &self.levels
     }
 
     /// Index of the fastest level.
@@ -223,7 +204,7 @@ impl CpuModel {
     }
 
     /// `true` if level `n` is currently locked out by fault injection.
-    pub fn is_level_locked(&self, n: LevelIndex) -> bool {
+    pub(crate) fn is_level_locked(&self, n: LevelIndex) -> bool {
         n < 64 && self.locked_mask & (1 << n) != 0
     }
 
@@ -390,14 +371,6 @@ mod tests {
         let cpu = two_speed();
         let window = 4.0 / 0.5; // exactly 8, but computed
         assert_eq!(cpu.min_feasible_level(4.0, window * (1.0 + 1e-15)), Some(0));
-    }
-
-    #[test]
-    fn idle_power_validation() {
-        let cpu = two_speed().with_idle_power(0.05).unwrap();
-        assert_eq!(cpu.idle_power(), 0.05);
-        assert!(two_speed().with_idle_power(100.0).is_err());
-        assert!(two_speed().with_idle_power(-0.1).is_err());
     }
 
     #[test]

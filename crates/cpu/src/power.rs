@@ -19,11 +19,11 @@ use crate::model::{CpuModel, CpuModelError};
 /// use harvest_cpu::PowerLaw;
 ///
 /// // A cubic, 4-level processor peaking at 3.2 power units.
-/// let law = PowerLaw::new(0.1, 3.1, 3.0);
+/// let law = PowerLaw::cubic(3.2);
 /// let cpu = law.build_model(1000.0, 4)?;
 /// assert_eq!(cpu.level_count(), 4);
 /// assert!((cpu.max_power() - 3.2).abs() < 1e-12);
-/// # Ok::<(), harvest_cpu::CpuModelError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PowerLaw {
@@ -41,7 +41,7 @@ impl PowerLaw {
     /// Panics if `static_power` is negative, `dynamic_coeff` is
     /// non-positive, or `exponent < 1` (sub-linear laws make slowing
     /// down never profitable and are almost certainly a mistake).
-    pub fn new(static_power: f64, dynamic_coeff: f64, exponent: f64) -> Self {
+    pub(crate) fn new(static_power: f64, dynamic_coeff: f64, exponent: f64) -> Self {
         assert!(
             static_power.is_finite() && static_power >= 0.0,
             "static power must be finite and >= 0"
@@ -72,7 +72,7 @@ impl PowerLaw {
     /// # Panics
     ///
     /// Panics if `s` is outside `(0, 1]`.
-    pub fn power_at(&self, s: f64) -> f64 {
+    pub(crate) fn power_at(&self, s: f64) -> f64 {
         assert!(s > 0.0 && s <= 1.0, "speed must lie in (0, 1]");
         self.static_power + self.dynamic_coeff * s.powf(self.exponent)
     }
@@ -82,7 +82,7 @@ impl PowerLaw {
     ///
     /// # Errors
     ///
-    /// Propagates [`CpuModelError`] (cannot occur for valid laws, but
+    /// Propagates `CpuModelError` (cannot occur for valid laws, but
     /// the signature stays honest).
     ///
     /// # Panics
@@ -99,16 +99,6 @@ impl PowerLaw {
             .collect();
         CpuModel::new(levels)
     }
-
-    /// Energy per unit of work at speed `s` (`P(s)/s`), the quantity DVFS
-    /// minimizes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is outside `(0, 1]`.
-    pub fn energy_per_work(&self, s: f64) -> f64 {
-        self.power_at(s) / s
-    }
 }
 
 #[cfg(test)]
@@ -120,19 +110,6 @@ mod tests {
         let law = PowerLaw::cubic(8.0);
         assert_eq!(law.power_at(1.0), 8.0);
         assert_eq!(law.power_at(0.5), 1.0);
-    }
-
-    #[test]
-    fn energy_per_work_decreases_when_slowing_cubic() {
-        let law = PowerLaw::cubic(8.0);
-        assert!(law.energy_per_work(0.5) < law.energy_per_work(1.0));
-    }
-
-    #[test]
-    fn static_power_penalizes_deep_slowdown() {
-        let law = PowerLaw::new(1.0, 7.0, 3.0);
-        // With static power, crawling is no longer free.
-        assert!(law.energy_per_work(0.1) > law.energy_per_work(0.5));
     }
 
     #[test]

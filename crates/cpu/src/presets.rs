@@ -52,16 +52,6 @@ pub fn quarter_speed_example() -> CpuModel {
     .expect("preset table is valid")
 }
 
-/// A single-speed processor (no DVFS) at the given power — what LSA
-/// effectively assumes.
-///
-/// # Panics
-///
-/// Panics if `power` is not finite and positive.
-pub fn single_speed(power: f64) -> CpuModel {
-    CpuModel::new(vec![FrequencyLevel::new(1000.0, power)]).expect("single level is valid")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,14 +79,6 @@ mod tests {
         assert_eq!(cpu.speed(0), 0.25);
         assert_eq!(cpu.power(0), 1.0);
         assert_eq!(cpu.max_power(), 8.0);
-    }
-
-    #[test]
-    fn single_speed_has_one_level() {
-        let cpu = single_speed(3.2);
-        assert_eq!(cpu.level_count(), 1);
-        assert_eq!(cpu.speed(0), 1.0);
-        assert_eq!(cpu.max_power(), 3.2);
     }
 
     #[test]

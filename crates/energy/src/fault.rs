@@ -11,12 +11,12 @@
 //! to the same profile always yields the same result, and applying an
 //! empty fault list is an exact identity (callers can keep the original
 //! allocation untouched).
+//!
+//! [`HarvestSource`]: crate::source::HarvestSource
 
-use crate::source::HarvestSource;
 use crate::storage::StorageSpec;
 use harvest_sim::piecewise::PiecewiseConstant;
 use harvest_sim::time::{SimDuration, SimTime};
-use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 /// One timed attenuation of the harvest: the source output is
@@ -129,64 +129,6 @@ pub fn apply_harvest_faults(
         .expect("faulted profile reuses validated breakpoints")
 }
 
-/// A [`HarvestSource`] combinator that attenuates its inner source over
-/// the configured fault windows.
-///
-/// The inner source is always drawn — even inside a blackout — so the
-/// RNG stream stays aligned with the fault-free run and the two runs
-/// are comparable draw-for-draw.
-#[derive(Debug, Clone)]
-pub struct FaultySource<S> {
-    inner: S,
-    faults: Vec<HarvestFaultWindow>,
-    name: String,
-}
-
-impl<S: HarvestSource> FaultySource<S> {
-    /// Wraps `inner` with the given fault windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any window is malformed.
-    pub fn new(inner: S, faults: Vec<HarvestFaultWindow>) -> Self {
-        for w in &faults {
-            assert!(
-                w.is_valid(),
-                "harvest fault window must have start < end and factor in [0, 1]"
-            );
-        }
-        let name = format!("faulty({}, {} windows)", inner.name(), faults.len());
-        FaultySource {
-            inner,
-            faults,
-            name,
-        }
-    }
-
-    /// The wrapped source.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Consumes the combinator, returning the wrapped source.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: HarvestSource> HarvestSource for FaultySource<S> {
-    fn draw(&mut self, t: SimTime, rng: &mut StdRng) -> f64 {
-        // Draw unconditionally to keep the RNG stream aligned with the
-        // fault-free realization.
-        let raw = self.inner.draw(t, rng);
-        raw * harvest_factor_at(&self.faults, t)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 /// Storage degradation: a capacity derating plus extra leakage drain.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct StorageFault {
@@ -220,9 +162,7 @@ impl StorageFault {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sources::ConstantSource;
     use harvest_sim::time::SimDuration;
-    use rand::SeedableRng;
 
     fn t(units: i64) -> SimTime {
         SimTime::from_whole_units(units)
@@ -328,29 +268,6 @@ mod tests {
         assert_eq!(f.value_at(t(299)), 0.0);
         assert_eq!(f.value_at(t(300)), 1.2);
         assert_eq!(f.integrate(SimTime::ZERO, t(400)), 240.0);
-    }
-
-    #[test]
-    fn faulty_source_attenuates_but_keeps_rng_stream() {
-        let faults = vec![HarvestFaultWindow {
-            start: t(10),
-            end: t(20),
-            factor: 0.0,
-        }];
-        let mut plain = ConstantSource::new(5.0);
-        let mut faulty = FaultySource::new(ConstantSource::new(5.0), faults);
-        let mut rng_a = StdRng::seed_from_u64(3);
-        let mut rng_b = StdRng::seed_from_u64(3);
-        for u in 0..30 {
-            let a = plain.draw(t(u), &mut rng_a);
-            let b = faulty.draw(t(u), &mut rng_b);
-            if (10..20).contains(&u) {
-                assert_eq!(b, 0.0);
-            } else {
-                assert_eq!(a, b);
-            }
-        }
-        assert!(faulty.name().starts_with("faulty("));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! ```
 //! use harvest_energy::source::sample_profile;
 //! use harvest_energy::sources::SolarModel;
-//! use harvest_energy::storage::{Storage, StorageSpec};
+//! use harvest_energy::storage::StorageSpec;
 //! use harvest_sim::time::{SimDuration, SimTime};
 //!
 //! let profile = sample_profile(
@@ -29,11 +29,14 @@
 //!     SimDuration::from_whole_units(1),
 //!     42,
 //! )?;
-//! let mut store = Storage::new(StorageSpec::ideal(500.0), 0.0);
-//! let report = store.advance(&profile, SimTime::ZERO, SimTime::from_whole_units(100), 0.0);
+//! let store = StorageSpec::ideal(500.0);
+//! let report = store.advance(0.0, &profile, SimTime::ZERO, SimTime::from_whole_units(100), 0.0);
 //! assert!(report.level > 0.0);
 //! # Ok::<(), harvest_sim::piecewise::PiecewiseError>(())
 //! ```
+//!
+//! [`HarvestSource`]: source::HarvestSource
+//! [`OraclePredictor`]: predictor::OraclePredictor
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -44,12 +47,3 @@ pub mod rand_util;
 pub mod source;
 pub mod sources;
 pub mod storage;
-
-pub use fault::{apply_harvest_faults, FaultySource, HarvestFaultWindow, StorageFault};
-pub use predictor::{
-    BiasedPredictor, EnergyPredictor, EwmaSlotPredictor, FaultyPredictor, MovingAveragePredictor,
-    OraclePredictor, PersistencePredictor, PredictorFault,
-};
-pub use source::{sample_profile, HarvestSource, Scaled, Sum};
-pub use sources::{ConstantSource, DayNightSource, MarkovWeatherSource, SolarModel, TraceSource};
-pub use storage::{AdvanceReport, Storage, StorageSpec};

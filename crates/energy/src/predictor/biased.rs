@@ -50,21 +50,6 @@ impl<P: EnergyPredictor> BiasedPredictor<P> {
             name,
         }
     }
-
-    /// The bias factor.
-    pub fn factor(&self) -> f64 {
-        self.factor
-    }
-
-    /// The wrapped predictor.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Consumes the wrapper, returning the inner predictor.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
 }
 
 impl<P: EnergyPredictor + Clone + 'static> EnergyPredictor for BiasedPredictor<P> {
@@ -95,14 +80,13 @@ mod tests {
             p.predict_energy(SimTime::ZERO, SimTime::from_whole_units(8)),
             4.0
         );
-        assert_eq!(p.factor(), 0.5);
+        assert_eq!(p.factor, 0.5);
     }
 
     #[test]
     fn forwards_observations() {
         let mut p = BiasedPredictor::new(PersistencePredictor::new(), 2.0);
         p.observe(seg(0, 1, 3.0));
-        assert_eq!(p.inner().last_power(), 3.0);
         assert_eq!(
             p.predict_energy(SimTime::from_whole_units(1), SimTime::from_whole_units(2)),
             6.0

@@ -83,16 +83,6 @@ impl EwmaSlotPredictor {
         }
     }
 
-    /// Number of slots per period.
-    pub fn slots(&self) -> usize {
-        self.estimates.len()
-    }
-
-    /// Current per-slot mean-power estimates.
-    pub fn estimates(&self) -> &[f64] {
-        &self.estimates
-    }
-
     /// Seeds the per-slot estimates (e.g. from a historical profile).
     ///
     /// # Panics
@@ -215,10 +205,10 @@ mod tests {
         let mut p = predictor();
         p.observe(seg(0, 25, 4.0));
         p.observe(seg(25, 50, 0.0)); // commits slot 0 with mean 4 → est 2
-        assert!((p.estimates()[0] - 2.0).abs() < 1e-12);
+        assert!((p.estimates[0] - 2.0).abs() < 1e-12);
         p.observe(seg(100, 125, 4.0));
         p.observe(seg(125, 130, 0.0)); // commits slot 0 again → 3
-        assert!((p.estimates()[0] - 3.0).abs() < 1e-12);
+        assert!((p.estimates[0] - 3.0).abs() < 1e-12);
     }
 
     #[test]

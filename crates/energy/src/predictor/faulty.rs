@@ -76,21 +76,6 @@ impl<P: EnergyPredictor> FaultyPredictor<P> {
         );
         FaultyPredictor { inner, fault, name }
     }
-
-    /// The corruption parameters.
-    pub fn fault(&self) -> PredictorFault {
-        self.fault
-    }
-
-    /// The wrapped predictor.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Consumes the wrapper, returning the inner predictor.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
 }
 
 impl<P: EnergyPredictor + Clone + 'static> EnergyPredictor for FaultyPredictor<P> {

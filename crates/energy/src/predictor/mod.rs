@@ -86,7 +86,7 @@ pub(crate) mod test_util {
 
     /// Builds a segment `[a, b)` with value `v` (units of whole time
     /// units).
-    pub fn seg(a: i64, b: i64, v: f64) -> Segment {
+    pub(crate) fn seg(a: i64, b: i64, v: f64) -> Segment {
         Segment {
             start: SimTime::from_whole_units(a),
             end: SimTime::from_whole_units(b),

@@ -56,14 +56,9 @@ impl MovingAveragePredictor {
         }
     }
 
-    /// The configured window length.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
     /// Current time-weighted mean power over the retained history
     /// (zero before any observation).
-    pub fn mean_power(&self) -> f64 {
+    pub(crate) fn mean_power(&self) -> f64 {
         if self.span.is_zero() {
             return 0.0;
         }

@@ -60,11 +60,6 @@ impl OraclePredictor {
         let cursor = Cell::new(profile.cursor());
         OraclePredictor { profile, cursor }
     }
-
-    /// The wrapped profile.
-    pub fn profile(&self) -> &PiecewiseConstant {
-        &self.profile
-    }
 }
 
 impl EnergyPredictor for OraclePredictor {

@@ -36,11 +36,6 @@ impl PersistencePredictor {
     pub fn new() -> Self {
         PersistencePredictor { last_power: 0.0 }
     }
-
-    /// The power currently assumed to persist.
-    pub fn last_power(&self) -> f64 {
-        self.last_power
-    }
 }
 
 impl EnergyPredictor for PersistencePredictor {
@@ -79,7 +74,7 @@ mod tests {
         let mut p = PersistencePredictor::new();
         p.observe(seg(0, 1, 1.0));
         p.observe(seg(1, 2, 4.0));
-        assert_eq!(p.last_power(), 4.0);
+        assert_eq!(p.last_power, 4.0);
         assert_eq!(
             p.predict_energy(SimTime::from_whole_units(2), SimTime::from_whole_units(4)),
             8.0

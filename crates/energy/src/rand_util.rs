@@ -6,23 +6,8 @@
 
 use rand::Rng;
 
-/// Draws one standard-normal sample `N(0, 1)` via Box–Muller.
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let x = harvest_energy::rand_util::standard_normal(&mut rng);
-/// assert!(x.is_finite());
-/// ```
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let (u1, u2) = uniform_pair(rng);
-    box_muller(u1, u2)
-}
-
-/// Draws the uniform pair behind one [`standard_normal`] sample, in
-/// stream order: `u1 ∈ (0, 1]` first, then `u2 ∈ [0, 1)`.
+/// Draws the uniform pair behind one standard normal sample, in stream
+/// order: `u1 ∈ (0, 1]` first, then `u2 ∈ [0, 1)`.
 #[inline]
 pub(crate) fn uniform_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     // u1 ∈ (0, 1] so the logarithm is finite.
@@ -68,6 +53,11 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn standard_normal(rng: &mut StdRng) -> f64 {
+        let (u1, u2) = uniform_pair(rng);
+        box_muller(u1, u2)
+    }
 
     #[test]
     fn moments_match_standard_normal() {

@@ -106,93 +106,6 @@ pub fn sample_profile<S: HarvestSource + ?Sized>(
     PiecewiseConstant::from_samples(start, dt, samples, Extension::Hold)
 }
 
-/// Scales another source's output by a constant factor.
-///
-/// # Examples
-///
-/// ```
-/// use harvest_energy::source::{HarvestSource, Scaled};
-/// use harvest_energy::sources::ConstantSource;
-/// use harvest_sim::time::SimTime;
-/// use rand::SeedableRng;
-///
-/// let mut src = Scaled::new(ConstantSource::new(2.0), 1.5);
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// assert_eq!(src.draw(SimTime::ZERO, &mut rng), 3.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Scaled<S> {
-    inner: S,
-    factor: f64,
-    name: String,
-}
-
-impl<S: HarvestSource> Scaled<S> {
-    /// Wraps `inner`, multiplying its output by `factor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    pub fn new(inner: S, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "scale factor must be finite and >= 0"
-        );
-        let name = format!("scaled({}, {factor})", inner.name());
-        Scaled {
-            inner,
-            factor,
-            name,
-        }
-    }
-
-    /// The wrapped source.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Consumes the combinator, returning the wrapped source.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: HarvestSource> HarvestSource for Scaled<S> {
-    fn draw(&mut self, t: SimTime, rng: &mut StdRng) -> f64 {
-        self.inner.draw(t, rng) * self.factor
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// Sums the outputs of two sources (e.g. solar plus vibration).
-#[derive(Debug, Clone)]
-pub struct Sum<A, B> {
-    a: A,
-    b: B,
-    name: String,
-}
-
-impl<A: HarvestSource, B: HarvestSource> Sum<A, B> {
-    /// Combines two sources additively.
-    pub fn new(a: A, b: B) -> Self {
-        let name = format!("sum({}, {})", a.name(), b.name());
-        Sum { a, b, name }
-    }
-}
-
-impl<A: HarvestSource, B: HarvestSource> HarvestSource for Sum<A, B> {
-    fn draw(&mut self, t: SimTime, rng: &mut StdRng) -> f64 {
-        self.a.draw(t, rng) + self.b.draw(t, rng)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 impl<S: HarvestSource + ?Sized> HarvestSource for &mut S {
     fn draw(&mut self, t: SimTime, rng: &mut StdRng) -> f64 {
         (**self).draw(t, rng)
@@ -269,28 +182,6 @@ mod tests {
             0,
         );
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn scaled_source_scales() {
-        let mut s = Scaled::new(ConstantSource::new(2.0), 0.25);
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(s.draw(SimTime::ZERO, &mut rng), 0.5);
-        assert!(s.name().starts_with("scaled("));
-        assert_eq!(s.inner().power(), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "scale factor")]
-    fn scaled_rejects_negative_factor() {
-        let _ = Scaled::new(ConstantSource::new(1.0), -1.0);
-    }
-
-    #[test]
-    fn sum_source_adds() {
-        let mut s = Sum::new(ConstantSource::new(1.5), ConstantSource::new(2.5));
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(s.draw(SimTime::ZERO, &mut rng), 4.0);
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl ConstantSource {
         );
         ConstantSource { power }
     }
-
-    /// The configured power.
-    pub fn power(&self) -> f64 {
-        self.power
-    }
 }
 
 impl HarvestSource for ConstantSource {
@@ -70,7 +65,7 @@ mod tests {
         for t in 0..5 {
             assert_eq!(s.draw(SimTime::from_whole_units(t), &mut rng), 2.25);
         }
-        assert_eq!(s.power(), 2.25);
+        assert_eq!(s.power, 2.25);
         assert_eq!(s.name(), "constant");
     }
 

@@ -75,16 +75,9 @@ impl DayNightSource {
     }
 
     /// `true` if `t` falls in the day phase.
-    pub fn is_day(&self, t: SimTime) -> bool {
+    pub(crate) fn is_day(&self, t: SimTime) -> bool {
         let phase = t.as_ticks().rem_euclid(self.cycle.as_ticks());
         phase < self.day_length.as_ticks()
-    }
-
-    /// Mean power over one full cycle.
-    pub fn cycle_mean_power(&self) -> f64 {
-        let day = self.day_length.as_units();
-        let night = (self.cycle - self.day_length).as_units();
-        (self.day_power * day + self.night_power * night) / self.cycle.as_units()
     }
 }
 
@@ -134,13 +127,6 @@ mod tests {
         assert!(!s.is_day(SimTime::from_whole_units(-1)));
         // t = -7 folds to phase 3 → day.
         assert!(s.is_day(SimTime::from_whole_units(-7)));
-    }
-
-    #[test]
-    fn cycle_mean() {
-        let s = src();
-        // (4·4 + 1·6) / 10 = 2.2
-        assert!((s.cycle_mean_power() - 2.2).abs() < 1e-12);
     }
 
     #[test]

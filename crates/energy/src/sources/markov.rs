@@ -8,7 +8,7 @@ use crate::source::HarvestSource;
 
 /// Sky condition in the weather chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WeatherState {
+pub(crate) enum WeatherState {
     /// Full output from the underlying model.
     Clear,
     /// Attenuated output.
@@ -75,7 +75,7 @@ impl<S: HarvestSource> MarkovWeatherSource<S> {
     ///
     /// Panics if a transition row does not sum to 1 (±1e-9), any entry is
     /// negative, or an attenuation factor is outside `[0, 1]`.
-    pub fn new(inner: S, transition: [[f64; 3]; 3], attenuation: [f64; 3]) -> Self {
+    pub(crate) fn new(inner: S, transition: [[f64; 3]; 3], attenuation: [f64; 3]) -> Self {
         for row in &transition {
             let sum: f64 = row.iter().sum();
             assert!(
@@ -116,11 +116,6 @@ impl<S: HarvestSource> MarkovWeatherSource<S> {
         let q = (1.0 - persistence) / 2.0;
         let p = persistence;
         MarkovWeatherSource::new(inner, [[p, q, q], [q, p, q], [q, q, p]], [1.0, 0.4, 0.1])
-    }
-
-    /// The current weather state.
-    pub fn state(&self) -> WeatherState {
-        self.state
     }
 
     fn step(&mut self, rng: &mut StdRng) {
@@ -172,12 +167,12 @@ mod tests {
         let mut s = MarkovWeatherSource::with_default_attenuation(ConstantSource::new(1.0), 0.99);
         let mut rng = StdRng::seed_from_u64(2);
         let mut changes = 0;
-        let mut prev = s.state();
+        let mut prev = s.state;
         for _ in 0..1_000 {
             s.draw(SimTime::ZERO, &mut rng);
-            if s.state() != prev {
+            if s.state != prev {
                 changes += 1;
-                prev = s.state();
+                prev = s.state;
             }
         }
         assert!(
@@ -193,7 +188,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for _ in 0..500 {
             s.draw(SimTime::ZERO, &mut rng);
-            seen.insert(s.state());
+            seen.insert(s.state);
         }
         assert_eq!(seen.len(), 3);
     }

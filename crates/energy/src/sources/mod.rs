@@ -19,6 +19,6 @@ mod trace;
 
 pub use constant::ConstantSource;
 pub use daynight::DayNightSource;
-pub use markov::{MarkovWeatherSource, WeatherState};
+pub use markov::MarkovWeatherSource;
 pub use solar::SolarModel;
 pub use trace::TraceSource;

@@ -88,24 +88,8 @@ impl SolarModel {
         SolarModel::new(10.0, 70.0 * std::f64::consts::PI)
     }
 
-    /// The stochastic amplitude `A`.
-    pub fn amplitude(&self) -> f64 {
-        self.amplitude
-    }
-
-    /// The envelope time scale `τ`.
-    pub fn time_scale(&self) -> f64 {
-        self.time_scale
-    }
-
-    /// Expected long-run mean power,
-    /// `A · E[max(N,0)] · E[cos²] = A · (1/√(2π)) · (1/2)`.
-    pub fn expected_mean_power(&self) -> f64 {
-        self.amplitude * 0.5 / std::f64::consts::TAU.sqrt()
-    }
-
     /// Deterministic envelope value at `t` (the cos² factor).
-    pub fn envelope(&self, t: SimTime) -> f64 {
+    pub(crate) fn envelope(&self, t: SimTime) -> f64 {
         let c = (t.as_units() / self.time_scale).cos();
         c * c
     }
@@ -192,14 +176,13 @@ mod tests {
         let mean = p.domain_mean();
         // E = 10 · E[max(N,0)] · E[cos²] = 10 · 0.3989 · 0.5 ≈ 1.99
         assert!((mean - 1.99).abs() < 0.15, "mean {mean}");
-        assert!((SolarModel::paper().expected_mean_power() - 1.994).abs() < 1e-2);
     }
 
     #[test]
     fn paper_parameters() {
         let s = SolarModel::paper();
-        assert_eq!(s.amplitude(), 10.0);
-        assert!((s.time_scale() - 219.911).abs() < 1e-2);
+        assert_eq!(s.amplitude, 10.0);
+        assert!((s.time_scale - 219.911).abs() < 1e-2);
         assert_eq!(s.name(), "solar-eq13");
     }
 

@@ -59,24 +59,6 @@ impl TraceSource {
         let profile = PiecewiseConstant::from_samples(SimTime::ZERO, dt, samples, ext)?;
         Ok(TraceSource { profile })
     }
-
-    /// Wraps an existing profile as a source.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile takes negative values.
-    pub fn from_profile(profile: PiecewiseConstant) -> Self {
-        assert!(
-            profile.domain_min() >= 0.0,
-            "trace power must be non-negative"
-        );
-        TraceSource { profile }
-    }
-
-    /// The underlying profile.
-    pub fn profile(&self) -> &PiecewiseConstant {
-        &self.profile
-    }
 }
 
 impl HarvestSource for TraceSource {
@@ -124,12 +106,5 @@ mod tests {
             err,
             Err(PiecewiseError::NonFiniteValue { index: 1 })
         ));
-    }
-
-    #[test]
-    fn profile_accessor_exposes_trace() {
-        let s =
-            TraceSource::from_samples(SimDuration::from_whole_units(1), vec![4.0], false).unwrap();
-        assert_eq!(s.profile().domain_mean(), 4.0);
     }
 }

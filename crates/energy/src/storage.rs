@@ -143,7 +143,7 @@ impl StorageSpec {
     /// # Panics
     ///
     /// Panics if `fade` is outside `[0, 1)`.
-    pub fn with_capacity_fade(mut self, fade: f64) -> Self {
+    pub(crate) fn with_capacity_fade(mut self, fade: f64) -> Self {
         assert!(
             fade.is_finite() && (0.0..1.0).contains(&fade),
             "capacity fade must lie in [0, 1)"
@@ -159,18 +159,8 @@ impl StorageSpec {
         self.capacity
     }
 
-    /// Charge efficiency.
-    pub fn charge_efficiency(&self) -> f64 {
-        self.charge_efficiency
-    }
-
-    /// Discharge efficiency.
-    pub fn discharge_efficiency(&self) -> f64 {
-        self.discharge_efficiency
-    }
-
     /// Leakage power.
-    pub fn leakage_power(&self) -> f64 {
+    pub(crate) fn leakage_power(&self) -> f64 {
         self.leakage_power
     }
 
@@ -180,7 +170,7 @@ impl StorageSpec {
     }
 
     /// `true` if the spec is the paper's ideal model.
-    pub fn is_ideal(&self) -> bool {
+    pub(crate) fn is_ideal(&self) -> bool {
         self.charge_efficiency == 1.0
             && self.discharge_efficiency == 1.0
             && self.leakage_power == 0.0
@@ -232,7 +222,7 @@ impl StorageSpec {
     /// [`PiecewiseConstant::for_each_segment_with`]). The report is
     /// bitwise-identical to [`Self::advance`] for any cursor state.
     #[allow(clippy::too_many_arguments)] // one scalar per physical input; the call sites read clearly
-    pub fn advance_with(
+    pub(crate) fn advance_with(
         &self,
         cur: &mut Cursor,
         level: f64,
@@ -269,7 +259,7 @@ impl StorageSpec {
     /// is non-empty; if the net input exceeds the load but not the load
     /// plus leakage, the level chatters at zero, which in the fluid limit
     /// means it stays pinned there with the load fully served.
-    pub fn advance_constant(
+    pub(crate) fn advance_constant(
         &self,
         report: &mut AdvanceReport,
         harvest: f64,
@@ -364,7 +354,7 @@ impl StorageSpec {
     }
 
     /// Like [`Self::first_crossing`], threading a profile [`Cursor`]
-    /// across calls (see [`Self::advance_with`]). The answer is identical
+    /// across calls (see `Self::advance_with`). The answer is identical
     /// for any cursor state.
     #[allow(clippy::too_many_arguments)] // one scalar per physical input; the call sites read clearly
     pub fn first_crossing_with(
@@ -469,7 +459,7 @@ impl StorageSpec {
 /// let mut s = Storage::full(StorageSpec::ideal(100.0));
 /// assert_eq!(s.level(), 100.0);
 /// s.set_level(40.0);
-/// assert_eq!(s.headroom(), 60.0);
+/// assert_eq!(s.level(), 40.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Storage {
@@ -515,12 +505,6 @@ impl Storage {
         self.level
     }
 
-    /// Remaining room before the store is full (infinite for unbounded
-    /// storage).
-    pub fn headroom(&self) -> f64 {
-        self.spec.capacity() - self.level
-    }
-
     /// Overwrites the level.
     ///
     /// # Panics
@@ -536,42 +520,14 @@ impl Storage {
     }
 
     /// Advances the level across `[from, to)` (see
-    /// [`StorageSpec::advance`]) and returns the report.
-    pub fn advance(
-        &mut self,
-        profile: &PiecewiseConstant,
-        from: SimTime,
-        to: SimTime,
-        load: f64,
-    ) -> AdvanceReport {
-        self.advance_with(&mut Cursor::default(), profile, from, to, load)
-    }
-
-    /// Cursor-threaded variant of [`Self::advance`] (see
-    /// [`StorageSpec::advance_with`]).
-    pub fn advance_with(
-        &mut self,
-        cur: &mut Cursor,
-        profile: &PiecewiseConstant,
-        from: SimTime,
-        to: SimTime,
-        load: f64,
-    ) -> AdvanceReport {
-        let report = self
-            .spec
-            .advance_with(cur, self.level, profile, from, to, load);
-        self.level = report.level;
-        report
-    }
-
-    /// [`Self::advance_with`] that also hands every clipped segment of
+    /// [`StorageSpec::advance`]) and also hands every clipped segment of
     /// the walk to `each`, so a caller that needs the same segments for
     /// its own accounting (harvest integral, predictor observations)
     /// shares the single profile walk instead of re-clipping the window
     /// with a second cursor. Each accumulator still sees exactly the op
     /// sequence the separate walks would have produced — the advance
     /// arithmetic and the callback touch disjoint state — so results
-    /// are bit-identical to `advance_with` plus a manual
+    /// are bit-identical to `StorageSpec::advance_with` plus a manual
     /// [`PiecewiseConstant::segments_between_with`] loop.
     pub fn advance_with_each(
         &mut self,
@@ -756,10 +712,16 @@ mod tests {
     fn storage_wrapper_tracks_level() {
         let mut s = Storage::full(StorageSpec::ideal(50.0));
         assert_eq!(s.level(), 50.0);
-        let r = s.advance(&profile(vec![0.0]), u(0), u(2), 5.0);
+        let r = s.advance_with_each(
+            &mut Cursor::default(),
+            &profile(vec![0.0]),
+            u(0),
+            u(2),
+            5.0,
+            |_| {},
+        );
         assert_eq!(r.level, 40.0);
         assert_eq!(s.level(), 40.0);
-        assert_eq!(s.headroom(), 10.0);
     }
 
     #[test]

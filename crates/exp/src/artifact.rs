@@ -27,39 +27,39 @@ use serde::{Deserialize, Serialize};
 
 /// Version stamp written into every artifact's `Meta` line; readers
 /// reject files whose stamp differs.
-pub const SCHEMA_VERSION: u32 = 1;
+pub(crate) const SCHEMA_VERSION: u32 = 1;
 
 /// Headline facts about the run the artifact describes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunMeta {
+pub(crate) struct RunMeta {
     /// Artifact schema version ([`SCHEMA_VERSION`]).
-    pub schema: u32,
+    pub(crate) schema: u32,
     /// Scheduling policy name.
-    pub scheduler: String,
+    pub(crate) scheduler: String,
     /// Simulated horizon in time units.
-    pub horizon_units: f64,
+    pub(crate) horizon_units: f64,
     /// Jobs released.
-    pub released: u64,
+    pub(crate) released: u64,
     /// Jobs that missed their deadline.
-    pub missed: u64,
+    pub(crate) missed: u64,
     /// Engine events handled.
-    pub events: u64,
+    pub(crate) events: u64,
     /// Domain trace events emitted.
-    pub trace_events: u64,
+    pub(crate) trace_events: u64,
 }
 
 /// One stamped scheduling event, flattened to plain fields for JSONL.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceLine {
+pub(crate) struct TraceLine {
     /// Emission instant.
-    pub t: SimTime,
+    pub(crate) t: SimTime,
     /// The event.
-    pub event: TraceEvent,
+    pub(crate) event: TraceEvent,
 }
 
 /// One line of a run artifact (externally tagged).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum RunLine {
+pub(crate) enum RunLine {
     /// Run header; always the first line.
     Meta(RunMeta),
     /// Frozen metrics registry.
@@ -79,15 +79,15 @@ pub enum RunLine {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunArtifact {
     /// Run header.
-    pub meta: RunMeta,
+    pub(crate) meta: RunMeta,
     /// Metrics snapshot, if the run collected one.
     pub metrics: Option<MetricsSnapshot>,
     /// Phase profile, if the run collected one.
     pub profile: Option<PhaseProfile>,
     /// Energy/level timelines.
-    pub timeline: Timeline,
+    pub(crate) timeline: Timeline,
     /// Full scheduling trace, if the run retained one.
-    pub trace: Vec<TraceLine>,
+    pub(crate) trace: Vec<TraceLine>,
 }
 
 /// Maps one trace event to the DVFS-level timeline value it implies, if

@@ -64,8 +64,9 @@
 //! into one markdown (or `--json`) campaign report, with the
 //! `exp record --key` command that replays each quarantined cell.
 //!
-//! Exit codes: 0 on success (including sweeps with quarantined cells),
-//! 1 on a runtime failure, 2 on a usage error.
+//! Exit codes: 0 on success (including sweeps with quarantined cells,
+//! and output cut short because the reader closed stdout), 1 on a
+//! runtime failure, 2 on a usage error.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -116,17 +117,51 @@ sweep and fault-sweep use HARVEST_SWEEP_STORE=DIR when --store is absent.";
 enum ExpError {
     Usage(String),
     Runtime(String),
+    /// The reader closed stdout (`exp sweep | head -1`): the rest of the
+    /// output has nowhere to go, so the command stops quietly.
+    StdoutClosed,
 }
 
 impl std::fmt::Display for ExpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExpError::Usage(msg) | ExpError::Runtime(msg) => write!(f, "{msg}"),
+            ExpError::StdoutClosed => write!(f, "stdout closed"),
         }
     }
 }
 
 impl std::error::Error for ExpError {}
+
+/// Everything past parsing and store resolution is the machine's fault,
+/// not the user's.
+impl From<String> for ExpError {
+    fn from(msg: String) -> Self {
+        ExpError::Runtime(msg)
+    }
+}
+
+/// Writes `args` to stdout and flushes. Every byte `exp` prints on
+/// stdout goes through here, so a closed pipe reaches `run` as
+/// [`ExpError::StdoutClosed`] instead of panicking inside `println!`.
+fn out(args: std::fmt::Arguments<'_>) -> Result<(), ExpError> {
+    use std::io::Write;
+    let mut stdout = std::io::stdout().lock();
+    stdout
+        .write_fmt(args)
+        .and_then(|()| stdout.flush())
+        .map_err(|e| match e.kind() {
+            std::io::ErrorKind::BrokenPipe => ExpError::StdoutClosed,
+            _ => ExpError::Runtime(format!("cannot write to stdout: {e}")),
+        })
+}
+
+/// `println!` through [`out`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// Parameters of one recorded run: the cell, from `--key` or the
 /// coordinate flags, and where its artifact goes.
@@ -553,7 +588,7 @@ fn resolve_store(
 /// counters into one [`MetricsRegistry`] and renders its snapshot as
 /// `metric name=value` lines — the same registry pipeline run artifacts
 /// use, so store hit rates sit alongside the pool gauges.
-fn print_metrics(stats: &SweepExecStats, store: Option<&PackStore>) {
+fn print_metrics(stats: &SweepExecStats, store: Option<&PackStore>) -> Result<(), ExpError> {
     let mut reg = MetricsRegistry::new();
     reg.counter("sweep.simulated", stats.simulated);
     reg.counter("sweep.cached", stats.cached);
@@ -571,21 +606,22 @@ fn print_metrics(stats: &SweepExecStats, store: Option<&PackStore>) {
     let health = store.map(PackStore::io_health).unwrap_or_default();
     health.publish("store", &mut reg);
     for e in reg.snapshot().entries {
-        println!("metric {}={}", e.name, e.value.scalar());
+        outln!("metric {}={}", e.name, e.value.scalar())?;
     }
+    Ok(())
 }
 
 /// Prints the store's own accounting line.
-fn print_store_line(store: &PackStore) {
+fn print_store_line(store: &PackStore) -> Result<(), ExpError> {
     let cs = store.stats();
-    println!(
+    outln!(
         "store dir={} hits={} misses={} rejects={} stores={}",
         store.dir().display(),
         cs.hits,
         cs.misses,
         cs.rejects,
         cs.stores
-    );
+    )
 }
 
 /// Builds the campaign observer bundle the sweep flags ask for:
@@ -629,7 +665,7 @@ fn finish_telemetry(t: &CampaignTelemetry, trace: &Option<PathBuf>) -> Result<()
     Ok(())
 }
 
-fn store_stat(dir: &std::path::Path, json: bool) -> Result<(), String> {
+fn store_stat(dir: &std::path::Path, json: bool) -> Result<(), ExpError> {
     let s = PackStore::stat(dir).map_err(|e| format!("cannot stat {}: {e}", dir.display()))?;
     if json {
         let value = Value::Map(vec![
@@ -645,10 +681,9 @@ fn store_stat(dir: &std::path::Path, json: bool) -> Result<(), String> {
         ]);
         let text =
             serde_json::to_string_pretty(&value).map_err(|e| format!("serialize stat: {e}"))?;
-        println!("{text}");
-        return Ok(());
+        return outln!("{text}");
     }
-    println!(
+    outln!(
         "store dir={} packs={} records={} done={} quarantined={} bytes={} superseded={} \
          reclaimed={} corrupt_spans={}",
         dir.display(),
@@ -660,14 +695,13 @@ fn store_stat(dir: &std::path::Path, json: bool) -> Result<(), String> {
         s.superseded,
         s.reclaimed,
         s.corrupt_spans
-    );
-    Ok(())
+    )
 }
 
-fn store_compact(dir: &std::path::Path) -> Result<(), String> {
+fn store_compact(dir: &std::path::Path) -> Result<(), ExpError> {
     let c =
         PackStore::compact(dir).map_err(|e| format!("cannot compact {}: {e}", dir.display()))?;
-    println!(
+    outln!(
         "compact dir={} packs_before={} records_before={} records_after={} bytes_before={} \
          bytes_after={} corrupt_spans={} corrupt_bytes={}",
         dir.display(),
@@ -678,7 +712,7 @@ fn store_compact(dir: &std::path::Path) -> Result<(), String> {
         c.bytes_after,
         c.corrupt_spans,
         c.corrupt_bytes
-    );
+    )?;
     if c.corrupt_spans > 0 {
         eprintln!(
             "compact quarantined {} corrupt byte span(s); raw bytes kept under {}",
@@ -951,7 +985,7 @@ fn report_trace(
 
 /// `exp report`: folds a result store, a progress stream, and a span
 /// trace into one campaign report (markdown, or `--json`).
-fn campaign_report(args: &ReportArgs) -> Result<(), String> {
+fn campaign_report(args: &ReportArgs) -> Result<(), ExpError> {
     let mut md = String::from("# Campaign report\n");
     let mut json: Vec<(String, Value)> = Vec::new();
     if let Some(dir) = &args.store {
@@ -979,12 +1013,12 @@ fn campaign_report(args: &ReportArgs) -> Result<(), String> {
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
             eprintln!("wrote {}", path.display());
         }
-        None => print!("{text}"),
+        None => out(format_args!("{text}"))?,
     }
     Ok(())
 }
 
-fn fault_sweep(args: &FaultSweepArgs, store: Option<&PackStore>) -> Result<(), String> {
+fn fault_sweep(args: &FaultSweepArgs, store: Option<&PackStore>) -> Result<(), ExpError> {
     let config = RobustnessConfig {
         utilization: args.utilization,
         capacity: args.capacity,
@@ -1015,7 +1049,7 @@ fn fault_sweep(args: &FaultSweepArgs, store: Option<&PackStore>) -> Result<(), S
         }
     });
     let cells = config.intensities.len() * config.policies.len() * config.trials;
-    println!(
+    outln!(
         "fault-sweep util={} capacity={} trials={} cells={cells} simulated={} resumed={} \
          quarantined={} pool_runs={} event_slab_high_water={} ready_high_water={} \
          figure_fnv64={:016x} prefabs_high_water={}",
@@ -1030,9 +1064,9 @@ fn fault_sweep(args: &FaultSweepArgs, store: Option<&PackStore>) -> Result<(), S
         report.exec.pool.ready_high_water,
         report.figure.digest(),
         report.exec.prefabs_high_water,
-    );
+    )?;
     for q in &report.quarantined {
-        println!(
+        outln!(
             "quarantine key={} policy={} seed={} intensity={} panicked={} worker={} message={}",
             q.key,
             q.policy.name(),
@@ -1041,24 +1075,24 @@ fn fault_sweep(args: &FaultSweepArgs, store: Option<&PackStore>) -> Result<(), S
             q.failure.panicked,
             q.failure.worker,
             q.failure.message,
-        );
+        )?;
     }
     // Pooled queues reset their run counters between trials (bit-exact
     // replay requires it); what survives per worker is the retained
     // heap capacity.
     for (i, qs) in report.queues.iter().enumerate() {
-        println!("queue worker={i} slab_capacity={}", qs.slab_capacity);
+        outln!("queue worker={i} slab_capacity={}", qs.slab_capacity)?;
     }
     if let Some(s) = store {
-        print_store_line(s);
+        print_store_line(s)?;
     }
-    print_metrics(&report.exec, store);
+    print_metrics(&report.exec, store)?;
     finish_telemetry(&telemetry, &args.trace)?;
     if args.expect_resumed && report.exec.simulated != 0 {
-        return Err(format!(
+        return Err(ExpError::Runtime(format!(
             "expected a resumed campaign but {} of {cells} cells were simulated",
             report.exec.simulated
-        ));
+        )));
     }
     Ok(())
 }
@@ -1135,7 +1169,7 @@ where
     Ok(out)
 }
 
-fn sweep(args: &SweepArgs, store: Option<&PackStore>) -> Result<(), String> {
+fn sweep(args: &SweepArgs, store: Option<&PackStore>) -> Result<(), ExpError> {
     let telemetry = build_telemetry(&args.trace, &args.progress)?;
     let plan = RunPlan {
         threads: args.threads,
@@ -1149,7 +1183,7 @@ fn sweep(args: &SweepArgs, store: Option<&PackStore>) -> Result<(), String> {
         plan,
     );
     let json = serde_json::to_string(&figure).map_err(|e| format!("serialize figure: {e}"))?;
-    println!(
+    outln!(
         "sweep util={} trials={} cells={} simulated={} cached={} pool_runs={} \
          event_slab_high_water={} ready_high_water={} shared_events={} figure_fnv64={:016x} \
          prefabs_high_water={}",
@@ -1164,18 +1198,18 @@ fn sweep(args: &SweepArgs, store: Option<&PackStore>) -> Result<(), String> {
         stats.pool.shared_events,
         fnv1a64(json.as_bytes()),
         stats.prefabs_high_water,
-    );
+    )?;
     if let Some(s) = store {
-        print_store_line(s);
+        print_store_line(s)?;
     }
-    print_metrics(&stats, store);
+    print_metrics(&stats, store)?;
     finish_telemetry(&telemetry, &args.trace)?;
     if args.expect_warm && stats.simulated != 0 {
-        return Err(format!(
+        return Err(ExpError::Runtime(format!(
             "expected a warm store but {} of {} cells were simulated",
             stats.simulated,
             stats.simulated + stats.cached
-        ));
+        )));
     }
     Ok(())
 }
@@ -1189,8 +1223,8 @@ fn record(args: &RecordArgs) -> (RunArtifact, Option<SimError>) {
 }
 
 /// Writes `artifact` as JSONL to `out`, or to stdout.
-fn write_artifact(artifact: &RunArtifact, out: &Option<PathBuf>) -> Result<(), String> {
-    match out {
+fn write_artifact(artifact: &RunArtifact, path: &Option<PathBuf>) -> Result<(), ExpError> {
+    match path {
         Some(path) => {
             let file = std::fs::File::create(path)
                 .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
@@ -1199,7 +1233,7 @@ fn write_artifact(artifact: &RunArtifact, out: &Option<PathBuf>) -> Result<(), S
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
             eprintln!("wrote {} ({lines} lines)", path.display());
         }
-        None => print!("{}", artifact.to_jsonl()),
+        None => out(format_args!("{}", artifact.to_jsonl()))?,
     }
     Ok(())
 }
@@ -1211,19 +1245,17 @@ fn load(path: &PathBuf) -> Result<RunArtifact, String> {
 }
 
 fn run(cmd: Command) -> Result<(), ExpError> {
-    let result = match cmd {
+    match cmd {
         Command::Record(args) => {
             let (artifact, aborted) = record(&args);
-            write_artifact(&artifact, &args.out)
-                .and_then(|()| aborted.map_or(Ok(()), |e| Err(e.to_string())))
+            write_artifact(&artifact, &args.out)?;
+            aborted.map_or(Ok(()), |e| Err(ExpError::Runtime(e.to_string())))
         }
-        Command::Inspect(path) => load(&path).map(|artifact| print!("{}", artifact.render())),
-        Command::Diff { run, baseline } => load(&run).and_then(|run| {
-            let base = load(&baseline)?;
-            let diff = run.render_diff(&base)?;
-            print!("{diff}");
-            Ok(())
-        }),
+        Command::Inspect(path) => out(format_args!("{}", load(&path)?.render())),
+        Command::Diff { run, baseline } => {
+            let diff = load(&run)?.render_diff(&load(&baseline)?)?;
+            out(format_args!("{diff}"))
+        }
         Command::Sweep(args) => {
             let expect = args.expect_warm.then_some("--expect-warm");
             let store = resolve_store(&args.store, args.durability, expect)?;
@@ -1237,10 +1269,7 @@ fn run(cmd: Command) -> Result<(), ExpError> {
         Command::Report(args) => campaign_report(&args),
         Command::StoreStat { dir, json } => store_stat(&dir, json),
         Command::StoreCompact(dir) => store_compact(&dir),
-    };
-    // Everything past parsing and store resolution is the machine's
-    // fault, not the user's.
-    result.map_err(ExpError::Runtime)
+    }
 }
 
 fn main() {
@@ -1248,7 +1277,7 @@ fn main() {
         .map_err(ExpError::Usage)
         .and_then(run)
     {
-        Ok(()) => 0,
+        Ok(()) | Err(ExpError::StdoutClosed) => 0,
         Err(ExpError::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!("{USAGE}");

@@ -11,7 +11,7 @@
 //!   FNV-1a fingerprint. The store indexes by fingerprint but stores and
 //!   re-verifies the full text, so a fingerprint collision can never
 //!   substitute a foreign result.
-//! * [`CACHE_SCHEMA_VERSION`] participates in the key text; bump it on
+//! * `CACHE_SCHEMA_VERSION` participates in the key text; bump it on
 //!   any change to simulation semantics or to the summary layout, and
 //!   every stale record misses naturally.
 //! * [`TrialSummary`] is the handful of numbers the figure drivers
@@ -32,7 +32,7 @@ use harvest_core::result::SimResult;
 /// Version of the stored-trial contract. Participates in every key, so
 /// bumping it invalidates all prior records. Bump whenever simulation
 /// semantics, scenario serialization, or the summary layout change.
-pub const CACHE_SCHEMA_VERSION: u32 = 1;
+pub(crate) const CACHE_SCHEMA_VERSION: u32 = 1;
 
 /// FNV-1a 64-bit, the workspace's standing content-hash choice. Public
 /// so smoke tooling can digest figure outputs for equality checks.
@@ -92,7 +92,7 @@ thread_local! {
 
 impl TrialKey {
     /// Builds the key for `(scenario, policy, seed)` under the current
-    /// [`CACHE_SCHEMA_VERSION`].
+    /// `CACHE_SCHEMA_VERSION`.
     pub fn new(scenario: &PaperScenario, policy: PolicyKind, seed: u64) -> Self {
         SCENARIO_PREFIX_MEMO.with(|memo| {
             let mut memo = memo.borrow_mut();
@@ -171,7 +171,7 @@ impl TrialKey {
     /// 64-bit content fingerprint of the key text; the store's index
     /// key. Collisions are harmless (the stored text disambiguates) but
     /// cost a recompute.
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
 
@@ -235,7 +235,7 @@ impl TrialSummary {
     /// # Panics
     ///
     /// Panics if `capacity` is not positive.
-    pub fn normalized_sample_values(&self, capacity: f64) -> Vec<f64> {
+    pub(crate) fn normalized_sample_values(&self, capacity: f64) -> Vec<f64> {
         assert!(capacity > 0.0, "capacity must be positive");
         self.sample_level_bits
             .iter()

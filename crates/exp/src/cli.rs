@@ -29,9 +29,9 @@ pub struct CliArgs {
     /// [`CliArgs::parse_grid`], whose binaries use seeds `0..trials`.
     pub seed: u64,
     /// Write the figure's data as CSV here, in addition to stdout.
-    pub csv: Option<PathBuf>,
+    pub(crate) csv: Option<PathBuf>,
     /// Write the figure's full data as a JSON [`Record`](crate::record::Record).
-    pub json: Option<PathBuf>,
+    pub(crate) json: Option<PathBuf>,
 }
 
 impl CliArgs {
@@ -62,21 +62,12 @@ impl CliArgs {
         }
     }
 
-    /// Parses an explicit argument stream (testable form of
-    /// [`CliArgs::parse`]).
+    /// Parses `args` (program name excluded), with `--seed` an error
+    /// unless `seeded`.
     ///
     /// # Errors
     ///
     /// Returns a message describing the offending flag or value.
-    pub fn try_parse<I, S>(args: I, default_trials: usize) -> Result<CliArgs, String>
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        Self::try_parse_with(args, default_trials, true)
-    }
-
-    /// [`CliArgs::try_parse`], with `--seed` an error unless `seeded`.
     fn try_parse_with<I, S>(args: I, default_trials: usize, seeded: bool) -> Result<CliArgs, String>
     where
         I: IntoIterator<Item = S>,
@@ -154,7 +145,7 @@ impl CliArgs {
         }
     }
 
-    /// Writes a figure as a JSON [`Record`](crate::record::Record) to
+    /// Writes a figure as a JSON `Record` to
     /// the `--json` path if one was given.
     pub fn maybe_write_json<T: serde::Serialize>(&self, name: &str, data: &T) {
         if let Some(path) = &self.json {
@@ -173,7 +164,7 @@ mod tests {
 
     #[test]
     fn defaults_apply() {
-        let args = CliArgs::try_parse(Vec::<String>::new(), 25).unwrap();
+        let args = CliArgs::try_parse_with(Vec::<String>::new(), 25, true).unwrap();
         assert_eq!(args.trials, 25);
         assert!(args.threads >= 1);
         assert_eq!(args.seed, 0);
@@ -182,7 +173,7 @@ mod tests {
 
     #[test]
     fn flags_parse() {
-        let args = CliArgs::try_parse(
+        let args = CliArgs::try_parse_with(
             [
                 "--trials",
                 "7",
@@ -196,6 +187,7 @@ mod tests {
                 "/tmp/x.json",
             ],
             1,
+            true,
         )
         .unwrap();
         assert_eq!(args.trials, 7);
@@ -207,10 +199,10 @@ mod tests {
 
     #[test]
     fn bad_flag_rejected() {
-        assert!(CliArgs::try_parse(["--bogus"], 1).is_err());
+        assert!(CliArgs::try_parse_with(["--bogus"], 1, true).is_err());
         assert!(CliArgs::try_parse_with(["--seed", "3"], 1, false).is_err());
-        assert!(CliArgs::try_parse(["--trials"], 1).is_err());
-        assert!(CliArgs::try_parse(["--trials", "zero"], 1).is_err());
-        assert!(CliArgs::try_parse(["--trials", "0"], 1).is_err());
+        assert!(CliArgs::try_parse_with(["--trials"], 1, true).is_err());
+        assert!(CliArgs::try_parse_with(["--trials", "zero"], 1, true).is_err());
+        assert!(CliArgs::try_parse_with(["--trials", "0"], 1, true).is_err());
     }
 }

@@ -25,17 +25,11 @@ mod resolve;
 mod robustness;
 mod source;
 
-pub use min_capacity::{
-    min_capacity_table, min_zero_miss_capacity, min_zero_miss_capacity_cached, MinCapacityRow,
-    MinCapacityTable,
-};
+pub use min_capacity::{min_capacity_table, min_zero_miss_capacity, min_zero_miss_capacity_cached};
 pub use miss_rate::{miss_rate_figure, miss_rate_figure_grouped, MissRateFigure, MissRateRow};
-pub use remaining_energy::{remaining_energy_figure, RemainingEnergyFigure};
-pub use robustness::{
-    robustness_campaign, CampaignReport, Cell, QuarantineRecord, RobustnessConfig,
-    RobustnessFigure, RobustnessRow, Sabotage,
-};
-pub use source::{source_figure, SourceFigure};
+pub use remaining_energy::remaining_energy_figure;
+pub use robustness::{robustness_campaign, Cell, RobustnessConfig, Sabotage};
+pub use source::source_figure;
 
 use harvest_core::system::PoolStats;
 
@@ -98,7 +92,7 @@ pub struct SweepExecStats {
     /// Cells answered by a store probe (figure sweeps). Always 0 for
     /// robustness campaigns, whose store hits resolve through decided
     /// records and count as
-    /// [`CampaignReport::resumed`].
+    /// `CampaignReport::resumed`.
     pub cached: u64,
     /// Pool reuse counters aggregated across all workers: total pooled
     /// runs and shared events, and the maximum retained queue
@@ -113,7 +107,7 @@ pub struct SweepExecStats {
 
 impl SweepExecStats {
     /// Folds one worker pool's counters into the aggregate.
-    pub fn merge_pool(&mut self, p: PoolStats) {
+    pub(crate) fn merge_pool(&mut self, p: PoolStats) {
         self.pool.runs += p.runs;
         self.pool.event_slab_high_water =
             self.pool.event_slab_high_water.max(p.event_slab_high_water);
@@ -123,7 +117,7 @@ impl SweepExecStats {
 
     /// Folds another sweep's stats into this one (high-water marks take
     /// the max, counts add).
-    pub fn merge(&mut self, other: &SweepExecStats) {
+    pub(crate) fn merge(&mut self, other: &SweepExecStats) {
         self.simulated += other.simulated;
         self.cached += other.cached;
         self.merge_pool(other.pool);
@@ -133,4 +127,4 @@ impl SweepExecStats {
 
 /// The storage capacities the paper sweeps for the remaining-energy
 /// curves (§5.2).
-pub const PAPER_CAPACITIES: [f64; 7] = [200.0, 300.0, 500.0, 1000.0, 2000.0, 3000.0, 5000.0];
+pub(crate) const PAPER_CAPACITIES: [f64; 7] = [200.0, 300.0, 500.0, 1000.0, 2000.0, 3000.0, 5000.0];

@@ -17,12 +17,12 @@ use crate::scenario::{PaperScenario, PolicyKind};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RemainingEnergyFigure {
     /// Workload utilization.
-    pub utilization: f64,
+    pub(crate) utilization: f64,
     /// Sample instants (whole time units).
     pub times: Vec<f64>,
     /// Mean normalized remaining energy per policy, aligned with
     /// `times`.
-    pub series: Vec<(PolicyKind, Vec<f64>)>,
+    pub(crate) series: Vec<(PolicyKind, Vec<f64>)>,
     /// Task sets per capacity point.
     pub trials: usize,
     /// Capacities averaged over.

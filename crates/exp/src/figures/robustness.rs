@@ -33,44 +33,35 @@ use crate::store::{CellOutcome, PackStore};
 
 /// One intensity point of a robustness sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RobustnessRow {
+pub(crate) struct RobustnessRow {
     /// Fault intensity in `[0, 1]`.
-    pub intensity: f64,
+    pub(crate) intensity: f64,
     /// Mean miss rate per (predictor, policy) pair, predictor-major —
     /// index `pi * policies.len() + pj`.
-    pub miss_rates: Vec<f64>,
+    pub(crate) miss_rates: Vec<f64>,
     /// Decided trials behind each mean (quarantined cells are excluded
     /// from the mean and from this count).
-    pub decided: Vec<u64>,
+    pub(crate) decided: Vec<u64>,
 }
 
 /// Data behind the robustness figure.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RobustnessFigure {
     /// Workload utilization.
-    pub utilization: f64,
+    pub(crate) utilization: f64,
     /// Storage capacity.
-    pub capacity: f64,
+    pub(crate) capacity: f64,
     /// Policies, in column order.
-    pub policies: Vec<PolicyKind>,
+    pub(crate) policies: Vec<PolicyKind>,
     /// Predictors, in (major) column order.
-    pub predictors: Vec<PredictorKind>,
+    pub(crate) predictors: Vec<PredictorKind>,
     /// One row per swept intensity, ascending.
-    pub rows: Vec<RobustnessRow>,
+    pub(crate) rows: Vec<RobustnessRow>,
     /// Task sets per grid cell.
-    pub trials: usize,
+    pub(crate) trials: usize,
 }
 
 impl RobustnessFigure {
-    /// The miss-rate curve of one (predictor, policy) pair, aligned
-    /// with `rows`.
-    pub fn curve(&self, predictor: PredictorKind, policy: PolicyKind) -> Option<Vec<f64>> {
-        let pi = self.predictors.iter().position(|&p| p == predictor)?;
-        let pj = self.policies.iter().position(|&p| p == policy)?;
-        let idx = pi * self.policies.len() + pj;
-        Some(self.rows.iter().map(|r| r.miss_rates[idx]).collect())
-    }
-
     /// Content digest of the figure data (FNV-1a over its canonical
     /// JSON) — what the resume smoke compares across campaign runs.
     pub fn digest(&self) -> u64 {
@@ -87,7 +78,7 @@ pub struct Cell {
     /// The cell's policy.
     pub policy: PolicyKind,
     /// The cell's predictor.
-    pub predictor: PredictorKind,
+    pub(crate) predictor: PredictorKind,
     /// The cell's trial seed.
     pub seed: u64,
 }
@@ -127,7 +118,7 @@ pub struct RobustnessConfig {
     /// Task sets per grid cell.
     pub trials: usize,
     /// Watchdog armed on every cell — the campaign-level stuck-trial
-    /// guard. The default, [`CELL_EVENT_BUDGET`] events, is the one
+    /// guard. The default, `CELL_EVENT_BUDGET` events, is the one
     /// `exp record --key` replays a cell under.
     pub watchdog: Option<Watchdog>,
 }

@@ -40,6 +40,8 @@
 //! let result = PaperScenario::new(0.4, 500.0).run(PolicyKind::EaDvfs, 0);
 //! assert!(result.released() > 0);
 //! ```
+//!
+//! [`RunPlan`]: figures::RunPlan
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -49,18 +51,16 @@ pub mod cache;
 pub mod cli;
 pub mod figures;
 pub mod parallel;
-pub mod record;
+pub(crate) mod record;
 pub mod report;
 pub mod scenario;
 pub mod store;
 pub mod telemetry;
 
-/// Shared helpers for tests that mutate process-global state (currently
-/// environment variables). Exposed (doc-hidden) rather than
-/// `#[cfg(test)]` so the crate's integration tests and unit tests share
-/// one lock.
-#[doc(hidden)]
-pub mod test_support {
+/// Shared helpers for unit tests that mutate process-global state
+/// (currently environment variables).
+#[cfg(test)]
+mod test_support {
     use std::collections::HashMap;
     use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -71,7 +71,7 @@ pub mod test_support {
     /// …). `std::env::set_var` is process-wide, so unsynchronized tests
     /// race; take this lock around *both* mutation and the code under
     /// test. Poisoning is ignored: a panicked test must not cascade.
-    pub fn env_lock() -> MutexGuard<'static, ()> {
+    pub(crate) fn env_lock() -> MutexGuard<'static, ()> {
         ENV_LOCK
             .get_or_init(|| Mutex::new(()))
             .lock()
@@ -81,7 +81,7 @@ pub mod test_support {
     /// Runs `f` with each `(key, value)` pair applied (`None` removes
     /// the variable), holding [`env_lock`] throughout, and restores the
     /// prior values afterwards — also on panic, via a drop guard.
-    pub fn with_env<R>(pairs: &[(&str, Option<&str>)], f: impl FnOnce() -> R) -> R {
+    pub(crate) fn with_env<R>(pairs: &[(&str, Option<&str>)], f: impl FnOnce() -> R) -> R {
         struct Restore {
             saved: HashMap<String, Option<String>>,
             _guard: MutexGuard<'static, ()>,
@@ -114,9 +114,3 @@ pub mod test_support {
         out
     }
 }
-
-pub use figures::{
-    min_capacity_table, miss_rate_figure, remaining_energy_figure, robustness_campaign,
-    source_figure, RunPlan,
-};
-pub use scenario::{FaultScenario, PaperScenario, PolicyKind, PredictorKind};

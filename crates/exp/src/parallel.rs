@@ -23,7 +23,7 @@
 //! barrier costs one wait per worker per map and restores the intended
 //! near-even spread.
 //!
-//! [`parallel_map_with`] and [`parallel_map_quarantined`] additionally
+//! [`parallel_map_with`] and `parallel_map_quarantined` additionally
 //! thread a per-worker state value (typically a pooled
 //! `harvest_core::RunContext`) through every call, so a worker executes
 //! its whole share of trials against one reusable simulation context.
@@ -203,7 +203,7 @@ where
     run_sharded(items.into_iter().collect(), threads, init, f)
 }
 
-/// Why one quarantined cell failed (see [`parallel_map_quarantined`]).
+/// Why one quarantined cell failed (see `parallel_map_quarantined`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellFailure {
     /// The panic payload or error rendering.
@@ -242,7 +242,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// Panics if `threads == 0`. Panics from `f` are quarantined, not
 /// propagated.
-pub fn parallel_map_quarantined<I, T, R, E, W, N, F>(
+pub(crate) fn parallel_map_quarantined<I, T, R, E, W, N, F>(
     items: I,
     threads: usize,
     init: N,
@@ -295,7 +295,7 @@ where
 ///    short, and past 16 workers the spawn and synchronization overhead
 ///    outweighs the extra cores. The cap applies only to this fallback,
 ///    never to an explicit override.
-pub fn default_threads() -> usize {
+pub(crate) fn default_threads() -> usize {
     if let Ok(raw) = std::env::var("HARVEST_THREADS") {
         match raw.trim().parse::<usize>() {
             Ok(n) if n > 0 => return n,

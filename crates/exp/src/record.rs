@@ -15,7 +15,7 @@ use serde::Serialize;
 /// failures stay distinguishable instead of both collapsing into a
 /// generic `io::Error`.
 #[derive(Debug)]
-pub enum RecordError {
+pub(crate) enum RecordError {
     /// The artifact failed to serialize.
     Serialize(serde_json::Error),
     /// The filesystem rejected the write.
@@ -49,22 +49,22 @@ impl std::error::Error for RecordError {
 
 /// Provenance envelope around a serialized experiment artifact.
 #[derive(Debug, Clone, Serialize)]
-pub struct Record<T> {
+pub(crate) struct Record<T> {
     /// Artifact identifier, e.g. `"fig8"`.
-    pub name: String,
+    pub(crate) name: String,
     /// Workspace version that produced the record.
-    pub produced_by: String,
+    pub(crate) produced_by: String,
     /// Trials per experimental point.
-    pub trials: usize,
+    pub(crate) trials: usize,
     /// Base seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The artifact itself.
-    pub data: T,
+    pub(crate) data: T,
 }
 
 impl<T: Serialize> Record<T> {
     /// Wraps `data` with provenance.
-    pub fn new(name: &str, trials: usize, seed: u64, data: T) -> Self {
+    pub(crate) fn new(name: &str, trials: usize, seed: u64, data: T) -> Self {
         Record {
             name: name.to_owned(),
             produced_by: format!("harvest-rt {}", env!("CARGO_PKG_VERSION")),
@@ -80,7 +80,7 @@ impl<T: Serialize> Record<T> {
     ///
     /// Propagates serialization failures (cannot occur for the figure
     /// types in this crate, which contain only plain data).
-    pub fn to_json(&self) -> serde_json::Result<String> {
+    pub(crate) fn to_json(&self) -> serde_json::Result<String> {
         serde_json::to_string_pretty(self)
     }
 
@@ -90,7 +90,7 @@ impl<T: Serialize> Record<T> {
     ///
     /// Returns a typed [`RecordError`] naming whether serialization or
     /// the filesystem failed (and where).
-    pub fn write_to(&self, path: &Path) -> Result<(), RecordError> {
+    pub(crate) fn write_to(&self, path: &Path) -> Result<(), RecordError> {
         let json = self.to_json().map_err(RecordError::Serialize)?;
         std::fs::write(path, json).map_err(|source| RecordError::Io {
             path: path.to_owned(),

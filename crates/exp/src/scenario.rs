@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// The event budget a fault-campaign cell and an `exp record` replay run
 /// under: about 500× the 8 000–10 000 events of a §5.1 cell, so only a
 /// runaway run reaches it.
-pub const CELL_EVENT_BUDGET: u64 = 5_000_000;
+pub(crate) const CELL_EVENT_BUDGET: u64 = 5_000_000;
 
 /// The scheduling policies the experiments compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -118,7 +118,7 @@ impl SimPool {
     /// Event-queue counters of the pooled context (`None` until a run
     /// has materialized the queue). Quarantine reports attach these so
     /// a failing worker's state is inspectable post-mortem.
-    pub fn queue_stats(&self) -> Option<QueueStats> {
+    pub(crate) fn queue_stats(&self) -> Option<QueueStats> {
         self.ctx.queue_stats()
     }
 
@@ -613,7 +613,7 @@ impl PaperScenario {
 
     /// [`run_prefab`](Self::run_prefab) with full observability — trace,
     /// metrics snapshot, and phase profiling all enabled — under a
-    /// [`CELL_EVENT_BUDGET`] watchdog. This is the replay `exp record`
+    /// `CELL_EVENT_BUDGET` watchdog. This is the replay `exp record`
     /// captures JSONL artifacts with; sweeps keep using the lean
     /// [`run_prefab`](Self::run_prefab) path.
     ///

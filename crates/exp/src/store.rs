@@ -47,7 +47,7 @@
 //!
 //! * Every filesystem touch goes through a [`StoreIo`] backend, so the
 //!   whole recovery discipline is testable under the deterministic
-//!   [`FaultyIo`](harvest_obs::FaultyIo) injector.
+//!   [`FaultyIo`](harvest_obs::io::FaultyIo) injector.
 //! * Writer slots are claimed through **advisory-locked lease files**
 //!   (`flock` on `lease-<slot>` with a `pid epoch` stamp; a clean
 //!   close restamps pid 0). A crashed process's flock dies with it and
@@ -56,7 +56,7 @@
 //!   packs by refreshing their sidecars, and [`PackStore::compact`]
 //!   refuses to run while any lease is held by a live writer.
 //! * A [`Durability`] knob decides when `sync_all` barriers run:
-//!   per-record, at batch boundaries ([`PackStore::barrier`], the
+//!   per-record, at batch boundaries (`PackStore::barrier`, the
 //!   default), or never. Compaction and sidecar writes are
 //!   crash-consistent (write → sync → rename → unlink).
 //! * [`PackStore::stat`] counts corrupt spans; [`PackStore::compact`]
@@ -87,7 +87,7 @@ use crate::parallel::CellFailure;
 pub const SWEEP_STORE_ENV: &str = "HARVEST_SWEEP_STORE";
 
 /// Default store root used when [`SWEEP_STORE_ENV`] is `1`.
-pub const DEFAULT_STORE_DIR: &str = "target/sweep-store";
+pub(crate) const DEFAULT_STORE_DIR: &str = "target/sweep-store";
 
 /// Pack file magic + format version ("harvest pack, v1").
 const PACK_MAGIC: [u8; 8] = *b"HPK1\x01\0\0\0";
@@ -1287,7 +1287,7 @@ impl PackStore {
     /// Writes (or refreshes) every pack's sidecar index so the next
     /// open skips the full scan. Best-effort: sidecars are pure
     /// acceleration, so failures are ignored.
-    pub fn write_indexes(&self) {
+    pub(crate) fn write_indexes(&self) {
         let all: Vec<usize> = {
             let inner = self.inner.read().expect("store lock");
             (0..inner.packs.len()).collect()
@@ -1488,7 +1488,7 @@ impl PackStore {
     /// syncs every writer that appended since the last barrier. A
     /// sync failure is counted (`store.sync_failures`) but does not
     /// degrade the store — the bytes are still queued with the kernel.
-    pub fn barrier(&self) {
+    pub(crate) fn barrier(&self) {
         if self.durability != Durability::Batch {
             return;
         }

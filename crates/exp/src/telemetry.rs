@@ -8,7 +8,7 @@
 //!
 //! - **Spans** ([`harvest_obs::span`]): the driver holds the shared
 //!   [`SpanCollector`]; each worker gets a buffering
-//!   [`SpanSink`] via [`CampaignTelemetry::sink`]. `exp sweep --trace`
+//!   [`SpanSink`] via `CampaignTelemetry::sink`. `exp sweep --trace`
 //!   exports the collector as Chrome-trace JSON.
 //! - **Progress** ([`harvest_obs::progress`]): a shared
 //!   [`ProgressReporter`] receives one event per decided cell; the
@@ -38,18 +38,18 @@ impl CampaignTelemetry {
     }
 
     /// True when no observer is installed at all.
-    pub fn is_off(&self) -> bool {
+    pub(crate) fn is_off(&self) -> bool {
         self.spans.is_none() && self.progress.is_none()
     }
 
     /// A span sink on track `tid` (worker index + 1; 0 is the driver),
     /// when spans are on.
-    pub fn sink(&self, tid: u32) -> Option<SpanSink> {
+    pub(crate) fn sink(&self, tid: u32) -> Option<SpanSink> {
         self.spans.as_ref().map(|c| c.sink(tid))
     }
 
     /// Report one decided cell, when progress is on.
-    pub fn cell(&self, decision: CellDecision, key: &str, worker: usize) {
+    pub(crate) fn cell(&self, decision: CellDecision, key: &str, worker: usize) {
         if let Some(p) = &self.progress {
             p.cell(decision, key, worker);
         }

@@ -4,8 +4,8 @@
 //! they are produced without holding the whole artifact in memory, and so
 //! downstream tooling can process artifacts line-by-line. Deserialization
 //! goes through the same vendored serde stack, which makes round-tripping a
-//! schema-drift check: `jsonl_to_vec::<T>(to_jsonl_string(&items))` failing
-//! means `T`'s shape changed incompatibly.
+//! schema-drift check: `jsonl_to_vec::<T>` failing on what a `JsonlWriter`
+//! wrote means `T`'s shape changed incompatibly.
 
 use serde::{Deserialize, Serialize};
 use std::io::{self, Write};
@@ -58,16 +58,6 @@ impl<W: Write> JsonlWriter<W> {
         self.inner.flush()?;
         Ok(self.inner)
     }
-}
-
-/// Serialize a slice into a JSONL string (convenience for in-memory use).
-pub fn to_jsonl_string<T: Serialize>(items: &[T]) -> Result<String, serde_json::Error> {
-    let mut out = String::new();
-    for item in items {
-        out.push_str(&serde_json::to_string(item)?);
-        out.push('\n');
-    }
-    Ok(out)
 }
 
 /// Parse a JSONL document into typed lines. Blank lines are skipped; any
@@ -129,7 +119,11 @@ mod tests {
                 label: "".into(),
             },
         ];
-        let text = to_jsonl_string(&items).unwrap();
+        let mut w = JsonlWriter::new(Vec::new());
+        for item in &items {
+            w.write(item).unwrap();
+        }
+        let text = String::from_utf8(w.finish().unwrap()).unwrap();
         let back: Vec<Row> = jsonl_to_vec(&text).unwrap();
         assert_eq!(back, items);
     }

@@ -37,7 +37,7 @@ use crate::metrics::MetricsSink;
 
 /// One SplitMix64 step (same constants as `core::fault`): the
 /// generator behind every deterministic fault schedule here.
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -100,7 +100,7 @@ impl RealIo {
 
 /// A real [`std::fs::File`] as a [`StoreFile`].
 #[derive(Debug)]
-pub struct RealFile(pub fs::File);
+pub(crate) struct RealFile(pub(crate) fs::File);
 
 impl Write for RealFile {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
@@ -173,13 +173,13 @@ pub enum WriteFault {
 /// which faults fire. Built by [`FaultyIo::seeded`] from a SplitMix64
 /// stream or assembled exactly via [`FaultyIo::builder`].
 #[derive(Debug, Clone, Default)]
-pub struct FaultSchedule {
+pub(crate) struct FaultSchedule {
     /// nth `write` call (counted across all files) → fault.
-    pub writes: BTreeMap<u64, WriteFault>,
+    pub(crate) writes: BTreeMap<u64, WriteFault>,
     /// nth `sync_all` call that fails.
-    pub syncs: Vec<u64>,
+    pub(crate) syncs: Vec<u64>,
     /// nth `rename` call that fails.
-    pub renames: Vec<u64>,
+    pub(crate) renames: Vec<u64>,
 }
 
 #[derive(Debug, Default)]
@@ -219,13 +219,13 @@ impl FaultState {
 }
 
 /// Deterministic fault-injecting backend: a [`RealIo`] whose write,
-/// sync, and rename paths consult a precomputed [`FaultSchedule`].
+/// sync, and rename paths consult a precomputed `FaultSchedule`.
 #[derive(Debug, Clone)]
 pub struct FaultyIo {
     state: Arc<FaultState>,
 }
 
-/// Assembles an exact [`FaultSchedule`] for targeted tests.
+/// Assembles an exact `FaultSchedule` for targeted tests.
 #[derive(Debug, Default)]
 pub struct FaultScheduleBuilder {
     schedule: FaultSchedule,
@@ -299,13 +299,6 @@ impl FaultyIo {
     /// How many faults have actually fired so far.
     pub fn injected(&self) -> u64 {
         self.state.injected.load(Ordering::Relaxed)
-    }
-
-    /// Total write/sync/rename operations observed so far.
-    pub fn operations(&self) -> u64 {
-        self.state.writes.load(Ordering::Relaxed)
-            + self.state.syncs.load(Ordering::Relaxed)
-            + self.state.renames.load(Ordering::Relaxed)
     }
 }
 
@@ -422,14 +415,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (for tests that want raw errors).
-    pub fn none() -> Self {
-        Self {
-            attempts: 1,
-            base_backoff: Duration::ZERO,
-        }
-    }
-
     /// Whether `e` is worth retrying: `EINTR`, `EAGAIN`, and timeouts
     /// are; `ENOSPC` and everything else degrade immediately.
     pub fn is_transient(e: &io::Error) -> bool {
@@ -493,14 +478,6 @@ impl Durability {
             _ => None,
         }
     }
-    /// The CLI name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::None => "none",
-            Self::Batch => "batch",
-            Self::Record => "record",
-        }
-    }
 }
 
 /// Shared, thread-safe recovery accounting for one store instance.
@@ -556,9 +533,6 @@ impl IoHealth {
     /// Publish as `{prefix}.retries` / `{prefix}.degraded` /
     /// `{prefix}.sync_failures` counters.
     pub fn publish<S: MetricsSink + ?Sized>(&self, prefix: &str, sink: &mut S) {
-        if !sink.is_enabled() {
-            return;
-        }
         sink.counter(&format!("{prefix}.retries"), self.retries);
         sink.counter(&format!("{prefix}.degraded"), self.degraded);
         sink.counter(&format!("{prefix}.sync_failures"), self.sync_failures);
@@ -567,7 +541,7 @@ impl IoHealth {
 
 /// Read the pid + epoch stamp of a lease file (` `-separated).
 /// Returns `None` on any parse failure (an empty or torn stamp).
-pub fn parse_lease_stamp(text: &str) -> Option<(u32, u64)> {
+pub(crate) fn parse_lease_stamp(text: &str) -> Option<(u32, u64)> {
     let mut parts = text.split_whitespace();
     let pid = parts.next()?.parse().ok()?;
     let epoch = parts.next()?.parse().ok()?;
@@ -765,7 +739,6 @@ mod tests {
         assert_eq!(Durability::parse("record"), Some(Durability::Record));
         assert_eq!(Durability::parse("often"), None);
         assert_eq!(Durability::default(), Durability::Batch);
-        assert_eq!(Durability::Batch.name(), "batch");
     }
 
     #[test]

@@ -4,14 +4,13 @@
 //! dependency graph: it knows nothing about tasks, energy, or schedulers.
 //! It provides four small, orthogonal pieces:
 //!
-//! - [`metrics`] — a `MetricsSink` trait, with a [`NullMetrics`] sink that
-//!   compiles to nothing and a [`MetricsRegistry`] that accumulates
+//! - `metrics` — a `MetricsSink` trait and a [`MetricsRegistry`] that accumulates
 //!   counters / gauges / log2-bucket histograms and freezes them into a
 //!   serializable [`MetricsSnapshot`].
 //! - [`profile`] — scoped wall-clock phase timers ([`PhaseProfiler`]) that
 //!   aggregate into a serializable [`PhaseProfile`] (calls, total, mean, max
 //!   per phase).
-//! - [`export`] — a streaming JSONL writer/reader: one serde value per line,
+//! - `export` — a streaming JSONL writer/reader: one serde value per line,
 //!   lossless round-trip through the vendored `serde_json`.
 //! - [`timeline`] — piecewise step series (storage level and active DVFS
 //!   level vs. time) with uniform-grid resampling for ASCII plotting.
@@ -38,31 +37,26 @@
 //! Everything here is **off by default** in the simulator: the hot loops keep
 //! plain integer counters (no dynamic dispatch) and only publish into a
 //! registry once, at end of run, when explicitly asked to.
+//!
+//! [`PhaseProfiler`]: profile::PhaseProfiler
+//! [`StoreIo`]: io::StoreIo
+//! [`FaultyIo`]: io::FaultyIo
+//! [`RetryPolicy`]: io::RetryPolicy
+//! [`Durability`]: io::Durability
+//! [`IoCounters`]: io::IoCounters
+//! [`IoHealth`]: io::IoHealth
+//! [`SpanCollector`]: span::SpanCollector
+//! [`SpanSink`]: span::SpanSink
 
-pub mod export;
+pub(crate) mod export;
 pub mod io;
-pub mod metrics;
+pub(crate) mod metrics;
 pub mod profile;
 pub mod progress;
 pub mod span;
 pub mod timeline;
 
-pub use export::{jsonl_to_vec, to_jsonl_string, JsonlWriter};
-pub use io::{
-    Durability, FaultScheduleBuilder, FaultyIo, IoCounters, IoHealth, RealIo, RetryPolicy,
-    StoreFile, StoreIo, WriteFault,
-};
-pub use metrics::{
-    Log2Histogram, MetricDelta, MetricEntry, MetricValue, MetricsRegistry, MetricsSink,
-    MetricsSnapshot, NullMetrics,
-};
-pub use profile::{PhaseProfile, PhaseProfiler, PhaseStat};
-pub use progress::{
-    progress_from_jsonl, CampaignFinish, CampaignStart, CellDecision, CellEvent, Heartbeat,
-    ProgressLine, ProgressReporter, PROGRESS_SCHEMA_VERSION,
-};
-pub use span::{
-    SpanCollector, SpanRecord, SpanSink, SpanStart, CAT_BUILD, CAT_FIGURE, CAT_PROBE, CAT_SIMULATE,
-    CAT_STORE, TID_DRIVER,
-};
-pub use timeline::{LevelPoint, TimePoint, Timeline};
+pub use export::{jsonl_to_vec, JsonlWriter};
+pub use metrics::{Log2Histogram, MetricValue, MetricsRegistry, MetricsSink, MetricsSnapshot};
+pub use profile::PhaseProfile;
+pub use progress::ProgressReporter;

@@ -4,25 +4,11 @@
 //! The hot simulation loops do **not** call through this trait per event —
 //! they keep plain monomorphic integer counters inline and publish them here
 //! once, at end of run. The trait exists so that publication code can be
-//! written generically and so a disabled run can hand a [`NullMetrics`] to
-//! any publisher and have the whole call chain compile to nothing.
+//! written generically over the registry and a lent `&mut` of it.
 
 use serde::{Deserialize, Serialize};
 
 /// Receiver for published metrics.
-///
-/// Implementations that drop data should return `false` from
-/// [`MetricsSink::is_enabled`] so callers can skip building expensive
-/// values (e.g. formatting a name or folding a histogram) before
-/// publishing:
-///
-/// ```
-/// use harvest_obs::{MetricsSink, NullMetrics};
-/// let mut sink = NullMetrics;
-/// if sink.is_enabled() {
-///     sink.counter("queue.pops", 12);
-/// }
-/// ```
 pub trait MetricsSink {
     /// Add `delta` to the named monotonically increasing counter.
     fn counter(&mut self, name: &str, delta: u64);
@@ -30,10 +16,6 @@ pub trait MetricsSink {
     fn gauge(&mut self, name: &str, value: f64);
     /// Record one observation into the named log2-bucket histogram.
     fn observe(&mut self, name: &str, value: f64);
-    /// Whether this sink retains anything. Defaults to `true`.
-    fn is_enabled(&self) -> bool {
-        true
-    }
 }
 
 /// Forward through mutable references so sinks can be lent out.
@@ -47,32 +29,11 @@ impl<S: MetricsSink + ?Sized> MetricsSink for &mut S {
     fn observe(&mut self, name: &str, value: f64) {
         (**self).observe(name, value);
     }
-    fn is_enabled(&self) -> bool {
-        (**self).is_enabled()
-    }
-}
-
-/// A metrics sink that discards everything. Every method is an empty inline
-/// body, so instrumentation guarded on this type optimizes away entirely.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullMetrics;
-
-impl MetricsSink for NullMetrics {
-    #[inline(always)]
-    fn counter(&mut self, _name: &str, _delta: u64) {}
-    #[inline(always)]
-    fn gauge(&mut self, _name: &str, _value: f64) {}
-    #[inline(always)]
-    fn observe(&mut self, _name: &str, _value: f64) {}
-    #[inline(always)]
-    fn is_enabled(&self) -> bool {
-        false
-    }
 }
 
 /// Number of buckets in a [`Log2Histogram`]: bucket 0 holds values `< 1`
 /// (including non-positive), bucket `i >= 1` holds `[2^(i-1), 2^i)`.
-pub const LOG2_BUCKETS: usize = 66;
+pub(crate) const LOG2_BUCKETS: usize = 66;
 
 /// Power-of-two bucketed histogram for non-negative magnitudes (gallop
 /// lengths, drain sizes, interval durations). Fixed footprint, O(1) insert.
@@ -104,7 +65,7 @@ impl Log2Histogram {
 
     /// Bucket index for a value: 0 for `v < 1`, else `1 + floor(log2 v)`,
     /// clamped to the last bucket.
-    pub fn bucket_of(value: f64) -> usize {
+    pub(crate) fn bucket_of(value: f64) -> usize {
         if value.is_nan() || value < 1.0 {
             return 0;
         }
@@ -129,20 +90,8 @@ impl Log2Histogram {
         }
     }
 
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum / self.total as f64
-        }
-    }
-
     /// Merge another histogram's observations into this one.
-    pub fn merge(&mut self, other: &Log2Histogram) {
+    pub(crate) fn merge(&mut self, other: &Log2Histogram) {
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
             *mine += theirs;
         }
@@ -157,7 +106,7 @@ impl Log2Histogram {
     }
 
     /// Freeze into a serializable snapshot (trailing empty buckets trimmed).
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let last = self
             .counts
             .iter()
@@ -178,10 +127,10 @@ impl Log2Histogram {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     pub count: u64,
-    pub sum: f64,
-    pub min: f64,
+    pub(crate) sum: f64,
+    pub(crate) min: f64,
     pub max: f64,
-    pub buckets: Vec<u64>,
+    pub(crate) buckets: Vec<u64>,
 }
 
 impl HistogramSnapshot {
@@ -265,14 +214,6 @@ impl MetricsRegistry {
     fn slot(&mut self, name: &str) -> Option<&mut Slot> {
         let idx = self.entries.iter().position(|(n, _)| n == name)?;
         Some(&mut self.entries[idx].1)
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Drops every registered metric while keeping the registry's
@@ -375,7 +316,7 @@ impl MetricDelta {
 }
 
 impl MetricsSnapshot {
-    pub fn get(&self, name: &str) -> Option<&MetricValue> {
+    pub(crate) fn get(&self, name: &str) -> Option<&MetricValue> {
         self.entries
             .iter()
             .find(|e| e.name == name)
@@ -418,15 +359,6 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn null_metrics_is_disabled_and_silent() {
-        let mut sink = NullMetrics;
-        assert!(!sink.is_enabled());
-        sink.counter("x", 1);
-        sink.gauge("y", 2.0);
-        sink.observe("z", 3.0);
-    }
 
     #[test]
     fn log2_buckets() {
@@ -519,7 +451,7 @@ mod tests {
         pooled.counter("stale.policy_metric", 9);
         pooled.observe("stale.hist", 4.0);
         pooled.reset();
-        assert!(pooled.is_empty());
+        assert_eq!(pooled.snapshot(), MetricsRegistry::new().snapshot());
         pooled.counter("a", 1);
         pooled.gauge("b", 2.0);
 
@@ -602,7 +534,9 @@ mod tests {
         reg.counter("pops", 7);
         let snap = reg.snapshot();
 
-        let text = crate::export::to_jsonl_string(std::slice::from_ref(&snap)).unwrap();
+        let mut w = crate::export::JsonlWriter::new(Vec::new());
+        w.write(&snap).unwrap();
+        let text = String::from_utf8(w.finish().unwrap()).unwrap();
         let back: Vec<MetricsSnapshot> = crate::export::jsonl_to_vec(&text).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(back[0], snap);

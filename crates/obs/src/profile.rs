@@ -24,10 +24,6 @@ struct Acc {
 }
 
 impl PhaseProfiler {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Stamp the start of a phase. Pure convenience over `Instant::now()`.
     #[inline]
     pub fn start() -> Instant {
@@ -41,7 +37,7 @@ impl PhaseProfiler {
     }
 
     /// Record one completed phase invocation of known duration.
-    pub fn record(&mut self, name: &'static str, elapsed: Duration) {
+    pub(crate) fn record(&mut self, name: &'static str, elapsed: Duration) {
         let ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
         let acc = match self.phases.iter_mut().find(|(n, _)| *n == name) {
             Some((_, acc)) => acc,
@@ -72,10 +68,6 @@ impl PhaseProfiler {
         }
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.phases.is_empty()
-    }
-
     /// Freeze into a serializable summary, preserving first-seen order.
     pub fn summary(&self) -> PhaseProfile {
         PhaseProfile {
@@ -102,15 +94,7 @@ pub struct PhaseStat {
     pub max_ns: u64,
 }
 
-impl PhaseStat {
-    pub fn mean_ns(&self) -> f64 {
-        if self.calls == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.calls as f64
-        }
-    }
-}
+impl PhaseStat {}
 
 /// Serializable profile summary for a whole run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
@@ -134,7 +118,7 @@ mod tests {
 
     #[test]
     fn records_and_aggregates() {
-        let mut p = PhaseProfiler::new();
+        let mut p = PhaseProfiler::default();
         p.record("dispatch", Duration::from_nanos(100));
         p.record("dispatch", Duration::from_nanos(300));
         p.record("decide", Duration::from_nanos(50));
@@ -144,15 +128,14 @@ mod tests {
         assert_eq!(d.calls, 2);
         assert_eq!(d.total_ns, 400);
         assert_eq!(d.max_ns, 300);
-        assert_eq!(d.mean_ns(), 200.0);
         assert_eq!(s.total_ns(), 450);
     }
 
     #[test]
     fn merge_adds_and_appends() {
-        let mut a = PhaseProfiler::new();
+        let mut a = PhaseProfiler::default();
         a.record("x", Duration::from_nanos(10));
-        let mut b = PhaseProfiler::new();
+        let mut b = PhaseProfiler::default();
         b.record("x", Duration::from_nanos(30));
         b.record("y", Duration::from_nanos(5));
         a.merge(&b);
@@ -164,7 +147,7 @@ mod tests {
 
     #[test]
     fn stopwatch_measures_something() {
-        let mut p = PhaseProfiler::new();
+        let mut p = PhaseProfiler::default();
         let t0 = PhaseProfiler::start();
         std::hint::black_box((0..1000).sum::<u64>());
         p.stop("work", t0);

@@ -9,7 +9,7 @@
 //!
 //! The stream schema is versioned exactly like the run-artifact schema:
 //! the first line must be a [`ProgressLine::Started`] carrying
-//! [`PROGRESS_SCHEMA_VERSION`], and [`progress_from_jsonl`] rejects
+//! `PROGRESS_SCHEMA_VERSION`, and [`progress_from_jsonl`] rejects
 //! streams whose version (or leading line) drifts, the same way
 //! `RunArtifact::from_jsonl` does.
 //!
@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 /// Version stamped into every [`CampaignStart`]; bump on any
 /// incompatible change to the line shapes below.
-pub const PROGRESS_SCHEMA_VERSION: u32 = 2;
+pub(crate) const PROGRESS_SCHEMA_VERSION: u32 = 2;
 
 /// How a cell got its result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -46,7 +46,7 @@ pub enum CellDecision {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignStart {
     /// Schema version ([`PROGRESS_SCHEMA_VERSION`]).
-    pub version: u32,
+    pub(crate) version: u32,
     /// Campaign label (figure name, `"fault-sweep"`, ...).
     pub campaign: String,
     /// Total cells the campaign will decide.
@@ -61,11 +61,11 @@ pub struct CampaignStart {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellEvent {
     /// How the cell was decided.
-    pub decision: CellDecision,
+    pub(crate) decision: CellDecision,
     /// Canonical trial-key text.
-    pub key: String,
+    pub(crate) key: String,
     /// Worker index that decided it.
-    pub worker: u64,
+    pub(crate) worker: u64,
 }
 
 /// Periodic rate/ETA snapshot; the final heartbeat's counts equal the
@@ -87,9 +87,9 @@ pub struct Heartbeat {
     /// Decision rate since campaign start.
     pub cells_per_sec: f64,
     /// hits / done (0 when nothing decided yet).
-    pub hit_rate: f64,
+    pub(crate) hit_rate: f64,
     /// Estimated seconds to completion at the current rate.
-    pub eta_s: f64,
+    pub(crate) eta_s: f64,
     /// Transient store I/O errors that were retried
     /// ([`IoHealth::retries`](crate::io::IoHealth)).
     #[serde(default)]
@@ -108,13 +108,13 @@ pub struct CampaignFinish {
     /// Cells decided (should equal the start line's `cells`).
     pub done: u64,
     /// Cells simulated fresh.
-    pub simulated: u64,
+    pub(crate) simulated: u64,
     /// Store/cache hits.
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// Cells resumed from the manifest.
-    pub resumed: u64,
+    pub(crate) resumed: u64,
     /// Cells quarantined.
-    pub quarantined: u64,
+    pub(crate) quarantined: u64,
     /// Campaign wall-clock seconds.
     pub wall_s: f64,
 }
@@ -282,16 +282,6 @@ impl ProgressReporter {
         }
     }
 
-    /// Override the heartbeat cadence (default 1 s). `Duration::ZERO`
-    /// heartbeats on every cell — useful in tests.
-    pub fn with_heartbeat_every(self, every: Duration) -> Self {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .heartbeat_every = every;
-        self
-    }
-
     /// Open the stream: emits the [`CampaignStart`] line and starts the
     /// rate clock.
     pub fn start(&self, campaign: &str, cells: u64, resumed: u64, threads: usize) {
@@ -342,19 +332,6 @@ impl ProgressReporter {
     pub fn note_store_health(&self, health: crate::io::IoHealth) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.store_health = health;
-    }
-
-    /// Decided-cell totals so far:
-    /// `(done, hits, simulated, resumed, quarantined)`.
-    pub fn counts(&self) -> (u64, u64, u64, u64, u64) {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        (
-            inner.done,
-            inner.hits,
-            inner.simulated,
-            inner.resumed,
-            inner.quarantined,
-        )
     }
 
     /// Close the stream: a final [`Heartbeat`] (whose counts are the
@@ -419,8 +396,9 @@ mod tests {
     #[test]
     fn stream_round_trips_and_final_heartbeat_matches_totals() {
         let (sink, buf) = capture();
-        let reporter = ProgressReporter::new(Some(Box::new(sink)), false)
-            .with_heartbeat_every(Duration::from_secs(3600));
+        let reporter = ProgressReporter::new(Some(Box::new(sink)), false);
+        // No heartbeat between cells: the stream's line count is fixed.
+        reporter.inner.lock().unwrap().heartbeat_every = Duration::from_secs(3600);
         reporter.start("fig8", 4, 1, 2);
         reporter.cell(CellDecision::Resumed, "k0", 0);
         reporter.cell(CellDecision::Hit, "k1", 0);
@@ -500,6 +478,14 @@ mod tests {
         // The writer was dropped on first failure; finish still succeeds
         // and the totals survived.
         reporter.finish().unwrap();
-        assert_eq!(reporter.counts(), (2, 1, 1, 0, 0));
+        let inner = reporter.inner.lock().unwrap();
+        let counts = (
+            inner.done,
+            inner.hits,
+            inner.simulated,
+            inner.resumed,
+            inner.quarantined,
+        );
+        assert_eq!(counts, (2, 1, 1, 0, 0));
     }
 }

@@ -5,10 +5,10 @@
 //! The design here is the classic two-tier tracer:
 //!
 //! - a [`SpanCollector`] owns the trace: a single wall-clock epoch and a
-//!   mutex-guarded vector of finished [`SpanRecord`]s;
+//!   mutex-guarded vector of finished `SpanRecord`s;
 //! - each worker holds a private [`SpanSink`], which timestamps spans
 //!   against the shared epoch and buffers finished records locally,
-//!   draining into the collector only every [`SpanSink::FLUSH_AT`] records
+//!   draining into the collector only every `SpanSink::FLUSH_AT` records
 //!   (and on drop). The hot path is therefore a `Instant::now()` call and
 //!   a `Vec::push`; the global lock is touched once per few hundred spans.
 //!
@@ -40,19 +40,19 @@ pub const CAT_STORE: &str = "store";
 
 /// One finished span: a named interval on a worker track.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpanRecord {
+pub(crate) struct SpanRecord {
     /// Span name (e.g. `"cell"`, `"probe"`, a figure name).
-    pub name: String,
+    pub(crate) name: String,
     /// Category, one of the `CAT_*` constants.
-    pub cat: &'static str,
+    pub(crate) cat: &'static str,
     /// Track id: worker index, or [`TID_DRIVER`] for the driver thread.
-    pub tid: u32,
+    pub(crate) tid: u32,
     /// Microseconds since the collector's epoch.
-    pub ts_us: u64,
+    pub(crate) ts_us: u64,
     /// Duration in microseconds.
-    pub dur_us: u64,
+    pub(crate) dur_us: u64,
     /// Free-form key/value attribution (cell key, prefab count, ...).
-    pub args: Vec<(String, String)>,
+    pub(crate) args: Vec<(String, String)>,
 }
 
 /// Track id used for driver-thread (non-worker) spans.
@@ -74,7 +74,7 @@ impl Default for SpanCollector {
 
 impl SpanCollector {
     /// New empty collector; the epoch (trace time zero) is now.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             epoch: Instant::now(),
             spans: Mutex::new(Vec::new()),
@@ -87,7 +87,7 @@ impl SpanCollector {
     }
 
     /// Microseconds elapsed since the collector's epoch.
-    pub fn now_us(&self) -> u64 {
+    pub(crate) fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
 
@@ -123,7 +123,7 @@ impl SpanCollector {
     }
 
     /// Snapshot of the drained spans, sorted by start time.
-    pub fn records(&self) -> Vec<SpanRecord> {
+    pub(crate) fn records(&self) -> Vec<SpanRecord> {
         let mut out = self
             .spans
             .lock()
@@ -135,7 +135,7 @@ impl SpanCollector {
 
     /// The trace as a Chrome-trace JSON value:
     /// `{"traceEvents": [{"ph": "X", ...}, ...]}`.
-    pub fn to_chrome_trace(&self) -> Value {
+    pub(crate) fn to_chrome_trace(&self) -> Value {
         let events = self
             .records()
             .into_iter()
@@ -180,7 +180,7 @@ pub struct SpanStart {
 ///
 /// Not `Clone`: each worker owns exactly one, so the local buffer is
 /// single-threaded and push is lock-free. Buffered records drain into the
-/// collector every [`Self::FLUSH_AT`] spans, on [`Self::flush`], and on
+/// collector every `Self::FLUSH_AT` spans, on `Self::flush`, and on
 /// drop.
 #[derive(Debug)]
 pub struct SpanSink {
@@ -191,7 +191,7 @@ pub struct SpanSink {
 
 impl SpanSink {
     /// Local records buffered before touching the collector's lock.
-    pub const FLUSH_AT: usize = 256;
+    pub(crate) const FLUSH_AT: usize = 256;
 
     /// Begin a span now.
     pub fn start(&self) -> SpanStart {
@@ -228,7 +228,7 @@ impl SpanSink {
     }
 
     /// Drain the local buffer into the collector.
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         self.collector.drain(&mut self.buf);
     }
 }

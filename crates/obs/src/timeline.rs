@@ -65,12 +65,8 @@ fn resample_step(points: &[(f64, f64)], t0: f64, t1: f64, width: usize) -> Vec<f
 }
 
 impl Timeline {
-    pub fn is_empty(&self) -> bool {
-        self.energy.is_empty() && self.level.is_empty()
-    }
-
     /// Time span `[t0, t1]` covered by either series, if any samples exist.
-    pub fn span(&self) -> Option<(f64, f64)> {
+    pub(crate) fn span(&self) -> Option<(f64, f64)> {
         let mut t0 = f64::INFINITY;
         let mut t1 = f64::NEG_INFINITY;
         for p in &self.energy {
@@ -88,7 +84,7 @@ impl Timeline {
         }
     }
 
-    /// Storage level resampled onto `width` uniform points over [`span`](Self::span).
+    /// Storage level resampled onto `width` uniform points over `span`.
     pub fn energy_series(&self, width: usize) -> Vec<f64> {
         let (t0, t1) = match self.span() {
             Some(s) => s,
@@ -98,7 +94,7 @@ impl Timeline {
         resample_step(&pts, t0, t1, width)
     }
 
-    /// Active DVFS level resampled onto `width` uniform points over [`span`](Self::span)
+    /// Active DVFS level resampled onto `width` uniform points over `span`
     /// (idle/stalled states surface as their negative encodings).
     pub fn level_series(&self, width: usize) -> Vec<f64> {
         let (t0, t1) = match self.span() {
@@ -133,7 +129,6 @@ mod tests {
     #[test]
     fn empty_timeline_yields_flat_zero() {
         let t = Timeline::default();
-        assert!(t.is_empty());
         assert_eq!(t.span(), None);
         assert_eq!(t.energy_series(4), vec![0.0; 4]);
     }

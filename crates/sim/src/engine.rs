@@ -26,12 +26,6 @@ pub struct Scheduler<'a, E> {
 }
 
 impl<E: Copy> Scheduler<'_, E> {
-    /// The current simulation time.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Schedules `payload` at absolute time `at`.
     ///
     /// # Panics
@@ -168,6 +162,7 @@ impl Watchdog {
 ///
 /// ```
 /// use harvest_sim::engine::{Engine, Model, RunOutcome, Scheduler};
+/// use harvest_sim::event::EventQueue;
 /// use harvest_sim::time::{SimDuration, SimTime};
 ///
 /// /// Counts down, rescheduling itself every time unit.
@@ -183,7 +178,7 @@ impl Watchdog {
 ///     }
 /// }
 ///
-/// let mut engine = Engine::new(Countdown(3));
+/// let mut engine = Engine::with_queue(Countdown(3), EventQueue::new());
 /// engine.schedule(SimTime::ZERO, ());
 /// let outcome = engine.run_until(SimTime::from_whole_units(100));
 /// assert_eq!(outcome, RunOutcome::Drained { last_event: Some(SimTime::from_whole_units(2)) });
@@ -217,11 +212,6 @@ pub struct Engine<M: Model> {
 }
 
 impl<M: Model> Engine<M> {
-    /// Creates an engine at time zero with an empty queue.
-    pub fn new(model: M) -> Self {
-        Engine::with_queue(model, EventQueue::new())
-    }
-
     /// Creates an engine at time zero around a caller-supplied queue —
     /// the pooling entry point: a [`reset`](EventQueue::reset) queue
     /// keeps its heap allocation from previous runs, and a run on it is
@@ -282,11 +272,6 @@ impl<M: Model> Engine<M> {
     /// starts.
     pub fn alloc_seq(&mut self) -> u32 {
         self.queue.alloc_seq()
-    }
-
-    /// The current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.now
     }
 
     /// Number of events handled so far.
@@ -415,6 +400,10 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
 
+    fn engine<M: Model>(model: M) -> Engine<M> {
+        Engine::with_queue(model, EventQueue::new())
+    }
+
     #[derive(Clone)]
     struct Recorder {
         seen: Vec<(SimTime, u32)>,
@@ -437,7 +426,7 @@ mod tests {
 
     #[test]
     fn drains_in_order() {
-        let mut e = Engine::new(Recorder {
+        let mut e = engine(Recorder {
             seen: vec![],
             stop_on: None,
         });
@@ -456,7 +445,7 @@ mod tests {
 
     #[test]
     fn horizon_excludes_boundary_event() {
-        let mut e = Engine::new(Recorder {
+        let mut e = engine(Recorder {
             seen: vec![],
             stop_on: None,
         });
@@ -465,12 +454,12 @@ mod tests {
         let out = e.run_until(t(10));
         assert_eq!(out, RunOutcome::HorizonReached);
         assert_eq!(e.model().seen, vec![(t(5), 1)]);
-        assert_eq!(e.now(), t(10));
+        assert_eq!(e.now, t(10));
     }
 
     #[test]
     fn stop_request_halts_immediately() {
-        let mut e = Engine::new(Recorder {
+        let mut e = engine(Recorder {
             seen: vec![],
             stop_on: Some(1),
         });
@@ -495,7 +484,7 @@ mod tests {
                 }
             }
         }
-        let mut e = Engine::new(Ticker { remaining: 5 });
+        let mut e = engine(Ticker { remaining: 5 });
         e.schedule(SimTime::ZERO, ());
         e.run_until(SimTime::from_whole_units(100));
         assert_eq!(e.model().remaining, 0);
@@ -504,7 +493,7 @@ mod tests {
 
     #[test]
     fn profiling_times_every_dispatch() {
-        let mut e = Engine::new(Recorder {
+        let mut e = engine(Recorder {
             seen: vec![],
             stop_on: None,
         });
@@ -570,7 +559,7 @@ mod tests {
                 ctx.schedule(now + SimDuration::from_whole_units(1), ());
             }
         }
-        let mut e = Engine::new(Forever);
+        let mut e = engine(Forever);
         e.set_watchdog(Some(Watchdog::with_max_events(10)));
         e.schedule(SimTime::ZERO, ());
         let out = e.run_until(t(1_000_000));
@@ -594,7 +583,7 @@ mod tests {
                 ctx.schedule(now, ());
             }
         }
-        let mut e = Engine::new(Spinner);
+        let mut e = engine(Spinner);
         e.set_watchdog(Some(Watchdog {
             max_events: None,
             max_events_at_instant: Some(5),
@@ -631,7 +620,7 @@ mod tests {
     }
 
     fn no_progress_engine(stop_at: u32) -> Engine<StoppingSpinner> {
-        let mut e = Engine::new(StoppingSpinner { seen: 0, stop_at });
+        let mut e = engine(StoppingSpinner { seen: 0, stop_at });
         e.set_watchdog(Some(Watchdog {
             max_events: None,
             max_events_at_instant: Some(5),
@@ -662,7 +651,7 @@ mod tests {
 
     #[test]
     fn apply_continues_the_stopped_instant_without_counting() {
-        let mut e = Engine::new(Recorder {
+        let mut e = engine(Recorder {
             seen: vec![],
             stop_on: Some(1),
         });
@@ -671,7 +660,7 @@ mod tests {
         assert_eq!(e.run_until(t(100)), RunOutcome::Stopped { at: t(1) });
         let mut fork = e.clone();
         fork.apply(|m, ctx| {
-            assert_eq!(ctx.now(), t(1));
+            assert_eq!(ctx.now, t(1));
             m.stop_on = None;
             ctx.schedule(t(2), 2);
         });
@@ -687,7 +676,7 @@ mod tests {
 
     #[test]
     fn watchdog_spares_models_within_budget() {
-        let mut e = Engine::new(Recorder {
+        let mut e = engine(Recorder {
             seen: vec![],
             stop_on: None,
         });
@@ -711,7 +700,7 @@ mod tests {
 
     #[test]
     fn empty_watchdog_is_disarmed() {
-        let mut e = Engine::new(Recorder {
+        let mut e = engine(Recorder {
             seen: vec![],
             stop_on: None,
         });
@@ -728,7 +717,7 @@ mod tests {
 
     #[test]
     fn resume_after_horizon() {
-        let mut e = Engine::new(Recorder {
+        let mut e = engine(Recorder {
             seen: vec![],
             stop_on: None,
         });

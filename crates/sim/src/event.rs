@@ -56,7 +56,7 @@ pub struct QueueStats {
     /// numbers, which never occupy the heap).
     pub popped: u64,
     /// Events pending right now.
-    pub pending: u64,
+    pub(crate) pending: u64,
     /// Current heap capacity in entries — how much pending-event storage
     /// the queue retains across [`EventQueue::reset`]. Pooled sweeps read
     /// this as the pool's high-water mark.
@@ -248,7 +248,7 @@ impl<E: Copy> EventQueue<E> {
 
     /// Time of the most recently popped event, i.e. "now" from the
     /// queue's perspective.
-    pub fn current_time(&self) -> Option<SimTime> {
+    pub(crate) fn current_time(&self) -> Option<SimTime> {
         self.last_popped
     }
 

@@ -32,6 +32,9 @@
 //! assert_eq!(harvested, 4.0);
 //! # Ok::<(), harvest_sim::piecewise::PiecewiseError>(())
 //! ```
+//!
+//! [`SimTime`]: time::SimTime
+//! [`SimDuration`]: time::SimDuration
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -42,10 +45,3 @@ pub mod piecewise;
 pub mod stats;
 pub mod time;
 pub mod trace;
-
-pub use engine::{Engine, Model, RunOutcome, Scheduler, Watchdog, WatchdogKind};
-pub use event::{EventQueue, QueueStats, ReleaseEntry, ReleaseTape};
-pub use piecewise::{CursorStats, Extension, PiecewiseConstant, PiecewiseError, Segment};
-pub use stats::{Histogram, RunningStats, SampledSeries};
-pub use time::{SimDuration, SimTime, TICKS_PER_UNIT};
-pub use trace::CountingSink;

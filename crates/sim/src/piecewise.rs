@@ -872,7 +872,7 @@ impl PiecewiseConstant {
 
     /// Hands `emit` the segments [`Self::segments_between`] yields over
     /// `[t1, t2)`, in order. On a uniform grid the walk is
-    /// [`UniformGridView::for_each_segment`] (direct index stepping);
+    /// `UniformGridView::for_each_segment` (direct index stepping);
     /// otherwise it runs on `cur`, which is left where the walk stopped.
     #[inline]
     pub fn for_each_segment_with(
@@ -1577,7 +1577,7 @@ impl<'a> UniformGridView<'a> {
 
     /// [`PiecewiseConstant::value_at`] without the search.
     #[inline]
-    pub fn value_at(&self, t: SimTime) -> f64 {
+    pub(crate) fn value_at(&self, t: SimTime) -> f64 {
         let tk = t.as_ticks();
         if tk < self.start_ticks {
             return self.f.values[0];
@@ -1608,7 +1608,7 @@ impl<'a> UniformGridView<'a> {
     /// [`PiecewiseConstant::integrate`] without the searches: the same
     /// antiderivative difference `F(t2) − F(t1)`.
     #[inline]
-    pub fn integrate(&self, t1: SimTime, t2: SimTime) -> f64 {
+    pub(crate) fn integrate(&self, t1: SimTime, t2: SimTime) -> f64 {
         let a = self.cum(t1);
         let b = self.cum(t2);
         b - a
@@ -1616,7 +1616,7 @@ impl<'a> UniformGridView<'a> {
 
     /// [`PiecewiseConstant::next_breakpoint_after`] without the search.
     #[inline]
-    pub fn next_breakpoint_after(&self, t: SimTime) -> Option<SimTime> {
+    pub(crate) fn next_breakpoint_after(&self, t: SimTime) -> Option<SimTime> {
         if t.as_ticks() < self.start_ticks {
             return Some(self.f.domain_start());
         }
@@ -1628,7 +1628,7 @@ impl<'a> UniformGridView<'a> {
 
     /// [`PiecewiseConstant::segments_between`] without per-step searches;
     /// yields the identical segment sequence.
-    pub fn segments_between(&self, t1: SimTime, t2: SimTime) -> GridSegments<'a> {
+    pub(crate) fn segments_between(&self, t1: SimTime, t2: SimTime) -> GridSegments<'a> {
         GridSegments {
             g: *self,
             cursor: t1,
@@ -1644,7 +1644,7 @@ impl<'a> UniformGridView<'a> {
     /// identical to the iterator's, so any arithmetic the caller folds
     /// over them is bit-identical.
     #[inline]
-    pub fn for_each_segment(&self, t1: SimTime, t2: SimTime, mut emit: impl FnMut(Segment)) {
+    pub(crate) fn for_each_segment(&self, t1: SimTime, t2: SimTime, mut emit: impl FnMut(Segment)) {
         if t1 >= t2 {
             return;
         }
@@ -1682,35 +1682,6 @@ impl<'a> UniformGridView<'a> {
                 value: f.values[f.values.len() - 1],
             });
         }
-    }
-
-    /// [`PiecewiseConstant::first_accumulation_crossing`] specialized to
-    /// the Hold extension: the same `O(1)` rejects, the same monotone
-    /// tier (each bisection probe now `O(1)` instead of `O(log n)`, and
-    /// the first-reach solve where nothing drains), and the same clamped
-    /// segment scan on genuinely non-monotone windows.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as the cursor path.
-    pub fn first_accumulation_crossing(
-        &self,
-        from: SimTime,
-        horizon: SimTime,
-        initial: f64,
-        offset: f64,
-        cap: f64,
-        target: f64,
-    ) -> Option<SimTime> {
-        self.crossing_counted(
-            &mut CursorStats::default(),
-            from,
-            horizon,
-            initial,
-            offset,
-            cap,
-            target,
-        )
     }
 
     /// [`Self::first_accumulation_crossing`], counting the tier taken in
@@ -1852,7 +1823,7 @@ impl<'a> UniformGridView<'a> {
 /// segment index forward instead of re-deriving it (twice — value and
 /// breakpoint) per step.
 #[derive(Debug)]
-pub struct GridSegments<'a> {
+pub(crate) struct GridSegments<'a> {
     g: UniformGridView<'a>,
     cursor: SimTime,
     end: SimTime,
@@ -2708,7 +2679,7 @@ mod tests {
     fn grid_view_crossings_bit_identical() {
         for seed in 1..6u64 {
             let f = grid_profile(seed, 48);
-            let g = f.uniform_grid().unwrap();
+            assert!(f.uniform_grid().is_some());
             let twin = table_twin(&f);
             let mut s = seed.wrapping_mul(0xA076_1D64).max(1);
             let cap = 25.0;
@@ -2731,12 +2702,6 @@ mod tests {
                     cap,
                     target,
                 );
-                let got =
-                    g.first_accumulation_crossing(from, horizon, initial, offset, cap, target);
-                assert_eq!(
-                    got, want,
-                    "crossing from {from} to {horizon}, {initial}->{target} offset {offset}"
-                );
                 let counted = f.first_accumulation_crossing_with(
                     &mut grid_cur,
                     from,
@@ -2746,7 +2711,10 @@ mod tests {
                     cap,
                     target,
                 );
-                assert_eq!(counted, want);
+                assert_eq!(
+                    counted, want,
+                    "crossing from {from} to {horizon}, {initial}->{target} offset {offset}"
+                );
                 let on_table = twin.first_accumulation_crossing_with(
                     &mut twin_cur,
                     from,

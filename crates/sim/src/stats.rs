@@ -11,13 +11,10 @@ use crate::time::{SimDuration, SimTime};
 /// ```
 /// use harvest_sim::stats::RunningStats;
 ///
-/// let mut s = RunningStats::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.push(x);
-/// }
+/// let s: RunningStats = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0].into_iter().collect();
 /// assert_eq!(s.count(), 8);
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
+/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RunningStats {
@@ -28,7 +25,7 @@ pub struct RunningStats {
     max: f64,
 }
 
-/// Same as [`RunningStats::new`]. Hand-written because the derived
+/// Same as `RunningStats::new`. Hand-written because the derived
 /// `Default` would zero `min`/`max`, corrupting the extrema of any
 /// all-positive or all-negative sample stream pushed into a
 /// default-constructed accumulator.
@@ -40,7 +37,7 @@ impl Default for RunningStats {
 
 impl RunningStats {
     /// Creates an empty accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RunningStats {
             count: 0,
             mean: 0.0,
@@ -55,7 +52,7 @@ impl RunningStats {
     /// # Panics
     ///
     /// Panics if `x` is not finite.
-    pub fn push(&mut self, x: f64) {
+    pub(crate) fn push(&mut self, x: f64) {
         assert!(x.is_finite(), "observation must be finite, got {x}");
         self.count += 1;
         let delta = x - self.mean;
@@ -85,7 +82,7 @@ impl RunningStats {
     }
 
     /// Sample variance (divides by `n − 1`; 0 when `n < 2`).
-    pub fn sample_variance(&self) -> f64 {
+    pub(crate) fn sample_variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -93,18 +90,13 @@ impl RunningStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
     /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
+    pub(crate) fn sample_std_dev(&self) -> f64 {
         self.sample_variance().sqrt()
     }
 
     /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
+    pub(crate) fn std_error(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -116,16 +108,6 @@ impl RunningStats {
     /// (normal approximation, `1.96 · SE`).
     pub fn ci95_half_width(&self) -> f64 {
         1.96 * self.std_error()
-    }
-
-    /// Smallest observation (∞ when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (−∞ when empty).
-    pub fn max(&self) -> f64 {
-        self.max
     }
 
     /// Merges another accumulator into this one (parallel Welford).
@@ -181,7 +163,6 @@ impl FromIterator<f64> for RunningStats {
 /// acc.accumulate(&[1.0, 2.0, 3.0]);
 /// acc.accumulate(&[3.0, 4.0, 5.0]);
 /// assert_eq!(acc.mean_values(), vec![2.0, 3.0, 4.0]);
-/// assert_eq!(acc.times()[1], SimTime::from_whole_units(10));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SampledSeries {
@@ -205,23 +186,6 @@ impl SampledSeries {
             step,
             points: vec![RunningStats::new(); len],
         }
-    }
-
-    /// Number of grid points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` if the grid has no points (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The sample instants of the grid.
-    pub fn times(&self) -> Vec<SimTime> {
-        (0..self.points.len())
-            .map(|i| self.start + self.step * i as f64)
-            .collect()
     }
 
     /// Adds one run's samples (must match the grid length).
@@ -248,101 +212,6 @@ impl SampledSeries {
     /// Point-wise 95% CI half-widths.
     pub fn ci95_values(&self) -> Vec<f64> {
         self.points.iter().map(|p| p.ci95_half_width()).collect()
-    }
-
-    /// Number of runs accumulated (taken from the first grid point).
-    pub fn runs(&self) -> u64 {
-        self.points.first().map_or(0, |p| p.count())
-    }
-
-    /// Merges another accumulator over the same grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grids differ.
-    pub fn merge(&mut self, other: &SampledSeries) {
-        assert_eq!(self.start, other.start, "grid start mismatch");
-        assert_eq!(self.step, other.step, "grid step mismatch");
-        assert_eq!(
-            self.points.len(),
-            other.points.len(),
-            "grid length mismatch"
-        );
-        for (a, b) in self.points.iter_mut().zip(&other.points) {
-            a.merge(b);
-        }
-    }
-}
-
-/// Fixed-width histogram over `[lo, hi)` with out-of-range clamping.
-///
-/// # Examples
-///
-/// ```
-/// use harvest_sim::stats::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 10.0, 5);
-/// h.push(1.0);
-/// h.push(9.5);
-/// h.push(42.0); // clamped into the last bin
-/// assert_eq!(h.counts(), &[1, 0, 0, 0, 2]);
-/// assert_eq!(h.total(), 3);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hi <= lo` or `bins == 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(hi > lo, "histogram range must be non-empty");
-        assert!(bins > 0, "histogram needs at least one bin");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-        }
-    }
-
-    /// Adds an observation, clamping out-of-range values into the edge
-    /// bins.
-    pub fn push(&mut self, x: f64) {
-        let bins = self.counts.len();
-        let idx = if x < self.lo {
-            0
-        } else {
-            let frac = (x - self.lo) / (self.hi - self.lo);
-            ((frac * bins as f64) as usize).min(bins - 1)
-        };
-        self.counts[idx] += 1;
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// `(low_edge, high_edge)` of bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_edges(&self, i: usize) -> (f64, f64) {
-        assert!(i < self.counts.len(), "bin index out of range");
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
     }
 }
 
@@ -372,8 +241,8 @@ mod tests {
         let mut s = RunningStats::default();
         s.push(3.0);
         s.push(7.0);
-        assert_eq!(s.min(), 3.0, "min must come from the data, not 0.0");
-        assert_eq!(s.max(), 7.0);
+        assert_eq!(s.min, 3.0, "min must come from the data, not 0.0");
+        assert_eq!(s.max, 7.0);
     }
 
     #[test]
@@ -381,8 +250,8 @@ mod tests {
         let mut s = RunningStats::default();
         s.push(-4.0);
         s.push(-2.0);
-        assert_eq!(s.min(), -4.0);
-        assert_eq!(s.max(), -2.0, "max must come from the data, not 0.0");
+        assert_eq!(s.min, -4.0);
+        assert_eq!(s.max, -2.0, "max must come from the data, not 0.0");
     }
 
     #[test]
@@ -391,8 +260,8 @@ mod tests {
         s.push(5.0);
         assert_eq!(s.mean(), 5.0);
         assert_eq!(s.sample_variance(), 0.0);
-        assert_eq!(s.min(), 5.0);
-        assert_eq!(s.max(), 5.0);
+        assert_eq!(s.min, 5.0);
+        assert_eq!(s.max, 5.0);
     }
 
     #[test]
@@ -406,8 +275,8 @@ mod tests {
         assert_eq!(s1.count(), all.count());
         assert!((s1.mean() - all.mean()).abs() < 1e-12);
         assert!((s1.sample_variance() - all.sample_variance()).abs() < 1e-12);
-        assert_eq!(s1.min(), all.min());
-        assert_eq!(s1.max(), all.max());
+        assert_eq!(s1.min, all.min);
+        assert_eq!(s1.max, all.max);
     }
 
     #[test]
@@ -433,25 +302,7 @@ mod tests {
         s.accumulate(&[0.0, 10.0]);
         s.accumulate(&[2.0, 30.0]);
         assert_eq!(s.mean_values(), vec![1.0, 20.0]);
-        assert_eq!(s.runs(), 2);
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn series_merge_matches_accumulate() {
-        let grid = |vals: &[&[f64]]| {
-            let mut s = SampledSeries::new(SimTime::ZERO, SimDuration::from_whole_units(1), 3);
-            for v in vals {
-                s.accumulate(v);
-            }
-            s
-        };
-        let mut a = grid(&[&[1.0, 2.0, 3.0]]);
-        let b = grid(&[&[3.0, 2.0, 1.0], &[5.0, 5.0, 5.0]]);
-        a.merge(&b);
-        let c = grid(&[&[1.0, 2.0, 3.0], &[3.0, 2.0, 1.0], &[5.0, 5.0, 5.0]]);
-        assert_eq!(a.mean_values(), c.mean_values());
-        assert_eq!(a.runs(), 3);
+        assert!(s.points.iter().all(|p| p.count() == 2));
     }
 
     #[test]
@@ -459,18 +310,5 @@ mod tests {
     fn series_rejects_wrong_length() {
         let mut s = SampledSeries::new(SimTime::ZERO, SimDuration::from_whole_units(1), 3);
         s.accumulate(&[1.0]);
-    }
-
-    #[test]
-    fn histogram_bins_and_clamps() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        h.push(-0.5);
-        h.push(0.1);
-        h.push(0.49);
-        h.push(0.99);
-        h.push(1.7);
-        assert_eq!(h.counts(), &[2, 1, 0, 2]);
-        let (lo, hi) = h.bin_edges(1);
-        assert!((lo - 0.25).abs() < 1e-12 && (hi - 0.5).abs() < 1e-12);
     }
 }

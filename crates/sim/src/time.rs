@@ -1,7 +1,7 @@
 //! Fixed-point simulation time.
 //!
 //! All simulation instants and durations are integer counts of *ticks*,
-//! with [`TICKS_PER_UNIT`] ticks per paper "time unit". Using integers
+//! with `TICKS_PER_UNIT` ticks per paper "time unit". Using integers
 //! keeps the event queue total-ordered and free of floating-point
 //! pathologies (two events computed along different arithmetic paths that
 //! "should" coincide actually do), while leaving six decimal digits of
@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// One paper "time unit" (the scale on which task periods like 10..100 and
 /// simulation horizons like 10 000 are expressed) is subdivided into one
 /// million ticks.
-pub const TICKS_PER_UNIT: i64 = 1_000_000;
+pub(crate) const TICKS_PER_UNIT: i64 = 1_000_000;
 
 /// An instant in simulated time, measured in ticks since time zero.
 ///
@@ -64,9 +64,7 @@ impl SimTime {
     /// The origin of simulated time.
     pub const ZERO: SimTime = SimTime(0);
     /// The largest representable instant.
-    pub const MAX: SimTime = SimTime(i64::MAX);
-    /// The smallest representable instant.
-    pub const MIN: SimTime = SimTime(i64::MIN);
+    pub(crate) const MAX: SimTime = SimTime(i64::MAX);
 
     /// Creates an instant from a raw tick count.
     #[inline]
@@ -118,15 +116,9 @@ impl SimTime {
         self.0 as f64 / TICKS_PER_UNIT as f64
     }
 
-    /// Saturating addition of a duration.
-    #[inline]
-    pub fn saturating_add(self, d: SimDuration) -> Self {
-        SimTime(self.0.saturating_add(d.0))
-    }
-
     /// Returns the later of two instants.
     #[inline]
-    pub fn max(self, other: Self) -> Self {
+    pub(crate) fn max(self, other: Self) -> Self {
         if self >= other {
             self
         } else {
@@ -136,7 +128,7 @@ impl SimTime {
 
     /// Returns the earlier of two instants.
     #[inline]
-    pub fn min(self, other: Self) -> Self {
+    pub(crate) fn min(self, other: Self) -> Self {
         if self <= other {
             self
         } else {
@@ -148,8 +140,6 @@ impl SimTime {
 impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The largest representable duration.
-    pub const MAX: SimDuration = SimDuration(i64::MAX);
     /// A single tick, the smallest positive duration.
     pub const TICK: SimDuration = SimDuration(1);
 
@@ -212,36 +202,6 @@ impl SimDuration {
     #[inline]
     pub const fn is_positive(self) -> bool {
         self.0 > 0
-    }
-
-    /// Returns the longer of two durations.
-    #[inline]
-    pub fn max(self, other: Self) -> Self {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the shorter of two durations.
-    #[inline]
-    pub fn min(self, other: Self) -> Self {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Clamps a possibly negative duration to zero.
-    #[inline]
-    pub fn clamp_non_negative(self) -> Self {
-        if self.0 < 0 {
-            SimDuration::ZERO
-        } else {
-            self
-        }
     }
 }
 
@@ -467,7 +427,6 @@ mod tests {
     fn negative_durations_behave() {
         let d = SimDuration::from_whole_units(-2);
         assert!(!d.is_positive());
-        assert_eq!(d.clamp_non_negative(), SimDuration::ZERO);
         assert_eq!((-d).as_units(), 2.0);
     }
 

@@ -7,7 +7,7 @@
 
 /// Per-variant slots a [`CountingSink`] can track; kinds at or above
 /// this index fold into the last slot.
-pub const MAX_KINDS: usize = 8;
+pub(crate) const MAX_KINDS: usize = 8;
 
 /// Counts records without retaining them — the sweep fast path: run
 /// statistics with no per-record allocation. Totals are kept overall
@@ -23,8 +23,8 @@ pub const MAX_KINDS: usize = 8;
 /// sink.bump_kind(0);
 /// sink.bump_kind(1);
 /// assert_eq!(sink.count(), 2);
-/// assert_eq!(sink.kind_count(0), 1);
-/// assert_eq!(sink.kind_count(1), 1);
+/// assert_eq!(sink.kind_counts()[0], 1);
+/// assert_eq!(sink.kind_counts()[1], 1);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CountingSink {
@@ -43,13 +43,7 @@ impl CountingSink {
         self.count
     }
 
-    /// Number of emissions of the given kind seen so far. Kinds at or
-    /// above [`MAX_KINDS`] share the last slot.
-    pub fn kind_count(&self, kind: usize) -> u64 {
-        self.kinds[kind.min(MAX_KINDS - 1)]
-    }
-
-    /// Per-kind totals (kinds at or above [`MAX_KINDS`] fold into the
+    /// Per-kind totals (kinds at or above `MAX_KINDS` fold into the
     /// last slot).
     pub fn kind_counts(&self) -> &[u64; MAX_KINDS] {
         &self.kinds
@@ -75,11 +69,11 @@ mod tests {
         sink.bump_kind(1);
         sink.bump_kind(1);
         assert_eq!(sink.count(), 3);
-        assert_eq!(sink.kind_count(0), 1);
-        assert_eq!(sink.kind_count(1), 2);
+        assert_eq!(sink.kind_counts()[0], 1);
+        assert_eq!(sink.kind_counts()[1], 2);
         assert_eq!(sink.kind_counts().iter().sum::<u64>(), sink.count());
         // Out-of-range kinds fold into the last slot instead of panicking.
         sink.bump_kind(MAX_KINDS + 5);
-        assert_eq!(sink.kind_count(MAX_KINDS - 1), 1);
+        assert_eq!(sink.kind_counts()[MAX_KINDS - 1], 1);
     }
 }

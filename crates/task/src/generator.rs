@@ -29,20 +29,20 @@ use crate::taskset::TaskSet;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadSpec {
     /// Number of periodic tasks in the set.
-    pub num_tasks: usize,
+    pub(crate) num_tasks: usize,
     /// Target total utilization `U ∈ (0, 1]`.
-    pub utilization: f64,
+    pub(crate) utilization: f64,
     /// Mean harvested power `P̄s` used to size task energies.
-    pub mean_harvest_power: f64,
+    pub(crate) mean_harvest_power: f64,
     /// Maximum processor power `P_max` used to convert energy to WCET.
-    pub max_cpu_power: f64,
+    pub(crate) max_cpu_power: f64,
     /// Candidate periods, in whole time units.
-    pub period_choices: Vec<i64>,
+    pub(crate) period_choices: Vec<i64>,
     /// Lower bound of the actual-to-worst-case execution-time ratio.
     /// `1.0` (the paper's implicit assumption) makes every job consume
     /// its full WCET; smaller values draw each task's true work from
     /// `U[bcet_ratio, 1] · wcet`, modelling early completions.
-    pub bcet_ratio: f64,
+    pub(crate) bcet_ratio: f64,
 }
 
 impl WorkloadSpec {
@@ -72,7 +72,7 @@ impl WorkloadSpec {
     }
 
     /// Sets the actual-to-WCET ratio lower bound (see
-    /// [`WorkloadSpec::bcet_ratio`]).
+    /// `WorkloadSpec::bcet_ratio`).
     ///
     /// # Panics
     ///

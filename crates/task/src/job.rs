@@ -21,7 +21,7 @@ pub struct JobId(pub u64);
 ///   completions and study slack reclamation).
 ///
 /// Schedulers see the conservative [`Job::remaining_work`]; the engine
-/// uses [`Job::remaining_actual_work`] / [`Job::time_to_finish`] for
+/// uses `Job::remaining_actual_work` / [`Job::time_to_finish`] for
 /// true completion.
 ///
 /// # Examples
@@ -101,34 +101,9 @@ impl Job {
         self.id
     }
 
-    /// Index of the releasing task within its task set.
-    pub fn task_index(&self) -> usize {
-        self.task_index
-    }
-
-    /// Arrival (release) instant `a_m`.
-    pub fn arrival(&self) -> SimTime {
-        self.arrival
-    }
-
     /// Absolute deadline `a_m + d_m`.
     pub fn absolute_deadline(&self) -> SimTime {
         self.absolute_deadline
-    }
-
-    /// Worst-case execution time (budget) at full speed.
-    pub fn wcet(&self) -> f64 {
-        self.wcet
-    }
-
-    /// The job's true work requirement at full speed.
-    pub fn actual_work(&self) -> f64 {
-        self.actual
-    }
-
-    /// Work retired so far.
-    pub fn executed_work(&self) -> f64 {
-        self.executed
     }
 
     /// Remaining *budgeted* full-speed work, `wcet − executed` — the
@@ -138,21 +113,13 @@ impl Job {
     }
 
     /// Remaining *actual* full-speed work, `actual − executed`.
-    pub fn remaining_actual_work(&self) -> f64 {
+    pub(crate) fn remaining_actual_work(&self) -> f64 {
         (self.actual - self.executed).max(0.0)
     }
 
     /// `true` once the actual work is retired.
     pub fn is_finished(&self) -> bool {
         self.remaining_actual_work() <= 0.0
-    }
-
-    /// Laxity with respect to full-speed execution of the remaining
-    /// *budget* at time `now`: `deadline − now − remaining_work`.
-    /// Negative laxity means even `f_max` cannot provably make the
-    /// deadline.
-    pub fn laxity(&self, now: SimTime) -> f64 {
-        (self.absolute_deadline - now).as_units() - self.remaining_work()
     }
 
     /// Retires work by running at normalized `speed` for `dt`, returning
@@ -204,9 +171,8 @@ mod tests {
         let j = job();
         assert_eq!(j.remaining_work(), 4.0);
         assert_eq!(j.remaining_actual_work(), 4.0);
-        assert_eq!(j.executed_work(), 0.0);
+        assert_eq!(j.executed, 0.0);
         assert!(!j.is_finished());
-        assert_eq!(j.laxity(SimTime::ZERO), 12.0);
     }
 
     #[test]
@@ -239,12 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn laxity_goes_negative_when_late() {
-        let j = job();
-        assert!(j.laxity(SimTime::from_whole_units(13)) < 0.0);
-    }
-
-    #[test]
     fn time_to_finish_rounds_up() {
         let j = job();
         assert_eq!(j.time_to_finish(0.5), SimDuration::from_whole_units(8));
@@ -256,7 +216,7 @@ mod tests {
     #[test]
     fn early_completion_finishes_at_actual() {
         let mut j = job().with_actual_work(1.5);
-        assert_eq!(j.actual_work(), 1.5);
+        assert_eq!(j.actual, 1.5);
         assert_eq!(j.remaining_work(), 4.0, "budget stays conservative");
         assert_eq!(j.remaining_actual_work(), 1.5);
         j.execute(1.0, SimDuration::from_units(1.5));

@@ -24,9 +24,15 @@
 //! // 5 periodic tasks at U = 0.4 sized against a 2.0-power source and a
 //! // 3.2-power processor — the paper's Fig. 8 workload.
 //! let set = WorkloadSpec::paper(5, 0.4, 2.0, 3.2).generate(1);
-//! let arrivals = set.arrivals_between(SimTime::ZERO, SimTime::from_whole_units(100));
-//! assert!(!arrivals.is_empty());
+//! assert_eq!(set.len(), 5);
+//! assert!((set.utilization() - 0.4).abs() < 1e-12);
+//! let first = &set.tasks()[0];
+//! let one_period = SimTime::ZERO + first.period().unwrap();
+//! assert!(!first.arrivals_between(SimTime::ZERO, one_period).is_empty());
 //! ```
+//!
+//! [`Task`]: task::Task
+//! [`Job`]: job::Job
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -38,9 +44,5 @@ pub mod queue;
 pub mod task;
 pub mod taskset;
 
-pub use analysis::{edf_schedulable, worst_case_deficit, Schedulability};
-pub use generator::WorkloadSpec;
-pub use job::{Job, JobId};
-pub use queue::EdfQueue;
-pub use task::{ReleasePattern, Task};
+pub use job::JobId;
 pub use taskset::TaskSet;

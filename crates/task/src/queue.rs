@@ -147,7 +147,7 @@ impl EdfQueue {
     /// The heap is only partially ordered, so this sorts an index
     /// permutation first — O(n log n), meant for inspection and tests,
     /// not the scheduling hot path.
-    pub fn iter(&self) -> impl Iterator<Item = &Job> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Job> {
         let mut order: Vec<usize> = (0..self.heap.len()).collect();
         order.sort_unstable_by_key(|&i| self.key(i));
         order.into_iter().map(move |i| &self.heap[i])
@@ -165,15 +165,6 @@ impl EdfQueue {
             let job = self.remove_at(0);
             out.push(job);
         }
-    }
-
-    /// Convenience wrapper over
-    /// [`drain_expired_into`](Self::drain_expired_into) that collects
-    /// into a fresh `Vec`.
-    pub fn drain_expired(&mut self, now: SimTime) -> Vec<Job> {
-        let mut out = Vec::new();
-        self.drain_expired_into(now, &mut out);
-        out
     }
 
     /// Total remaining full-speed work across all ready jobs.
@@ -340,7 +331,8 @@ mod tests {
         q.push(job(0, 10, 1.0));
         q.push(job(1, 20, 1.0));
         q.push(job(2, 30, 1.0));
-        let missed = q.drain_expired(SimTime::from_whole_units(20));
+        let mut missed = Vec::new();
+        q.drain_expired_into(SimTime::from_whole_units(20), &mut missed);
         let ids: Vec<u64> = missed.iter().map(|j| j.id().0).collect();
         assert_eq!(ids, vec![0, 1]);
         assert_eq!(q.len(), 1);

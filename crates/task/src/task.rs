@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 /// How a task releases jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ReleasePattern {
+pub(crate) enum ReleasePattern {
     /// One job per `period`, starting at the task's phase.
     Periodic {
         /// Inter-arrival time.
@@ -32,7 +32,8 @@ pub enum ReleasePattern {
 ///
 /// // A periodic task with implicit deadline.
 /// let p = Task::periodic_implicit(SimDuration::from_whole_units(20), 2.5);
-/// assert_eq!(p.utilization(), Some(2.5 / 20.0));
+/// assert_eq!(p.period(), Some(SimDuration::from_whole_units(20)));
+/// assert_eq!(p.relative_deadline(), SimDuration::from_whole_units(20));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Task {
@@ -138,11 +139,6 @@ impl Task {
         self.phase
     }
 
-    /// The release pattern.
-    pub fn pattern(&self) -> ReleasePattern {
-        self.pattern
-    }
-
     /// Period, if periodic.
     pub fn period(&self) -> Option<SimDuration> {
         match self.pattern {
@@ -168,7 +164,7 @@ impl Task {
     /// # Panics
     ///
     /// Panics if `factor` is not finite and positive.
-    pub fn scaled_wcet(&self, factor: f64) -> Self {
+    pub(crate) fn scaled_wcet(&self, factor: f64) -> Self {
         assert!(
             factor.is_finite() && factor > 0.0,
             "scale factor must be positive"
@@ -181,7 +177,7 @@ impl Task {
     }
 
     /// Utilization `w_m / p_m` (eq. 14); `None` for one-shot tasks.
-    pub fn utilization(&self) -> Option<f64> {
+    pub(crate) fn utilization(&self) -> Option<f64> {
         self.period().map(|p| self.wcet / p.as_units())
     }
 

@@ -54,12 +54,6 @@ impl TaskSet {
         self.tasks.iter()
     }
 
-    /// Adds a task, returning its index.
-    pub fn push(&mut self, task: Task) -> usize {
-        self.tasks.push(task);
-        self.tasks.len() - 1
-    }
-
     /// Total utilization `U = Σ w_m / p_m` (paper eq. 14). One-shot
     /// tasks contribute zero.
     pub fn utilization(&self) -> f64 {
@@ -90,7 +84,7 @@ impl TaskSet {
 
     /// Hyperperiod (LCM of the periodic tasks' periods). `None` if the
     /// set has no periodic task or the LCM overflows the tick range.
-    pub fn hyperperiod(&self) -> Option<SimDuration> {
+    pub(crate) fn hyperperiod(&self) -> Option<SimDuration> {
         let mut acc: Option<i64> = None;
         for t in &self.tasks {
             if let Some(p) = t.period() {
@@ -102,23 +96,6 @@ impl TaskSet {
             }
         }
         acc.map(SimDuration::from_ticks)
-    }
-
-    /// All job arrivals of every task within `[from, until)`, as
-    /// `(task_index, arrival)` pairs sorted by time then task index.
-    pub fn arrivals_between(&self, from: SimTime, until: SimTime) -> Vec<(usize, SimTime)> {
-        let mut out: Vec<(usize, SimTime)> = self
-            .tasks
-            .iter()
-            .enumerate()
-            .flat_map(|(i, t)| {
-                t.arrivals_between(from, until)
-                    .into_iter()
-                    .map(move |a| (i, a))
-            })
-            .collect();
-        out.sort_by_key(|&(i, a)| (a, i));
-        out
     }
 
     /// Precomputes the release timeline of `[0, horizon)` as a
@@ -239,9 +216,9 @@ mod tests {
 
     #[test]
     fn one_shot_tasks_do_not_contribute() {
-        let mut s = set();
-        s.push(Task::once(SimTime::ZERO, d(5), 100.0));
-        assert!((s.utilization() - 0.35).abs() < 1e-12);
+        let mut tasks: Vec<Task> = set().iter().cloned().collect();
+        tasks.push(Task::once(SimTime::ZERO, d(5), 100.0));
+        assert!((TaskSet::new(tasks).utilization() - 0.35).abs() < 1e-12);
     }
 
     #[test]
@@ -266,38 +243,25 @@ mod tests {
     }
 
     #[test]
-    fn arrivals_merge_sorted() {
-        let s = TaskSet::new(vec![
-            Task::periodic_implicit(d(10), 1.0),
-            Task::periodic_implicit(d(15), 1.0),
-        ]);
-        let arrivals = s.arrivals_between(SimTime::ZERO, SimTime::from_whole_units(30));
-        let times: Vec<i64> = arrivals
-            .iter()
-            .map(|&(_, t)| t.as_ticks() / 1_000_000)
-            .collect();
-        assert_eq!(times, vec![0, 0, 10, 15, 20]);
-        // Simultaneous arrivals ordered by task index.
-        assert_eq!(arrivals[0].0, 0);
-        assert_eq!(arrivals[1].0, 1);
-    }
-
-    #[test]
     fn release_tape_matches_arrival_multiset_and_counts_jobs() {
         let s = set();
         let horizon = d(60);
         let tape = s.release_tape(horizon);
-        // Same multiset of (task, time) as arrivals_between, whatever
-        // the order.
+        // Same multiset of (task, time) as the tasks' own arrivals,
+        // whatever the order.
         let mut tape_pairs: Vec<(usize, i64)> = tape
             .entries()
             .iter()
             .map(|e| (e.task as usize, e.ticks))
             .collect();
         let mut ref_pairs: Vec<(usize, i64)> = s
-            .arrivals_between(SimTime::ZERO, SimTime::ZERO + horizon)
-            .into_iter()
-            .map(|(i, t)| (i, t.as_ticks()))
+            .iter()
+            .enumerate()
+            .flat_map(|(i, t)| {
+                t.arrivals_between(SimTime::ZERO, SimTime::ZERO + horizon)
+                    .into_iter()
+                    .map(move |a| (i, a.as_ticks()))
+            })
             .collect();
         tape_pairs.sort_unstable();
         ref_pairs.sort_unstable();

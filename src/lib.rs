@@ -9,8 +9,12 @@
 //! DVFS processor model, a periodic-workload generator, and the full
 //! experiment harness regenerating Figures 5–9 and Table 1.
 //!
-//! This crate is a facade: it re-exports the workspace crates under one
-//! roof so applications can depend on `harvest-rt` alone.
+//! This crate is a facade: it re-exports each workspace crate's public
+//! items under one roof so applications can depend on `harvest-rt`
+//! alone. An item of a library crate is public only when a target
+//! outside that crate uses it (another crate, a binary, an example or
+//! test, or the campaign benchmark); everything else is crate-private,
+//! so the compiler's dead-code lint checks it.
 //!
 //! | Module | Backing crate | Contents |
 //! |--------|---------------|----------|

@@ -149,3 +149,41 @@ fn table1_ratio_shrinks_with_utilization() {
     assert!(high < low, "ratio should shrink: {low:.2} → {high:.2}");
     assert!(high < 1.5, "U=0.8 ratio should be near 1, got {high:.2}");
 }
+
+/// LSA's zero-miss outcome is monotone in capacity: a task set that
+/// runs miss-free with some store also does with every larger one,
+/// which lazy scheduling's optimality predicts. For each seed the
+/// Table 1 search (doubling from 100, then bisecting to 0.5%) finds the
+/// seed's own threshold, and every multiple of it up to 3× must stay
+/// miss-free. A miss here is an LSA or engine bug, not noise.
+#[test]
+fn lsa_zero_miss_is_monotone_in_capacity() {
+    for u in [0.2, 0.4, 0.6, 0.8] {
+        for seed in 0..8 {
+            let miss_free = |c: f64| {
+                PaperScenario::new(u, c)
+                    .run(PolicyKind::Lsa, seed)
+                    .is_miss_free()
+            };
+            let (mut lo, mut hi) = (0.0_f64, 100.0_f64);
+            while !miss_free(hi) {
+                lo = hi;
+                hi *= 2.0;
+            }
+            while hi - lo > 0.005 * hi {
+                let mid = 0.5 * (lo + hi);
+                if miss_free(mid) {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            for k in [1.001, 1.01, 1.03, 1.07, 1.15, 1.3, 1.6, 2.0, 3.0] {
+                assert!(
+                    miss_free(k * hi),
+                    "U={u} seed {seed}: miss-free at {hi}, misses at {k}x"
+                );
+            }
+        }
+    }
+}

@@ -289,3 +289,27 @@ fn solar_profiles_stay_bit_identical() {
         );
     }
 }
+
+/// Model pin: EA-DVFS is not monotone in storage capacity. At U = 0.2,
+/// seed 2 runs miss-free at C = 12.7, yet at the larger C = 14.0 it
+/// misses exactly one job, job 500 with deadline t = 2450. So the
+/// capacity a Table 1 search returns is one at which every task set is
+/// miss-free, not one above which they all are. A change that moves
+/// either outcome changes the model, not only the arithmetic.
+#[test]
+fn ea_dvfs_capacity_anomaly_model_pin() {
+    let run = |capacity| PaperScenario::new(0.2, capacity).run(PolicyKind::EaDvfs, 2);
+    let small = run(12.7);
+    assert!(
+        small.is_miss_free(),
+        "{} misses at C = 12.7",
+        small.missed()
+    );
+    let missed: Vec<(u64, SimTime)> = run(14.0)
+        .jobs
+        .iter()
+        .filter(|j| j.missed_deadline())
+        .map(|j| (j.id.0, j.deadline))
+        .collect();
+    assert_eq!(missed, vec![(500, SimTime::from_whole_units(2450))]);
+}
