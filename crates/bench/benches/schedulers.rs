@@ -19,13 +19,7 @@ fn decision_latency(c: &mut Criterion) {
     let cpu = presets::xscale();
     let storage = Storage::new(StorageSpec::ideal(500.0), 120.0);
     let predictor = OraclePredictor::new(PiecewiseConstant::constant(2.0));
-    let job = Job::new(
-        JobId(0),
-        0,
-        SimTime::ZERO,
-        SimTime::from_whole_units(40),
-        6.0,
-    );
+    let job = Job::new(JobId(0), SimTime::from_whole_units(40), 6.0);
     let ctx = SchedContext::new(
         SimTime::from_whole_units(3),
         &job,

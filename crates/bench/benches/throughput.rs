@@ -75,7 +75,7 @@ fn edf_queue_ops(c: &mut Criterion) {
             let mut q = EdfQueue::new();
             for i in 0..100u64 {
                 let d = SimTime::from_whole_units(((i * 37) % 100 + 1) as i64);
-                q.push(Job::new(JobId(i), 0, SimTime::ZERO, d, 1.0));
+                q.push(Job::new(JobId(i), d, 1.0));
             }
             let mut n = 0;
             while q.pop().is_some() {

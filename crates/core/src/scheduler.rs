@@ -282,13 +282,7 @@ pub(crate) mod test_util {
     }
 
     pub(crate) fn job(deadline_units: i64, wcet: f64) -> Job {
-        Job::new(
-            JobId(0),
-            0,
-            SimTime::ZERO,
-            SimTime::from_whole_units(deadline_units),
-            wcet,
-        )
+        Job::new(JobId(0), SimTime::from_whole_units(deadline_units), wcet)
     }
 }
 

@@ -294,7 +294,7 @@ impl SystemModel<'_> {
         let span = (now - from).as_units();
         let load = match self.state {
             RunState::Running { level, .. } => self.config.cpu.power(level),
-            RunState::Idle | RunState::Stalled => self.config.cpu.idle_power(),
+            RunState::Idle | RunState::Stalled => 0.0,
         };
         // One fused profile walk: the storage advance and the harvest
         // accounting (plus predictor observations) consume the same
@@ -401,7 +401,7 @@ impl SystemModel<'_> {
         let id = JobId(self.next_job_id);
         self.next_job_id += 1;
         let deadline = now + relative_deadline;
-        let job = Job::new(id, task_index, now, deadline, wcet).with_actual_work(actual_work);
+        let job = Job::new(id, deadline, wcet).with_actual_work(actual_work);
         self.records.push(JobRecord {
             id,
             task_index,
@@ -572,8 +572,7 @@ impl SystemModel<'_> {
                 // DVFS switch cost: energy drawn instantaneously from the
                 // store when the frequency actually changes (the paper
                 // assumes this negligible; the model supports it for
-                // sensitivity studies — time overhead is rejected when
-                // the run starts, in `run_closed_loop`).
+                // sensitivity studies). A switch takes no time.
                 if self.last_level != Some(level) {
                     if self.last_level.is_some() {
                         self.switches += 1;
@@ -690,7 +689,7 @@ impl SystemModel<'_> {
             &self.profile,
             now,
             horizon_end,
-            self.config.cpu.idle_power(),
+            0.0,
         );
         self.state = RunState::Stalled;
         match wake {
@@ -1128,15 +1127,14 @@ pub fn try_simulate_in_taped(
 ///
 /// An arm whose [`Watchdog`](harvest_sim::engine::Watchdog) fires
 /// returns the corresponding [`SimError`]; the pooled queues are
-/// reclaimed and reset all the same, so the context stays healthy for
+/// recovered and reset all the same, so the context stays healthy for
 /// the worker's next trial. Without a watchdog no result is `Err`. A
 /// traced run (`collect_trace`) that aborts leaves its partial result
 /// on the context for [`RunContext::take_partial`].
 ///
 /// # Panics
 ///
-/// Panics if `policies` is empty, or if the CPU model has a non-zero
-/// switch time overhead.
+/// Panics if `policies` is empty.
 #[allow(clippy::too_many_arguments)]
 pub fn try_simulate_arms_in(
     ctx: &mut RunContext,
@@ -1190,11 +1188,6 @@ fn run_closed_loop(
     debug_assert!(
         policies.len() == 1 || !(config.collect_metrics || config.profile),
         "metric and profiled runs carry one arm"
-    );
-    assert!(
-        config.cpu.switch_overhead().is_zero(),
-        "the closed-loop simulator models DVFS switch *energy* only; \
-         time overhead must be zero (the paper's §5.1 assumption)"
     );
     for policy in policies.iter_mut() {
         policy.reset();
@@ -1852,7 +1845,7 @@ mod tests {
             section2_config(),
         );
         let mut config = section2_config();
-        config.cpu = config.cpu.with_switch_overhead(SimDuration::ZERO, 2.0);
+        config.cpu = config.cpu.with_switch_energy(2.0);
         let costly = run(Box::new(EaDvfsScheduler::new()), &section2_tasks(), config);
         assert_eq!(cheap.switches, costly.switches);
         let expected_extra = 2.0 * costly.switches as f64;
@@ -1867,16 +1860,6 @@ mod tests {
         let lhs = costly.energy.initial_level + costly.energy.harvested;
         let rhs = costly.energy.consumed + costly.energy.overflow + costly.energy.final_level;
         assert!((lhs - rhs).abs() < 1e-6, "{:?}", costly.energy);
-    }
-
-    #[test]
-    #[should_panic(expected = "time overhead")]
-    fn switch_time_overhead_is_rejected() {
-        let mut config = section2_config();
-        config.cpu = config
-            .cpu
-            .with_switch_overhead(SimDuration::from_units(0.01), 0.0);
-        let _ = run(Box::new(EdfScheduler::new()), &section2_tasks(), config);
     }
 
     #[test]
@@ -2262,7 +2245,7 @@ mod tests {
             None,
         );
         assert!(err.is_err());
-        assert!(ctx.queue_stats().is_some(), "queues reclaimed after abort");
+        assert!(ctx.queue_stats().is_some(), "queues recovered after abort");
         // The same context then runs a clean trial bit-identical to a
         // fresh one.
         let pooled = run_in(

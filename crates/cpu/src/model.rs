@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use harvest_sim::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
 use crate::level::FrequencyLevel;
@@ -24,8 +23,6 @@ pub enum CpuModelError {
         /// Index of the first offending level.
         index: usize,
     },
-    /// Idle power must be non-negative and below the lowest active power.
-    InvalidIdlePower,
 }
 
 impl fmt::Display for CpuModelError {
@@ -42,12 +39,6 @@ impl fmt::Display for CpuModelError {
                 write!(
                     f,
                     "powers must be strictly increasing (violated at level {index})"
-                )
-            }
-            CpuModelError::InvalidIdlePower => {
-                write!(
-                    f,
-                    "idle power must be non-negative and below the lowest active power"
                 )
             }
         }
@@ -88,8 +79,6 @@ pub type LevelIndex = usize;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CpuModel {
     levels: Vec<FrequencyLevel>,
-    idle_power: f64,
-    switch_overhead: SimDuration,
     switch_energy: f64,
     /// Bitmask of levels currently unavailable to the min-frequency
     /// search (fault injection); bit `n` set locks level `n`. The
@@ -101,9 +90,10 @@ pub struct CpuModel {
 impl CpuModel {
     /// Creates a model from operating points sorted by frequency.
     ///
-    /// Idle power and DVFS switch overheads default to zero — the
-    /// paper's assumptions (§5.1: "the overhead from voltage switching is
-    /// assumed to be negligible").
+    /// An idle processor draws no power, and a frequency switch costs no
+    /// energy unless [`with_switch_energy`](Self::with_switch_energy)
+    /// sets one — the paper's assumptions (§5.1: "the overhead from
+    /// voltage switching is assumed to be negligible").
     ///
     /// # Errors
     ///
@@ -123,29 +113,22 @@ impl CpuModel {
         }
         Ok(CpuModel {
             levels,
-            idle_power: 0.0,
-            switch_overhead: SimDuration::ZERO,
             switch_energy: 0.0,
             locked_mask: 0,
         })
     }
 
-    /// Sets a fixed time/energy cost per frequency switch.
+    /// Sets a fixed energy cost per frequency switch. A switch takes no
+    /// time: the closed-loop simulator models none.
     ///
     /// # Panics
     ///
-    /// Panics if `energy` is negative or not finite, or `overhead` is
-    /// negative.
-    pub fn with_switch_overhead(mut self, overhead: SimDuration, energy: f64) -> Self {
+    /// Panics if `energy` is negative or not finite.
+    pub fn with_switch_energy(mut self, energy: f64) -> Self {
         assert!(
             energy.is_finite() && energy >= 0.0,
             "switch energy must be finite and >= 0"
         );
-        assert!(
-            overhead >= SimDuration::ZERO,
-            "switch overhead must be non-negative"
-        );
-        self.switch_overhead = overhead;
         self.switch_energy = energy;
         self
     }
@@ -181,16 +164,6 @@ impl CpuModel {
     /// Maximum power `P_max` (at `f_max`).
     pub fn max_power(&self) -> f64 {
         self.levels[self.max_level()].power
-    }
-
-    /// Idle power.
-    pub fn idle_power(&self) -> f64 {
-        self.idle_power
-    }
-
-    /// Per-switch time overhead.
-    pub fn switch_overhead(&self) -> SimDuration {
-        self.switch_overhead
     }
 
     /// Per-switch energy overhead.
@@ -374,9 +347,8 @@ mod tests {
     }
 
     #[test]
-    fn switch_overhead_roundtrip() {
-        let cpu = two_speed().with_switch_overhead(SimDuration::from_units(0.001), 0.01);
-        assert_eq!(cpu.switch_overhead(), SimDuration::from_units(0.001));
+    fn switch_energy_roundtrip() {
+        let cpu = two_speed().with_switch_energy(0.01);
         assert_eq!(cpu.switch_energy(), 0.01);
     }
 

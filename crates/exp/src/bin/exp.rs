@@ -675,7 +675,6 @@ fn store_stat(dir: &std::path::Path, json: bool) -> Result<(), ExpError> {
             ("done".into(), Value::U64(s.done as u64)),
             ("quarantined".into(), Value::U64(s.quarantined as u64)),
             ("superseded".into(), Value::U64(s.superseded as u64)),
-            ("reclaimed".into(), Value::U64(s.reclaimed as u64)),
             ("bytes".into(), Value::U64(s.bytes)),
             ("corrupt_spans".into(), Value::U64(s.corrupt_spans as u64)),
         ]);
@@ -685,7 +684,7 @@ fn store_stat(dir: &std::path::Path, json: bool) -> Result<(), ExpError> {
     }
     outln!(
         "store dir={} packs={} records={} done={} quarantined={} bytes={} superseded={} \
-         reclaimed={} corrupt_spans={}",
+         corrupt_spans={}",
         dir.display(),
         s.packs,
         s.records,
@@ -693,7 +692,6 @@ fn store_stat(dir: &std::path::Path, json: bool) -> Result<(), ExpError> {
         s.quarantined,
         s.bytes,
         s.superseded,
-        s.reclaimed,
         s.corrupt_spans
     )
 }

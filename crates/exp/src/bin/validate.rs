@@ -89,7 +89,7 @@ fn main() {
     });
 
     // The exit below skips destructors: close the store first so its
-    // records and sidecars land and its writer leases read as released.
+    // records are synced and its sidecars land.
     drop(store);
 
     println!("EA-DVFS reproduction validation ({trials} trials/point)");

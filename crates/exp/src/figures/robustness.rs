@@ -239,13 +239,6 @@ where
     let mut driver_sink = telemetry.sink(TID_DRIVER);
     let figure_start = driver_sink.as_ref().map(|s| s.start());
 
-    // A store that degraded in an earlier campaign re-probes its
-    // directory now: the failure may have been transient (disk full,
-    // unmounted share) and a new campaign deserves a fresh attempt.
-    if let Some(c) = store {
-        c.reprobe();
-    }
-
     let scenario_of = |intensity: f64, predictor: PredictorKind| {
         let mut s = PaperScenario::new(config.utilization, config.capacity)
             .with_predictor(predictor)

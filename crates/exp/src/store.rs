@@ -35,26 +35,27 @@
 //!   resumable fault campaigns (through [`PackStore::decided`], which
 //!   sees both).
 //!
-//! Writes append to one of a fixed set of writer slots (pack files named
-//! `pack-<pid>-<slot>-<n>.hpk`), created lazily with `O_EXCL`, so
-//! concurrent processes and threads never interleave bytes in one file.
-//! An IO failure never fails the run: transient errors retry on the
-//! store's deterministic [`RetryPolicy`] schedule; persistent errors
+//! Each store appends through one writer to one pack file,
+//! `pack-<pid>-<n>.hpk`, created with `O_EXCL` at its first append, so
+//! two processes sharing a directory never interleave bytes in one
+//! file. An IO failure never fails the run: transient errors retry on
+//! the store's deterministic [`RetryPolicy`] schedule; persistent errors
 //! flip the store into write-degraded mode (one warning) and it keeps
 //! answering probes.
 //!
-//! Durability and recovery (PR 10):
+//! Durability and recovery:
 //!
 //! * Every filesystem touch goes through a [`StoreIo`] backend, so the
 //!   whole recovery discipline is testable under the deterministic
 //!   [`FaultyIo`](harvest_obs::io::FaultyIo) injector.
-//! * Writer slots are claimed through **advisory-locked lease files**
-//!   (`flock` on `lease-<slot>` with a `pid epoch` stamp; a clean
-//!   close restamps pid 0). A crashed process's flock dies with it and
-//!   its pid stays in the stamp, so the next writer takes the slot over
-//!   with a note (bumping the epoch); [`PackStore::open`] reclaims dead-pid
-//!   packs by refreshing their sidecars, and [`PackStore::compact`]
-//!   refuses to run while any lease is held by a live writer.
+//! * A store directory has one **lock file**, `lock`. A writer holds a
+//!   shared `flock` on it from before it creates its pack until it
+//!   drops; the lock dies with its process, so a killed writer leaves
+//!   nothing to clean up. [`PackStore::compact`] takes it exclusively
+//!   and refuses to run while any writer holds it, and open and
+//!   [`PackStore::stat`] cut a torn tail off on disk only when they can
+//!   take it exclusively: with a writer live, that tail may be its
+//!   record in flight.
 //! * A [`Durability`] knob decides when `sync_all` barriers run:
 //!   per-record, at batch boundaries (`PackStore::barrier`, the
 //!   default), or never. Compaction and sidecar writes are
@@ -72,10 +73,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use harvest_obs::io::{
-    pid_alive, read_lease_stamp, Durability, IoCounters, IoHealth, RealIo, RetryPolicy, StoreFile,
-    StoreIo,
-};
+use harvest_obs::io::{Durability, IoCounters, IoHealth, RealIo, RetryPolicy, StoreFile, StoreIo};
 
 use crate::cache::{fnv1a64, fnv1a64_resume, fnv1a64_step, TrialKey, TrialSummary};
 use crate::parallel::CellFailure;
@@ -97,10 +95,6 @@ const IDX_MAGIC: [u8; 8] = *b"HPX1\x01\0\0\0";
 const KIND_DONE: u8 = 1;
 /// Record kind: a quarantined cell carrying a [`CellFailure`].
 const KIND_QUARANTINED: u8 = 2;
-/// Number of writer slots a store multiplexes its threads over. Bounds
-/// the retained file descriptors: a store holds at most this many fds
-/// open, no matter how many cells it writes.
-pub const WRITER_SLOTS: usize = 8;
 
 // ---------------------------------------------------------------------------
 // Store surface
@@ -496,6 +490,17 @@ fn create_numbered(
     }
 }
 
+/// Opens (creating) the store's lock file, `dir/lock`: writers hold it
+/// shared, repairs and compaction exclusively. Like every `flock`, it is
+/// released when the handle closes, and with it when its process dies.
+fn open_lock(dir: &Path) -> std::io::Result<std::fs::File> {
+    std::fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(dir.join("lock"))
+}
+
 // ---------------------------------------------------------------------------
 // Sidecar index
 // ---------------------------------------------------------------------------
@@ -592,49 +597,28 @@ struct Inner {
 /// The packs of a store directory, read as every open reads them.
 struct LoadedPacks {
     packs: Vec<PackBuf>,
-    /// Packs a dead writer left without a current sidecar, by index into
-    /// `packs`: open refreshes their sidecars.
-    reclaimed: Vec<usize>,
     /// Packs skipped because their header is not [`PACK_MAGIC`].
     bad_headers: usize,
 }
 
 /// Reads every pack of `dir` into memory: a valid sidecar covers a
 /// prefix, the rest is scanned frame by frame, a torn tail is cut off
-/// (on disk too, best effort) and a pack with a bad header is skipped.
-/// `index` sees every record a sidecar lists or the scan finds, in load
-/// order, so inserting each into a map keeps the last write per key.
+/// and a pack with a bad header is skipped. The tail is cut on disk too
+/// (best effort) only when no writer holds the store's lock: a live
+/// writer's pack may end in its record in flight. `index` sees every
+/// record a sidecar lists or the scan finds, in load order, so inserting
+/// each into a map keeps the last write per key.
 fn load_packs(
     io: &dyn StoreIo,
     dir: &Path,
     mut index: impl FnMut(u64, Loc),
 ) -> std::io::Result<LoadedPacks> {
-    // Stale writer-slot reclamation: slots whose lease is free but
-    // stamped with a dead pid were abandoned by a crash. Their packs
-    // load like any other below; noting the dead pids here lets open
-    // refresh the sidecars those writers never wrote.
-    let mut dead_pids: Vec<u32> = Vec::new();
-    for (_, lease) in lease_files(dir) {
-        let Ok(mut file) = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&lease)
-        else {
-            continue;
-        };
-        if file.try_lock().is_err() {
-            continue; // held by a live writer
-        }
-        if let Some((pid, _)) = read_lease_stamp(&mut file) {
-            if crashed_holder(pid) {
-                dead_pids.push(pid);
-            }
-        }
-        let _ = file.unlock();
-    }
+    // The lock held exclusively until the packs are read, or `None` when
+    // a writer holds it or the lock file cannot be opened (a read-only
+    // directory, say).
+    let repair = open_lock(dir).ok().filter(|lock| lock.try_lock().is_ok());
     let mut loaded = LoadedPacks {
         packs: Vec::new(),
-        reclaimed: Vec::new(),
         bad_headers: 0,
     };
     for path in pack_paths(io, dir)? {
@@ -647,7 +631,7 @@ fn load_packs(
         }
         let pack = loaded.packs.len();
         let mut scan_from = PACK_MAGIC.len();
-        let sidecar_applied = if let Some((covered, entries)) = io
+        if let Some((covered, entries)) = io
             .read(&idx_path_for(&path))
             .ok()
             .and_then(|idx| decode_index(&idx, data.len()))
@@ -663,10 +647,7 @@ fn load_packs(
                 );
             }
             scan_from = covered;
-            covered == data.len()
-        } else {
-            false
-        };
+        }
         // Index the bytes no sidecar covers (the whole pack when none
         // applied). A corrupt span mid-pack stays on disk, unindexed;
         // only a torn tail is cut off.
@@ -685,217 +666,34 @@ fn load_packs(
             Frame::Corrupt(_) => {}
         });
         if let Some(at) = torn_at {
-            // Drop the torn tail on disk too (best effort — a read-only
-            // store still serves the good prefix).
-            let _ = io.truncate(&path, at as u64);
+            // Best effort on disk: a read-only store still serves the
+            // good prefix.
+            if repair.is_some() {
+                let _ = io.truncate(&path, at as u64);
+            }
             data.truncate(at);
-        }
-        let from_dead_writer = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .and_then(|n| n.strip_prefix("pack-"))
-            .and_then(|n| n.split('-').next())
-            .and_then(|pid| pid.parse::<u32>().ok())
-            .is_some_and(|pid| dead_pids.contains(&pid));
-        if from_dead_writer && !sidecar_applied {
-            // A crashed writer's pack without a current sidecar: folded
-            // into the readable set like any pack, plus a fresh sidecar
-            // so future opens skip the scan.
-            loaded.reclaimed.push(pack);
         }
         loaded.packs.push(PackBuf { path, data });
     }
     Ok(loaded)
 }
 
-/// Writes (or refreshes) pack `pi`'s sidecar from `index`, the last
-/// location of every key, keeping the entries that point into `pack`.
-/// Crash-consistent (tmp file, sync unless durability is `None`, then
-/// rename over the live name) and best-effort: sidecars are pure
-/// acceleration, so failures are ignored.
-fn write_sidecar<'a>(
-    io: &dyn StoreIo,
-    durability: Durability,
-    pi: usize,
-    pack: &PackBuf,
-    index: impl IntoIterator<Item = (&'a u64, &'a Loc)>,
-) {
-    let entries: Vec<IdxEntry> = index
-        .into_iter()
-        .filter(|(_, loc)| loc.pack == pi)
-        .map(|(&fingerprint, loc)| IdxEntry {
-            fingerprint,
-            offset: loc.offset,
-            kind: loc.kind,
-        })
-        .collect();
-    let bytes = encode_index(pack.data.len(), &entries);
-    let tmp = pack.path.with_extension("idx.tmp");
-    let write_synced = (|| -> std::io::Result<()> {
-        let mut f = io.create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.flush()?;
-        if durability != Durability::None {
-            f.sync_all()?;
-        }
-        Ok(())
-    })();
-    if write_synced
-        .and_then(|()| io.rename(&tmp, &idx_path_for(&pack.path)))
-        .is_err()
-    {
-        let _ = io.remove_file(&tmp);
-    }
-}
-
-/// An advisory-locked claim on one global writer slot: the open,
-/// `flock`ed lease file plus the epoch this writer stamped into it.
-/// Dropping the lease (process exit included, even by SIGKILL) releases
-/// the flock, so the slot is always recoverable.
-struct WriterLease {
-    /// Held open for the lifetime of the writer; the flock lives here.
-    file: std::fs::File,
-    /// The global slot number this lease claims.
-    slot: usize,
-    /// The epoch stamped by this writer (predecessor's epoch + 1).
-    epoch: u64,
-    /// Whether this acquisition took the slot over from a dead process
-    /// (a stale lease left by a crash).
-    took_over: bool,
-}
-
-/// The pid a cleanly released lease is stamped with. No user process
-/// has pid 0, so only a writer that died holding its slot leaves a
-/// stamp that names a dead process.
-const RELEASED_PID: u32 = 0;
-
-impl Drop for WriterLease {
-    /// Restamps the lease as released before the flock goes, so the
-    /// next writer on this slot does not report a crash. A killed
-    /// process never runs this and leaves its own pid behind.
-    fn drop(&mut self) {
-        let _ = write_stamp(&mut self.file, RELEASED_PID, self.epoch);
-    }
-}
-
-/// Lease file name for a global writer slot.
-fn lease_path(dir: &Path, slot: usize) -> PathBuf {
-    dir.join(format!("lease-{slot}"))
-}
-
-/// Overwrites a lease file's stamp with `pid epoch`.
-fn write_stamp(file: &mut std::fs::File, pid: u32, epoch: u64) -> std::io::Result<()> {
-    use std::io::Seek as _;
-    file.set_len(0)?;
-    file.seek(std::io::SeekFrom::Start(0))?;
-    file.write_all(format!("{pid} {epoch}\n").as_bytes())
-}
-
-/// Whether a free lease's stamp names a writer that died holding the
-/// slot: not released cleanly, not this process, and no longer running.
-fn crashed_holder(pid: u32) -> bool {
-    pid != RELEASED_PID && pid != std::process::id() && !pid_alive(pid)
-}
-
-/// Claims the first free global writer slot at or after `preferred`,
-/// scanning upward without bound (two concurrent processes simply
-/// occupy disjoint slot ranges; nothing ever blocks). The lease file is
-/// `flock`ed exclusively and stamped `pid epoch`.
-fn acquire_lease(dir: &Path, preferred: usize) -> std::io::Result<WriterLease> {
-    let mut slot = preferred;
-    loop {
-        let path = lease_path(dir, slot);
-        // No truncate here: a prior holder's stamp must survive the
-        // open so takeover detection can read it before restamping.
-        let mut file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
-        match file.try_lock() {
-            Ok(()) => {
-                let prior = read_lease_stamp(&mut file);
-                let epoch = prior.map_or(0, |(_, e)| e.wrapping_add(1));
-                let took_over = prior.is_some_and(|(pid, _)| crashed_holder(pid));
-                write_stamp(&mut file, std::process::id(), epoch)?;
-                let _ = file.sync_all();
-                return Ok(WriterLease {
-                    file,
-                    slot,
-                    epoch,
-                    took_over,
-                });
-            }
-            Err(std::fs::TryLockError::WouldBlock) => slot += 1,
-            Err(std::fs::TryLockError::Error(e)) => return Err(e),
-        }
-    }
-}
-
-/// Every lease file currently present in `dir`, as `(slot, path)`.
-fn lease_files(dir: &Path) -> Vec<(usize, PathBuf)> {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut out: Vec<(usize, PathBuf)> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter_map(|p| {
-            let slot = p
-                .file_name()?
-                .to_str()?
-                .strip_prefix("lease-")?
-                .parse()
-                .ok()?;
-            Some((slot, p))
-        })
-        .collect();
-    out.sort();
-    out
-}
-
-/// Returns the pids of live writers holding leases in `dir` (their
-/// lease flocks are currently held by running processes).
-fn live_lease_holders(dir: &Path) -> Vec<u32> {
-    let mut holders = Vec::new();
-    for (_, path) in lease_files(dir) {
-        let Ok(mut file) = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)
-        else {
-            continue;
-        };
-        match file.try_lock() {
-            Ok(()) => {
-                // Free lease: released before drop closes the file.
-                let _ = file.unlock();
-            }
-            Err(_) => {
-                let pid = read_lease_stamp(&mut file).map_or(0, |(pid, _)| pid);
-                holders.push(pid);
-            }
-        }
-    }
-    holders
-}
-
+/// A store's one appender: its pack file and the shared lock it holds
+/// on the store's lock file until it drops.
 struct Writer {
     file: Box<dyn StoreFile>,
-    /// The flock-backed claim on this writer's global slot; released
-    /// when the writer is dropped.
-    _lease: WriterLease,
+    /// Shared `flock` on `dir/lock`, taken before the pack was created.
+    _lock: std::fs::File,
     pack: usize,
     /// Current file length — the offset the next record lands at. The
-    /// slot mutex makes this exact: only this writer appends here.
+    /// writer mutex makes this exact: only this writer appends here.
     len: usize,
 }
 
 /// The pack-file trial store (see the module docs).
 ///
 /// Shared immutably across sweep workers: probes take a read lock on
-/// the in-memory map, appends serialize per writer slot, and all
+/// the in-memory map, appends serialize on the one writer, and all
 /// counters are atomic.
 pub struct PackStore {
     dir: PathBuf,
@@ -904,7 +702,7 @@ pub struct PackStore {
     durability: Durability,
     counters: Arc<IoCounters>,
     inner: RwLock<Inner>,
-    writers: [Mutex<Option<Writer>>; WRITER_SLOTS],
+    writer: Mutex<Option<Writer>>,
     loaded: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -940,11 +738,8 @@ pub struct StoreStat {
     /// Records on disk superseded by a later write to the same key
     /// (what a [`PackStore::compact`] run would drop).
     pub superseded: usize,
-    /// Total pack bytes on disk (after any torn-tail truncation).
+    /// Total pack bytes read (after any torn-tail truncation).
     pub bytes: u64,
-    /// Packs left behind by dead writer processes (stale leases) that
-    /// this open folded back into the readable set.
-    pub reclaimed: usize,
     /// Byte spans in which no record decodes: one per span mid-pack and
     /// one per pack whose header is bad (what a [`PackStore::compact`]
     /// run would quarantine).
@@ -977,8 +772,9 @@ impl PackStore {
     /// Opens (and creates) a store rooted at `dir`, loading every pack
     /// into memory. Valid sidecar indexes skip scanning the prefix they
     /// cover; the rest is indexed frame by frame, skipping any frame
-    /// that does not decode (its cell recomputes). Torn tails are
-    /// truncated away; a corrupt span mid-pack stays on disk. Packs
+    /// that does not decode (its cell recomputes). Torn tails are cut
+    /// off, on disk too unless a writer holds the store; a corrupt span
+    /// mid-pack stays on disk. Packs
     /// whose header is unrecognized are ignored wholesale (`stat` counts
     /// each as a corrupt span, and `compact` quarantines it).
     ///
@@ -1027,20 +823,18 @@ impl PackStore {
         let dir = dir.into();
         io.create_dir_all(&dir)?;
         let mut index: FingerprintMap<Loc> = FingerprintMap::default();
-        let LoadedPacks {
-            packs, reclaimed, ..
-        } = load_packs(io.as_ref(), &dir, |fingerprint, loc| {
+        let LoadedPacks { packs, .. } = load_packs(io.as_ref(), &dir, |fingerprint, loc| {
             index.insert(fingerprint, loc);
         })?;
         let loaded = index.len();
-        let store = PackStore {
+        Ok(PackStore {
             dir,
             io,
             retry,
             durability,
             counters: Arc::new(IoCounters::default()),
             inner: RwLock::new(Inner { packs, index }),
-            writers: std::array::from_fn(|_| Mutex::new(None)),
+            writer: Mutex::new(None),
             loaded,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -1048,11 +842,7 @@ impl PackStore {
             stores: AtomicU64::new(0),
             write_degraded: AtomicBool::new(false),
             dirty: AtomicU64::new(0),
-        };
-        if !reclaimed.is_empty() {
-            store.write_indexes_for(&reclaimed);
-        }
-        Ok(store)
+        })
     }
 
     /// The store's root directory.
@@ -1134,18 +924,8 @@ impl PackStore {
         self.append(KIND_QUARANTINED, key, &encode_failure(failure))
     }
 
-    /// Picks this thread's writer slot. Thread-to-slot assignment is
-    /// sticky (hash of the thread id), so a worker keeps appending to
-    /// the same pack and records stay clustered per worker.
-    fn slot(&self) -> usize {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        std::thread::current().id().hash(&mut h);
-        (h.finish() as usize) % WRITER_SLOTS
-    }
-
-    /// Appends one record through this thread's writer slot, mirroring
-    /// the bytes into the in-memory pack so probes see the new cell
+    /// Appends one record through the store's writer, mirroring the
+    /// bytes into the in-memory pack so probes see the new cell
     /// immediately. On IO failure flips into write-degraded mode (one
     /// warning) and reports the error.
     fn append(&self, kind: u8, key: &TrialKey, payload: &[u8]) -> std::io::Result<()> {
@@ -1153,11 +933,10 @@ impl PackStore {
             return Err(std::io::Error::other("store is write-degraded"));
         }
         let record = encode_record(kind, key.text(), payload);
-        let slot = self.slot();
-        let mut guard = self.writers[slot].lock().expect("writer lock");
+        let mut guard = self.writer.lock().expect("writer lock");
         let result = (|| -> std::io::Result<()> {
             if guard.is_none() {
-                *guard = Some(self.open_writer(slot)?);
+                *guard = Some(self.open_writer()?);
             }
             let writer = guard.as_mut().expect("writer just ensured");
             // Raw write loop: absorb short writes; retry transient
@@ -1196,8 +975,8 @@ impl PackStore {
             if !sync_ok {
                 // Roll the pack file back to the last good record so
                 // the on-disk prefix stays clean. If even the truncate
-                // fails, abandon this writer: the next append opens a
-                // fresh pack and the torn tail is dropped at next open.
+                // fails, drop this writer: the next open cuts the torn
+                // tail off.
                 let len = writer.len as u64;
                 let path = {
                     let inner = self.inner.read().expect("store lock");
@@ -1239,26 +1018,17 @@ impl PackStore {
         result
     }
 
-    /// Acquires an advisory writer lease, then creates that lease
-    /// slot's pack file (`O_EXCL`, bumping a counter until the name is
-    /// free) and registers its in-memory mirror. The lease's `flock`
-    /// makes two processes sharing the directory claim disjoint slots;
-    /// it drops with the file handle on any process exit, so a crashed
-    /// writer's slot is immediately reclaimable.
-    fn open_writer(&self, slot: usize) -> std::io::Result<Writer> {
-        let lease = acquire_lease(&self.dir, slot)?;
-        if lease.took_over {
-            eprintln!(
-                "note: sweep store at {} took over stale writer lease {} (epoch {})",
-                self.dir.display(),
-                lease.slot,
-                lease.epoch
-            );
-        }
+    /// Takes a shared lock on the store's lock file, then creates the
+    /// store's pack file (`pack-<pid>-<n>.hpk`, `O_EXCL`, bumping `n`
+    /// until the name is free) and registers its in-memory mirror. The
+    /// lock blocks only while a compaction or another open's repair
+    /// holds it exclusively.
+    fn open_writer(&self) -> std::io::Result<Writer> {
+        let lock = open_lock(&self.dir)?;
+        lock.lock_shared()?;
         let pid = std::process::id();
-        let (path, mut file) = create_numbered(&*self.io, |n| {
-            self.dir.join(format!("pack-{pid}-{}-{n}.hpk", lease.slot))
-        })?;
+        let (path, mut file) =
+            create_numbered(&*self.io, |n| self.dir.join(format!("pack-{pid}-{n}.hpk")))?;
         if let Err(e) = self
             .retry
             .run(&self.counters, || file.write_all(&PACK_MAGIC))
@@ -1278,31 +1048,46 @@ impl PackStore {
         });
         Ok(Writer {
             file,
-            _lease: lease,
+            _lock: lock,
             pack,
             len: PACK_MAGIC.len(),
         })
     }
 
-    /// Writes (or refreshes) every pack's sidecar index so the next
-    /// open skips the full scan. Best-effort: sidecars are pure
-    /// acceleration, so failures are ignored.
-    pub(crate) fn write_indexes(&self) {
-        let all: Vec<usize> = {
-            let inner = self.inner.read().expect("store lock");
-            (0..inner.packs.len()).collect()
-        };
-        self.write_indexes_for(&all);
-    }
-
-    /// [`write_indexes`](Self::write_indexes) restricted to the given
-    /// pack indices (used by open to refresh only reclaimed packs), each
-    /// through [`write_sidecar`].
-    fn write_indexes_for(&self, packs: &[usize]) {
+    /// Writes (or refreshes) every pack's sidecar index from the probe
+    /// index, the last location of every key, so the next open skips the
+    /// full scan. Crash-consistent (tmp file, sync unless durability is
+    /// `None`, then rename over the live name) and best-effort: sidecars
+    /// are pure acceleration, so failures are ignored.
+    fn write_indexes(&self) {
         let inner = self.inner.read().expect("store lock");
-        for &pi in packs {
-            if let Some(pack) = inner.packs.get(pi) {
-                write_sidecar(&*self.io, self.durability, pi, pack, &inner.index);
+        for (pi, pack) in inner.packs.iter().enumerate() {
+            let entries: Vec<IdxEntry> = inner
+                .index
+                .iter()
+                .filter(|(_, loc)| loc.pack == pi)
+                .map(|(&fingerprint, loc)| IdxEntry {
+                    fingerprint,
+                    offset: loc.offset,
+                    kind: loc.kind,
+                })
+                .collect();
+            let bytes = encode_index(pack.data.len(), &entries);
+            let tmp = pack.path.with_extension("idx.tmp");
+            let write_synced = (|| -> std::io::Result<()> {
+                let mut f = self.io.create(&tmp)?;
+                f.write_all(&bytes)?;
+                f.flush()?;
+                if self.durability != Durability::None {
+                    f.sync_all()?;
+                }
+                Ok(())
+            })();
+            if write_synced
+                .and_then(|()| self.io.rename(&tmp, &idx_path_for(&pack.path)))
+                .is_err()
+            {
+                let _ = self.io.remove_file(&tmp);
             }
         }
     }
@@ -1312,8 +1097,6 @@ impl PackStore {
     /// builds no probe index: every record count comes from one frame
     /// scan of the loaded packs, so a record the sidecar indexes but that
     /// no longer decodes counts as a corrupt span, not a live record.
-    /// The same scan gives the sidecars open would refresh for dead
-    /// writers' packs.
     ///
     /// # Errors
     ///
@@ -1341,9 +1124,6 @@ impl PackStore {
                 Frame::Corrupt(_) => corrupt_spans += 1,
             });
         }
-        for &pi in &loaded.reclaimed {
-            write_sidecar(&io, Durability::default(), pi, &loaded.packs[pi], &live);
-        }
         let done = live.values().filter(|loc| loc.kind == KIND_DONE).count();
         Ok(StoreStat {
             packs: loaded.packs.len(),
@@ -1352,7 +1132,6 @@ impl PackStore {
             quarantined: live.len() - done,
             superseded: frames - live.len(),
             bytes: loaded.packs.iter().map(|p| p.data.len() as u64).sum(),
-            reclaimed: loaded.reclaimed.len(),
             corrupt_spans: corrupt_spans + loaded.bad_headers,
         })
     }
@@ -1389,26 +1168,30 @@ impl PackStore {
     /// that name is taken), so nothing is dropped silently and every
     /// span stays traceable; their cells re-simulate on the next warm
     /// run.
-    /// Refuses to run while any process holds a writer lease on the
-    /// directory — concurrent writers would race the removal. The
-    /// rewrite is crash-consistent: pack and sidecar are written to tmp
-    /// names, synced, renamed into place, and only then are the old
-    /// packs unlinked, so a crash at any point leaves either the old
-    /// store or the new one, never neither.
+    /// Holds the store's lock exclusively while it runs, and refuses to
+    /// run while any writer holds it: a live writer would race the
+    /// removal. The rewrite is crash-consistent: pack and sidecar are
+    /// written to tmp names, synced, renamed into place, and only then
+    /// are the old packs unlinked, so a crash at any point leaves either
+    /// the old store or the new one, never neither.
     ///
     /// # Errors
     ///
-    /// Returns the IO error when the quarantine or the merged pack
-    /// cannot be written; the original packs are only removed after the
-    /// merge landed. A `dir` that does not exist is
+    /// Returns an error while a writer holds the store, and the IO
+    /// error when the quarantine or the merged pack cannot be written;
+    /// the original packs are only removed after the merge landed. A
+    /// `dir` that does not exist is
     /// [`NotFound`](std::io::ErrorKind::NotFound).
     pub fn compact(dir: impl Into<PathBuf>) -> std::io::Result<CompactStats> {
         let dir = dir.into();
-        let holders = live_lease_holders(&dir);
-        if !holders.is_empty() {
-            return Err(std::io::Error::other(format!(
-                "store has live writers (pids {holders:?}); compact between campaigns"
-            )));
+        let lock = open_lock(&dir)?;
+        if let Err(e) = lock.try_lock() {
+            return Err(match e {
+                std::fs::TryLockError::WouldBlock => {
+                    std::io::Error::other("store has a live writer; compact between campaigns")
+                }
+                std::fs::TryLockError::Error(e) => e,
+            });
         }
         let io = RealIo;
         let mut stats = CompactStats::default();
@@ -1495,12 +1278,9 @@ impl PackStore {
         if self.dirty.swap(0, Ordering::Relaxed) == 0 {
             return;
         }
-        for slot in &self.writers {
-            let mut guard = slot.lock().expect("writer lock");
-            if let Some(writer) = guard.as_mut() {
-                if writer.file.sync_all().is_err() {
-                    self.counters.note_sync_failure();
-                }
+        if let Some(writer) = self.writer.lock().expect("writer lock").as_mut() {
+            if writer.file.sync_all().is_err() {
+                self.counters.note_sync_failure();
             }
         }
     }
@@ -1519,12 +1299,6 @@ impl PackStore {
     /// degradations, sync failures).
     pub fn io_health(&self) -> IoHealth {
         self.counters.snapshot()
-    }
-
-    /// Clears a sticky write degradation so the next campaign re-probes
-    /// the directory instead of staying read-only for process lifetime.
-    pub fn reprobe(&self) {
-        self.write_degraded.store(false, Ordering::Relaxed);
     }
 }
 
@@ -1630,33 +1404,15 @@ pub fn store_dir_from_env() -> Option<PathBuf> {
 /// Opens the store at `dir`, degrading an unopenable directory to
 /// `None`: a warning on stderr, then the sweep runs unstored — a sweep
 /// must not fail because its environment-selected store is unavailable.
-/// The warning fires on each healthy→failing *transition* (not once per
-/// process), so a campaign after the directory is fixed re-probes and a
-/// later regression warns again.
 pub fn open_or_warn(dir: &Path, durability: Durability) -> Option<PackStore> {
-    // Tracks whether the last open attempt failed, so the warning
-    // fires on transitions instead of once-ever.
-    static FAILING: AtomicBool = AtomicBool::new(false);
-    match PackStore::open_with(dir, RealIo::shared(), RetryPolicy::default(), durability) {
-        Ok(store) => {
-            if FAILING.swap(false, Ordering::Relaxed) {
-                eprintln!(
-                    "note: sweep store at {} is reachable again; storing resumed",
-                    dir.display()
-                );
-            }
-            Some(store)
-        }
-        Err(e) => {
-            if !FAILING.swap(true, Ordering::Relaxed) {
-                eprintln!(
-                    "warning: cannot open sweep store at {} ({e}); running uncached",
-                    dir.display()
-                );
-            }
-            None
-        }
-    }
+    PackStore::open_with(dir, RealIo::shared(), RetryPolicy::default(), durability)
+        .map_err(|e| {
+            eprintln!(
+                "warning: cannot open sweep store at {} ({e}); running uncached",
+                dir.display()
+            )
+        })
+        .ok()
 }
 
 /// The store the environment selects ([`SWEEP_STORE_ENV`]), opened at
@@ -1665,7 +1421,7 @@ pub fn open_or_warn(dir: &Path, durability: Durability) -> Option<PackStore> {
 ///
 /// The figure binaries call this once per process and run every driver
 /// against the result (see [`CliArgs::plan`](crate::cli::CliArgs::plan)),
-/// so one run appends through at most [`WRITER_SLOTS`] packs.
+/// so one run appends through one pack.
 pub fn store_from_env() -> Option<PackStore> {
     open_or_warn(&store_dir_from_env()?, Durability::default())
 }
@@ -1892,6 +1648,91 @@ mod tests {
         drop(store);
         let store = PackStore::open(&dir).unwrap();
         assert_eq!(store.probe(&key(2)), Some(summary(2)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_live_writers_torn_tail_stays_on_disk() {
+        let dir = scratch_dir("live-tail");
+        let writer = PackStore::open(&dir).unwrap();
+        writer.store(&key(1), &summary(1));
+        // The first bytes of a second record, as if caught mid-append.
+        let pack = only_pack(&dir);
+        let record = encode_record(KIND_DONE, key(2).text(), &encode_summary(&summary(2)));
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&pack)
+            .unwrap();
+        file.write_all(&record[..7]).unwrap();
+        let len = std::fs::metadata(&pack).unwrap().len();
+
+        let reader = PackStore::open(&dir).unwrap();
+        assert_eq!(reader.probe(&key(1)), Some(summary(1)), "good prefix kept");
+        assert_eq!(reader.probe(&key(2)), None);
+        assert_eq!(
+            std::fs::metadata(&pack).unwrap().len(),
+            len,
+            "a live writer's pack is not cut"
+        );
+        drop(reader);
+        drop(writer);
+        drop(PackStore::open(&dir).unwrap());
+        assert_eq!(
+            std::fs::metadata(&pack).unwrap().len(),
+            len - 7,
+            "with no writer live, open cuts the torn tail"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compact_refuses_while_a_writer_is_live() {
+        let dir = scratch_dir("compact-live");
+        let store = PackStore::open(&dir).unwrap();
+        store.store(&key(1), &summary(1));
+        let pack = only_pack(&dir);
+        let listing = || {
+            let mut names: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let (names, bytes) = (listing(), std::fs::read(&pack).unwrap());
+        assert!(PackStore::compact(&dir).is_err(), "a live writer refuses");
+        assert_eq!(listing(), names);
+        assert_eq!(
+            std::fs::read(&pack).unwrap(),
+            bytes,
+            "the pack is untouched"
+        );
+        drop(store);
+        assert_eq!(PackStore::compact(&dir).unwrap().records_after, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn older_pack_names_load_and_lease_files_are_ignored() {
+        let dir = scratch_dir("older-names");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut pack = PACK_MAGIC.to_vec();
+        pack.extend(encode_record(
+            KIND_DONE,
+            key(1).text(),
+            &encode_summary(&summary(1)),
+        ));
+        std::fs::write(dir.join("pack-1-3-0.hpk"), pack).unwrap();
+        std::fs::write(dir.join("lease-3"), "1 0\n").unwrap();
+        let store = PackStore::open(&dir).unwrap();
+        assert_eq!(store.probe(&key(1)), Some(summary(1)));
+        store.store(&key(2), &summary(2));
+        let pid = std::process::id();
+        assert!(dir.join(format!("pack-{pid}-0.hpk")).is_file());
+        drop(store);
+        assert_eq!(std::fs::read(dir.join("lease-3")).unwrap(), b"1 0\n");
+        let stat = PackStore::stat(&dir).unwrap();
+        assert_eq!((stat.packs, stat.records), (2, 2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2288,8 +2129,8 @@ mod tests {
         let dir = scratch_dir("write-degraded");
         let store = PackStore::open(&dir).unwrap();
         store.store(&key(1), &summary(1));
-        // Yank the directory: new writer slots cannot be created. Use a
-        // fresh store so no writer fd is already open.
+        // Yank the directory: no writer can be created. Use a fresh
+        // store so no writer fd is already open.
         drop(store);
         let store = PackStore::open(&dir).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2394,9 +2235,9 @@ mod tests {
         let hits = store.probe_many(&keys);
         assert!(hits.iter().all(|h| h.is_some()));
         // 511 more cells and 512 probes cost zero additional fds: the
-        // store keeps at most one writer fd per slot, nothing per cell.
+        // store keeps its writer's pack and lock fds, nothing per cell.
         assert!(
-            open_fds() <= baseline + WRITER_SLOTS,
+            open_fds() <= baseline + 8,
             "fd count grew with grid size: {} -> {}",
             baseline,
             open_fds()

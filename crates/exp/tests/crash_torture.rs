@@ -2,7 +2,8 @@
 //! SIGKILLed at several points mid-flight, resumed, and killed again.
 //! After the final uninterrupted run the figure digest is bit-identical
 //! to a never-killed reference campaign, every cell is decided exactly
-//! once, and the killed writers' stale leases were taken over cleanly.
+//! once. A killed writer's store lock dies with it, so nothing it left
+//! blocks the next run's repair of its torn tail.
 //!
 //! The kill points are driven by observed on-disk pack growth (not
 //! timers), so each round provably murders the writer after it has
@@ -129,8 +130,8 @@ fn sigkilled_campaign_resumes_to_a_bit_identical_figure() {
             kills += 1;
         }
         watermark = pack_bytes(&dir);
-        // The murdered writer's leases are stale but free; stat must
-        // open, heal any torn tail, and account the surviving records.
+        // The murdered writer's lock died with it; stat must open,
+        // heal any torn tail, and account the surviving records.
         let stat = exp()
             .args(["store", "stat", dir.to_str().unwrap()])
             .output()

@@ -443,9 +443,9 @@ fn compact_quarantines_a_corrupted_record_and_the_cell_recomputes() {
 }
 
 /// Two concurrent `exp fault-sweep --store` processes writing disjoint
-/// halves of a grid into one directory: writer leases keep their packs
-/// disjoint, both campaigns complete, and the combined store decides
-/// every cell exactly once.
+/// halves of a grid into one directory: each appends to its own pack,
+/// both campaigns complete, and the combined store decides every cell
+/// exactly once.
 #[test]
 fn two_concurrent_writers_fill_one_store_without_collisions() {
     let dir = scratch_dir("two-writers");
@@ -528,80 +528,5 @@ fn durability_levels_round_trip_the_same_figure() {
         "{}",
         stderr(&bogus)
     );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Lease files stamped with a dead process's pid are stale: the next
-/// writer takes the slot over (with a note) instead of skipping it,
-/// and the campaign completes normally.
-#[test]
-fn stale_leases_from_a_dead_process_are_taken_over() {
-    let dir = scratch_dir("stale-lease");
-    std::fs::create_dir_all(&dir).unwrap();
-    // A pid that is certainly dead: a just-reaped child of ours.
-    let dead = {
-        let child = exp().arg("bogus-subcommand").output().expect("spawn");
-        assert_eq!(child.status.code(), Some(2));
-        exp()
-            .arg("bogus-subcommand")
-            .spawn()
-            .expect("spawn short-lived child")
-    };
-    let dead_pid = dead.id();
-    let mut dead = dead;
-    let _ = dead.wait();
-    // Stamp every slot so the sweep's writers hit a stale lease no
-    // matter which slots its threads hash to.
-    for slot in 0..16 {
-        std::fs::write(dir.join(format!("lease-{slot}")), format!("{dead_pid} 1\n")).unwrap();
-    }
-    let out = run(exp().args([
-        "sweep",
-        "--util",
-        "0.4",
-        "--trials",
-        "1",
-        "--threads",
-        "2",
-        "--store",
-        dir.to_str().unwrap(),
-    ]));
-    assert!(out.status.success(), "{}", stderr(&out));
-    assert!(
-        stderr(&out).contains("took over stale writer lease"),
-        "expected a takeover note, got:\n{}",
-        stderr(&out)
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A writer that exits cleanly releases its leases: the next process
-/// appending through the same slots reports no takeover, because
-/// nothing crashed.
-#[test]
-fn clean_exits_leave_no_stale_leases() {
-    let dir = scratch_dir("clean-lease");
-    let sweep = |trials: &str| {
-        run(exp().args([
-            "sweep",
-            "--util",
-            "0.4",
-            "--trials",
-            trials,
-            "--threads",
-            "2",
-            "--store",
-            dir.to_str().unwrap(),
-        ]))
-    };
-    for trials in ["1", "2"] {
-        let out = sweep(trials);
-        assert!(out.status.success(), "{}", stderr(&out));
-        assert!(
-            !stderr(&out).contains("took over stale writer lease"),
-            "a clean predecessor is not a crash:\n{}",
-            stderr(&out)
-        );
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,7 +11,7 @@ use harvest_exp::figures::{
     min_zero_miss_capacity, miss_rate_figure, remaining_energy_figure, RunPlan,
 };
 use harvest_exp::scenario::{PaperScenario, PolicyKind, SimPool};
-use harvest_exp::store::{PackStore, SWEEP_STORE_ENV, WRITER_SLOTS};
+use harvest_exp::store::{PackStore, SWEEP_STORE_ENV};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir =
@@ -191,9 +191,9 @@ fn packs(dir: &Path) -> usize {
 }
 
 /// A figure binary opens the environment's store once per process, so
-/// all of Table 1's capacity searches append through at most
-/// `WRITER_SLOTS` packs, and a warm re-run reproduces the record from
-/// the store without adding a pack.
+/// all of Table 1's capacity searches append through one pack, and a
+/// warm re-run reproduces the record from the store without adding a
+/// pack.
 #[test]
 fn table1_binary_holds_one_store_per_process() {
     let dir = scratch_dir("table1-env");
@@ -210,10 +210,7 @@ fn table1_binary_holds_one_store_per_process() {
     };
     let cold = table1("cold.json");
     let cold_packs = packs(&store);
-    assert!(
-        (1..=WRITER_SLOTS).contains(&cold_packs),
-        "{cold_packs} packs"
-    );
+    assert_eq!(cold_packs, 1);
     let warm = table1("warm.json");
     assert_eq!(warm, cold, "warm record must be byte-identical");
     assert_eq!(packs(&store), cold_packs, "a warm run appends nothing");

@@ -3,8 +3,9 @@
 //!
 //! Every file the pack store writes — packs, sidecars, compaction's
 //! merged pack and quarantine — goes through a [`StoreIo`]
-//! implementation instead of `std::fs` directly. (Progress streams and
-//! trace files are written with `std::fs`.) Two backends exist:
+//! implementation instead of `std::fs` directly. (The store's lock
+//! file, progress streams and trace files use `std::fs`.) Two backends
+//! exist:
 //!
 //! * [`RealIo`] — a zero-cost passthrough to `std::fs`.
 //! * [`FaultyIo`] — a deterministic fault injector: a SplitMix64
@@ -25,7 +26,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io::{self, Read as _, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -539,35 +540,6 @@ impl IoHealth {
     }
 }
 
-/// Read the pid + epoch stamp of a lease file (` `-separated).
-/// Returns `None` on any parse failure (an empty or torn stamp).
-pub(crate) fn parse_lease_stamp(text: &str) -> Option<(u32, u64)> {
-    let mut parts = text.split_whitespace();
-    let pid = parts.next()?.parse().ok()?;
-    let epoch = parts.next()?.parse().ok()?;
-    Some((pid, epoch))
-}
-
-/// Whether a pid is currently alive on this machine. On Linux this
-/// checks `/proc/<pid>`; elsewhere it conservatively answers `true`
-/// (never reclaim what we cannot verify dead).
-pub fn pid_alive(pid: u32) -> bool {
-    if cfg!(target_os = "linux") {
-        Path::new(&format!("/proc/{pid}")).exists()
-    } else {
-        true
-    }
-}
-
-/// Read a lease stamp from an open file handle (rewinds first).
-pub fn read_lease_stamp(file: &mut fs::File) -> Option<(u32, u64)> {
-    use std::io::Seek;
-    file.seek(io::SeekFrom::Start(0)).ok()?;
-    let mut text = String::new();
-    file.read_to_string(&mut text).ok()?;
-    parse_lease_stamp(&text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -771,16 +743,6 @@ mod tests {
             get("store.sync_failures").value,
             crate::MetricValue::Counter(2)
         ));
-    }
-
-    #[test]
-    fn lease_stamp_round_trip() {
-        assert_eq!(parse_lease_stamp("123 7"), Some((123, 7)));
-        assert_eq!(parse_lease_stamp("123 7\n"), Some((123, 7)));
-        assert_eq!(parse_lease_stamp(""), None);
-        assert_eq!(parse_lease_stamp("nope"), None);
-        assert!(pid_alive(std::process::id()));
-        assert!(!pid_alive(u32::MAX - 1));
     }
 
     #[test]

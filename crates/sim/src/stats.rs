@@ -16,37 +16,14 @@ use crate::time::{SimDuration, SimTime};
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
 /// assert!((s.population_variance() - 4.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
-}
-
-/// Same as `RunningStats::new`. Hand-written because the derived
-/// `Default` would zero `min`/`max`, corrupting the extrema of any
-/// all-positive or all-negative sample stream pushed into a
-/// default-constructed accumulator.
-impl Default for RunningStats {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl RunningStats {
-    /// Creates an empty accumulator.
-    pub(crate) fn new() -> Self {
-        RunningStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
     /// Adds one observation.
     ///
     /// # Panics
@@ -58,8 +35,6 @@ impl RunningStats {
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Number of observations.
@@ -126,8 +101,6 @@ impl RunningStats {
         self.mean += delta * n2 / total;
         self.m2 += other.m2 + delta * delta * n1 * n2 / total;
         self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -141,7 +114,7 @@ impl Extend<f64> for RunningStats {
 
 impl FromIterator<f64> for RunningStats {
     fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut s = RunningStats::new();
+        let mut s = RunningStats::default();
         s.extend(iter);
         s
     }
@@ -184,7 +157,7 @@ impl SampledSeries {
         SampledSeries {
             start,
             step,
-            points: vec![RunningStats::new(); len],
+            points: vec![RunningStats::default(); len],
         }
     }
 
@@ -221,7 +194,7 @@ mod tests {
 
     #[test]
     fn empty_stats_are_neutral() {
-        let s = RunningStats::new();
+        let s = RunningStats::default();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.sample_variance(), 0.0);
@@ -229,39 +202,11 @@ mod tests {
     }
 
     #[test]
-    fn default_matches_new() {
-        // Regression: the derived `Default` zeroed `min`/`max`, so a
-        // default-constructed accumulator reported min = 0 for an
-        // all-positive stream (and max = 0 for an all-negative one).
-        assert_eq!(RunningStats::default(), RunningStats::new());
-    }
-
-    #[test]
-    fn default_extrema_all_positive_stream() {
-        let mut s = RunningStats::default();
-        s.push(3.0);
-        s.push(7.0);
-        assert_eq!(s.min, 3.0, "min must come from the data, not 0.0");
-        assert_eq!(s.max, 7.0);
-    }
-
-    #[test]
-    fn default_extrema_all_negative_stream() {
-        let mut s = RunningStats::default();
-        s.push(-4.0);
-        s.push(-2.0);
-        assert_eq!(s.min, -4.0);
-        assert_eq!(s.max, -2.0, "max must come from the data, not 0.0");
-    }
-
-    #[test]
     fn single_observation() {
-        let mut s = RunningStats::new();
+        let mut s = RunningStats::default();
         s.push(5.0);
         assert_eq!(s.mean(), 5.0);
         assert_eq!(s.sample_variance(), 0.0);
-        assert_eq!(s.min, 5.0);
-        assert_eq!(s.max, 5.0);
     }
 
     #[test]
@@ -275,17 +220,15 @@ mod tests {
         assert_eq!(s1.count(), all.count());
         assert!((s1.mean() - all.mean()).abs() < 1e-12);
         assert!((s1.sample_variance() - all.sample_variance()).abs() < 1e-12);
-        assert_eq!(s1.min, all.min);
-        assert_eq!(s1.max, all.max);
     }
 
     #[test]
     fn merge_with_empty_is_identity() {
         let mut s: RunningStats = [1.0, 2.0].iter().copied().collect();
         let before = s;
-        s.merge(&RunningStats::new());
+        s.merge(&RunningStats::default());
         assert_eq!(s, before);
-        let mut e = RunningStats::new();
+        let mut e = RunningStats::default();
         e.merge(&before);
         assert_eq!(e, before);
     }
@@ -293,7 +236,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "finite")]
     fn non_finite_observation_panics() {
-        RunningStats::new().push(f64::INFINITY);
+        RunningStats::default().push(f64::INFINITY);
     }
 
     #[test]

@@ -30,21 +30,13 @@ pub struct JobId(pub u64);
 /// use harvest_task::job::{Job, JobId};
 /// use harvest_sim::time::{SimDuration, SimTime};
 ///
-/// let mut job = Job::new(
-///     JobId(0),
-///     0,
-///     SimTime::ZERO,
-///     SimTime::from_whole_units(16),
-///     4.0,
-/// );
+/// let mut job = Job::new(JobId(0), SimTime::from_whole_units(16), 4.0);
 /// job.execute(0.5, SimDuration::from_whole_units(8)); // half speed, 8 units
 /// assert!(job.is_finished());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Job {
     id: JobId,
-    task_index: usize,
-    arrival: SimTime,
     absolute_deadline: SimTime,
     wcet: f64,
     actual: f64,
@@ -52,28 +44,20 @@ pub struct Job {
 }
 
 impl Job {
-    /// Creates a job whose actual work equals its budget.
+    /// Creates a job whose actual work equals its budget. Its deadline
+    /// follows its arrival because a [`Task`](crate::task::Task)'s
+    /// relative deadline is positive.
     ///
     /// # Panics
     ///
-    /// Panics if the deadline is not after the arrival or `wcet` is not
-    /// finite and positive.
-    pub fn new(
-        id: JobId,
-        task_index: usize,
-        arrival: SimTime,
-        absolute_deadline: SimTime,
-        wcet: f64,
-    ) -> Self {
-        assert!(absolute_deadline > arrival, "deadline must follow arrival");
+    /// Panics if `wcet` is not finite and positive.
+    pub fn new(id: JobId, absolute_deadline: SimTime, wcet: f64) -> Self {
         assert!(
             wcet.is_finite() && wcet > 0.0,
             "wcet must be finite and positive"
         );
         Job {
             id,
-            task_index,
-            arrival,
             absolute_deadline,
             wcet,
             actual: wcet,
@@ -157,13 +141,7 @@ mod tests {
     use super::*;
 
     fn job() -> Job {
-        Job::new(
-            JobId(1),
-            0,
-            SimTime::ZERO,
-            SimTime::from_whole_units(16),
-            4.0,
-        )
+        Job::new(JobId(1), SimTime::from_whole_units(16), 4.0)
     }
 
     #[test]
@@ -222,7 +200,7 @@ mod tests {
         j.execute(1.0, SimDuration::from_units(1.5));
         assert!(j.is_finished());
         // The conservative view still reports budget headroom — that is
-        // the reclaimed slack.
+        // the slack the early completion frees.
         assert!((j.remaining_work() - 2.5).abs() < 1e-12);
     }
 
@@ -236,17 +214,5 @@ mod tests {
     #[should_panic(expected = "actual work")]
     fn actual_above_budget_rejected() {
         let _ = job().with_actual_work(5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "deadline")]
-    fn deadline_before_arrival_rejected() {
-        let _ = Job::new(
-            JobId(0),
-            0,
-            SimTime::from_whole_units(5),
-            SimTime::ZERO,
-            1.0,
-        );
     }
 }

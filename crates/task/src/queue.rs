@@ -30,8 +30,8 @@ const ARITY: usize = 4;
 /// use harvest_sim::time::SimTime;
 ///
 /// let mut q = EdfQueue::new();
-/// q.push(Job::new(JobId(0), 0, SimTime::ZERO, SimTime::from_whole_units(16), 4.0));
-/// q.push(Job::new(JobId(1), 1, SimTime::ZERO, SimTime::from_whole_units(12), 1.0));
+/// q.push(Job::new(JobId(0), SimTime::from_whole_units(16), 4.0));
+/// q.push(Job::new(JobId(1), SimTime::from_whole_units(12), 1.0));
 /// // The deadline-12 job has priority.
 /// assert_eq!(q.peek().unwrap().id(), JobId(1));
 /// ```
@@ -249,13 +249,7 @@ mod tests {
     use super::*;
 
     fn job(id: u64, deadline: i64, work: f64) -> Job {
-        Job::new(
-            JobId(id),
-            0,
-            SimTime::ZERO,
-            SimTime::from_whole_units(deadline),
-            work,
-        )
+        Job::new(JobId(id), SimTime::from_whole_units(deadline), work)
     }
 
     #[test]

@@ -276,4 +276,11 @@ mod tests {
     fn zero_period_rejected() {
         let _ = Task::periodic(u(0), SimDuration::ZERO, d(1), 1.0);
     }
+
+    /// A job's deadline follows its arrival only because this holds.
+    #[test]
+    #[should_panic(expected = "relative deadline must be positive")]
+    fn zero_relative_deadline_rejected() {
+        let _ = Task::once(u(5), SimDuration::ZERO, 1.0);
+    }
 }

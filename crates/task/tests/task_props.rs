@@ -140,8 +140,6 @@ proptest! {
         for (i, &(deadline, work)) in jobs.iter().enumerate() {
             q.push(Job::new(
                 JobId(i as u64),
-                0,
-                SimTime::ZERO,
                 SimTime::from_whole_units(deadline),
                 work,
             ));
@@ -177,13 +175,7 @@ proptest! {
                 0..=3 => {
                     let id = next_id;
                     next_id += 1;
-                    q.push(Job::new(
-                        JobId(id),
-                        0,
-                        SimTime::ZERO,
-                        SimTime::from_whole_units(deadline),
-                        1.0,
-                    ));
+                    q.push(Job::new(JobId(id), SimTime::from_whole_units(deadline), 1.0));
                     model.push((deadline, id));
                 }
                 4 => {
