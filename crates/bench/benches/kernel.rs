@@ -2,7 +2,7 @@
 //! on (event queue, piecewise integration, storage evolution, EDF
 //! queue, workload generation, source sampling), plus before/after
 //! pairs for the prefix-sum energy algebra (`*_naive` baselines vs the
-//! `O(log n)` / cursor paths) and a Fig. 5-style end-to-end sweep.
+//! prefix-table paths) and a Fig. 5-style end-to-end sweep.
 //!
 //! Running this bench writes `BENCH_PR1.json` at the workspace root:
 //! every measured id with its median ns/iter, plus derived speedups of
@@ -15,7 +15,7 @@ use harvest_energy::storage::StorageSpec;
 use harvest_exp::figures::{miss_rate_figure, RunPlan};
 use harvest_exp::scenario::PolicyKind;
 use harvest_sim::event::EventQueue;
-use harvest_sim::piecewise::{Extension, PiecewiseConstant};
+use harvest_sim::piecewise::{CrossingTiers, Extension, PiecewiseConstant};
 use harvest_sim::time::{SimDuration, SimTime};
 use harvest_task::generator::WorkloadSpec;
 use harvest_task::job::{Job, JobId};
@@ -100,6 +100,7 @@ fn storage_advance(c: &mut Criterion) {
     c.bench_function("storage_first_crossing", |b| {
         b.iter(|| {
             black_box(spec.first_crossing(
+                &mut CrossingTiers::default(),
                 black_box(50.0),
                 0.0,
                 &profile,
@@ -170,8 +171,9 @@ fn solar_10k() -> PiecewiseConstant {
 
 /// Before/after pairs on a 10k-breakpoint profile: cold `integrate`
 /// (prefix difference vs segment walk), a monotone sweep of windowed
-/// queries (cursor vs per-query naive walk), and the accumulation
-/// crossing solve (tiered solver vs whole-window clamped scan).
+/// queries (prefix difference vs per-query naive walk), and the
+/// accumulation crossing solve (tiered solver vs whole-window clamped
+/// scan).
 fn energy_algebra_10k(c: &mut Criterion) {
     let profile = solar_10k();
     let u = SimTime::from_whole_units;
@@ -186,17 +188,7 @@ fn energy_algebra_10k(c: &mut Criterion) {
 
     // 1 000 forward-marching 10-unit windows, the access pattern of a
     // closed-loop run (time only moves forward).
-    g.bench_function("monotone_sweep_1000q/cursor", |b| {
-        b.iter(|| {
-            let mut cur = profile.cursor();
-            let mut acc = 0.0;
-            for i in 0..1_000i64 {
-                acc += profile.integrate_with(&mut cur, u(10 * i), u(10 * i + 10));
-            }
-            black_box(acc)
-        })
-    });
-    g.bench_function("monotone_sweep_1000q/cold_prefix", |b| {
+    g.bench_function("monotone_sweep_1000q/prefix", |b| {
         b.iter(|| {
             let mut acc = 0.0;
             for i in 0..1_000i64 {
@@ -223,6 +215,7 @@ fn energy_algebra_10k(c: &mut Criterion) {
     g.bench_function("crossing_monotone/fast", |b| {
         b.iter(|| {
             black_box(profile.first_accumulation_crossing(
+                &mut CrossingTiers::default(),
                 SimTime::ZERO,
                 u(10_000),
                 black_box(cap),
@@ -287,7 +280,7 @@ const SPEEDUP_PAIRS: [(&str, &str, &str); 3] = [
     (
         "monotone_sweep_1000q",
         "energy_algebra_10k/monotone_sweep_1000q/naive",
-        "energy_algebra_10k/monotone_sweep_1000q/cursor",
+        "energy_algebra_10k/monotone_sweep_1000q/prefix",
     ),
     (
         "crossing_monotone",

@@ -28,10 +28,10 @@ use harvest_energy::fault::{apply_harvest_faults, harvest_factor_at};
 use harvest_energy::predictor::{EnergyPredictor, FaultyPredictor};
 use harvest_energy::storage::Storage;
 use harvest_obs::profile::PhaseProfiler;
-use harvest_obs::{Log2Histogram, MetricsRegistry, MetricsSink};
+use harvest_obs::{Log2Histogram, MetricsRegistry};
 use harvest_sim::engine::{Engine, Model, RunOutcome, Scheduler as EngineCtx, WatchdogKind};
 use harvest_sim::event::{EventQueue, QueueStats, ReleaseTape};
-use harvest_sim::piecewise::{Cursor, CursorStats, PiecewiseConstant};
+use harvest_sim::piecewise::{CrossingTiers, PiecewiseConstant};
 use harvest_sim::time::{SimDuration, SimTime};
 use harvest_sim::trace::CountingSink;
 use harvest_task::job::{Job, JobId};
@@ -255,19 +255,9 @@ struct SystemModel<'a> {
     stall_time: f64,
     samples: Vec<(SimTime, f64)>,
     trace: TraceLog,
-    /// Profile cursors, one per monotone query stream. Simulation time
-    /// only moves forward, so each stream resumes its breakpoint lookup
-    /// where it left off (amortized `O(1)` per query). They are pure
-    /// accelerators: results are identical with fresh cursors. Kept
-    /// separate because the streams sit at different positions — the
-    /// fused advance-plus-accounting walk covers `[last_sync, now)`
-    /// while the decision-time lookups probe `now` and crossing windows
-    /// ahead of it; sharing one hint would thrash it. On a uniform-grid
-    /// profile the queries index the grid and the cursors only collect
-    /// the crossing-tier counters.
-    adv_cursor: Cursor,
-    point_cursor: Cursor,
-    cross_cursor: Cursor,
+    /// How many of the run's storage-crossing queries each tier of the
+    /// profile's crossing solver settled.
+    tiers: CrossingTiers,
     obs: ObsCounters,
     /// Injected-fault state; `None` on the fault-free path, which then
     /// pays exactly one branch per event.
@@ -298,24 +288,17 @@ impl SystemModel<'_> {
         };
         // One fused profile walk: the storage advance and the harvest
         // accounting (plus predictor observations) consume the same
-        // clipped segments, so re-walking the window with a second
-        // cursor — the old shape — paid the clipping twice per event.
+        // clipped segments, so the window is clipped once per event.
         // Per-accumulator op order is unchanged; bit-identity is pinned
         // by the tape-parity and figure-digest suites.
         let report = {
             let energy = &mut self.energy;
             let predictor = &mut self.predictor;
-            self.storage.advance_with_each(
-                &mut self.adv_cursor,
-                &self.profile,
-                from,
-                now,
-                load,
-                |seg| {
+            self.storage
+                .advance_with_each(&self.profile, from, now, load, |seg| {
                     energy.harvested += seg.integral();
                     predictor.observe(seg);
-                },
-            )
+                })
         };
         if report.clamped_empty {
             self.obs.clamp_empty_windows += 1;
@@ -557,7 +540,7 @@ impl SystemModel<'_> {
                     "invalid level {level}"
                 );
                 let power = self.config.cpu.power(level);
-                let harvest_now = self.profile.value_at_with(&mut self.point_cursor, now);
+                let harvest_now = self.profile.value_at(now);
                 let net = self.storage.spec().net_rate(harvest_now, power);
                 if self.storage.level() < ENERGY_EPS && net < 0.0 {
                     // Depleted and the source cannot carry the load:
@@ -605,8 +588,8 @@ impl SystemModel<'_> {
                 }
                 // Exact storage-depletion crossing within the run window.
                 if self.storage.level() > ENERGY_EPS {
-                    if let Some(t) = self.storage.spec().first_crossing_with(
-                        &mut self.cross_cursor,
+                    if let Some(t) = self.storage.spec().first_crossing(
+                        &mut self.tiers,
                         self.storage.level(),
                         0.0,
                         &self.profile,
@@ -623,10 +606,7 @@ impl SystemModel<'_> {
                     // Running hand-to-mouth on the direct harvest path:
                     // re-check at the next profile change, where the
                     // source may no longer carry the load.
-                    if let Some(t) = self
-                        .profile
-                        .next_breakpoint_after_with(&mut self.point_cursor, now)
-                    {
+                    if let Some(t) = self.profile.next_breakpoint_after(now) {
                         if t < window_end {
                             ctx.schedule(t, SysEvent::Reevaluate { epoch: self.epoch });
                         }
@@ -682,8 +662,8 @@ impl SystemModel<'_> {
         let spec = *self.storage.spec();
         let target = (self.config.restart_quantum * power).min(spec.capacity());
         let horizon_end = SimTime::ZERO + self.config.horizon;
-        let wake = spec.first_crossing_with(
-            &mut self.cross_cursor,
+        let wake = spec.first_crossing(
+            &mut self.tiers,
             self.storage.level(),
             target,
             &self.profile,
@@ -803,20 +783,10 @@ impl SystemModel<'_> {
         reg.counter("queue.popped", queue.popped);
         reg.counter("queue.max_pending", queue.max_pending);
 
-        let mut cursor = CursorStats::default();
-        for c in [&self.adv_cursor, &self.point_cursor, &self.cross_cursor] {
-            cursor.merge(&c.stats());
-        }
-        reg.counter("cursor.locates", cursor.locates as u64);
-        reg.counter("cursor.hint_hits", cursor.hint_hits as u64);
-        reg.counter("cursor.gallops", cursor.gallops as u64);
-        reg.counter("cursor.gallop_segments", cursor.gallop_segments as u64);
-        reg.counter("cursor.backward_jumps", cursor.backward_jumps as u64);
-        reg.counter("cursor.fresh_searches", cursor.fresh_searches as u64);
-        reg.counter("cursor.cross.reject", cursor.cross_reject as u64);
-        reg.counter("cursor.cross.bisect", cursor.cross_bisect as u64);
-        reg.counter("cursor.cross.scan", cursor.cross_scan as u64);
-        reg.counter("cursor.cross.cyclic", cursor.cross_cyclic as u64);
+        reg.counter("cursor.cross.reject", self.tiers.reject);
+        reg.counter("cursor.cross.bisect", self.tiers.bisect);
+        reg.counter("cursor.cross.scan", self.tiers.scan);
+        reg.counter("cursor.cross.cyclic", self.tiers.cyclic);
 
         reg.counter("sched.decisions", self.obs.decide_calls);
         reg.counter("sched.idle_decisions", self.obs.idle_decisions);
@@ -1288,9 +1258,7 @@ fn run_closed_loop(
         stall_time: 0.0,
         samples: Vec::new(),
         trace,
-        adv_cursor: Cursor::default(),
-        point_cursor: Cursor::default(),
-        cross_cursor: Cursor::default(),
+        tiers: CrossingTiers::default(),
         obs: ObsCounters::new(level_count),
         fault: fault_plan.map(|plan| FaultRuntime {
             plan,
@@ -1869,9 +1837,6 @@ mod tests {
         let m = r.metrics.as_ref().expect("metrics collected");
         assert_eq!(m.counter("engine.events"), r.events);
         assert!(m.counter("sched.decisions") > 0);
-        // The constant profile is a uniform grid: lookups index it
-        // directly, and only the crossing tiers reach the cursors.
-        assert_eq!(m.counter("cursor.locates"), 0);
         assert!(m.counter("cursor.cross.bisect") > 0);
         assert!(m.counter("policy.ea-dvfs.stretches") > 0);
         // Every Started trace event is one run decision.
@@ -1886,8 +1851,8 @@ mod tests {
         assert!(p.get(PHASE_POLICY_DECIDE).expect("decide timed").calls > 0);
         assert!(p.get(PHASE_ENERGY_SYNC).expect("sync timed").calls > 0);
 
-        // The same constant harvest on uneven breakpoints runs on the
-        // cursors, which count their lookups.
+        // The same constant harvest on uneven breakpoints (a table, not
+        // a grid) counts its crossing tiers too.
         let uneven = PiecewiseConstant::new(
             vec![u(0), u(10), u(100)],
             vec![0.5, 0.5],
@@ -1902,7 +1867,6 @@ mod tests {
             Box::new(OraclePredictor::new(uneven)),
         );
         let m2 = r2.metrics.as_ref().expect("metrics collected");
-        assert!(m2.counter("cursor.locates") > 0);
         assert!(m2.counter("cursor.cross.bisect") > 0);
     }
 

@@ -1,9 +1,8 @@
 //! Clairvoyant predictor over the realized profile.
 
-use std::cell::Cell;
 use std::sync::Arc;
 
-use harvest_sim::piecewise::{Cursor, PiecewiseConstant, Segment};
+use harvest_sim::piecewise::{PiecewiseConstant, Segment};
 use harvest_sim::time::SimTime;
 
 use super::EnergyPredictor;
@@ -26,26 +25,11 @@ use super::EnergyPredictor;
 /// let e = p.predict_energy(SimTime::ZERO, SimTime::from_whole_units(16));
 /// assert_eq!(e, 8.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OraclePredictor {
     /// Shared so sweep prefabs can hand the same realized profile to
     /// many concurrent trials without deep-copying breakpoint tables.
     profile: Arc<PiecewiseConstant>,
-    /// Breakpoint-position hint threaded across `predict_energy` calls
-    /// on profiles without a uniform grid (a grid is indexed directly
-    /// and leaves it alone). Queries alternate between `now` and a
-    /// deadline, so the hint mostly saves the search near `now`; it
-    /// never changes a returned value (the cursor is a pure
-    /// accelerator).
-    cursor: Cell<Cursor>,
-}
-
-impl PartialEq for OraclePredictor {
-    fn eq(&self, other: &Self) -> bool {
-        // The cursor is a lookup hint, not state: equality is decided by
-        // the profile alone.
-        self.profile == other.profile
-    }
 }
 
 impl OraclePredictor {
@@ -57,8 +41,7 @@ impl OraclePredictor {
     /// Creates an oracle over an already-shared profile without copying
     /// its breakpoint tables.
     pub fn from_shared(profile: Arc<PiecewiseConstant>) -> Self {
-        let cursor = Cell::new(profile.cursor());
-        OraclePredictor { profile, cursor }
+        OraclePredictor { profile }
     }
 }
 
@@ -69,10 +52,7 @@ impl EnergyPredictor for OraclePredictor {
         if until <= from {
             return 0.0;
         }
-        let mut cur = self.cursor.get();
-        let e = self.profile.integrate_with(&mut cur, from, until);
-        self.cursor.set(cur);
-        e
+        self.profile.integrate(from, until)
     }
 
     fn name(&self) -> &str {

@@ -11,7 +11,7 @@
 //! so every full/empty crossing is solved in closed form by
 //! [`StorageSpec::advance`] and [`StorageSpec::first_crossing`].
 
-use harvest_sim::piecewise::{Cursor, PiecewiseConstant, Segment};
+use harvest_sim::piecewise::{CrossingTiers, PiecewiseConstant, Segment};
 use harvest_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -211,26 +211,6 @@ impl StorageSpec {
         to: SimTime,
         load: f64,
     ) -> AdvanceReport {
-        self.advance_with(&mut Cursor::default(), level, profile, from, to, load)
-    }
-
-    /// Like [`Self::advance`], threading a profile [`Cursor`] across
-    /// calls. A simulator advancing storage across consecutive windows
-    /// keeps each segment lookup amortized `O(1)` instead of paying a
-    /// binary search per call; a uniform-grid profile is walked by direct
-    /// indexing and needs no cursor (see
-    /// [`PiecewiseConstant::for_each_segment_with`]). The report is
-    /// bitwise-identical to [`Self::advance`] for any cursor state.
-    #[allow(clippy::too_many_arguments)] // one scalar per physical input; the call sites read clearly
-    pub(crate) fn advance_with(
-        &self,
-        cur: &mut Cursor,
-        level: f64,
-        profile: &PiecewiseConstant,
-        from: SimTime,
-        to: SimTime,
-        load: f64,
-    ) -> AdvanceReport {
         assert!(
             level >= 0.0 && level <= self.capacity,
             "level {level} outside [0, capacity]"
@@ -244,14 +224,14 @@ impl StorageSpec {
             level,
             ..AdvanceReport::default()
         };
-        profile.for_each_segment_with(cur, from, to, |seg| {
+        for seg in profile.segments_between(from, to) {
             self.advance_constant(&mut report, seg.value, seg.duration().as_units(), load);
-        });
+        }
         report
     }
 
     /// One constant-rate stretch; splits at internal clamp crossings.
-    /// This is the per-segment kernel behind [`Self::advance_with`] and
+    /// This is the per-segment kernel behind [`Self::advance`] and
     /// [`Storage::advance_with_each`].
     ///
     /// Level dynamics: `level' = η_c·harvest − load/η_d − leak` with
@@ -327,39 +307,17 @@ impl StorageSpec {
     /// (storage clamped along the way). `None` if it never does.
     ///
     /// For ideal storage this is a thin wrapper over the exact
-    /// piecewise-linear solve; non-ideal specs account for efficiency and
-    /// leakage.
+    /// piecewise-linear solve, which counts the tier that settled the
+    /// query in `tiers`; non-ideal specs account for efficiency and
+    /// leakage in a segment scan, which counts nothing.
     ///
     /// # Panics
     ///
     /// Panics if `level` or `target` fall outside `[0, capacity]`.
+    #[allow(clippy::too_many_arguments)] // one scalar per physical input; the call sites read clearly
     pub fn first_crossing(
         &self,
-        level: f64,
-        target: f64,
-        profile: &PiecewiseConstant,
-        from: SimTime,
-        horizon: SimTime,
-        load: f64,
-    ) -> Option<SimTime> {
-        self.first_crossing_with(
-            &mut Cursor::default(),
-            level,
-            target,
-            profile,
-            from,
-            horizon,
-            load,
-        )
-    }
-
-    /// Like [`Self::first_crossing`], threading a profile [`Cursor`]
-    /// across calls (see `Self::advance_with`). The answer is identical
-    /// for any cursor state.
-    #[allow(clippy::too_many_arguments)] // one scalar per physical input; the call sites read clearly
-    pub fn first_crossing_with(
-        &self,
-        pcur: &mut Cursor,
+        tiers: &mut CrossingTiers,
         level: f64,
         target: f64,
         profile: &PiecewiseConstant,
@@ -383,8 +341,8 @@ impl StorageSpec {
         // solver applies directly (O(log) on monotone windows). Non-ideal
         // specs fall through to the mirrored segment scan.
         if self.is_ideal() && self.capacity.is_finite() {
-            return profile.first_accumulation_crossing_with(
-                pcur,
+            return profile.first_accumulation_crossing(
+                tiers,
                 from,
                 horizon,
                 level,
@@ -394,58 +352,51 @@ impl StorageSpec {
             );
         }
         let mut cur = level;
-        let mut segs = profile.segments_between_with(*pcur, from, horizon);
-        let result = 'scan: {
-            for seg in segs.by_ref() {
-                let input = self.charge_efficiency * seg.value;
-                let draw = self.draw(load);
-                let mut t = seg.start.as_units();
-                let end = seg.end.as_units();
-                // Mirror `advance_constant`: at most one moving phase and
-                // one pinned phase per segment.
-                while t < end {
-                    let pinned_empty = cur <= 0.0
-                        && (input - draw <= 0.0 || input - draw - self.leakage_power <= 0.0);
-                    let rate = input - draw - self.leakage_power;
-                    let pinned_full = cur >= self.capacity && rate >= 0.0;
-                    if pinned_empty || pinned_full || rate == 0.0 {
-                        break; // level holds for the rest of the segment
-                    }
-                    let until_clamp = if rate > 0.0 {
-                        (self.capacity - cur) / rate
-                    } else {
-                        cur / -rate
-                    };
-                    if until_clamp <= BOUNDARY_SNAP / rate.abs() {
-                        // A few ulps from the boundary: snap; the pinned
-                        // check above ends the phase next iteration.
-                        cur = if rate > 0.0 { self.capacity } else { 0.0 };
-                        if cur == target {
-                            break 'scan Some(
-                                SimTime::from_units_ceil(t).max(seg.start).min(seg.end),
-                            );
-                        }
-                        continue;
-                    }
-                    let step = (end - t).min(until_clamp);
-                    let crosses = if rate > 0.0 {
-                        target > cur && target <= cur + rate * step + 1e-15
-                    } else {
-                        target < cur && target >= cur + rate * step - 1e-15
-                    };
-                    if crosses {
-                        let dt = (target - cur) / rate;
-                        let hit = SimTime::from_units_ceil(t + dt);
-                        break 'scan Some(hit.max(seg.start).min(seg.end));
-                    }
-                    cur = snap(cur + rate * step, self.capacity);
-                    t += step;
+        for seg in profile.segments_between(from, horizon) {
+            let input = self.charge_efficiency * seg.value;
+            let draw = self.draw(load);
+            let mut t = seg.start.as_units();
+            let end = seg.end.as_units();
+            // Mirror `advance_constant`: at most one moving phase and
+            // one pinned phase per segment.
+            while t < end {
+                let pinned_empty =
+                    cur <= 0.0 && (input - draw <= 0.0 || input - draw - self.leakage_power <= 0.0);
+                let rate = input - draw - self.leakage_power;
+                let pinned_full = cur >= self.capacity && rate >= 0.0;
+                if pinned_empty || pinned_full || rate == 0.0 {
+                    break; // level holds for the rest of the segment
                 }
+                let until_clamp = if rate > 0.0 {
+                    (self.capacity - cur) / rate
+                } else {
+                    cur / -rate
+                };
+                if until_clamp <= BOUNDARY_SNAP / rate.abs() {
+                    // A few ulps from the boundary: snap; the pinned
+                    // check above ends the phase next iteration.
+                    cur = if rate > 0.0 { self.capacity } else { 0.0 };
+                    if cur == target {
+                        return Some(SimTime::from_units_ceil(t).max(seg.start).min(seg.end));
+                    }
+                    continue;
+                }
+                let step = (end - t).min(until_clamp);
+                let crosses = if rate > 0.0 {
+                    target > cur && target <= cur + rate * step + 1e-15
+                } else {
+                    target < cur && target >= cur + rate * step - 1e-15
+                };
+                if crosses {
+                    let dt = (target - cur) / rate;
+                    let hit = SimTime::from_units_ceil(t + dt);
+                    return Some(hit.max(seg.start).min(seg.end));
+                }
+                cur = snap(cur + rate * step, self.capacity);
+                t += step;
             }
-            None
-        };
-        *pcur = segs.state();
-        result
+        }
+        None
     }
 }
 
@@ -524,14 +475,13 @@ impl Storage {
     /// the walk to `each`, so a caller that needs the same segments for
     /// its own accounting (harvest integral, predictor observations)
     /// shares the single profile walk instead of re-clipping the window
-    /// with a second cursor. Each accumulator still sees exactly the op
+    /// in a second one. Each accumulator still sees exactly the op
     /// sequence the separate walks would have produced — the advance
     /// arithmetic and the callback touch disjoint state — so results
-    /// are bit-identical to `StorageSpec::advance_with` plus a manual
-    /// [`PiecewiseConstant::segments_between_with`] loop.
+    /// are bit-identical to [`StorageSpec::advance`] plus a manual
+    /// [`PiecewiseConstant::segments_between`] loop.
     pub fn advance_with_each(
         &mut self,
-        cur: &mut Cursor,
         profile: &PiecewiseConstant,
         from: SimTime,
         to: SimTime,
@@ -543,10 +493,10 @@ impl Storage {
             ..AdvanceReport::default()
         };
         let spec = &self.spec;
-        profile.for_each_segment_with(cur, from, to, |seg| {
+        for seg in profile.segments_between(from, to) {
             spec.advance_constant(&mut report, seg.value, seg.duration().as_units(), load);
             each(seg);
-        });
+        }
         self.level = report.level;
         report
     }
@@ -671,22 +621,30 @@ mod tests {
         assert_eq!(r.deficit, 0.0, "no load, no deficit");
     }
 
+    /// [`StorageSpec::first_crossing`] on a throwaway tier tally.
+    fn first_crossing(
+        spec: &StorageSpec,
+        level: f64,
+        target: f64,
+        profile: &PiecewiseConstant,
+        load: f64,
+    ) -> Option<SimTime> {
+        let mut tiers = CrossingTiers::default();
+        spec.first_crossing(&mut tiers, level, target, profile, u(0), u(100), load)
+    }
+
     #[test]
     fn first_crossing_depletion() {
         let spec = StorageSpec::ideal(100.0);
         // level 16, harvest 0.5, load 8 → net −7.5; zero at 16/7.5 ≈ 2.1333.
-        let t = spec
-            .first_crossing(16.0, 0.0, &profile(vec![0.5]), u(0), u(100), 8.0)
-            .unwrap();
+        let t = first_crossing(&spec, 16.0, 0.0, &profile(vec![0.5]), 8.0).unwrap();
         assert!((t.as_units() - 16.0 / 7.5).abs() < 1e-5);
     }
 
     #[test]
     fn first_crossing_fill() {
         let spec = StorageSpec::ideal(30.0);
-        let t = spec
-            .first_crossing(10.0, 30.0, &profile(vec![2.0]), u(0), u(100), 0.0)
-            .unwrap();
+        let t = first_crossing(&spec, 10.0, 30.0, &profile(vec![2.0]), 0.0).unwrap();
         assert_eq!(t, u(10));
     }
 
@@ -694,7 +652,7 @@ mod tests {
     fn first_crossing_not_reached() {
         let spec = StorageSpec::ideal(100.0);
         assert_eq!(
-            spec.first_crossing(10.0, 50.0, &profile(vec![0.0]), u(0), u(100), 0.0),
+            first_crossing(&spec, 10.0, 50.0, &profile(vec![0.0]), 0.0),
             None
         );
     }
@@ -712,14 +670,7 @@ mod tests {
     fn storage_wrapper_tracks_level() {
         let mut s = Storage::full(StorageSpec::ideal(50.0));
         assert_eq!(s.level(), 50.0);
-        let r = s.advance_with_each(
-            &mut Cursor::default(),
-            &profile(vec![0.0]),
-            u(0),
-            u(2),
-            5.0,
-            |_| {},
-        );
+        let r = s.advance_with_each(&profile(vec![0.0]), u(0), u(2), 5.0, |_| {});
         assert_eq!(r.level, 40.0);
         assert_eq!(s.level(), 40.0);
     }
@@ -737,10 +688,10 @@ mod tests {
     }
 
     #[test]
-    fn grid_advance_matches_cursor_walk() {
-        // `advance_with_each` walks a uniform grid by direct indexing.
-        // Its report and the segments it hands out must equal the cursor
-        // walk (`segments_between` + `advance_constant`) bit for bit.
+    fn advance_folds_the_segment_walk() {
+        // `advance` and `advance_with_each` must report what folding
+        // `advance_constant` over `segments_between` reports, bit for
+        // bit, and hand out exactly those segments.
         let spec = StorageSpec::ideal(50.0);
         let small = profile(vec![2.0, 0.0, 3.5, 0.25, 1.0]);
         // Offsets near multiples of 3e17 ticks lose bits in the f64
@@ -773,7 +724,6 @@ mod tests {
         ];
         let (mut saw_full, mut saw_empty) = (false, false);
         for (i, &(f, from, to, level, load)) in cases.iter().enumerate() {
-            assert!(f.uniform_grid().is_some());
             let mut want = AdvanceReport {
                 level,
                 ..AdvanceReport::default()
@@ -784,10 +734,8 @@ mod tests {
             }
             let mut storage = Storage::new(spec, level);
             let mut segs = Vec::new();
-            let got = storage.advance_with_each(&mut Cursor::default(), f, from, to, load, |seg| {
-                segs.push(seg)
-            });
-            let plain = spec.advance_with(&mut Cursor::default(), level, f, from, to, load);
+            let got = storage.advance_with_each(f, from, to, load, |seg| segs.push(seg));
+            let plain = spec.advance(level, f, from, to, load);
             assert_eq!(segs, want_segs, "case {i}: segments");
             for r in [got, plain] {
                 assert_eq!(r.level.to_bits(), want.level.to_bits(), "case {i}: level");

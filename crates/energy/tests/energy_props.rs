@@ -7,7 +7,7 @@ use harvest_energy::predictor::{
 use harvest_energy::source::{sample_profile, HarvestSource};
 use harvest_energy::sources::{ConstantSource, DayNightSource, SolarModel};
 use harvest_energy::storage::StorageSpec;
-use harvest_sim::piecewise::{Extension, PiecewiseConstant, Segment};
+use harvest_sim::piecewise::{CrossingTiers, Extension, PiecewiseConstant, Segment};
 use harvest_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -90,7 +90,9 @@ proptest! {
         let level = level_frac * cap;
         let target = target_frac * cap;
         let horizon = SimTime::from_whole_units(300);
-        if let Some(t) = spec.first_crossing(level, target, &profile, SimTime::ZERO, horizon, load)
+        let mut tiers = CrossingTiers::default();
+        if let Some(t) =
+            spec.first_crossing(&mut tiers, level, target, &profile, SimTime::ZERO, horizon, load)
         {
             let at = spec.advance(level, &profile, SimTime::ZERO, t, load);
             let max_rate = profile.domain_max() + load + 1.0;

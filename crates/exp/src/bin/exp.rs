@@ -86,8 +86,8 @@ use harvest_exp::telemetry::CampaignTelemetry;
 use harvest_obs::io::{Durability, RealIo, RetryPolicy};
 use harvest_obs::progress::{progress_from_jsonl, ProgressLine};
 use harvest_obs::span::SpanCollector;
+use harvest_obs::MetricsRegistry;
 use harvest_obs::ProgressReporter;
-use harvest_obs::{MetricsRegistry, MetricsSink};
 use serde::Value;
 
 const USAGE: &str = "usage:

@@ -93,8 +93,9 @@ pub fn min_zero_miss_capacity(
     (cmin, resolver.finish())
 }
 
-/// [`min_zero_miss_capacity`] with the campaign benchmark's argument
-/// list. Goes when the benchmark moves onto [`RunPlan`].
+/// [`min_zero_miss_capacity`] with the argument list the campaign
+/// benchmark's parity test calls it with. Goes when that test moves onto
+/// [`RunPlan`].
 pub fn min_zero_miss_capacity_cached(
     store: Option<&PackStore>,
     policy: PolicyKind,

@@ -141,9 +141,9 @@ pub fn miss_rate_figure(
     (figure, stats)
 }
 
-/// [`miss_rate_figure`] with the campaign benchmark's argument list;
-/// `batch` and `grouping` are ignored. Goes when the benchmark moves
-/// onto [`RunPlan`].
+/// [`miss_rate_figure`] with the argument list the campaign benchmark's
+/// parity test calls it with; `batch` and `grouping` are ignored. Goes
+/// when that test moves onto [`RunPlan`].
 #[allow(clippy::too_many_arguments)]
 pub fn miss_rate_figure_grouped(
     store: Option<&PackStore>,

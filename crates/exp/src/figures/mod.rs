@@ -71,7 +71,8 @@ impl RunPlan<'static> {
 }
 
 /// A grid axis, accepted and ignored by [`miss_rate_figure_grouped`].
-/// Kept because the campaign benchmark passes it.
+/// Kept because the campaign benchmark's parity test
+/// (`campaign-bench/tests/campaign_parity.rs`) passes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupingMode {
     /// Sibling seeds of one `(capacity, policy)` point.

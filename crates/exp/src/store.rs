@@ -128,19 +128,19 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Publishes the counters into a metrics sink under `prefix` (so
+    /// Publishes the counters into `reg` under `prefix` (so
     /// `publish("store", ..)` yields `store.hits`, `store.misses`, ...),
     /// plus a `{prefix}.hit_rate` gauge when any lookup happened. Store
     /// accounting then renders alongside the engine's queue and pool
-    /// metrics in one [`harvest_obs::MetricsRegistry`] snapshot.
-    pub fn publish<S: harvest_obs::MetricsSink>(&self, prefix: &str, sink: &mut S) {
-        sink.counter(&format!("{prefix}.hits"), self.hits);
-        sink.counter(&format!("{prefix}.misses"), self.misses);
-        sink.counter(&format!("{prefix}.rejects"), self.rejects);
-        sink.counter(&format!("{prefix}.stores"), self.stores);
+    /// metrics in one registry snapshot.
+    pub fn publish(&self, prefix: &str, reg: &mut harvest_obs::MetricsRegistry) {
+        reg.counter(&format!("{prefix}.hits"), self.hits);
+        reg.counter(&format!("{prefix}.misses"), self.misses);
+        reg.counter(&format!("{prefix}.rejects"), self.rejects);
+        reg.counter(&format!("{prefix}.stores"), self.stores);
         let lookups = self.hits + self.misses;
         if lookups > 0 {
-            sink.gauge(
+            reg.gauge(
                 &format!("{prefix}.hit_rate"),
                 self.hits as f64 / lookups as f64,
             );

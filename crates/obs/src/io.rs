@@ -34,7 +34,7 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use crate::metrics::MetricsSink;
+use crate::metrics::MetricsRegistry;
 
 /// One SplitMix64 step (same constants as `core::fault`): the
 /// generator behind every deterministic fault schedule here.
@@ -533,10 +533,10 @@ impl IoHealth {
 
     /// Publish as `{prefix}.retries` / `{prefix}.degraded` /
     /// `{prefix}.sync_failures` counters.
-    pub fn publish<S: MetricsSink + ?Sized>(&self, prefix: &str, sink: &mut S) {
-        sink.counter(&format!("{prefix}.retries"), self.retries);
-        sink.counter(&format!("{prefix}.degraded"), self.degraded);
-        sink.counter(&format!("{prefix}.sync_failures"), self.sync_failures);
+    pub fn publish(&self, prefix: &str, reg: &mut MetricsRegistry) {
+        reg.counter(&format!("{prefix}.retries"), self.retries);
+        reg.counter(&format!("{prefix}.degraded"), self.degraded);
+        reg.counter(&format!("{prefix}.sync_failures"), self.sync_failures);
     }
 }
 

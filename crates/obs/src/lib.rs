@@ -2,11 +2,11 @@
 //!
 //! This crate deliberately sits *below* the simulation crates in the
 //! dependency graph: it knows nothing about tasks, energy, or schedulers.
-//! It provides four small, orthogonal pieces:
+//! It provides five small, orthogonal pieces:
 //!
-//! - `metrics` — a `MetricsSink` trait and a [`MetricsRegistry`] that accumulates
-//!   counters / gauges / log2-bucket histograms and freezes them into a
-//!   serializable [`MetricsSnapshot`].
+//! - `metrics` — a [`MetricsRegistry`] that accumulates counters / gauges /
+//!   log2-bucket histograms and freezes them into a serializable
+//!   [`MetricsSnapshot`].
 //! - [`profile`] — scoped wall-clock phase timers ([`PhaseProfiler`]) that
 //!   aggregate into a serializable [`PhaseProfile`] (calls, total, mean, max
 //!   per phase).
@@ -57,6 +57,6 @@ pub mod span;
 pub mod timeline;
 
 pub use export::{jsonl_to_vec, JsonlWriter};
-pub use metrics::{Log2Histogram, MetricValue, MetricsRegistry, MetricsSink, MetricsSnapshot};
+pub use metrics::{Log2Histogram, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use profile::PhaseProfile;
 pub use progress::ProgressReporter;

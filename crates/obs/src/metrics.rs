@@ -1,35 +1,10 @@
-//! Metrics registry: counters, gauges, and log2-bucket histograms behind a
-//! `MetricsSink` trait.
+//! Metrics registry: counters, gauges, and log2-bucket histograms.
 //!
-//! The hot simulation loops do **not** call through this trait per event —
-//! they keep plain monomorphic integer counters inline and publish them here
-//! once, at end of run. The trait exists so that publication code can be
-//! written generically over the registry and a lent `&mut` of it.
+//! The hot simulation loops do **not** touch the registry per event —
+//! they keep plain monomorphic integer counters inline and publish them
+//! here once, at end of run.
 
 use serde::{Deserialize, Serialize};
-
-/// Receiver for published metrics.
-pub trait MetricsSink {
-    /// Add `delta` to the named monotonically increasing counter.
-    fn counter(&mut self, name: &str, delta: u64);
-    /// Set the named gauge to an instantaneous value.
-    fn gauge(&mut self, name: &str, value: f64);
-    /// Record one observation into the named log2-bucket histogram.
-    fn observe(&mut self, name: &str, value: f64);
-}
-
-/// Forward through mutable references so sinks can be lent out.
-impl<S: MetricsSink + ?Sized> MetricsSink for &mut S {
-    fn counter(&mut self, name: &str, delta: u64) {
-        (**self).counter(name, delta);
-    }
-    fn gauge(&mut self, name: &str, value: f64) {
-        (**self).gauge(name, value);
-    }
-    fn observe(&mut self, name: &str, value: f64) {
-        (**self).observe(name, value);
-    }
-}
 
 /// Number of buckets in a [`Log2Histogram`]: bucket 0 holds values `< 1`
 /// (including non-positive), bucket `i >= 1` holds `[2^(i-1), 2^i)`.
@@ -243,6 +218,49 @@ impl MetricsRegistry {
         }
     }
 
+    /// Add `delta` to the named monotonically increasing counter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered with a different kind.
+    pub fn counter(&mut self, name: &str, delta: u64) {
+        match self.slot(name) {
+            Some(Slot::Counter(c)) => *c += delta,
+            Some(_) => panic!("metric `{name}` already registered with a different kind"),
+            None => self.entries.push((name.to_owned(), Slot::Counter(delta))),
+        }
+    }
+
+    /// Set the named gauge to an instantaneous value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered with a different kind.
+    pub fn gauge(&mut self, name: &str, value: f64) {
+        match self.slot(name) {
+            Some(Slot::Gauge(g)) => *g = value,
+            Some(_) => panic!("metric `{name}` already registered with a different kind"),
+            None => self.entries.push((name.to_owned(), Slot::Gauge(value))),
+        }
+    }
+
+    /// Record one observation into the named log2-bucket histogram.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered with a different kind.
+    pub fn observe(&mut self, name: &str, value: f64) {
+        match self.slot(name) {
+            Some(Slot::Hist(h)) => h.observe(value),
+            Some(_) => panic!("metric `{name}` already registered with a different kind"),
+            None => {
+                let mut h = Box::new(Log2Histogram::new());
+                h.observe(value);
+                self.entries.push((name.to_owned(), Slot::Hist(h)));
+            }
+        }
+    }
+
     /// Freeze into a serializable snapshot, preserving insertion order.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -258,36 +276,6 @@ impl MetricsRegistry {
                     },
                 })
                 .collect(),
-        }
-    }
-}
-
-impl MetricsSink for MetricsRegistry {
-    fn counter(&mut self, name: &str, delta: u64) {
-        match self.slot(name) {
-            Some(Slot::Counter(c)) => *c += delta,
-            Some(_) => panic!("metric `{name}` already registered with a different kind"),
-            None => self.entries.push((name.to_owned(), Slot::Counter(delta))),
-        }
-    }
-
-    fn gauge(&mut self, name: &str, value: f64) {
-        match self.slot(name) {
-            Some(Slot::Gauge(g)) => *g = value,
-            Some(_) => panic!("metric `{name}` already registered with a different kind"),
-            None => self.entries.push((name.to_owned(), Slot::Gauge(value))),
-        }
-    }
-
-    fn observe(&mut self, name: &str, value: f64) {
-        match self.slot(name) {
-            Some(Slot::Hist(h)) => h.observe(value),
-            Some(_) => panic!("metric `{name}` already registered with a different kind"),
-            None => {
-                let mut h = Box::new(Log2Histogram::new());
-                h.observe(value);
-                self.entries.push((name.to_owned(), Slot::Hist(h)));
-            }
         }
     }
 }

@@ -5,38 +5,38 @@
 //! time can be evaluated in closed form — the whole simulation stack stays
 //! exact and deterministic.
 //!
+//! # One implementation per query
+//!
+//! A profile takes one of two forms. A uniform [`Extension::Hold`] grid
+//! (every sampled harvest profile) stores its start and spacing and steps
+//! breakpoint `k` as `start + k·dt` in integer ticks; any other profile
+//! (a fault-rewritten harvest, a trace, a cyclic profile) keeps an
+//! explicit breakpoint table. Only two private helpers see the
+//! difference: `breakpoint`, and `locate`, which finds the segment
+//! holding an instant with one strength-reduced division on a grid and a
+//! binary search of the table otherwise. Every query is written once on
+//! top of them, so both forms of the same function give the same bits.
+//!
 //! # Cost model
 //!
 //! Construction precomputes a cumulative-integral table at the
 //! breakpoints, so [`PiecewiseConstant::integrate`] is a difference of
-//! two closed-form antiderivative evaluations (`F(t2) − F(t1)`), each one
-//! binary search — `O(log n)` in the segment count, independent of how
-//! many segments the window spans. Extension tails are folded in closed
-//! form: a full [`Extension::Cycle`] period integrates to a constant, so
-//! cyclic integrals never unroll periods.
+//! two closed-form antiderivative evaluations (`F(t2) − F(t1)`), one
+//! `locate` each: `O(1)` on a grid, `O(log n)` on a table, however many
+//! segments the window spans. Extension tails are folded in closed form:
+//! a full [`Extension::Cycle`] period integrates to a constant, so cyclic
+//! integrals never unroll periods.
 //!
-//! Callers that sweep time monotonically (simulators, iterators) can hold
-//! a [`Cursor`]: it remembers the last segment touched and re-anchors
-//! with a short forward gallop, making `value_at` / `integrate` /
-//! breakpoint queries amortized `O(1)` while staying `O(log n)` worst
-//! case for arbitrary access.
-//!
-//! Profiles on a uniform grid with [`Extension::Hold`] (every sampled
-//! harvest profile) skip the search altogether: each `*_with` query
-//! checks once for a [`UniformGridView`] and, when there is one, indexes
-//! the segment directly and leaves the cursor's position untouched. The
-//! cursor code is the fallback for non-uniform, `Zero` and `Cycle`
-//! profiles. Both paths evaluate the same IEEE expressions, so every
-//! answer is bit-identical whichever path serves it.
+//! A walk over a window ([`PiecewiseConstant::segments_between`], which
+//! the storage advance and the crossing solver's scans run) locates its
+//! first segment once and then carries the segment index forward, so
+//! every further step is `O(1)` on both forms.
 //!
 //! # Storage
 //!
-//! A profile keeps a breakpoint table only when it has no
-//! [`UniformGridView`]. A uniform `Hold` grid stores its start, spacing
-//! and segment count, and steps breakpoint `k` as `start + k·dt` in
-//! integer ticks, so it holds `n` values and `n + 1` prefix sums and
-//! nothing else per segment. Equality and the serialized form still
-//! list every breakpoint.
+//! A uniform `Hold` grid keeps no breakpoint table: it holds `n` values
+//! and `n + 1` prefix sums and nothing else per segment. Equality and the
+//! serialized form list every breakpoint on both forms.
 
 use std::fmt;
 
@@ -51,8 +51,6 @@ pub enum Extension {
     /// Hold the first value before the domain and the last value after it.
     #[default]
     Hold,
-    /// The function is zero outside its domain.
-    Zero,
     /// The profile repeats with its domain length as period.
     ///
     /// The domain must have positive length for this to be meaningful;
@@ -177,10 +175,10 @@ pub struct PiecewiseConstant {
     /// First and last breakpoint: the explicit domain `[start, end)`.
     start: SimTime,
     end: SimTime,
-    /// Common breakpoint spacing in ticks when the grid is uniform and
-    /// the extension is [`Extension::Hold`], else 0. Detected once at
-    /// construction, with its reciprocal `grid_inv_dt`, so the grid check
-    /// in front of every query is one branch and no division.
+    /// Common breakpoint spacing in ticks when the breakpoints are
+    /// uniform and the extension is [`Extension::Hold`], else 0. Detected
+    /// once at construction, with its reciprocal `grid_inv_dt`, so
+    /// [`Self::locate`] on a grid is one branch and no division.
     grid_dt: i64,
     grid_inv_dt: f64,
 }
@@ -242,109 +240,23 @@ impl Segment {
     }
 }
 
-/// Lookup state for monotone time access.
-///
-/// A `Cursor` remembers the segment (and, under [`Extension::Cycle`], the
-/// period image) of the last query it served. When the next query lands
-/// in the same or a nearby later segment — the overwhelmingly common case
-/// for simulators that sweep time forward — the `*_with` methods re-anchor
-/// with a short forward gallop instead of a fresh binary search, making
-/// `value_at` / `integrate` / breakpoint lookups amortized `O(1)`.
-/// Queries that jump backwards or far ahead simply fall back to the
-/// `O(log n)` search, so a cursor is never *required* to be monotone —
-/// it is only fastest that way. Queries on a profile with a
-/// [`UniformGridView`] need no search and leave the cursor's position
-/// alone; there the cursor only collects the crossing-tier counters.
-///
-/// Cursors are plain data: cheap to copy, valid for the lifetime of the
-/// profile they were created against, and independent of each other.
-/// Using a cursor against a *different* profile is memory-safe but may
-/// cost an extra fallback search; create one cursor per profile.
-///
-/// # Examples
-///
-/// ```
-/// use harvest_sim::piecewise::PiecewiseConstant;
-/// use harvest_sim::time::SimTime;
-///
-/// let f = PiecewiseConstant::constant(2.0);
-/// let mut cur = f.cursor();
-/// let mut total = 0.0;
-/// for t in 0..100 {
-///     let (a, b) = (SimTime::from_whole_units(t), SimTime::from_whole_units(t + 1));
-///     total += f.integrate_with(&mut cur, a, b);
-/// }
-/// assert!((total - 200.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Cursor {
-    /// Last segment index served.
-    idx: usize,
-    /// Period image the index belongs to (always 0 unless `Cycle`).
-    period: i64,
-    /// Whether the hint has been populated yet.
-    init: bool,
-    /// Lookup and crossing-solver observability counters.
-    stats: CursorStats,
-}
-
-impl Cursor {
-    /// Accumulated lookup/solver counters; see [`CursorStats`].
-    pub fn stats(&self) -> CursorStats {
-        self.stats
-    }
-}
-
-/// Observability counters accumulated by a [`Cursor`] as it serves
-/// lookups and crossing queries. All counters wrap on overflow (they
-/// are diagnostics, not accounting).
-///
-/// The lookup counters partition [`locates`](Self::locates): a call
-/// either hits the hinted segment exactly, gallops forward (adding the
-/// number of segments skipped to `gallop_segments`), jumps backwards,
-/// or runs without a usable hint. They count only the cursor path:
-/// queries a [`UniformGridView`] answers do no search and leave them
-/// untouched. The crossing tiers (`cross_*`) are counted on both paths.
+/// How many queries each tier of
+/// [`PiecewiseConstant::first_accumulation_crossing`] settled. The solver
+/// adds one to exactly one field per query that reaches a tier (a query
+/// answered by its trivial window is not counted); a caller that issues
+/// many queries keeps one tally for all of them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CursorStats {
-    /// Hinted segment lookups served.
-    pub locates: u32,
-    /// Lookups answered by the hinted segment itself (the O(1) path).
-    pub hint_hits: u32,
-    /// Total segments advanced past the hint by the gallop search.
-    pub gallop_segments: u32,
-    /// Lookups that galloped forward at least one segment.
-    pub gallops: u32,
-    /// Lookups that jumped backwards (hint discarded).
-    pub backward_jumps: u32,
-    /// Lookups with no usable hint (fresh cursor or period change).
-    pub fresh_searches: u32,
-    /// Crossing queries answered by an O(1) reject: the rate-sign
-    /// bound or the scan tier's reach bound.
-    pub cross_reject: u32,
-    /// Crossing queries answered on the monotone tier (tick bisection,
-    /// or the uniform grid's first-reach solve).
-    pub cross_bisect: u32,
-    /// Crossing queries answered by the clamped segment scan.
-    pub cross_scan: u32,
-    /// Crossing queries answered by the cyclic period-skip scan.
-    pub cross_cyclic: u32,
-}
-
-impl CursorStats {
-    /// Sums another cursor's counters into this one (wrapping).
-    pub fn merge(&mut self, other: &CursorStats) {
-        self.locates = self.locates.wrapping_add(other.locates);
-        self.hint_hits = self.hint_hits.wrapping_add(other.hint_hits);
-        self.gallop_segments = self.gallop_segments.wrapping_add(other.gallop_segments);
-        self.gallops = self.gallops.wrapping_add(other.gallops);
-        self.backward_jumps = self.backward_jumps.wrapping_add(other.backward_jumps);
-        self.fresh_searches = self.fresh_searches.wrapping_add(other.fresh_searches);
-        self.cross_reject = self.cross_reject.wrapping_add(other.cross_reject);
-        self.cross_bisect = self.cross_bisect.wrapping_add(other.cross_bisect);
-        self.cross_scan = self.cross_scan.wrapping_add(other.cross_scan);
-        self.cross_cyclic = self.cross_cyclic.wrapping_add(other.cross_cyclic);
-    }
+pub struct CrossingTiers {
+    /// Settled by an `O(1)` reject: the rate-sign bound or the scan
+    /// tier's reach bound.
+    pub reject: u64,
+    /// Settled on the monotone tier (tick bisection, or the prefix-table
+    /// first-reach solve).
+    pub bisect: u64,
+    /// Settled by the clamped segment scan.
+    pub scan: u64,
+    /// Settled by the cyclic period-skip scan.
+    pub cyclic: u64,
 }
 
 impl PiecewiseConstant {
@@ -594,244 +506,100 @@ impl PiecewiseConstant {
         self.vmin
     }
 
-    /// Creates a fresh [`Cursor`] for this profile.
-    #[inline]
-    pub fn cursor(&self) -> Cursor {
-        Cursor::default()
-    }
-
-    /// The `O(1)` direct-index view over this profile, available when the
-    /// breakpoints are equally spaced (as built by
-    /// [`Self::from_samples`]) and the extension is [`Extension::Hold`].
-    /// Exactly these profiles keep no breakpoint table.
+    /// Index of the segment holding `t`, which must lie inside the
+    /// explicit domain.
     ///
-    /// Every view method computes the same IEEE expressions as its
-    /// cursor-driven counterpart — only the breakpoint *search* is
-    /// replaced by one integer division — so results are bit-identical
-    /// (pinned by the `grid_view_*` tests). Every `*_with` query of this
-    /// type answers through the view when it exists.
+    /// A table is binary-searched. A uniform grid keeps no table: the
+    /// index is `(t − start) / dt`, with the division strength-reduced to
+    /// a reciprocal multiply and an exactness check. In-domain offsets
+    /// are far below 2^52, so the estimate is off by at most one step,
+    /// and a wrong estimate (or a pathologically large offset) falls back
+    /// to the exact division. Crossing-bisection probes alone take ~20 of
+    /// these per query.
     #[inline]
-    pub fn uniform_grid(&self) -> Option<UniformGridView<'_>> {
+    fn locate(&self, t: SimTime) -> usize {
+        debug_assert!(
+            t >= self.start && t < self.end,
+            "instant {t} outside the domain"
+        );
         if self.grid_dt == 0 {
-            return None;
+            // The count of breakpoints `<= t`, less one.
+            return self.breakpoints.partition_point(|&b| b <= t) - 1;
         }
-        Some(UniformGridView {
-            f: self,
-            start_ticks: self.domain_start().as_ticks(),
-            end_ticks: self.domain_end().as_ticks(),
-            dt_ticks: self.grid_dt,
-            inv_dt: self.grid_inv_dt,
-        })
+        let n = (t - self.start).as_ticks();
+        let mut k = (n as f64 * self.grid_inv_dt) as i64;
+        let lo = k.wrapping_mul(self.grid_dt);
+        if !(lo <= n && n.wrapping_sub(lo) < self.grid_dt) {
+            k = n / self.grid_dt;
+        }
+        debug_assert_eq!(k, n / self.grid_dt);
+        k as usize
     }
 
-    /// Maps `t` into the explicit domain, returning the folded instant,
-    /// the period image it fell in (non-zero only under `Cycle`), and
-    /// whether the original instant was outside a non-cyclic domain.
+    /// Where `t` falls: before or after the domain under
+    /// [`Extension::Hold`], or in a segment of the domain or of one of its
+    /// [`Extension::Cycle`] images.
     #[inline]
-    fn fold_with_period(&self, t: SimTime) -> (SimTime, i64, Outside) {
-        let start = self.domain_start();
-        let end = self.domain_end();
-        if t >= start && t < end {
-            return (t, 0, Outside::Inside);
+    fn place(&self, t: SimTime) -> Place {
+        if t >= self.start && t < self.end {
+            return Place::In(self.locate(t), SimDuration::ZERO);
         }
         match self.extension {
+            Extension::Hold if t < self.start => Place::Before,
+            Extension::Hold => Place::After,
             Extension::Cycle => {
-                let period = (end - start).as_ticks();
-                let rel = (t - start).as_ticks();
-                let k = rel.div_euclid(period);
-                let r = rel.rem_euclid(period);
-                (start + SimDuration::from_ticks(r), k, Outside::Inside)
-            }
-            _ if t < start => (t, 0, Outside::Before),
-            _ => (t, 0, Outside::After),
-        }
-    }
-
-    /// Segment index containing `t`, which must lie inside the explicit
-    /// domain. `hint` is the caller's last known index: the search
-    /// gallops forward from it with doubling strides and binary-searches
-    /// only the bracketed range, so a lookup `d` segments past the hint
-    /// costs `O(log d)` — `O(1)` for the repeat/adjacent hits that
-    /// dominate monotone sweeps — instead of `O(log n)` from scratch.
-    ///
-    /// A uniform grid keeps no table to search: one division gives the
-    /// index the search would.
-    #[inline]
-    fn locate(&self, t: SimTime, hint: Option<usize>) -> usize {
-        if self.grid_dt != 0 {
-            return ((t - self.start).as_ticks() / self.grid_dt) as usize;
-        }
-        let bps = &self.breakpoints;
-        let last = self.values.len() - 1;
-        if let Some(h) = hint {
-            let lo = h.min(last);
-            if bps[lo] <= t {
-                if lo == last || bps[lo + 1] > t {
-                    return lo;
-                }
-                // Gallop: find the first `lo + stride` past `t`, then
-                // binary-search inside the bracket.
-                let mut stride = 1usize;
-                let mut below = lo + 1; // invariant: bps[below] <= t
-                loop {
-                    let probe = below.saturating_add(stride).min(last);
-                    if bps[probe] <= t {
-                        if probe == last {
-                            return last;
-                        }
-                        below = probe;
-                        stride *= 2;
-                    } else {
-                        // bps[below] <= t < bps[probe]
-                        let range = &bps[below + 1..probe];
-                        return below + range.partition_point(|&b| b <= t);
-                    }
-                }
+                let period = (self.end - self.start).as_ticks();
+                let rel = (t - self.start).as_ticks();
+                let shift = SimDuration::from_ticks(rel - rel.rem_euclid(period));
+                Place::In(self.locate(t - shift), shift)
             }
         }
-        // partition_point returns the count of breakpoints <= t;
-        // segment index is that count minus one.
-        (bps.partition_point(|&b| b <= t) - 1).min(last)
-    }
-
-    /// [`locate`](Self::locate) driven by (and refreshing) a cursor. The
-    /// hint is only trusted within the same period image.
-    #[inline]
-    fn locate_with(&self, cur: &mut Cursor, folded: SimTime, period: i64) -> usize {
-        let hint = if cur.init && cur.period == period {
-            Some(cur.idx)
-        } else {
-            None
-        };
-        let idx = self.locate(folded, hint);
-        let mut stats = cur.stats;
-        stats.locates = stats.locates.wrapping_add(1);
-        match hint {
-            Some(h) => {
-                let lo = h.min(self.values.len() - 1);
-                if idx == lo {
-                    stats.hint_hits = stats.hint_hits.wrapping_add(1);
-                } else if idx > lo {
-                    stats.gallops = stats.gallops.wrapping_add(1);
-                    stats.gallop_segments = stats.gallop_segments.wrapping_add((idx - lo) as u32);
-                } else {
-                    stats.backward_jumps = stats.backward_jumps.wrapping_add(1);
-                }
-            }
-            None => stats.fresh_searches = stats.fresh_searches.wrapping_add(1),
-        }
-        *cur = Cursor {
-            idx,
-            period,
-            init: true,
-            stats,
-        };
-        idx
     }
 
     /// Value of the function at instant `t`.
-    pub fn value_at(&self, t: SimTime) -> f64 {
-        self.value_at_with(&mut Cursor::default(), t)
-    }
-
-    /// [`value_at`](Self::value_at) with cursor acceleration (none is
-    /// needed on a uniform grid).
     #[inline]
-    pub fn value_at_with(&self, cur: &mut Cursor, t: SimTime) -> f64 {
-        match self.uniform_grid() {
-            Some(g) => g.value_at(t),
-            None => self.value_at_cursor(cur, t),
-        }
-    }
-
-    /// The cursor path of [`Self::value_at_with`].
-    fn value_at_cursor(&self, cur: &mut Cursor, t: SimTime) -> f64 {
-        let (folded, period, outside) = self.fold_with_period(t);
-        match outside {
-            Outside::Before => match self.extension {
-                Extension::Hold => self.values[0],
-                Extension::Zero => 0.0,
-                Extension::Cycle => unreachable!("cycle folding maps into domain"),
-            },
-            Outside::After => match self.extension {
-                Extension::Hold => *self.values.last().expect("non-empty"),
-                Extension::Zero => 0.0,
-                Extension::Cycle => unreachable!("cycle folding maps into domain"),
-            },
-            Outside::Inside => self.values[self.locate_with(cur, folded, period)],
+    pub fn value_at(&self, t: SimTime) -> f64 {
+        match self.place(t) {
+            Place::Before => self.values[0],
+            Place::In(i, _) => self.values[i],
+            Place::After => self.values[self.values.len() - 1],
         }
     }
 
     /// Cumulative integral `F(t) = ∫ f over [domain_start, t)` (signed:
-    /// negative for `t` before the domain start), with all three
-    /// extensions folded in closed form. A full `Cycle` period is the
-    /// constant `total()`, so no periods are ever unrolled.
-    fn cum_with(&self, cur: &mut Cursor, t: SimTime) -> f64 {
-        let start = self.domain_start();
-        let end = self.domain_end();
-        if t >= start && t < end {
-            let idx = self.locate_with(cur, t, 0);
-            return self.prefix[idx] + self.values[idx] * (t - self.breakpoint(idx)).as_units();
-        }
-        match self.extension {
-            Extension::Hold => {
-                if t < start {
-                    self.values[0] * (t - start).as_units()
-                } else {
-                    self.total() + self.values[self.values.len() - 1] * (t - end).as_units()
-                }
-            }
-            Extension::Zero => {
-                if t < start {
-                    0.0
-                } else {
-                    self.total()
-                }
-            }
-            Extension::Cycle => {
-                let period = (end - start).as_ticks();
-                let rel = (t - start).as_ticks();
-                let k = rel.div_euclid(period);
-                let r = rel.rem_euclid(period);
-                let folded = start + SimDuration::from_ticks(r);
-                let idx = self.locate_with(cur, folded, k);
-                let inner = self.prefix[idx]
-                    + self.values[idx] * (folded - self.breakpoint(idx)).as_units();
-                k as f64 * self.total() + inner
-            }
-        }
-    }
-
+    /// negative for `t` before the domain start), with both extensions
+    /// folded in closed form. A full `Cycle` period is the constant
+    /// `total()`, so no periods are ever unrolled.
     #[inline]
     fn cum(&self, t: SimTime) -> f64 {
-        self.cum_with(&mut Cursor::default(), t)
+        match self.place(t) {
+            Place::Before => self.values[0] * (t - self.start).as_units(),
+            Place::After => {
+                self.total() + self.values[self.values.len() - 1] * (t - self.end).as_units()
+            }
+            Place::In(i, shift) => {
+                let inner =
+                    self.prefix[i] + self.values[i] * (t - shift - self.breakpoint(i)).as_units();
+                if shift == SimDuration::ZERO {
+                    inner
+                } else {
+                    let periods = shift.as_ticks() / (self.end - self.start).as_ticks();
+                    periods as f64 * self.total() + inner
+                }
+            }
+        }
     }
 
     /// Exact integral of the function over `[t1, t2)`, computed as the
-    /// antiderivative difference `F(t2) − F(t1)` — one binary search per
+    /// antiderivative difference `F(t2) − F(t1)`: one segment lookup per
     /// endpoint, independent of how many segments the window spans.
     ///
     /// Returns a negated integral when `t2 < t1` (exactly: IEEE
     /// subtraction is antisymmetric).
-    pub fn integrate(&self, t1: SimTime, t2: SimTime) -> f64 {
-        self.integrate_with(&mut Cursor::default(), t1, t2)
-    }
-
-    /// [`integrate`](Self::integrate) with cursor acceleration: both
-    /// endpoints resolve through `cur`, so windows that slide forward in
-    /// time cost amortized `O(1)` (`O(1)` outright on a uniform grid).
     #[inline]
-    pub fn integrate_with(&self, cur: &mut Cursor, t1: SimTime, t2: SimTime) -> f64 {
-        match self.uniform_grid() {
-            Some(g) => g.integrate(t1, t2),
-            None => self.integrate_cursor(cur, t1, t2),
-        }
-    }
-
-    /// The cursor path of [`Self::integrate_with`].
-    fn integrate_cursor(&self, cur: &mut Cursor, t1: SimTime, t2: SimTime) -> f64 {
-        let a = self.cum_with(cur, t1);
-        let b = self.cum_with(cur, t2);
+    pub fn integrate(&self, t1: SimTime, t2: SimTime) -> f64 {
+        let a = self.cum(t1);
+        let b = self.cum(t2);
         b - a
     }
 
@@ -839,7 +607,8 @@ impl PiecewiseConstant {
     /// walks every segment in the window.
     ///
     /// Kept as the ground truth for property tests and as the baseline
-    /// for benchmarks; `O(segments in window)` instead of `O(log n)`.
+    /// for benchmarks; `O(segments in window)` instead of one segment
+    /// lookup per endpoint.
     pub fn integrate_naive(&self, t1: SimTime, t2: SimTime) -> f64 {
         if t2 < t1 {
             return -self.integrate_naive(t2, t1);
@@ -850,47 +619,32 @@ impl PiecewiseConstant {
     /// Iterates the maximal constant stretches of the function restricted
     /// to the window `[t1, t2)`, in order, covering it exactly.
     ///
-    /// The iterator carries its own [`Cursor`], so each step is `O(1)`
-    /// after the first.
+    /// The walk locates the segment holding `t1` once and carries the
+    /// index forward, so each step after the first is `O(1)`.
+    #[inline]
     pub fn segments_between(&self, t1: SimTime, t2: SimTime) -> Segments<'_> {
-        self.segments_between_with(Cursor::default(), t1, t2)
-    }
-
-    /// Like [`Self::segments_between`], but seeds the iterator's internal
-    /// [`Cursor`] with `cur` so callers that walk consecutive windows can
-    /// thread position across calls (retrieve the final state with
-    /// [`Segments::state`]). The yielded segments are identical for any
-    /// seed cursor; only the lookup cost changes.
-    pub fn segments_between_with(&self, cur: Cursor, t1: SimTime, t2: SimTime) -> Segments<'_> {
         Segments {
             f: self,
-            cursor: t1,
+            at: t1,
             end: t2,
-            cur,
+            place: if t1 < t2 {
+                self.place(t1)
+            } else {
+                Place::After
+            },
         }
     }
 
-    /// Hands `emit` the segments [`Self::segments_between`] yields over
-    /// `[t1, t2)`, in order. On a uniform grid the walk is
-    /// `UniformGridView::for_each_segment` (direct index stepping);
-    /// otherwise it runs on `cur`, which is left where the walk stopped.
+    /// Earliest breakpoint strictly after `t` at which the value may
+    /// change, taking the extension rule into account. `None` means the
+    /// function is constant for all time after `t`.
     #[inline]
-    pub fn for_each_segment_with(
-        &self,
-        cur: &mut Cursor,
-        t1: SimTime,
-        t2: SimTime,
-        mut emit: impl FnMut(Segment),
-    ) {
-        if let Some(g) = self.uniform_grid() {
-            g.for_each_segment(t1, t2, emit);
-            return;
+    pub fn next_breakpoint_after(&self, t: SimTime) -> Option<SimTime> {
+        match self.place(t) {
+            Place::Before => Some(self.start),
+            Place::In(i, shift) => Some(self.breakpoint(i + 1) + shift),
+            Place::After => None,
         }
-        let mut segs = self.segments_between_with(*cur, t1, t2);
-        for seg in segs.by_ref() {
-            emit(seg);
-        }
-        *cur = segs.state();
     }
 
     /// Earliest `t ≥ from` at which the *accumulated* value
@@ -900,7 +654,8 @@ impl PiecewiseConstant {
     /// This is the primitive behind "when does the storage fill/empty"
     /// queries: `offset` is the (negated) constant drain, `cap` the
     /// storage capacity. Returns `None` if the level never reaches
-    /// `target` before `horizon`.
+    /// `target` before `horizon`. The tier that settled the query is
+    /// counted in `tiers`.
     ///
     /// The solver answers in tiers, cheapest first; every tier returns
     /// the tick the clamped segment scan would:
@@ -910,8 +665,8 @@ impl PiecewiseConstant {
     /// 2. **Monotone tier**: the net rate cannot change sign, so the
     ///    level is monotone, clamping cannot precede the crossing, and
     ///    the earliest tick is bisected on the prefix-sum antiderivative
-    ///    (`O(log T)` probes for a window of `T` ticks). On a uniform
-    ///    grid where nothing drains (`offset == ±0.0`, values `≥ 0`,
+    ///    (`O(log T)` probes for a window of `T` ticks). On a `Hold`
+    ///    profile where nothing drains (`offset == ±0.0`, values `≥ 0`,
     ///    `from` in the domain) a gallop over the prefix table and a line
     ///    solve inside one segment find the same tick in `O(log d)` for
     ///    a crossing `d` segments away.
@@ -926,38 +681,13 @@ impl PiecewiseConstant {
     ///
     /// Panics if `cap` is negative, or `initial`/`target` fall outside
     /// `[0, cap]`.
-    pub fn first_accumulation_crossing(
-        &self,
-        from: SimTime,
-        horizon: SimTime,
-        initial: f64,
-        offset: f64,
-        cap: f64,
-        target: f64,
-    ) -> Option<SimTime> {
-        self.first_accumulation_crossing_with(
-            &mut Cursor::default(),
-            from,
-            horizon,
-            initial,
-            offset,
-            cap,
-            target,
-        )
-    }
-
-    /// [`first_accumulation_crossing`](Self::first_accumulation_crossing)
-    /// with cursor acceleration for the `from` endpoint — useful when
-    /// crossing queries are issued at monotonically increasing instants.
-    /// On a uniform grid the query runs on the [`UniformGridView`]; the
-    /// cursor then only counts the crossing tier.
     // One argument per scalar of the accumulation problem; bundling them
     // would only obscure the call sites.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    pub fn first_accumulation_crossing_with(
+    pub fn first_accumulation_crossing(
         &self,
-        cur: &mut Cursor,
+        tiers: &mut CrossingTiers,
         from: SimTime,
         horizon: SimTime,
         initial: f64,
@@ -965,38 +695,25 @@ impl PiecewiseConstant {
         cap: f64,
         target: f64,
     ) -> Option<SimTime> {
-        match self.uniform_grid() {
-            Some(g) => {
-                g.crossing_counted(&mut cur.stats, from, horizon, initial, offset, cap, target)
-            }
-            None => self.first_accumulation_crossing_cursor(
-                cur, from, horizon, initial, offset, cap, target,
-            ),
-        }
-    }
-
-    /// The cursor path of [`Self::first_accumulation_crossing_with`].
-    #[allow(clippy::too_many_arguments)]
-    fn first_accumulation_crossing_cursor(
-        &self,
-        cur: &mut Cursor,
-        from: SimTime,
-        horizon: SimTime,
-        initial: f64,
-        offset: f64,
-        cap: f64,
-        target: f64,
-    ) -> Option<SimTime> {
-        let tier =
-            self.classify_crossing(&mut cur.stats, from, horizon, initial, offset, cap, target);
-        match tier {
+        match self.classify_crossing(tiers, from, horizon, initial, offset, cap, target) {
             Crossing::Decided(t) => t,
-            Crossing::Bisect => {
-                let cum_from = self.cum_with(cur, from);
-                bisect_crossing(from, horizon, target - initial, offset, cum_from, |t| {
-                    self.cum(t)
-                })
+            Crossing::Bisect
+                if offset == 0.0
+                    && self.extension == Extension::Hold
+                    && self.vmin >= 0.0
+                    && from >= self.start
+                    && from < self.end =>
+            {
+                self.first_reach(from, horizon, target - initial, offset)
             }
+            Crossing::Bisect => bisect_crossing(
+                from,
+                horizon,
+                target - initial,
+                offset,
+                self.cum(from),
+                |t| self.cum(t),
+            ),
             Crossing::Scan => {
                 let mut scan = ClampedScan {
                     level: initial,
@@ -1004,24 +721,22 @@ impl PiecewiseConstant {
                     cap,
                     target,
                 };
-                if self.extension == Extension::Cycle {
-                    self.scan_crossing_cyclic(&mut scan, from, horizon)
-                } else {
-                    scan.run(self, from, horizon, None)
+                match self.extension {
+                    Extension::Hold => scan.run(self, from, horizon, None),
+                    Extension::Cycle => self.scan_crossing_cyclic(&mut scan, from, horizon),
                 }
             }
         }
     }
 
-    /// The `O(1)` prelude both crossing paths share: checks the
-    /// contract, answers trivial windows and provably unreachable
-    /// targets, and otherwise picks the solver. Counts the tier taken in
-    /// `stats`.
+    /// The `O(1)` prelude of the crossing solver: checks the contract,
+    /// answers trivial windows and provably unreachable targets, and
+    /// otherwise picks the solver. Counts the tier taken in `tiers`.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn classify_crossing(
         &self,
-        stats: &mut CursorStats,
+        tiers: &mut CrossingTiers,
         from: SimTime,
         horizon: SimTime,
         initial: f64,
@@ -1049,36 +764,31 @@ impl PiecewiseConstant {
         // and downward with rate < 0; a rate bound pinned on the wrong
         // side of zero decides the query in O(1).
         if (target > initial && rate_max <= 0.0) || (target < initial && rate_min >= 0.0) {
-            stats.cross_reject = stats.cross_reject.wrapping_add(1);
+            tiers.reject += 1;
             return Crossing::Decided(None);
         }
         let monotone =
             (target > initial && rate_min >= 0.0) || (target < initial && rate_max <= 0.0);
         if monotone {
-            stats.cross_bisect = stats.cross_bisect.wrapping_add(1);
+            tiers.bisect += 1;
             Crossing::Bisect
         } else if self.out_of_reach(from, horizon, initial, target, rate_min, rate_max, cap) {
-            stats.cross_reject = stats.cross_reject.wrapping_add(1);
+            tiers.reject += 1;
             Crossing::Decided(None)
         } else if self.extension == Extension::Cycle {
-            stats.cross_cyclic = stats.cross_cyclic.wrapping_add(1);
+            tiers.cyclic += 1;
             Crossing::Scan
         } else {
-            stats.cross_scan = stats.cross_scan.wrapping_add(1);
+            tiers.scan += 1;
             Crossing::Scan
         }
     }
 
     /// Bounds `(rate_min, rate_max)` on the net rate `f + offset` over
-    /// all time. Under `Zero` the tails contribute rate `offset` alone,
-    /// so 0 is folded into the value bounds conservatively.
+    /// all time. Both extensions only repeat domain values.
     #[inline]
     fn rate_bounds(&self, offset: f64) -> (f64, f64) {
-        let (lo, hi) = match self.extension {
-            Extension::Zero => (self.vmin.min(0.0), self.vmax.max(0.0)),
-            _ => (self.vmin, self.vmax),
-        };
-        (lo + offset, hi + offset)
+        (self.vmin + offset, self.vmax + offset)
     }
 
     /// Reach bound of the scan tier: whether the level provably cannot
@@ -1119,12 +829,97 @@ impl PiecewiseConstant {
                 let period = (self.domain_end() - self.domain_start()).as_units();
                 per_pass * (span / period + 2.0)
             }
-            _ => per_pass,
+            Extension::Hold => per_pass,
         };
         let fastest = rate_max.max(-rate_min);
         let margin =
             1e-9 * (1.0 + cap + target.abs() + fastest * span) + segments * f64::EPSILON * cap;
         gap > rate * span + margin
+    }
+
+    /// [`bisect_crossing`] for a level that nothing drains: `offset` is
+    /// `±0.0`, every value is non-negative, the extension is `Hold` and
+    /// `from` lies in the domain, as in every stall wake of the paper's
+    /// runs. It returns the tick bisection returns, from a gallop over
+    /// the prefix table and three probes instead of `log₂` of the window
+    /// in ticks.
+    ///
+    /// On such inputs the gain `g(t) = F(t) − F(from)` is monotone in `t`
+    /// even after rounding. Inside segment `k`, `F(t)` is the rounded
+    /// `prefix[k] + v·(t − b_k)` with `v ≥ 0`, and `prefix[k + 1]` is the
+    /// same expression rounded at `b_{k+1}`, so `F` never steps down at a
+    /// breakpoint either, whatever the spacing. The first reaching tick
+    /// is therefore unique, and any bracket that fails at its low end and
+    /// reaches at its high end bisects to it. `g(b_k)` is exactly
+    /// `prefix[k] − F(from)`, so the search over the prefix table finds
+    /// the segment holding that tick; the segment's line gives the tick,
+    /// accepted only when it reaches and the tick before it does not.
+    fn first_reach(
+        &self,
+        from: SimTime,
+        horizon: SimTime,
+        needed: f64,
+        offset: f64,
+    ) -> Option<SimTime> {
+        let cum_from = self.cum(from);
+        // The predicate `bisect_crossing` probes, expression for
+        // expression.
+        let reached = |t: SimTime| {
+            reaches(
+                needed,
+                self.cum(t) - cum_from + offset * (t - from).as_units(),
+            )
+        };
+        if reaches(needed, 0.0) {
+            return Some(from);
+        }
+        if !reached(horizon) {
+            return None;
+        }
+        // First breakpoint past `from` whose gain reaches: gallop with
+        // doubling strides, then binary-search the bracketed range.
+        let reached_prefix = |p: f64| reaches(needed, p - cum_from);
+        let n = self.values.len();
+        let mut below = self.locate(from);
+        let mut stride = 1;
+        let first_hit = loop {
+            let probe = (below + stride).min(n);
+            if reached_prefix(self.prefix[probe]) {
+                let range = &self.prefix[below + 1..probe];
+                break Some(below + 1 + range.partition_point(|&p| !reached_prefix(p)));
+            }
+            if probe == n {
+                break None;
+            }
+            below = probe;
+            stride *= 2;
+        };
+        // The stretch holding the first reaching tick, where
+        // `F(t) = base_cum + value·(t − base)`, and its bracket `(lo, hi]`.
+        let (base, base_cum, value, hi) = match first_hit {
+            Some(k) => (
+                self.breakpoint(k - 1),
+                self.prefix[k - 1],
+                self.values[k - 1],
+                self.breakpoint(k).min(horizon),
+            ),
+            // Not reached by the domain end: the Hold tail.
+            None => (self.end, self.total(), self.values[n - 1], horizon),
+        };
+        let (lo, hi) = (base.max(from).as_ticks(), hi.as_ticks());
+        let dt = (needed - 1e-15 - (base_cum - cum_from)) / value;
+        let guess = base
+            .as_ticks()
+            .saturating_add((dt * TICKS_PER_UNIT as f64).ceil() as i64)
+            .clamp(lo + 1, hi);
+        let at = SimTime::from_ticks(guess);
+        Some(if !reached(at) {
+            bisect_ticks(guess, hi, reached)
+        } else if guess - 1 == lo || !reached(at - SimDuration::TICK) {
+            at
+        } else {
+            bisect_ticks(lo, guess - 1, reached)
+        })
     }
 
     /// Reference implementation of
@@ -1252,7 +1047,8 @@ impl PiecewiseConstant {
 enum Crossing {
     /// Answered by the prelude: a trivial window or an `O(1)` reject.
     Decided(Option<SimTime>),
-    /// Monotone trajectory: [`bisect_crossing`].
+    /// Monotone trajectory: [`bisect_crossing`], or the prefix-table
+    /// first-reach solve.
     Bisect,
     /// Non-monotone: the clamped segment scan (period-skipping under
     /// [`Extension::Cycle`]).
@@ -1265,8 +1061,7 @@ enum Crossing {
 /// earliest tick at which it reaches `needed` is found by bisection.
 /// `cum` evaluates the antiderivative `F` and `cum_from = F(from)`. Each
 /// probe is one prefix-table evaluation, so no segment is ever walked:
-/// `O(log T · log n)` for a horizon `T` ticks away on the cursor path,
-/// `O(log T)` on a uniform grid.
+/// `O(log T)` probes for a horizon `T` ticks away.
 fn bisect_crossing(
     from: SimTime,
     horizon: SimTime,
@@ -1371,28 +1166,17 @@ struct ClampedScan {
 }
 
 impl ClampedScan {
-    /// Scans `[lo, hi)`, returning the first crossing instant or updating
-    /// `self.level` to the clamped level at `hi`. When `probe` is given,
-    /// records the unclamped excursion envelope along the way.
+    /// Scans `[lo, hi)` of `f`, returning the first crossing instant or
+    /// updating `self.level` to the clamped level at `hi`. When `probe`
+    /// is given, records the unclamped excursion envelope along the way.
     fn run(
         &mut self,
         f: &PiecewiseConstant,
         lo: SimTime,
         hi: SimTime,
-        probe: Option<&mut Probe>,
-    ) -> Option<SimTime> {
-        self.scan(f.segments_between(lo, hi), probe)
-    }
-
-    /// The per-segment arithmetic of [`Self::run`] over any segment
-    /// stream; the grid view feeds it [`GridSegments`], which yields the
-    /// same segments as [`Segments`] over a uniform-grid window.
-    fn scan(
-        &mut self,
-        segs: impl Iterator<Item = Segment>,
         mut probe: Option<&mut Probe>,
     ) -> Option<SimTime> {
-        for seg in segs {
+        for seg in f.segments_between(lo, hi) {
             let rate = seg.value + self.offset;
             let span = seg.duration().as_units();
             let unclamped_end = self.level + rate * span;
@@ -1419,10 +1203,16 @@ impl ClampedScan {
     }
 }
 
+/// Where an instant falls relative to a profile's segments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Outside {
-    Inside,
+enum Place {
+    /// Before the domain, under [`Extension::Hold`].
     Before,
+    /// In segment `i` of the domain image shifted by the given whole
+    /// number of periods (zero inside the domain, and always under
+    /// [`Extension::Hold`]).
+    In(usize, SimDuration),
+    /// At or after the domain end, under [`Extension::Hold`].
     After,
 }
 
@@ -1431,435 +1221,45 @@ enum Outside {
 #[derive(Debug)]
 pub struct Segments<'a> {
     f: &'a PiecewiseConstant,
-    cursor: SimTime,
+    /// Start of the next segment to yield.
+    at: SimTime,
     end: SimTime,
-    cur: Cursor,
-}
-
-impl Segments<'_> {
-    /// The iterator's current [`Cursor`], for threading into a later
-    /// [`PiecewiseConstant::segments_between_with`] call over a window
-    /// that resumes where this one stopped.
-    pub fn state(&self) -> Cursor {
-        self.cur
-    }
+    /// The segment holding `at`, carried forward step by step.
+    place: Place,
 }
 
 impl Iterator for Segments<'_> {
     type Item = Segment;
 
+    #[inline]
     fn next(&mut self) -> Option<Segment> {
-        if self.cursor >= self.end {
+        if self.at >= self.end {
             return None;
         }
-        let start = self.cursor;
-        let value = self.f.value_at_cursor(&mut self.cur, start);
-        let next_change = self
-            .f
-            .next_breakpoint_after_cursor(&mut self.cur, start)
-            .unwrap_or(SimTime::MAX);
-        let end = next_change.min(self.end);
-        debug_assert!(end > start, "segment iterator must make progress");
-        self.cursor = end;
-        Some(Segment { start, end, value })
-    }
-}
-
-impl PiecewiseConstant {
-    /// Earliest breakpoint strictly after `t` at which the value may
-    /// change, taking the extension rule into account. `None` means the
-    /// function is constant for all time after `t`.
-    pub fn next_breakpoint_after(&self, t: SimTime) -> Option<SimTime> {
-        self.next_breakpoint_after_with(&mut Cursor::default(), t)
-    }
-
-    /// [`next_breakpoint_after`](Self::next_breakpoint_after) with cursor
-    /// acceleration (none is needed on a uniform grid).
-    #[inline]
-    pub fn next_breakpoint_after_with(&self, cur: &mut Cursor, t: SimTime) -> Option<SimTime> {
-        match self.uniform_grid() {
-            Some(g) => g.next_breakpoint_after(t),
-            None => self.next_breakpoint_after_cursor(cur, t),
-        }
-    }
-
-    /// The cursor path of [`Self::next_breakpoint_after_with`].
-    fn next_breakpoint_after_cursor(&self, cur: &mut Cursor, t: SimTime) -> Option<SimTime> {
-        let start = self.domain_start();
-        let end = self.domain_end();
-        match self.extension {
-            Extension::Cycle => {
-                let period = (end - start).as_ticks();
-                let rel = (t - start).as_ticks();
-                let k = rel.div_euclid(period);
-                let r = rel.rem_euclid(period);
-                let base = t - SimDuration::from_ticks(r);
-                let folded = start + SimDuration::from_ticks(r);
-                // The folded instant lies in some segment [b_i, b_{i+1});
-                // b_{i+1} is the first breakpoint strictly after it.
-                let idx = self.locate_with(cur, folded, k);
-                let next_rel = (self.breakpoint(idx + 1) - start).as_ticks();
-                Some(base + SimDuration::from_ticks(next_rel))
-            }
-            _ => {
-                if t < start {
-                    return Some(start);
-                }
-                if t >= end {
-                    return None;
-                }
-                let idx = self.locate_with(cur, t, 0);
-                Some(self.breakpoint(idx + 1))
-            }
-        }
-    }
-}
-
-/// `O(1)` direct-index access to a uniform-grid, [`Extension::Hold`]
-/// profile, obtained from [`PiecewiseConstant::uniform_grid`].
-///
-/// On a uniform grid breakpoint `k` is `start + k·dt` in whole ticks (a
-/// grid keeps no breakpoint table; `new` verifies the spacing before it
-/// drops one), so the segment containing an in-domain instant is one
-/// integer division away, its bounds are a multiply-add each, and no
-/// cursor state is needed. Each method mirrors its cursor-driven
-/// counterpart expression for expression: the division replaces only the
-/// `partition_point` search, whose result it equals, so every returned
-/// value is bit-identical to the cursor path. It is the engine's
-/// profile kernel: the `*_with` queries of [`PiecewiseConstant`] answer
-/// through it.
-#[derive(Debug, Clone, Copy)]
-pub struct UniformGridView<'a> {
-    f: &'a PiecewiseConstant,
-    start_ticks: i64,
-    end_ticks: i64,
-    dt_ticks: i64,
-    /// `1.0 / dt_ticks`, for the strength-reduced [`Self::idx`].
-    inv_dt: f64,
-}
-
-impl<'a> UniformGridView<'a> {
-    /// The profile this view indexes into.
-    #[inline]
-    pub fn profile(&self) -> &'a PiecewiseConstant {
-        self.f
-    }
-
-    /// Breakpoint `k` of the grid, `0 <= k <= n`.
-    #[inline]
-    fn breakpoint(&self, k: usize) -> SimTime {
-        SimTime::from_ticks(step_ticks(self.start_ticks, k, self.dt_ticks))
-    }
-
-    /// Segment index of an in-domain instant (`start <= t < end`).
-    ///
-    /// The division is strength-reduced to a reciprocal multiply with an
-    /// exactness check: in-domain offsets are far below 2^52, so the
-    /// estimate is off by at most one step, and a wrong estimate (or a
-    /// pathologically large offset) falls back to the exact division.
-    /// Every caller sits on an engine's hot path — crossing-bisection
-    /// probes alone take ~20 of these per call.
-    #[inline]
-    fn idx(&self, t: SimTime) -> usize {
-        let n = t.as_ticks() - self.start_ticks;
-        let mut k = (n as f64 * self.inv_dt) as i64;
-        let lo = k.wrapping_mul(self.dt_ticks);
-        if !(lo <= n && n.wrapping_sub(lo) < self.dt_ticks) {
-            k = n / self.dt_ticks;
-        }
-        debug_assert_eq!(k, n / self.dt_ticks);
-        debug_assert!(
-            (0..self.f.values.len() as i64).contains(&k),
-            "instant {t} outside the grid domain"
-        );
-        k as usize
-    }
-
-    /// [`PiecewiseConstant::value_at`] without the search.
-    #[inline]
-    pub(crate) fn value_at(&self, t: SimTime) -> f64 {
-        let tk = t.as_ticks();
-        if tk < self.start_ticks {
-            return self.f.values[0];
-        }
-        if tk >= self.end_ticks {
-            return self.f.values[self.f.values.len() - 1];
-        }
-        self.f.values[self.idx(t)]
-    }
-
-    /// Cumulative integral `F(t)` — the Hold arm of the cursor path's
-    /// `cum_with`, with the located index substituted.
-    #[inline]
-    fn cum(&self, t: SimTime) -> f64 {
         let f = self.f;
-        let tk = t.as_ticks();
-        if tk >= self.start_ticks && tk < self.end_ticks {
-            let idx = self.idx(t);
-            return f.prefix[idx] + f.values[idx] * (t - self.breakpoint(idx)).as_units();
-        }
-        if tk < self.start_ticks {
-            f.values[0] * (t - f.domain_start()).as_units()
-        } else {
-            f.total() + f.values[f.values.len() - 1] * (t - f.domain_end()).as_units()
-        }
-    }
-
-    /// [`PiecewiseConstant::integrate`] without the searches: the same
-    /// antiderivative difference `F(t2) − F(t1)`.
-    #[inline]
-    pub(crate) fn integrate(&self, t1: SimTime, t2: SimTime) -> f64 {
-        let a = self.cum(t1);
-        let b = self.cum(t2);
-        b - a
-    }
-
-    /// [`PiecewiseConstant::next_breakpoint_after`] without the search.
-    #[inline]
-    pub(crate) fn next_breakpoint_after(&self, t: SimTime) -> Option<SimTime> {
-        if t.as_ticks() < self.start_ticks {
-            return Some(self.f.domain_start());
-        }
-        if t.as_ticks() >= self.end_ticks {
-            return None;
-        }
-        Some(self.breakpoint(self.idx(t) + 1))
-    }
-
-    /// [`PiecewiseConstant::segments_between`] without per-step searches;
-    /// yields the identical segment sequence.
-    pub(crate) fn segments_between(&self, t1: SimTime, t2: SimTime) -> GridSegments<'a> {
-        GridSegments {
-            g: *self,
-            cursor: t1,
-            end: t2,
-            i: -1,
-        }
-    }
-
-    /// Visits the same clipped segments as [`Self::segments_between`],
-    /// but by direct index stepping: the segment index is resolved once
-    /// and incremented, instead of re-derived (twice — value and
-    /// breakpoint) per step. Emitted `[start, end, value)` triples are
-    /// identical to the iterator's, so any arithmetic the caller folds
-    /// over them is bit-identical.
-    #[inline]
-    pub(crate) fn for_each_segment(&self, t1: SimTime, t2: SimTime, mut emit: impl FnMut(Segment)) {
-        if t1 >= t2 {
-            return;
-        }
-        let f = self.f;
-        let mut cursor = t1;
-        if cursor.as_ticks() < self.start_ticks {
-            let end = f.domain_start().min(t2);
-            emit(Segment {
-                start: cursor,
-                end,
-                value: f.values[0],
-            });
-            cursor = end;
-        }
-        if cursor < t2 && cursor.as_ticks() < self.end_ticks {
-            let mut i = self.idx(cursor);
-            loop {
-                let end = self.breakpoint(i + 1).min(t2);
-                emit(Segment {
-                    start: cursor,
-                    end,
-                    value: f.values[i],
-                });
-                cursor = end;
-                i += 1;
-                if cursor >= t2 || i == f.values.len() {
-                    break;
-                }
+        debug_assert_eq!(self.place, f.place(self.at), "stale carried segment");
+        let (value, next_change) = match self.place {
+            Place::Before => {
+                self.place = Place::In(0, SimDuration::ZERO);
+                (f.values[0], f.start)
             }
-        }
-        if cursor < t2 {
-            emit(Segment {
-                start: cursor,
-                end: t2,
-                value: f.values[f.values.len() - 1],
-            });
-        }
-    }
-
-    /// [`Self::first_accumulation_crossing`], counting the tier taken in
-    /// `stats` exactly as the cursor path counts it.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn crossing_counted(
-        &self,
-        stats: &mut CursorStats,
-        from: SimTime,
-        horizon: SimTime,
-        initial: f64,
-        offset: f64,
-        cap: f64,
-        target: f64,
-    ) -> Option<SimTime> {
-        let tier = self
-            .f
-            .classify_crossing(stats, from, horizon, initial, offset, cap, target);
-        match tier {
-            Crossing::Decided(t) => t,
-            Crossing::Bisect
-                if offset == 0.0
-                    && self.f.vmin >= 0.0
-                    && (self.start_ticks..self.end_ticks).contains(&from.as_ticks()) =>
-            {
-                self.first_reach(from, horizon, target - initial, offset)
-            }
-            // The cursor path's bisection probes use fresh cursors, so
-            // substituting the `O(1)` [`Self::cum`] is exact.
-            Crossing::Bisect => bisect_crossing(
-                from,
-                horizon,
-                target - initial,
-                offset,
-                self.cum(from),
-                |t| self.cum(t),
-            ),
-            Crossing::Scan => {
-                let mut scan = ClampedScan {
-                    level: initial,
-                    offset,
-                    cap,
-                    target,
+            Place::In(i, shift) => {
+                self.place = if i + 1 < f.values.len() {
+                    Place::In(i + 1, shift)
+                } else {
+                    match f.extension {
+                        Extension::Hold => Place::After,
+                        Extension::Cycle => Place::In(0, shift + (f.end - f.start)),
+                    }
                 };
-                scan.scan(self.segments_between(from, horizon), None)
+                (f.values[i], f.breakpoint(i + 1) + shift)
             }
-        }
-    }
-
-    /// [`bisect_crossing`] for a level that nothing drains: `offset` is
-    /// `±0.0`, every value is non-negative and `from` lies in the grid
-    /// domain, as in every stall wake of the paper's runs. It returns
-    /// the tick bisection returns, from a gallop over the prefix table
-    /// and three probes instead of `log₂` of the window in ticks.
-    ///
-    /// On such inputs the gain `g(t) = F(t) − F(from)` is monotone in `t`
-    /// even after rounding. Inside segment `k`, `F(t)` is the rounded
-    /// `prefix[k] + v·(t − b_k)` with `v ≥ 0`, and `prefix[k + 1]` is the
-    /// same expression rounded at `b_{k+1}`, so `F` never steps down at a
-    /// breakpoint either. The first reaching tick is therefore unique,
-    /// and any bracket that fails at its low end and reaches at its high
-    /// end bisects to it. `g(b_k)` is exactly `prefix[k] − F(from)`, so
-    /// the search over the prefix table finds the segment holding that
-    /// tick; the segment's line gives the tick, accepted only when it
-    /// reaches and the tick before it does not.
-    fn first_reach(
-        &self,
-        from: SimTime,
-        horizon: SimTime,
-        needed: f64,
-        offset: f64,
-    ) -> Option<SimTime> {
-        let f = self.f;
-        let cum_from = self.cum(from);
-        // The predicate `bisect_crossing` probes, expression for
-        // expression.
-        let reached = |t: SimTime| {
-            reaches(
-                needed,
-                self.cum(t) - cum_from + offset * (t - from).as_units(),
-            )
+            Place::After => (f.values[f.values.len() - 1], SimTime::MAX),
         };
-        if reaches(needed, 0.0) {
-            return Some(from);
-        }
-        if !reached(horizon) {
-            return None;
-        }
-        // First breakpoint past `from` whose gain reaches: gallop with
-        // doubling strides, then binary-search the bracketed range.
-        let reached_prefix = |p: f64| reaches(needed, p - cum_from);
-        let n = f.values.len();
-        let mut below = self.idx(from);
-        let mut stride = 1;
-        let first_hit = loop {
-            let probe = (below + stride).min(n);
-            if reached_prefix(f.prefix[probe]) {
-                let range = &f.prefix[below + 1..probe];
-                break Some(below + 1 + range.partition_point(|&p| !reached_prefix(p)));
-            }
-            if probe == n {
-                break None;
-            }
-            below = probe;
-            stride *= 2;
-        };
-        // The stretch holding the first reaching tick, where
-        // `F(t) = base_cum + value·(t − base)`, and its bracket `(lo, hi]`.
-        let (base, base_cum, value, hi) = match first_hit {
-            Some(k) => (
-                self.breakpoint(k - 1),
-                f.prefix[k - 1],
-                f.values[k - 1],
-                self.breakpoint(k).min(horizon),
-            ),
-            // Not reached by the domain end: the Hold tail.
-            None => (f.domain_end(), f.total(), f.values[n - 1], horizon),
-        };
-        let (lo, hi) = (base.max(from).as_ticks(), hi.as_ticks());
-        let dt = (needed - 1e-15 - (base_cum - cum_from)) / value;
-        let guess = base
-            .as_ticks()
-            .saturating_add((dt * TICKS_PER_UNIT as f64).ceil() as i64)
-            .clamp(lo + 1, hi);
-        let at = SimTime::from_ticks(guess);
-        Some(if !reached(at) {
-            bisect_ticks(guess, hi, reached)
-        } else if guess - 1 == lo || !reached(at - SimDuration::TICK) {
-            at
-        } else {
-            bisect_ticks(lo, guess - 1, reached)
-        })
-    }
-}
-
-/// Segment iterator of a [`UniformGridView`]; yields exactly what
-/// [`Segments`] yields over the same window. In-domain steps carry the
-/// segment index forward instead of re-deriving it (twice — value and
-/// breakpoint) per step.
-#[derive(Debug)]
-pub(crate) struct GridSegments<'a> {
-    g: UniformGridView<'a>,
-    cursor: SimTime,
-    end: SimTime,
-    /// Index of the segment containing `cursor` when known, else -1.
-    /// Only consulted while `cursor` is in-domain.
-    i: i64,
-}
-
-impl Iterator for GridSegments<'_> {
-    type Item = Segment;
-
-    fn next(&mut self) -> Option<Segment> {
-        if self.cursor >= self.end {
-            return None;
-        }
-        let start = self.cursor;
-        let f = self.g.f;
-        let tk = start.as_ticks();
-        let (value, next_change) = if tk < self.g.start_ticks {
-            self.i = 0;
-            (f.values[0], f.domain_start())
-        } else if tk >= self.g.end_ticks {
-            (f.values[f.values.len() - 1], SimTime::MAX)
-        } else {
-            let i = if self.i >= 0 {
-                self.i as usize
-            } else {
-                self.g.idx(start)
-            };
-            debug_assert_eq!(i, self.g.idx(start), "stale carried segment index");
-            self.i = i as i64 + 1;
-            (f.values[i], self.g.breakpoint(i + 1))
-        };
+        let start = self.at;
         let end = next_change.min(self.end);
         debug_assert!(end > start, "segment iterator must make progress");
-        self.cursor = end;
+        self.at = end;
         Some(Segment { start, end, value })
     }
 }
@@ -1882,42 +1282,41 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn cursor_stats_track_lookup_modes() {
-        // `sample_fn` is a uniform grid, so drive the cursor path itself.
-        let f = sample_fn();
-        let mut cur = f.cursor();
-        let u = SimTime::from_whole_units;
-        f.value_at_cursor(&mut cur, u(1)); // no usable hint yet
-        f.value_at_cursor(&mut cur, u(2)); // same segment: hint hit
-        f.value_at_cursor(&mut cur, u(25)); // two segments forward: gallop
-        f.value_at_cursor(&mut cur, u(1)); // backward jump
-        let s = cur.stats();
-        assert_eq!(s.locates, 4);
-        assert_eq!(s.fresh_searches, 1);
-        assert_eq!(s.hint_hits, 1);
-        assert_eq!(s.gallops, 1);
-        assert_eq!(s.gallop_segments, 2);
-        assert_eq!(s.backward_jumps, 1);
+    /// [`PiecewiseConstant::first_accumulation_crossing`] on a throwaway
+    /// tally.
+    fn crossing(
+        f: &PiecewiseConstant,
+        (from, horizon): (SimTime, SimTime),
+        initial: f64,
+        offset: f64,
+        cap: f64,
+        target: f64,
+    ) -> Option<SimTime> {
+        let mut tiers = CrossingTiers::default();
+        f.first_accumulation_crossing(&mut tiers, from, horizon, initial, offset, cap, target)
     }
 
     #[test]
-    fn cursor_stats_track_crossing_tiers() {
+    fn crossing_tiers_are_counted() {
         let u = SimTime::from_whole_units;
         // Strictly positive rates: upward crossings bisect, downward
         // targets are rejected in O(1).
         let f = sample_fn();
-        let mut cur = f.cursor();
+        let mut tiers = CrossingTiers::default();
         assert!(f
-            .first_accumulation_crossing_with(&mut cur, u(0), u(30), 0.0, 0.0, 100.0, 50.0)
+            .first_accumulation_crossing(&mut tiers, u(0), u(30), 0.0, 0.0, 100.0, 50.0)
             .is_some());
         assert!(f
-            .first_accumulation_crossing_with(&mut cur, u(0), u(30), 50.0, 0.0, 100.0, 10.0)
+            .first_accumulation_crossing(&mut tiers, u(0), u(30), 50.0, 0.0, 100.0, 10.0)
             .is_none());
-        let s = cur.stats();
-        assert_eq!(s.cross_bisect, 1);
-        assert_eq!(s.cross_reject, 1);
-        assert_eq!(s.cross_scan, 0);
+        assert_eq!(
+            tiers,
+            CrossingTiers {
+                reject: 1,
+                bisect: 1,
+                ..CrossingTiers::default()
+            }
+        );
 
         // Mixed-sign rates force the clamped segment scan.
         let g = PiecewiseConstant::new(
@@ -1926,9 +1325,9 @@ mod tests {
             Extension::Hold,
         )
         .unwrap();
-        let mut gcur = g.cursor();
-        g.first_accumulation_crossing_with(&mut gcur, u(0), u(20), 0.0, 0.0, 100.0, 5.0);
-        assert_eq!(gcur.stats().cross_scan, 1);
+        let mut tiers = CrossingTiers::default();
+        g.first_accumulation_crossing(&mut tiers, u(0), u(20), 0.0, 0.0, 100.0, 5.0);
+        assert_eq!(tiers.scan, 1);
 
         // The same query under Cycle takes the period-skip scanner.
         let c = PiecewiseConstant::new(
@@ -1937,23 +1336,9 @@ mod tests {
             Extension::Cycle,
         )
         .unwrap();
-        let mut ccur = c.cursor();
-        c.first_accumulation_crossing_with(&mut ccur, u(0), u(20), 0.0, 0.0, 100.0, 5.0);
-        assert_eq!(ccur.stats().cross_cyclic, 1);
-    }
-
-    #[test]
-    fn cursor_stats_survive_segment_iteration() {
-        let f = sample_fn();
-        let mut total = 0u32;
-        let mut segs = f.segments_between_with(
-            f.cursor(),
-            SimTime::from_whole_units(0),
-            SimTime::from_whole_units(30),
-        );
-        for _ in segs.by_ref() {}
-        total = total.wrapping_add(segs.state().stats().locates);
-        assert!(total > 0, "segment iteration drives the cursor");
+        let mut tiers = CrossingTiers::default();
+        c.first_accumulation_crossing(&mut tiers, u(0), u(20), 0.0, 0.0, 100.0, 5.0);
+        assert_eq!(tiers.cyclic, 1);
     }
 
     #[test]
@@ -2002,22 +1387,6 @@ mod tests {
         let f = sample_fn();
         assert_eq!(f.value_at(SimTime::from_whole_units(-5)), 2.0);
         assert_eq!(f.value_at(SimTime::from_whole_units(99)), 4.0);
-    }
-
-    #[test]
-    fn zero_extension_vanishes_outside() {
-        let f = PiecewiseConstant::new(
-            vec![SimTime::ZERO, SimTime::from_whole_units(10)],
-            vec![3.0],
-            Extension::Zero,
-        )
-        .unwrap();
-        assert_eq!(f.value_at(SimTime::from_whole_units(-1)), 0.0);
-        assert_eq!(f.value_at(SimTime::from_whole_units(10)), 0.0);
-        assert_eq!(
-            f.integrate(SimTime::from_whole_units(-5), SimTime::from_whole_units(15)),
-            30.0
-        );
     }
 
     #[test]
@@ -2082,7 +1451,7 @@ mod tests {
     }
 
     #[test]
-    fn from_samples_builds_uniform_grid() {
+    fn from_samples_builds_a_grid() {
         let f = PiecewiseConstant::from_samples(
             SimTime::ZERO,
             SimDuration::from_whole_units(2),
@@ -2154,7 +1523,7 @@ mod tests {
                 .collect();
             let start = starts[case % starts.len()];
             let dt = dts[case % dts.len()];
-            for extension in [Extension::Hold, Extension::Zero, Extension::Cycle] {
+            for extension in [Extension::Hold, Extension::Cycle] {
                 let ctx = format!("case {case}, n {n}, {extension:?}");
                 let got =
                     PiecewiseConstant::from_samples(start, dt, samples.clone(), extension).unwrap();
@@ -2258,16 +1627,9 @@ mod tests {
     fn crossing_fill_time() {
         // Charge at net +2 from level 1 toward target 5: takes 2 units.
         let f = PiecewiseConstant::constant(3.0);
-        let t = f
-            .first_accumulation_crossing(
-                SimTime::ZERO,
-                SimTime::from_whole_units(100),
-                1.0,
-                -1.0, // drain 1 → net +2
-                10.0,
-                5.0,
-            )
-            .unwrap();
+        let window = (SimTime::ZERO, SimTime::from_whole_units(100));
+        // Drain 1 → net +2.
+        let t = crossing(&f, window, 1.0, -1.0, 10.0, 5.0).unwrap();
         assert_eq!(t, SimTime::from_whole_units(2));
     }
 
@@ -2285,16 +1647,8 @@ mod tests {
             Extension::Hold,
         )
         .unwrap();
-        let t = f
-            .first_accumulation_crossing(
-                SimTime::ZERO,
-                SimTime::from_whole_units(10),
-                4.0,
-                -2.0,
-                100.0,
-                0.0,
-            )
-            .unwrap();
+        let window = (SimTime::ZERO, SimTime::from_whole_units(10));
+        let t = crossing(&f, window, 4.0, -2.0, 100.0, 0.0).unwrap();
         assert_eq!(t, SimTime::from_whole_units(2));
     }
 
@@ -2302,15 +1656,8 @@ mod tests {
     fn crossing_unreachable_returns_none() {
         let f = PiecewiseConstant::constant(1.0);
         // Net rate zero: never reaches the target.
-        let t = f.first_accumulation_crossing(
-            SimTime::ZERO,
-            SimTime::from_whole_units(50),
-            1.0,
-            -1.0,
-            10.0,
-            5.0,
-        );
-        assert_eq!(t, None);
+        let window = (SimTime::ZERO, SimTime::from_whole_units(50));
+        assert_eq!(crossing(&f, window, 1.0, -1.0, 10.0, 5.0), None);
     }
 
     #[test]
@@ -2327,16 +1674,8 @@ mod tests {
             Extension::Hold,
         )
         .unwrap();
-        let t = f
-            .first_accumulation_crossing(
-                SimTime::ZERO,
-                SimTime::from_whole_units(100),
-                3.0,
-                -1.0,
-                10.0,
-                4.0,
-            )
-            .unwrap();
+        let window = (SimTime::ZERO, SimTime::from_whole_units(100));
+        let t = crossing(&f, window, 3.0, -1.0, 10.0, 4.0).unwrap();
         // Level hits 0 at t=3, stays 0 until 5, then rises at +1/unit:
         // reaches 4 at t=9.
         assert_eq!(t, SimTime::from_whole_units(9));
@@ -2374,12 +1713,12 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Prefix-table / cursor fast-path coverage.
+    // Prefix-table coverage.
     // ------------------------------------------------------------------
 
     #[test]
     fn prefix_integrate_matches_naive() {
-        for ext in [Extension::Hold, Extension::Zero, Extension::Cycle] {
+        for ext in [Extension::Hold, Extension::Cycle] {
             let f = PiecewiseConstant::new(
                 vec![
                     SimTime::from_whole_units(-3),
@@ -2410,104 +1749,25 @@ mod tests {
     }
 
     #[test]
-    fn cursor_monotone_sweep_matches_cold_queries() {
-        let f = PiecewiseConstant::new(
-            vec![
-                SimTime::ZERO,
-                SimTime::from_whole_units(2),
-                SimTime::from_whole_units(3),
-                SimTime::from_whole_units(7),
-            ],
-            vec![1.0, -2.0, 0.5],
-            Extension::Cycle,
-        )
-        .unwrap();
-        let mut cur = f.cursor();
-        let mut t = SimTime::from_units(-4.25);
-        while t < SimTime::from_whole_units(30) {
-            assert_eq!(f.value_at_with(&mut cur, t), f.value_at(t), "value at {t}");
-            assert_eq!(
-                f.next_breakpoint_after_with(&mut cur, t),
-                f.next_breakpoint_after(t),
-                "next breakpoint after {t}"
-            );
-            let t2 = t + SimDuration::from_units(0.6);
-            let want = f.integrate(t, t2);
-            let got = f.integrate_with(&mut cur, t, t2);
-            assert!(
-                (got - want).abs() < 1e-9,
-                "integral at {t}: {got} vs {want}"
-            );
-            t += SimDuration::from_units(0.35);
-        }
-    }
-
-    #[test]
-    fn cursor_tolerates_backward_jumps() {
-        let f = sample_fn();
-        let mut cur = f.cursor();
-        let late = SimTime::from_whole_units(25);
-        let early = SimTime::from_whole_units(1);
-        assert_eq!(f.value_at_cursor(&mut cur, late), 4.0);
-        assert_eq!(f.value_at_cursor(&mut cur, early), 2.0);
-        assert_eq!(f.value_at_cursor(&mut cur, late), 4.0);
-    }
-
-    #[test]
-    fn grid_queries_leave_cursor_lookups_untouched() {
-        let u = SimTime::from_whole_units;
-        let run = |f: &PiecewiseConstant| {
-            let mut cur = f.cursor();
-            f.value_at_with(&mut cur, u(5));
-            f.integrate_with(&mut cur, u(1), u(25));
-            f.next_breakpoint_after_with(&mut cur, u(2));
-            f.for_each_segment_with(&mut cur, u(0), u(3), |_| {});
-            f.first_accumulation_crossing_with(&mut cur, u(0), u(3), 0.0, 0.0, 100.0, 1.0);
-            cur.stats()
-        };
-        // A uniform Hold grid is indexed directly: no lookups, but the
-        // crossing tier is still counted.
-        let grid = run(&sample_fn());
-        assert_eq!(grid.locates, 0);
-        assert_eq!(grid.cross_bisect, 1);
-        // Off the grid the same queries run on the cursor.
-        let g = PiecewiseConstant::new(
-            vec![SimTime::ZERO, u(1), u(3)],
-            vec![1.0, 2.0],
-            Extension::Hold,
-        )
-        .unwrap();
-        assert!(g.uniform_grid().is_none());
-        let off = run(&g);
-        assert!(off.locates > 0);
-        assert_eq!(off.cross_bisect, 1);
-    }
-
-    #[test]
     fn crossing_fast_path_matches_naive_on_breakpoint_aligned_target() {
         // Monotone upward crossing landing exactly on a breakpoint: the
         // prefix-seek rewrite must return the same tick as the scan.
         let f = sample_fn();
-        let args = (
-            SimTime::ZERO,
-            SimTime::from_whole_units(100),
-            0.0,
-            -0.5,
-            1000.0,
-            25.0,
-        );
-        let fast = f.first_accumulation_crossing(args.0, args.1, args.2, args.3, args.4, args.5);
-        let naive =
-            f.first_accumulation_crossing_naive(args.0, args.1, args.2, args.3, args.4, args.5);
+        let window = (SimTime::ZERO, SimTime::from_whole_units(100));
+        let (initial, offset, cap) = (0.0, -0.5, 1000.0);
+        let naive = |target| {
+            f.first_accumulation_crossing_naive(window.0, window.1, initial, offset, cap, target)
+        };
         // Net rates 1.5, 0.0, 3.5: level is 15 at t=10, flat to t=20,
         // reaching 25 needs 10/3.5 more — but with target 15 it lands on
         // the t=10 breakpoint exactly.
-        assert_eq!(fast, naive);
-        let aligned = f.first_accumulation_crossing(args.0, args.1, args.2, args.3, args.4, 15.0);
-        let aligned_naive =
-            f.first_accumulation_crossing_naive(args.0, args.1, args.2, args.3, args.4, 15.0);
+        assert_eq!(
+            crossing(&f, window, initial, offset, cap, 25.0),
+            naive(25.0)
+        );
+        let aligned = crossing(&f, window, initial, offset, cap, 15.0);
         assert_eq!(aligned, SimTime::from_whole_units(10).into());
-        assert_eq!(aligned, aligned_naive);
+        assert_eq!(aligned, naive(15.0));
     }
 
     #[test]
@@ -2526,7 +1786,7 @@ mod tests {
         )
         .unwrap();
         let horizon = SimTime::from_whole_units(5000);
-        let fast = f.first_accumulation_crossing(SimTime::ZERO, horizon, 0.0, 0.0, 100.0, 50.0);
+        let fast = crossing(&f, (SimTime::ZERO, horizon), 0.0, 0.0, 100.0, 50.0);
         let naive =
             f.first_accumulation_crossing_naive(SimTime::ZERO, horizon, 0.0, 0.0, 100.0, 50.0);
         assert_eq!(fast, naive);
@@ -2547,12 +1807,11 @@ mod tests {
             Extension::Cycle,
         )
         .unwrap();
-        let horizon = SimTime::from_whole_units(1_000_000);
-        let fast = f.first_accumulation_crossing(SimTime::ZERO, horizon, 2.0, 0.0, 10.0, 8.0);
-        assert_eq!(fast, None);
+        let window = (SimTime::ZERO, SimTime::from_whole_units(1_000_000));
+        assert_eq!(crossing(&f, window, 2.0, 0.0, 10.0, 8.0), None);
     }
 
-    /// Deterministic xorshift so grid-parity probes need no external RNG.
+    /// Deterministic xorshift so parity probes need no external RNG.
     fn xorshift(state: &mut u64) -> u64 {
         let mut x = *state;
         x ^= x << 13;
@@ -2576,116 +1835,63 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn uniform_grid_detection() {
-        assert!(grid_profile(7, 40).uniform_grid().is_some());
-        // Non-uniform spacing: no view.
-        let f = sample_fn(); // gaps 10, 10, 10 — uniform, so this HAS one
-        assert!(f.uniform_grid().is_some());
-        let g = PiecewiseConstant::new(
-            vec![
-                SimTime::ZERO,
-                SimTime::from_whole_units(1),
-                SimTime::from_whole_units(3),
-            ],
-            vec![1.0, 2.0],
-            Extension::Hold,
-        )
-        .unwrap();
-        assert!(g.uniform_grid().is_none());
-        // Uniform but cyclic: the view only models Hold tails.
-        let c = PiecewiseConstant::new(
-            vec![
-                SimTime::ZERO,
-                SimTime::from_whole_units(1),
-                SimTime::from_whole_units(2),
-            ],
-            vec![1.0, 2.0],
-            Extension::Cycle,
-        )
-        .unwrap();
-        assert!(c.uniform_grid().is_none());
-    }
-
     /// The same function as the grid `f`, in the representation every
     /// profile had before grids dropped their table: an explicit
-    /// breakpoint table and no grid, so each query runs the cursor path
-    /// and searches the slice.
+    /// breakpoint table that `locate` binary-searches.
     fn table_twin(f: &PiecewiseConstant) -> PiecewiseConstant {
         assert!(f.breakpoints.is_empty(), "a grid keeps no table");
-        let twin = PiecewiseConstant {
+        PiecewiseConstant {
             breakpoints: f.breakpoint_iter().collect(),
             grid_dt: 0,
             grid_inv_dt: 0.0,
             ..f.clone()
-        };
-        assert!(twin.uniform_grid().is_none());
-        twin
+        }
     }
 
-    // The public queries answer a uniform grid through the view, so the
-    // two parity tests below compare the view with the private cursor
-    // implementations on the grid, which step its breakpoints
-    // (`Segments` walks on the cursor path), and with the public queries
-    // on its table twin, which search the slice.
+    // The two parity tests below run every query on a grid and on its
+    // table twin: the same function, located by division on one and by
+    // binary search on the other.
     #[test]
-    fn grid_view_lookups_bit_identical() {
+    fn grid_lookups_match_table_twin() {
         for seed in 1..6u64 {
             let f = grid_profile(seed, 64);
-            let g = f.uniform_grid().unwrap();
             let twin = table_twin(&f);
             let mut s = seed.wrapping_mul(0x9E37_79B9).max(1);
             for _ in 0..400 {
                 let t = SimTime::from_ticks((xorshift(&mut s) % 80_000_000) as i64 - 10_000_000);
-                let value = g.value_at(t).to_bits();
                 assert_eq!(
-                    value,
-                    f.value_at_cursor(&mut f.cursor(), t).to_bits(),
+                    f.value_at(t).to_bits(),
+                    twin.value_at(t).to_bits(),
                     "value at {t}"
                 );
-                assert_eq!(value, twin.value_at(t).to_bits(), "twin value at {t}");
-                let next = g.next_breakpoint_after(t);
                 assert_eq!(
-                    next,
-                    f.next_breakpoint_after_cursor(&mut f.cursor(), t),
+                    f.next_breakpoint_after(t),
+                    twin.next_breakpoint_after(t),
                     "breakpoint after {t}"
                 );
-                assert_eq!(next, twin.next_breakpoint_after(t), "twin breakpoint {t}");
                 let t2 = t + SimDuration::from_ticks((xorshift(&mut s) % 20_000_000) as i64);
-                let integral = g.integrate(t, t2).to_bits();
                 assert_eq!(
-                    integral,
-                    f.integrate_cursor(&mut f.cursor(), t, t2).to_bits(),
+                    f.integrate(t, t2).to_bits(),
+                    twin.integrate(t, t2).to_bits(),
                     "integral over [{t}, {t2})"
                 );
-                assert_eq!(
-                    integral,
-                    twin.integrate(t, t2).to_bits(),
-                    "twin [{t}, {t2})"
-                );
-                let segs_grid: Vec<_> = g.segments_between(t, t2).collect();
-                let segs_scalar: Vec<_> = f.segments_between(t, t2).collect();
-                assert_eq!(segs_grid, segs_scalar, "segments over [{t}, {t2})");
-                let segs_twin: Vec<_> = twin.segments_between(t, t2).collect();
-                assert_eq!(segs_grid, segs_twin, "twin segments over [{t}, {t2})");
-                let mut walked = Vec::new();
-                g.for_each_segment(t, t2, |seg| walked.push(seg));
-                assert_eq!(walked, segs_scalar, "segment walk over [{t}, {t2})");
+                let segs: Vec<_> = f.segments_between(t, t2).collect();
+                let twin_segs: Vec<_> = twin.segments_between(t, t2).collect();
+                assert_eq!(segs, twin_segs, "segments over [{t}, {t2})");
             }
         }
     }
 
     #[test]
-    fn grid_view_crossings_bit_identical() {
+    fn grid_crossings_match_table_twin() {
         for seed in 1..6u64 {
             let f = grid_profile(seed, 48);
-            assert!(f.uniform_grid().is_some());
             let twin = table_twin(&f);
             let mut s = seed.wrapping_mul(0xA076_1D64).max(1);
             let cap = 25.0;
-            // The grid path counts the same crossing tiers as the cursor.
-            let (mut grid_cur, mut cursor_cur, mut twin_cur) =
-                (f.cursor(), f.cursor(), twin.cursor());
+            // Both forms count the same crossing tiers.
+            let (mut grid_tiers, mut twin_tiers) =
+                (CrossingTiers::default(), CrossingTiers::default());
             for _ in 0..200 {
                 let from = SimTime::from_ticks((xorshift(&mut s) % 40_000_000) as i64 - 5_000_000);
                 let horizon =
@@ -2693,8 +1899,8 @@ mod tests {
                 let initial = (xorshift(&mut s) % 1000) as f64 / 999.0 * cap;
                 let target = (xorshift(&mut s) % 1000) as f64 / 999.0 * cap;
                 let offset = (xorshift(&mut s) % 1000) as f64 / 137.0 - 3.5;
-                let want = f.first_accumulation_crossing_cursor(
-                    &mut cursor_cur,
+                let on_grid = f.first_accumulation_crossing(
+                    &mut grid_tiers,
                     from,
                     horizon,
                     initial,
@@ -2702,8 +1908,8 @@ mod tests {
                     cap,
                     target,
                 );
-                let counted = f.first_accumulation_crossing_with(
-                    &mut grid_cur,
+                let on_table = twin.first_accumulation_crossing(
+                    &mut twin_tiers,
                     from,
                     horizon,
                     initial,
@@ -2712,27 +1918,12 @@ mod tests {
                     target,
                 );
                 assert_eq!(
-                    counted, want,
+                    on_grid, on_table,
                     "crossing from {from} to {horizon}, {initial}->{target} offset {offset}"
                 );
-                let on_table = twin.first_accumulation_crossing_with(
-                    &mut twin_cur,
-                    from,
-                    horizon,
-                    initial,
-                    offset,
-                    cap,
-                    target,
-                );
-                assert_eq!(on_table, want, "twin crossing from {from} to {horizon}");
             }
-            let tiers = |c: &Cursor| {
-                let s = c.stats();
-                (s.cross_reject, s.cross_bisect, s.cross_scan)
-            };
-            assert_eq!(tiers(&grid_cur), tiers(&cursor_cur));
-            assert_eq!(tiers(&grid_cur), tiers(&twin_cur));
-            assert_eq!(grid_cur.stats().locates, 0);
+            assert_eq!(grid_tiers, twin_tiers);
+            assert!(grid_tiers.bisect > 0 && grid_tiers.scan > 0 && grid_tiers.reject > 0);
         }
     }
 
@@ -2769,7 +1960,7 @@ mod tests {
             (&PiecewiseConstant::constant(0.5), "constant"),
             (&back, "deserialized"),
         ] {
-            assert!(f.uniform_grid().is_some(), "{what}");
+            assert_ne!(f.grid_dt, 0, "{what}");
             assert_eq!(f.breakpoints.capacity(), 0, "{what}");
         }
         assert_eq!(back, paper);
@@ -2777,29 +1968,25 @@ mod tests {
             stepped.breakpoint_iter().collect::<Vec<_>>(),
             vec![u(-4), u(-1), u(2), u(5)]
         );
-        // A non-uniform `new`, and `Zero` and `Cycle` grids, keep all
-        // n + 1 breakpoints.
+        // A non-uniform `new` and a `Cycle` grid keep all n + 1
+        // breakpoints.
         let uneven =
             PiecewiseConstant::new(vec![u(0), u(1), u(3)], vec![1.0, 2.0], Extension::Hold)
                 .unwrap();
         assert_eq!(uneven.breakpoints, vec![u(0), u(1), u(3)]);
-        for ext in [Extension::Zero, Extension::Cycle] {
-            let f = PiecewiseConstant::from_samples(
-                u(2),
-                SimDuration::from_whole_units(3),
-                vec![1.0; 4],
-                ext,
-            )
-            .unwrap();
-            assert!(f.uniform_grid().is_none());
-            assert_eq!(
-                f.breakpoints,
-                vec![u(2), u(5), u(8), u(11), u(14)],
-                "{ext:?}"
-            );
-            let g = PiecewiseConstant::new(f.breakpoints.clone(), vec![1.0; 4], ext).unwrap();
-            assert_eq!(g.breakpoints.len(), 5, "{ext:?}");
-        }
+        assert_eq!(uneven.grid_dt, 0);
+        let f = PiecewiseConstant::from_samples(
+            u(2),
+            SimDuration::from_whole_units(3),
+            vec![1.0; 4],
+            Extension::Cycle,
+        )
+        .unwrap();
+        assert_eq!(f.grid_dt, 0);
+        assert_eq!(f.breakpoints, vec![u(2), u(5), u(8), u(11), u(14)]);
+        let g =
+            PiecewiseConstant::new(f.breakpoints.clone(), vec![1.0; 4], Extension::Cycle).unwrap();
+        assert_eq!(g.breakpoints.len(), 5);
     }
 
     #[test]
@@ -2822,10 +2009,7 @@ mod tests {
                 end,
                 "start {start}, dt {step}"
             );
-            assert_eq!(
-                f.uniform_grid().unwrap().next_breakpoint_after(t0),
-                Some(f.breakpoint(1))
-            );
+            assert_eq!(f.next_breakpoint_after(t0), Some(f.breakpoint(1)));
             let want: Vec<SimTime> = (0..=fit as i128)
                 .map(|k| SimTime::from_ticks((i128::from(start) + k * i128::from(step)) as i64))
                 .collect();
@@ -2881,8 +2065,8 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Crossing shortcuts: the scan tier's reach bound and the grid's
-    // monotone first-reach solve.
+    // Crossing shortcuts: the scan tier's reach bound and the monotone
+    // first-reach solve.
     // ------------------------------------------------------------------
 
     /// A random profile of 1–40 signed segments on uniform or uneven
@@ -2918,10 +2102,10 @@ mod tests {
         // All rates ≥ 0 and the target far out of reach: the query stays
         // on the bisect tier.
         let f = sample_fn();
-        let mut cur = f.cursor();
-        let hit = f.first_accumulation_crossing_with(&mut cur, u(0), u(1), 0.0, 0.0, 100.0, 50.0);
+        let mut tiers = CrossingTiers::default();
+        let hit = f.first_accumulation_crossing(&mut tiers, u(0), u(1), 0.0, 0.0, 100.0, 50.0);
         assert_eq!(hit, None);
-        assert_eq!((cur.stats().cross_bisect, cur.stats().cross_reject), (1, 0));
+        assert_eq!((tiers.bisect, tiers.reject), (1, 0));
         // Mixed signs: out of reach is rejected, within reach is scanned.
         let g = PiecewiseConstant::new(
             vec![SimTime::ZERO, u(10), u(20)],
@@ -2929,13 +2113,13 @@ mod tests {
             Extension::Hold,
         )
         .unwrap();
-        let mut gcur = g.cursor();
-        let hit = g.first_accumulation_crossing_with(&mut gcur, u(0), u(2), 0.0, 0.0, 100.0, 5.0);
+        let mut tiers = CrossingTiers::default();
+        let hit = g.first_accumulation_crossing(&mut tiers, u(0), u(2), 0.0, 0.0, 100.0, 5.0);
         assert_eq!(hit, None);
-        assert_eq!((gcur.stats().cross_scan, gcur.stats().cross_reject), (0, 1));
-        let hit = g.first_accumulation_crossing_with(&mut gcur, u(0), u(20), 0.0, 0.0, 100.0, 5.0);
+        assert_eq!((tiers.scan, tiers.reject), (0, 1));
+        let hit = g.first_accumulation_crossing(&mut tiers, u(0), u(20), 0.0, 0.0, 100.0, 5.0);
         assert_eq!(hit, Some(u(5)));
-        assert_eq!((gcur.stats().cross_scan, gcur.stats().cross_reject), (1, 1));
+        assert_eq!((tiers.scan, tiers.reject), (1, 1));
     }
 
     /// Checks one crossing query against the scan: a reject (by either
@@ -2956,12 +2140,12 @@ mod tests {
             "{:?} [{from}, {horizon}) {initial}->{target} offset {offset} cap {cap}",
             f.extension()
         );
-        let mut stats = CursorStats::default();
-        let tier = f.classify_crossing(&mut stats, from, horizon, initial, offset, cap, target);
+        let mut tiers = CrossingTiers::default();
+        let tier = f.classify_crossing(&mut tiers, from, horizon, initial, offset, cap, target);
         let naive =
             f.first_accumulation_crossing_naive(from, horizon, initial, offset, cap, target);
         if f.extension() != Extension::Cycle && !matches!(tier, Crossing::Bisect) {
-            let fast = f.first_accumulation_crossing(from, horizon, initial, offset, cap, target);
+            let fast = crossing(f, (from, horizon), initial, offset, cap, target);
             assert_eq!(fast, naive, "{q}");
         }
         let Crossing::Decided(None) = tier else {
@@ -2988,7 +2172,7 @@ mod tests {
     #[test]
     fn reach_bound_rejects_only_what_the_scan_misses() {
         let mut s = 0x5EED_u64;
-        for ext in [Extension::Hold, Extension::Zero, Extension::Cycle] {
+        for ext in [Extension::Hold, Extension::Cycle] {
             let (mut random_rejects, mut edge_rejects, mut edge_kept) = (0, 0, 0);
             for uniform in [true, false] {
                 for _ in 0..8 {
@@ -3024,12 +2208,14 @@ mod tests {
                         } else {
                             (-rate_min, 0.75 * cap)
                         };
-                        let Some(k) = f.values().iter().position(|&v| {
-                            let rate = v + offset;
-                            rate == if upward { rate_max } else { rate_min }
-                        }) else {
-                            continue; // the fastest rate is a `Zero` tail
-                        };
+                        let k = f
+                            .values()
+                            .iter()
+                            .position(|&v| {
+                                let rate = v + offset;
+                                rate == if upward { rate_max } else { rate_min }
+                            })
+                            .expect("a domain value attains each rate bound");
                         let seg_end = f.breakpoint(k + 1);
                         let from = f.breakpoint(k)
                             + SimDuration::from_ticks((xorshift(&mut s) % 100_000) as i64);
@@ -3059,89 +2245,104 @@ mod tests {
         }
     }
 
+    /// Non-negative samples with zero stretches, some of them -0.0, and
+    /// magnitudes from 1e-9 to 1e3: a tiny rate on a large accumulated
+    /// integral rounds to a staircase, which sends the first-reach
+    /// solve's guess to both fallbacks.
+    fn staircase_samples(s: &mut u64, n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|_| match xorshift(s) % 6 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => {
+                    let scale = 10f64.powi((xorshift(s) % 13) as i32 - 9);
+                    (xorshift(s) % 1000) as f64 * scale
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn grid_first_reach_matches_bisection() {
         let mut s = 0xF1A7_u64;
         let cap = 1e3;
-        for _ in 0..16 {
-            // Non-negative samples with zero stretches, some of them -0.0,
-            // and magnitudes from 1e-9 to 1e3: a tiny rate on a large
-            // accumulated integral rounds to a staircase, which sends
-            // the solve's guess to both fallbacks.
+        for round in 0..24 {
             let n = 1 + (xorshift(&mut s) % 48) as usize;
-            let samples: Vec<f64> = (0..n)
-                .map(|_| match xorshift(&mut s) % 6 {
-                    0 => 0.0,
-                    1 => -0.0,
-                    _ => {
-                        let scale = 10f64.powi((xorshift(&mut s) % 13) as i32 - 9);
-                        (xorshift(&mut s) % 1000) as f64 * scale
-                    }
-                })
-                .collect();
-            let dt = 250_000 + (xorshift(&mut s) % 2_000_000) as i64;
-            let f = PiecewiseConstant::from_samples(
-                SimTime::from_ticks((xorshift(&mut s) % 4_000_000) as i64 - 2_000_000),
-                SimDuration::from_ticks(dt),
-                samples,
+            let samples = staircase_samples(&mut s, n);
+            let t0 = (xorshift(&mut s) % 4_000_000) as i64 - 2_000_000;
+            // A grid, its table twin, and (every third round with more
+            // than one segment) a table on uneven breakpoints.
+            let grid = PiecewiseConstant::from_samples(
+                SimTime::from_ticks(t0),
+                SimDuration::from_ticks(250_000 + (xorshift(&mut s) % 2_000_000) as i64),
+                samples.clone(),
                 Extension::Hold,
             )
             .unwrap();
-            assert!(f.domain_min() >= 0.0);
-            let g = f.uniform_grid().unwrap();
-            let (start, end) = (g.start_ticks, g.end_ticks);
-            for _ in 0..300 {
-                // From a breakpoint or from inside a segment.
-                let k = (xorshift(&mut s) % n as u64) as i64;
-                let into = match xorshift(&mut s) % 3 {
-                    0 => 0,
-                    _ => (xorshift(&mut s) % dt as u64) as i64,
-                };
-                let from = SimTime::from_ticks(start + k * dt + into);
-                // Horizons inside the domain, at its end, or past it.
-                let horizon = SimTime::from_ticks(match xorshift(&mut s) % 4 {
-                    0 => end,
-                    1 => end + 1 + (xorshift(&mut s) % 5_000_000) as i64,
-                    _ => {
-                        from.as_ticks()
-                            + 1
-                            + (xorshift(&mut s) % (end - from.as_ticks()) as u64) as i64
+            let mut profiles = vec![table_twin(&grid), grid];
+            if round % 3 == 0 && n > 1 {
+                let mut t = t0;
+                let mut breakpoints = vec![SimTime::from_ticks(t)];
+                for _ in 0..n {
+                    t += 1 + (xorshift(&mut s) % 3_000_000) as i64;
+                    breakpoints.push(SimTime::from_ticks(t));
+                }
+                let uneven = PiecewiseConstant::new(breakpoints, samples, Extension::Hold).unwrap();
+                assert_eq!(uneven.grid_dt, 0);
+                profiles.push(uneven);
+            }
+            for f in &profiles {
+                assert!(f.domain_min() >= 0.0);
+                let end = f.end.as_ticks();
+                for _ in 0..300 {
+                    // From a breakpoint or from inside a segment.
+                    let k = (xorshift(&mut s) % n as u64) as usize;
+                    let (b, b_next) = (f.breakpoint(k).as_ticks(), f.breakpoint(k + 1).as_ticks());
+                    let into = match xorshift(&mut s) % 3 {
+                        0 => 0,
+                        _ => (xorshift(&mut s) % (b_next - b) as u64) as i64,
+                    };
+                    let from = SimTime::from_ticks(b + into);
+                    // Horizons inside the domain, at its end, or past it.
+                    let horizon = SimTime::from_ticks(match xorshift(&mut s) % 4 {
+                        0 => end,
+                        1 => end + 1 + (xorshift(&mut s) % 5_000_000) as i64,
+                        _ => {
+                            from.as_ticks()
+                                + 1
+                                + (xorshift(&mut s) % (end - from.as_ticks()) as u64) as i64
+                        }
+                    });
+                    let cum_from = f.cum(from);
+                    let needed = match xorshift(&mut s) % 5 {
+                        // Exactly the gain at a breakpoint.
+                        0 => f.prefix[(xorshift(&mut s) % (n as u64 + 1)) as usize] - cum_from,
+                        // At the edge of the ±1e-15 tolerance.
+                        1 => [5e-16, 1e-15, 1e-15 + f64::EPSILON * 1e-15, 1.5e-15, 2e-15]
+                            [(xorshift(&mut s) % 5) as usize],
+                        _ => (xorshift(&mut s) % 200_000) as f64 / 100.0,
+                    };
+                    for offset in [0.0, -0.0] {
+                        let want =
+                            bisect_crossing(from, horizon, needed, offset, cum_from, |t| f.cum(t));
+                        assert_eq!(
+                            f.first_reach(from, horizon, needed, offset),
+                            want,
+                            "needed {needed} over [{from}, {horizon}), offset {offset}"
+                        );
+                        // The public query answers the grid as it answers
+                        // its table twin.
+                        let initial = random_frac(&mut s) * cap;
+                        let target = random_frac(&mut s) * cap;
+                        let window = (from, horizon);
+                        if f.grid_dt != 0 {
+                            assert_eq!(
+                                crossing(f, window, initial, offset, cap, target),
+                                crossing(&profiles[0], window, initial, offset, cap, target),
+                                "{initial}->{target} over [{from}, {horizon}), offset {offset}"
+                            );
+                        }
                     }
-                });
-                let cum_from = g.cum(from);
-                let needed = match xorshift(&mut s) % 5 {
-                    // Exactly the gain at a breakpoint.
-                    0 => f.prefix[(xorshift(&mut s) % (n as u64 + 1)) as usize] - cum_from,
-                    // At the edge of the ±1e-15 tolerance.
-                    1 => [5e-16, 1e-15, 1e-15 + f64::EPSILON * 1e-15, 1.5e-15, 2e-15]
-                        [(xorshift(&mut s) % 5) as usize],
-                    _ => (xorshift(&mut s) % 200_000) as f64 / 100.0,
-                };
-                for offset in [0.0, -0.0] {
-                    let want =
-                        bisect_crossing(from, horizon, needed, offset, cum_from, |t| g.cum(t));
-                    assert_eq!(
-                        g.first_reach(from, horizon, needed, offset),
-                        want,
-                        "needed {needed} over [{from}, {horizon}), offset {offset}"
-                    );
-                    // The public query takes the solve and still agrees
-                    // with the cursor path, which bisects.
-                    let initial = random_frac(&mut s) * cap;
-                    let target = random_frac(&mut s) * cap;
-                    assert_eq!(
-                        f.first_accumulation_crossing(from, horizon, initial, offset, cap, target),
-                        f.first_accumulation_crossing_cursor(
-                            &mut f.cursor(),
-                            from,
-                            horizon,
-                            initial,
-                            offset,
-                            cap,
-                            target
-                        ),
-                        "{initial}->{target} over [{from}, {horizon}), offset {offset}"
-                    );
                 }
             }
         }

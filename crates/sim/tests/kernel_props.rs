@@ -1,7 +1,7 @@
 //! Property-based tests of the simulation-kernel primitives.
 
 use harvest_sim::event::EventQueue;
-use harvest_sim::piecewise::{Extension, PiecewiseConstant};
+use harvest_sim::piecewise::{CrossingTiers, Extension, PiecewiseConstant};
 use harvest_sim::stats::RunningStats;
 use harvest_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -10,11 +10,7 @@ fn profile_strategy() -> impl Strategy<Value = PiecewiseConstant> {
     (
         proptest::collection::vec(0.0f64..10.0, 1..40),
         1i64..5,
-        prop_oneof![
-            Just(Extension::Hold),
-            Just(Extension::Zero),
-            Just(Extension::Cycle)
-        ],
+        prop_oneof![Just(Extension::Hold), Just(Extension::Cycle)],
     )
         .prop_map(|(values, dt, ext)| {
             PiecewiseConstant::from_samples(
@@ -34,11 +30,7 @@ fn signed_profile_strategy() -> impl Strategy<Value = PiecewiseConstant> {
     (
         proptest::collection::vec(-6.0f64..10.0, 1..40),
         1i64..5,
-        prop_oneof![
-            Just(Extension::Hold),
-            Just(Extension::Zero),
-            Just(Extension::Cycle)
-        ],
+        prop_oneof![Just(Extension::Hold), Just(Extension::Cycle)],
     )
         .prop_map(|(values, dt, ext)| {
             PiecewiseConstant::from_samples(
@@ -49,6 +41,75 @@ fn signed_profile_strategy() -> impl Strategy<Value = PiecewiseConstant> {
             )
             .expect("valid grid")
         })
+}
+
+/// A profile drawn as the raw lists it is built from: breakpoints in
+/// ticks (uniformly spaced or not), one value per segment, and the
+/// extension rule. Uniform `Hold` breakpoints build a grid, which keeps
+/// no breakpoint table; every other draw builds a table.
+fn raw_profile_strategy() -> impl Strategy<Value = (Vec<i64>, Vec<f64>, Extension)> {
+    (
+        -5_000_000i64..5_000_000,
+        prop_oneof![
+            (100_000i64..3_000_000, 1usize..30).prop_map(|(gap, n)| vec![gap; n]),
+            proptest::collection::vec(100_000i64..3_000_000, 1..30),
+        ],
+        proptest::collection::vec(-6.0f64..10.0, 30),
+        prop_oneof![Just(Extension::Hold), Just(Extension::Cycle)],
+    )
+        .prop_map(|(start, gaps, mut values, ext)| {
+            let mut breakpoints = vec![start];
+            for gap in &gaps {
+                breakpoints.push(breakpoints.last().unwrap() + gap);
+            }
+            values.truncate(gaps.len());
+            (breakpoints, values, ext)
+        })
+}
+
+/// The segments a window `[t1, t2)` must yield, derived from the raw
+/// lists alone: each breakpoint interval with its value, plus the two
+/// held tails under `Hold` or one copy of the domain per period the
+/// window touches under `Cycle`, each clipped to the window, in order.
+fn expected_segments(
+    breakpoints: &[i64],
+    values: &[f64],
+    ext: Extension,
+    (t1, t2): (i64, i64),
+) -> Vec<(i64, i64, u64)> {
+    let n = values.len();
+    let mut pieces = Vec::new();
+    match ext {
+        Extension::Hold => {
+            pieces.push((i64::MIN, breakpoints[0], values[0]));
+            for i in 0..n {
+                pieces.push((breakpoints[i], breakpoints[i + 1], values[i]));
+            }
+            pieces.push((breakpoints[n], i64::MAX, values[n - 1]));
+        }
+        Extension::Cycle => {
+            let period = breakpoints[n] - breakpoints[0];
+            let first = (t1 - breakpoints[0]).div_euclid(period);
+            let last = (t2 - 1 - breakpoints[0]).div_euclid(period);
+            for k in first..=last {
+                for i in 0..n {
+                    let shift = k * period;
+                    pieces.push((
+                        breakpoints[i] + shift,
+                        breakpoints[i + 1] + shift,
+                        values[i],
+                    ));
+                }
+            }
+        }
+    }
+    pieces
+        .into_iter()
+        .filter_map(|(a, b, v)| {
+            let (start, end) = (a.max(t1), b.min(t2));
+            (start < end).then_some((start, end, v.to_bits()))
+        })
+        .collect()
 }
 
 proptest! {
@@ -79,7 +140,6 @@ proptest! {
         let t2 = SimTime::from_units(a + len);
         let e = profile.integrate(t1, t2);
         let span = (t2 - t1).as_units();
-        // Extension::Zero can only push the effective min to 0.
         let hi = profile.domain_max() * span;
         prop_assert!(e >= -1e-9, "integral {e} of a non-negative profile");
         prop_assert!(e <= hi + 1e-9, "integral {e} above max bound {hi}");
@@ -105,6 +165,33 @@ proptest! {
         for seg in &segs {
             prop_assert_eq!(profile.value_at(seg.start), seg.value);
         }
+    }
+
+    /// `segments_between` — the walk under `integrate_naive` and
+    /// `first_accumulation_crossing_naive`, the references the other
+    /// properties trust — yields exactly the segments the raw lists and
+    /// the extension rule define, on grids and on tables, for windows
+    /// before, across and past the domain and across many periods.
+    #[test]
+    fn segments_match_the_raw_lists(
+        (breakpoints, values, ext) in raw_profile_strategy(),
+        (a, len) in (-120_000_000i64..120_000_000, 0i64..60_000_000),
+        snap in 0usize..64,
+    ) {
+        // Half the windows start on a breakpoint.
+        let a = if snap < 32 { breakpoints[snap % breakpoints.len()] } else { a };
+        let profile = PiecewiseConstant::new(
+            breakpoints.iter().map(|&t| SimTime::from_ticks(t)).collect(),
+            values.clone(),
+            ext,
+        )
+        .expect("valid profile");
+        let window = (a, a + len);
+        let got: Vec<(i64, i64, u64)> = profile
+            .segments_between(SimTime::from_ticks(window.0), SimTime::from_ticks(window.1))
+            .map(|s| (s.start.as_ticks(), s.end.as_ticks(), s.value.to_bits()))
+            .collect();
+        prop_assert_eq!(got, expected_segments(&breakpoints, &values, ext, window));
     }
 
     /// The event queue pops in (time, insertion) order regardless of
@@ -162,7 +249,7 @@ proptest! {
         let target = target_frac * cap;
         let horizon = SimTime::from_whole_units(500);
         if let Some(t) = profile.first_accumulation_crossing(
-            SimTime::ZERO, horizon, initial, offset, cap, target,
+            &mut CrossingTiers::default(), SimTime::ZERO, horizon, initial, offset, cap, target,
         ) {
             prop_assert!(t >= SimTime::ZERO && t <= horizon);
             // Re-simulate the clamped accumulation up to t.
@@ -197,7 +284,7 @@ proptest! {
 
     /// The prefix-sum `integrate` agrees with the segment-walk baseline
     /// on arbitrary windows, including reversed (`t2 < t1`) and
-    /// out-of-domain ones, under all three extension rules.
+    /// out-of-domain ones, under both extension rules.
     #[test]
     fn prefix_integrate_matches_segment_walk(
         profile in signed_profile_strategy(),
@@ -211,27 +298,6 @@ proptest! {
         let scale = 1.0 + naive.abs() + (b - a).abs();
         prop_assert!((fast - naive).abs() < 1e-9 * scale,
             "prefix {fast} vs naive {naive} over [{a}, {b})");
-    }
-
-    /// Cursor-threaded queries return exactly what cold queries return,
-    /// for any (not necessarily monotone) sequence of query times — the
-    /// cursor is a pure accelerator.
-    #[test]
-    fn cursor_queries_match_cold_queries(
-        profile in signed_profile_strategy(),
-        times in proptest::collection::vec(-60.0f64..250.0, 1..30),
-    ) {
-        let mut cur = profile.cursor();
-        for (i, &u) in times.iter().enumerate() {
-            let t = SimTime::from_units(u);
-            prop_assert_eq!(profile.value_at_with(&mut cur, t), profile.value_at(t),
-                "value_at diverged at query {i} (t = {u})");
-            let t2 = SimTime::from_units(u + 7.5);
-            let threaded = profile.integrate_with(&mut cur, t, t2);
-            let cold = profile.integrate(t, t2);
-            prop_assert_eq!(threaded, cold,
-                "integrate diverged at query {i} (t = {u})");
-        }
     }
 
     /// The tiered crossing solver (O(1) reject / monotone bisection /
@@ -251,7 +317,7 @@ proptest! {
         let target = target_frac * cap;
         let horizon = SimTime::from_whole_units(horizon_units);
         let fast = profile.first_accumulation_crossing(
-            SimTime::ZERO, horizon, initial, offset, cap, target,
+            &mut CrossingTiers::default(), SimTime::ZERO, horizon, initial, offset, cap, target,
         );
         let naive = profile.first_accumulation_crossing_naive(
             SimTime::ZERO, horizon, initial, offset, cap, target,
@@ -272,34 +338,6 @@ proptest! {
                 horizon.as_ticks() - n.as_ticks() <= 1,
                 "naive found {n}, fast found nothing before {horizon}"
             ),
-        }
-    }
-
-    /// Threading a cursor through the crossing solver does not change
-    /// its answer.
-    #[test]
-    fn cursor_threaded_crossing_matches_cold(
-        profile in signed_profile_strategy(),
-        starts in proptest::collection::vec(0.0f64..120.0, 1..8),
-        offset in -5.0f64..3.0,
-        target_frac in 0.0f64..1.0,
-    ) {
-        let cap = 30.0;
-        let initial = 0.5 * cap;
-        let target = target_frac * cap;
-        let mut cur = profile.cursor();
-        let mut starts = starts;
-        starts.sort_by(f64::total_cmp);
-        for &s in &starts {
-            let from = SimTime::from_units(s);
-            let horizon = from + SimDuration::from_whole_units(150);
-            let threaded = profile.first_accumulation_crossing_with(
-                &mut cur, from, horizon, initial, offset, cap, target,
-            );
-            let cold = profile.first_accumulation_crossing(
-                from, horizon, initial, offset, cap, target,
-            );
-            prop_assert_eq!(threaded, cold, "diverged for window starting at {}", s);
         }
     }
 }

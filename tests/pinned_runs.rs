@@ -159,6 +159,22 @@ const PINNED: &[(f64, f64, PolicyKind, u64, Pinned)] = &[
     (0.8, 1000.0, PolicyKind::EaDvfs, 7, Pinned { events: 6413, released: 839, missed: 130, switches: 379, trace_events: 4854, energy_hash: 0x2E0DFBFEF9B778E7, jobs_hash: 0x0B433917B35B9B8C }),
 ];
 
+/// Fault-injected trials at U = 0.4, C = 300, intensity 1.0: each
+/// harvest is rewritten by its fault plan into a non-uniform breakpoint
+/// table, so these rows pin the profile kernel's table side.
+#[rustfmt::skip]
+const FAULTED: &[(PolicyKind, u64, Pinned)] = &[
+    (PolicyKind::Edf, 0, Pinned { events: 10996, released: 2212, missed: 260, switches: 0, trace_events: 9943, energy_hash: 0x3C8292D49BAF0705, jobs_hash: 0xBD7BA074BA46B863 }),
+    (PolicyKind::Edf, 1, Pinned { events: 13160, released: 2700, missed: 293, switches: 0, trace_events: 11993, energy_hash: 0xEE8EBC8E862329D7, jobs_hash: 0x2CC1CC6164475335 }),
+    (PolicyKind::Edf, 7, Pinned { events: 3205, released: 839, missed: 18, switches: 0, trace_events: 3119, energy_hash: 0x2F0397D603CDA90D, jobs_hash: 0x98FEA8D4C7C4B82E }),
+    (PolicyKind::Lsa, 0, Pinned { events: 9313, released: 2212, missed: 251, switches: 0, trace_events: 9212, energy_hash: 0xDF1B4F40D17B8CC5, jobs_hash: 0x2777C2CBFA842144 }),
+    (PolicyKind::Lsa, 1, Pinned { events: 11110, released: 2700, missed: 269, switches: 0, trace_events: 11005, energy_hash: 0xE0A8C5BBBC955DAC, jobs_hash: 0xA7D3B49F5D803ED4 }),
+    (PolicyKind::Lsa, 7, Pinned { events: 3267, released: 839, missed: 18, switches: 0, trace_events: 3272, energy_hash: 0xED621088C67AA737, jobs_hash: 0x86D910B32B5CC790 }),
+    (PolicyKind::EaDvfs, 0, Pinned { events: 9435, released: 2212, missed: 166, switches: 873, trace_events: 8728, energy_hash: 0x13E57E4FAE91972F, jobs_hash: 0x5BF8525243634A52 }),
+    (PolicyKind::EaDvfs, 1, Pinned { events: 11083, released: 2700, missed: 179, switches: 705, trace_events: 10552, energy_hash: 0xC3B3D5965F29327A, jobs_hash: 0x876C0EEFF5C42EE5 }),
+    (PolicyKind::EaDvfs, 7, Pinned { events: 3577, released: 839, missed: 11, switches: 382, trace_events: 3235, energy_hash: 0xD73C7CC8BF6322BA, jobs_hash: 0x13C23A03820FCE16 }),
+];
+
 #[rustfmt::skip]
 const TRACED: &[(PolicyKind, u64, Traced)] = &[
     (PolicyKind::Edf, 0, Traced { events: 8093, trace_len: 8058, trace_hash: 0x47358C81031CD27A, samples_hash: 0xAE90733A861C46D0 }),
@@ -169,25 +185,46 @@ const TRACED: &[(PolicyKind, u64, Traced)] = &[
     (PolicyKind::EaDvfs, 3, Traced { events: 4852, trace_len: 4351, trace_hash: 0xF10D3AFE3F4DAD98, samples_hash: 0xC99D31EA3A2A54DC }),
 ];
 
+/// Asserts every pinned observable of one untraced run.
+fn assert_pinned(r: &SimResult, want: &Pinned, ctx: &str) {
+    assert_eq!(r.events, want.events, "events drifted ({ctx})");
+    assert_eq!(r.released(), want.released, "released drifted ({ctx})");
+    assert_eq!(r.missed(), want.missed, "missed drifted ({ctx})");
+    assert_eq!(r.switches, want.switches, "switches drifted ({ctx})");
+    assert_eq!(
+        r.trace_events, want.trace_events,
+        "trace_events drifted ({ctx})"
+    );
+    assert_eq!(
+        energy_hash(r),
+        want.energy_hash,
+        "energy accounting drifted ({ctx})"
+    );
+    assert_eq!(jobs_hash(r), want.jobs_hash, "job records drifted ({ctx})");
+}
+
 #[test]
 fn sweep_runs_stay_bit_identical() {
     for (u, cap, policy, seed, want) in PINNED {
         let r = PaperScenario::new(*u, *cap).run(*policy, *seed);
-        let ctx = format!("u={u} cap={cap} policy={policy:?} seed={seed}");
-        assert_eq!(r.events, want.events, "events drifted ({ctx})");
-        assert_eq!(r.released(), want.released, "released drifted ({ctx})");
-        assert_eq!(r.missed(), want.missed, "missed drifted ({ctx})");
-        assert_eq!(r.switches, want.switches, "switches drifted ({ctx})");
-        assert_eq!(
-            r.trace_events, want.trace_events,
-            "trace_events drifted ({ctx})"
+        assert_pinned(
+            &r,
+            want,
+            &format!("u={u} cap={cap} policy={policy:?} seed={seed}"),
         );
-        assert_eq!(
-            energy_hash(&r),
-            want.energy_hash,
-            "energy accounting drifted ({ctx})"
+    }
+}
+
+#[test]
+fn faulted_runs_stay_bit_identical() {
+    let scenario = PaperScenario::new(0.4, 300.0).with_fault_intensity(1.0);
+    for (policy, seed, want) in FAULTED {
+        assert!(
+            scenario.fault_plan(*seed).is_some(),
+            "seed {seed} draws faults"
         );
-        assert_eq!(jobs_hash(&r), want.jobs_hash, "job records drifted ({ctx})");
+        let r = scenario.run(*policy, *seed);
+        assert_pinned(&r, want, &format!("faulted policy={policy:?} seed={seed}"));
     }
 }
 

@@ -1,17 +1,15 @@
-//! One profile kernel, two paths: every `*_with` query on a uniform
-//! `Hold` grid (the §5.1 solar realization) is answered by direct
-//! indexing, everything else by the cursor search. Both must give the
-//! same bits. Each property builds a *cursor twin* of a paper profile —
-//! the same function, but with one long trailing segment that breaks the
+//! One profile kernel, two forms: a uniform `Hold` grid (the §5.1 solar
+//! realization) keeps no breakpoint table and locates a segment by one
+//! division, and every other profile binary-searches its table. Every
+//! query is one implementation over both, so both must give the same
+//! bits. Each property builds a *table twin* of a paper profile — the
+//! same function, but with one long trailing segment that breaks the
 //! uniform spacing — and checks that queries, storage walks, predictors
-//! and whole scalar runs cannot tell the two apart. A grid keeps no
-//! breakpoint table, so the twin is also the explicit-table reference
-//! for the cursor-path queries (`segments_between`, `integrate_naive`,
-//! `first_accumulation_crossing_naive`) that step a grid's breakpoints.
+//! and whole scalar runs cannot tell the two apart.
 
 use harvest_rt::energy::storage::AdvanceReport;
 use harvest_rt::prelude::*;
-use harvest_rt::sim::piecewise::Segment;
+use harvest_rt::sim::piecewise::{CrossingTiers, Segment};
 use proptest::prelude::*;
 
 /// Horizon of the property-test profiles, in time units.
@@ -33,24 +31,27 @@ fn solar(seed: u64) -> PiecewiseConstant {
     scenario(0.5, 500.0).profile(seed)
 }
 
-/// The same function as `f` (a `Hold` profile), with its last value
-/// repeated on one extra, much longer segment. Under `Hold` that changes
-/// no value, but the spacing is no longer uniform, so every query takes
-/// the cursor path.
-fn cursor_twin(f: &PiecewiseConstant) -> PiecewiseConstant {
+/// Every breakpoint of `f` (a `Hold` profile), in order.
+fn breakpoints(f: &PiecewiseConstant) -> Vec<SimTime> {
     assert_eq!(f.extension(), Extension::Hold);
     let mut breakpoints = vec![f.domain_start()];
     while let Some(t) = f.next_breakpoint_after(*breakpoints.last().unwrap()) {
         breakpoints.push(t);
     }
-    let end = f.domain_end();
-    assert_eq!(*breakpoints.last().unwrap(), end);
-    breakpoints.push(end + SimDuration::from_whole_units(PAD_UNITS));
+    assert_eq!(*breakpoints.last().unwrap(), f.domain_end());
+    breakpoints
+}
+
+/// The same function as `f` (a `Hold` profile), with its last value
+/// repeated on one extra, much longer segment. Under `Hold` that changes
+/// no value, but the spacing is no longer uniform, so the twin keeps a
+/// breakpoint table and every query searches it.
+fn table_twin(f: &PiecewiseConstant) -> PiecewiseConstant {
+    let mut breakpoints = breakpoints(f);
+    breakpoints.push(f.domain_end() + SimDuration::from_whole_units(PAD_UNITS));
     let mut values = f.values().to_vec();
     values.push(*values.last().unwrap());
-    let twin = PiecewiseConstant::new(breakpoints, values, Extension::Hold).unwrap();
-    assert!(twin.uniform_grid().is_none(), "the twin must miss the grid");
-    twin
+    PiecewiseConstant::new(breakpoints, values, Extension::Hold).unwrap()
 }
 
 /// An instant in ticks, from before the domain to past its end. Half the
@@ -67,12 +68,6 @@ fn ordered(a: i64, b: i64) -> (SimTime, SimTime) {
     (SimTime::from_ticks(a.min(b)), SimTime::from_ticks(a.max(b)))
 }
 
-fn segments(f: &PiecewiseConstant, t1: SimTime, t2: SimTime) -> Vec<Segment> {
-    let mut out = Vec::new();
-    f.for_each_segment_with(&mut f.cursor(), t1, t2, |s| out.push(s));
-    out
-}
-
 fn report_bits(r: &AdvanceReport) -> [u64; 4] {
     [
         r.level.to_bits(),
@@ -82,7 +77,7 @@ fn report_bits(r: &AdvanceReport) -> [u64; 4] {
     ]
 }
 
-/// Runs `policy` on the grid profile and on its cursor twin and returns
+/// Runs `policy` on the grid profile and on its table twin and returns
 /// the first field that differs.
 fn compare_runs(
     config: SystemConfig,
@@ -91,7 +86,7 @@ fn compare_runs(
     policy: PolicyKind,
     predictor: PredictorKind,
 ) -> Result<SimResult, String> {
-    let twin = cursor_twin(grid);
+    let twin = table_twin(grid);
     // The oracle integrates the profile it is given. Online predictors
     // only read its domain mean, once, to seed their estimates, and the
     // twin's padded domain has another mean; build those from the grid
@@ -143,18 +138,26 @@ fn policy_strategy() -> impl Strategy<Value = PolicyKind> {
     ]
 }
 
-/// The §5.1 harvest is exactly the shape the grid kernel serves; the
-/// twin construction really does leave it.
+/// The §5.1 harvest is exactly the shape the grid form stores (uniform
+/// one-unit spacing under `Hold`); the twin construction really does
+/// leave it.
 #[test]
 fn paper_harvest_takes_the_grid_path() {
+    let unit = SimDuration::from_whole_units(1);
     for seed in 0..4 {
         let f = PaperScenario::new(0.8, 500.0).profile(seed);
-        let g = f
-            .uniform_grid()
-            .expect("the paper profile is a uniform grid");
-        assert_eq!(g.profile().segment_count(), f.segment_count());
-        let twin = cursor_twin(&f);
+        let spacing = |f: &PiecewiseConstant| -> Vec<SimDuration> {
+            breakpoints(f).windows(2).map(|w| w[1] - w[0]).collect()
+        };
+        let grid = spacing(&f);
+        assert_eq!(grid.len(), f.segment_count());
+        assert!(grid.iter().all(|&dt| dt == unit), "a uniform one-unit grid");
+        let twin = table_twin(&f);
         assert_eq!(twin.segment_count(), f.segment_count() + 1);
+        assert_eq!(
+            spacing(&twin).last(),
+            Some(&SimDuration::from_whole_units(PAD_UNITS))
+        );
     }
 }
 
@@ -166,22 +169,21 @@ proptest! {
     #[test]
     fn point_lookups_agree(seed in 0u64..1_000, ts in proptest::collection::vec(instant(), 1..40)) {
         let f = solar(seed);
-        let twin = cursor_twin(&f);
-        let (mut cg, mut ct) = (f.cursor(), twin.cursor());
+        let twin = table_twin(&f);
         let end = f.domain_end();
         for &tk in &ts {
             let t = SimTime::from_ticks(tk);
             prop_assert_eq!(
-                f.value_at_with(&mut cg, t).to_bits(),
-                twin.value_at_with(&mut ct, t).to_bits(),
+                f.value_at(t).to_bits(),
+                twin.value_at(t).to_bits(),
                 "value at {}", t
             );
             // Past the grid's end the twin still knows its padding
             // breakpoint; inside the domain both must agree.
             if t < end {
                 prop_assert_eq!(
-                    f.next_breakpoint_after_with(&mut cg, t),
-                    twin.next_breakpoint_after_with(&mut ct, t),
+                    f.next_breakpoint_after(t),
+                    twin.next_breakpoint_after(t),
                     "next breakpoint after {}", t
                 );
             }
@@ -193,13 +195,12 @@ proptest! {
     #[test]
     fn integrals_agree(seed in 0u64..1_000, windows in proptest::collection::vec((instant(), instant()), 1..30)) {
         let f = solar(seed);
-        let twin = cursor_twin(&f);
-        let (mut cg, mut ct) = (f.cursor(), twin.cursor());
+        let twin = table_twin(&f);
         for &(a, b) in &windows {
             let (t1, t2) = (SimTime::from_ticks(a), SimTime::from_ticks(b));
             prop_assert_eq!(
-                f.integrate_with(&mut cg, t1, t2).to_bits(),
-                twin.integrate_with(&mut ct, t1, t2).to_bits(),
+                f.integrate(t1, t2).to_bits(),
+                twin.integrate(t1, t2).to_bits(),
                 "integral over [{}, {})", t1, t2
             );
             prop_assert_eq!(
@@ -215,17 +216,14 @@ proptest! {
     #[test]
     fn segment_walks_agree(seed in 0u64..1_000, a in instant(), b in instant()) {
         let f = solar(seed);
-        let twin = cursor_twin(&f);
+        let twin = table_twin(&f);
         let (t1, t2) = ordered(a, b);
-        let walked = segments(&f, t1, t2);
-        prop_assert_eq!(&walked, &segments(&twin, t1, t2));
-        // The iterator walks the cursor path on both.
-        prop_assert_eq!(&walked, &f.segments_between(t1, t2).collect::<Vec<_>>());
-        prop_assert_eq!(&walked, &twin.segments_between(t1, t2).collect::<Vec<_>>());
+        let walked: Vec<Segment> = f.segments_between(t1, t2).collect();
+        prop_assert_eq!(walked, twin.segments_between(t1, t2).collect::<Vec<_>>());
     }
 
     /// Accumulation crossings: same instant, and the same crossing tier
-    /// counted on both paths.
+    /// counted on both forms.
     #[test]
     fn accumulation_crossings_agree(
         seed in 0u64..1_000,
@@ -234,30 +232,25 @@ proptest! {
         offset in -6.0f64..2.0,
     ) {
         let f = solar(seed);
-        let twin = cursor_twin(&f);
+        let twin = table_twin(&f);
         let (from, horizon) = ordered(a, b);
         let (initial, target) = (cap * initial_frac, cap * target_frac);
-        let (mut cg, mut ct) = (f.cursor(), twin.cursor());
-        let hit_grid = f.first_accumulation_crossing_with(
-            &mut cg, from, horizon, initial, offset, cap, target);
-        let hit_twin = twin.first_accumulation_crossing_with(
-            &mut ct, from, horizon, initial, offset, cap, target);
+        let (mut tg, mut tt) = (CrossingTiers::default(), CrossingTiers::default());
+        let hit_grid = f.first_accumulation_crossing(
+            &mut tg, from, horizon, initial, offset, cap, target);
+        let hit_twin = twin.first_accumulation_crossing(
+            &mut tt, from, horizon, initial, offset, cap, target);
         prop_assert_eq!(hit_grid, hit_twin);
         prop_assert_eq!(
             f.first_accumulation_crossing_naive(from, horizon, initial, offset, cap, target),
             twin.first_accumulation_crossing_naive(from, horizon, initial, offset, cap, target)
         );
-        let (sg, st) = (cg.stats(), ct.stats());
-        prop_assert_eq!(
-            (sg.cross_reject, sg.cross_bisect, sg.cross_scan),
-            (st.cross_reject, st.cross_bisect, st.cross_scan)
-        );
-        prop_assert_eq!(sg.locates, 0, "grid queries do no cursor search");
+        prop_assert_eq!(tg, tt);
     }
 
     /// Storage advances with the per-segment callback the engine uses
-    /// for harvest accounting, over consecutive windows on one cursor,
-    /// and the depletion crossing each window would schedule.
+    /// for harvest accounting, over consecutive windows, and the
+    /// depletion crossing each window would schedule.
     #[test]
     fn storage_walks_agree(
         seed in 0u64..1_000,
@@ -265,21 +258,20 @@ proptest! {
         steps in proptest::collection::vec((1i64..400_000_000, 0.0f64..6.0), 1..30),
     ) {
         let f = solar(seed);
-        let twin = cursor_twin(&f);
+        let twin = table_twin(&f);
         let spec = StorageSpec::ideal(cap);
         let (mut sg, mut st) = (Storage::full(spec), Storage::full(spec));
-        let (mut cg, mut ct) = (f.cursor(), twin.cursor());
         let mut now = SimTime::ZERO;
         for &(dt, load) in &steps {
             let next = now + SimDuration::from_ticks(dt);
             let crossing = |storage: &Storage, profile: &PiecewiseConstant| {
-                spec.first_crossing_with(
-                    &mut profile.cursor(), storage.level(), 0.0, profile, now, next, load)
+                let mut tiers = CrossingTiers::default();
+                spec.first_crossing(&mut tiers, storage.level(), 0.0, profile, now, next, load)
             };
             prop_assert_eq!(crossing(&sg, &f), crossing(&st, &twin));
             let (mut seen_g, mut seen_t) = (Vec::new(), Vec::new());
-            let rg = sg.advance_with_each(&mut cg, &f, now, next, load, |s| seen_g.push(s));
-            let rt = st.advance_with_each(&mut ct, &twin, now, next, load, |s| seen_t.push(s));
+            let rg = sg.advance_with_each(&f, now, next, load, |s| seen_g.push(s));
+            let rt = st.advance_with_each(&twin, now, next, load, |s| seen_t.push(s));
             prop_assert_eq!(report_bits(&rg), report_bits(&rt), "advance to {}", next);
             prop_assert_eq!((rg.clamped_empty, rg.clamped_full), (rt.clamped_empty, rt.clamped_full));
             prop_assert_eq!(seen_g, seen_t);
@@ -288,15 +280,14 @@ proptest! {
     }
 
     /// The oracle's query pattern: `now` creeps forward while every
-    /// query reaches out to a deadline ahead, so a single cursor keeps
-    /// jumping back and forth.
+    /// query reaches out to a deadline ahead.
     #[test]
     fn oracle_predictions_agree(
         seed in 0u64..1_000,
         queries in proptest::collection::vec((0i64..50_000_000, 1i64..2_000), 1..60),
     ) {
         let f = solar(seed);
-        let twin = cursor_twin(&f);
+        let twin = table_twin(&f);
         let (pg, pt) = (OraclePredictor::new(f), OraclePredictor::new(twin));
         let mut now = SimTime::ZERO;
         for &(step, reach) in &queries {
