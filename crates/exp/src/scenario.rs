@@ -253,9 +253,9 @@ impl PredictorKind {
 }
 
 /// One seeded trial's shared inputs, built once and handed to every
-/// run that replays the trial: the solar realization (with its
-/// prefix-sum integral table) and the generated task set, both behind
-/// `Arc`.
+/// run that replays the trial: the solar realization (with one kept
+/// prefix sum of its integral per four segments) and the generated task
+/// set, both behind `Arc`.
 ///
 /// Neither depends on the storage capacity or the policy, so a sweep
 /// over capacities × policies — the shape of every Fig. 5–9 experiment
