@@ -237,6 +237,28 @@ fn energy_algebra_10k(c: &mut Criterion) {
             ))
         })
     });
+
+    // Stall wakes: from an empty store with nothing draining (offset
+    // 0.0), the instant the harvest refills a 0.1 restart quantum. One
+    // iteration asks from 100 starts, 100 units apart, so day and night
+    // starts are both in the mix; divide by 100 for one query.
+    g.bench_function("crossing_stall_wake/fast", |b| {
+        b.iter(|| {
+            let mut last = None;
+            for i in 0..100i64 {
+                last = last.max(profile.first_accumulation_crossing(
+                    &mut CrossingTiers::default(),
+                    u(100 * i + 37),
+                    u(10_000),
+                    0.0,
+                    black_box(0.0),
+                    cap,
+                    black_box(0.1),
+                ));
+            }
+            black_box(last)
+        })
+    });
     g.finish();
 }
 

@@ -19,8 +19,8 @@
 //!   the release tape stripped: this is the PR 4 reference path the
 //!   tape speedup is measured against.
 //! * `tape` — the same pooled run with the prefab's release tape:
-//!   every `Arrival` is a cursor bump instead of a heap pop, nothing
-//!   else changes.
+//!   every `Arrival` comes from the loop's per-task next release
+//!   instead of a heap pop, nothing else changes.
 //! * `store_warm` — a warm [`PackStore`] hit: one fingerprint map
 //!   lookup plus an in-memory record decode, zero syscalls.
 //!

@@ -158,24 +158,29 @@ struct FaultRuntime {
     harvest_factor: f64,
 }
 
-/// Monotone cursor over a shared [`ReleaseTape`]: releases are served
-/// from the precomputed timeline instead of round-tripping through the
-/// event queue, one `Arrival` push/pop per job.
+/// The closed loop's side stream under a [`ReleaseTape`]: task releases,
+/// and deadline checks when deadlines are constrained, served without
+/// the event queue, one `Arrival` push/pop per job saved.
 ///
-/// Bit-identity with the heap-driven run hinges on `pending_seq`: each
-/// task's next release carries a *virtual* sequence number allocated
-/// from the event queue's shared counter ([`EventQueue::alloc_seq`]) at
-/// exactly the program point where the heap path would have scheduled
-/// the `Arrival` — at seeding for the first release, inside
-/// [`SystemModel::release_job`] for every successor. The merged
-/// `(time, seq)` dispatch order is therefore identical, tie-for-tie.
+/// Each task's next release is computed from its phase and period, and
+/// carries a *virtual* sequence number allocated from the event queue's
+/// shared counter ([`EventQueue::alloc_seq`]) at exactly the program
+/// point where the heap path would have scheduled the `Arrival`: at
+/// seeding for the first release, inside [`SystemModel::release_job`]
+/// for every successor. The heap path holds at most one pending arrival
+/// per task, so the minimum `(ticks, seq)` over the tasks' pending
+/// releases is the arrival the heap pops next, and the merged
+/// `(time, seq)` dispatch order is identical, tie for tie.
 #[derive(Debug, Clone)]
-struct TapeCursor {
-    tape: Arc<ReleaseTape>,
-    /// Index of the next unconsumed tape entry.
-    next: usize,
-    /// Virtual sequence number of each task's next pending release.
-    pending_seq: Vec<u32>,
+struct SideStream {
+    /// Each task's pending release `(ticks, seq)`: `None` for a task
+    /// whose phase lies outside the horizon and for a one-shot task that
+    /// has released. A successor past the horizon stays pending, as it
+    /// does on the heap path; the engine never dispatches it.
+    releases: Vec<Option<(i64, u32)>>,
+    /// Cached minimum `(ticks, seq, task)` over `releases`, so the
+    /// per-event side peek is a compare, not a scan.
+    release_min: Option<(i64, u32, u32)>,
     /// Whether deadline checks ride the side stream too. Requires
     /// constrained deadlines (`D_i <= T_i` for every periodic task):
     /// then a job's check fires no later than the task's next release,
@@ -189,7 +194,33 @@ struct TapeCursor {
     deadline_min: Option<(i64, u32, u32)>,
 }
 
-impl TapeCursor {
+impl SideStream {
+    /// Minimum `(ticks, seq, task)` over occupied per-task slots.
+    #[inline]
+    fn slot_min<T: Copy>(
+        slots: &[Option<T>],
+        key: impl Fn(T) -> (i64, u32),
+    ) -> Option<(i64, u32, u32)> {
+        let mut min: Option<(i64, u32, u32)> = None;
+        for (i, slot) in slots.iter().enumerate() {
+            if let Some(v) = *slot {
+                let (t, q) = key(v);
+                if min.is_none_or(|(mt, mq, _)| (t, q) < (mt, mq)) {
+                    min = Some((t, q, i as u32));
+                }
+            }
+        }
+        min
+    }
+
+    /// Sets task `task`'s pending release (`None`: it releases no more)
+    /// and restores the cached minimum with one pass over the tasks.
+    #[inline]
+    fn set_release(&mut self, task: usize, next: Option<(i64, u32)>) {
+        self.releases[task] = next;
+        self.release_min = Self::slot_min(&self.releases, |k| k);
+    }
+
     #[inline]
     fn push_deadline(&mut self, task: usize, ticks: i64, seq: u32, job: u64) {
         debug_assert!(
@@ -212,14 +243,26 @@ impl TapeCursor {
         let (_, _, job) = self.deadline_slots[task as usize]
             .take()
             .expect("cached minimum points at an occupied slot");
-        self.deadline_min = self
-            .deadline_slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|(t, q, _)| (t, q, i as u32)))
-            .min();
+        self.deadline_min = Self::slot_min(&self.deadline_slots, |(t, q, _)| (t, q));
         job
     }
+}
+
+/// Jobs `tasks` releases in `[0, horizon_ticks)` — the record count of
+/// a run that reaches its horizon. A task releases at `phase + k·period`
+/// from a phase inside the window, a one-shot task once.
+fn release_count(tasks: &TaskSet, horizon_ticks: i64) -> usize {
+    tasks
+        .iter()
+        .map(|t| {
+            let phase = t.phase().as_ticks();
+            match t.period() {
+                _ if phase < 0 || phase >= horizon_ticks => 0,
+                Some(p) => ((horizon_ticks - 1 - phase) / p.as_ticks() + 1) as usize,
+                None => 1,
+            }
+        })
+        .sum()
 }
 
 /// The closed loop's whole state. A clone is an exact copy of the run
@@ -266,9 +309,9 @@ struct SystemModel<'a> {
     /// unless the config enables profiling, so a plain run pays one
     /// branch per phase boundary and zero clock reads.
     profiler: Option<Box<PhaseProfiler>>,
-    /// Precomputed release timeline; `None` runs releases through the
-    /// event queue (the reference path).
-    tape: Option<TapeCursor>,
+    /// Releases (and constrained deadline checks) served outside the
+    /// event queue; `None` runs them through it (the reference path).
+    side: Option<SideStream>,
 }
 
 impl SystemModel<'_> {
@@ -371,7 +414,7 @@ impl SystemModel<'_> {
 
     fn release_job(&mut self, now: SimTime, task_index: usize, ctx: &mut EngineCtx<'_, SysEvent>) {
         // Extract the `Copy` parameters up front instead of cloning the
-        // task: releases are the hottest event class even with the tape.
+        // task: releases are the hottest event class even off the queue.
         let (relative_deadline, wcet, actual_work, period) = {
             let task: &Task = &self.tasks.tasks()[task_index];
             (
@@ -400,25 +443,22 @@ impl SystemModel<'_> {
             deadline,
         });
         self.queue.push(job);
-        match &mut self.tape {
+        match &mut self.side {
             // Side-stream bookkeeping replaces the heap pushes: the
             // deadline check parks in the task's slot and the successor
-            // release lives on the tape. Both claim the sequence number
-            // the heap path would have consumed — in the same order —
-            // so later same-tick events keep their relative order. The
-            // heap path schedules both unconditionally (even past the
-            // horizon), so the claims are too.
-            Some(tc) if tc.elide_deadlines => {
-                tc.push_deadline(task_index, deadline.as_ticks(), ctx.alloc_seq(), id.0);
-                if period.is_some() {
-                    tc.pending_seq[task_index] = ctx.alloc_seq();
+            // becomes the task's pending release. Both claim the sequence
+            // number the heap path would have consumed — in the same
+            // order — so later same-tick events keep their relative
+            // order. The heap path schedules both unconditionally (even
+            // past the horizon), so the claims are too.
+            Some(side) => {
+                if side.elide_deadlines {
+                    side.push_deadline(task_index, deadline.as_ticks(), ctx.alloc_seq(), id.0);
+                } else {
+                    ctx.schedule(deadline, SysEvent::DeadlineCheck { job: id });
                 }
-            }
-            Some(tc) => {
-                ctx.schedule(deadline, SysEvent::DeadlineCheck { job: id });
-                if period.is_some() {
-                    tc.pending_seq[task_index] = ctx.alloc_seq();
-                }
+                let next = period.map(|p| ((now + p).as_ticks(), ctx.alloc_seq()));
+                side.set_release(task_index, next);
             }
             None => {
                 ctx.schedule(deadline, SysEvent::DeadlineCheck { job: id });
@@ -822,13 +862,9 @@ impl Model for SystemModel<'_> {
 
     #[inline]
     fn side_peek(&self) -> Option<(SimTime, u32)> {
-        let tc = self.tape.as_ref()?;
-        let release = tc
-            .tape
-            .entries()
-            .get(tc.next)
-            .map(|e| (e.ticks, tc.pending_seq[e.task as usize]));
-        let deadline = tc.deadline_min.map(|(t, s, _)| (t, s));
+        let side = self.side.as_ref()?;
+        let release = side.release_min.map(|(t, s, _)| (t, s));
+        let deadline = side.deadline_min.map(|(t, s, _)| (t, s));
         let (ticks, seq) = match (release, deadline) {
             (None, None) => return None,
             (Some(k), None) | (None, Some(k)) => k,
@@ -837,28 +873,23 @@ impl Model for SystemModel<'_> {
         Some((SimTime::from_ticks(ticks), seq))
     }
 
+    /// Pops the earlier of the next release and the next deadline
+    /// check. A release stays pending until [`SystemModel::release_job`]
+    /// replaces it with the task's successor, which `handle` calls next.
     #[inline]
     fn side_pop(&mut self) -> SysEvent {
-        let tc = self.tape.as_mut().expect("side_pop without a tape");
-        let release = tc
-            .tape
-            .entries()
-            .get(tc.next)
-            .map(|e| (e.ticks, tc.pending_seq[e.task as usize]));
-        let take_deadline = match (release, tc.deadline_min) {
-            (Some(r), Some((t, s, _))) => (t, s) < r,
-            (None, Some(_)) => true,
-            _ => false,
+        let side = self.side.as_mut().expect("side_pop without a side stream");
+        let release = match (side.release_min, side.deadline_min) {
+            (Some((rt, rs, task)), Some((dt, ds, _))) => ((rt, rs) < (dt, ds)).then_some(task),
+            (release, _) => release.map(|(_, _, task)| task),
         };
-        if take_deadline {
-            let job = tc.pop_min_deadline();
-            SysEvent::DeadlineCheck { job: JobId(job) }
-        } else {
-            let e = tc.tape.entries()[tc.next];
-            tc.next += 1;
-            SysEvent::Arrival {
-                task: e.task as usize,
-            }
+        match release {
+            Some(task) => SysEvent::Arrival {
+                task: task as usize,
+            },
+            None => SysEvent::DeadlineCheck {
+                job: JobId(side.pop_min_deadline()),
+            },
         }
     }
 
@@ -1087,13 +1118,13 @@ pub fn try_simulate_in_taped(
 /// Runs with `collect_metrics` or `profile` set simulate their arms one
 /// at a time instead: metrics and phase timings each describe one run.
 ///
-/// When `tape` is `Some`, task releases are served by a monotone cursor
-/// over the shared timeline instead of per-release event-queue traffic.
-/// The taped run is bit-identical to the heap-driven run (pinned by the
-/// tape-parity suites); the tape must have been built by
-/// [`TaskSet::release_tape`] for this exact task set and horizon. Runs
-/// with `collect_metrics` set ignore the tape and take the reference
-/// path (queue statistics would otherwise skew).
+/// When `tape` is `Some`, the loop serves task releases itself, each
+/// task's next one computed from its phase and period, instead of
+/// routing them through the event queue. The taped run is bit-identical
+/// to the heap-driven run (pinned by the tape-parity suites); the tape
+/// must have been made by [`TaskSet::release_tape`] for this task set
+/// and horizon. Runs with `collect_metrics` set ignore the tape and take
+/// the reference path (queue statistics would otherwise skew).
 ///
 /// An arm whose [`Watchdog`](harvest_sim::engine::Watchdog) fires
 /// returns the corresponding [`SimError`]; the pooled queues are
@@ -1246,9 +1277,9 @@ fn run_closed_loop(
         last_sync: SimTime::ZERO,
         epoch: 0,
         next_job_id: 0,
-        // One record per release: the tape length is the exact job count.
+        // One record per release, counted exactly on the taped path.
         records: match &tape {
-            Some(t) => Vec::with_capacity(t.len()),
+            Some(t) => Vec::with_capacity(release_count(&tasks, t.horizon_ticks())),
             None => Vec::new(),
         },
         last_level: None,
@@ -1265,19 +1296,15 @@ fn run_closed_loop(
             harvest_factor: 1.0,
         }),
         profiler: None,
-        tape: tape.map(|tape| {
-            let task_count = tape.task_count();
-            TapeCursor {
-                tape,
-                next: 0,
-                pending_seq: vec![0; task_count],
-                elide_deadlines: tasks
-                    .tasks()
-                    .iter()
-                    .all(|t| t.period().is_none_or(|p| t.relative_deadline() <= p)),
-                deadline_slots: vec![None; task_count],
-                deadline_min: None,
-            }
+        side: tape.map(|_| SideStream {
+            releases: vec![None; tasks.len()],
+            release_min: None,
+            elide_deadlines: tasks
+                .tasks()
+                .iter()
+                .all(|t| t.period().is_none_or(|p| t.relative_deadline() <= p)),
+            deadline_slots: vec![None; tasks.len()],
+            deadline_min: None,
         }),
     };
     let mut engine = Engine::with_queue(model, pool.events.take().unwrap_or_default());
@@ -1302,21 +1329,21 @@ fn run_closed_loop(
         engine.model_mut().apply_fault_state(SimTime::ZERO);
     }
     // Seed first arrivals and the sampling grid. On the taped path the
-    // first releases are tape entries; claim their sequence numbers in
-    // the same task-index order the heap path schedules them, so the
-    // same-tick tie-break is preserved.
-    let taped = engine.model().tape.is_some();
+    // first releases become the tasks' pending releases; claim their
+    // sequence numbers in the same task-index order the heap path
+    // schedules them, so the same-tick tie-break is preserved.
+    let taped = engine.model().side.is_some();
     for (i, task) in tasks.iter().enumerate() {
         let phase = task.phase();
         if phase >= SimTime::ZERO && phase < SimTime::ZERO + horizon {
             if taped {
                 let seq = engine.alloc_seq();
-                let model = engine.model_mut();
-                model
-                    .tape
+                let side = engine
+                    .model_mut()
+                    .side
                     .as_mut()
-                    .expect("taped checked above")
-                    .pending_seq[i] = seq;
+                    .expect("taped checked above");
+                side.set_release(i, Some((phase.as_ticks(), seq)));
             } else {
                 engine.schedule(phase, SysEvent::Arrival { task: i });
             }
@@ -1434,7 +1461,10 @@ fn finish(
 mod tests {
     use super::*;
     use crate::fault::LevelLockoutWindow;
-    use crate::policies::{EaDvfsScheduler, EdfScheduler, GreedyStretchScheduler, LazyScheduler};
+    use crate::policies::{
+        EaDvfsScheduler, EdfScheduler, GreedyStretchScheduler, LazyScheduler,
+        StaticSlowdownScheduler,
+    };
     use harvest_cpu::presets;
     use harvest_energy::predictor::OraclePredictor;
     use harvest_energy::storage::StorageSpec;
@@ -2376,5 +2406,156 @@ mod tests {
             "metric runs ignore the tape, so queue stats stay reference-exact"
         );
         assert_eq!(heap, taped);
+    }
+
+    /// One policy over `tasks`, heap-driven and then taped, on one
+    /// context.
+    fn heap_and_taped(
+        tasks: &Arc<TaskSet>,
+        config: &SystemConfig,
+        profile: &Arc<PiecewiseConstant>,
+        policy: &mut dyn Scheduler,
+    ) -> (SimResult, SimResult) {
+        let mut ctx = RunContext::new();
+        let mut go = |tape| {
+            run_in(
+                &mut ctx,
+                config.clone(),
+                Arc::clone(tasks),
+                Arc::clone(profile),
+                &mut *policy,
+                Box::new(OraclePredictor::new((**profile).clone())),
+                tape,
+            )
+            .unwrap()
+        };
+        let heap = go(None);
+        (heap, go(Some(Arc::new(tasks.release_tape(config.horizon)))))
+    }
+
+    /// `(time, task)` of every `Released` trace event, in dispatch order.
+    fn release_order(r: &SimResult) -> Vec<(SimTime, usize)> {
+        r.trace
+            .iter()
+            .filter_map(|&(t, e)| match e {
+                TraceEvent::Released { task, .. } => Some((t, task)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn taped_runs_release_every_arrival_once() {
+        let tasks = Arc::new(TaskSet::new(vec![
+            Task::periodic_implicit(d(10), 1.0),
+            Task::periodic_implicit(d(20), 3.0),
+            Task::periodic_implicit(d(30), 3.0),
+        ]));
+        let profile = Arc::new(PiecewiseConstant::constant(0.8));
+        let config =
+            SystemConfig::new(presets::xscale(), StorageSpec::ideal(30.0), d(60)).with_trace();
+        let (heap, taped) = heap_and_taped(&tasks, &config, &profile, &mut EdfScheduler::new());
+        let order = release_order(&taped);
+        assert_eq!(order, release_order(&heap));
+        // The tasks' own arrivals, each task's in time order.
+        let mut want: Vec<(SimTime, usize)> = tasks
+            .iter()
+            .enumerate()
+            .flat_map(|(i, t)| {
+                t.arrivals_between(SimTime::ZERO, u(60))
+                    .into_iter()
+                    .map(move |a| (a, i))
+            })
+            .collect();
+        let mut got = order.clone();
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want);
+        for i in 0..tasks.len() {
+            let times: Vec<SimTime> = order.iter().filter(|r| r.1 == i).map(|r| r.0).collect();
+            assert!(times.is_sorted(), "task {i} releases out of order");
+        }
+        assert_eq!(taped.released(), release_count(&tasks, u(60).as_ticks()));
+    }
+
+    #[test]
+    fn taped_releases_break_ties_by_scheduling_order_not_index() {
+        // Task 0: period 5, phase 0. Task 1: period 10, phase 5. At
+        // t = 5 both release, but task 1's arrival was seeded before
+        // task 0's t = 5 arrival was scheduled (while handling t = 0),
+        // so the heap-driven run releases task 1 first. A (time, index)
+        // order would put task 0 first.
+        let tasks = Arc::new(TaskSet::new(vec![
+            Task::periodic(SimTime::ZERO, d(5), d(5), 1.0),
+            Task::periodic(u(5), d(10), d(10), 1.0),
+        ]));
+        let profile = Arc::new(PiecewiseConstant::constant(0.8));
+        let config =
+            SystemConfig::new(presets::xscale(), StorageSpec::ideal(30.0), d(20)).with_trace();
+        let (heap, taped) = heap_and_taped(&tasks, &config, &profile, &mut EdfScheduler::new());
+        let want: Vec<(SimTime, usize)> = [(0, 0), (5, 1), (5, 0), (10, 0), (15, 1), (15, 0)]
+            .into_iter()
+            .map(|(t, i)| (u(t), i))
+            .collect();
+        assert_eq!(release_order(&heap), want);
+        assert_eq!(release_order(&taped), want);
+        assert_eq!(heap, taped);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Taped and heap-driven runs agree on everything, traces
+        /// included, over hand-built task sets: whole-unit phases and
+        /// periods make same-tick ties common, phases run from before 0
+        /// to past the horizon, and the set mixes one-shot tasks with
+        /// periodic ones whose deadlines are constrained or not.
+        #[test]
+        fn taped_runs_match_heap_runs_on_hand_built_sets(
+            specs in proptest::collection::vec(
+                (0u8..3, -4i64..=27, 1i64..=9, 1i64..=14, 0.1f64..2.0),
+                1..=6,
+            ),
+            power in proptest::prop_oneof![
+                proptest::strategy::Just(0.3),
+                proptest::strategy::Just(1.0),
+                proptest::strategy::Just(3.0),
+            ],
+            capacity in proptest::prop_oneof![
+                proptest::strategy::Just(2.0),
+                proptest::strategy::Just(10.0),
+                proptest::strategy::Just(1e3),
+            ],
+            sampled in 0u8..2,
+        ) {
+            let tasks: Vec<Task> = specs
+                .iter()
+                .map(|&(kind, phase, period, deadline, wcet)| match kind {
+                    0 => Task::periodic(u(phase), d(period), d(deadline.min(period)), wcet),
+                    1 => Task::periodic(u(phase), d(period), d(deadline), wcet),
+                    _ => Task::once(u(phase), d(deadline), wcet),
+                })
+                .collect();
+            let tasks = Arc::new(TaskSet::new(tasks));
+            let profile = Arc::new(PiecewiseConstant::constant(power));
+            let mut config =
+                SystemConfig::new(presets::xscale(), StorageSpec::ideal(capacity), d(24))
+                    .with_trace();
+            if sampled == 1 {
+                config = config.with_sample_interval(d(5));
+            }
+            let utilization = tasks.utilization().clamp(0.05, 1.0);
+            let policies: Vec<Box<dyn Scheduler>> = vec![
+                Box::new(EdfScheduler::new()),
+                Box::new(LazyScheduler::new()),
+                Box::new(GreedyStretchScheduler::new()),
+                Box::new(EaDvfsScheduler::new()),
+                Box::new(StaticSlowdownScheduler::new(&config.cpu, utilization)),
+            ];
+            for mut policy in policies {
+                let (heap, taped) = heap_and_taped(&tasks, &config, &profile, policy.as_mut());
+                proptest::prop_assert_eq!(&heap, &taped, "{} diverged on {:?}", heap.scheduler, specs);
+            }
+        }
     }
 }

@@ -1,5 +1,7 @@
 //! The paper's stochastic solar model (eq. 13).
 
+use std::cell::RefCell;
+
 use harvest_sim::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 
@@ -17,6 +19,25 @@ const CLAMPED_U2: (f64, f64) = (0.25 + 1e-9, 0.75 - 1e-9);
 #[inline]
 fn surely_clamped(u2: f64) -> bool {
     (u2 > CLAMPED_U2.0) & (u2 < CLAMPED_U2.1)
+}
+
+/// Samples per chunk of [`SolarModel::draw_grid`]'s two passes: one
+/// chunk's kept pairs fit a 6 KiB stack array.
+const GRID_CHUNK: usize = 256;
+
+/// The envelope values of one grid: `cos²(t_i/τ)` at `t_i = start +
+/// i·step`, keyed by `(start, step, τ bits, length)`.
+struct EnvelopeGrid {
+    key: (i64, i64, u64, usize),
+    values: Vec<f64>,
+}
+
+thread_local! {
+    /// The envelope of the last grid drawn on this thread. Every seed
+    /// of a campaign samples the same grid, so a last-value memo
+    /// evaluates its 10 000 cosines once per worker, not once per
+    /// profile.
+    static ENVELOPE_MEMO: RefCell<Option<EnvelopeGrid>> = const { RefCell::new(None) };
 }
 
 /// Stochastic solar source following the paper's generator (§5.1,
@@ -94,41 +115,60 @@ impl SolarModel {
         c * c
     }
 
-    /// Eq. 13 at `t` for one uniform pair: the one definition of a
-    /// sample that [`draw`](HarvestSource::draw) and
+    /// Eq. 13 for one uniform pair at an instant whose envelope value
+    /// is `env`: the one definition of a sample that
+    /// [`draw`](HarvestSource::draw) and
     /// [`draw_grid`](HarvestSource::draw_grid) share.
     #[inline]
-    fn sample(&self, t: SimTime, u1: f64, u2: f64) -> f64 {
+    fn sample(&self, env: f64, u1: f64, u2: f64) -> f64 {
         let n = box_muller(u1, u2).max(0.0);
-        self.amplitude * n * self.envelope(t)
+        self.amplitude * n * env
     }
 }
 
 impl HarvestSource for SolarModel {
     fn draw(&mut self, t: SimTime, rng: &mut StdRng) -> f64 {
         let (u1, u2) = uniform_pair(rng);
-        self.sample(t, u1, u2)
+        self.sample(self.envelope(t), u1, u2)
     }
 
-    /// Bit-identical to the default loop, in two passes. About half the
-    /// pairs have a `u2` that makes the sample surely `+0.0`, so pass 1
-    /// draws every pair in stream order, zeroes every slot and keeps the
-    /// other pairs, compacted without a branch (a per-sample `if`
-    /// mispredicts about half the time). Pass 2 evaluates only those.
+    /// Bit-identical to the default loop, in two passes per chunk of
+    /// 256 samples. About half the pairs have a `u2` that makes the
+    /// sample surely `+0.0`, so pass 1 draws the chunk's pairs in stream
+    /// order, zeroes every slot and keeps the other pairs, compacted
+    /// without a branch (a per-sample `if` mispredicts about half the
+    /// time). Pass 2 evaluates only those and never draws, so the
+    /// stream order is the loop's. The envelope values come from a
+    /// per-thread memo of the last grid drawn, each from the same
+    /// `cos²(t/τ)` evaluation the loop makes.
     fn draw_grid(&mut self, start: SimTime, dt: SimDuration, rng: &mut StdRng, out: &mut [f64]) {
-        let mut kept: Vec<(usize, f64, f64)> = vec![(0, 0.0, 0.0); out.len()];
-        let mut m = 0;
-        for (i, p) in out.iter_mut().enumerate() {
-            let (u1, u2) = uniform_pair(rng);
-            *p = 0.0;
-            kept[m] = (i, u1, u2);
-            m += usize::from(!surely_clamped(u2));
-        }
         let (t0, step) = (start.as_ticks(), dt.as_ticks());
-        for &(i, u1, u2) in &kept[..m] {
-            let t = SimTime::from_ticks(t0 + i as i64 * step);
-            out[i] = self.sample(t, u1, u2);
-        }
+        let key = (t0, step, self.time_scale.to_bits(), out.len());
+        ENVELOPE_MEMO.with(|memo| {
+            let mut memo = memo.borrow_mut();
+            let env = match &mut *memo {
+                Some(grid) if grid.key == key => &grid.values,
+                slot => {
+                    let values = (0..out.len())
+                        .map(|i| self.envelope(SimTime::from_ticks(t0 + i as i64 * step)))
+                        .collect();
+                    &slot.insert(EnvelopeGrid { key, values }).values
+                }
+            };
+            let mut kept = [(0usize, 0.0, 0.0); GRID_CHUNK];
+            for (chunk, env) in out.chunks_mut(GRID_CHUNK).zip(env.chunks(GRID_CHUNK)) {
+                let mut m = 0;
+                for (i, p) in chunk.iter_mut().enumerate() {
+                    let (u1, u2) = uniform_pair(rng);
+                    *p = 0.0;
+                    kept[m] = (i, u1, u2);
+                    m += usize::from(!surely_clamped(u2));
+                }
+                for &(i, u1, u2) in &kept[..m] {
+                    chunk[i] = self.sample(env[i], u1, u2);
+                }
+            }
+        });
     }
 
     fn name(&self) -> &str {
@@ -217,7 +257,7 @@ mod tests {
         for seed in 0..200 {
             for &start in &starts {
                 for &dt in &dts {
-                    for n in [1, 7, 10_000] {
+                    for n in [1, 7, GRID_CHUNK, GRID_CHUNK + 1, 10_000] {
                         let ctx = format!("seed {seed}, start {start}, dt {dt}, n {n}");
                         let mut rng = StdRng::seed_from_u64(seed);
                         let want = draw_loop(&mut SolarModel::paper(), start, dt, n, &mut rng);
@@ -238,6 +278,36 @@ mod tests {
                             assert_eq!(got, want, "boxed ({ctx})");
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_envelope_memo_is_keyed_by_grid_and_time_scale() {
+        let grids = [
+            (SolarModel::paper(), 0, 1_000_000, 500),
+            (SolarModel::new(10.0, 100.0), 0, 1_000_000, 500),
+            (SolarModel::paper(), 37_000_000, 1_000_000, 500),
+            (SolarModel::paper(), 0, 500_000, 500),
+            (SolarModel::paper(), 0, 1_000_000, 499),
+        ];
+        // Each grid twice in a row (a memo hit) and after another grid
+        // (a miss), against the loop of draws.
+        for round in 0..2 {
+            for &(model, start, step, n) in &grids {
+                let (start, dt) = (SimTime::from_ticks(start), SimDuration::from_ticks(step));
+                for seed in [round, round + 10] {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let want = draw_loop(&mut model.clone(), start, dt, n, &mut rng);
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut out = vec![f64::NAN; n];
+                    model.clone().draw_grid(start, dt, &mut rng, &mut out);
+                    let got: Vec<u64> = out.iter().map(|p| p.to_bits()).collect();
+                    assert_eq!(
+                        got, want,
+                        "round {round}, seed {seed}, {model:?} {start} {dt} {n}"
+                    );
                 }
             }
         }
@@ -283,7 +353,7 @@ mod tests {
                 for u1 in [1.0, 0.5, f64::EPSILON / 2.0] {
                     for t in [0.0, 37.0, 345.4, 1e4] {
                         let t = SimTime::from_units(t);
-                        let full = s.sample(t, u1, u2);
+                        let full = s.sample(s.envelope(t), u1, u2);
                         if surely_clamped(u2) {
                             fired += 1;
                             assert_eq!(full.to_bits(), 0.0f64.to_bits(), "u1 {u1}, u2 {u2:e}");

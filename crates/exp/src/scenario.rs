@@ -270,16 +270,17 @@ pub struct TrialPrefab {
     /// The generated periodic task set, scaled to the target
     /// utilization against this profile's mean power.
     pub tasks: Arc<harvest_task::TaskSet>,
-    /// The precomputed release timeline over the scenario horizon,
-    /// shared by every run that replays the trial (releases are seed-
-    /// and policy-independent). `None` routes releases through the
-    /// event queue — the reference path, kept for benchmarks and
-    /// parity baselines via [`Self::without_tape`].
+    /// Lets every run that replays the trial serve its releases
+    /// outside the event queue, each task's next one computed from its
+    /// phase and period (releases are policy-independent). `None`
+    /// routes releases through the event queue — the reference path,
+    /// kept for benchmarks and parity baselines via
+    /// [`Self::without_tape`].
     pub tape: Option<Arc<ReleaseTape>>,
 }
 
 impl TrialPrefab {
-    /// Drops the precomputed release tape, forcing every run of this
+    /// Drops the release tape, forcing every run of this
     /// prefab onto the heap-driven reference path. Results are
     /// bit-identical either way (pinned by the tape-parity suites).
     pub fn without_tape(mut self) -> Self {

@@ -72,10 +72,10 @@ fn retained<T>(build: impl Fn() -> T) -> isize {
 #[test]
 fn profiles_and_prefabs_retain_pinned_bytes() {
     // (utilization, seed, profile bytes, prefab bytes)
-    for (utilization, seed, profile, prefab) in [
-        (0.8, 7, 100_008, 116_880),
-        (0.4, 1_000_000, 100_008, 116_880),
-    ] {
+    const PREFAB: isize = 100_472;
+    for (utilization, seed, profile, prefab) in
+        [(0.8, 7, 100_008, PREFAB), (0.4, 1_000_000, 100_008, PREFAB)]
+    {
         let scenario = PaperScenario::new(utilization, 500.0);
         let got = (
             retained(|| scenario.profile(seed)),
@@ -83,4 +83,11 @@ fn profiles_and_prefabs_retain_pinned_bytes() {
         );
         assert_eq!(got, (profile, prefab), "U = {utilization}, seed {seed}");
     }
+    // A prefab keeps nothing per release, so no seed's release count
+    // shows in its bytes: the largest of 64 equals the pin.
+    let scenario = PaperScenario::new(0.4, 500.0);
+    let largest = (1_000_000..1_000_064)
+        .map(|seed| retained(|| scenario.prefab(seed)))
+        .max();
+    assert_eq!(largest, Some(PREFAB), "largest prefab over 64 seeds");
 }

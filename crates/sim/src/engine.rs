@@ -65,8 +65,8 @@ pub trait Model {
 
     /// `(time, seq)` key of the model's next *side-stream* event, if any.
     ///
-    /// A model may keep part of its event traffic outside the queue — a
-    /// precomputed tape consumed by a cursor, say. The engine merges the
+    /// A model may keep part of its event traffic outside the queue — the
+    /// releases of its own task set, say. The engine merges the
     /// side stream with the queue by `(time, seq)` each iteration and
     /// dispatches whichever is earlier, so elided events still fire in
     /// exactly the order they would have fired from the queue, provided

@@ -9,10 +9,11 @@
 //! [`Engine`](crate::engine::Engine).
 //!
 //! A simulation keeps only a few dozen events pending — arrivals and
-//! deadline checks ride a precomputed [`ReleaseTape`] — so the heap is a
-//! handful of cache lines: scheduling is a hole-based sift-up, popping a
-//! hole-based sift-down over at most four children per level, and the
-//! minimum sits at index 0, so [`peek_time`](EventQueue::peek_time) and
+//! deadline checks ride the closed loop's side stream (see
+//! [`ReleaseTape`]) — so the heap is a handful of cache lines:
+//! scheduling is a hole-based sift-up, popping a hole-based sift-down
+//! over at most four children per level, and the minimum sits at index
+//! 0, so [`peek_time`](EventQueue::peek_time) and
 //! [`peek_key`](EventQueue::peek_key) are loads.
 
 use crate::time::SimTime;
@@ -212,8 +213,8 @@ impl<E: Copy> EventQueue<E> {
 
     /// Claims the next sequence number without scheduling anything.
     ///
-    /// A caller that keeps some events *outside* the queue (e.g. a
-    /// precomputed [`ReleaseTape`] consumed by a cursor) allocates their
+    /// A caller that keeps some events *outside* the queue (e.g. the
+    /// releases it serves itself under a [`ReleaseTape`]) allocates their
     /// sequence numbers here, at the exact points the queue-driven run
     /// would have scheduled them. Merging by `(time, seq)` against
     /// [`peek_key`](Self::peek_key) then reproduces the queue-driven
@@ -286,84 +287,47 @@ impl<E: Copy> EventQueue<E> {
     }
 }
 
-/// One elided release: task `task`'s `job_seq`-th arrival, at `ticks`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReleaseEntry {
-    /// Arrival instant in ticks.
-    pub ticks: i64,
-    /// Index of the releasing task in its task set.
-    pub task: u32,
-    /// Zero-based arrival count of this task (0 for the phase release).
-    pub job_seq: u32,
-}
-
-/// A precomputed, shareable release timeline: every periodic arrival
-/// inside a horizon, in the exact order a heap-driven simulation would
-/// pop them.
+/// Permission to serve a task set's releases outside the
+/// [`EventQueue`]: the horizon and task count they were planned for.
 ///
-/// Task releases are closed-form — seed-, policy-, and state-independent
-/// — so a simulator can elide them from its [`EventQueue`] entirely: the
-/// tape is built once per scenario, shared read-only (`Arc`) across
-/// every trial and worker shard, and consumed by a monotone
-/// cursor. The queue then only carries the state-dependent traffic
-/// (deadline checks, policy re-evaluations, samples, fault edges).
+/// Task releases are closed-form — seed-, policy- and state-independent
+/// — so a simulator can elide them from its queue. The closed loop in
+/// `core::system` keeps each task's next release, computed from its
+/// phase and period, and serves the minimum `(ticks, seq)` over them.
+/// Each pending release carries the sequence number the heap-driven run
+/// would have given its `Arrival`, claimed through
+/// [`EventQueue::alloc_seq`] at the point where that run schedules it,
+/// so a task set's releases dispatch in the heap's order, tie for tie.
 ///
-/// **Ordering.** Entries are *not* sorted by `(ticks, task)`: they are
-/// emitted in the order the heap-driven run pops arrivals, which is
-/// `(ticks, seq)` order under the queue's scheduling discipline (seed
-/// all phase arrivals in task order, then each handled arrival schedules
-/// its successor). A consumer that allocates one [`EventQueue::alloc_seq`]
-/// sequence number per entry at those same points reproduces the
-/// heap-driven keys — and therefore the dispatch order — exactly.
+/// A tape therefore holds no per-arrival state. It records what the
+/// loop checks before it trusts the tape: the horizon (exclusive, in
+/// ticks) and the number of tasks it was made for. `TaskSet::release_tape`
+/// makes one in constant time.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReleaseTape {
-    /// Arrivals in heap pop order; see the type docs for why this is not
-    /// plain `(ticks, task)` order.
-    entries: Vec<ReleaseEntry>,
-    /// Horizon (exclusive, in ticks) the tape was built for. Arrivals at
-    /// or past the horizon are clipped.
+    /// Horizon (exclusive, in ticks) the tape was made for.
     horizon_ticks: i64,
-    /// Number of tasks in the task set the tape was built from.
-    task_count: u32,
+    /// Number of tasks in the task set the tape was made for.
+    task_count: usize,
 }
 
 impl ReleaseTape {
-    /// Builds a tape from pre-ordered entries. `entries` must be in heap
-    /// pop order and clipped to `horizon_ticks` (see
-    /// `TaskSet::release_tape`, which is how tapes are normally made).
-    pub fn from_entries(entries: Vec<ReleaseEntry>, horizon_ticks: i64, task_count: u32) -> Self {
-        debug_assert!(entries.iter().all(|e| e.ticks < horizon_ticks));
-        debug_assert!(entries.windows(2).all(|w| w[0].ticks <= w[1].ticks));
+    /// A tape for a set of `task_count` tasks over `[0, horizon_ticks)`.
+    pub fn new(horizon_ticks: i64, task_count: usize) -> Self {
         ReleaseTape {
-            entries,
             horizon_ticks,
             task_count,
         }
     }
 
-    /// The arrivals, in heap pop order.
-    pub fn entries(&self) -> &[ReleaseEntry] {
-        &self.entries
-    }
-
-    /// Number of arrivals on the tape.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when the horizon holds no arrivals.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Horizon (exclusive, in ticks) the tape was built for.
+    /// Horizon (exclusive, in ticks) the tape was made for.
     pub fn horizon_ticks(&self) -> i64 {
         self.horizon_ticks
     }
 
     /// Number of tasks in the originating task set.
     pub fn task_count(&self) -> usize {
-        self.task_count as usize
+        self.task_count
     }
 }
 

@@ -525,7 +525,15 @@ impl PiecewiseConstant {
     /// queries and made `integrate` a third slower.
     #[inline]
     fn prefix_at(&self, k: usize) -> f64 {
-        let kept = k / PREFIX_STRIDE;
+        self.block_sums(k / PREFIX_STRIDE)[k % PREFIX_STRIDE]
+    }
+
+    /// `F(b_k)` for the `PREFIX_STRIDE` breakpoints `k` of kept block
+    /// `kept`, from `kept · PREFIX_STRIDE` on: the kept sum, then the
+    /// fold [`prefix_at`](Self::prefix_at) describes. Past the domain
+    /// end the entries repeat the last segment and mean nothing.
+    #[inline]
+    fn block_sums(&self, kept: usize) -> [f64; PREFIX_STRIDE] {
         let first = kept * PREFIX_STRIDE;
         let mut acc = self.prefix[kept];
         let mut sums = [acc; PREFIX_STRIDE];
@@ -535,7 +543,7 @@ impl PiecewiseConstant {
             acc += self.values[i] * (self.breakpoint(i + 1) - self.breakpoint(i)).as_units();
             *sum = acc;
         }
-        sums[k - first]
+        sums
     }
 
     /// Mean value of the function over its explicit domain.
@@ -717,9 +725,9 @@ impl PiecewiseConstant {
     ///    the earliest tick is bisected on the prefix-sum antiderivative
     ///    (`O(log T)` probes for a window of `T` ticks). On a `Hold`
     ///    profile where nothing drains (`offset == ±0.0`, values `≥ 0`,
-    ///    `from` in the domain) a gallop over the prefix table and a line
-    ///    solve inside one segment find the same tick in `O(log d)` for
-    ///    a crossing `d` segments away.
+    ///    `from` in the domain) a gallop over the kept prefix sums, one
+    ///    block fold and a line solve inside one segment find the same
+    ///    tick in `O(log d)` for a crossing `d` segments away.
     /// 3. **Reach-bound reject**, `O(1)`: the level may move both ways,
     ///    but even the fastest rate toward the target cannot cover
     ///    `|target − initial|` within the window, so `None`.
@@ -891,8 +899,8 @@ impl PiecewiseConstant {
     /// `±0.0`, every value is non-negative, the extension is `Hold` and
     /// `from` lies in the domain, as in every stall wake of the paper's
     /// runs. It returns the tick bisection returns, from a gallop over
-    /// the prefix table and three probes instead of `log₂` of the window
-    /// in ticks.
+    /// the kept prefix sums, one block fold and three probes instead of
+    /// `log₂` of the window in ticks.
     ///
     /// On such inputs the gain `g(t) = F(t) − F(from)` is monotone in `t`
     /// even after rounding. Inside segment `k`, `F(t)` is the rounded
@@ -901,10 +909,11 @@ impl PiecewiseConstant {
     /// breakpoint either, whatever the spacing. The first reaching tick
     /// is therefore unique, and any bracket that fails at its low end and
     /// reaches at its high end bisects to it. `g(b_k)` is exactly
-    /// `F(b_k) − F(from)`, so a search over the prefix sums
-    /// ([`Self::prefix_at`]) finds the segment holding that tick; the
-    /// segment's line gives the tick, accepted only when it reaches and
-    /// the tick before it does not.
+    /// `F(b_k) − F(from)`, so a search over the kept prefix sums finds
+    /// the block holding the first reaching breakpoint, one fold of that
+    /// block ([`Self::block_sums`]) finds the breakpoint and so the
+    /// segment holding that tick; the segment's line gives the tick,
+    /// accepted only when it reaches and the tick before it does not.
     fn first_reach(
         &self,
         from: SimTime,
@@ -927,39 +936,50 @@ impl PiecewiseConstant {
         if !reached(horizon) {
             return None;
         }
-        // First breakpoint past `from` whose gain reaches: gallop with
-        // doubling strides, then binary-search the bracketed range.
-        let reached_at = |k: usize| reaches(needed, self.prefix_at(k) - cum_from);
+        // The first breakpoint whose gain reaches. The gain is monotone,
+        // so gallop with doubling strides over the kept sums (read
+        // directly) and binary-search the bracketed range; the kept sum
+        // of `from`'s own block gains at most 0 and fails.
+        let reached_at = |sum: f64| reaches(needed, sum - cum_from);
         let n = self.values.len();
-        let mut below = self.locate(from);
+        let last_kept = n / PREFIX_STRIDE;
+        let mut below = self.locate(from) / PREFIX_STRIDE;
         let mut stride = 1;
-        let first_hit = loop {
-            let probe = (below + stride).min(n);
-            if reached_at(probe) {
+        let kept_hit = loop {
+            if below == last_kept {
+                break None;
+            }
+            let probe = (below + stride).min(last_kept);
+            if reached_at(self.prefix[probe]) {
                 // Fails at `below`, reaches at `hi`.
                 let mut hi = probe;
                 while hi - below > 1 {
                     let mid = below + (hi - below) / 2;
-                    if reached_at(mid) {
+                    if reached_at(self.prefix[mid]) {
                         hi = mid;
                     } else {
                         below = mid;
                     }
                 }
-                break Some(hi);
-            }
-            if probe == n {
-                break None;
+                break Some(hi * PREFIX_STRIDE);
             }
             below = probe;
             stride *= 2;
         };
+        // Block `below` fails at its kept sum and holds the breakpoints
+        // before the reaching kept one (or the domain's last ones): fold
+        // it once and test its at most `PREFIX_STRIDE − 1` inner sums.
+        let first = below * PREFIX_STRIDE;
+        let sums = self.block_sums(below);
+        let first_hit = (first + 1..(first + PREFIX_STRIDE).min(n + 1))
+            .find(|&k| reached_at(sums[k - first]))
+            .or(kept_hit);
         // The stretch holding the first reaching tick, where
         // `F(t) = base_cum + value·(t − base)`, and its bracket `(lo, hi]`.
         let (base, base_cum, value, hi) = match first_hit {
             Some(k) => (
                 self.breakpoint(k - 1),
-                self.prefix_at(k - 1),
+                sums[k - 1 - first],
                 self.values[k - 1],
                 self.breakpoint(k).min(horizon),
             ),

@@ -1,9 +1,10 @@
 //! Release-tape equivalence: a tape-driven trial must be bit-identical
 //! to the heap-driven trial it elides events for.
 //!
-//! The tape replaces every `Arrival` the scalar engine would have
-//! heap-scheduled with a cursor bump over a precomputed timeline, so
-//! the only acceptable observable difference is throughput. This
+//! Under a tape the closed loop serves every `Arrival` the scalar
+//! engine would have heap-scheduled from each task's next release,
+//! computed from its phase and period, so the only acceptable
+//! observable difference is throughput. This
 //! property drives full paper trials — random utilization, capacity,
 //! policy, sampling, and fault plans that rewrite the harvest profile
 //! mid-run — and asserts both [`SimResult`] equality and byte-identity

@@ -1,6 +1,6 @@
 //! Collections of tasks.
 
-use harvest_sim::event::{EventQueue, ReleaseEntry, ReleaseTape};
+use harvest_sim::event::ReleaseTape;
 use harvest_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -98,51 +98,20 @@ impl TaskSet {
         acc.map(SimDuration::from_ticks)
     }
 
-    /// Precomputes the release timeline of `[0, horizon)` as a
-    /// [`ReleaseTape`]: every arrival, in the exact order a heap-driven
-    /// simulation pops them.
+    /// The [`ReleaseTape`] of `[0, horizon)`: lets a simulation serve
+    /// this set's releases without its event queue. Constant time.
     ///
-    /// That order is **not** `(time, task_index)` — it is `(time, seq)`
-    /// under the simulator's scheduling discipline, where each handled
-    /// arrival immediately schedules the task's next one. (Example: with
-    /// task 0 = period 5 and task 1 = period 10 phase 5, task 0's t = 5
-    /// arrival is scheduled while handling its t = 0 arrival, *after*
-    /// task 1's seeded t = 5 arrival — so task 1 pops first at t = 5
-    /// despite its higher index.) The builder therefore replays that
-    /// discipline as a mini-simulation of release events only, on the
-    /// simulator's own [`EventQueue`]: schedule the in-horizon phase
-    /// arrivals in task-index order, then pop, each pop scheduling its
-    /// successor.
+    /// The simulation computes each task's next release from its phase
+    /// and period and serves the earliest by `(time, seq)`, where `seq`
+    /// is the sequence number the heap-driven run would have given that
+    /// arrival. That order is **not** `(time, task_index)`: each handled
+    /// arrival schedules the task's next one. (Example: with task 0 =
+    /// period 5 and task 1 = period 10 phase 5, task 0's t = 5 arrival
+    /// is scheduled while handling its t = 0 arrival, *after* task 1's
+    /// seeded t = 5 arrival — so task 1 releases first at t = 5 despite
+    /// its higher index.)
     pub fn release_tape(&self, horizon: SimDuration) -> ReleaseTape {
-        let horizon_ticks = (SimTime::ZERO + horizon).as_ticks();
-        let mut queue = EventQueue::new();
-        for (i, task) in self.tasks.iter().enumerate() {
-            let phase = task.phase();
-            if phase >= SimTime::ZERO && phase.as_ticks() < horizon_ticks {
-                queue.schedule(phase, i as u32);
-            }
-        }
-        let mut entries = Vec::new();
-        let mut job_seq = vec![0u32; self.len()];
-        while let Some((time, task)) = queue.pop() {
-            let ticks = time.as_ticks();
-            entries.push(ReleaseEntry {
-                ticks,
-                task,
-                job_seq: job_seq[task as usize],
-            });
-            job_seq[task as usize] += 1;
-            if let Some(period) = self.tasks[task as usize].period() {
-                let next = ticks + period.as_ticks();
-                // A beyond-horizon successor is scheduled by the real
-                // run but never popped; eliding it from the replay
-                // renumbers later seqs uniformly without reordering.
-                if next < horizon_ticks {
-                    queue.schedule(SimTime::from_ticks(next), task);
-                }
-            }
-        }
-        ReleaseTape::from_entries(entries, horizon_ticks, self.len() as u32)
+        ReleaseTape::new((SimTime::ZERO + horizon).as_ticks(), self.len())
     }
 }
 
@@ -240,67 +209,6 @@ mod tests {
     fn hyperperiod_none_without_periodic_tasks() {
         let s = TaskSet::new(vec![Task::once(SimTime::ZERO, d(5), 1.0)]);
         assert_eq!(s.hyperperiod(), None);
-    }
-
-    #[test]
-    fn release_tape_matches_arrival_multiset_and_counts_jobs() {
-        let s = set();
-        let horizon = d(60);
-        let tape = s.release_tape(horizon);
-        // Same multiset of (task, time) as the tasks' own arrivals,
-        // whatever the order.
-        let mut tape_pairs: Vec<(usize, i64)> = tape
-            .entries()
-            .iter()
-            .map(|e| (e.task as usize, e.ticks))
-            .collect();
-        let mut ref_pairs: Vec<(usize, i64)> = s
-            .iter()
-            .enumerate()
-            .flat_map(|(i, t)| {
-                t.arrivals_between(SimTime::ZERO, SimTime::ZERO + horizon)
-                    .into_iter()
-                    .map(move |a| (i, a.as_ticks()))
-            })
-            .collect();
-        tape_pairs.sort_unstable();
-        ref_pairs.sort_unstable();
-        assert_eq!(tape_pairs, ref_pairs);
-        // job_seq counts each task's arrivals from zero, in time order.
-        for (i, _) in s.iter().enumerate() {
-            let seqs: Vec<u32> = tape
-                .entries()
-                .iter()
-                .filter(|e| e.task as usize == i)
-                .map(|e| e.job_seq)
-                .collect();
-            assert_eq!(seqs, (0..seqs.len() as u32).collect::<Vec<_>>());
-        }
-        assert_eq!(tape.task_count(), 3);
-        assert_eq!(tape.horizon_ticks(), (SimTime::ZERO + horizon).as_ticks());
-    }
-
-    #[test]
-    fn release_tape_orders_ties_by_scheduling_discipline_not_index() {
-        // Task 0: period 5, phase 0. Task 1: period 10, phase 5. At
-        // t = 5 both release — but task 1's arrival was seeded before
-        // task 0's t = 5 arrival was scheduled (while handling t = 0),
-        // so the heap-driven run pops task 1 first. A (time, index) sort
-        // would wrongly put task 0 first.
-        let s = TaskSet::new(vec![
-            Task::periodic(SimTime::ZERO, d(5), d(5), 1.0),
-            Task::periodic(SimTime::ZERO + d(5), d(10), d(10), 1.0),
-        ]);
-        let tape = s.release_tape(d(20));
-        let order: Vec<(i64, u32)> = tape
-            .entries()
-            .iter()
-            .map(|e| (e.ticks / 1_000_000, e.task))
-            .collect();
-        assert_eq!(
-            order,
-            vec![(0, 0), (5, 1), (5, 0), (10, 0), (15, 1), (15, 0)]
-        );
     }
 
     #[test]

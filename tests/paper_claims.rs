@@ -2,6 +2,7 @@
 //! scale small enough for CI but large enough to be stable.
 
 use harvest_rt::exp::figures::{min_zero_miss_capacity, miss_rate_figure, source_figure, RunPlan};
+use harvest_rt::exp::scenario::SimPool;
 use harvest_rt::prelude::*;
 
 /// Fig. 5: the eq. 13 source realization has the paper's shape.
@@ -186,4 +187,40 @@ fn lsa_zero_miss_is_monotone_in_capacity() {
             }
         }
     }
+}
+
+/// Model pin: EA-DVFS never misses more jobs than LSA on the same cell.
+/// The paper does not prove this. Measured: over 100 task sets × the 12
+/// Fig. 8/9 capacities × U = 0.2, 0.4, 0.6 and 0.8 (4 800 cells), and
+/// 24 task sets per U on a 3% geometric capacity grid from 2 to 400
+/// (17 280 more), no cell had `missed(EA-DVFS) > missed(LSA)`, and
+/// EA-DVFS was strictly better on 110, 300, 464 and 1 200 of the 1 200
+/// Fig. 8/9 cells per U. So EA-DVFS's capacity anomaly
+/// (`ea_dvfs_capacity_anomaly_model_pin`) occurs only where LSA misses
+/// too. This pins the first 16 task sets on the Fig. 8/9 grid (768
+/// cells, EA-DVFS strictly better on 333); a cell that breaks it is a
+/// finding to explain, not noise.
+#[test]
+fn ea_dvfs_misses_no_more_than_lsa_per_cell() {
+    let capacities = [
+        50.0, 100.0, 200.0, 300.0, 500.0, 750.0, 1000.0, 1500.0, 2000.0, 3000.0, 4000.0, 5000.0,
+    ];
+    let arms = [PolicyKind::Lsa, PolicyKind::EaDvfs];
+    let mut pool = SimPool::new();
+    let mut strictly_better = 0;
+    for u in [0.2, 0.4, 0.6, 0.8] {
+        for seed in 0..16 {
+            let prefab = PaperScenario::new(u, capacities[0]).prefab(seed);
+            for c in capacities {
+                let runs = PaperScenario::new(u, c).run_arms_in(&mut pool, &arms, &prefab);
+                let (lsa, ea) = (runs[0].missed(), runs[1].missed());
+                assert!(
+                    ea <= lsa,
+                    "U={u} C={c} seed {seed}: EA-DVFS missed {ea}, LSA {lsa}"
+                );
+                strictly_better += usize::from(ea < lsa);
+            }
+        }
+    }
+    assert!(strictly_better > 0, "the grid never separates the policies");
 }
