@@ -1,6 +1,12 @@
-//! `exp` — record, inspect, and diff observable runs.
+//! `exp` — regenerate the paper's evaluation, and record, inspect, and
+//! diff observable runs.
 //!
 //! ```text
+//! exp fig5        [--seed N] [--csv PATH] [--json PATH]
+//! exp fig6 … fig9 [--trials N] [--threads N] [--csv PATH] [--json PATH]
+//! exp table1      [--trials N] [--threads N] [--csv PATH] [--json PATH]
+//! exp repro-all   [--trials N] [--threads N] [--seed N]
+//! exp validate    [--trials N] [--threads N] [--seed N]
 //! exp record      [--policy NAME] [--util U] [--capacity C] [--seed N]
 //!                 [--horizon UNITS] [--sample UNITS] [--out PATH]
 //! exp record      --key KEY [--out PATH]
@@ -18,6 +24,18 @@
 //! exp store stat    DIR [--json]
 //! exp store compact DIR
 //! ```
+//!
+//! The figure commands regenerate §5: `fig5` … `fig9` and `table1` each
+//! print one figure or table, and write its data as CSV (`--csv`) and as
+//! a JSON [`Record`] (`--json`); `repro-all` prints the whole evaluation
+//! against the paper's values; `validate` checks each paper claim and
+//! exits 1 if one fails. `--trials` (task sets per point) defaults to 20
+//! for `fig6`/`fig7` and `repro-all`, 30 for `fig8`/`fig9`, 10 for
+//! `table1` and 5 for `validate`; `--threads` defaults to
+//! `HARVEST_THREADS`, else the machine's parallelism (at most 16). Their
+//! grids always use seeds `0..trials`; `--seed` picks the realization of
+//! Fig. 5's source. Each opens the store `HARVEST_SWEEP_STORE` selects
+//! (`fig5` none) once, and runs every figure against it.
 //!
 //! `record` replays one §5.1 trial with full observability (trace,
 //! metrics, phase profiling) and writes the run as a JSONL artifact.
@@ -66,7 +84,8 @@
 //!
 //! Exit codes: 0 on success (including sweeps with quarantined cells,
 //! and output cut short because the reader closed stdout), 1 on a
-//! runtime failure, 2 on a usage error.
+//! runtime failure (an unwritable `--csv`, `--json` or `--out` among
+//! them) or a failed `validate` claim, 2 on a usage error.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -75,9 +94,12 @@ use harvest_core::result::SimError;
 use harvest_exp::artifact::RunArtifact;
 use harvest_exp::cache::{fnv1a64, TrialKey};
 use harvest_exp::figures::{
-    miss_rate_figure, robustness_campaign, RobustnessConfig, RunPlan, Sabotage, SweepExecStats,
+    min_capacity_table, miss_rate_figure, remaining_energy_figure, robustness_campaign,
+    source_figure, RobustnessConfig, RunPlan, Sabotage, SweepExecStats, PAPER_TABLE1,
 };
-use harvest_exp::report::Table;
+use harvest_exp::parallel::default_threads;
+use harvest_exp::record::Record;
+use harvest_exp::report::{ascii_plot, fmt_num, Table};
 use harvest_exp::scenario::{PaperScenario, PolicyKind, PredictorKind};
 use harvest_exp::store::{
     open_or_warn, store_dir_from_env, CellOutcome, PackStore, SWEEP_STORE_ENV,
@@ -88,9 +110,14 @@ use harvest_obs::progress::{progress_from_jsonl, ProgressLine};
 use harvest_obs::span::SpanCollector;
 use harvest_obs::MetricsRegistry;
 use harvest_obs::ProgressReporter;
-use serde::Value;
+use serde::{Serialize, Value};
 
 const USAGE: &str = "usage:
+  exp fig5        [--seed N] [--csv PATH] [--json PATH]
+  exp fig6|fig7|fig8|fig9|table1
+                  [--trials N] [--threads N] [--csv PATH] [--json PATH]
+  exp repro-all|validate
+                  [--trials N] [--threads N] [--seed N]
   exp record      [--policy edf|lsa|ea-dvfs|greedy-stretch] [--util U] [--capacity C]
                   [--seed N] [--horizon UNITS] [--sample UNITS] [--out PATH]
   exp record      --key KEY [--out PATH]
@@ -109,7 +136,8 @@ const USAGE: &str = "usage:
                   [--json] [--out PATH]
   exp store stat    DIR [--json]
   exp store compact DIR
-sweep and fault-sweep use HARVEST_SWEEP_STORE=DIR when --store is absent.";
+the figure commands use HARVEST_SWEEP_STORE=DIR as their store;
+sweep and fault-sweep do when --store is absent.";
 
 /// A failed invocation, split by whose fault it is: `Usage` exits 2 and
 /// reprints the usage text, `Runtime` exits 1 with a one-line message.
@@ -173,107 +201,149 @@ struct RecordArgs {
     out: Option<PathBuf>,
 }
 
-impl Default for RecordArgs {
-    fn default() -> Self {
-        RecordArgs {
-            scenario: PaperScenario::new(0.4, 500.0).with_sampling(100),
-            policy: PolicyKind::EaDvfs,
-            seed: 0,
-            out: None,
-        }
-    }
+/// A flag some subcommand takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flag {
+    Policy,
+    Util,
+    Capacity,
+    Seed,
+    Horizon,
+    Sample,
+    Key,
+    Out,
+    Trials,
+    Threads,
+    Store,
+    Durability,
+    Trace,
+    Progress,
+    Intensities,
+    InjectPanic,
+    InjectStarve,
+    ExpectWarm,
+    ExpectResumed,
+    Csv,
+    /// A figure command's `--json PATH`.
+    Json,
+    /// `report --json`, a switch.
+    JsonSwitch,
 }
 
-/// Parameters of one smoke sweep.
-#[derive(Debug, Clone, PartialEq)]
-struct SweepArgs {
-    utilization: f64,
-    trials: usize,
-    threads: usize,
-    store: Option<PathBuf>,
-    /// `None` unless `--durability` was given explicitly.
-    durability: Option<Durability>,
-    trace: Option<PathBuf>,
-    progress: Option<PathBuf>,
-    expect_warm: bool,
-}
-
-impl Default for SweepArgs {
-    fn default() -> Self {
-        SweepArgs {
-            utilization: 0.4,
-            trials: 2,
-            threads: 2,
-            store: None,
-            durability: None,
-            trace: None,
-            progress: None,
-            expect_warm: false,
-        }
-    }
-}
+/// Every flag under the name it is given as. `--json` names two flags:
+/// a figure command's takes a path, `report`'s is a switch.
+const FLAGS: &[(&str, Flag)] = &[
+    ("--policy", Flag::Policy),
+    ("--util", Flag::Util),
+    ("--capacity", Flag::Capacity),
+    ("--seed", Flag::Seed),
+    ("--horizon", Flag::Horizon),
+    ("--sample", Flag::Sample),
+    ("--key", Flag::Key),
+    ("--out", Flag::Out),
+    ("--trials", Flag::Trials),
+    ("--threads", Flag::Threads),
+    ("--store", Flag::Store),
+    ("--durability", Flag::Durability),
+    ("--trace", Flag::Trace),
+    ("--progress", Flag::Progress),
+    ("--intensities", Flag::Intensities),
+    ("--inject-panic", Flag::InjectPanic),
+    ("--inject-starve", Flag::InjectStarve),
+    ("--expect-warm", Flag::ExpectWarm),
+    ("--expect-resumed", Flag::ExpectResumed),
+    ("--csv", Flag::Csv),
+    ("--json", Flag::Json),
+    ("--json", Flag::JsonSwitch),
+];
 
 /// One sabotage target: the (policy, seed, intensity) cell to fail.
 type InjectSpec = (PolicyKind, u64, f64);
 
-/// Parameters of one robustness campaign.
-#[derive(Debug, Clone, PartialEq)]
-struct FaultSweepArgs {
-    utilization: f64,
-    capacity: f64,
-    trials: usize,
-    threads: usize,
-    horizon_units: i64,
-    intensities: Vec<f64>,
+/// The flags one invocation gave, each parsed and range-checked by
+/// [`read_flags`]. A subcommand reads the ones it takes and applies its
+/// own defaults.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct Flags {
+    policy: Option<PolicyKind>,
+    util: Option<f64>,
+    capacity: Option<f64>,
+    seed: Option<u64>,
+    horizon: Option<i64>,
+    sample: Option<i64>,
+    key: Option<String>,
+    out: Option<PathBuf>,
+    trials: Option<usize>,
+    threads: Option<usize>,
     store: Option<PathBuf>,
-    /// `None` unless `--durability` was given explicitly.
     durability: Option<Durability>,
     trace: Option<PathBuf>,
     progress: Option<PathBuf>,
+    intensities: Option<Vec<f64>>,
     inject_panic: Vec<InjectSpec>,
     inject_starve: Vec<InjectSpec>,
+    expect_warm: bool,
     expect_resumed: bool,
+    csv: Option<PathBuf>,
+    json: Option<PathBuf>,
+    json_switch: bool,
 }
 
-impl Default for FaultSweepArgs {
-    fn default() -> Self {
-        FaultSweepArgs {
-            utilization: 0.4,
-            capacity: 300.0,
-            trials: 2,
-            threads: 2,
-            horizon_units: 2_000,
-            intensities: vec![0.0, 0.5, 1.0],
-            store: None,
-            durability: None,
-            trace: None,
-            progress: None,
-            inject_panic: Vec::new(),
-            inject_starve: Vec::new(),
-            expect_resumed: false,
+/// A command that regenerates part of the paper's evaluation (§5).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Figure {
+    Fig5,
+    Fig6,
+    Fig7,
+    Fig8,
+    Fig9,
+    Table1,
+    ReproAll,
+    Validate,
+}
+
+impl Figure {
+    const ALL: [Figure; 8] = [
+        Figure::Fig5,
+        Figure::Fig6,
+        Figure::Fig7,
+        Figure::Fig8,
+        Figure::Fig9,
+        Figure::Table1,
+        Figure::ReproAll,
+        Figure::Validate,
+    ];
+
+    /// The command's name, its `--trials` when none is given, and the
+    /// flags it takes. A grid always uses seeds `0..trials`, so only the
+    /// commands that draw Fig. 5's source take `--seed`; Fig. 5 has no
+    /// grid, so it takes neither `--trials` nor `--threads`.
+    fn spec(self) -> (&'static str, usize, &'static [Flag]) {
+        const GRID: &[Flag] = &[Flag::Trials, Flag::Threads, Flag::Csv, Flag::Json];
+        const SUMMARY: &[Flag] = &[Flag::Trials, Flag::Threads, Flag::Seed];
+        match self {
+            Figure::Fig5 => ("fig5", 1, &[Flag::Seed, Flag::Csv, Flag::Json]),
+            Figure::Fig6 => ("fig6", 20, GRID),
+            Figure::Fig7 => ("fig7", 20, GRID),
+            Figure::Fig8 => ("fig8", 30, GRID),
+            Figure::Fig9 => ("fig9", 30, GRID),
+            Figure::Table1 => ("table1", 10, GRID),
+            Figure::ReproAll => ("repro-all", 20, SUMMARY),
+            Figure::Validate => ("validate", 5, SUMMARY),
         }
     }
-}
-
-/// Parameters of one campaign report.
-#[derive(Debug, Clone, PartialEq, Default)]
-struct ReportArgs {
-    store: Option<PathBuf>,
-    progress: Option<PathBuf>,
-    trace: Option<PathBuf>,
-    json: bool,
-    out: Option<PathBuf>,
 }
 
 /// A parsed invocation.
 #[derive(Debug, Clone, PartialEq)]
 enum Command {
+    Figure(Figure, Flags),
     Record(RecordArgs),
     Inspect(PathBuf),
     Diff { run: PathBuf, baseline: PathBuf },
-    Sweep(SweepArgs),
-    FaultSweep(FaultSweepArgs),
-    Report(ReportArgs),
+    Sweep(Flags),
+    FaultSweep(Flags),
+    Report(Flags),
     StoreStat { dir: PathBuf, json: bool },
     StoreCompact(PathBuf),
 }
@@ -297,70 +367,133 @@ fn parse_util(raw: &str) -> Result<f64, String> {
     Ok(util)
 }
 
-fn parse_record<I, S>(args: I) -> Result<RecordArgs, String>
+/// Parses the value of an integer flag that must be positive:
+/// `--trials`, `--threads`, `--horizon`, `--sample`.
+fn parse_positive<T: std::str::FromStr + PartialOrd + Default>(
+    flag: &str,
+    raw: &str,
+) -> Result<T, String> {
+    raw.parse()
+        .ok()
+        .filter(|n| *n > T::default())
+        .ok_or_else(|| format!("{flag} expects a positive integer"))
+}
+
+/// Reads `args` as flags of `cmd`, which takes those in `accepted`.
+/// Every subcommand's flags come through here, so a flag's parse and
+/// range rule is the same wherever it is taken. A flag `cmd` does not
+/// take is refused before any work starts.
+fn read_flags<I, S>(cmd: &str, args: I, accepted: &[Flag]) -> Result<Flags, String>
 where
     I: IntoIterator<Item = S>,
     S: AsRef<str>,
 {
-    let mut out = RecordArgs::default();
-    let mut key = None;
-    let mut coordinates = false;
+    let mut f = Flags::default();
     let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let flag = flag.as_ref().to_owned();
+    while let Some(arg) = it.next() {
+        let arg = arg.as_ref().to_owned();
+        let Some(&(_, flag)) = FLAGS
+            .iter()
+            .find(|(name, flag)| *name == arg && accepted.contains(flag))
+        else {
+            return Err(if FLAGS.iter().any(|(name, _)| *name == arg) {
+                format!("{cmd} does not take {arg}")
+            } else {
+                format!("unknown flag {arg}")
+            });
+        };
         let mut value = || {
             it.next()
                 .map(|v| v.as_ref().to_owned())
-                .ok_or_else(|| format!("{flag} expects a value"))
+                .ok_or_else(|| format!("{arg} expects a value"))
         };
-        let scenario = &mut out.scenario;
-        match flag.as_str() {
-            "--key" => key = Some(value()?),
-            "--out" => out.out = Some(PathBuf::from(value()?)),
-            "--policy" => out.policy = parse_policy(&value()?)?,
-            "--util" => scenario.utilization = parse_util(&value()?)?,
-            "--capacity" => {
-                scenario.capacity = value()?
+        match flag {
+            Flag::Policy => f.policy = Some(parse_policy(&value()?)?),
+            Flag::Util => f.util = Some(parse_util(&value()?)?),
+            Flag::Capacity => {
+                let capacity: f64 = value()?
                     .parse()
                     .map_err(|_| "--capacity expects a number".to_owned())?;
-                if !(scenario.capacity > 0.0 && scenario.capacity.is_finite()) {
+                if !(capacity > 0.0 && capacity.is_finite()) {
                     return Err("--capacity must be positive".into());
                 }
+                f.capacity = Some(capacity);
             }
-            "--seed" => {
-                out.seed = value()?
-                    .parse()
-                    .map_err(|_| "--seed expects an unsigned integer".to_owned())?;
+            Flag::Seed => {
+                let seed = value()?.parse();
+                f.seed = Some(seed.map_err(|_| "--seed expects an unsigned integer")?);
             }
-            "--horizon" => {
-                scenario.horizon_units = value()?
-                    .parse()
-                    .map_err(|_| "--horizon expects a positive integer".to_owned())?;
-                if scenario.horizon_units <= 0 {
-                    return Err("--horizon must be positive".into());
+            Flag::Horizon => f.horizon = Some(parse_positive(&arg, &value()?)?),
+            Flag::Sample => f.sample = Some(parse_positive(&arg, &value()?)?),
+            Flag::Trials => f.trials = Some(parse_positive(&arg, &value()?)?),
+            Flag::Threads => f.threads = Some(parse_positive(&arg, &value()?)?),
+            Flag::Intensities => {
+                let parsed: Result<Vec<f64>, _> = value()?
+                    .split(',')
+                    .map(|s| s.trim().parse::<f64>())
+                    .collect();
+                let intensities = parsed
+                    .map_err(|_| "--intensities expects comma-separated numbers".to_owned())?;
+                if intensities.is_empty()
+                    || intensities
+                        .iter()
+                        .any(|i| !(i.is_finite() && (0.0..=1.0).contains(i)))
+                {
+                    return Err("--intensities values must lie in [0, 1]".into());
                 }
+                f.intensities = Some(intensities);
             }
-            "--sample" => {
-                let units = value()?
-                    .parse()
-                    .map_err(|_| "--sample expects a positive integer".to_owned())?;
-                if units <= 0 {
-                    return Err("--sample must be positive".into());
-                }
-                scenario.sample_interval_units = Some(units);
+            Flag::InjectPanic => f.inject_panic.push(parse_inject(&value()?)?),
+            Flag::InjectStarve => f.inject_starve.push(parse_inject(&value()?)?),
+            Flag::Durability => {
+                let level = Durability::parse(&value()?);
+                f.durability = Some(level.ok_or("--durability expects none, batch, or record")?);
             }
-            other => return Err(format!("unknown flag {other}")),
+            Flag::Key => f.key = Some(value()?),
+            Flag::Out => f.out = Some(value()?.into()),
+            Flag::Store => f.store = Some(value()?.into()),
+            Flag::Trace => f.trace = Some(value()?.into()),
+            Flag::Progress => f.progress = Some(value()?.into()),
+            Flag::Csv => f.csv = Some(value()?.into()),
+            Flag::Json => f.json = Some(value()?.into()),
+            Flag::JsonSwitch => f.json_switch = true,
+            Flag::ExpectWarm => f.expect_warm = true,
+            Flag::ExpectResumed => f.expect_resumed = true,
         }
-        coordinates |= !matches!(flag.as_str(), "--key" | "--out");
     }
-    if let Some(key) = key {
-        if coordinates {
+    Ok(f)
+}
+
+/// Resolves `record`'s cell: the one `--key` names, else the §5.1 trial
+/// at the coordinate flags (EA-DVFS, U = 0.4, C = 500, seed 0, sampled
+/// every 100 units by default).
+fn record_args(f: Flags) -> Result<RecordArgs, String> {
+    let (scenario, policy, seed) = if let Some(key) = &f.key {
+        // `record` takes only `--key`, `--out` and the coordinates.
+        let coordinates = Flags {
+            key: None,
+            out: None,
+            ..f.clone()
+        };
+        if coordinates != Flags::default() {
             return Err("--key names the whole cell; drop the coordinate flags".into());
         }
-        (out.scenario, out.policy, out.seed) = TrialKey::parse(&key)?;
-        check_scenario(&out.scenario)?;
-    }
-    Ok(out)
+        let cell = TrialKey::parse(key)?;
+        check_scenario(&cell.0)?;
+        cell
+    } else {
+        let mut scenario = PaperScenario::new(f.util.unwrap_or(0.4), f.capacity.unwrap_or(500.0))
+            .with_sampling(f.sample.unwrap_or(100));
+        scenario.horizon_units = f.horizon.unwrap_or(scenario.horizon_units);
+        let policy = f.policy.unwrap_or(PolicyKind::EaDvfs);
+        (scenario, policy, f.seed.unwrap_or(0))
+    };
+    Ok(RecordArgs {
+        scenario,
+        policy,
+        seed,
+        out: f.out,
+    })
 }
 
 /// Refuses a keyed scenario outside the ranges the coordinate flags and
@@ -394,13 +527,19 @@ where
     I: IntoIterator<Item = S>,
     S: AsRef<str>,
 {
+    use Flag::*;
     let mut it = args.into_iter();
     let sub = it
         .next()
         .map(|s| s.as_ref().to_owned())
         .ok_or_else(|| "missing subcommand".to_owned())?;
-    match sub.as_str() {
-        "record" => Ok(Command::Record(parse_record(it)?)),
+    let sub = sub.as_str();
+    match sub {
+        "record" => {
+            let accepted = [Key, Out, Policy, Util, Capacity, Seed, Horizon, Sample];
+            let f = read_flags(sub, it, &accepted)?;
+            Ok(Command::Record(record_args(f)?))
+        }
         "inspect" => {
             let path = it
                 .next()
@@ -425,9 +564,40 @@ where
             }
             Ok(Command::Diff { run, baseline })
         }
-        "sweep" => Ok(Command::Sweep(parse_sweep(it)?)),
-        "fault-sweep" => Ok(Command::FaultSweep(parse_fault_sweep(it)?)),
-        "report" => Ok(Command::Report(parse_report(it)?)),
+        "sweep" => {
+            let accepted = [
+                Util, Trials, Threads, Store, Durability, Trace, Progress, ExpectWarm,
+            ];
+            Ok(Command::Sweep(read_flags(sub, it, &accepted)?))
+        }
+        "fault-sweep" => {
+            let accepted = [
+                Util,
+                Capacity,
+                Trials,
+                Threads,
+                Horizon,
+                Intensities,
+                Store,
+                Durability,
+                Trace,
+                Progress,
+                InjectPanic,
+                InjectStarve,
+                ExpectResumed,
+            ];
+            Ok(Command::FaultSweep(read_flags(sub, it, &accepted)?))
+        }
+        "report" => {
+            let accepted = [Store, Progress, Trace, JsonSwitch, Out];
+            let f = read_flags(sub, it, &accepted)?;
+            if f.store.is_none() && f.progress.is_none() && f.trace.is_none() {
+                return Err(
+                    "report needs at least one input (--store, --progress, or --trace)".into(),
+                );
+            }
+            Ok(Command::Report(f))
+        }
         "store" => {
             let verb = it
                 .next()
@@ -450,7 +620,13 @@ where
                 other => Err(format!("unknown store verb `{other}` (try stat, compact)")),
             }
         }
-        other => Err(format!("unknown subcommand `{other}`")),
+        other => {
+            let fig = Figure::ALL
+                .into_iter()
+                .find(|fig| fig.spec().0 == other)
+                .ok_or_else(|| format!("unknown subcommand `{other}`"))?;
+            Ok(Command::Figure(fig, read_flags(sub, it, fig.spec().2)?))
+        }
     }
 }
 
@@ -475,89 +651,9 @@ fn parse_inject(spec: &str) -> Result<InjectSpec, String> {
     Ok((policy, seed, intensity))
 }
 
-fn parse_fault_sweep<I, S>(args: I) -> Result<FaultSweepArgs, String>
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    let mut out = FaultSweepArgs::default();
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let flag = flag.as_ref().to_owned();
-        let mut value = || {
-            it.next()
-                .map(|v| v.as_ref().to_owned())
-                .ok_or_else(|| format!("{flag} expects a value"))
-        };
-        match flag.as_str() {
-            "--util" => out.utilization = parse_util(&value()?)?,
-            "--capacity" => {
-                out.capacity = value()?
-                    .parse()
-                    .map_err(|_| "--capacity expects a number".to_owned())?;
-                if !(out.capacity > 0.0 && out.capacity.is_finite()) {
-                    return Err("--capacity must be positive".into());
-                }
-            }
-            "--trials" => {
-                out.trials = value()?
-                    .parse()
-                    .map_err(|_| "--trials expects a positive integer".to_owned())?;
-                if out.trials == 0 {
-                    return Err("--trials must be positive".into());
-                }
-            }
-            "--threads" => {
-                out.threads = value()?
-                    .parse()
-                    .map_err(|_| "--threads expects a positive integer".to_owned())?;
-                if out.threads == 0 {
-                    return Err("--threads must be positive".into());
-                }
-            }
-            "--horizon" => {
-                out.horizon_units = value()?
-                    .parse()
-                    .map_err(|_| "--horizon expects a positive integer".to_owned())?;
-                if out.horizon_units <= 0 {
-                    return Err("--horizon must be positive".into());
-                }
-            }
-            "--intensities" => {
-                let raw = value()?;
-                let parsed: Result<Vec<f64>, _> =
-                    raw.split(',').map(|s| s.trim().parse::<f64>()).collect();
-                out.intensities = parsed
-                    .map_err(|_| "--intensities expects comma-separated numbers".to_owned())?;
-                if out.intensities.is_empty()
-                    || out
-                        .intensities
-                        .iter()
-                        .any(|i| !(i.is_finite() && (0.0..=1.0).contains(i)))
-                {
-                    return Err("--intensities values must lie in [0, 1]".into());
-                }
-            }
-            "--store" => out.store = Some(PathBuf::from(value()?)),
-            "--durability" => out.durability = Some(parse_durability(&value()?)?),
-            "--trace" => out.trace = Some(PathBuf::from(value()?)),
-            "--progress" => out.progress = Some(PathBuf::from(value()?)),
-            "--inject-panic" => out.inject_panic.push(parse_inject(&value()?)?),
-            "--inject-starve" => out.inject_starve.push(parse_inject(&value()?)?),
-            "--expect-resumed" => out.expect_resumed = true,
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    Ok(out)
-}
-
-fn parse_durability(level: &str) -> Result<Durability, String> {
-    Durability::parse(level).ok_or_else(|| "--durability expects none, batch, or record".into())
-}
-
-/// Resolves the store `sweep` and `fault-sweep` run against:
+/// Resolves the store a sweep or figure command runs against:
 /// `--store DIR`, else the directory [`SWEEP_STORE_ENV`] names, opened
-/// at `--durability`. An unopenable `--store` is a runtime error; an
+/// at `--durability`. The figure commands take neither flag. An unopenable `--store` is a runtime error; an
 /// unopenable environment store warns and runs unstored. With no store
 /// configured at all, an explicit `--durability` or the `expect` flag
 /// (`--expect-warm` / `--expect-resumed`, if given) is a usage error:
@@ -983,21 +1079,21 @@ fn report_trace(
 
 /// `exp report`: folds a result store, a progress stream, and a span
 /// trace into one campaign report (markdown, or `--json`).
-fn campaign_report(args: &ReportArgs) -> Result<(), ExpError> {
+fn campaign_report(f: &Flags) -> Result<(), ExpError> {
     let mut md = String::from("# Campaign report\n");
     let mut json: Vec<(String, Value)> = Vec::new();
-    if let Some(dir) = &args.store {
+    if let Some(dir) = &f.store {
         let store = PackStore::open_existing(dir)
             .map_err(|e| format!("cannot open store {}: {e}", dir.display()))?;
         report_cells(&store.decided_entries(), &mut md, &mut json);
     }
-    if let Some(path) = &args.progress {
+    if let Some(path) = &f.progress {
         report_progress(path, &mut md, &mut json)?;
     }
-    if let Some(path) = &args.trace {
+    if let Some(path) = &f.trace {
         report_trace(path, &mut md, &mut json)?;
     }
-    let text = if args.json {
+    let text = if f.json_switch {
         let mut s = serde_json::to_string_pretty(&Value::Map(json))
             .map_err(|e| format!("serialize report: {e}"))?;
         s.push('\n');
@@ -1005,7 +1101,7 @@ fn campaign_report(args: &ReportArgs) -> Result<(), ExpError> {
     } else {
         md
     };
-    match &args.out {
+    match &f.out {
         Some(path) => {
             std::fs::write(path, &text)
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -1016,31 +1112,31 @@ fn campaign_report(args: &ReportArgs) -> Result<(), ExpError> {
     Ok(())
 }
 
-fn fault_sweep(args: &FaultSweepArgs, store: Option<&PackStore>) -> Result<(), ExpError> {
+fn fault_sweep(f: &Flags, store: Option<&PackStore>) -> Result<(), ExpError> {
     let config = RobustnessConfig {
-        utilization: args.utilization,
-        capacity: args.capacity,
-        horizon_units: args.horizon_units,
-        intensities: args.intensities.clone(),
+        utilization: f.util.unwrap_or(0.4),
+        capacity: f.capacity.unwrap_or(300.0),
+        horizon_units: f.horizon.unwrap_or(2_000),
+        intensities: f.intensities.clone().unwrap_or_else(|| vec![0.0, 0.5, 1.0]),
         policies: vec![PolicyKind::Edf, PolicyKind::Lsa, PolicyKind::EaDvfs],
         predictors: vec![PredictorKind::Oracle],
-        trials: args.trials,
+        trials: f.trials.unwrap_or(2),
         ..RobustnessConfig::default()
     };
     let matches = |list: &[InjectSpec], cell: &harvest_exp::figures::Cell| {
         list.iter()
             .any(|&(p, s, i)| p == cell.policy && s == cell.seed && i == cell.intensity)
     };
-    let telemetry = build_telemetry(&args.trace, &args.progress)?;
+    let telemetry = build_telemetry(&f.trace, &f.progress)?;
     let plan = RunPlan {
-        threads: args.threads,
+        threads: f.threads.unwrap_or(2),
         store,
         telemetry: &telemetry,
     };
     let report = robustness_campaign(&config, plan, |cell| {
-        if matches(&args.inject_panic, cell) {
+        if matches(&f.inject_panic, cell) {
             Sabotage::Panic
-        } else if matches(&args.inject_starve, cell) {
+        } else if matches(&f.inject_starve, cell) {
             Sabotage::Starve
         } else {
             Sabotage::None
@@ -1051,9 +1147,9 @@ fn fault_sweep(args: &FaultSweepArgs, store: Option<&PackStore>) -> Result<(), E
         "fault-sweep util={} capacity={} trials={} cells={cells} simulated={} resumed={} \
          quarantined={} pool_runs={} event_slab_high_water={} ready_high_water={} \
          figure_fnv64={:016x} prefabs_high_water={}",
-        args.utilization,
-        args.capacity,
-        args.trials,
+        config.utilization,
+        config.capacity,
+        config.trials,
         report.exec.simulated,
         report.resumed,
         report.quarantined.len(),
@@ -1085,8 +1181,8 @@ fn fault_sweep(args: &FaultSweepArgs, store: Option<&PackStore>) -> Result<(), E
         print_store_line(s)?;
     }
     print_metrics(&report.exec, store)?;
-    finish_telemetry(&telemetry, &args.trace)?;
-    if args.expect_resumed && report.exec.simulated != 0 {
+    finish_telemetry(&telemetry, &f.trace)?;
+    if f.expect_resumed && report.exec.simulated != 0 {
         return Err(ExpError::Runtime(format!(
             "expected a resumed campaign but {} of {cells} cells were simulated",
             report.exec.simulated
@@ -1095,98 +1191,25 @@ fn fault_sweep(args: &FaultSweepArgs, store: Option<&PackStore>) -> Result<(), E
     Ok(())
 }
 
-fn parse_sweep<I, S>(args: I) -> Result<SweepArgs, String>
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    let mut out = SweepArgs::default();
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let flag = flag.as_ref().to_owned();
-        let mut value = || {
-            it.next()
-                .map(|v| v.as_ref().to_owned())
-                .ok_or_else(|| format!("{flag} expects a value"))
-        };
-        match flag.as_str() {
-            "--util" => out.utilization = parse_util(&value()?)?,
-            "--trials" => {
-                out.trials = value()?
-                    .parse()
-                    .map_err(|_| "--trials expects a positive integer".to_owned())?;
-                if out.trials == 0 {
-                    return Err("--trials must be positive".into());
-                }
-            }
-            "--threads" => {
-                out.threads = value()?
-                    .parse()
-                    .map_err(|_| "--threads expects a positive integer".to_owned())?;
-                if out.threads == 0 {
-                    return Err("--threads must be positive".into());
-                }
-            }
-            "--store" => out.store = Some(PathBuf::from(value()?)),
-            "--durability" => out.durability = Some(parse_durability(&value()?)?),
-            "--trace" => out.trace = Some(PathBuf::from(value()?)),
-            "--progress" => out.progress = Some(PathBuf::from(value()?)),
-            "--expect-warm" => out.expect_warm = true,
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    Ok(out)
-}
-
-fn parse_report<I, S>(args: I) -> Result<ReportArgs, String>
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    let mut out = ReportArgs::default();
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let flag = flag.as_ref().to_owned();
-        let mut value = || {
-            it.next()
-                .map(|v| v.as_ref().to_owned())
-                .ok_or_else(|| format!("{flag} expects a value"))
-        };
-        match flag.as_str() {
-            "--store" => out.store = Some(PathBuf::from(value()?)),
-            "--progress" => out.progress = Some(PathBuf::from(value()?)),
-            "--trace" => out.trace = Some(PathBuf::from(value()?)),
-            "--json" => out.json = true,
-            "--out" => out.out = Some(PathBuf::from(value()?)),
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if out.store.is_none() && out.progress.is_none() && out.trace.is_none() {
-        return Err("report needs at least one input (--store, --progress, or --trace)".into());
-    }
-    Ok(out)
-}
-
-fn sweep(args: &SweepArgs, store: Option<&PackStore>) -> Result<(), ExpError> {
-    let telemetry = build_telemetry(&args.trace, &args.progress)?;
+fn sweep(f: &Flags, store: Option<&PackStore>) -> Result<(), ExpError> {
+    let (utilization, trials) = (f.util.unwrap_or(0.4), f.trials.unwrap_or(2));
+    let telemetry = build_telemetry(&f.trace, &f.progress)?;
     let plan = RunPlan {
-        threads: args.threads,
+        threads: f.threads.unwrap_or(2),
         store,
         telemetry: &telemetry,
     };
     let (figure, stats) = miss_rate_figure(
-        args.utilization,
+        utilization,
         &[PolicyKind::Lsa, PolicyKind::EaDvfs],
-        args.trials,
+        trials,
         plan,
     );
     let json = serde_json::to_string(&figure).map_err(|e| format!("serialize figure: {e}"))?;
     outln!(
-        "sweep util={} trials={} cells={} simulated={} cached={} pool_runs={} \
+        "sweep util={utilization} trials={trials} cells={} simulated={} cached={} pool_runs={} \
          event_slab_high_water={} ready_high_water={} shared_events={} figure_fnv64={:016x} \
          prefabs_high_water={}",
-        args.utilization,
-        args.trials,
         stats.simulated + stats.cached,
         stats.simulated,
         stats.cached,
@@ -1201,8 +1224,8 @@ fn sweep(args: &SweepArgs, store: Option<&PackStore>) -> Result<(), ExpError> {
         print_store_line(s)?;
     }
     print_metrics(&stats, store)?;
-    finish_telemetry(&telemetry, &args.trace)?;
-    if args.expect_warm && stats.simulated != 0 {
+    finish_telemetry(&telemetry, &f.trace)?;
+    if f.expect_warm && stats.simulated != 0 {
         return Err(ExpError::Runtime(format!(
             "expected a warm store but {} of {} cells were simulated",
             stats.simulated,
@@ -1210,6 +1233,321 @@ fn sweep(args: &SweepArgs, store: Option<&PackStore>) -> Result<(), ExpError> {
         )));
     }
     Ok(())
+}
+
+/// Runs a figure command. Every driver it runs shares one plan: the
+/// command's threads, against the store `HARVEST_SWEEP_STORE` selects,
+/// opened once (Fig. 5 runs no grid and opens none).
+fn figure(fig: Figure, f: &Flags) -> Result<(), ExpError> {
+    let trials = f.trials.unwrap_or(fig.spec().1);
+    let threads = f.threads.unwrap_or_else(default_threads);
+    let seed = f.seed.unwrap_or(0);
+    let store = match fig {
+        Figure::Fig5 => None,
+        _ => resolve_store(&None, None, None)?,
+    };
+    let plan = RunPlan {
+        store: store.as_ref(),
+        ..RunPlan::new(threads)
+    };
+    match fig {
+        Figure::Fig5 => fig5(f, seed, trials),
+        Figure::Fig6 | Figure::Fig7 => remaining_energy(fig, f, trials, plan),
+        Figure::Fig8 | Figure::Fig9 => miss_rate(fig, f, trials, plan),
+        Figure::Table1 => table1(f, trials, plan),
+        Figure::ReproAll => repro_all(seed, trials, threads, plan),
+        Figure::Validate => validate(seed, trials, plan),
+    }
+}
+
+/// Writes a figure's data once the figure has printed: `table` as CSV
+/// to `--csv`, `data` as a JSON [`Record`] to `--json`, each named on
+/// stderr. A path that cannot be written fails the command.
+fn write_data<T: Serialize>(
+    f: &Flags,
+    figure: Figure,
+    trials: usize,
+    table: &Table,
+    data: &T,
+) -> Result<(), ExpError> {
+    if let Some(path) = &f.csv {
+        std::fs::write(path, table.to_csv())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        eprintln!("wrote {}", path.display());
+    }
+    if let Some(path) = &f.json {
+        Record::new(figure.spec().0, trials, f.seed.unwrap_or(0), data)
+            .write_to(path)
+            .map_err(|e| e.to_string())?;
+        eprintln!("wrote {}", path.display());
+    }
+    Ok(())
+}
+
+/// Fig. 5: one realization of the eq. 13 solar source over 10 000 units.
+fn fig5(f: &Flags, seed: u64, trials: usize) -> Result<(), ExpError> {
+    let fig = source_figure(seed, 10_000);
+    outln!("Figure 5: energy source behaviour (eq. 13, seed {seed})\n")?;
+    // Plot a 200-point decimation so the terminal plot stays readable.
+    let stride = fig.power.len() / 200;
+    let decimated: Vec<f64> = fig.power.iter().step_by(stride.max(1)).copied().collect();
+    outln!(
+        "{}",
+        ascii_plot(&[("PS(t)", &decimated)], "t (x50 units)", 100, 16)
+    )?;
+    outln!("mean power  : {}", fmt_num(fig.mean))?;
+    outln!("peak power  : {}", fmt_num(fig.max))?;
+    outln!("paper shape : spiky, cos^2 envelope, peaks near 20, mean ~2")?;
+    let mut csv = Table::new(vec!["t", "ps"]);
+    for (t, p) in fig.times.iter().zip(&fig.power) {
+        csv.row(vec![fmt_num(*t), fmt_num(*p)]);
+    }
+    write_data(f, Figure::Fig5, trials, &csv, &fig)
+}
+
+/// Figs. 6 and 7: normalized remaining energy over time, and its time
+/// average per capacity.
+fn remaining_energy(
+    figure: Figure,
+    f: &Flags,
+    trials: usize,
+    plan: RunPlan<'_>,
+) -> Result<(), ExpError> {
+    let (number, u, shape) = match figure {
+        Figure::Fig6 => (6, 0.4, "EA-DVFS curve sits clearly above LSA"),
+        _ => (7, 0.8, "the two curves nearly coincide at high utilization"),
+    };
+    let policies = [PolicyKind::EaDvfs, PolicyKind::Lsa];
+    let (fig, _) = remaining_energy_figure(u, &policies, trials, 100, plan);
+    outln!(
+        "Figure {number}: normalized remaining energy, U = {u} ({} task sets x {} capacities)\n",
+        fig.trials,
+        fig.capacities.len()
+    )?;
+    let ea = fig.curve(PolicyKind::EaDvfs).expect("EA-DVFS ran");
+    let lsa = fig.curve(PolicyKind::Lsa).expect("LSA ran");
+    outln!(
+        "{}",
+        ascii_plot(&[("EA-DVFS", ea), ("LSA", lsa)], "t (x100 units)", 100, 16)
+    )?;
+    outln!(
+        "time-averaged normalized remaining energy: EA-DVFS {} vs LSA {}",
+        fmt_num(fig.mean_level(PolicyKind::EaDvfs).expect("EA-DVFS ran")),
+        fmt_num(fig.mean_level(PolicyKind::Lsa).expect("LSA ran")),
+    )?;
+    outln!("paper shape: {shape}\n")?;
+    let mut breakdown = Table::new(vec!["capacity", "EA-DVFS", "LSA", "gap"]);
+    for (c, row) in fig.capacities.iter().zip(&fig.per_capacity) {
+        breakdown.row(vec![
+            fmt_num(*c),
+            format!("{:.3}", row[0]),
+            format!("{:.3}", row[1]),
+            format!("{:+.3}", row[0] - row[1]),
+        ]);
+    }
+    outln!("per-capacity time-averaged normalized level:")?;
+    outln!("{}", breakdown.render())?;
+    let mut csv = Table::new(vec!["t", "ea_dvfs", "lsa"]);
+    for ((t, e), l) in fig.times.iter().zip(ea).zip(lsa) {
+        csv.row(vec![fmt_num(*t), fmt_num(*e), fmt_num(*l)]);
+    }
+    write_data(f, figure, trials, &csv, &fig)
+}
+
+/// Figs. 8 and 9: deadline miss rate against normalized capacity. Fig. 8
+/// also prints the reduction the paper claims there.
+fn miss_rate(figure: Figure, f: &Flags, trials: usize, plan: RunPlan<'_>) -> Result<(), ExpError> {
+    let (number, u, claim) = match figure {
+        Figure::Fig8 => (
+            8,
+            0.4,
+            "EA-DVFS reduces the miss rate by over 50% on average at U = 0.4",
+        ),
+        _ => (9, 0.8, "at U = 0.8 EA-DVFS performs about as well as LSA"),
+    };
+    let reduction = number == 8;
+    let policies = [PolicyKind::Lsa, PolicyKind::EaDvfs];
+    let (fig, _) = miss_rate_figure(u, &policies, trials, plan);
+    outln!(
+        "Figure {number}: deadline miss rate vs normalized capacity, U = {u} ({} task sets/point)\n",
+        fig.trials
+    )?;
+    let mut header = vec!["C/Cmax", "LSA", "EA-DVFS"];
+    if reduction {
+        header.push("reduction");
+    }
+    let mut table = Table::new(header);
+    for row in &fig.rows {
+        let (lsa, ea) = (row.miss_rates[0], row.miss_rates[1]);
+        let mut cells = vec![
+            format!("{:.2}", row.normalized_capacity),
+            fmt_num(lsa),
+            fmt_num(ea),
+        ];
+        if reduction {
+            cells.push(if lsa > 0.0 {
+                format!("{:.0}%", 100.0 * (lsa - ea) / lsa)
+            } else {
+                "-".into()
+            });
+        }
+        table.row(cells);
+    }
+    outln!("{}", table.render())?;
+    let lsa = fig.mean_miss_rate(PolicyKind::Lsa).expect("LSA ran");
+    let ea = fig.mean_miss_rate(PolicyKind::EaDvfs).expect("EA-DVFS ran");
+    let means = format!(
+        "mean miss rate: LSA {} vs EA-DVFS {}",
+        fmt_num(lsa),
+        fmt_num(ea)
+    );
+    if reduction {
+        let percent = 100.0 * (lsa - ea) / lsa.max(1e-12);
+        outln!("{means} (reduction {percent:.0}%)")?;
+    } else {
+        outln!("{means}")?;
+    }
+    outln!("paper claim: {claim}")?;
+    write_data(f, figure, trials, &table, &fig)
+}
+
+/// Table 1: the smallest miss-free capacity of each policy at the
+/// paper's utilizations, and their ratio next to the paper's.
+fn table1(f: &Flags, trials: usize, plan: RunPlan<'_>) -> Result<(), ExpError> {
+    let (t1, _) = min_capacity_table(&PAPER_TABLE1.map(|(u, _)| u), trials, plan);
+    outln!(
+        "Table 1: minimum storage capacity for zero miss rate ({} task sets per point)\n",
+        t1.trials
+    )?;
+    let mut table = Table::new(vec!["U", "Cmin-LSA", "Cmin-EA-DVFS", "ratio"]);
+    for row in &t1.rows {
+        table.row(vec![
+            format!("{:.1}", row.utilization),
+            fmt_num(row.cmin_lsa),
+            fmt_num(row.cmin_ea_dvfs),
+            format!("{:.2}", row.ratio),
+        ]);
+    }
+    outln!("{}", table.render())?;
+    let utils = PAPER_TABLE1.map(|(u, _)| format!("{u:.1}")).join(" / ");
+    let ratios = PAPER_TABLE1.map(|(_, r)| format!("{r:.2}")).join(" / ");
+    outln!("paper row:   U = {utils}  ->  {ratios}")?;
+    outln!("expectation: ratio large at low U, approaching 1 as U grows")?;
+    write_data(f, Figure::Table1, trials, &table, &t1)
+}
+
+/// The whole evaluation — Figures 5–9 and Table 1 — as one compact
+/// paper-vs-measured summary.
+fn repro_all(seed: u64, trials: usize, threads: usize, plan: RunPlan<'_>) -> Result<(), ExpError> {
+    let policies = [PolicyKind::Lsa, PolicyKind::EaDvfs];
+    outln!("EA-DVFS reproduction — full evaluation ({trials} trials/point, {threads} threads)\n")?;
+    let src = source_figure(seed, 10_000);
+    outln!(
+        "[fig5] source: mean {} (paper ~2), peak {} (paper ~20)",
+        fmt_num(src.mean),
+        fmt_num(src.max)
+    )?;
+    for (label, u) in [("fig6", 0.4), ("fig7", 0.8)] {
+        let (fig, _) = remaining_energy_figure(u, &policies, trials, 100, plan);
+        outln!(
+            "[{label}] U={u}: mean normalized remaining energy LSA {} vs EA-DVFS {}",
+            fmt_num(fig.mean_level(PolicyKind::Lsa).expect("LSA ran")),
+            fmt_num(fig.mean_level(PolicyKind::EaDvfs).expect("EA-DVFS ran"))
+        )?;
+    }
+    for (label, u) in [("fig8", 0.4), ("fig9", 0.8)] {
+        let (fig, _) = miss_rate_figure(u, &policies, trials, plan);
+        let lsa = fig.mean_miss_rate(PolicyKind::Lsa).expect("LSA ran");
+        let ea = fig.mean_miss_rate(PolicyKind::EaDvfs).expect("EA-DVFS ran");
+        outln!(
+            "[{label}] U={u}: mean miss rate LSA {} vs EA-DVFS {} (reduction {:.0}%)",
+            fmt_num(lsa),
+            fmt_num(ea),
+            100.0 * (lsa - ea) / lsa.max(1e-12)
+        )?;
+    }
+    let (t1, _) = min_capacity_table(&PAPER_TABLE1.map(|(u, _)| u), trials, plan);
+    let mut table = Table::new(vec!["U", "ratio (paper)", "ratio (measured)"]);
+    for (row, (_, paper)) in t1.rows.iter().zip(PAPER_TABLE1) {
+        table.row(vec![
+            format!("{:.1}", row.utilization),
+            format!("{paper:.2}"),
+            format!("{:.2}", row.ratio),
+        ]);
+    }
+    outln!(
+        "\n[table1] Cmin-LSA / Cmin-EA-DVFS ({} task sets per utilization)",
+        t1.trials
+    )?;
+    outln!("{}", table.render())
+}
+
+/// PASS/FAIL of every paper claim at reduced scale: a reproduction
+/// smoke that fails (exit 1) when any claim does not hold.
+fn validate(seed: u64, trials: usize, plan: RunPlan<'_>) -> Result<(), ExpError> {
+    let policies = [PolicyKind::Lsa, PolicyKind::EaDvfs];
+    let src = source_figure(seed, 10_000);
+    let (fig6, _) = remaining_energy_figure(0.4, &policies, trials, 200, plan);
+    let (fig7, _) = remaining_energy_figure(0.8, &policies, trials, 200, plan);
+    // EA-DVFS − LSA at C = 200.
+    let gap6 = fig6.per_capacity[0][1] - fig6.per_capacity[0][0];
+    let gap7 = fig7.per_capacity[0][1] - fig7.per_capacity[0][0];
+    let mean_miss_rates = |u: f64| {
+        let (fig, _) = miss_rate_figure(u, &policies, trials, plan);
+        let lsa = fig.mean_miss_rate(PolicyKind::Lsa).expect("LSA ran");
+        let ea = fig.mean_miss_rate(PolicyKind::EaDvfs).expect("EA-DVFS ran");
+        (lsa, ea, (lsa - ea) / lsa.max(1e-12))
+    };
+    let (l8, e8, red8) = mean_miss_rates(0.4);
+    let (l9, e9, red9) = mean_miss_rates(0.8);
+    let (t1, _) = min_capacity_table(&[0.2, 0.8], trials, plan);
+    let (r02, r08) = (t1.rows[0].ratio, t1.rows[1].ratio);
+    let checks = [
+        (
+            "fig5: eq.13 source mean ~2, non-negative",
+            (src.mean - 2.0).abs() < 0.4 && src.power.iter().all(|&p| p >= 0.0),
+            format!("mean {:.3}, peak {:.1}", src.mean, src.max),
+        ),
+        (
+            "fig6: EA-DVFS stores more at U=0.4 (C=200)",
+            gap6 > 0.0,
+            format!("gap {gap6:+.3}"),
+        ),
+        (
+            "fig7: gap collapses at U=0.8",
+            gap7.abs() < gap6.abs() || gap7.abs() < 0.02,
+            format!("gap {gap7:+.3} vs {gap6:+.3}"),
+        ),
+        (
+            "fig8: >=35% average miss-rate reduction at U=0.4",
+            red8 > 0.35,
+            format!("LSA {l8:.3} vs EA {e8:.3} ({:.0}%)", 100.0 * red8),
+        ),
+        (
+            "fig9: reduction shrinks at U=0.8, EA never worse",
+            e9 <= l9 + 0.02 && red9 < red8,
+            format!("LSA {l9:.3} vs EA {e9:.3} ({:.0}%)", 100.0 * red9),
+        ),
+        (
+            "table1: Cmin ratio large at U=0.2, ~1 at U=0.8",
+            r02 > 1.15 && r08 < r02 && r08 < 1.5,
+            format!("ratio(0.2) {r02:.2}, ratio(0.8) {r08:.2}"),
+        ),
+    ];
+    outln!("EA-DVFS reproduction validation ({trials} trials/point)\n")?;
+    for (name, passed, detail) in &checks {
+        let mark = if *passed { "PASS" } else { "FAIL" };
+        outln!("[{mark}] {name:55} {detail}")?;
+    }
+    let failed = checks.iter().filter(|(_, passed, _)| !passed).count();
+    if failed == 0 {
+        return outln!("\nall {} claims hold", checks.len());
+    }
+    outln!("\nsome claims FAILED — raise --trials before concluding")?;
+    Err(ExpError::Runtime(format!(
+        "{failed} of {} claims failed",
+        checks.len()
+    )))
 }
 
 /// Replays the cell with full observability: its artifact, and the
@@ -1244,6 +1582,7 @@ fn load(path: &PathBuf) -> Result<RunArtifact, String> {
 
 fn run(cmd: Command) -> Result<(), ExpError> {
     match cmd {
+        Command::Figure(fig, f) => figure(fig, &f),
         Command::Record(args) => {
             let (artifact, aborted) = record(&args);
             write_artifact(&artifact, &args.out)?;
@@ -1254,17 +1593,17 @@ fn run(cmd: Command) -> Result<(), ExpError> {
             let diff = load(&run)?.render_diff(&load(&baseline)?)?;
             out(format_args!("{diff}"))
         }
-        Command::Sweep(args) => {
-            let expect = args.expect_warm.then_some("--expect-warm");
-            let store = resolve_store(&args.store, args.durability, expect)?;
-            sweep(&args, store.as_ref())
+        Command::Sweep(f) => {
+            let expect = f.expect_warm.then_some("--expect-warm");
+            let store = resolve_store(&f.store, f.durability, expect)?;
+            sweep(&f, store.as_ref())
         }
-        Command::FaultSweep(args) => {
-            let expect = args.expect_resumed.then_some("--expect-resumed");
-            let store = resolve_store(&args.store, args.durability, expect)?;
-            fault_sweep(&args, store.as_ref())
+        Command::FaultSweep(f) => {
+            let expect = f.expect_resumed.then_some("--expect-resumed");
+            let store = resolve_store(&f.store, f.durability, expect)?;
+            fault_sweep(&f, store.as_ref())
         }
-        Command::Report(args) => campaign_report(&args),
+        Command::Report(f) => campaign_report(&f),
         Command::StoreStat { dir, json } => store_stat(&dir, json),
         Command::StoreCompact(dir) => store_compact(&dir),
     }
@@ -1293,9 +1632,28 @@ fn main() {
 mod tests {
     use super::*;
 
+    /// The cell `exp record ARGS` replays.
+    fn record_cell(args: &[&str]) -> Result<RecordArgs, String> {
+        match parse_command(std::iter::once("record").chain(args.iter().copied()))? {
+            Command::Record(cell) => Ok(cell),
+            other => panic!("wrong command: {other:?}"),
+        }
+    }
+
+    /// The flags `exp CMD ARGS` parses to, for a command that keeps them.
+    fn flags(cmd: &str, args: &[&str]) -> Result<Flags, String> {
+        match parse_command(std::iter::once(cmd).chain(args.iter().copied()))? {
+            Command::Figure(_, f)
+            | Command::Sweep(f)
+            | Command::FaultSweep(f)
+            | Command::Report(f) => Ok(f),
+            other => panic!("wrong command: {other:?}"),
+        }
+    }
+
     #[test]
     fn record_flags_parse() {
-        let args = parse_record([
+        let args = record_cell(&[
             "--policy",
             "lsa",
             "--util",
@@ -1319,13 +1677,22 @@ mod tests {
         assert_eq!(args.scenario.horizon_units, 1000);
         assert_eq!(args.scenario.sample_interval_units, Some(50));
         assert_eq!(args.out, Some(PathBuf::from("/tmp/run.jsonl")));
+        assert_eq!(
+            record_cell(&[]).unwrap(),
+            RecordArgs {
+                scenario: PaperScenario::new(0.4, 500.0).with_sampling(100),
+                policy: PolicyKind::EaDvfs,
+                seed: 0,
+                out: None,
+            }
+        );
     }
 
     #[test]
     fn record_key_names_the_whole_cell() {
         let scenario = PaperScenario::new(0.8, 200.0).with_fault_intensity(0.5);
         let key = TrialKey::new(&scenario, PolicyKind::Lsa, 9);
-        let args = parse_record(["--key", key.text(), "--out", "/tmp/run.jsonl"]).unwrap();
+        let args = record_cell(&["--key", key.text(), "--out", "/tmp/run.jsonl"]).unwrap();
         assert_eq!(
             args,
             RecordArgs {
@@ -1337,9 +1704,9 @@ mod tests {
         );
         // The coordinate flags build the key of what they replay.
         let coords =
-            parse_record(["--policy", "lsa", "--util", "0.8", "--capacity", "200"]).unwrap();
+            record_cell(&["--policy", "lsa", "--util", "0.8", "--capacity", "200"]).unwrap();
         let rebuilt = TrialKey::new(&coords.scenario, coords.policy, coords.seed);
-        assert_eq!(parse_record(["--key", rebuilt.text()]).unwrap(), coords);
+        assert_eq!(record_cell(&["--key", rebuilt.text()]).unwrap(), coords);
 
         let text = key.text();
         let refused = [
@@ -1353,7 +1720,7 @@ mod tests {
         ];
         for bad in &refused {
             assert_ne!(bad, text);
-            assert!(parse_record(["--key", bad]).is_err(), "{bad}");
+            assert!(record_cell(&["--key", bad.as_str()]).is_err(), "{bad}");
         }
         // Canonical keys of scenarios the simulator would reject.
         let mut too_busy = scenario.clone();
@@ -1363,19 +1730,20 @@ mod tests {
             .with_predictor(PredictorKind::MovingAverage { window: 0 });
         for bad in [too_busy, no_window] {
             let bad = TrialKey::new(&bad, PolicyKind::Lsa, 9);
-            assert!(parse_record(["--key", bad.text()])
+            assert!(record_cell(&["--key", bad.text()])
                 .unwrap_err()
                 .contains("outside the ranges"));
         }
-        assert!(parse_record(["--key", text, "--seed", "9"])
+        assert!(record_cell(&["--key", text, "--seed", "9"])
             .unwrap_err()
             .contains("drop the coordinate flags"));
-        assert!(parse_record(["--key"]).is_err());
+        assert!(record_cell(&["--key"]).is_err());
     }
 
     #[test]
     fn sweep_flags_parse() {
-        let args = parse_sweep([
+        let parse_sweep = |args: &[&str]| flags("sweep", args);
+        let args = parse_sweep(&[
             "--util",
             "0.8",
             "--trials",
@@ -1387,29 +1755,30 @@ mod tests {
             "--expect-warm",
         ])
         .unwrap();
-        assert_eq!(args.utilization, 0.8);
-        assert_eq!(args.trials, 3);
-        assert_eq!(args.threads, 2);
+        assert_eq!(args.util, Some(0.8));
+        assert_eq!(args.trials, Some(3));
+        assert_eq!(args.threads, Some(2));
         assert_eq!(args.store, Some(PathBuf::from("/tmp/sweep-store")));
         assert!(args.expect_warm);
         assert_eq!(args.trace, None);
         assert_eq!(args.progress, None);
 
-        let traced = parse_sweep(["--trace", "/tmp/t.json", "--progress", "/tmp/p.jsonl"]).unwrap();
+        let traced =
+            parse_sweep(&["--trace", "/tmp/t.json", "--progress", "/tmp/p.jsonl"]).unwrap();
         assert_eq!(traced.trace, Some(PathBuf::from("/tmp/t.json")));
         assert_eq!(traced.progress, Some(PathBuf::from("/tmp/p.jsonl")));
-        assert_eq!(parse_sweep(["--util", "1"]).unwrap().utilization, 1.0);
-        assert!(parse_sweep(["--util", "1.5"])
+        assert_eq!(parse_sweep(&["--util", "1"]).unwrap().util, Some(1.0));
+        assert!(parse_sweep(&["--util", "1.5"])
             .unwrap_err()
             .contains("(0, 1]"));
-        assert!(parse_sweep(["--trials", "0"]).is_err());
-        assert!(parse_sweep(["--bogus"]).is_err());
+        assert!(parse_sweep(&["--trials", "0"]).is_err());
+        assert!(parse_sweep(&["--bogus"]).is_err());
 
-        let stored = parse_sweep(["--store", "/tmp/sweep-store"]).unwrap();
+        let stored = parse_sweep(&["--store", "/tmp/sweep-store"]).unwrap();
         assert_eq!(stored.store, Some(PathBuf::from("/tmp/sweep-store")));
         assert_eq!(stored.durability, None, "no explicit level");
         for removed in ["--cache", "--manifest", "--batch", "--batch-group"] {
-            assert!(parse_sweep([removed, "/tmp/b"])
+            assert!(parse_sweep(&[removed, "/tmp/b"])
                 .unwrap_err()
                 .contains("unknown flag"));
         }
@@ -1419,17 +1788,18 @@ mod tests {
             ("batch", Durability::Batch),
             ("record", Durability::Record),
         ] {
-            let parsed = parse_sweep(["--durability", name]).unwrap();
+            let parsed = parse_sweep(&["--durability", name]).unwrap();
             assert_eq!(parsed.durability, Some(level));
         }
-        assert!(parse_sweep(["--durability", "paranoid"])
+        assert!(parse_sweep(&["--durability", "paranoid"])
             .unwrap_err()
             .contains("none, batch, or record"));
     }
 
     #[test]
     fn fault_sweep_flags_parse() {
-        let args = parse_fault_sweep([
+        let parse_fault_sweep = |args: &[&str]| flags("fault-sweep", args);
+        let args = parse_fault_sweep(&[
             "--util",
             "0.8",
             "--capacity",
@@ -1451,44 +1821,45 @@ mod tests {
             "--expect-resumed",
         ])
         .unwrap();
-        assert_eq!(args.utilization, 0.8);
-        assert_eq!(args.capacity, 200.0);
-        assert_eq!(args.trials, 3);
-        assert_eq!(args.horizon_units, 1500);
-        assert_eq!(args.intensities, vec![0.0, 0.5, 1.0]);
+        assert_eq!(args.util, Some(0.8));
+        assert_eq!(args.capacity, Some(200.0));
+        assert_eq!(args.trials, Some(3));
+        assert_eq!(args.horizon, Some(1500));
+        assert_eq!(args.intensities, Some(vec![0.0, 0.5, 1.0]));
         assert_eq!(args.store, Some(PathBuf::from("/tmp/c")));
         assert_eq!(args.inject_panic, vec![(PolicyKind::Lsa, 0, 0.5)]);
         assert_eq!(args.inject_starve, vec![(PolicyKind::EaDvfs, 1, 1.0)]);
         assert!(args.expect_resumed);
-        assert!(parse_fault_sweep(["--util", "1.5"])
+        assert!(parse_fault_sweep(&["--util", "1.5"])
             .unwrap_err()
             .contains("(0, 1]"));
-        assert!(parse_fault_sweep(["--intensities", "2.0"]).is_err());
-        assert!(parse_fault_sweep(["--inject-panic", "lsa:0"]).is_err());
-        assert!(parse_fault_sweep(["--inject-panic", "sjf:0:0.5"]).is_err());
+        assert!(parse_fault_sweep(&["--intensities", "2.0"]).is_err());
+        assert!(parse_fault_sweep(&["--inject-panic", "lsa:0"]).is_err());
+        assert!(parse_fault_sweep(&["--inject-panic", "sjf:0:0.5"]).is_err());
 
-        let stored = parse_fault_sweep(["--store", "/tmp/campaign"]).unwrap();
+        let stored = parse_fault_sweep(&["--store", "/tmp/campaign"]).unwrap();
         assert_eq!(stored.store, Some(PathBuf::from("/tmp/campaign")));
         assert_eq!(stored.durability, None);
         let durable =
-            parse_fault_sweep(["--store", "/tmp/campaign", "--durability", "record"]).unwrap();
+            parse_fault_sweep(&["--store", "/tmp/campaign", "--durability", "record"]).unwrap();
         assert_eq!(durable.durability, Some(Durability::Record));
-        assert!(parse_fault_sweep(["--durability", "fsync-everything"]).is_err());
+        assert!(parse_fault_sweep(&["--durability", "fsync-everything"]).is_err());
         for removed in ["--cache", "--manifest", "--batch"] {
-            assert!(parse_fault_sweep([removed, "/tmp/b"])
+            assert!(parse_fault_sweep(&[removed, "/tmp/b"])
                 .unwrap_err()
                 .contains("unknown flag"));
         }
 
         let observed =
-            parse_fault_sweep(["--trace", "/tmp/t.json", "--progress", "/tmp/p.jsonl"]).unwrap();
+            parse_fault_sweep(&["--trace", "/tmp/t.json", "--progress", "/tmp/p.jsonl"]).unwrap();
         assert_eq!(observed.trace, Some(PathBuf::from("/tmp/t.json")));
         assert_eq!(observed.progress, Some(PathBuf::from("/tmp/p.jsonl")));
     }
 
     #[test]
     fn report_flags_parse() {
-        let args = parse_report([
+        let parse_report = |args: &[&str]| flags("report", args);
+        let args = parse_report(&[
             "--store",
             "/tmp/s",
             "--progress",
@@ -1503,23 +1874,62 @@ mod tests {
         assert_eq!(args.store, Some(PathBuf::from("/tmp/s")));
         assert_eq!(args.progress, Some(PathBuf::from("/tmp/p.jsonl")));
         assert_eq!(args.trace, Some(PathBuf::from("/tmp/t.json")));
-        assert!(args.json);
+        assert!(args.json_switch);
         assert_eq!(args.out, Some(PathBuf::from("/tmp/report.json")));
 
-        let from_store = parse_report(["--store", "/tmp/s"]).unwrap();
-        assert!(!from_store.json);
+        let from_store = parse_report(&["--store", "/tmp/s"]).unwrap();
+        assert!(!from_store.json_switch);
 
         // No input at all is a usage error; so is the removed manifest.
-        assert!(parse_report(Vec::<String>::new())
+        assert!(parse_report(&[])
             .unwrap_err()
             .contains("at least one input"));
-        assert!(parse_report(["--json"])
+        assert!(parse_report(&["--json"])
             .unwrap_err()
             .contains("at least one input"));
-        assert!(parse_report(["--manifest", "/tmp/b"])
+        assert!(parse_report(&["--manifest", "/tmp/b"])
             .unwrap_err()
             .contains("unknown flag"));
-        assert!(parse_report(["--bogus"]).is_err());
+        assert!(parse_report(&["--bogus"]).is_err());
+    }
+
+    #[test]
+    fn figure_flags_parse() {
+        let args = [
+            "--trials",
+            "7",
+            "--threads",
+            "3",
+            "--csv",
+            "a",
+            "--json",
+            "b",
+        ];
+        assert_eq!(
+            flags("fig6", &args).unwrap(),
+            Flags {
+                trials: Some(7),
+                threads: Some(3),
+                csv: Some(PathBuf::from("a")),
+                json: Some(PathBuf::from("b")),
+                ..Flags::default()
+            }
+        );
+        // Fig. 5 and the summaries take the seed of Fig. 5's source; a
+        // flag left out takes the command's default when it runs.
+        for cmd in ["fig5", "repro-all", "validate"] {
+            assert_eq!(flags(cmd, &["--seed", "7"]).unwrap().seed, Some(7));
+            assert_eq!(flags(cmd, &[]).unwrap(), Flags::default());
+        }
+        assert!(flags("fig6", &["--trials"]).is_err());
+        assert!(flags("fig6", &["--trials", "zero"]).is_err());
+        // One rule per flag, whichever command takes it.
+        for cmd in ["sweep", "fault-sweep", "fig8", "validate"] {
+            for flag in ["--trials", "--threads"] {
+                let err = flags(cmd, &[flag, "0"]).unwrap_err();
+                assert_eq!(err, format!("{flag} expects a positive integer"));
+            }
+        }
     }
 
     #[test]
@@ -1562,13 +1972,13 @@ mod tests {
         assert!(parse_command(["bogus"]).is_err());
         assert!(parse_command(["inspect"]).is_err());
         assert!(parse_command(["diff", "one.jsonl"]).is_err());
-        assert!(parse_record(["--policy", "sjf"]).is_err());
+        assert!(record_cell(&["--policy", "sjf"]).is_err());
         for util in ["-1", "0", "1.5", "inf", "NaN", "half"] {
-            assert!(parse_record(["--util", util]).is_err(), "--util {util}");
+            assert!(record_cell(&["--util", util]).is_err(), "--util {util}");
         }
         assert_eq!(parse_util("0.25"), Ok(0.25));
         assert_eq!(parse_util("1"), Ok(1.0));
-        assert!(parse_record(["--horizon", "0"]).is_err());
+        assert!(record_cell(&["--horizon", "0"]).is_err());
     }
 
     #[test]
@@ -1582,7 +1992,7 @@ mod tests {
 
     #[test]
     fn record_produces_inspectable_artifact() {
-        let mut args = RecordArgs::default();
+        let mut args = record_cell(&[]).unwrap();
         args.scenario.horizon_units = 1_000;
         args.scenario.sample_interval_units = Some(50);
         let (artifact, aborted) = record(&args);

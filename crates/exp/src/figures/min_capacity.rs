@@ -118,6 +118,10 @@ pub fn min_zero_miss_capacity_cached(
     )
 }
 
+/// Table 1 as the paper prints it: each utilization with its ratio
+/// `C_min,LSA / C_min,EA-DVFS`.
+pub const PAPER_TABLE1: [(f64, f64); 4] = [(0.2, 2.50), (0.4, 1.33), (0.6, 1.05), (0.8, 1.01)];
+
 /// Reproduces Table 1: `C_min,LSA / C_min,EA-DVFS` for each
 /// utilization, every search running on `plan`.
 ///

@@ -1,14 +1,14 @@
 //! Reproduction of every figure and table in the paper's evaluation
 //! (§5).
 //!
-//! | Paper artifact | Function | Binary |
-//! |----------------|----------|--------|
-//! | Fig. 5 (source behaviour)        | [`source_figure`] | `fig5` |
-//! | Fig. 6 (remaining energy, U=0.4) | [`remaining_energy_figure`] | `fig6` |
-//! | Fig. 7 (remaining energy, U=0.8) | [`remaining_energy_figure`] | `fig7` |
-//! | Fig. 8 (miss rate, U=0.4)        | [`miss_rate_figure`] | `fig8` |
-//! | Fig. 9 (miss rate, U=0.8)        | [`miss_rate_figure`] | `fig9` |
-//! | Table 1 (min storage ratio)      | [`min_capacity_table`] over [`min_zero_miss_capacity`] | `table1` |
+//! | Paper artifact | Function | Command |
+//! |----------------|----------|---------|
+//! | Fig. 5 (source behaviour)        | [`source_figure`] | `exp fig5` |
+//! | Fig. 6 (remaining energy, U=0.4) | [`remaining_energy_figure`] | `exp fig6` |
+//! | Fig. 7 (remaining energy, U=0.8) | [`remaining_energy_figure`] | `exp fig7` |
+//! | Fig. 8 (miss rate, U=0.4)        | [`miss_rate_figure`] | `exp fig8` |
+//! | Fig. 9 (miss rate, U=0.8)        | [`miss_rate_figure`] | `exp fig9` |
+//! | Table 1 (min storage ratio)      | [`min_capacity_table`] over [`min_zero_miss_capacity`], against [`PAPER_TABLE1`] | `exp table1` |
 //! | Robustness (not in the paper)    | [`robustness_campaign`] | `exp fault-sweep` |
 //!
 //! Every driver but Fig. 5's takes one [`RunPlan`] — worker threads,
@@ -25,7 +25,9 @@ mod resolve;
 mod robustness;
 mod source;
 
-pub use min_capacity::{min_capacity_table, min_zero_miss_capacity, min_zero_miss_capacity_cached};
+pub use min_capacity::{
+    min_capacity_table, min_zero_miss_capacity, min_zero_miss_capacity_cached, PAPER_TABLE1,
+};
 pub use miss_rate::{miss_rate_figure, miss_rate_figure_grouped, MissRateFigure, MissRateRow};
 pub use remaining_energy::remaining_energy_figure;
 pub use robustness::{robustness_campaign, Cell, RobustnessConfig, Sabotage};
@@ -39,11 +41,10 @@ use crate::telemetry::CampaignTelemetry;
 /// How a figure driver runs: on how many worker threads, against which
 /// result store, under which campaign telemetry.
 ///
-/// The figure binaries open the store `HARVEST_SWEEP_STORE` selects
-/// once per process and hand every driver the same plan
-/// ([`CliArgs::plan`](crate::cli::CliArgs::plan)); `exp`, tests,
-/// benches and examples build one directly, usually as
-/// `RunPlan { store: Some(&store), ..RunPlan::new(threads) }`.
+/// Callers build one directly, usually as
+/// `RunPlan { store: Some(&store), ..RunPlan::new(threads) }`. `exp`'s
+/// figure commands open the store `HARVEST_SWEEP_STORE` selects once per
+/// process and hand every driver they run the same plan.
 #[derive(Debug, Clone, Copy)]
 pub struct RunPlan<'a> {
     /// Worker threads (at least 1).

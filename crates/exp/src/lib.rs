@@ -21,15 +21,14 @@
 //!   (`exp sweep --trace/--progress`). A failed cell is replayed from
 //!   its key with `exp record --key`.
 //! * [`report`] — aligned tables, ASCII plots, CSV.
-//! * [`cli`] — the uniform flags of the `fig5`…`table1` binaries and
-//!   the [`RunPlan`] they build around the one store each process opens
-//!   from `HARVEST_SWEEP_STORE`.
+//! * [`record`] — the provenance envelope of a figure's `--json` data.
 //! * [`artifact`] — the JSONL run-artifact schema behind `exp record`
 //!   / `exp inspect` / `exp diff`.
 //!
-//! Binaries (in this crate): `fig5`, `fig6`, `fig7`, `fig8`, `fig9`,
-//! `table1`, `repro-all` which runs the whole evaluation, and `exp`,
-//! the run recorder/inspector.
+//! The crate's one binary, `exp`, regenerates each figure and table
+//! (`exp fig5` … `exp fig9`, `exp table1`), the whole evaluation
+//! (`exp repro-all`) and its PASS/FAIL check (`exp validate`), and
+//! records, inspects, sweeps and reports on runs and stores.
 //!
 //! # Examples
 //!
@@ -48,10 +47,9 @@
 
 pub mod artifact;
 pub mod cache;
-pub mod cli;
 pub mod figures;
 pub mod parallel;
-pub(crate) mod record;
+pub mod record;
 pub mod report;
 pub mod scenario;
 pub mod store;

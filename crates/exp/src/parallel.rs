@@ -295,7 +295,7 @@ where
 ///    short, and past 16 workers the spawn and synchronization overhead
 ///    outweighs the extra cores. The cap applies only to this fallback,
 ///    never to an explicit override.
-pub(crate) fn default_threads() -> usize {
+pub fn default_threads() -> usize {
     if let Ok(raw) = std::env::var("HARVEST_THREADS") {
         match raw.trim().parse::<usize>() {
             Ok(n) if n > 0 => return n,

@@ -15,7 +15,7 @@ use serde::Serialize;
 /// failures stay distinguishable instead of both collapsing into a
 /// generic `io::Error`.
 #[derive(Debug)]
-pub(crate) enum RecordError {
+pub enum RecordError {
     /// The artifact failed to serialize.
     Serialize(serde_json::Error),
     /// The filesystem rejected the write.
@@ -49,7 +49,7 @@ impl std::error::Error for RecordError {
 
 /// Provenance envelope around a serialized experiment artifact.
 #[derive(Debug, Clone, Serialize)]
-pub(crate) struct Record<T> {
+pub struct Record<T> {
     /// Artifact identifier, e.g. `"fig8"`.
     pub(crate) name: String,
     /// Workspace version that produced the record.
@@ -64,7 +64,7 @@ pub(crate) struct Record<T> {
 
 impl<T: Serialize> Record<T> {
     /// Wraps `data` with provenance.
-    pub(crate) fn new(name: &str, trials: usize, seed: u64, data: T) -> Self {
+    pub fn new(name: &str, trials: usize, seed: u64, data: T) -> Self {
         Record {
             name: name.to_owned(),
             produced_by: format!("harvest-rt {}", env!("CARGO_PKG_VERSION")),
@@ -90,7 +90,7 @@ impl<T: Serialize> Record<T> {
     ///
     /// Returns a typed [`RecordError`] naming whether serialization or
     /// the filesystem failed (and where).
-    pub(crate) fn write_to(&self, path: &Path) -> Result<(), RecordError> {
+    pub fn write_to(&self, path: &Path) -> Result<(), RecordError> {
         let json = self.to_json().map_err(RecordError::Serialize)?;
         std::fs::write(path, json).map_err(|source| RecordError::Io {
             path: path.to_owned(),

@@ -1415,17 +1415,6 @@ pub fn open_or_warn(dir: &Path, durability: Durability) -> Option<PackStore> {
         .ok()
 }
 
-/// The store the environment selects ([`SWEEP_STORE_ENV`]), opened at
-/// the default durability through [`open_or_warn`]. `None` when the
-/// variable is unset or disabled, or the directory cannot be opened.
-///
-/// The figure binaries call this once per process and run every driver
-/// against the result (see [`CliArgs::plan`](crate::cli::CliArgs::plan)),
-/// so one run appends through one pack.
-pub fn store_from_env() -> Option<PackStore> {
-    open_or_warn(&store_dir_from_env()?, Durability::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2184,24 +2173,25 @@ mod tests {
     }
 
     #[test]
-    fn store_from_env_selects_and_degrades() {
+    fn env_store_selects_and_degrades() {
         use crate::test_support::with_env;
         let dir = scratch_dir("env");
         let dir_str = dir.to_str().unwrap().to_owned();
         with_env(&[(SWEEP_STORE_ENV, None)], || {
-            assert!(store_from_env().is_none())
+            assert_eq!(store_dir_from_env(), None)
         });
         with_env(&[(SWEEP_STORE_ENV, Some("0"))], || {
-            assert!(store_from_env().is_none())
+            assert_eq!(store_dir_from_env(), None)
         });
         with_env(&[(SWEEP_STORE_ENV, Some(""))], || {
-            assert!(store_from_env().is_none())
+            assert_eq!(store_dir_from_env(), None)
         });
         with_env(&[(SWEEP_STORE_ENV, Some("1"))], || {
             assert_eq!(store_dir_from_env(), Some(PathBuf::from(DEFAULT_STORE_DIR)))
         });
         with_env(&[(SWEEP_STORE_ENV, Some(dir_str.as_str()))], || {
-            let store = store_from_env().expect("explicit dir enables the store");
+            let selected = store_dir_from_env().expect("explicit dir enables the store");
+            let store = open_or_warn(&selected, Durability::default()).expect("dir opens");
             assert_eq!(store.dir(), dir.as_path());
         });
         // Unopenable store dir (a file standing where the dir must go —
@@ -2211,8 +2201,9 @@ mod tests {
         let blocked = blocker.join("sub");
         let blocked_str = blocked.to_str().unwrap().to_owned();
         with_env(&[(SWEEP_STORE_ENV, Some(blocked_str.as_str()))], || {
+            let selected = store_dir_from_env().expect("a path enables the store");
             assert!(
-                store_from_env().is_none(),
+                open_or_warn(&selected, Durability::default()).is_none(),
                 "an unopenable store dir must disable storing, not fail"
             );
         });

@@ -4,8 +4,9 @@
 //! degrades to an uncached run with one warning (exit 0), a fault-sweep
 //! resumed through `--store` or `HARVEST_SWEEP_STORE` re-simulates
 //! nothing (the pack's decided records are the resume log), flags that
-//! need a store are usage errors without one (as are removed flags, the
-//! removed `store scrub` verb and an out-of-range `--util`), the
+//! need a store are usage errors without one (as are removed flags, a
+//! flag the command does not take, the removed `store scrub` verb and
+//! an out-of-range `--util`), the
 //! `store stat` / `store compact` subcommands round-trip a store
 //! directory without disturbing its contents, `store compact` repairs a
 //! corrupted record, and the maintenance commands refuse a store
@@ -275,22 +276,45 @@ fn removed_scrub_verb_is_a_usage_error() {
     assert!(!dir.exists(), "a usage error touches no store");
 }
 
-/// `--batch` and `--batch-group` are unknown flags (exit 2), not
-/// silently ignored ones.
+/// A flag a command does not take is a usage error (exit 2, the flag
+/// named on stderr) before any cell runs, never a flag silently
+/// ignored: the removed `--batch` and `--batch-group`; `--seed` on the
+/// figure grids, which always use seeds `0..trials`; `--trials` and
+/// `--threads` on `fig5`, which runs no grid; `--csv` and `--json` on
+/// `repro-all` and `validate`, which write no data.
 #[test]
-fn removed_batch_flags_are_usage_errors() {
-    for (sub, flag, value) in [
-        ("sweep", "--batch", "4"),
-        ("sweep", "--batch-group", "policy"),
-        ("fault-sweep", "--batch", "2"),
+fn flags_a_command_does_not_take_are_usage_errors() {
+    for (args, refusal) in [
+        ("sweep --batch 4", "unknown flag --batch"),
+        ("sweep --batch-group policy", "unknown flag --batch-group"),
+        ("fault-sweep --batch 2", "unknown flag --batch"),
+        ("fig5 --threads 2", "fig5 does not take --threads"),
+        ("fig5 --trials 9", "fig5 does not take --trials"),
+        ("fig6 --trials 1 --seed 7", "fig6 does not take --seed"),
+        ("fig7 --trials 1 --seed 7", "fig7 does not take --seed"),
+        ("fig8 --trials 1 --seed 7", "fig8 does not take --seed"),
+        ("fig9 --trials 1 --seed 7", "fig9 does not take --seed"),
+        ("table1 --trials 1 --seed 7", "table1 does not take --seed"),
+        (
+            "repro-all --trials 1 --csv /tmp/x",
+            "repro-all does not take --csv",
+        ),
+        (
+            "repro-all --trials 1 --json /tmp/x",
+            "repro-all does not take --json",
+        ),
+        (
+            "validate --trials 1 --csv /tmp/x",
+            "validate does not take --csv",
+        ),
+        (
+            "validate --trials 1 --json /tmp/x",
+            "validate does not take --json",
+        ),
     ] {
-        let out = run(exp().args([sub, flag, value]));
-        assert_eq!(out.status.code(), Some(2), "{sub} {flag} must exit 2");
-        assert!(
-            stderr(&out).contains(&format!("unknown flag {flag}")),
-            "{}",
-            stderr(&out)
-        );
+        let out = run(exp().args(args.split(' ')));
+        assert_eq!(out.status.code(), Some(2), "{args} must exit 2");
+        assert!(stderr(&out).contains(refusal), "{args}: {}", stderr(&out));
         assert!(stdout(&out).is_empty(), "no cell may run: {}", stdout(&out));
     }
 }

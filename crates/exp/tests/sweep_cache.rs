@@ -1,7 +1,7 @@
 //! Figure- and cell-level sweep-store behaviour: warm re-runs are
 //! bit-identical to cold ones and simulate nothing, corrupted records
 //! are rejected and recomputed (never trusted), the capacity-search
-//! bisection reuses stored probes, and a figure binary run under
+//! bisection reuses stored probes, and a figure command run under
 //! `HARVEST_SWEEP_STORE` appends through one store per process.
 
 use std::path::{Path, PathBuf};
@@ -190,21 +190,21 @@ fn packs(dir: &Path) -> usize {
         .count()
 }
 
-/// A figure binary opens the environment's store once per process, so
+/// A figure command opens the environment's store once per process, so
 /// all of Table 1's capacity searches append through one pack, and a
 /// warm re-run reproduces the record from the store without adding a
 /// pack.
 #[test]
-fn table1_binary_holds_one_store_per_process() {
+fn table1_command_holds_one_store_per_process() {
     let dir = scratch_dir("table1-env");
     let store = dir.join("store");
     let table1 = |json: &str| {
-        let out = Command::new(env!("CARGO_BIN_EXE_table1"))
+        let out = Command::new(env!("CARGO_BIN_EXE_exp"))
             .env(SWEEP_STORE_ENV, &store)
-            .args(["--trials", "2", "--threads", "2", "--json"])
+            .args(["table1", "--trials", "2", "--threads", "2", "--json"])
             .arg(dir.join(json))
             .output()
-            .expect("spawn table1");
+            .expect("spawn exp table1");
         assert!(out.status.success(), "{out:?}");
         std::fs::read(dir.join(json)).unwrap()
     };

@@ -1,7 +1,7 @@
 //! Statistical integration tests of the paper's headline claims, at a
 //! scale small enough for CI but large enough to be stable.
 
-use harvest_rt::exp::figures::{min_zero_miss_capacity, miss_rate_figure, source_figure, RunPlan};
+use harvest_rt::exp::figures::{min_capacity_table, miss_rate_figure, source_figure, RunPlan};
 use harvest_rt::exp::scenario::SimPool;
 use harvest_rt::prelude::*;
 
@@ -129,20 +129,15 @@ fn miss_rate_decreases_with_capacity() {
 /// utilization grows.
 #[test]
 fn table1_ratio_shrinks_with_utilization() {
-    let trials = 3;
-    let threads = 4;
-    let ratio_at = |u: f64| {
-        let plan = RunPlan::new(threads);
-        let (lsa, _) = min_zero_miss_capacity(PolicyKind::Lsa, u, trials, 1e7, 0.01, plan);
-        let (ea, _) = min_zero_miss_capacity(PolicyKind::EaDvfs, u, trials, 1e7, 0.01, plan);
+    let (table, _) = min_capacity_table(&[0.2, 0.8], 3, RunPlan::new(4));
+    for row in &table.rows {
         assert!(
-            lsa.is_finite() && ea.is_finite(),
-            "U={u}: search must converge"
+            row.cmin_lsa.is_finite() && row.cmin_ea_dvfs.is_finite(),
+            "U={}: search must converge",
+            row.utilization
         );
-        lsa / ea
-    };
-    let low = ratio_at(0.2);
-    let high = ratio_at(0.8);
+    }
+    let (low, high) = (table.rows[0].ratio, table.rows[1].ratio);
     assert!(
         low > 1.15,
         "U=0.2 ratio should be clearly above 1, got {low:.2}"
